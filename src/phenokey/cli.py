@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .anatomy import acr_gradient, acr_loss, box_for_keypoints, fit_prior, prior_from_dict, prior_to_dict
@@ -78,18 +79,26 @@ def _cmd_measure(args) -> int:
     return 0
 
 
+_CONFIG_KEYS = tuple(f.name for f in fields(EvalConfig))
+
+
 def _eval_config(args) -> EvalConfig:
     # precedence: flags > config file > defaults
     values = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        for key in ("pmp_threshold", "pck_threshold", "pck_scale_mode", "oks_scale", "oks_k"):
-            if key in file_cfg:
-                values[key] = file_cfg[key]
+        if not isinstance(file_cfg, dict):
+            raise PhenokeyError(f"{args.config}: config must be a JSON object")
+        unknown = sorted(set(file_cfg) - set(_CONFIG_KEYS))
+        if unknown:
+            raise PhenokeyError(
+                f"{args.config}: unknown config key(s) {', '.join(map(repr, unknown))}; "
+                f"known keys are {', '.join(_CONFIG_KEYS)}"
+            )
+        values.update(file_cfg)
     if args.r is not None:
         values["pmp_threshold"] = args.r
-        values.setdefault("pck_threshold", args.r)
         if args.pck_threshold is None:
             values["pck_threshold"] = args.r
     if args.pck_threshold is not None:

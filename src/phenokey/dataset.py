@@ -155,41 +155,69 @@ class Violation:
         return f"[{self.rule}] {where}: {self.detail}"
 
 
+def stack_keypoints(sets) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 22, 2) coordinates and (n, 22) flags of a sequence of keypoint sets."""
+    xy = np.stack([s.xy for s in sets]) if sets else np.zeros((0, KEYPOINT_COUNT, 2))
+    v = np.stack([s.v for s in sets]) if sets else np.zeros((0, KEYPOINT_COUNT), dtype=np.int64)
+    return xy, v
+
+
+# Keypoint rules in priority order: a keypoint reports only the first it breaks.
+_KEYPOINT_RULES = ("visibility_flag", "visible_finite", "visible_nonnegative", "visible_within_bounds")
+
+
 def validate(dataset: Dataset) -> list[Violation]:
     """Check every dataset invariant; violations are returned, never raised.
 
     Rules reported: visibility_flag, visible_finite, visible_nonnegative,
-    positive_dimensions, visible_within_bounds, unique_image_id.
+    positive_dimensions, visible_within_bounds, unique_image_id. Violations
+    come in record order; within a record, the record rules come first, then
+    the keypoints in index order, each with the first rule it breaks.
     """
-    violations = []
+    records = dataset.records
+    xy, v = stack_keypoints([rec.keypoints for rec in records])
+    width = np.array([rec.width for rec in records], dtype=np.float64)
+    height = np.array([rec.height for rec in records], dtype=np.float64)
+    duplicate = np.zeros(len(records), dtype=bool)
     seen_ids = set()
-    for rec in dataset:
-        if rec.image_id in seen_ids:
-            violations.append(Violation(rec.image_id, None, "unique_image_id", "duplicate image id"))
+    for n, rec in enumerate(records):
+        duplicate[n] = rec.image_id in seen_ids
         seen_ids.add(rec.image_id)
-        if not (rec.width > 0 and rec.height > 0):
+    sized = (width > 0) & (height > 0)
+
+    # rule[n, i] is 1 + the index in _KEYPOINT_RULES of the first rule broken, else 0
+    x, y = xy[..., 0], xy[..., 1]
+    used = v != 0
+    rule = np.select(
+        [
+            (v < 0) | (v > 2),
+            used & ~(np.isfinite(x) & np.isfinite(y)),
+            used & ((x < 0) | (y < 0)),
+            used & sized[:, None] & ((x > width[:, None]) | (y > height[:, None])),
+        ],
+        [1, 2, 3, 4],
+        0,
+    )
+
+    violations = []
+    for n in np.flatnonzero(duplicate | ~sized | rule.any(axis=1)):
+        rec = records[n]
+        if duplicate[n]:
+            violations.append(Violation(rec.image_id, None, "unique_image_id", "duplicate image id"))
+        if not sized[n]:
             violations.append(
                 Violation(rec.image_id, None, "positive_dimensions", f"width={rec.width}, height={rec.height}")
             )
-        kp = rec.keypoints
-        for i in range(KEYPOINT_COUNT):
-            vis = int(kp.v[i])
-            x, y = kp.xy[i]
-            if vis not in (0, 1, 2):
-                violations.append(Violation(rec.image_id, i + 1, "visibility_flag", f"v={vis}"))
-                continue
-            if vis == 0:
-                continue
-            if not (np.isfinite(x) and np.isfinite(y)):
-                violations.append(Violation(rec.image_id, i + 1, "visible_finite", f"({x}, {y})"))
-                continue
-            if x < 0 or y < 0:
-                violations.append(Violation(rec.image_id, i + 1, "visible_nonnegative", f"({x}, {y})"))
-            elif rec.width > 0 and rec.height > 0 and (x > rec.width or y > rec.height):
-                violations.append(
-                    Violation(rec.image_id, i + 1, "visible_within_bounds",
-                              f"({x}, {y}) outside {rec.width} x {rec.height}")
-                )
+        for i in np.flatnonzero(rule[n]):
+            code = rule[n, i]
+            px, py = xy[n, i]
+            if code == 1:
+                detail = f"v={int(v[n, i])}"
+            elif code == 4:
+                detail = f"({px}, {py}) outside {rec.width} x {rec.height}"
+            else:
+                detail = f"({px}, {py})"
+            violations.append(Violation(rec.image_id, int(i) + 1, _KEYPOINT_RULES[code - 1], detail))
     return violations
 
 
@@ -234,6 +262,8 @@ def parse_coco(path) -> Dataset:
         warnings.warn("annotations array is empty; dataset has no records", PhenokeyWarning, stacklevel=2)
 
     records = []
+    ann_ids = []
+    flags = []
     seen = set()
     for ann in annotations:
         ann_id = ann.get("id", "<missing>") if isinstance(ann, dict) else "<missing>"
@@ -264,6 +294,18 @@ def parse_coco(path) -> Dataset:
             species=species,
         )
         records.append(FishImageRecord(image_id=img_id, width=width, height=height, keypoints=kp))
+        ann_ids.append(ann_id)
+        flags.append(triplets[:, 2])
+
+    # The int64 cast above truncates a fractional flag; one check per file finds any.
+    if flags:
+        flags = np.stack(flags)
+        fractional = np.isfinite(flags) & (flags != np.trunc(flags))
+        if fractional.any():
+            n, i = np.argwhere(fractional)[0]
+            raise SchemaError(
+                f"annotation {ann_ids[n]!r}: keypoint {i + 1} has fractional visibility flag {float(flags[n, i])!r}"
+            )
 
     info = doc.get("info", {})
     role = info.get("role", "train") if isinstance(info, dict) else "train"
@@ -278,30 +320,32 @@ def _species_category_id(species: str) -> int:
 
 def dataset_to_coco_dict(dataset: Dataset) -> dict:
     """Canonical document form of a dataset (fixed key order, sorted by id)."""
-    images = []
-    annotations = []
-    for n, rec in enumerate(dataset, start=1):
-        images.append(
-            {
-                "id": rec.image_id,
-                "width": rec.width,
-                "height": rec.height,
-                "file_name": f"{rec.image_id}.jpg",
-            }
-        )
-        flat = []
-        for i in range(KEYPOINT_COUNT):
-            x, y = rec.keypoints.xy[i]
-            flat.extend([float(x), float(y), int(rec.keypoints.v[i])])
-        annotations.append(
-            {
-                "id": n,
-                "image_id": rec.image_id,
-                "category_id": _species_category_id(rec.keypoints.species),
-                "keypoints": flat,
-                "num_keypoints": int((rec.keypoints.v > 0).sum()),
-            }
-        )
+    records = dataset.records
+    xy, v = stack_keypoints([rec.keypoints for rec in records])
+    n = len(records)
+    # x, y, v triplets as Python floats, with the flags swapped back to ints
+    rows = np.concatenate([xy, v[..., None].astype(np.float64)], axis=2).reshape(n, TRIPLET_LEN).tolist()
+    for row, row_flags in zip(rows, v.tolist()):
+        row[2::3] = row_flags
+    images = [
+        {
+            "id": rec.image_id,
+            "width": rec.width,
+            "height": rec.height,
+            "file_name": f"{rec.image_id}.jpg",
+        }
+        for rec in records
+    ]
+    annotations = [
+        {
+            "id": k,
+            "image_id": rec.image_id,
+            "category_id": _species_category_id(rec.keypoints.species),
+            "keypoints": row,
+            "num_keypoints": num,
+        }
+        for k, (rec, row, num) in enumerate(zip(records, rows, (v > 0).sum(axis=1).tolist()), start=1)
+    ]
     categories = [
         {
             "id": _species_category_id(sp),
@@ -321,12 +365,51 @@ def dataset_to_coco_dict(dataset: Dataset) -> dict:
     }
 
 
+# json.dumps(indent=2) runs the pure-Python encoder. The two long arrays are
+# written here instead: the C encoder handles each image and each keypoint
+# list, with item separators that carry the indent=2 line breaks.
+_RECORD_FIELDS = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+_KEYPOINT_ITEMS = json.JSONEncoder(separators=(",\n        ", ": ")).encode
+_ANNOTATION = '    {\n      %s,\n      "keypoints": [\n        %s\n      ],\n      "num_keypoints": %s\n    }'
+# Stands in for a long array in the skeleton, whose other strings are all fixed.
+_SLOT = "@slot@"
+
+
+def _image_text(image: dict) -> str:
+    return "    {\n      " + _RECORD_FIELDS(image)[1:-1] + "\n    }"
+
+
+def _annotation_text(ann: dict) -> str:
+    head = {"id": ann["id"], "image_id": ann["image_id"], "category_id": ann["category_id"]}
+    return _ANNOTATION % (
+        _RECORD_FIELDS(head)[1:-1],
+        _KEYPOINT_ITEMS(ann["keypoints"])[1:-1],
+        json.dumps(ann["num_keypoints"]),
+    )
+
+
+def _coco_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` for a document of :func:`dataset_to_coco_dict`."""
+    skeleton = dict(doc)
+    bodies = []
+    for key, write in (("images", _image_text), ("annotations", _annotation_text)):
+        if doc[key]:
+            skeleton[key] = [_SLOT]
+            bodies.append(",\n".join(map(write, doc[key])))
+    parts = json.dumps(skeleton, indent=2).split(f'    "{_SLOT}"')
+    return parts[0] + "".join(body + part for body, part in zip(bodies, parts[1:])) + "\n"
+
+
 def serialize_coco(dataset: Dataset, path) -> None:
-    """Write the canonical annotation document; fails fast on invalid data."""
+    """Write the canonical annotation document; fails fast on invalid data.
+
+    The text is ``json.dumps(doc, indent=2)`` byte for byte; the images and
+    annotations are encoded a whole record at a time rather than a value at
+    a time.
+    """
     violations = validate(dataset)
     if violations:
         raise DatasetValidationError(violations)
-    doc = dataset_to_coco_dict(dataset)
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _coco_text(dataset_to_coco_dict(dataset))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

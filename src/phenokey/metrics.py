@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, KeypointSet
+from .dataset import Dataset, KeypointSet, stack_keypoints
 from .errors import DegenerateFitError, DegenerateScaleError, UndefinedMetricError
 from .morphometry import PhenotypeTable, default_table
 from .schema import KEYPOINT_COUNT
@@ -208,12 +208,6 @@ def _bbox_diagonal(xy: np.ndarray) -> float:
     return float(math.hypot(*(maxs - mins)))
 
 
-def _stack(sets) -> tuple[np.ndarray, np.ndarray]:
-    xy = np.stack([s.xy for s in sets]) if sets else np.zeros((0, KEYPOINT_COUNT, 2))
-    v = np.stack([s.v for s in sets]) if sets else np.zeros((0, KEYPOINT_COUNT), dtype=np.int64)
-    return xy, v
-
-
 @dataclass(frozen=True)
 class PerKeypointResult:
     """Per-keypoint score plus how many samples were counted or skipped.
@@ -259,8 +253,8 @@ def _pck_scales(gt_xy, gt_v, mode, image_ids) -> np.ndarray:
 def _paired_arrays(preds, gts):
     if len(preds) != len(gts):
         raise ValueError(f"got {len(preds)} predictions for {len(gts)} ground truths")
-    gt_xy, gt_v = _stack(list(gts))
-    pred_xy, _ = _stack(list(preds))
+    gt_xy, gt_v = stack_keypoints(list(gts))
+    pred_xy, _ = stack_keypoints(list(preds))
     image_ids = [g.image_id for g in gts]
     for p, g in zip(preds, gts):
         if p.image_id != g.image_id:
@@ -394,8 +388,8 @@ def phenotype_value_pairs(gt: Dataset, pred: Dataset, abbrev: str, table: Phenot
         raise KeyError(f"unknown phenotype {abbrev!r}")
     preds, gts = _pair_datasets(gt, pred)
     t = list(table.abbrevs()).index(abbrev)
-    pred_xy, _ = _stack(list(preds))
-    gt_xy, gt_v = _stack(list(gts))
+    pred_xy, _ = stack_keypoints(list(preds))
+    gt_xy, gt_v = stack_keypoints(list(gts))
     gt_len = _phenotype_lengths(gt_xy, gt_v, table)[:, t]
     pred_len = _phenotype_lengths(pred_xy, gt_v, table)[:, t]
     usable = np.isfinite(gt_len)
@@ -444,8 +438,8 @@ def _pair_datasets(gt: Dataset, pred: Dataset):
 
 
 def _phenotype_stats(preds, gts, table) -> dict:
-    pred_xy, _ = _stack(list(preds))
-    gt_xy, gt_v = _stack(list(gts))
+    pred_xy, _ = stack_keypoints(list(preds))
+    gt_xy, gt_v = stack_keypoints(list(gts))
     gt_len = _phenotype_lengths(gt_xy, gt_v, table)
     pred_len = _phenotype_lengths(pred_xy, gt_v, table)  # gt visibility governs
     stats = {}

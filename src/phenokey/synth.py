@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, FishImageRecord, KeypointSet
+from .dataset import Dataset, FishImageRecord, KeypointSet, stack_keypoints
 from .metrics import shortest_phenotype_lengths
 from .morphometry import PhenotypeTable, default_table
 from .schema import KEYPOINT_COUNT
@@ -229,13 +229,19 @@ def perturb(gt: Dataset, model: PerturbationModel, table: PhenotypeTable | None 
     uniform_px draws per-axis uniform noise in [-magnitude, magnitude].
     proportional_to_shortest_phenotype draws truncated-normal noise with
     per-keypoint sigma = magnitude * shortest related ground-truth phenotype
-    (keypoints with no measurable related phenotype stay unperturbed).
+    (keypoints with no measurable related phenotype stay unperturbed); the
+    sigmas of all fish come from one batched phenotype-length computation.
+    Each fish still draws its noise from its own (seed, fish index) stream.
 
     Displaced points are kept on the canvas: the canvas grows to cover
     overshoot on the high side and coordinates clamp at zero on the low side
     (with the margins generated populations carry, the clamp never engages).
     """
     table = table or default_table()
+    if model.mode != "uniform_px":
+        gt_xy, gt_v = stack_keypoints([rec.keypoints for rec in gt])
+        pheno = shortest_phenotype_lengths(gt_xy, gt_v, table)
+        sigma = np.where(np.isfinite(pheno), model.magnitude * pheno, 0.0)
     records = []
     for idx, rec in enumerate(gt):
         rng = np.random.default_rng([int(model.seed), idx, 7919])
@@ -243,9 +249,7 @@ def perturb(gt: Dataset, model: PerturbationModel, table: PhenotypeTable | None 
         if model.mode == "uniform_px":
             noise = rng.uniform(-model.magnitude, model.magnitude, size=(KEYPOINT_COUNT, 2))
         else:
-            pheno = shortest_phenotype_lengths(kp.xy[None, :, :], kp.v[None, :], table)[0]
-            sigma = np.where(np.isfinite(pheno), model.magnitude * pheno, 0.0)
-            noise = _truncated_normal(rng, (KEYPOINT_COUNT, 2)) * sigma[:, None]
+            noise = _truncated_normal(rng, (KEYPOINT_COUNT, 2)) * sigma[idx][:, None]
         xy = np.maximum(kp.xy + noise, 0.0)
         width = max(rec.width, float(math.ceil(xy[:, 0].max())))
         height = max(rec.height, float(math.ceil(xy[:, 1].max())))

@@ -114,6 +114,38 @@ def oracle_pmp(preds, gts, cfg, table=None):
     return [hits[j] / counts[j] if counts[j] else None for j in range(KEYPOINT_COUNT)]
 
 
+def oracle_validate(dataset):
+    """(image_id, keypoint_index, rule, detail) of every invariant breach, in record order.
+
+    Per record: duplicate id, then non-positive dimensions, then each keypoint
+    in index order with the first rule it breaks.
+    """
+    found = []
+    seen = set()
+    for rec in dataset:
+        if rec.image_id in seen:
+            found.append((rec.image_id, None, "unique_image_id", "duplicate image id"))
+        seen.add(rec.image_id)
+        sized = rec.width > 0 and rec.height > 0
+        if not sized:
+            found.append((rec.image_id, None, "positive_dimensions", f"width={rec.width}, height={rec.height}"))
+        for i in range(1, KEYPOINT_COUNT + 1):
+            flag = int(rec.keypoints.v[i - 1])
+            x, y = _pt(rec.keypoints, i)
+            if flag not in (0, 1, 2):
+                found.append((rec.image_id, i, "visibility_flag", f"v={flag}"))
+            elif flag == 0:
+                pass
+            elif not (math.isfinite(x) and math.isfinite(y)):
+                found.append((rec.image_id, i, "visible_finite", f"({x}, {y})"))
+            elif x < 0 or y < 0:
+                found.append((rec.image_id, i, "visible_nonnegative", f"({x}, {y})"))
+            elif sized and (x > rec.width or y > rec.height):
+                found.append((rec.image_id, i, "visible_within_bounds",
+                              f"({x}, {y}) outside {rec.width} x {rec.height}"))
+    return found
+
+
 def truncated_rayleigh_within(radius, cutoff=3.0, grid=200_001):
     """P(sqrt(z1^2 + z2^2) < radius) for i.i.d. standard normals truncated at +/- cutoff.
 

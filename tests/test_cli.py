@@ -91,6 +91,21 @@ def test_evaluate_config_file_and_flag_precedence(synth_files, tmp_path):
     assert json.loads(out.read_text())["config"]["pmp_threshold"] == 0.3
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"pmp_treshold": 0.05, "pck_scale_mode": "torso"}, "unknown config key(s) 'pmp_treshold'"),
+    ("pmp_threshold", "config must be a JSON object"),
+])
+def test_evaluate_config_unknown_key_is_data_error(synth_files, tmp_path, capsys, config, message):
+    gt, pred = synth_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--metric", "pmp",
+                 "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_prior_and_acr_flow(synth_files, tmp_path):
     gt, _ = synth_files
     prior = tmp_path / "prior.json"

@@ -5,7 +5,9 @@ import pytest
 
 from phenokey.dataset import (
     Dataset,
+    FishImageRecord,
     KeypointSet,
+    dataset_to_coco_dict,
     parse_coco,
     serialize_coco,
     validate,
@@ -17,10 +19,11 @@ from phenokey.errors import (
     PhenokeyWarning,
     SchemaError,
 )
-from phenokey.schema import KEYPOINT_COUNT
+from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import TEMPLATES, generate_population
 
 from conftest import make_dataset, make_keypoints
+from oracles import oracle_validate
 
 
 def _load_fixture_doc(fixture_path):
@@ -78,6 +81,18 @@ def test_bad_triplet_count_names_annotation(fixture_path, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="annotation 1"):
         parse_coco(path)
+
+
+def test_fractional_visibility_flag_names_annotation_and_keypoint(fixture_path, tmp_path):
+    doc = _load_fixture_doc(fixture_path)
+    doc["annotations"][0]["keypoints"][3 * 3 + 2] = 2.7
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"annotation 1: keypoint 4 has fractional visibility flag 2\.7"):
+        parse_coco(path)
+    doc["annotations"][0]["keypoints"][3 * 3 + 2] = 2.0
+    path.write_text(json.dumps(doc))
+    assert parse_coco(path).records[0].keypoints.point(4)[2] == 2
 
 
 def test_empty_annotations_warns(fixture_path, tmp_path):
@@ -184,6 +199,70 @@ def test_validate_bad_dimensions():
     ds = make_dataset([kp], width=0.0)
     rules = {v.rule for v in validate(ds)}
     assert "positive_dimensions" in rules
+
+
+def _rule_breaking_dataset():
+    def kp(image_id, v_at=None, overrides=None):
+        v = np.full(KEYPOINT_COUNT, 2)
+        for idx, flag in (v_at or {}).items():
+            v[idx - 1] = flag
+        return make_keypoints(v=v, image_id=image_id, overrides=overrides)
+
+    def rec(keypoints, width=2000.0, height=2000.0):
+        return FishImageRecord(keypoints.image_id, width, height, keypoints)
+
+    return Dataset(records=(
+        rec(kp(1)),
+        rec(kp(2, v_at={3: 5, 7: -1, 9: 0}, overrides={3: (np.nan, 1.0), 9: (-5.0, np.inf)})),
+        rec(kp(2, v_at={4: 1}, overrides={4: (np.inf, 3.0), 6: (-1.0, 4.5), 8: (2500.0, 10.0)})),
+        rec(kp(3, overrides={2: (np.nan, -2.0), 10: (10.0, 2000.5)}), width=0.0),
+        rec(kp(4, overrides={11: (3000.0, -1.0), 12: (2100.25, 2100.5)}), height=float("nan")),
+        rec(kp(5, v_at={1: 3}, overrides={5: (1999.5, 2000.0), 6: (2000.0, 2000.0000001)})),
+        rec(kp(5), width=-4.0, height=-1.0),
+        rec(kp(6)),
+        rec(kp(2, overrides={22: (1.0, -0.0), 21: (-0.0, 0.5)})),
+    ))
+
+
+def test_validate_matches_oracle_on_every_rule():
+    ds = _rule_breaking_dataset()
+    got = [(v.image_id, v.keypoint_index, v.rule, v.detail) for v in validate(ds)]
+    assert got == oracle_validate(ds)
+    assert {rule for _, _, rule, _ in got} == {
+        "unique_image_id", "positive_dimensions", "visibility_flag",
+        "visible_finite", "visible_nonnegative", "visible_within_bounds",
+    }
+    assert len({image_id for image_id, *_ in got}) > 3
+
+
+def _serializer_cases():
+    hidden = np.full(KEYPOINT_COUNT, 2)
+    hidden[[0, 9, 21]] = 0
+    nan_hidden = {1: (np.nan, np.nan), 10: (np.nan, 5.0), 22: (7.0, np.nan)}
+    odd_ids = ['fish "one"', "poisson \u00e9", "\u9b5a\u2014\U0001f41f", "plain", "back\\slash"]
+    records = [
+        FishImageRecord(
+            image_id, 1000.0 + k, 800.5,
+            make_keypoints(v=hidden, image_id=image_id, species=sp, overrides=nan_hidden),
+        )
+        for k, (image_id, sp) in enumerate(zip(odd_ids, SPECIES))
+    ]
+    numeric = [make_keypoints(image_id=k, species=SPECIES[k % len(SPECIES)]) for k in (3, 1, 2)]
+    return [
+        Dataset(records=tuple(records), role="test"),
+        make_dataset(numeric, role="train"),
+        Dataset(records=(), role="test"),
+        generate_population(TEMPLATES["deep_bodied"], 4, seed=5, species="grouper"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_serialize_bytes_equal_indent2_dumps(case, tmp_path):
+    ds = _serializer_cases()[case]
+    out = tmp_path / "out.json"
+    serialize_coco(ds, out)
+    expected = json.dumps(dataset_to_coco_dict(ds), indent=2) + "\n"
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_serialize_invalid_fails_before_write(tmp_path):

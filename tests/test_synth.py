@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from phenokey.anatomy import fit_prior, normalize
-from phenokey.dataset import validate
-from phenokey.metrics import pmp
+from phenokey.dataset import Dataset, FishImageRecord, KeypointSet, validate
+from phenokey.metrics import pmp, shortest_phenotype_lengths
+from phenokey.morphometry import default_table
 from phenokey.schema import KEYPOINT_COUNT
 from phenokey.synth import (
     TEMPLATES,
     PerturbationModel,
     SpeciesTemplate,
+    _truncated_normal,
     generate_population,
     load_template,
     perturb,
@@ -142,6 +144,52 @@ def test_perturbed_dataset_serializes(tmp_path):
     out = tmp_path / "pred.json"
     serialize_coco(pred, out)
     assert parse_coco(out) == pred
+
+
+def _perturb_one_fish_at_a_time(gt, model):
+    """Reference perturbation: phenotype lengths computed for each fish on its own."""
+    table = default_table()
+    records = []
+    for idx, rec in enumerate(gt):
+        rng = np.random.default_rng([int(model.seed), idx, 7919])
+        kp = rec.keypoints
+        if model.mode == "uniform_px":
+            noise = rng.uniform(-model.magnitude, model.magnitude, size=(KEYPOINT_COUNT, 2))
+        else:
+            pheno = shortest_phenotype_lengths(kp.xy[None], kp.v[None], table)[0]
+            sigma = np.where(np.isfinite(pheno), model.magnitude * pheno, 0.0)
+            noise = _truncated_normal(rng, (KEYPOINT_COUNT, 2)) * sigma[:, None]
+        xy = np.maximum(kp.xy + noise, 0.0)
+        width = max(rec.width, float(np.ceil(xy[:, 0].max())))
+        height = max(rec.height, float(np.ceil(xy[:, 1].max())))
+        moved = KeypointSet(xy=xy, v=kp.v.copy(), image_id=kp.image_id, species=kp.species)
+        records.append(FishImageRecord(rec.image_id, width, height, moved))
+    return Dataset(records=tuple(records), role=gt.role)
+
+
+@pytest.mark.parametrize("mode,magnitude", [("uniform_px", 6.0), ("proportional_to_shortest_phenotype", 0.08)])
+def test_perturb_equals_per_fish_reference(mode, magnitude):
+    gt = generate_population(TEMPLATES["elongate"], 40, seed=13, role="test")
+    hidden = []
+    for k, rec in enumerate(gt):
+        v = rec.keypoints.v.copy()
+        v[[k % KEYPOINT_COUNT, (5 * k + 3) % KEYPOINT_COUNT]] = 0
+        if k % 7 == 0:
+            v[[0, 11]] = 0    # keypoint 11 keeps no measurable related phenotype
+            v[10] = 2
+        kp = KeypointSet(xy=rec.keypoints.xy, v=v, image_id=rec.image_id)
+        hidden.append(FishImageRecord(rec.image_id, rec.width, rec.height, kp))
+    gt = Dataset(records=tuple(hidden), role="test")
+    model = PerturbationModel(mode, magnitude, seed=21)
+    pred = perturb(gt, model)
+    reference = _perturb_one_fish_at_a_time(gt, model)
+    assert pred == reference
+    assert pred.role == "test"
+    assert [(r.width, r.height) for r in pred] == [(r.width, r.height) for r in reference]
+    assert pred != gt
+    if mode != "uniform_px":
+        for g, p in list(zip(gt, pred))[::7]:
+            assert np.array_equal(p.keypoints.xy[10], g.keypoints.xy[10])
 
 
 def test_invalid_perturbation_model():
