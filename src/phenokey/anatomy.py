@@ -105,21 +105,21 @@ def fit_prior(train: Dataset, species: str = "other") -> AnatomicalPrior:
 
 @dataclass(frozen=True)
 class BoxConstraint:
-    """Per-keypoint admissible boxes placed inside one target image's rectangle."""
+    """Per-keypoint admissible boxes placed inside one image's rectangle, or N images' rectangles."""
 
-    origin: np.ndarray   # (2,) bbox minimum corner, pixels
-    extent: np.ndarray   # (2,) bbox width/height, pixels
+    origin: np.ndarray   # (2,) or (N, 1, 2) bbox minimum corner, pixels
+    extent: np.ndarray   # (2,) or (N, 1, 2) bbox width/height, pixels
     nmin: np.ndarray     # (22, 2) normalized lower extremes
     nmax: np.ndarray     # (22, 2) normalized upper extremes
 
     @property
     def k_min(self) -> np.ndarray:
-        """(22, 2) absolute lower corners in pixels."""
+        """(22, 2) or (N, 22, 2) absolute lower corners in pixels."""
         return self.origin + self.nmin * self.extent
 
     @property
     def k_max(self) -> np.ndarray:
-        """(22, 2) absolute upper corners in pixels."""
+        """(22, 2) or (N, 22, 2) absolute upper corners in pixels."""
         return self.origin + self.nmax * self.extent
 
 
@@ -145,33 +145,42 @@ def box_for_keypoints(prior: AnatomicalPrior, keypoints: KeypointSet) -> BoxCons
     return box_for_image(prior, visible_bbox(keypoints))
 
 
-def acr_violations(xy: np.ndarray, box: BoxConstraint) -> np.ndarray:
-    """Per-keypoint, per-axis hinge magnitudes in pixels, shape (22, 2)."""
-    xy = np.asarray(xy, dtype=np.float64)
-    if xy.shape != (KEYPOINT_COUNT, 2):
-        raise ValueError(f"expected coordinates of shape (22, 2), got {xy.shape}")
+def acr_hinge(xy: np.ndarray, box: BoxConstraint) -> tuple[np.ndarray, np.ndarray]:
+    """Hinge magnitudes in pixels and subgradient signs of ``xy``, shape (..., 22, 2).
+
+    Coordinates are normalized once by the box frame, which broadcasts: a
+    (2,) frame for one image, (N, 1, 2) frames for an (N, 22, 2) batch. The
+    sign is -1 below the box, +1 above and 0 inside or on it.
+    """
     norm = (xy - box.origin) / box.extent
     low = np.maximum(0.0, box.nmin - norm)
     high = np.maximum(0.0, norm - box.nmax)
-    return (low + high) * box.extent
+    signs = np.zeros_like(norm)
+    signs[norm < box.nmin] = -1.0
+    signs[norm > box.nmax] = 1.0
+    return (low + high) * box.extent, signs
+
+
+def _coords(preds) -> np.ndarray:
+    xy = preds.xy if isinstance(preds, KeypointSet) else np.asarray(preds, dtype=np.float64)
+    if xy.shape != (KEYPOINT_COUNT, 2):
+        raise ValueError(f"expected coordinates of shape (22, 2), got {xy.shape}")
+    return xy
+
+
+def acr_violations(xy: np.ndarray, box: BoxConstraint) -> np.ndarray:
+    """Per-keypoint, per-axis hinge magnitudes in pixels, shape (22, 2)."""
+    return acr_hinge(_coords(xy), box)[0]
 
 
 def acr_loss(preds, box: BoxConstraint) -> float:
     """Total box-violation penalty in pixels, summed over keypoints and axes."""
-    xy = preds.xy if isinstance(preds, KeypointSet) else preds
-    return float(acr_violations(xy, box).sum())
+    return float(acr_violations(preds, box).sum())
 
 
 def acr_gradient(preds, box: BoxConstraint) -> np.ndarray:
     """Per-coordinate hinge subgradient: -1 below the box, +1 above, 0 inside or on it."""
-    xy = preds.xy if isinstance(preds, KeypointSet) else np.asarray(preds, dtype=np.float64)
-    if xy.shape != (KEYPOINT_COUNT, 2):
-        raise ValueError(f"expected coordinates of shape (22, 2), got {xy.shape}")
-    norm = (xy - box.origin) / box.extent
-    grad = np.zeros_like(norm)
-    grad[norm < box.nmin] = -1.0
-    grad[norm > box.nmax] = 1.0
-    return grad
+    return acr_hinge(_coords(preds), box)[1]
 
 
 def prior_to_dict(prior: AnatomicalPrior) -> dict:

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 data/validation failure, 2 usage error. Diagnostics
 go to stderr; data goes to files or stdout. Output is byte-identical across
-runs for identical flags and seeds (reports never embed timestamps), at any
-``PHENOKEY_THREADS`` setting.
+runs for identical flags and seeds (reports never embed timestamps).
 """
 
 from __future__ import annotations
@@ -16,17 +15,18 @@ import sys
 from dataclasses import fields
 
 from . import __version__
-from .anatomy import acr_gradient, acr_loss, box_for_keypoints, fit_prior, prior_from_dict, prior_to_dict
-from .dataset import Dataset, parse_coco, serialize_coco, validate
+from .anatomy import acr_hinge, box_for_keypoints, fit_prior, prior_from_dict, prior_to_dict
+from .dataset import Dataset, parse_coco, serialize_coco, stack_keypoints, validate
 from .errors import DivergenceError, PhenokeyError
 from .metrics import (
     PCK_SCALE_MODES,
     EvalConfig,
+    _deviations,
     evaluate_datasets,
     phenotype_value_pairs,
     report_to_dict,
 )
-from .morphometry import default_table, measure_all
+from .morphometry import default_table, hidden_endpoints, phenotype_lengths, warn_degenerate
 from .optim import ToyPredictor, TrainConfig, make_toy_problem, train
 from .plots import plot_deviation_summary, plot_scatter
 from .schema import SPECIES
@@ -60,21 +60,21 @@ def _cmd_validate(args) -> int:
 def _cmd_measure(args) -> int:
     dataset = parse_coco(args.input)
     table = default_table()
+    xy, v = stack_keypoints([rec.keypoints for rec in dataset])
+    lengths = phenotype_lengths(xy, v, table.endpoint_index).tolist()
+    hidden = hidden_endpoints(v, table).tolist()
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["image_id", "abbrev", "value_px", "status"])
-    for rec in dataset:
-        measured, skipped = measure_all(rec.keypoints, table)
-        by_abbrev = {m.abbrev: m for m in measured}
-        skip_by_abbrev = {s.abbrev: s for s in skipped}
-        for pdef in table:
-            if pdef.abbrev in by_abbrev:
-                value = by_abbrev[pdef.abbrev].value
-                status = "degenerate" if value == 0.0 else "ok"
-                writer.writerow([rec.image_id, pdef.abbrev, repr(value), status])
+    for rec, rec_lengths, rec_hidden in zip(dataset, lengths, hidden):
+        for abbrev, value, missing in zip(table.abbrevs(), rec_lengths, rec_hidden):
+            if missing:
+                writer.writerow([rec.image_id, abbrev, "", f"skipped:K-{missing}"])
+            elif value == 0.0:
+                warn_degenerate(abbrev, rec.image_id)
+                writer.writerow([rec.image_id, abbrev, repr(value), "degenerate"])
             else:
-                missing = skip_by_abbrev[pdef.abbrev].missing_keypoint
-                writer.writerow([rec.image_id, pdef.abbrev, "", f"skipped:K-{missing}"])
+                writer.writerow([rec.image_id, abbrev, repr(value), "ok"])
     _write_text(args.out, buf.getvalue())
     return 0
 
@@ -149,9 +149,8 @@ def _cmd_acr(args) -> int:
     per_image = []
     total = 0.0
     for rec in pred:
-        box = box_for_keypoints(prior, rec.keypoints)
-        loss = acr_loss(rec.keypoints, box)
-        grad = acr_gradient(rec.keypoints, box)
+        violations, grad = acr_hinge(rec.keypoints.xy, box_for_keypoints(prior, rec.keypoints))
+        loss = float(violations.sum())
         total += loss
         per_image.append(
             {
@@ -212,22 +211,18 @@ def _cmd_plot(args) -> int:
         gt_vals, pred_vals = phenotype_value_pairs(gt, pred, args.phenotype)
         plot_scatter(list(zip(gt_vals, pred_vals)), args.out, title=args.phenotype)
     else:
+        gt_xy, gt_v = stack_keypoints([rec.keypoints for rec in gt])
         deviations = {}
         for spec_item in args.pred:
             label, _, path = spec_item.partition("=")
             if not path:
                 label, path = spec_item, spec_item
-            pred = parse_coco(path)
-            pred_by_id = {r.image_id: r for r in pred}
-            values = []
+            pred_by_id = {r.image_id: r.keypoints for r in parse_coco(path)}
             for rec in gt:
-                pr = pred_by_id.get(rec.image_id)
-                if pr is None:
+                if rec.image_id not in pred_by_id:
                     raise PhenokeyError(f"prediction file {path} missing image {rec.image_id!r}")
-                diff = pr.keypoints.xy - rec.keypoints.xy
-                dist = (diff**2).sum(axis=1) ** 0.5
-                values.extend(float(d) for d, vis in zip(dist, rec.keypoints.visible) if vis)
-            deviations[label] = values
+            pred_xy, _ = stack_keypoints([pred_by_id[rec.image_id] for rec in gt])
+            deviations[label] = _deviations(pred_xy, gt_xy)[gt_v > 0].tolist()
         plot_deviation_summary(deviations, args.out, csv_path=args.csv)
     return 0
 

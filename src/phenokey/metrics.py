@@ -12,24 +12,18 @@ Implements the full battery used to score coordinate predictors:
 All thresholds compare with strict ``<``. Undefined quantities (empty
 denominators) are reported as NaN markers in arrays and ``None`` in report
 dictionaries, never silently as 0.
-
-Per-sample terms are computed over fixed-size chunks; ``PHENOKEY_THREADS``
-caps the worker count and results are bit-identical at any setting because
-chunk boundaries and the aggregation order never change.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Dataset, KeypointSet, stack_keypoints
 from .errors import DegenerateFitError, DegenerateScaleError, UndefinedMetricError
-from .morphometry import PhenotypeTable, default_table
+from .morphometry import PhenotypeTable, default_table, phenotype_lengths, shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT
 
 PCK_SCALE_MODES = ("head", "torso", "bbox_diagonal")
@@ -79,7 +73,7 @@ def keypoint_similarity(d: float, s: float, k: float) -> float:
         raise ValueError(f"per-keypoint constant k must be positive, got {k}")
     if d < 0:
         raise ValueError(f"distance must be nonnegative, got {d}")
-    return math.exp(-(d * d) / (2.0 * s * s * k * k))
+    return float(_similarity(d, s, k))
 
 
 def oks(pred: KeypointSet, gt: KeypointSet, cfg: EvalConfig | None = None) -> float:
@@ -91,12 +85,8 @@ def oks(pred: KeypointSet, gt: KeypointSet, cfg: EvalConfig | None = None) -> fl
     s = cfg.oks_scale if cfg.oks_scale is not None else _bbox_diagonal(gt.xy[vis])
     if not s > 0:
         raise DegenerateScaleError(f"image {gt.image_id!r}: object scale is 0")
-    k = cfg.k_array()
-    total = 0.0
-    for i in np.flatnonzero(vis):
-        d = math.hypot(*(pred.xy[i] - gt.xy[i]))
-        total += keypoint_similarity(d, s, k[i])
-    return total / int(vis.sum())
+    d = _deviations(pred.xy, gt.xy)
+    return float(_similarity(d[vis], s, cfg.k_array()[vis]).sum() / vis.sum())
 
 
 def mape(gt_values, pred_values) -> float:
@@ -174,34 +164,6 @@ def ols_fit(gt, pred) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # batched per-keypoint metrics
 
-_CHUNK = 512
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("PHENOKEY_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _run_chunks(n: int, fn) -> None:
-    """Apply fn(lo, hi) over fixed 512-sample chunks, optionally threaded.
-
-    Chunk boundaries do not depend on the worker count and every chunk writes
-    a disjoint row slice, so results are identical at any thread setting.
-    """
-    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    workers = _worker_count()
-    if workers == 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            fn(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fn(*b), bounds))
-
-
 def _bbox_diagonal(xy: np.ndarray) -> float:
     mins = xy.min(axis=0)
     maxs = xy.max(axis=0)
@@ -263,15 +225,14 @@ def _paired_arrays(preds, gts):
 
 
 def _deviations(pred_xy, gt_xy) -> np.ndarray:
-    n = pred_xy.shape[0]
-    d = np.empty((n, KEYPOINT_COUNT), dtype=np.float64)
+    """Euclidean keypoint deviations over the trailing coordinate axis."""
+    diff = pred_xy - gt_xy
+    return np.hypot(diff[..., 0], diff[..., 1])
 
-    def block(lo, hi):
-        diff = pred_xy[lo:hi] - gt_xy[lo:hi]
-        d[lo:hi] = np.hypot(diff[..., 0], diff[..., 1])
 
-    _run_chunks(n, block)
-    return d
+def _similarity(d, s, k):
+    """exp(-d² / (2 s² k²)), elementwise."""
+    return np.exp(-(d**2) / (2.0 * s * s * k**2))
 
 
 def pck(preds, gts, cfg: EvalConfig | None = None) -> PerKeypointResult:
@@ -295,37 +256,6 @@ def pck(preds, gts, cfg: EvalConfig | None = None) -> PerKeypointResult:
     nonzero = counts > 0
     values[nonzero] = correct.sum(axis=0)[nonzero] / counts[nonzero]
     return PerKeypointResult(values, counts.astype(np.int64), np.zeros(KEYPOINT_COUNT, dtype=np.int64))
-
-
-def _phenotype_lengths(gt_xy, gt_v, table) -> np.ndarray:
-    """(n_samples, n_phenotypes) ground-truth lengths; NaN where unmeasurable."""
-    n = gt_xy.shape[0]
-    lengths = np.empty((n, len(table)), dtype=np.float64)
-
-    def block(lo, hi):
-        for t, pdef in enumerate(table):
-            a, b = pdef.endpoints
-            seg = gt_xy[lo:hi, b - 1] - gt_xy[lo:hi, a - 1]
-            dist = np.hypot(seg[:, 0], seg[:, 1])
-            measurable = (gt_v[lo:hi, a - 1] > 0) & (gt_v[lo:hi, b - 1] > 0)
-            lengths[lo:hi, t] = np.where(measurable, dist, np.nan)
-
-    _run_chunks(n, block)
-    return lengths
-
-
-def shortest_phenotype_lengths(gt_xy, gt_v, table) -> np.ndarray:
-    """(n_samples, 22) length of each keypoint's shortest measurable phenotype.
-
-    +inf marks keypoints with no measurable related phenotype on a sample.
-    """
-    lengths = _phenotype_lengths(gt_xy, gt_v, table)
-    filled = np.where(np.isnan(lengths), np.inf, lengths)
-    out = np.empty((gt_xy.shape[0], KEYPOINT_COUNT), dtype=np.float64)
-    for j in range(1, KEYPOINT_COUNT + 1):
-        idx = [t for t, pdef in enumerate(table) if j in pdef.endpoints]
-        out[:, j - 1] = filled[:, idx].min(axis=1)
-    return out
 
 
 def pmp(preds, gts, table: PhenotypeTable | None = None, cfg: EvalConfig | None = None) -> PerKeypointResult:
@@ -365,19 +295,14 @@ def oks_per_image(preds, gts, cfg: EvalConfig | None = None) -> list[float | Non
     d = _deviations(pred_xy, gt_xy)
     k = cfg.k_array()
     out: list[float | None] = [None] * n
-
-    def block(lo, hi):
-        for i in range(lo, hi):
-            vis = gt_v[i] > 0
-            if not vis.any():
-                continue
-            s = cfg.oks_scale if cfg.oks_scale is not None else _bbox_diagonal(gt_xy[i][vis])
-            if not s > 0:
-                continue
-            ks = np.exp(-(d[i, vis] ** 2) / (2.0 * s * s * k[vis] ** 2))
-            out[i] = float(ks.sum() / vis.sum())
-
-    _run_chunks(n, block)
+    for i in range(n):
+        vis = gt_v[i] > 0
+        if not vis.any():
+            continue
+        s = cfg.oks_scale if cfg.oks_scale is not None else _bbox_diagonal(gt_xy[i][vis])
+        if not s > 0:
+            continue
+        out[i] = float(_similarity(d[i, vis], s, k[vis]).sum() / vis.sum())
     return out
 
 
@@ -390,8 +315,9 @@ def phenotype_value_pairs(gt: Dataset, pred: Dataset, abbrev: str, table: Phenot
     t = list(table.abbrevs()).index(abbrev)
     pred_xy, _ = stack_keypoints(list(preds))
     gt_xy, gt_v = stack_keypoints(list(gts))
-    gt_len = _phenotype_lengths(gt_xy, gt_v, table)[:, t]
-    pred_len = _phenotype_lengths(pred_xy, gt_v, table)[:, t]
+    ends = table.endpoint_index[:, [t]]
+    gt_len = phenotype_lengths(gt_xy, gt_v, ends)[:, 0]
+    pred_len = phenotype_lengths(pred_xy, gt_v, ends)[:, 0]
     usable = np.isfinite(gt_len)
     return gt_len[usable], pred_len[usable]
 
@@ -440,8 +366,8 @@ def _pair_datasets(gt: Dataset, pred: Dataset):
 def _phenotype_stats(preds, gts, table) -> dict:
     pred_xy, _ = stack_keypoints(list(preds))
     gt_xy, gt_v = stack_keypoints(list(gts))
-    gt_len = _phenotype_lengths(gt_xy, gt_v, table)
-    pred_len = _phenotype_lengths(pred_xy, gt_v, table)  # gt visibility governs
+    gt_len = phenotype_lengths(gt_xy, gt_v, table.endpoint_index)
+    pred_len = phenotype_lengths(pred_xy, gt_v, table.endpoint_index)  # gt visibility governs
     stats = {}
     for t, pdef in enumerate(table):
         usable = np.isfinite(gt_len[:, t]) & (gt_len[:, t] > 0)

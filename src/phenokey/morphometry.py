@@ -7,9 +7,10 @@ of the eye. The table below covers every keypoint at least once.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dataset import KeypointSet
 from .errors import (
@@ -80,9 +81,12 @@ class PhenotypeTable:
             raise ValueError(f"keypoints not covered by any phenotype: {sorted(missing)}")
         self.defs = defs
         self._by_abbrev = {d.abbrev: d for d in defs}
-        # keypoint index -> defs containing it, preserving table order
-        self._by_keypoint = {
-            i: tuple(d for d in defs if i in d.endpoints) for i in range(1, KEYPOINT_COUNT + 1)
+        # (2, n_phenotypes) 0-based endpoint columns, built once for the length kernel
+        self.endpoint_index = np.array([d.endpoints for d in defs], dtype=np.intp).T - 1
+        # 1-based keypoint -> positions of the defs containing it, preserving table order
+        self._related = {
+            i: np.flatnonzero((self.endpoint_index == i - 1).any(axis=0))
+            for i in range(1, KEYPOINT_COUNT + 1)
         }
 
     def __len__(self):
@@ -100,11 +104,15 @@ class PhenotypeTable:
     def abbrevs(self) -> tuple[str, ...]:
         return tuple(d.abbrev for d in self.defs)
 
+    def related_index(self, keypoint: int) -> np.ndarray:
+        """Table positions of the phenotypes whose endpoint pair contains the 1-based ``keypoint``."""
+        if keypoint not in self._related:
+            raise KeyError(f"keypoint index must be in 1..{KEYPOINT_COUNT}, got {keypoint}")
+        return self._related[keypoint]
+
     def related(self, keypoint: int) -> tuple[PhenotypeDef, ...]:
         """All phenotypes whose endpoint pair contains the 1-based ``keypoint``."""
-        if keypoint not in self._by_keypoint:
-            raise KeyError(f"keypoint index must be in 1..{KEYPOINT_COUNT}, got {keypoint}")
-        return self._by_keypoint[keypoint]
+        return tuple(self.defs[t] for t in self.related_index(keypoint))
 
 
 def default_table() -> PhenotypeTable:
@@ -128,43 +136,81 @@ class SkippedPhenotype:
     image_id: object
 
 
+def phenotype_lengths(xy, v, ends) -> np.ndarray:
+    """(n_samples, n_pairs) distances between keypoint columns ``ends[0]`` and ``ends[1]``.
+
+    ``ends`` holds 0-based columns of shape (2, n_pairs), usually a table's
+    ``endpoint_index``; a pair with an endpoint unannotated in ``v`` is NaN.
+    """
+    a, b = ends
+    seg = xy[:, b] - xy[:, a]
+    lengths = np.hypot(seg[..., 0], seg[..., 1])
+    return np.where((v[:, a] > 0) & (v[:, b] > 0), lengths, np.nan)
+
+
+def hidden_endpoints(v, table: PhenotypeTable) -> np.ndarray:
+    """(n_samples, n_phenotypes) first unannotated 1-based endpoint of each phenotype, 0 if none."""
+    a, b = table.endpoint_index
+    return np.where(v[:, a] <= 0, a + 1, np.where(v[:, b] <= 0, b + 1, 0))
+
+
+def shortest_phenotype_lengths(gt_xy, gt_v, table: PhenotypeTable) -> np.ndarray:
+    """(n_samples, 22) length of each keypoint's shortest measurable phenotype.
+
+    +inf marks keypoints with no measurable related phenotype on a sample.
+    """
+    lengths = phenotype_lengths(gt_xy, gt_v, table.endpoint_index)
+    filled = np.where(np.isnan(lengths), np.inf, lengths)
+    out = np.empty((gt_xy.shape[0], KEYPOINT_COUNT), dtype=np.float64)
+    for j in range(1, KEYPOINT_COUNT + 1):
+        out[:, j - 1] = filled[:, table.related_index(j)].min(axis=1)
+    return out
+
+
+def warn_degenerate(abbrev: str, image_id) -> None:
+    """Warn of a zero-length phenotype, pointing at the caller of the public measuring function."""
+    warnings.warn(
+        f"{abbrev} on image {image_id!r}: coincident endpoints, zero length",
+        DegenerateMeasurementWarning,
+        stacklevel=4,
+    )
+
+
+def _measurement(abbrev: str, value, image_id) -> PhenotypeMeasurement:
+    if value == 0.0:
+        warn_degenerate(abbrev, image_id)
+    return PhenotypeMeasurement(abbrev, float(value), image_id)
+
+
 def measure(keypoints: KeypointSet, pdef: PhenotypeDef) -> PhenotypeMeasurement:
     """Euclidean distance between the phenotype's two endpoints.
 
     Both endpoints must be annotated (v > 0). Coincident endpoints yield a
     0.0 measurement and a :class:`DegenerateMeasurementWarning`.
     """
-    a, b = pdef.endpoints
-    for e in (a, b):
+    for e in pdef.endpoints:
         if keypoints.v[e - 1] <= 0:
             raise MissingKeypointError(
                 f"{pdef.abbrev}: keypoint K-{e} is not visible on image {keypoints.image_id!r}"
             )
-    ax, ay = keypoints.xy[a - 1]
-    bx, by = keypoints.xy[b - 1]
-    value = math.hypot(bx - ax, by - ay)
-    if value == 0.0:
-        warnings.warn(
-            f"{pdef.abbrev} on image {keypoints.image_id!r}: coincident endpoints, zero length",
-            DegenerateMeasurementWarning,
-            stacklevel=2,
-        )
-    return PhenotypeMeasurement(pdef.abbrev, value, keypoints.image_id)
+    ends = np.array(pdef.endpoints, dtype=np.intp)[:, None] - 1
+    value = phenotype_lengths(keypoints.xy[None], keypoints.v[None], ends)[0, 0]
+    return _measurement(pdef.abbrev, value, keypoints.image_id)
 
 
 def measure_all(
     keypoints: KeypointSet, table: PhenotypeTable
 ) -> tuple[list[PhenotypeMeasurement], list[SkippedPhenotype]]:
     """Measure every phenotype with both endpoints visible; report the rest as skips."""
+    lengths = phenotype_lengths(keypoints.xy[None], keypoints.v[None], table.endpoint_index)[0]
+    hidden = hidden_endpoints(keypoints.v[None], table)[0]
     measured = []
     skipped = []
-    for pdef in table:
-        a, b = pdef.endpoints
-        hidden = next((e for e in (a, b) if keypoints.v[e - 1] <= 0), None)
-        if hidden is not None:
-            skipped.append(SkippedPhenotype(pdef.abbrev, hidden, keypoints.image_id))
-            continue
-        measured.append(measure(keypoints, pdef))
+    for pdef, value, missing in zip(table, lengths, hidden.tolist()):
+        if missing:
+            skipped.append(SkippedPhenotype(pdef.abbrev, missing, keypoints.image_id))
+        else:
+            measured.append(_measurement(pdef.abbrev, value, keypoints.image_id))
     return measured, skipped
 
 
@@ -176,16 +222,12 @@ def shortest_related_phenotype(
     Ties resolve to the earlier table entry. Raises when no related phenotype
     is measurable on this sample.
     """
-    best = None
-    for pdef in table.related(keypoint):
-        a, b = pdef.endpoints
-        if ground_truth.v[a - 1] <= 0 or ground_truth.v[b - 1] <= 0:
-            continue
-        m = measure(ground_truth, pdef)
-        if best is None or m.value < best.value:
-            best = m
-    if best is None:
+    idx = table.related_index(keypoint)
+    ends = table.endpoint_index[:, idx]
+    lengths = phenotype_lengths(ground_truth.xy[None], ground_truth.v[None], ends)[0]
+    if np.isnan(lengths).all():
         raise NoMeasurablePhenotypeError(
             f"keypoint K-{keypoint}: no measurable related phenotype on image {ground_truth.image_id!r}"
         )
-    return best
+    best = int(np.nanargmin(lengths))  # first minimum: ties go to the earlier table entry
+    return _measurement(table.defs[idx[best]].abbrev, lengths[best], ground_truth.image_id)

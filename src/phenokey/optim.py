@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .anatomy import AnatomicalPrior, BoxConstraint, acr_loss, fit_prior
+from .anatomy import AnatomicalPrior, BoxConstraint, acr_hinge, acr_loss, fit_prior
 from .dataset import Dataset, FishImageRecord, KeypointSet
 from .errors import DivergenceError, GradNormFallbackWarning
 from .schema import KEYPOINT_COUNT
@@ -145,53 +145,6 @@ class TrainTrace:
                 )
 
 
-class BoxBatch:
-    """Per-sample box constraints sharing one prior, vectorized over the batch."""
-
-    def __init__(self, origins, extents, nmin, nmax):
-        self.origins = np.asarray(origins, dtype=np.float64)   # (N, 2)
-        self.extents = np.asarray(extents, dtype=np.float64)   # (N, 2)
-        self.nmin = np.asarray(nmin, dtype=np.float64)         # (22, 2)
-        self.nmax = np.asarray(nmax, dtype=np.float64)
-        if np.any(self.extents <= 0):
-            raise ValueError("every box frame must have positive extent")
-
-    def __len__(self):
-        return self.origins.shape[0]
-
-    @classmethod
-    def from_targets(cls, targets: np.ndarray, prior: AnatomicalPrior) -> "BoxBatch":
-        """Frames from each target's own bounding rectangle (training-time use)."""
-        pts = targets.reshape(-1, KEYPOINT_COUNT, 2)
-        mins = pts.min(axis=1)
-        maxs = pts.max(axis=1)
-        return cls(mins, maxs - mins, prior.mins, prior.maxs)
-
-    def box(self, i: int) -> BoxConstraint:
-        return BoxConstraint(self.origins[i], self.extents[i], self.nmin, self.nmax)
-
-    def violations(self, coords: np.ndarray) -> np.ndarray:
-        """(N, 22, 2) hinge magnitudes in pixels for coords of shape (N, 44)."""
-        pts = coords.reshape(-1, KEYPOINT_COUNT, 2)
-        norm = (pts - self.origins[:, None, :]) / self.extents[:, None, :]
-        low = np.maximum(0.0, self.nmin[None] - norm)
-        high = np.maximum(0.0, norm - self.nmax[None])
-        return (low + high) * self.extents[:, None, :]
-
-    def signs(self, coords: np.ndarray) -> np.ndarray:
-        """(N, 22, 2) hinge subgradients in {-1, 0, +1}."""
-        pts = coords.reshape(-1, KEYPOINT_COUNT, 2)
-        norm = (pts - self.origins[:, None, :]) / self.extents[:, None, :]
-        out = np.zeros_like(norm)
-        out[norm < self.nmin[None]] = -1.0
-        out[norm > self.nmax[None]] = 1.0
-        return out
-
-    def count_outside(self, coords: np.ndarray, tolerance_px: float = 0.0) -> int:
-        """Number of (sample, keypoint) pairs outside their box by more than the tolerance."""
-        return int((self.violations(coords) > tolerance_px).any(axis=2).sum())
-
-
 @dataclass(frozen=True)
 class ToyProblem:
     """One training scenario: features, target coordinates, fitted prior."""
@@ -201,8 +154,14 @@ class ToyProblem:
     prior: AnatomicalPrior
     population: Dataset | None = None
 
-    def boxes(self) -> BoxBatch:
-        return BoxBatch.from_targets(self.targets, self.prior)
+    def boxes(self) -> BoxConstraint:
+        """Per-sample boxes framed by each target's own bounding rectangle, as (N, 1, 2) frames."""
+        pts = self.targets.reshape(-1, KEYPOINT_COUNT, 2)
+        mins = pts.min(axis=1, keepdims=True)
+        extents = pts.max(axis=1, keepdims=True) - mins
+        if np.any(extents <= 0):
+            raise ValueError("every box frame must have positive extent")
+        return BoxConstraint(mins, extents, self.prior.mins, self.prior.maxs)
 
 
 def population_coords(population: Dataset) -> np.ndarray:
@@ -284,7 +243,7 @@ def make_toy_problem(
         )
     population = generate_population(tpl, n, seed=seed)
     prior_pop = generate_population(tpl, prior_population, seed=(int(seed) * 2 + 1) * 15485863)
-    prior = fit_prior_for(prior_pop)
+    prior = fit_prior(prior_pop)
     rng = np.random.default_rng([int(seed), 104729])
     if linear_targets:
         features = rng.standard_normal((n, feature_dim))
@@ -321,10 +280,6 @@ def make_toy_problem(
                 targets[:, 2 * (kp - 1)] += corruption_px * driver * ux
                 targets[:, 2 * (kp - 1) + 1] += corruption_px * driver * uy
     return ToyProblem(features=features, targets=targets, prior=prior, population=population)
-
-
-def fit_prior_for(population: Dataset) -> AnatomicalPrior:
-    return fit_prior(population)
 
 
 def combined_loss(pred_coords, gt_coords, box: BoxConstraint | None, w: LossWeights):
@@ -370,7 +325,7 @@ def gradnorm_step(w: LossWeights, grad_norms, losses, lr_w: float) -> LossWeight
     return replace(w, w_mse=float(new[0]), w_acr=float(new[1]))
 
 
-def _batch_terms(weights, bias, features, targets, boxes: BoxBatch, violation_tolerance_px=0.0):
+def _batch_terms(weights, bias, features, targets, boxes: BoxConstraint, violation_tolerance_px=0.0):
     """Losses, parameter gradients, and diagnostics for the full batch."""
     n = features.shape[0]
     preds = features @ weights.T + bias
@@ -380,9 +335,9 @@ def _batch_terms(weights, bias, features, targets, boxes: BoxBatch, violation_to
     g_w_mse = d_mse.T @ features
     g_b_mse = d_mse.sum(axis=0)
 
-    violations = boxes.violations(preds)
+    violations, signs = acr_hinge(preds.reshape(n, KEYPOINT_COUNT, 2), boxes)
     l_acr = float(violations.sum(axis=(1, 2)).mean())
-    d_acr = boxes.signs(preds).reshape(n, N_COORDS) / n
+    d_acr = signs.reshape(n, N_COORDS) / n
     g_w_acr = d_acr.T @ features
     g_b_acr = d_acr.sum(axis=0)
 
@@ -497,7 +452,8 @@ def _total_loss(theta, feature_dim, features, targets, boxes, w: LossWeights) ->
     preds = features @ weights.T + bias
     err = preds - targets
     l_mse = float(np.mean(err * err))
-    l_acr = float(boxes.violations(preds).sum(axis=(1, 2)).mean())
+    violations, _ = acr_hinge(preds.reshape(-1, KEYPOINT_COUNT, 2), boxes)
+    l_acr = float(violations.sum(axis=(1, 2)).mean())
     return w.w_mse * l_mse + w.w_acr * l_acr
 
 
@@ -531,6 +487,7 @@ def grad_check(
     features = problem.features
     targets = problem.targets
     boxes = problem.boxes()
+    k_min, k_max = boxes.k_min, boxes.k_max
     feature_dim = predictor.feature_dim
     base = _flatten_params(predictor.weights, predictor.bias)
     n_params = base.size
@@ -543,8 +500,6 @@ def grad_check(
     def far_from_boundaries(theta) -> bool:
         weights, bias = _unflatten_params(theta, feature_dim)
         preds = (features @ weights.T + bias).reshape(-1, KEYPOINT_COUNT, 2)
-        k_min = boxes.origins[:, None, :] + boxes.nmin[None] * boxes.extents[:, None, :]
-        k_max = boxes.origins[:, None, :] + boxes.nmax[None] * boxes.extents[:, None, :]
         dist = np.minimum(np.abs(preds - k_min), np.abs(preds - k_max))
         return bool((dist >= boundary_margin).all())
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, FishImageRecord, KeypointSet, stack_keypoints
-from .metrics import shortest_phenotype_lengths
-from .morphometry import PhenotypeTable, default_table
+from .morphometry import PhenotypeTable, default_table, shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT
 
 PERTURBATION_MODES = ("uniform_px", "proportional_to_shortest_phenotype")
@@ -236,6 +235,8 @@ def perturb(gt: Dataset, model: PerturbationModel, table: PhenotypeTable | None 
     Displaced points are kept on the canvas: the canvas grows to cover
     overshoot on the high side and coordinates clamp at zero on the low side
     (with the margins generated populations carry, the clamp never engages).
+    Non-finite coordinates, which hidden keypoints may carry, stay as they
+    are and never move the canvas.
     """
     table = table or default_table()
     if model.mode != "uniform_px":
@@ -251,8 +252,9 @@ def perturb(gt: Dataset, model: PerturbationModel, table: PhenotypeTable | None 
         else:
             noise = _truncated_normal(rng, (KEYPOINT_COUNT, 2)) * sigma[idx][:, None]
         xy = np.maximum(kp.xy + noise, 0.0)
-        width = max(rec.width, float(math.ceil(xy[:, 0].max())))
-        height = max(rec.height, float(math.ceil(xy[:, 1].max())))
+        reach = np.where(np.isfinite(xy), xy, 0.0).max(axis=0)
+        width = max(rec.width, float(math.ceil(reach[0])))
+        height = max(rec.height, float(math.ceil(reach[1])))
         new_kp = KeypointSet(xy=xy, v=kp.v.copy(), image_id=kp.image_id, species=kp.species)
         records.append(FishImageRecord(image_id=rec.image_id, width=width, height=height, keypoints=new_kp))
     return Dataset(records=tuple(records), role=gt.role)

@@ -78,6 +78,17 @@ def oracle_pck(preds, gts, cfg):
     return [hits[j] / counts[j] if counts[j] else None for j in range(KEYPOINT_COUNT)]
 
 
+def oracle_phenotype_length(g, pdef):
+    """(length, None) when both endpoints are annotated, else (None, first hidden endpoint)."""
+    a, b = pdef.endpoints
+    for e in (a, b):
+        if not _vis(g, e):
+            return None, e
+    ax, ay = _pt(g, a)
+    bx, by = _pt(g, b)
+    return math.hypot(bx - ax, by - ay), None
+
+
 def oracle_shortest_phenotype(g, keypoint, table=None):
     """Length of the shortest measurable related phenotype, or None."""
     table = table or default_table()

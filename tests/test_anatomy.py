@@ -3,6 +3,8 @@ import pytest
 
 from phenokey.anatomy import (
     AnatomicalPrior,
+    BoxConstraint,
+    acr_hinge,
     acr_gradient,
     acr_loss,
     acr_violations,
@@ -303,3 +305,27 @@ def test_box_for_keypoints_uses_own_bbox():
     prior = fit_prior(pop)
     rec = pop.records[0]
     assert acr_loss(rec.keypoints, box_for_keypoints(prior, rec.keypoints)) == 0.0
+
+
+def test_acr_hinge_batch_equals_single_sample_calls():
+    # dyadic frames and extremes, so points placed on a box edge normalize exactly onto it
+    prior = _point_prior(0.25, 0.25, 0.75, 0.75)
+    rng = np.random.default_rng(11)
+    n = 6
+    origins = rng.integers(0, 400, size=(n, 1, 2)).astype(np.float64)
+    extents = 2.0 ** rng.integers(6, 10, size=(n, 1, 2))
+    norm = rng.choice([-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5], size=(n, KEYPOINT_COUNT, 2))
+    norm += rng.uniform(-0.01, 0.01, size=norm.shape) * (rng.random(norm.shape) < 0.5)
+    xy = origins + norm * extents
+    batch = BoxConstraint(origins, extents, prior.mins, prior.maxs)
+    violations, signs = acr_hinge(xy, batch)
+    assert violations.shape == signs.shape == (n, KEYPOINT_COUNT, 2)
+    on_edge = ((xy - origins) / extents == 0.25) | ((xy - origins) / extents == 0.75)
+    assert on_edge.any() and set(np.unique(signs)) == {-1.0, 0.0, 1.0}
+    assert np.all(violations[on_edge] == 0.0) and np.all(signs[on_edge] == 0.0)
+    for i in range(n):
+        (x0, y0), (w, h) = origins[i, 0], extents[i, 0]
+        box = box_for_image(prior, (x0, y0, x0 + w, y0 + h))
+        assert np.array_equal(violations[i], acr_violations(xy[i], box))
+        assert np.array_equal(signs[i], acr_gradient(xy[i], box))
+        assert acr_loss(xy[i], box) == float(violations[i].sum())

@@ -1,9 +1,17 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from phenokey.cli import main
+from phenokey.dataset import serialize_coco
+from phenokey.errors import DegenerateMeasurementWarning
+from phenokey.morphometry import default_table
 from phenokey.schema import KEYPOINT_COUNT
+
+from conftest import make_dataset, make_keypoints
+from oracles import oracle_phenotype_length
 
 
 @pytest.fixture
@@ -51,6 +59,43 @@ def test_measure_emits_23_rows_per_image(fixture_path, tmp_path):
     image2 = [l for l in lines if l.startswith("2,")]
     skipped = [l for l in image2 if "skipped" in l]
     assert len(skipped) == 1 and skipped[0].startswith("2,DFH,,skipped:K-22")
+
+
+def test_measure_skips_by_flags_and_matches_oracle(tmp_path):
+    hidden_a = np.full(KEYPOINT_COUNT, 2)
+    hidden_a[0] = 0                        # K-1: TL (1, 9) loses endpoint a
+    hidden_b = np.full(KEYPOINT_COUNT, 2)
+    hidden_b[8] = 0                        # K-9: TL (1, 9) loses endpoint b
+    hidden_both = np.full(KEYPOINT_COUNT, 2)
+    hidden_both[[10, 11]] = 0              # K-11 and K-12: ED (11, 12) names K-11
+    kps = [
+        make_keypoints(v=hidden_a, image_id=1),
+        make_keypoints(v=hidden_b, image_id=2),
+        make_keypoints(v=hidden_both, image_id=3, overrides={11: (np.nan, np.nan), 12: (0.0, 0.0)}),
+        make_keypoints(image_id=4, overrides={12: (410.0, 270.0)}),    # K-12 on K-11: ED is 0
+    ]
+    path = tmp_path / "gt.json"
+    serialize_coco(make_dataset(kps), path)
+    out = tmp_path / "measures.csv"
+    with pytest.warns(DegenerateMeasurementWarning, match="ED on image 4"):
+        assert main(["measure", "--input", str(path), "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = {(r["image_id"], r["abbrev"]): r for r in csv.DictReader(fh)}
+    assert len(rows) == 4 * 23
+    status = {key: r["status"] for key, r in rows.items()}
+    assert status[("1", "TL")] == "skipped:K-1"
+    assert status[("2", "TL")] == "skipped:K-9" and status[("2", "TFL")] == "skipped:K-9"
+    assert status[("3", "ED")] == "skipped:K-11" and status[("3", "PoL")] == "skipped:K-12"
+    assert status[("4", "ED")] == "degenerate" and rows[("4", "ED")]["value_px"] == "0.0"
+    for kp in kps:
+        for pdef in default_table():
+            row = rows[(str(kp.image_id), pdef.abbrev)]
+            length, hidden = oracle_phenotype_length(kp, pdef)
+            if hidden is not None:
+                assert row["status"] == f"skipped:K-{hidden}" and row["value_px"] == ""
+            else:
+                assert row["status"] in ("ok", "degenerate")
+                assert float(row["value_px"]) == pytest.approx(length, rel=1e-12, abs=1e-12)
 
 
 def test_evaluate_pmp_report(synth_files, tmp_path):
@@ -154,6 +199,19 @@ def test_plot_scatter_and_deviation(synth_files, tmp_path):
     assert csv_out.read_text().startswith("metric,min")
 
 
+def test_plot_deviation_missing_image_is_data_error(synth_files, tmp_path, capsys):
+    gt, _ = synth_files
+    short = tmp_path / "short.json"
+    assert main(["synth", "--template", "deep_bodied", "--n", "11", "--seed", "3",
+                 "--perturb", "uniform_px", "--magnitude", "4", "--out", str(short)]) == 0
+    capsys.readouterr()
+    assert main(["plot", "--kind", "deviation", "--gt", str(gt), "--pred", f"m={short}",
+                 "--out", str(tmp_path / "dev.svg")]) == 1
+    err = capsys.readouterr().err
+    assert f"prediction file {short} missing image 12" in err
+    assert "Traceback" not in err
+
+
 def test_report_composes_without_recompute(synth_files, tmp_path):
     gt, pred = synth_files
     evaluation = tmp_path / "eval.json"
@@ -170,13 +228,11 @@ def test_report_composes_without_recompute(synth_files, tmp_path):
     assert doc["measurements"][0]["abbrev"] == "TL"
 
 
-def test_subcommands_byte_deterministic(synth_files, tmp_path, monkeypatch):
+def test_subcommands_byte_deterministic(synth_files, tmp_path):
     gt, pred = synth_files
-    monkeypatch.setenv("PHENOKEY_THREADS", "1")
     r1 = tmp_path / "r1.json"
     assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--metric", "all",
                  "--out", str(r1)]) == 0
-    monkeypatch.setenv("PHENOKEY_THREADS", "4")
     r2 = tmp_path / "r2.json"
     assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--metric", "all",
                  "--out", str(r2)]) == 0

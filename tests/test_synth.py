@@ -192,6 +192,35 @@ def test_perturb_equals_per_fish_reference(mode, magnitude):
             assert np.array_equal(p.keypoints.xy[10], g.keypoints.xy[10])
 
 
+@pytest.mark.parametrize(
+    "mode, magnitude", [("uniform_px", 6.0), ("proportional_to_shortest_phenotype", 0.08)]
+)
+def test_perturb_keeps_hidden_nan_coordinates(mode, magnitude):
+    steps = np.arange(KEYPOINT_COUNT)
+    xy = np.stack([100.0 + 30.0 * steps, 80.0 + 10.0 * steps], axis=1)
+    v = np.full(KEYPOINT_COUNT, 2, dtype=np.int64)
+    xy[[4, 17]] = np.nan
+    v[[4, 17]] = 0
+    width, height = float(np.ceil(np.nanmax(xy[:, 0]))), float(np.ceil(np.nanmax(xy[:, 1])))
+    gt = Dataset(records=(FishImageRecord(1, width, height, KeypointSet(xy=xy, v=v, image_id=1)),))
+    assert validate(gt) == []
+    model = PerturbationModel(mode, magnitude, seed=3)
+    (rec,) = perturb(gt, model).records
+    moved = rec.keypoints.xy
+    assert np.isnan(moved[[4, 17]]).all()
+    assert np.isfinite(np.delete(moved, [4, 17], axis=0)).all()
+    assert not np.array_equal(np.delete(moved, [4, 17], axis=0), np.delete(xy, [4, 17], axis=0))
+    assert rec.width == max(width, float(np.ceil(np.nanmax(moved[:, 0]))))
+    assert rec.height == max(height, float(np.ceil(np.nanmax(moved[:, 1]))))
+
+    hidden = KeypointSet(
+        xy=np.full((KEYPOINT_COUNT, 2), np.nan), v=np.zeros(KEYPOINT_COUNT, dtype=np.int64), image_id=2
+    )
+    (rec,) = perturb(Dataset(records=(FishImageRecord(2, 640.0, 480.0, hidden),)), model).records
+    assert np.isnan(rec.keypoints.xy).all()
+    assert (rec.width, rec.height) == (640.0, 480.0)
+
+
 def test_invalid_perturbation_model():
     with pytest.raises(ValueError, match="mode"):
         PerturbationModel("bogus", 1.0)
