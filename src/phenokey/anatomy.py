@@ -23,17 +23,48 @@ from .errors import DegeneratePoseError
 from .schema import KEYPOINT_COUNT
 
 
+def _visible_corners(xy, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, 2) lower and upper corners of each sample's visible keypoints, and (N,) visible counts."""
+    vis = (v > 0)[..., None]
+    lo = np.where(vis, xy, np.inf).min(axis=1)
+    hi = np.where(vis, xy, -np.inf).max(axis=1)
+    return lo, hi, vis.sum(axis=(1, 2))
+
+
+def _first_degenerate(count, bad) -> int | None:
+    """Index of the first sample with fewer than 2 visible keypoints or flagged ``bad``; None if none is."""
+    bad = bad | (count < 2)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _too_few(image_id, count) -> str:
+    return f"image {image_id!r}: need at least 2 visible keypoints, got {int(count)}"
+
+
 def visible_bbox(keypoints: KeypointSet) -> tuple[float, float, float, float]:
     """(x_min, y_min, x_max, y_max) over the visible keypoints."""
-    vis = keypoints.visible
-    if vis.sum() < 2:
-        raise DegeneratePoseError(
-            f"image {keypoints.image_id!r}: need at least 2 visible keypoints, got {int(vis.sum())}"
-        )
-    pts = keypoints.xy[vis]
-    mins = pts.min(axis=0)
-    maxs = pts.max(axis=0)
-    return float(mins[0]), float(mins[1]), float(maxs[0]), float(maxs[1])
+    lo, hi, count = _visible_corners(keypoints.xy[None], keypoints.v[None])
+    if count[0] < 2:
+        raise DegeneratePoseError(_too_few(keypoints.image_id, count[0]))
+    return (*lo[0].tolist(), *hi[0].tolist())
+
+
+def _body_corners(xy, v, image_ids):
+    """Visible corners of each sample plus the first sample normalization rejects.
+
+    Returns ``(lo, hi, fault)``: fault is None, or ``(index, reason)`` for the
+    first sample in order with fewer than 2 visible keypoints or a zero x- or
+    y-range.
+    """
+    lo, hi, count = _visible_corners(xy, v)
+    flat = hi == lo
+    n = _first_degenerate(count, flat.any(axis=1))
+    if n is None:
+        return lo, hi, None
+    if count[n] < 2:
+        return lo, hi, (n, _too_few(image_ids[n], count[n]))
+    axis = "x" if flat[n, 0] else "y"
+    return lo, hi, (n, f"image {image_ids[n]!r}: zero {axis}-range across visible keypoints")
 
 
 @dataclass(frozen=True)
@@ -47,17 +78,12 @@ class NormalizedKeypoints:
 
 def normalize(keypoints: KeypointSet) -> NormalizedKeypoints:
     """Scale keypoints into the unit square spanned by their bounding rectangle."""
-    x_min, y_min, x_max, y_max = visible_bbox(keypoints)
-    if x_max == x_min or y_max == y_min:
-        axis = "x" if x_max == x_min else "y"
-        raise DegeneratePoseError(
-            f"image {keypoints.image_id!r}: zero {axis}-range across visible keypoints"
-        )
-    origin = np.array([x_min, y_min])
-    extent = np.array([x_max - x_min, y_max - y_min])
-    points = (keypoints.xy - origin) / extent
+    lo, hi, fault = _body_corners(keypoints.xy[None], keypoints.v[None], [keypoints.image_id])
+    if fault is not None:
+        raise DegeneratePoseError(fault[1])
+    points = (keypoints.xy - lo) / (hi - lo)
     points = np.where(keypoints.visible[:, None], points, np.nan)
-    return NormalizedKeypoints(points=points, image_id=keypoints.image_id, bbox=(x_min, y_min, x_max, y_max))
+    return NormalizedKeypoints(points=points, image_id=keypoints.image_id, bbox=(*lo[0].tolist(), *hi[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -83,16 +109,19 @@ class AnatomicalPrior:
 
 
 def fit_prior(train: Dataset, species: str = "other") -> AnatomicalPrior:
-    """Extremes of normalized ground-truth coordinates over all training images."""
+    """Extremes of normalized ground-truth coordinates over all training images.
+
+    All images are normalized at once; an image that cannot be normalized
+    is named, the first in canonical order.
+    """
     if len(train) == 0:
         raise ValueError("cannot fit a prior on an empty training set")
-    stacked = []
-    for rec in train:
-        try:
-            stacked.append(normalize(rec.keypoints).points)
-        except DegeneratePoseError as exc:
-            raise DegeneratePoseError(f"record {rec.image_id!r} failed normalization: {exc}") from exc
-    cube = np.stack(stacked)  # (n, 22, 2), NaN where invisible
+    lo, hi, fault = _body_corners(train.xy, train.v, train.image_ids)
+    if fault is not None:
+        n, reason = fault
+        raise DegeneratePoseError(f"record {train.image_ids[n]!r} failed normalization: {reason}")
+    cube = (train.xy - lo[:, None]) / (hi - lo)[:, None]
+    cube = np.where((train.v > 0)[..., None], cube, np.nan)  # (n, 22, 2), NaN where invisible
     never_seen = np.isnan(cube).all(axis=0).any(axis=1)
     if never_seen.any():
         missing = [f"K-{i + 1}" for i in np.flatnonzero(never_seen)]
@@ -143,6 +172,21 @@ def box_for_keypoints(prior: AnatomicalPrior, keypoints: KeypointSet) -> BoxCons
     at evaluation time the box follows the predicted keypoints themselves.
     """
     return box_for_image(prior, visible_bbox(keypoints))
+
+
+def dataset_boxes(prior: AnatomicalPrior, dataset: Dataset) -> BoxConstraint:
+    """:func:`box_for_keypoints` for every record at once, as (N, 1, 2) frames.
+
+    Raises as :func:`box_for_keypoints` would for the first record, in
+    canonical order, that it rejects.
+    """
+    lo, hi, count = _visible_corners(dataset.xy, dataset.v)
+    n = _first_degenerate(count, ~(hi > lo).all(axis=1))
+    if n is not None:
+        if count[n] < 2:
+            raise DegeneratePoseError(_too_few(dataset.image_ids[n], count[n]))
+        box_for_image(prior, (*lo[n].tolist(), *hi[n].tolist()))  # raises: non-positive extent
+    return BoxConstraint(origin=lo[:, None], extent=(hi - lo)[:, None], nmin=prior.mins, nmax=prior.maxs)
 
 
 def acr_hinge(xy: np.ndarray, box: BoxConstraint) -> tuple[np.ndarray, np.ndarray]:

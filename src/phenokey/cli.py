@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 data/validation failure, 2 usage error. Diagnostics
 go to stderr; data goes to files or stdout. Output is byte-identical across
-runs for identical flags and seeds (reports never embed timestamps).
+runs for identical flags and seeds (reports never embed timestamps). JSON
+reports are ``json.dumps(doc, indent=2)`` text written with the C encoder
+(:mod:`phenokey.jsontext`) and never contain NaN or infinities: a report
+with a non-finite number is refused (exit 1) rather than written.
 """
 
 from __future__ import annotations
@@ -14,10 +17,13 @@ import json
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from . import __version__
-from .anatomy import acr_hinge, box_for_keypoints, fit_prior, prior_from_dict, prior_to_dict
-from .dataset import Dataset, parse_coco, serialize_coco, stack_keypoints, validate
+from .anatomy import acr_hinge, dataset_boxes, fit_prior, prior_from_dict, prior_to_dict
+from .dataset import parse_coco, serialize_coco, validate
 from .errors import DivergenceError, PhenokeyError
+from .jsontext import dumps, same_shape_texts
 from .metrics import (
     PCK_SCALE_MODES,
     EvalConfig,
@@ -41,8 +47,8 @@ def _write_text(path, text: str) -> None:
             fh.write(text)
 
 
-def _write_json(path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
+def _write_json(path, obj, writers=None) -> None:
+    _write_text(path, dumps(obj, writers) + "\n")
 
 
 def _cmd_validate(args) -> int:
@@ -60,21 +66,22 @@ def _cmd_validate(args) -> int:
 def _cmd_measure(args) -> int:
     dataset = parse_coco(args.input)
     table = default_table()
-    xy, v = stack_keypoints([rec.keypoints for rec in dataset])
-    lengths = phenotype_lengths(xy, v, table.endpoint_index).tolist()
-    hidden = hidden_endpoints(v, table).tolist()
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["image_id", "abbrev", "value_px", "status"])
-    for rec, rec_lengths, rec_hidden in zip(dataset, lengths, hidden):
-        for abbrev, value, missing in zip(table.abbrevs(), rec_lengths, rec_hidden):
+    lengths = phenotype_lengths(dataset.xy, dataset.v, table.endpoint_index).tolist()
+    hidden = hidden_endpoints(dataset.v, table).tolist()
+    abbrevs = table.abbrevs()
+    rows = [("image_id", "abbrev", "value_px", "status")]
+    for image_id, rec_lengths, rec_hidden in zip(dataset.image_ids, lengths, hidden):
+        for abbrev, value, missing in zip(abbrevs, rec_lengths, rec_hidden):
+            # csv writes a float as str(value), which is its repr
             if missing:
-                writer.writerow([rec.image_id, abbrev, "", f"skipped:K-{missing}"])
+                rows.append((image_id, abbrev, "", f"skipped:K-{missing}"))
             elif value == 0.0:
-                warn_degenerate(abbrev, rec.image_id)
-                writer.writerow([rec.image_id, abbrev, repr(value), "degenerate"])
+                warn_degenerate(abbrev, image_id)
+                rows.append((image_id, abbrev, value, "degenerate"))
             else:
-                writer.writerow([rec.image_id, abbrev, repr(value), "ok"])
+                rows.append((image_id, abbrev, value, "ok"))
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
     _write_text(args.out, buf.getvalue())
     return 0
 
@@ -112,6 +119,10 @@ def _eval_config(args) -> EvalConfig:
     return EvalConfig(**values)
 
 
+def _oks_entry_texts(entries, depth: int) -> list[str]:
+    return same_shape_texts(entries, depth, lambda e: (e["image_id"], e["oks"]))
+
+
 def _cmd_evaluate(args) -> int:
     gt = parse_coco(args.gt)
     pred = parse_coco(args.pred)
@@ -125,7 +136,7 @@ def _cmd_evaluate(args) -> int:
     report = evaluate_datasets(gt, pred, cfg, metrics=metrics)
     doc = report_to_dict(report)
     doc["metric"] = args.metric
-    _write_json(args.out, doc)
+    _write_json(args.out, doc, {("oks", "per_image"): _oks_entry_texts})
     return 0
 
 
@@ -133,34 +144,43 @@ def _cmd_prior(args) -> int:
     dataset = parse_coco(args.train)
     species = args.species
     if species is not None:
-        records = tuple(r for r in dataset if r.keypoints.species == species)
-        if not records:
+        rows = np.flatnonzero(dataset.species == SPECIES.index(species))
+        if not rows.size:
             raise PhenokeyError(f"no records with species {species!r} in {args.train}")
-        dataset = Dataset(records=records, role=dataset.role)
+        dataset = dataset.take(rows)
     prior = fit_prior(dataset, species=species or "other")
     _write_json(args.out, prior_to_dict(prior))
     return 0
+
+
+def _acr_entry_texts(entries, depth: int) -> list[str]:
+    return same_shape_texts(
+        entries,
+        depth,
+        lambda e: (e["image_id"], e["loss"], e["keypoints_outside"], *(x for pair in e["gradient"] for x in pair)),
+    )
 
 
 def _cmd_acr(args) -> int:
     pred = parse_coco(args.pred)
     with open(args.prior, encoding="utf-8") as fh:
         prior = prior_from_dict(json.load(fh))
-    per_image = []
+    violations, grad = acr_hinge(pred.xy, dataset_boxes(prior, pred))
+    # each image's loss sums its 44 contiguous hinge values; the total adds them left to right
+    losses = violations.reshape(len(pred), -1).sum(axis=1).tolist()
     total = 0.0
-    for rec in pred:
-        violations, grad = acr_hinge(rec.keypoints.xy, box_for_keypoints(prior, rec.keypoints))
-        loss = float(violations.sum())
+    for loss in losses:
         total += loss
-        per_image.append(
-            {
-                "image_id": rec.image_id,
-                "loss": loss,
-                "keypoints_outside": int((grad != 0).any(axis=1).sum()),
-                "gradient": grad.tolist(),
-            }
-        )
-    _write_json(args.out, {"schema_version": 1, "total_loss": total, "per_image": per_image})
+    outside = (grad != 0).any(axis=2).sum(axis=1).tolist()
+    per_image = [
+        {"image_id": image_id, "loss": loss, "keypoints_outside": count, "gradient": rows}
+        for image_id, loss, count, rows in zip(pred.image_ids, losses, outside, grad.tolist())
+    ]
+    _write_json(
+        args.out,
+        {"schema_version": 1, "total_loss": total, "per_image": per_image},
+        {("per_image",): _acr_entry_texts},
+    )
     return 0
 
 
@@ -211,18 +231,17 @@ def _cmd_plot(args) -> int:
         gt_vals, pred_vals = phenotype_value_pairs(gt, pred, args.phenotype)
         plot_scatter(list(zip(gt_vals, pred_vals)), args.out, title=args.phenotype)
     else:
-        gt_xy, gt_v = stack_keypoints([rec.keypoints for rec in gt])
         deviations = {}
         for spec_item in args.pred:
             label, _, path = spec_item.partition("=")
             if not path:
                 label, path = spec_item, spec_item
-            pred_by_id = {r.image_id: r.keypoints for r in parse_coco(path)}
-            for rec in gt:
-                if rec.image_id not in pred_by_id:
-                    raise PhenokeyError(f"prediction file {path} missing image {rec.image_id!r}")
-            pred_xy, _ = stack_keypoints([pred_by_id[rec.image_id] for rec in gt])
-            deviations[label] = _deviations(pred_xy, gt_xy)[gt_v > 0].tolist()
+            pred = parse_coco(path)
+            rows = pred.rows_for(gt.image_ids)
+            if (rows < 0).any():
+                missing = gt.image_ids[int(np.argmax(rows < 0))]
+                raise PhenokeyError(f"prediction file {path} missing image {missing!r}")
+            deviations[label] = _deviations(pred.xy[rows], gt.xy)[gt.v > 0].tolist()
         plot_deviation_summary(deviations, args.out, csv_path=args.csv)
     return 0
 

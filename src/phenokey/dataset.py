@@ -1,7 +1,14 @@
 """Keypoint dataset types and COCO-style annotation I/O.
 
-A dataset is a list of single-fish image records, each carrying the full
-22-keypoint set. Files use the standard COCO keypoint layout (``images``,
+A dataset holds single-fish images, each with the full 22-keypoint set, as
+columns: (N, 22, 2) coordinates, (N, 22) visibility flags, image ids, image
+widths and heights, and species codes, one row per image in canonical id
+order. Whole-file code (validation, serialization, metrics, the prior and
+the ACR loss) reads the arrays; :class:`FishImageRecord` and
+:class:`KeypointSet` are per-image views of one row, built on demand.
+Parsing decodes all keypoint lists of a file into the columns in one call.
+
+Files use the standard COCO keypoint layout (``images``,
 ``annotations`` with flat x,y,v triplets, ``categories``). The canonical
 serialization emitted here sorts images and annotations by id, writes keys
 in a fixed order, and stores the dataset role in the ``info`` block, so a
@@ -16,7 +23,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from .errors import (
     PhenokeyWarning,
     SchemaError,
 )
+from .jsontext import dumps, same_shape_texts
 from .schema import KEYPOINT_COUNT, KEYPOINT_NAMES, SPECIES, normalize_species
 
 TRIPLET_LEN = 3 * KEYPOINT_COUNT
@@ -110,25 +118,120 @@ def _id_sort_key(image_id):
     return (0, image_id, "")
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Ordered, immutable collection of records with unique image ids.
+_SPECIES_CODE = {name: code for code, name in enumerate(SPECIES)}
 
-    Records are kept in canonical order (sorted by image id), which makes the
-    serialized form and the in-memory form agree on ordering.
+
+def _readonly(arr, dtype):
+    return _freeze(np.array(arr, dtype=dtype))
+
+
+class Dataset:
+    """Ordered, immutable collection of single-fish records with unique image ids.
+
+    The data is held as columns, row n describing one image, in canonical
+    order (sorted by image id, the order of the serialized form):
+
+    * ``xy`` (N, 22, 2) float64 keypoint coordinates and ``v`` (N, 22) int64
+      visibility flags;
+    * ``image_ids``, a tuple of ids;
+    * ``width`` and ``height``, (N,) float64 image dimensions;
+    * ``species``, (N,) int64 positions in :data:`~phenokey.schema.SPECIES`.
+
+    The arrays are read-only. ``records`` gives the same data as
+    :class:`FishImageRecord` views over the columns, built on first use and
+    then kept; a dataset built from records keeps those records.
     """
 
-    records: tuple = field(default_factory=tuple)
-    role: str = "train"
+    __slots__ = ("xy", "v", "image_ids", "width", "height", "species", "role", "_records")
 
-    def __post_init__(self):
-        if self.role not in _ROLES:
-            raise ValueError(f"role must be one of {_ROLES}, got {self.role!r}")
-        ordered = tuple(sorted(self.records, key=lambda r: _id_sort_key(r.image_id)))
-        object.__setattr__(self, "records", ordered)
+    def __init__(self, records=(), role: str = "train"):
+        records = tuple(sorted(records, key=lambda r: _id_sort_key(r.image_id)))
+        xy, v = stack_keypoints([r.keypoints for r in records])
+        self._fill(
+            xy,
+            v,
+            tuple(r.image_id for r in records),
+            [r.width for r in records],
+            [r.height for r in records],
+            [_SPECIES_CODE[r.keypoints.species] for r in records],
+            role,
+        )
+        object.__setattr__(self, "_records", records)
+
+    @classmethod
+    def from_columns(cls, xy, v, image_ids, width, height, species, role: str = "train") -> Dataset:
+        """Dataset over columns given in any row order; rows are put in canonical order.
+
+        ``species`` holds positions in :data:`~phenokey.schema.SPECIES`.
+        """
+        self = cls.__new__(cls)
+        object.__setattr__(self, "_records", None)
+        self._fill(xy, v, tuple(image_ids), width, height, species, role)
+        order = sorted(range(len(self)), key=lambda k: _id_sort_key(self.image_ids[k]))
+        if order != sorted(order):
+            ids = tuple(self.image_ids[k] for k in order)
+            self._fill(self.xy[order], self.v[order], ids, self.width[order], self.height[order], self.species[order], role)
+        return self
+
+    def _fill(self, xy, v, image_ids, width, height, species, role):
+        if role not in _ROLES:
+            raise ValueError(f"role must be one of {_ROLES}, got {role!r}")
+        n = len(image_ids)
+        columns = {
+            "xy": (_readonly(xy, np.float64), (n, KEYPOINT_COUNT, 2)),
+            "v": (_readonly(v, np.int64), (n, KEYPOINT_COUNT)),
+            "width": (_readonly(width, np.float64), (n,)),
+            "height": (_readonly(height, np.float64), (n,)),
+            "species": (_readonly(species, np.int64), (n,)),
+        }
+        for name, (column, shape) in columns.items():
+            if column.shape != shape:
+                raise ValueError(f"column {name} has shape {column.shape}, expected {shape} for {n} image ids")
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "image_ids", image_ids)
+        object.__setattr__(self, "role", role)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
+
+    @property
+    def records(self) -> tuple:
+        """The rows as :class:`FishImageRecord` views over the columns."""
+        if self._records is None:
+            records = tuple(
+                FishImageRecord(
+                    image_id=image_id,
+                    width=width,
+                    height=height,
+                    keypoints=KeypointSet(xy=xy, v=v, image_id=image_id, species=SPECIES[code]),
+                )
+                for image_id, width, height, code, xy, v in zip(
+                    self.image_ids, self.width.tolist(), self.height.tolist(), self.species.tolist(), self.xy, self.v
+                )
+            )
+            object.__setattr__(self, "_records", records)
+        return self._records
+
+    def take(self, rows) -> Dataset:
+        """Dataset of the given rows, kept in canonical order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return Dataset.from_columns(
+            self.xy[rows],
+            self.v[rows],
+            [self.image_ids[k] for k in rows.tolist()],
+            self.width[rows],
+            self.height[rows],
+            self.species[rows],
+            self.role,
+        )
+
+    def rows_for(self, image_ids) -> np.ndarray:
+        """Row holding each of ``image_ids`` (the last one, for a repeated id); -1 where absent."""
+        row = {image_id: k for k, image_id in enumerate(self.image_ids)}
+        return np.array([row.get(image_id, -1) for image_id in image_ids], dtype=np.intp)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.image_ids)
 
     def __iter__(self):
         return iter(self.records)
@@ -136,7 +239,15 @@ class Dataset:
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self.role == other.role and list(self.records) == list(other.records)
+        return (
+            self.role == other.role
+            and list(self.image_ids) == list(other.image_ids)
+            and np.array_equal(self.width, other.width)
+            and np.array_equal(self.height, other.height)
+            and np.array_equal(self.species, other.species)
+            and np.array_equal(self.xy, other.xy, equal_nan=True)
+            and np.array_equal(self.v, other.v)
+        )
 
 
 @dataclass(frozen=True)
@@ -174,15 +285,12 @@ def validate(dataset: Dataset) -> list[Violation]:
     come in record order; within a record, the record rules come first, then
     the keypoints in index order, each with the first rule it breaks.
     """
-    records = dataset.records
-    xy, v = stack_keypoints([rec.keypoints for rec in records])
-    width = np.array([rec.width for rec in records], dtype=np.float64)
-    height = np.array([rec.height for rec in records], dtype=np.float64)
-    duplicate = np.zeros(len(records), dtype=bool)
+    xy, v, width, height = dataset.xy, dataset.v, dataset.width, dataset.height
+    duplicate = np.zeros(len(dataset), dtype=bool)
     seen_ids = set()
-    for n, rec in enumerate(records):
-        duplicate[n] = rec.image_id in seen_ids
-        seen_ids.add(rec.image_id)
+    for n, image_id in enumerate(dataset.image_ids):
+        duplicate[n] = image_id in seen_ids
+        seen_ids.add(image_id)
     sized = (width > 0) & (height > 0)
 
     # rule[n, i] is 1 + the index in _KEYPOINT_RULES of the first rule broken, else 0
@@ -200,7 +308,9 @@ def validate(dataset: Dataset) -> list[Violation]:
     )
 
     violations = []
-    for n in np.flatnonzero(duplicate | ~sized | rule.any(axis=1)):
+    flagged = np.flatnonzero(duplicate | ~sized | rule.any(axis=1))
+    records = dataset.records if flagged.size else ()
+    for n in flagged:
         rec = records[n]
         if duplicate[n]:
             violations.append(Violation(rec.image_id, None, "unique_image_id", "duplicate image id"))
@@ -221,6 +331,23 @@ def validate(dataset: Dataset) -> list[Violation]:
     return violations
 
 
+def _decode(flats, ann_ids, path) -> np.ndarray:
+    """(n, 22, 3) float64 triplets of the annotations' keypoint lists, decoded in one call.
+
+    When that fails, the first annotation in file order whose list does not
+    decode on its own is named.
+    """
+    try:
+        return np.array(flats, dtype=np.float64).reshape(len(flats), KEYPOINT_COUNT, 3)
+    except (TypeError, ValueError):
+        for flat, ann_id in zip(flats, ann_ids):
+            try:
+                np.asarray(flat, dtype=np.float64).reshape(KEYPOINT_COUNT, 3)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{path}: annotation {ann_id!r}: non-numeric keypoints entry: {exc}") from exc
+        raise
+
+
 def parse_coco(path) -> Dataset:
     """Read a COCO keypoint annotation file into a :class:`Dataset`.
 
@@ -228,6 +355,10 @@ def parse_coco(path) -> Dataset:
     22 (x, y, v) entries. Species comes from the annotation's category name
     when recognizable, else ``other``. The dataset role is read from
     ``info.role`` when present (defaults to ``train``).
+
+    Each annotation gets its structural checks in file order; the keypoint
+    lists of all annotations are then decoded into the columns at once. An
+    error names the first offending annotation in file order.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -255,106 +386,99 @@ def parse_coco(path) -> Dataset:
     categories = {}
     for cat in doc.get("categories", []):
         if isinstance(cat, dict) and "id" in cat:
-            categories[cat["id"]] = normalize_species(str(cat.get("name", "other")))
+            categories[cat["id"]] = _SPECIES_CODE[normalize_species(str(cat.get("name", "other")))]
+    other = _SPECIES_CODE["other"]
 
     annotations = doc["annotations"]
     if not annotations:
         warnings.warn("annotations array is empty; dataset has no records", PhenokeyWarning, stacklevel=2)
 
-    records = []
-    ann_ids = []
-    flags = []
+    flats, ann_ids, image_ids, sizes, species = [], [], [], [], []
     seen = set()
+
+    def after_earlier_entries(exc):
+        # a non-numeric list in an earlier annotation is the first error in file order
+        _decode(flats, ann_ids, path)
+        return exc
+
     for ann in annotations:
         ann_id = ann.get("id", "<missing>") if isinstance(ann, dict) else "<missing>"
         if not isinstance(ann, dict) or "image_id" not in ann or "keypoints" not in ann:
-            raise ParseError(f"{path}: annotation {ann_id!r} missing image_id or keypoints")
+            raise after_earlier_entries(ParseError(f"{path}: annotation {ann_id!r} missing image_id or keypoints"))
         img_id = ann["image_id"]
         if img_id not in images:
-            raise IntegrityError(f"annotation {ann_id!r} references unknown image id {img_id!r}")
+            raise after_earlier_entries(
+                IntegrityError(f"annotation {ann_id!r} references unknown image id {img_id!r}")
+            )
         if img_id in seen:
-            raise IntegrityError(f"duplicate image id {img_id!r}: multiple annotations for one image")
-        seen.add(img_id)
+            raise after_earlier_entries(
+                IntegrityError(f"duplicate image id {img_id!r}: multiple annotations for one image")
+            )
         flat = ann["keypoints"]
         if not isinstance(flat, (list, tuple)) or len(flat) != TRIPLET_LEN:
             found = len(flat) if isinstance(flat, (list, tuple)) else type(flat).__name__
-            raise SchemaError(
-                f"annotation {ann_id!r}: keypoints list has {found} values, expected {TRIPLET_LEN}"
+            raise after_earlier_entries(
+                SchemaError(f"annotation {ann_id!r}: keypoints list has {found} values, expected {TRIPLET_LEN}")
             )
-        try:
-            triplets = np.asarray(flat, dtype=np.float64).reshape(KEYPOINT_COUNT, 3)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: annotation {ann_id!r}: non-numeric keypoints entry: {exc}") from exc
-        species = categories.get(ann.get("category_id"), "other")
-        width, height = images[img_id]
-        kp = KeypointSet(
-            xy=triplets[:, :2],
-            v=triplets[:, 2].astype(np.int64),
-            image_id=img_id,
-            species=species,
-        )
-        records.append(FishImageRecord(image_id=img_id, width=width, height=height, keypoints=kp))
+        seen.add(img_id)
+        flats.append(flat)
         ann_ids.append(ann_id)
-        flags.append(triplets[:, 2])
+        image_ids.append(img_id)
+        sizes.append(images[img_id])
+        species.append(categories.get(ann.get("category_id"), other))
 
-    # The int64 cast above truncates a fractional flag; one check per file finds any.
-    if flags:
-        flags = np.stack(flags)
-        fractional = np.isfinite(flags) & (flags != np.trunc(flags))
-        if fractional.any():
-            n, i = np.argwhere(fractional)[0]
-            raise SchemaError(
-                f"annotation {ann_ids[n]!r}: keypoint {i + 1} has fractional visibility flag {float(flags[n, i])!r}"
-            )
+    triplets = _decode(flats, ann_ids, path)
+    flags = triplets[..., 2]
+    fractional = np.isfinite(flags) & (flags != np.trunc(flags))
+    if fractional.any():
+        n, i = np.argwhere(fractional)[0]
+        raise SchemaError(
+            f"annotation {ann_ids[n]!r}: keypoint {i + 1} has fractional visibility flag {float(flags[n, i])!r}"
+        )
 
     info = doc.get("info", {})
     role = info.get("role", "train") if isinstance(info, dict) else "train"
     if role not in _ROLES:
         role = "train"
-    return Dataset(records=tuple(records), role=role)
-
-
-def _species_category_id(species: str) -> int:
-    return SPECIES.index(species) + 1
+    width, height = np.array(sizes, dtype=np.float64).reshape(-1, 2).T
+    return Dataset.from_columns(
+        triplets[..., :2], flags.astype(np.int64), image_ids, width, height, species, role
+    )
 
 
 def dataset_to_coco_dict(dataset: Dataset) -> dict:
     """Canonical document form of a dataset (fixed key order, sorted by id)."""
-    records = dataset.records
-    xy, v = stack_keypoints([rec.keypoints for rec in records])
-    n = len(records)
+    xy, v = dataset.xy, dataset.v
+    n = len(dataset)
     # x, y, v triplets as Python floats, with the flags swapped back to ints
     rows = np.concatenate([xy, v[..., None].astype(np.float64)], axis=2).reshape(n, TRIPLET_LEN).tolist()
     for row, row_flags in zip(rows, v.tolist()):
         row[2::3] = row_flags
     images = [
-        {
-            "id": rec.image_id,
-            "width": rec.width,
-            "height": rec.height,
-            "file_name": f"{rec.image_id}.jpg",
-        }
-        for rec in records
+        {"id": image_id, "width": width, "height": height, "file_name": f"{image_id}.jpg"}
+        for image_id, width, height in zip(dataset.image_ids, dataset.width.tolist(), dataset.height.tolist())
     ]
     annotations = [
         {
             "id": k,
-            "image_id": rec.image_id,
-            "category_id": _species_category_id(rec.keypoints.species),
+            "image_id": image_id,
+            "category_id": code + 1,
             "keypoints": row,
             "num_keypoints": num,
         }
-        for k, (rec, row, num) in enumerate(zip(records, rows, (v > 0).sum(axis=1).tolist()), start=1)
+        for k, (image_id, code, row, num) in enumerate(
+            zip(dataset.image_ids, dataset.species.tolist(), rows, (v > 0).sum(axis=1).tolist()), start=1
+        )
     ]
     categories = [
         {
-            "id": _species_category_id(sp),
+            "id": code + 1,
             "name": sp,
             "supercategory": "fish",
             "keypoints": [KEYPOINT_NAMES[i] for i in range(1, KEYPOINT_COUNT + 1)],
             "skeleton": [],
         }
-        for sp in SPECIES
+        for code, sp in enumerate(SPECIES)
     ]
     return {
         "info": {"description": "fish keypoint annotations", "role": dataset.role},
@@ -365,51 +489,26 @@ def dataset_to_coco_dict(dataset: Dataset) -> dict:
     }
 
 
-# json.dumps(indent=2) runs the pure-Python encoder. The two long arrays are
-# written here instead: the C encoder handles each image and each keypoint
-# list, with item separators that carry the indent=2 line breaks.
-_RECORD_FIELDS = json.JSONEncoder(separators=(",\n      ", ": ")).encode
-_KEYPOINT_ITEMS = json.JSONEncoder(separators=(",\n        ", ": ")).encode
-_ANNOTATION = '    {\n      %s,\n      "keypoints": [\n        %s\n      ],\n      "num_keypoints": %s\n    }'
-# Stands in for a long array in the skeleton, whose other strings are all fixed.
-_SLOT = "@slot@"
-
-
-def _image_text(image: dict) -> str:
-    return "    {\n      " + _RECORD_FIELDS(image)[1:-1] + "\n    }"
-
-
-def _annotation_text(ann: dict) -> str:
-    head = {"id": ann["id"], "image_id": ann["image_id"], "category_id": ann["category_id"]}
-    return _ANNOTATION % (
-        _RECORD_FIELDS(head)[1:-1],
-        _KEYPOINT_ITEMS(ann["keypoints"])[1:-1],
-        json.dumps(ann["num_keypoints"]),
+def _annotation_texts(annotations, depth: int) -> list[str]:
+    # NaN may stand on hidden keypoints
+    return same_shape_texts(
+        annotations,
+        depth,
+        lambda a: (a["id"], a["image_id"], a["category_id"], *a["keypoints"], a["num_keypoints"]),
+        allow_nan=True,
     )
-
-
-def _coco_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"`` for a document of :func:`dataset_to_coco_dict`."""
-    skeleton = dict(doc)
-    bodies = []
-    for key, write in (("images", _image_text), ("annotations", _annotation_text)):
-        if doc[key]:
-            skeleton[key] = [_SLOT]
-            bodies.append(",\n".join(map(write, doc[key])))
-    parts = json.dumps(skeleton, indent=2).split(f'    "{_SLOT}"')
-    return parts[0] + "".join(body + part for body, part in zip(bodies, parts[1:])) + "\n"
 
 
 def serialize_coco(dataset: Dataset, path) -> None:
     """Write the canonical annotation document; fails fast on invalid data.
 
-    The text is ``json.dumps(doc, indent=2)`` byte for byte; the images and
-    annotations are encoded a whole record at a time rather than a value at
-    a time.
+    The text is ``json.dumps(doc, indent=2)`` byte for byte, written with the
+    C encoder (see :mod:`phenokey.jsontext`).
     """
     violations = validate(dataset)
     if violations:
         raise DatasetValidationError(violations)
-    text = _coco_text(dataset_to_coco_dict(dataset))
+    text = dumps(dataset_to_coco_dict(dataset), {("annotations",): _annotation_texts}, allow_nan=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+        fh.write("\n")

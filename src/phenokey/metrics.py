@@ -11,13 +11,23 @@ Implements the full battery used to score coordinate predictors:
 
 All thresholds compare with strict ``<``. Undefined quantities (empty
 denominators) are reported as NaN markers in arrays and ``None`` in report
-dictionaries, never silently as 0.
+dictionaries, never silently as 0. A predicted keypoint with a non-finite
+coordinate is a miss: its deviation is +inf, so its similarity is 0 and it
+fails PCK and PMP; a phenotype whose predicted length is non-finite is
+skipped and counted.
+
+Every metric is computed on whole (N, 22, 2) arrays. :func:`evaluate_datasets`
+pairs the two datasets' rows once and computes the deviations, the
+ground-truth box diagonals and the shortest ground-truth phenotypes once for
+all metrics; :func:`oks_per_image`, :func:`pck` and :func:`pmp` stack their
+keypoint sets and run the same array code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +92,7 @@ def oks(pred: KeypointSet, gt: KeypointSet, cfg: EvalConfig | None = None) -> fl
     vis = gt.visible
     if not vis.any():
         raise UndefinedMetricError(f"image {gt.image_id!r}: no visible ground-truth keypoints")
-    s = cfg.oks_scale if cfg.oks_scale is not None else _bbox_diagonal(gt.xy[vis])
+    s = cfg.oks_scale if cfg.oks_scale is not None else float(_bbox_diagonals(gt.xy[None], vis[None])[0])
     if not s > 0:
         raise DegenerateScaleError(f"image {gt.image_id!r}: object scale is 0")
     d = _deviations(pred.xy, gt.xy)
@@ -164,10 +174,14 @@ def ols_fit(gt, pred) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # batched per-keypoint metrics
 
-def _bbox_diagonal(xy: np.ndarray) -> float:
-    mins = xy.min(axis=0)
-    maxs = xy.max(axis=0)
-    return float(math.hypot(*(maxs - mins)))
+
+def _bbox_diagonals(xy, annotated) -> np.ndarray:
+    """(N,) diagonal of each sample's rectangle over its annotated keypoints; NaN where none is."""
+    inside = annotated[..., None]
+    extent = np.where(inside, xy, -np.inf).max(axis=1) - np.where(inside, xy, np.inf).min(axis=1)
+    # math.hypot, not np.hypot, which differs in the last digit for some inputs: reports keep their scales
+    diagonals = np.array([math.hypot(w, h) for w, h in extent.tolist()], dtype=np.float64)
+    return np.where(annotated.any(axis=1), diagonals, np.nan)
 
 
 @dataclass(frozen=True)
@@ -189,50 +203,106 @@ class PerKeypointResult:
         return float(self.values[defined].mean())
 
 
-def _pck_scales(gt_xy, gt_v, mode, image_ids) -> np.ndarray:
-    n = gt_xy.shape[0]
-    h = np.empty(n, dtype=np.float64)
-    if mode == "bbox_diagonal":
-        for i in range(n):
-            vis = gt_v[i] > 0
-            if not vis.any():
-                raise DegenerateScaleError(f"image {image_ids[i]!r}: no visible keypoints for scale")
-            h[i] = _bbox_diagonal(gt_xy[i][vis])
-    else:
-        a, b = _SCALE_ENDPOINTS[mode]
-        for i in range(n):
-            if gt_v[i, a - 1] <= 0 or gt_v[i, b - 1] <= 0:
-                raise DegenerateScaleError(
-                    f"image {image_ids[i]!r}: scale endpoints K-{a}/K-{b} not visible"
-                )
-            h[i] = math.hypot(*(gt_xy[i, b - 1] - gt_xy[i, a - 1]))
-    zero = np.flatnonzero(h == 0.0)
-    if zero.size:
-        raise DegenerateScaleError(f"image {image_ids[zero[0]]!r}: scale factor is 0")
-    return h
-
-
-def _paired_arrays(preds, gts):
+def _paired_arrays(preds, gts, table=None) -> _Pairs:
     if len(preds) != len(gts):
         raise ValueError(f"got {len(preds)} predictions for {len(gts)} ground truths")
-    gt_xy, gt_v = stack_keypoints(list(gts))
-    pred_xy, _ = stack_keypoints(list(preds))
-    image_ids = [g.image_id for g in gts]
     for p, g in zip(preds, gts):
         if p.image_id != g.image_id:
             raise ValueError(f"prediction/ground-truth id mismatch: {p.image_id!r} vs {g.image_id!r}")
-    return pred_xy, gt_xy, gt_v, image_ids
+    gt_xy, gt_v = stack_keypoints(list(gts))
+    pred_xy, _ = stack_keypoints(list(preds))
+    return _Pairs(pred_xy, gt_xy, gt_v, [g.image_id for g in gts], table)
+
+
+class _Pairs:
+    """Row-paired prediction and ground-truth arrays; the terms metrics share are computed once, on first use."""
+
+    def __init__(self, pred_xy, gt_xy, gt_v, image_ids, table=None):
+        self.pred_xy, self.gt_xy, self.gt_v, self.image_ids = pred_xy, gt_xy, gt_v, image_ids
+        self.table = table or default_table()
+        self.annotated = gt_v > 0
+        self.n = gt_xy.shape[0]
+
+    @cached_property
+    def deviations(self) -> np.ndarray:
+        return _deviations(self.pred_xy, self.gt_xy)
+
+    @cached_property
+    def diagonals(self) -> np.ndarray:
+        return _bbox_diagonals(self.gt_xy, self.annotated)
+
+    @cached_property
+    def shortest_phenotypes(self) -> np.ndarray:
+        return shortest_phenotype_lengths(self.gt_xy, self.gt_v, self.table)
 
 
 def _deviations(pred_xy, gt_xy) -> np.ndarray:
-    """Euclidean keypoint deviations over the trailing coordinate axis."""
+    """Euclidean keypoint deviations over the trailing coordinate axis; +inf where a prediction is non-finite."""
     diff = pred_xy - gt_xy
-    return np.hypot(diff[..., 0], diff[..., 1])
+    d = np.hypot(diff[..., 0], diff[..., 1])
+    return np.where(np.isfinite(pred_xy).all(axis=-1), d, np.inf)
 
 
 def _similarity(d, s, k):
     """exp(-d² / (2 s² k²)), elementwise."""
     return np.exp(-(d**2) / (2.0 * s * s * k**2))
+
+
+def _fractions(correct, counted, skips) -> PerKeypointResult:
+    counts = counted.sum(axis=0)
+    values = np.full(KEYPOINT_COUNT, np.nan)
+    nonzero = counts > 0
+    values[nonzero] = correct.sum(axis=0)[nonzero] / counts[nonzero]
+    return PerKeypointResult(values, counts.astype(np.int64), skips.astype(np.int64))
+
+
+def _pck_scales(pairs: _Pairs, mode) -> np.ndarray:
+    if mode == "bbox_diagonal":
+        missing = ~pairs.annotated.any(axis=1)
+        reason = "no visible keypoints for scale"
+    else:
+        a, b = _SCALE_ENDPOINTS[mode]
+        missing = (pairs.gt_v[:, a - 1] <= 0) | (pairs.gt_v[:, b - 1] <= 0)
+        reason = f"scale endpoints K-{a}/K-{b} not visible"
+    if missing.any():
+        raise DegenerateScaleError(f"image {pairs.image_ids[np.argmax(missing)]!r}: {reason}")
+    if mode == "bbox_diagonal":
+        h = pairs.diagonals
+    else:
+        span = pairs.gt_xy[:, b - 1] - pairs.gt_xy[:, a - 1]
+        h = np.array([math.hypot(w, z) for w, z in span.tolist()], dtype=np.float64)
+    zero = np.flatnonzero(h == 0.0)
+    if zero.size:
+        raise DegenerateScaleError(f"image {pairs.image_ids[zero[0]]!r}: scale factor is 0")
+    return h
+
+
+def _pck(pairs: _Pairs, cfg: EvalConfig) -> PerKeypointResult:
+    if pairs.n == 0:
+        raise UndefinedMetricError("no samples to evaluate")
+    h = _pck_scales(pairs, cfg.pck_scale_mode)
+    correct = (pairs.deviations / h[:, None] < cfg.pck_threshold) & pairs.annotated
+    return _fractions(correct, pairs.annotated, np.zeros(KEYPOINT_COUNT, dtype=np.int64))
+
+
+def _pmp(pairs: _Pairs, cfg: EvalConfig) -> PerKeypointResult:
+    if pairs.n == 0:
+        raise UndefinedMetricError("no samples to evaluate")
+    pheno = pairs.shortest_phenotypes
+    evaluable = pairs.annotated & np.isfinite(pheno) & (pheno > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = pairs.deviations / pheno
+    correct = evaluable & (ratio < cfg.pmp_threshold)
+    return _fractions(correct, evaluable, (pairs.annotated & ~evaluable).sum(axis=0))
+
+
+def _oks(pairs: _Pairs, cfg: EvalConfig) -> list[float | None]:
+    s = pairs.diagonals if cfg.oks_scale is None else np.full(pairs.n, float(cfg.oks_scale))
+    defined = pairs.annotated.any(axis=1) & (s > 0)
+    with np.errstate(all="ignore"):
+        sim = np.where(pairs.annotated, _similarity(pairs.deviations, s[:, None], cfg.k_array()), 0.0)
+        values = sim.sum(axis=1) / pairs.annotated.sum(axis=1)
+    return [v if ok else None for v, ok in zip(values.tolist(), defined.tolist())]
 
 
 def pck(preds, gts, cfg: EvalConfig | None = None) -> PerKeypointResult:
@@ -241,21 +311,7 @@ def pck(preds, gts, cfg: EvalConfig | None = None) -> PerKeypointResult:
     The denominator counts annotated (v > 0) ground-truth keypoints; a sample
     is skipped for no keypoint here because a missing scale factor raises.
     """
-    cfg = cfg or EvalConfig()
-    pred_xy, gt_xy, gt_v, image_ids = _paired_arrays(preds, gts)
-    n = gt_xy.shape[0]
-    if n == 0:
-        raise UndefinedMetricError("no samples to evaluate")
-    d = _deviations(pred_xy, gt_xy)
-    h = _pck_scales(gt_xy, gt_v, cfg.pck_scale_mode, image_ids)
-    normalized = d / h[:, None]
-    annotated = gt_v > 0
-    correct = (normalized < cfg.pck_threshold) & annotated
-    counts = annotated.sum(axis=0)
-    values = np.full(KEYPOINT_COUNT, np.nan)
-    nonzero = counts > 0
-    values[nonzero] = correct.sum(axis=0)[nonzero] / counts[nonzero]
-    return PerKeypointResult(values, counts.astype(np.int64), np.zeros(KEYPOINT_COUNT, dtype=np.int64))
+    return _pck(_paired_arrays(preds, gts), cfg or EvalConfig())
 
 
 def pmp(preds, gts, table: PhenotypeTable | None = None, cfg: EvalConfig | None = None) -> PerKeypointResult:
@@ -266,60 +322,37 @@ def pmp(preds, gts, table: PhenotypeTable | None = None, cfg: EvalConfig | None 
     length; other annotated samples are recorded as skips. Keypoints with no
     evaluable samples come back as NaN markers.
     """
-    cfg = cfg or EvalConfig()
-    table = table or default_table()
-    pred_xy, gt_xy, gt_v, _ = _paired_arrays(preds, gts)
-    n = gt_xy.shape[0]
-    if n == 0:
-        raise UndefinedMetricError("no samples to evaluate")
-    d = _deviations(pred_xy, gt_xy)
-    pheno = shortest_phenotype_lengths(gt_xy, gt_v, table)
-    annotated = gt_v > 0
-    evaluable = annotated & np.isfinite(pheno) & (pheno > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = d / pheno
-    correct = evaluable & (ratio < cfg.pmp_threshold)
-    counts = evaluable.sum(axis=0)
-    skips = (annotated & ~evaluable).sum(axis=0)
-    values = np.full(KEYPOINT_COUNT, np.nan)
-    nonzero = counts > 0
-    values[nonzero] = correct.sum(axis=0)[nonzero] / counts[nonzero]
-    return PerKeypointResult(values, counts.astype(np.int64), skips.astype(np.int64))
+    return _pmp(_paired_arrays(preds, gts, table), cfg or EvalConfig())
 
 
 def oks_per_image(preds, gts, cfg: EvalConfig | None = None) -> list[float | None]:
     """Per-image object keypoint similarity; None where undefined."""
-    cfg = cfg or EvalConfig()
-    pred_xy, gt_xy, gt_v, image_ids = _paired_arrays(preds, gts)
-    n = gt_xy.shape[0]
-    d = _deviations(pred_xy, gt_xy)
-    k = cfg.k_array()
-    out: list[float | None] = [None] * n
-    for i in range(n):
-        vis = gt_v[i] > 0
-        if not vis.any():
-            continue
-        s = cfg.oks_scale if cfg.oks_scale is not None else _bbox_diagonal(gt_xy[i][vis])
-        if not s > 0:
-            continue
-        out[i] = float(_similarity(d[i, vis], s, k[vis]).sum() / vis.sum())
-    return out
+    return _oks(_paired_arrays(preds, gts), cfg or EvalConfig())
+
+
+def _paired_datasets(gt: Dataset, pred: Dataset, table=None) -> _Pairs:
+    """Each ground-truth row with the prediction row of the same image id."""
+    rows = pred.rows_for(gt.image_ids)
+    missing = [gt.image_ids[n] for n in np.flatnonzero(rows < 0)[:5].tolist()]
+    if missing:
+        raise ValueError(f"predictions missing for image ids {missing!r}")
+    return _Pairs(pred.xy[rows], gt.xy, gt.v, gt.image_ids, table)
+
+
+def _phenotype_lengths(pairs: _Pairs, ends):
+    """Ground-truth and predicted lengths of the phenotypes ``ends``; gt visibility governs both."""
+    return phenotype_lengths(pairs.gt_xy, pairs.gt_v, ends), phenotype_lengths(pairs.pred_xy, pairs.gt_v, ends)
 
 
 def phenotype_value_pairs(gt: Dataset, pred: Dataset, abbrev: str, table: PhenotypeTable | None = None):
-    """Paired (gt, pred) lengths of one phenotype over all measurable samples."""
+    """Paired (gt, pred) lengths of one phenotype over all measurable samples with a finite prediction."""
     table = table or default_table()
     if abbrev not in table:
         raise KeyError(f"unknown phenotype {abbrev!r}")
-    preds, gts = _pair_datasets(gt, pred)
     t = list(table.abbrevs()).index(abbrev)
-    pred_xy, _ = stack_keypoints(list(preds))
-    gt_xy, gt_v = stack_keypoints(list(gts))
-    ends = table.endpoint_index[:, [t]]
-    gt_len = phenotype_lengths(gt_xy, gt_v, ends)[:, 0]
-    pred_len = phenotype_lengths(pred_xy, gt_v, ends)[:, 0]
-    usable = np.isfinite(gt_len)
-    return gt_len[usable], pred_len[usable]
+    gt_len, pred_len = _phenotype_lengths(_paired_datasets(gt, pred, table), table.endpoint_index[:, [t]])
+    usable = np.isfinite(gt_len[:, 0]) & np.isfinite(pred_len[:, 0])
+    return gt_len[usable, 0], pred_len[usable, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,32 +385,20 @@ class MetricReport:
     mmape_per_keypoint: np.ndarray | None = None
 
 
-def _pair_datasets(gt: Dataset, pred: Dataset):
-    gt_ids = [r.image_id for r in gt]
-    pred_by_id = {r.image_id: r for r in pred}
-    missing = [i for i in gt_ids if i not in pred_by_id]
-    if missing:
-        raise ValueError(f"predictions missing for image ids {missing[:5]!r}")
-    gts = [r.keypoints for r in gt]
-    preds = [pred_by_id[i].keypoints for i in gt_ids]
-    return preds, gts
-
-
-def _phenotype_stats(preds, gts, table) -> dict:
-    pred_xy, _ = stack_keypoints(list(preds))
-    gt_xy, gt_v = stack_keypoints(list(gts))
-    gt_len = phenotype_lengths(gt_xy, gt_v, table.endpoint_index)
-    pred_len = phenotype_lengths(pred_xy, gt_v, table.endpoint_index)  # gt visibility governs
+def _phenotype_stats(pairs: _Pairs) -> dict:
+    table = pairs.table
+    gt_len, pred_len = _phenotype_lengths(pairs, table.endpoint_index)
+    measurable = np.isfinite(gt_len)
+    usable = measurable & (gt_len > 0) & np.isfinite(pred_len)
     stats = {}
     for t, pdef in enumerate(table):
-        usable = np.isfinite(gt_len[:, t]) & (gt_len[:, t] > 0)
-        skipped = int(np.isfinite(gt_len[:, t]).sum() - usable.sum())
-        n_usable = int(usable.sum())
+        n_usable = int(usable[:, t].sum())
+        skipped = int(measurable[:, t].sum()) - n_usable
         if n_usable == 0:
             stats[pdef.abbrev] = None
             continue
-        g = gt_len[usable, t]
-        p = pred_len[usable, t]
+        g = gt_len[usable[:, t], t]
+        p = pred_len[usable[:, t], t]
         m = mape(g, p)
         corr = r2 = slope = intercept = None
         if n_usable >= 2 and np.ptp(g) > 0:
@@ -398,8 +419,7 @@ def evaluate_datasets(
     """Score a prediction dataset against ground truth on the chosen metrics."""
     cfg = cfg or EvalConfig()
     table = table or default_table()
-    preds, gts = _pair_datasets(gt, pred)
-    n = len(gts)
+    pairs = _paired_datasets(gt, pred, table)
 
     oks_vals: list = []
     oks_mean = None
@@ -408,15 +428,15 @@ def evaluate_datasets(
     mmape_arr = None
 
     if "oks" in metrics:
-        oks_vals = oks_per_image(preds, gts, cfg)
+        oks_vals = _oks(pairs, cfg)
         defined = [v for v in oks_vals if v is not None]
         oks_mean = float(np.mean(defined)) if defined else None
     if "pck" in metrics:
-        pck_res = pck(preds, gts, cfg)
+        pck_res = _pck(pairs, cfg)
     if "pmp" in metrics:
-        pmp_res = pmp(preds, gts, table, cfg)
+        pmp_res = _pmp(pairs, cfg)
     if "phenotypes" in metrics:
-        phen = _phenotype_stats(preds, gts, table)
+        phen = _phenotype_stats(pairs)
         mapes = {a: s.mape for a, s in phen.items() if s is not None}
         mmape_arr = np.full(KEYPOINT_COUNT, np.nan)
         for j in range(1, KEYPOINT_COUNT + 1):
@@ -425,9 +445,9 @@ def evaluate_datasets(
             except KeyError:
                 pass
     return MetricReport(
-        n_samples=n,
+        n_samples=pairs.n,
         config=cfg,
-        oks_image_ids=[g.image_id for g in gts],
+        oks_image_ids=list(gt.image_ids),
         oks_per_image=oks_vals,
         oks_mean=oks_mean,
         pck=pck_res,

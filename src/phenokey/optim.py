@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .anatomy import AnatomicalPrior, BoxConstraint, acr_hinge, acr_loss, fit_prior
-from .dataset import Dataset, FishImageRecord, KeypointSet
+from .dataset import Dataset
 from .errors import DivergenceError, GradNormFallbackWarning
 from .schema import KEYPOINT_COUNT
 from .synth import generate_population, load_template
@@ -166,22 +166,20 @@ class ToyProblem:
 
 def population_coords(population: Dataset) -> np.ndarray:
     """(N, 44) coordinate matrix of a dataset, rows flattened x1,y1,...,x22,y22."""
-    return np.stack([rec.keypoints.xy.reshape(-1) for rec in population])
+    return population.xy.reshape(len(population), -1).copy()
 
 
 def coords_to_dataset(coords: np.ndarray, like: Dataset) -> Dataset:
-    """Wrap predicted coordinates as a dataset mirroring ``like``'s records."""
-    coords = coords.reshape(len(like), KEYPOINT_COUNT, 2)
-    records = []
-    for rec, xy in zip(like, coords):
-        kp = KeypointSet(
-            xy=xy,
-            v=np.full(KEYPOINT_COUNT, 2, dtype=np.int64),
-            image_id=rec.image_id,
-            species=rec.keypoints.species,
-        )
-        records.append(FishImageRecord(rec.image_id, rec.width, rec.height, kp))
-    return Dataset(records=tuple(records), role=like.role)
+    """Wrap predicted coordinates as a dataset mirroring ``like``'s rows, every keypoint visible."""
+    return Dataset.from_columns(
+        coords.reshape(len(like), KEYPOINT_COUNT, 2),
+        np.full((len(like), KEYPOINT_COUNT), 2),
+        like.image_ids,
+        like.width,
+        like.height,
+        like.species,
+        like.role,
+    )
 
 
 # Interior keypoints carrying systematic annotation corruption in the ACR

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, FishImageRecord, KeypointSet, stack_keypoints
+from .dataset import Dataset
 from .morphometry import PhenotypeTable, default_table, shortest_phenotype_lengths
-from .schema import KEYPOINT_COUNT
+from .schema import KEYPOINT_COUNT, SPECIES
 
 PERTURBATION_MODES = ("uniform_px", "proportional_to_shortest_phenotype")
 
@@ -183,8 +183,12 @@ def generate_population(
     if n < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
     template.validate()
+    if species not in SPECIES:
+        raise ValueError(f"unknown species tag {species!r}")
     s_min, s_max = template.body_size_range
-    records = []
+    xy = np.empty((n, KEYPOINT_COUNT, 2))
+    width = np.empty(n)
+    height = np.empty(n)
     for idx in range(n):
         rng = np.random.default_rng([int(seed), idx])
         size = float(rng.uniform(s_min, s_max))
@@ -192,19 +196,19 @@ def generate_population(
         off_y = float(rng.uniform(0.15, 0.50)) * size * template.aspect
         jitter = _truncated_normal(rng, (KEYPOINT_COUNT, 2)) * template.spread[:, None]
         pos = template.mean_layout + jitter
-        xy = np.empty((KEYPOINT_COUNT, 2))
-        xy[:, 0] = off_x + pos[:, 0] * size
-        xy[:, 1] = off_y + pos[:, 1] * size * template.aspect
-        width = float(math.ceil(2 * off_x + size))
-        height = float(math.ceil(2 * off_y + size * template.aspect))
-        kp = KeypointSet(
-            xy=xy,
-            v=np.full(KEYPOINT_COUNT, 2, dtype=np.int64),
-            image_id=idx + 1,
-            species=species,
-        )
-        records.append(FishImageRecord(image_id=idx + 1, width=width, height=height, keypoints=kp))
-    return Dataset(records=tuple(records), role=role)
+        xy[idx, :, 0] = off_x + pos[:, 0] * size
+        xy[idx, :, 1] = off_y + pos[:, 1] * size * template.aspect
+        width[idx] = math.ceil(2 * off_x + size)
+        height[idx] = math.ceil(2 * off_y + size * template.aspect)
+    return Dataset.from_columns(
+        xy,
+        np.full((n, KEYPOINT_COUNT), 2),
+        range(1, n + 1),
+        width,
+        height,
+        np.full(n, SPECIES.index(species)),
+        role,
+    )
 
 
 @dataclass(frozen=True)
@@ -240,21 +244,17 @@ def perturb(gt: Dataset, model: PerturbationModel, table: PhenotypeTable | None 
     """
     table = table or default_table()
     if model.mode != "uniform_px":
-        gt_xy, gt_v = stack_keypoints([rec.keypoints for rec in gt])
-        pheno = shortest_phenotype_lengths(gt_xy, gt_v, table)
+        pheno = shortest_phenotype_lengths(gt.xy, gt.v, table)
         sigma = np.where(np.isfinite(pheno), model.magnitude * pheno, 0.0)
-    records = []
-    for idx, rec in enumerate(gt):
+    noise = np.empty_like(gt.xy)
+    for idx in range(len(gt)):
         rng = np.random.default_rng([int(model.seed), idx, 7919])
-        kp = rec.keypoints
         if model.mode == "uniform_px":
-            noise = rng.uniform(-model.magnitude, model.magnitude, size=(KEYPOINT_COUNT, 2))
+            noise[idx] = rng.uniform(-model.magnitude, model.magnitude, size=(KEYPOINT_COUNT, 2))
         else:
-            noise = _truncated_normal(rng, (KEYPOINT_COUNT, 2)) * sigma[idx][:, None]
-        xy = np.maximum(kp.xy + noise, 0.0)
-        reach = np.where(np.isfinite(xy), xy, 0.0).max(axis=0)
-        width = max(rec.width, float(math.ceil(reach[0])))
-        height = max(rec.height, float(math.ceil(reach[1])))
-        new_kp = KeypointSet(xy=xy, v=kp.v.copy(), image_id=kp.image_id, species=kp.species)
-        records.append(FishImageRecord(image_id=rec.image_id, width=width, height=height, keypoints=new_kp))
-    return Dataset(records=tuple(records), role=gt.role)
+            noise[idx] = _truncated_normal(rng, (KEYPOINT_COUNT, 2)) * sigma[idx][:, None]
+    xy = np.maximum(gt.xy + noise, 0.0)
+    reach = np.where(np.isfinite(xy), xy, 0.0).max(axis=1)
+    width = np.maximum(gt.width, np.ceil(reach[:, 0]))
+    height = np.maximum(gt.height, np.ceil(reach[:, 1]))
+    return Dataset.from_columns(xy, gt.v, gt.image_ids, width, height, gt.species, gt.role)

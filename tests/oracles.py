@@ -5,10 +5,12 @@ scalars (math.hypot, sequential sums) with no shared code path with the
 vectorized library internals.
 """
 
+import json
 import math
 
+from phenokey.errors import IntegrityError, ParseError, SchemaError
 from phenokey.morphometry import default_table
-from phenokey.schema import KEYPOINT_COUNT
+from phenokey.schema import KEYPOINT_COUNT, normalize_species
 
 
 def _pt(kp, i):
@@ -155,6 +157,64 @@ def oracle_validate(dataset):
                 found.append((rec.image_id, i, "visible_within_bounds",
                               f"({x}, {y}) outside {rec.width} x {rec.height}"))
     return found
+
+
+def _canonical_key(image_id):
+    if isinstance(image_id, bool) or not isinstance(image_id, (int, float)):
+        return (1, 0, str(image_id))
+    return (0, image_id, "")
+
+
+def oracle_parse_coco(path):
+    """Records of an annotation file, one annotation at a time, as plain tuples.
+
+    Returns ``(role, records)`` with records sorted into canonical id order,
+    each ``(image_id, width, height, species, [(x, y), ...], [v, ...])``.
+    Raises the error the file's first offending annotation earns, in file
+    order; a fractional flag is only looked for once every annotation has
+    decoded. Keypoint entries are numbers or numeric strings; for any other
+    entry the ParseError message is only the part before numpy's reason.
+    """
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    images = {}
+    for img in doc["images"]:
+        if img["id"] in images:
+            raise IntegrityError(f"duplicate image id {img['id']!r} in images array")
+        images[img["id"]] = (float(img["width"]), float(img["height"]))
+    names = {c["id"]: normalize_species(str(c.get("name", "other"))) for c in doc.get("categories", [])}
+    records = []
+    fractional = None
+    used = set()
+    for ann in doc["annotations"]:
+        ann_id = ann.get("id", "<missing>")
+        image_id = ann["image_id"]
+        if image_id not in images:
+            raise IntegrityError(f"annotation {ann_id!r} references unknown image id {image_id!r}")
+        if image_id in used:
+            raise IntegrityError(f"duplicate image id {image_id!r}: multiple annotations for one image")
+        used.add(image_id)
+        flat = ann["keypoints"]
+        if len(flat) != 3 * KEYPOINT_COUNT:
+            raise SchemaError(
+                f"annotation {ann_id!r}: keypoints list has {len(flat)} values, expected {3 * KEYPOINT_COUNT}"
+            )
+        try:
+            values = [float(x) for x in flat]
+        except (TypeError, ValueError):
+            raise ParseError(f"{path}: annotation {ann_id!r}: non-numeric keypoints entry") from None
+        xy = [(values[3 * i], values[3 * i + 1]) for i in range(KEYPOINT_COUNT)]
+        flags = values[2::3]
+        for i, flag in enumerate(flags, start=1):
+            if fractional is None and math.isfinite(flag) and flag != math.trunc(flag):
+                fractional = SchemaError(f"annotation {ann_id!r}: keypoint {i} has fractional visibility flag {flag!r}")
+        width, height = images[image_id]
+        species = names.get(ann.get("category_id"), "other")
+        records.append((image_id, width, height, species, xy, [int(f) for f in flags]))
+    if fractional is not None:
+        raise fractional
+    role = doc.get("info", {}).get("role", "train")
+    return role, sorted(records, key=lambda r: _canonical_key(r[0]))
 
 
 def truncated_rayleigh_within(radius, cutoff=3.0, grid=200_001):

@@ -10,6 +10,7 @@ from phenokey.anatomy import (
     acr_violations,
     box_for_image,
     box_for_keypoints,
+    dataset_boxes,
     fit_prior,
     normalize,
     prior_from_dict,
@@ -21,7 +22,7 @@ from phenokey.errors import DegeneratePoseError
 from phenokey.schema import KEYPOINT_COUNT
 from phenokey.synth import TEMPLATES, generate_population
 
-from conftest import make_dataset, make_keypoints
+from conftest import make_dataset, make_keypoints, make_record
 
 
 def _point_prior(nx_min=0.25, ny_min=0.5, nx_max=None, ny_max=None):
@@ -329,3 +330,94 @@ def test_acr_hinge_batch_equals_single_sample_calls():
         assert np.array_equal(violations[i], acr_violations(xy[i], box))
         assert np.array_equal(signs[i], acr_gradient(xy[i], box))
         assert acr_loss(xy[i], box) == float(violations[i].sum())
+
+
+# ---------------------------------------------------------------------------
+# whole-file prior and boxes: the first bad record is named as one at a time
+
+
+def _population_with_bad_records(kinds):
+    """Nine generated fish; the fish with id k (from ``kinds``) made degenerate in the given way."""
+    pop = generate_population(TEMPLATES["deep_bodied"], 9, seed=3)
+    records = list(pop.records)
+    for image_id, kind in kinds.items():
+        kp = records[image_id - 1].keypoints
+        xy, v = kp.xy.copy(), kp.v.copy()
+        if kind == "too_few":
+            v[1:] = 0
+        elif kind == "zero_x":
+            xy[:, 0] = 123.25
+        elif kind == "zero_y":
+            xy[v > 0, 1] = 77.5
+            v[3] = 0
+            xy[3, 1] = 5.0        # a hidden keypoint never counts
+        records[image_id - 1] = make_record(make_keypoints(xy=xy, v=v, image_id=image_id), 2000.0, 2000.0)
+    return Dataset(records=tuple(records), role="train")
+
+
+def _first_error(call, records):
+    for rec in records:
+        try:
+            call(rec)
+        except (DegeneratePoseError, ValueError) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+_CASES = {
+    "too_few": {5: "too_few"},
+    "zero_x": {5: "zero_x"},
+    "zero_y": {5: "zero_y"},
+    "two_bad": {4: "zero_y", 7: "too_few"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_fit_prior_names_first_bad_record_like_per_record_path(case):
+    train = _population_with_bad_records(_CASES[case])
+
+    def one(rec):
+        try:
+            normalize(rec.keypoints)
+        except DegeneratePoseError as exc:
+            raise DegeneratePoseError(f"record {rec.image_id!r} failed normalization: {exc}") from exc
+
+    expected_type, expected = _first_error(one, train.records)
+    with pytest.raises(DegeneratePoseError) as exc:
+        fit_prior(train)
+    assert expected_type is DegeneratePoseError and str(exc.value) == expected
+    literal = {
+        "too_few": "record 5 failed normalization: image 5: need at least 2 visible keypoints, got 1",
+        "zero_x": "record 5 failed normalization: image 5: zero x-range across visible keypoints",
+        "zero_y": "record 5 failed normalization: image 5: zero y-range across visible keypoints",
+        "two_bad": "record 4 failed normalization: image 4: zero y-range across visible keypoints",
+    }
+    assert str(exc.value) == literal[case]
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_dataset_boxes_raise_like_box_for_keypoints(case):
+    prior = fit_prior(generate_population(TEMPLATES["deep_bodied"], 20, seed=4))
+    pred = _population_with_bad_records(_CASES[case])
+    expected_type, expected = _first_error(lambda rec: box_for_keypoints(prior, rec.keypoints), pred.records)
+    with pytest.raises(expected_type) as exc:
+        dataset_boxes(prior, pred)
+    assert type(exc.value) is expected_type and str(exc.value) == expected
+    if case == "zero_x":
+        assert expected_type is ValueError and expected.startswith("bbox must have positive extent, got (123.25, ")
+    elif case in ("zero_y", "two_bad"):   # record 4 of two_bad comes before record 7
+        assert expected_type is ValueError and expected.endswith(", 77.5)")
+    else:
+        assert expected == "image 5: need at least 2 visible keypoints, got 1"
+
+
+def test_dataset_boxes_equal_per_record_boxes():
+    prior = fit_prior(generate_population(TEMPLATES["elongate"], 20, seed=8))
+    pred = generate_population(TEMPLATES["elongate"], 12, seed=9)
+    boxes = dataset_boxes(prior, pred)
+    for n, rec in enumerate(pred):
+        one = box_for_keypoints(prior, rec.keypoints)
+        assert np.array_equal(boxes.origin[n, 0], one.origin) and np.array_equal(boxes.extent[n, 0], one.extent)
+        hinge, signs = acr_hinge(pred.xy, boxes)
+        assert np.array_equal(hinge[n], acr_violations(rec.keypoints, one))
+        assert np.array_equal(signs[n], acr_gradient(rec.keypoints, one))

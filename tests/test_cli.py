@@ -247,3 +247,82 @@ def test_subcommands_byte_deterministic(synth_files, tmp_path):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "phenokey" in capsys.readouterr().out
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_evaluate_nonfinite_prediction_is_a_counted_miss(fixture_path, tmp_path, capsys):
+    doc = json.loads(fixture_path.read_text())
+    pred_doc = json.loads(fixture_path.read_text())
+    pred_doc["annotations"][0]["keypoints"][3 * 10] = float("nan")     # image 1, K-11 x
+    assert doc["annotations"][0]["keypoints"][3 * 10 + 2] > 0
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps(pred_doc))
+    clean_out, out = tmp_path / "clean.json", tmp_path / "report.json"
+    assert main(["evaluate", "--gt", str(fixture_path), "--pred", str(fixture_path), "--out", str(clean_out)]) == 0
+    assert main(["evaluate", "--gt", str(fixture_path), "--pred", str(pred), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    report, clean = _strict_json(text), _strict_json(clean_out.read_text())
+
+    # OKS: K-11 of image 1 scores similarity 0, every other keypoint is exact
+    visible = sum(1 for f in doc["annotations"][0]["keypoints"][2::3] if f > 0)
+    assert report["oks"]["per_image"][0]["oks"] == pytest.approx((visible - 1) / visible, abs=1e-15)
+    assert report["oks"]["per_image"][1] == clean["oks"]["per_image"][1]
+    # PCK / PMP: the sample still counts, as a miss
+    for metric in ("pck", "pmp"):
+        assert report[metric]["sample_counts"] == clean[metric]["sample_counts"]
+        assert report[metric]["skip_counts"] == clean[metric]["skip_counts"]
+        assert report[metric]["per_keypoint"]["K-11"] == clean[metric]["per_keypoint"]["K-11"] - 0.5
+    # phenotypes through K-11 skip the non-finite pair and count it
+    for abbrev, stats in report["phenotypes"].items():
+        before = clean["phenotypes"][abbrev]
+        moved = abbrev in ("SnL", "ED")
+        assert stats["n_skipped"] == before["n_skipped"] + moved
+        assert stats["n_samples"] == before["n_samples"] - moved
+
+
+def test_report_writers_refuse_nonfinite_numbers(synth_files, tmp_path, capsys):
+    gt, pred = synth_files
+    prior = tmp_path / "prior.json"
+    assert main(["prior", "--train", str(gt), "--out", str(prior)]) == 0
+    doc = json.loads(pred.read_text())
+    # K-13 hidden with a NaN x: the box ignores it, its hinge is NaN
+    doc["annotations"][0]["keypoints"][3 * 12:3 * 13] = [float("nan"), 10.0, 0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "acr.json"
+    capsys.readouterr()
+    assert main(["acr", "--pred", str(bad), "--prior", str(prior), "--out", str(out)]) == 1
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_writers_never_use_the_pure_python_encoder(synth_files, tmp_path, monkeypatch):
+    def slow_encoder(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", slow_encoder)
+    with pytest.raises(AssertionError):
+        json.dumps({"a": [1]}, indent=2)
+    gt, pred = synth_files
+    prior = tmp_path / "prior.json"
+    runs = [
+        ["evaluate", "--gt", str(gt), "--pred", str(pred), "--metric", "all", "--out", str(tmp_path / "r.json")],
+        ["prior", "--train", str(gt), "--out", str(prior)],
+        ["acr", "--pred", str(pred), "--prior", str(prior), "--out", str(tmp_path / "acr.json")],
+        ["synth", "--template", "elongate", "--n", "5", "--seed", "2", "--out", str(tmp_path / "s.json")],
+        ["synth", "--template", "elongate", "--n", "5", "--seed", "2", "--perturb", "uniform_px",
+         "--magnitude", "3", "--out", str(tmp_path / "p.json")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    monkeypatch.undo()
+    for name in ("r.json", "acr.json", "s.json"):
+        text = (tmp_path / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"

@@ -23,7 +23,7 @@ from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import TEMPLATES, generate_population
 
 from conftest import make_dataset, make_keypoints
-from oracles import oracle_validate
+from oracles import oracle_parse_coco, oracle_validate
 
 
 def _load_fixture_doc(fixture_path):
@@ -310,3 +310,130 @@ def test_dataset_arrays_immutable():
     kp = make_keypoints()
     with pytest.raises(ValueError):
         kp.xy[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# columnar parse against the per-annotation oracle
+
+_MIXED_IDS = (7, "b", 3, "a10", 1, "a2", 12, "z", 5, 2)
+
+
+def _mixed_doc():
+    """Ten annotations in scrambled file order: int and str ids, every species, hidden NaN keypoints."""
+    names = ["grouper", "Mottled Naked Carp", "bighead-carp", "common_carp", "salmon"]
+    images = [
+        {"id": image_id, "width": 640 + k, "height": 480.5 if k % 2 else 480, "file_name": f"{k}.jpg"}
+        for k, image_id in enumerate(_MIXED_IDS)
+    ]
+    annotations = []
+    for k, image_id in enumerate(_MIXED_IDS):
+        flat = []
+        for i in range(KEYPOINT_COUNT):
+            flag = 0 if (i + k) % 7 == 0 else (1 if (i + k) % 5 == 0 else 2)
+            x, y = 10.0 + 13.5 * i + k, 20.0 + 7.25 * i
+            if flag == 0 and k % 2:
+                x, y = float("nan"), float("nan")
+            flat += [x, y, flag]
+        ann = {"id": 100 + k, "image_id": image_id, "keypoints": flat}
+        if k != 4:
+            ann["category_id"] = 1 + k % 6    # 6 is no category: species "other"
+        annotations.append(ann)
+    return {
+        "info": {"role": "test"},
+        "images": images,
+        "annotations": annotations,
+        "categories": [{"id": k + 1, "name": name} for k, name in enumerate(names)],
+    }
+
+
+def _write(tmp_path, doc, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_parse_columns_match_oracle(tmp_path):
+    path = _write(tmp_path, _mixed_doc())
+    ds = parse_coco(path)
+    role, expected = oracle_parse_coco(path)
+    assert ds.role == role == "test"
+    assert ds.image_ids == tuple(r[0] for r in expected) == (1, 2, 3, 5, 7, 12, "a10", "a2", "b", "z")
+    assert [SPECIES[c] for c in ds.species.tolist()] == [r[3] for r in expected]
+    assert {SPECIES[c] for c in ds.species.tolist()} == set(SPECIES)
+    assert ds.width.tolist() == [r[1] for r in expected]
+    assert ds.height.tolist() == [r[2] for r in expected]
+    assert ds.v.tolist() == [r[5] for r in expected]
+    assert np.array_equal(ds.xy, np.array([r[4] for r in expected]), equal_nan=True)
+    assert np.isnan(ds.xy[ds.v == 0]).any() and not np.isnan(ds.xy[ds.v > 0]).any()
+    assert ds.xy.dtype == np.float64 and ds.v.dtype == np.int64
+    # the record views carry the same rows
+    for rec, row in zip(ds, expected):
+        assert (rec.image_id, rec.width, rec.height, rec.keypoints.species) == row[:4]
+        assert rec.keypoints.v.tolist() == row[5]
+
+
+def _break(doc, k, kind):
+    ann = doc["annotations"][k]
+    if kind == "count":
+        ann["keypoints"] = ann["keypoints"][:-3]
+    elif kind == "non_numeric":
+        ann["keypoints"][4] = "x" if k % 2 else [1.0, 2.0]
+    elif kind == "unknown_image":
+        ann["image_id"] = f"ghost{k}"
+    elif kind == "duplicate_image":
+        ann["image_id"] = doc["annotations"][k - 1]["image_id"]
+    elif kind == "fractional":
+        ann["keypoints"][3 * (k % KEYPOINT_COUNT) + 2] = 1.5
+
+
+_ERRORS = {
+    "count": SchemaError,
+    "non_numeric": ParseError,
+    "unknown_image": IntegrityError,
+    "duplicate_image": IntegrityError,
+    "fractional": SchemaError,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ERRORS))
+def test_parse_names_first_offending_annotation_like_oracle(tmp_path, kind):
+    doc = _mixed_doc()
+    _break(doc, 6, kind)
+    _break(doc, 3, kind)
+    path = _write(tmp_path, doc)
+    with pytest.raises(_ERRORS[kind]) as oracle_exc:
+        oracle_parse_coco(path)
+    with pytest.raises(_ERRORS[kind]) as exc:
+        parse_coco(path)
+    assert str(exc.value).startswith(str(oracle_exc.value))
+    if kind != "non_numeric":
+        assert str(exc.value) == str(oracle_exc.value)
+    # annotation 103 (file position 3) is named, not 106
+    named = {"unknown_image": "unknown image id 'ghost3'", "duplicate_image": "duplicate image id 3:"}
+    assert named.get(kind, "annotation 103") in str(exc.value)
+
+
+def test_parse_reports_earlier_non_numeric_before_later_structural_error(tmp_path):
+    doc = _mixed_doc()
+    _break(doc, 2, "non_numeric")
+    _break(doc, 5, "unknown_image")
+    path = _write(tmp_path, doc)
+    with pytest.raises(ParseError, match="annotation 102: non-numeric keypoints entry"):
+        parse_coco(path)
+    with pytest.raises(ParseError, match="annotation 102"):
+        oracle_parse_coco(path)
+
+
+def test_records_are_cached_views_of_the_columns(tmp_path):
+    ds = parse_coco(_write(tmp_path, _mixed_doc()))
+    assert ds.records is ds.records
+    first = ds.records[0]
+    assert np.shares_memory(first.keypoints.xy, ds.xy)
+    with pytest.raises(ValueError):
+        ds.xy[0, 0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        ds.role = "train"
+    # a dataset built from records keeps them and has the same columns
+    rebuilt = Dataset(records=tuple(reversed(ds.records)), role="test")
+    assert rebuilt == ds and rebuilt.records == ds.records
+    assert rebuilt.take([1, 3]).image_ids == (2, 5)

@@ -1,0 +1,84 @@
+"""Byte pins on the file-scoring commands and on synth.
+
+A seeded 300-fish pair with hidden and occluded keypoints and all five
+species goes through ``prior``, ``acr``, ``measure``, ``plot --kind
+deviation`` and plain and perturbed ``synth``; the SHA-256 of every output
+must equal the digest recorded from an earlier release, so a refactor of
+the read or write path cannot move a byte unnoticed.
+"""
+
+import hashlib
+import json
+
+from phenokey.cli import main
+
+N_FISH = 300
+# Keypoints 1, 5, 6 and 9 span the body rectangle and are never hidden.
+_ALWAYS_VISIBLE = (0, 4, 5, 8)
+
+GOLDEN = {
+    "prior.json": "6889e323bbbc43684731c600ff05f8c0d61d8f9d93c7ba8fec631e8b68e761e0",
+    "prior_grouper.json": "5799b161cf987765ad15647ba64c2185dde10fe04070de32250324f199fb8d2f",
+    "acr.json": "05c77f7dd55f12e2c93cb3b11af2afb906fe37eaf050a50cc4d1bfbd2b78e203",
+    "measures.csv": "67dac57358a820daf6e2449aba46cdee81b5c696a21585ff5df99ab972034857",
+    "deviation.svg": "3731aab9ed1c60c8beb0fe152bffc9d8b721abb29e1deb1ffb24d8d09612ca33",
+    "deviation.csv": "cee1d174f48c720fd2652bb285662371bbfabc8fb78c77b0bf2a0944bb688a83",
+    "synth.json": "efdd1bd0aa911fd2a2e351e2c7a0f9ed2ce8d319480b6771462ae2e31b90e3d1",
+    "synth_proportional.json": "bc4a09c3821782f1adc4ed001569ea1744dcb0d13e876f9b337279bc4a8eaaff",
+}
+
+
+def _hide(path, salt):
+    """Rewrite a synth file with patterned hidden (v=0) and occluded (v=1) keypoints and mixed species."""
+    doc = json.loads(path.read_text())
+    for n, ann in enumerate(doc["annotations"]):
+        ann["category_id"] = 1 + n % 5
+        flat = ann["keypoints"]
+        for k in range(22):
+            if k in _ALWAYS_VISIBLE:
+                continue
+            h = (7 * n + 3 * k + salt) % 29
+            if h == 0:
+                flat[3 * k + 2] = 0
+            elif h == 1:
+                flat[3 * k:3 * k + 3] = [0.0, 0.0, 0]
+            elif h in (2, 3):
+                flat[3 * k + 2] = 1
+    path.write_text(json.dumps(doc))
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def golden_outputs(tmp_path):
+    """{output name: SHA-256} of every pinned command on the seeded pair."""
+    gt, pred = tmp_path / "gt.json", tmp_path / "pred.json"
+    out = {name: tmp_path / name for name in GOLDEN}
+    synth = ["synth", "--template", "elongate", "--n", str(N_FISH), "--seed", "29"]
+    runs = [
+        synth + ["--out", str(out["synth.json"])],
+        synth + ["--perturb", "proportional_to_shortest_phenotype", "--magnitude", "0.05",
+                 "--out", str(out["synth_proportional.json"])],
+        synth + ["--out", str(gt)],
+        synth + ["--perturb", "uniform_px", "--magnitude", "6", "--out", str(pred)],
+    ]
+    for argv in runs:
+        assert main(argv) == 0
+    _hide(gt, 0)
+    _hide(pred, 11)
+    runs = [
+        ["prior", "--train", str(gt), "--out", str(out["prior.json"])],
+        ["prior", "--train", str(gt), "--species", "grouper", "--out", str(out["prior_grouper.json"])],
+        ["acr", "--pred", str(pred), "--prior", str(out["prior.json"]), "--out", str(out["acr.json"])],
+        ["measure", "--input", str(gt), "--out", str(out["measures.csv"])],
+        ["plot", "--kind", "deviation", "--gt", str(gt), "--pred", f"noisy={pred}", "--pred", f"self={gt}",
+         "--out", str(out["deviation.svg"]), "--csv", str(out["deviation.csv"])],
+    ]
+    for argv in runs:
+        assert main(argv) == 0
+    return {name: _digest(path) for name, path in out.items()}
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    assert golden_outputs(tmp_path) == GOLDEN

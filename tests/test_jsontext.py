@@ -1,0 +1,51 @@
+import json
+
+import pytest
+
+from phenokey.jsontext import dumps, same_shape_texts
+
+_DOCS = [
+    {},
+    [],
+    0,
+    "plain",
+    None,
+    -0.0,
+    [[]],
+    {"a": {}},
+    {"a": [], "b": [1, [2, 3], {"c": None}], "d": {"e": [True, False]}},
+    {"s": 'quote " backslash \\ é \U0001F41F tab\t newline\n', "n": [1.0, 1e300, 2**70, -5]},
+    {"nested": [[1, [2, [3, {}]]], ({"t": (1, 2)},)]},
+    {1: "int key", 2.5: [1], None: {}, True: 0, False: [[]]},
+    {"per_image": [{"image_id": "x,\ny", "oks": None}, {"image_id": 2, "oks": 0.5}]},
+]
+
+
+@pytest.mark.parametrize("doc", _DOCS)
+def test_dumps_equals_indent2_dumps(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), {"a": [float("inf")]}, [[float("-inf")]], {"k": {"j": float("nan")}}])
+def test_dumps_refuses_nonfinite_numbers_unless_allowed(bad):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dumps(bad)
+    assert dumps(bad, allow_nan=True) == json.dumps(bad, indent=2)
+
+
+def test_same_shape_writer_equals_generic_text():
+    entries = [
+        {"image_id": image_id, "loss": loss, "gradient": [[1.0, -1.0], [0.0, 0.5]], "tags": ["a,\nb", None]}
+        for image_id, loss in ((1, 0.25), ("two", 1e-17), ('th"ree', 3.0))
+    ]
+    doc = {"schema_version": 1, "per_image": entries, "tail": [entries[0]]}
+
+    def write(items, depth):
+        return same_shape_texts(
+            items,
+            depth,
+            lambda e: (e["image_id"], e["loss"], *(x for pair in e["gradient"] for x in pair), *e["tags"]),
+        )
+
+    assert dumps(doc, {("per_image",): write}) == json.dumps(doc, indent=2)
+    assert dumps({"per_image": []}, {("per_image",): write}) == json.dumps({"per_image": []}, indent=2)
