@@ -60,7 +60,6 @@ from .optim import (
     ToyPredictor,
     TrainConfig,
     TrainTrace,
-    combined_loss,
     grad_check,
     gradnorm_step,
     least_squares_solution,

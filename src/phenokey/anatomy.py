@@ -23,48 +23,45 @@ from .errors import DegeneratePoseError
 from .schema import KEYPOINT_COUNT
 
 
-def _visible_corners(xy, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, 2) lower and upper corners of each sample's visible keypoints, and (N,) visible counts."""
+def visible_corners(xy, v) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 2) lower and upper corners of each sample's visible keypoints; +inf and -inf where none is visible."""
     vis = (v > 0)[..., None]
-    lo = np.where(vis, xy, np.inf).min(axis=1)
-    hi = np.where(vis, xy, -np.inf).max(axis=1)
-    return lo, hi, vis.sum(axis=(1, 2))
+    return np.where(vis, xy, np.inf).min(axis=1), np.where(vis, xy, -np.inf).max(axis=1)
 
 
-def _first_degenerate(count, bad) -> int | None:
-    """Index of the first sample with fewer than 2 visible keypoints or flagged ``bad``; None if none is."""
-    bad = bad | (count < 2)
-    return int(np.argmax(bad)) if bad.any() else None
+def body_frames(xy, v, image_ids) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 2) lower corner and extent of each sample's visible keypoints: the frame the prior is stated in.
+
+    Raises :class:`DegeneratePoseError` for the first sample, in order, with
+    fewer than 2 visible keypoints or with an x- or y-range that is not both
+    positive and finite (a non-finite visible coordinate makes it so).
+    """
+    lo, hi = visible_corners(xy, v)
+    with np.errstate(invalid="ignore"):
+        extent = hi - lo
+        bad = ~((extent > 0) & np.isfinite(extent))
+    if bad.any():
+        n = int(np.argmax(bad.any(axis=1)))
+        image_id, count = image_ids[n], int((v[n] > 0).sum())
+        if count < 2:
+            reason = f"need at least 2 visible keypoints, got {count}"
+        else:
+            axis = int(np.argmax(bad[n]))
+            reason = f"{'zero' if extent[n, axis] == 0 else 'non-finite'} {'xy'[axis]}-range across visible keypoints"
+        raise DegeneratePoseError(f"image {image_id!r}: {reason}", image_id)
+    return lo, extent
 
 
-def _too_few(image_id, count) -> str:
-    return f"image {image_id!r}: need at least 2 visible keypoints, got {int(count)}"
+def _frame(keypoints: KeypointSet) -> tuple[np.ndarray, np.ndarray]:
+    lo, extent = body_frames(keypoints.xy[None], keypoints.v[None], [keypoints.image_id])
+    return lo[0], extent[0]
 
 
 def visible_bbox(keypoints: KeypointSet) -> tuple[float, float, float, float]:
-    """(x_min, y_min, x_max, y_max) over the visible keypoints."""
-    lo, hi, count = _visible_corners(keypoints.xy[None], keypoints.v[None])
-    if count[0] < 2:
-        raise DegeneratePoseError(_too_few(keypoints.image_id, count[0]))
+    """(x_min, y_min, x_max, y_max) over the visible keypoints of a sample :func:`body_frames` accepts."""
+    _frame(keypoints)
+    lo, hi = visible_corners(keypoints.xy[None], keypoints.v[None])
     return (*lo[0].tolist(), *hi[0].tolist())
-
-
-def _body_corners(xy, v, image_ids):
-    """Visible corners of each sample plus the first sample normalization rejects.
-
-    Returns ``(lo, hi, fault)``: fault is None, or ``(index, reason)`` for the
-    first sample in order with fewer than 2 visible keypoints or a zero x- or
-    y-range.
-    """
-    lo, hi, count = _visible_corners(xy, v)
-    flat = hi == lo
-    n = _first_degenerate(count, flat.any(axis=1))
-    if n is None:
-        return lo, hi, None
-    if count[n] < 2:
-        return lo, hi, (n, _too_few(image_ids[n], count[n]))
-    axis = "x" if flat[n, 0] else "y"
-    return lo, hi, (n, f"image {image_ids[n]!r}: zero {axis}-range across visible keypoints")
 
 
 @dataclass(frozen=True)
@@ -78,12 +75,9 @@ class NormalizedKeypoints:
 
 def normalize(keypoints: KeypointSet) -> NormalizedKeypoints:
     """Scale keypoints into the unit square spanned by their bounding rectangle."""
-    lo, hi, fault = _body_corners(keypoints.xy[None], keypoints.v[None], [keypoints.image_id])
-    if fault is not None:
-        raise DegeneratePoseError(fault[1])
-    points = (keypoints.xy - lo) / (hi - lo)
-    points = np.where(keypoints.visible[:, None], points, np.nan)
-    return NormalizedKeypoints(points=points, image_id=keypoints.image_id, bbox=(*lo[0].tolist(), *hi[0].tolist()))
+    lo, extent = _frame(keypoints)
+    points = np.where(keypoints.visible[:, None], (keypoints.xy - lo) / extent, np.nan)
+    return NormalizedKeypoints(points=points, image_id=keypoints.image_id, bbox=visible_bbox(keypoints))
 
 
 @dataclass(frozen=True)
@@ -116,11 +110,11 @@ def fit_prior(train: Dataset, species: str = "other") -> AnatomicalPrior:
     """
     if len(train) == 0:
         raise ValueError("cannot fit a prior on an empty training set")
-    lo, hi, fault = _body_corners(train.xy, train.v, train.image_ids)
-    if fault is not None:
-        n, reason = fault
-        raise DegeneratePoseError(f"record {train.image_ids[n]!r} failed normalization: {reason}")
-    cube = (train.xy - lo[:, None]) / (hi - lo)[:, None]
+    try:
+        lo, extent = body_frames(train.xy, train.v, train.image_ids)
+    except DegeneratePoseError as exc:
+        raise DegeneratePoseError(f"record {exc.image_id!r} failed normalization: {exc}", exc.image_id) from exc
+    cube = (train.xy - lo[:, None]) / extent[:, None]
     cube = np.where((train.v > 0)[..., None], cube, np.nan)  # (n, 22, 2), NaN where invisible
     never_seen = np.isnan(cube).all(axis=0).any(axis=1)
     if never_seen.any():
@@ -171,22 +165,14 @@ def box_for_keypoints(prior: AnatomicalPrior, keypoints: KeypointSet) -> BoxCons
     This is how the constraint is used when no annotated rectangle exists:
     at evaluation time the box follows the predicted keypoints themselves.
     """
-    return box_for_image(prior, visible_bbox(keypoints))
+    lo, extent = _frame(keypoints)
+    return BoxConstraint(origin=lo, extent=extent, nmin=prior.mins, nmax=prior.maxs)
 
 
 def dataset_boxes(prior: AnatomicalPrior, dataset: Dataset) -> BoxConstraint:
-    """:func:`box_for_keypoints` for every record at once, as (N, 1, 2) frames.
-
-    Raises as :func:`box_for_keypoints` would for the first record, in
-    canonical order, that it rejects.
-    """
-    lo, hi, count = _visible_corners(dataset.xy, dataset.v)
-    n = _first_degenerate(count, ~(hi > lo).all(axis=1))
-    if n is not None:
-        if count[n] < 2:
-            raise DegeneratePoseError(_too_few(dataset.image_ids[n], count[n]))
-        box_for_image(prior, (*lo[n].tolist(), *hi[n].tolist()))  # raises: non-positive extent
-    return BoxConstraint(origin=lo[:, None], extent=(hi - lo)[:, None], nmin=prior.mins, nmax=prior.maxs)
+    """:func:`box_for_keypoints` for every record at once, as (N, 1, 2) frames."""
+    lo, extent = body_frames(dataset.xy, dataset.v, dataset.image_ids)
+    return BoxConstraint(origin=lo[:, None], extent=extent[:, None], nmin=prior.mins, nmax=prior.maxs)
 
 
 def acr_hinge(xy: np.ndarray, box: BoxConstraint) -> tuple[np.ndarray, np.ndarray]:
@@ -212,14 +198,9 @@ def _coords(preds) -> np.ndarray:
     return xy
 
 
-def acr_violations(xy: np.ndarray, box: BoxConstraint) -> np.ndarray:
-    """Per-keypoint, per-axis hinge magnitudes in pixels, shape (22, 2)."""
-    return acr_hinge(_coords(xy), box)[0]
-
-
 def acr_loss(preds, box: BoxConstraint) -> float:
     """Total box-violation penalty in pixels, summed over keypoints and axes."""
-    return float(acr_violations(preds, box).sum())
+    return float(acr_hinge(_coords(preds), box)[0].sum())
 
 
 def acr_gradient(preds, box: BoxConstraint) -> np.ndarray:

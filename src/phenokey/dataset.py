@@ -121,10 +121,6 @@ def _id_sort_key(image_id):
 _SPECIES_CODE = {name: code for code, name in enumerate(SPECIES)}
 
 
-def _readonly(arr, dtype):
-    return _freeze(np.array(arr, dtype=dtype))
-
-
 class Dataset:
     """Ordered, immutable collection of single-fish records with unique image ids.
 
@@ -137,15 +133,16 @@ class Dataset:
     * ``width`` and ``height``, (N,) float64 image dimensions;
     * ``species``, (N,) int64 positions in :data:`~phenokey.schema.SPECIES`.
 
-    The arrays are read-only. ``records`` gives the same data as
-    :class:`FishImageRecord` views over the columns, built on first use and
-    then kept; a dataset built from records keeps those records.
+    The arrays are read-only and are the only copy of the data. ``records``
+    gives the rows as :class:`FishImageRecord` views over the columns, built
+    on first use and then kept; a dataset built from records stacks them into
+    columns and does not keep them.
     """
 
     __slots__ = ("xy", "v", "image_ids", "width", "height", "species", "role", "_records")
 
     def __init__(self, records=(), role: str = "train"):
-        records = tuple(sorted(records, key=lambda r: _id_sort_key(r.image_id)))
+        records = tuple(records)
         xy, v = stack_keypoints([r.keypoints for r in records])
         self._fill(
             xy,
@@ -156,7 +153,6 @@ class Dataset:
             [_SPECIES_CODE[r.keypoints.species] for r in records],
             role,
         )
-        object.__setattr__(self, "_records", records)
 
     @classmethod
     def from_columns(cls, xy, v, image_ids, width, height, species, role: str = "train") -> Dataset:
@@ -165,12 +161,7 @@ class Dataset:
         ``species`` holds positions in :data:`~phenokey.schema.SPECIES`.
         """
         self = cls.__new__(cls)
-        object.__setattr__(self, "_records", None)
         self._fill(xy, v, tuple(image_ids), width, height, species, role)
-        order = sorted(range(len(self)), key=lambda k: _id_sort_key(self.image_ids[k]))
-        if order != sorted(order):
-            ids = tuple(self.image_ids[k] for k in order)
-            self._fill(self.xy[order], self.v[order], ids, self.width[order], self.height[order], self.species[order], role)
         return self
 
     def _fill(self, xy, v, image_ids, width, height, species, role):
@@ -178,18 +169,20 @@ class Dataset:
             raise ValueError(f"role must be one of {_ROLES}, got {role!r}")
         n = len(image_ids)
         columns = {
-            "xy": (_readonly(xy, np.float64), (n, KEYPOINT_COUNT, 2)),
-            "v": (_readonly(v, np.int64), (n, KEYPOINT_COUNT)),
-            "width": (_readonly(width, np.float64), (n,)),
-            "height": (_readonly(height, np.float64), (n,)),
-            "species": (_readonly(species, np.int64), (n,)),
+            "xy": (np.asarray(xy, dtype=np.float64), (n, KEYPOINT_COUNT, 2)),
+            "v": (np.asarray(v, dtype=np.int64), (n, KEYPOINT_COUNT)),
+            "width": (np.asarray(width, dtype=np.float64), (n,)),
+            "height": (np.asarray(height, dtype=np.float64), (n,)),
+            "species": (np.asarray(species, dtype=np.int64), (n,)),
         }
+        order = sorted(range(n), key=lambda k: _id_sort_key(image_ids[k]))
         for name, (column, shape) in columns.items():
             if column.shape != shape:
                 raise ValueError(f"column {name} has shape {column.shape}, expected {shape} for {n} image ids")
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "image_ids", image_ids)
+            object.__setattr__(self, name, _freeze(column[order]))
+        object.__setattr__(self, "image_ids", tuple(image_ids[k] for k in order))
         object.__setattr__(self, "role", role)
+        object.__setattr__(self, "_records", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
@@ -308,26 +301,22 @@ def validate(dataset: Dataset) -> list[Violation]:
     )
 
     violations = []
-    flagged = np.flatnonzero(duplicate | ~sized | rule.any(axis=1))
-    records = dataset.records if flagged.size else ()
-    for n in flagged:
-        rec = records[n]
+    for n in np.flatnonzero(duplicate | ~sized | rule.any(axis=1)).tolist():
+        image_id, w, h = dataset.image_ids[n], float(width[n]), float(height[n])
         if duplicate[n]:
-            violations.append(Violation(rec.image_id, None, "unique_image_id", "duplicate image id"))
+            violations.append(Violation(image_id, None, "unique_image_id", "duplicate image id"))
         if not sized[n]:
-            violations.append(
-                Violation(rec.image_id, None, "positive_dimensions", f"width={rec.width}, height={rec.height}")
-            )
+            violations.append(Violation(image_id, None, "positive_dimensions", f"width={w}, height={h}"))
         for i in np.flatnonzero(rule[n]):
             code = rule[n, i]
             px, py = xy[n, i]
             if code == 1:
                 detail = f"v={int(v[n, i])}"
             elif code == 4:
-                detail = f"({px}, {py}) outside {rec.width} x {rec.height}"
+                detail = f"({px}, {py}) outside {w} x {h}"
             else:
                 detail = f"({px}, {py})"
-            violations.append(Violation(rec.image_id, int(i) + 1, _KEYPOINT_RULES[code - 1], detail))
+            violations.append(Violation(image_id, int(i) + 1, _KEYPOINT_RULES[code - 1], detail))
     return violations
 
 

@@ -36,7 +36,11 @@ class NoMeasurablePhenotypeError(PhenokeyError):
 
 
 class DegeneratePoseError(PhenokeyError):
-    """Visible keypoints span a zero range on some axis; normalization undefined."""
+    """Visible keypoints cannot frame the body; carries the id of the image they belong to."""
+
+    def __init__(self, message, image_id=None):
+        super().__init__(message)
+        self.image_id = image_id
 
 
 class DegenerateScaleError(PhenokeyError):

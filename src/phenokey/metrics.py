@@ -31,8 +31,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .anatomy import visible_corners
 from .dataset import Dataset, KeypointSet, stack_keypoints
-from .errors import DegenerateFitError, DegenerateScaleError, UndefinedMetricError
+from .errors import DegenerateFitError, DegenerateScaleError, IntegrityError, UndefinedMetricError
 from .morphometry import PhenotypeTable, default_table, phenotype_lengths, shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT
 
@@ -88,15 +89,13 @@ def keypoint_similarity(d: float, s: float, k: float) -> float:
 
 def oks(pred: KeypointSet, gt: KeypointSet, cfg: EvalConfig | None = None) -> float:
     """Mean keypoint similarity over the ground-truth-annotated keypoints."""
-    cfg = cfg or EvalConfig()
-    vis = gt.visible
-    if not vis.any():
+    pairs = _Pairs(pred.xy[None], gt.xy[None], gt.v[None], [gt.image_id])
+    if not pairs.annotated.any():
         raise UndefinedMetricError(f"image {gt.image_id!r}: no visible ground-truth keypoints")
-    s = cfg.oks_scale if cfg.oks_scale is not None else float(_bbox_diagonals(gt.xy[None], vis[None])[0])
-    if not s > 0:
+    value = _oks(pairs, cfg or EvalConfig())[0]
+    if value is None:
         raise DegenerateScaleError(f"image {gt.image_id!r}: object scale is 0")
-    d = _deviations(pred.xy, gt.xy)
-    return float(_similarity(d[vis], s, cfg.k_array()[vis]).sum() / vis.sum())
+    return value
 
 
 def mape(gt_values, pred_values) -> float:
@@ -107,11 +106,11 @@ def mape(gt_values, pred_values) -> float:
         raise ValueError(f"value lists must be 1-d and equal length, got {gt_arr.shape} vs {pred_arr.shape}")
     if gt_arr.size == 0:
         raise ValueError("cannot compute MAPE of empty lists")
-    for i, g in enumerate(gt_arr):
-        if g == 0:
-            raise ZeroDivisionError(f"ground-truth value at index {i} is 0")
-        if g < 0:
-            raise ValueError(f"ground-truth value at index {i} is negative")
+    i = int(np.argmax(gt_arr <= 0))  # the first value that is not positive, else 0
+    if gt_arr[i] == 0:
+        raise ZeroDivisionError(f"ground-truth value at index {i} is 0")
+    if gt_arr[i] < 0:
+        raise ValueError(f"ground-truth value at index {i} is negative")
     return float(np.mean(np.abs(pred_arr - gt_arr) / gt_arr))
 
 
@@ -175,13 +174,12 @@ def ols_fit(gt, pred) -> tuple[float, float, float]:
 # batched per-keypoint metrics
 
 
-def _bbox_diagonals(xy, annotated) -> np.ndarray:
+def _bbox_diagonals(xy, v) -> np.ndarray:
     """(N,) diagonal of each sample's rectangle over its annotated keypoints; NaN where none is."""
-    inside = annotated[..., None]
-    extent = np.where(inside, xy, -np.inf).max(axis=1) - np.where(inside, xy, np.inf).min(axis=1)
+    lo, hi = visible_corners(xy, v)
     # math.hypot, not np.hypot, which differs in the last digit for some inputs: reports keep their scales
-    diagonals = np.array([math.hypot(w, h) for w, h in extent.tolist()], dtype=np.float64)
-    return np.where(annotated.any(axis=1), diagonals, np.nan)
+    diagonals = np.array([math.hypot(w, h) for w, h in (hi - lo).tolist()], dtype=np.float64)
+    return np.where((v > 0).any(axis=1), diagonals, np.nan)
 
 
 @dataclass(frozen=True)
@@ -229,7 +227,7 @@ class _Pairs:
 
     @cached_property
     def diagonals(self) -> np.ndarray:
-        return _bbox_diagonals(self.gt_xy, self.annotated)
+        return _bbox_diagonals(self.gt_xy, self.gt_v)
 
     @cached_property
     def shortest_phenotypes(self) -> np.ndarray:
@@ -335,7 +333,7 @@ def _paired_datasets(gt: Dataset, pred: Dataset, table=None) -> _Pairs:
     rows = pred.rows_for(gt.image_ids)
     missing = [gt.image_ids[n] for n in np.flatnonzero(rows < 0)[:5].tolist()]
     if missing:
-        raise ValueError(f"predictions missing for image ids {missing!r}")
+        raise IntegrityError(f"predictions missing for image ids {missing!r}")
     return _Pairs(pred.xy[rows], gt.xy, gt.v, gt.image_ids, table)
 
 
@@ -437,13 +435,8 @@ def evaluate_datasets(
         pmp_res = _pmp(pairs, cfg)
     if "phenotypes" in metrics:
         phen = _phenotype_stats(pairs)
-        mapes = {a: s.mape for a, s in phen.items() if s is not None}
-        mmape_arr = np.full(KEYPOINT_COUNT, np.nan)
-        for j in range(1, KEYPOINT_COUNT + 1):
-            try:
-                mmape_arr[j - 1] = mmape(j, mapes, table)
-            except KeyError:
-                pass
+        mapes = np.array([np.nan if s is None else s.mape for s in phen.values()])
+        mmape_arr = np.array([mapes[table.related_index(j)].mean() for j in range(1, KEYPOINT_COUNT + 1)])
     return MetricReport(
         n_samples=pairs.n,
         config=cfg,

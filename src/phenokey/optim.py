@@ -21,13 +21,29 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .anatomy import AnatomicalPrior, BoxConstraint, acr_hinge, acr_loss, fit_prior
+from .anatomy import AnatomicalPrior, BoxConstraint, acr_hinge, body_frames, fit_prior
 from .dataset import Dataset
 from .errors import DivergenceError, GradNormFallbackWarning
 from .schema import KEYPOINT_COUNT
 from .synth import generate_population, load_template
 
 N_COORDS = 2 * KEYPOINT_COUNT  # 44
+
+# training stops with DivergenceError once the weighted total loss exceeds this
+DIVERGENCE_LIMIT = 1e12
+# A (sample, keypoint) pair counts as violating when a hinge exceeds this
+# many pixels. Source coordinates live on an integer pixel grid, so
+# sub-half-pixel excursions are below annotation resolution; keypoints
+# that define an image's bounding rectangle sit exactly on a box edge and
+# would otherwise flicker in and out of the count at float precision.
+VIOLATION_TOLERANCE_PX = 0.5
+# size of the separate sample the toy problem's prior is fitted on
+PRIOR_POPULATION = 400
+# grad_check: parameters probed per sampled point, central-difference step,
+# and the least distance in pixels from every hinge boundary
+PROBES_PER_POINT = 100
+FD_STEP = 1e-5
+BOUNDARY_MARGIN = 1e-2
 
 
 @dataclass
@@ -89,18 +105,9 @@ class TrainConfig:
     lr_weights: float = 0.025
     alpha: float = 1.5
     use_acr: bool = True
-    # classical momentum on the parameter updates; 0 = plain gradient descent
-    momentum: float = 0.0
     # starting task weights; with lr_weights = 0 they stay fixed
     init_w_mse: float = 1.0
     init_w_acr: float = 1.0
-    divergence_limit: float = 1e12
-    # A (sample, keypoint) pair counts as violating when a hinge exceeds this
-    # many pixels. Source coordinates live on an integer pixel grid, so
-    # sub-half-pixel excursions are below annotation resolution; keypoints
-    # that define an image's bounding rectangle sit exactly on a box edge and
-    # would otherwise flicker in and out of the count at float precision.
-    violation_tolerance_px: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -128,9 +135,6 @@ class TrainTrace:
     def __getitem__(self, i):
         return self.rows[i]
 
-    def violation_counts(self) -> list[int]:
-        return [r.violation_count for r in self.rows]
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -155,13 +159,10 @@ class ToyProblem:
     population: Dataset | None = None
 
     def boxes(self) -> BoxConstraint:
-        """Per-sample boxes framed by each target's own bounding rectangle, as (N, 1, 2) frames."""
+        """Per-sample boxes framed by each target's own body frame, as (N, 1, 2) frames; rows are named by index."""
         pts = self.targets.reshape(-1, KEYPOINT_COUNT, 2)
-        mins = pts.min(axis=1, keepdims=True)
-        extents = pts.max(axis=1, keepdims=True) - mins
-        if np.any(extents <= 0):
-            raise ValueError("every box frame must have positive extent")
-        return BoxConstraint(mins, extents, self.prior.mins, self.prior.maxs)
+        lo, extent = body_frames(pts, np.ones(pts.shape[:2]), range(len(pts)))
+        return BoxConstraint(lo[:, None], extent[:, None], self.prior.mins, self.prior.maxs)
 
 
 def population_coords(population: Dataset) -> np.ndarray:
@@ -203,7 +204,6 @@ def make_toy_problem(
     seed: int = 0,
     template: str = "deep_bodied",
     linear_targets: bool = False,
-    prior_population: int = 400,
     corruption_px: float = 0.0,
     spread_scale: float = 1.0,
 ) -> ToyProblem:
@@ -217,7 +217,7 @@ def make_toy_problem(
     positions learnable while the per-keypoint jitter stays as irreducible
     residual noise. Remaining feature dimensions are pure noise.
 
-    The prior comes from a separate ``prior_population``-sized sample of the
+    The prior comes from a separate ``PRIOR_POPULATION``-sized sample of the
     same species template: the box constraint describes the species, not the
     particular training batch, and the wider extremes of a large sample leave
     the regression's own optimum strictly inside the boxes.
@@ -240,7 +240,7 @@ def make_toy_problem(
             aspect=tpl.aspect,
         )
     population = generate_population(tpl, n, seed=seed)
-    prior_pop = generate_population(tpl, prior_population, seed=(int(seed) * 2 + 1) * 15485863)
+    prior_pop = generate_population(tpl, PRIOR_POPULATION, seed=(int(seed) * 2 + 1) * 15485863)
     prior = fit_prior(prior_pop)
     rng = np.random.default_rng([int(seed), 104729])
     if linear_targets:
@@ -280,18 +280,6 @@ def make_toy_problem(
     return ToyProblem(features=features, targets=targets, prior=prior, population=population)
 
 
-def combined_loss(pred_coords, gt_coords, box: BoxConstraint | None, w: LossWeights):
-    """(total, L_mse, L_acr) for one sample's 44 coordinates."""
-    p = np.asarray(pred_coords, dtype=np.float64).reshape(-1)
-    g = np.asarray(gt_coords, dtype=np.float64).reshape(-1)
-    if p.shape != g.shape or p.size != N_COORDS:
-        raise ValueError(f"expected matching {N_COORDS}-coordinate vectors, got {p.size} vs {g.size}")
-    l_mse = float(np.mean((p - g) ** 2))
-    l_acr = acr_loss(p.reshape(KEYPOINT_COUNT, 2), box) if box is not None else 0.0
-    total = w.w_mse * l_mse + w.w_acr * l_acr
-    return total, l_mse, l_acr
-
-
 def gradnorm_step(w: LossWeights, grad_norms, losses, lr_w: float) -> LossWeights:
     """One balancing update; returns weights clamped positive and summing to 2."""
     if w.initial_losses is None:
@@ -323,7 +311,7 @@ def gradnorm_step(w: LossWeights, grad_norms, losses, lr_w: float) -> LossWeight
     return replace(w, w_mse=float(new[0]), w_acr=float(new[1]))
 
 
-def _batch_terms(weights, bias, features, targets, boxes: BoxConstraint, violation_tolerance_px=0.0):
+def _batch_terms(weights, bias, features, targets, boxes: BoxConstraint):
     """Losses, parameter gradients, and diagnostics for the full batch."""
     n = features.shape[0]
     preds = features @ weights.T + bias
@@ -339,7 +327,7 @@ def _batch_terms(weights, bias, features, targets, boxes: BoxConstraint, violati
     g_w_acr = d_acr.T @ features
     g_b_acr = d_acr.sum(axis=0)
 
-    outside = int((violations > violation_tolerance_px).any(axis=2).sum())
+    outside = int((violations > VIOLATION_TOLERANCE_PX).any(axis=2).sum())
     return l_mse, l_acr, (g_w_mse, g_b_mse), (g_w_acr, g_b_acr), outside
 
 
@@ -359,15 +347,13 @@ def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tup
     boxes = problem.boxes()
     weights = predictor.weights.copy()
     bias = predictor.bias.copy()
-    vel_w = np.zeros_like(weights)
-    vel_b = np.zeros_like(bias)
     w = LossWeights(cfg.init_w_mse, cfg.init_w_acr if cfg.use_acr else 0.0, alpha=cfg.alpha)
     balancing = cfg.use_acr and cfg.lr_weights > 0
     trace = TrainTrace()
 
     for step in range(cfg.steps + 1):
         l_mse, l_acr, (g_w_mse, g_b_mse), (g_w_acr, g_b_acr), outside = _batch_terms(
-            weights, bias, features, targets, boxes, cfg.violation_tolerance_px
+            weights, bias, features, targets, boxes
         )
         if step == 0:
             w = replace(w, initial_losses=(l_mse, l_acr))
@@ -382,7 +368,7 @@ def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tup
         n_acr = float(np.linalg.norm(g_w_acr))
         total = w.w_mse * l_mse + (w.w_acr * l_acr if cfg.use_acr else 0.0)
         trace.rows.append(TraceRow(step, l_mse, l_acr, w.w_mse, w.w_acr, n_mse, n_acr, outside))
-        if not np.isfinite(total) or total > cfg.divergence_limit:
+        if not np.isfinite(total) or total > DIVERGENCE_LIMIT:
             raise DivergenceError(f"training diverged at step {step}: total loss {total}", trace=trace)
         if step == cfg.steps:
             break
@@ -392,10 +378,8 @@ def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tup
             g_w = g_w + w.w_acr * g_w_acr
             g_b = g_b + w.w_acr * g_b_acr
         lr_t = cfg.lr / (1.0 + cfg.lr_decay * step)
-        vel_w = cfg.momentum * vel_w - lr_t * g_w
-        vel_b = cfg.momentum * vel_b - lr_t * g_b
-        weights = weights + vel_w
-        bias = bias + vel_b
+        weights = weights - lr_t * g_w
+        bias = bias - lr_t * g_b
         if balancing:
             w = gradnorm_step(w, (n_mse, n_acr), (l_mse, l_acr), cfg.lr_weights)
     return ToyPredictor(weights, bias), trace
@@ -445,22 +429,13 @@ def _unflatten_params(theta, feature_dim):
     return w, b
 
 
-def _total_loss(theta, feature_dim, features, targets, boxes, w: LossWeights) -> float:
+def _weighted_objective(theta, feature_dim, features, targets, boxes, w: LossWeights):
+    """Weighted total loss and its flattened parameter gradient, both from :func:`_batch_terms`."""
     weights, bias = _unflatten_params(theta, feature_dim)
-    preds = features @ weights.T + bias
-    err = preds - targets
-    l_mse = float(np.mean(err * err))
-    violations, _ = acr_hinge(preds.reshape(-1, KEYPOINT_COUNT, 2), boxes)
-    l_acr = float(violations.sum(axis=(1, 2)).mean())
-    return w.w_mse * l_mse + w.w_acr * l_acr
-
-
-def _analytic_gradient(theta, feature_dim, features, targets, boxes, w: LossWeights) -> np.ndarray:
-    weights, bias = _unflatten_params(theta, feature_dim)
-    _, _, (g_w_mse, g_b_mse), (g_w_acr, g_b_acr), _ = _batch_terms(weights, bias, features, targets, boxes)
+    l_mse, l_acr, (g_w_mse, g_b_mse), (g_w_acr, g_b_acr), _ = _batch_terms(weights, bias, features, targets, boxes)
     g_w = w.w_mse * g_w_mse + w.w_acr * g_w_acr
     g_b = w.w_mse * g_b_mse + w.w_acr * g_b_acr
-    return _flatten_params(g_w, g_b)
+    return w.w_mse * l_mse + w.w_acr * l_acr, _flatten_params(g_w, g_b)
 
 
 def grad_check(
@@ -468,15 +443,12 @@ def grad_check(
     problem: ToyProblem,
     w: LossWeights | None = None,
     probes: int = 10_000,
-    probes_per_point: int = 100,
-    fd_step: float = 1e-5,
-    boundary_margin: float = 1e-2,
     seed: int = 0,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Parameter points are drawn around the given predictor and resampled until
-    every predicted coordinate sits at least ``boundary_margin`` pixels from
+    every predicted coordinate sits at least ``BOUNDARY_MARGIN`` pixels from
     every hinge boundary, so the finite differences never straddle a kink.
     The relative error for one probed parameter uses a unit floor:
     |analytic - fd| / max(1, |analytic|, |fd|).
@@ -499,7 +471,7 @@ def grad_check(
         weights, bias = _unflatten_params(theta, feature_dim)
         preds = (features @ weights.T + bias).reshape(-1, KEYPOINT_COUNT, 2)
         dist = np.minimum(np.abs(preds - k_min), np.abs(preds - k_max))
-        return bool((dist >= boundary_margin).all())
+        return bool((dist >= BOUNDARY_MARGIN).all())
 
     worst = 0.0
     done = 0
@@ -510,17 +482,17 @@ def grad_check(
                 break
         else:
             raise RuntimeError("could not sample a parameter point clear of hinge boundaries")
-        analytic = _analytic_gradient(theta, feature_dim, features, targets, boxes, w)
-        todo = min(probes_per_point, probes - done)
+        _, analytic = _weighted_objective(theta, feature_dim, features, targets, boxes, w)
+        todo = min(PROBES_PER_POINT, probes - done)
         idx = rng.choice(n_params, size=todo, replace=False)
         for k in idx:
             saved = theta[k]
-            theta[k] = saved + fd_step
-            f_plus = _total_loss(theta, feature_dim, features, targets, boxes, w)
-            theta[k] = saved - fd_step
-            f_minus = _total_loss(theta, feature_dim, features, targets, boxes, w)
+            theta[k] = saved + FD_STEP
+            f_plus, _ = _weighted_objective(theta, feature_dim, features, targets, boxes, w)
+            theta[k] = saved - FD_STEP
+            f_minus, _ = _weighted_objective(theta, feature_dim, features, targets, boxes, w)
             theta[k] = saved
-            fd = (f_plus - f_minus) / (2 * fd_step)
+            fd = (f_plus - f_minus) / (2 * FD_STEP)
             err = abs(analytic[k] - fd) / max(1.0, abs(analytic[k]), abs(fd))
             worst = max(worst, err)
         done += todo

@@ -7,7 +7,6 @@ from phenokey.anatomy import (
     acr_hinge,
     acr_gradient,
     acr_loss,
-    acr_violations,
     box_for_image,
     box_for_keypoints,
     dataset_boxes,
@@ -221,7 +220,7 @@ def test_acr_is_componentwise_l1_violation():
     preds = _inside_preds()
     preds[0] = (100.0, 20.0)
     preds[9] = (16.0, 120.0)
-    v = acr_violations(preds, box)
+    v = acr_hinge(preds, box)[0]
     assert v[0, 0] == 4.0 and v[0, 1] == 12.0
     assert v[9, 0] == 16.0 and v[9, 1] == 24.0
     assert acr_loss(preds, box) == v.sum()
@@ -327,7 +326,7 @@ def test_acr_hinge_batch_equals_single_sample_calls():
     for i in range(n):
         (x0, y0), (w, h) = origins[i, 0], extents[i, 0]
         box = box_for_image(prior, (x0, y0, x0 + w, y0 + h))
-        assert np.array_equal(violations[i], acr_violations(xy[i], box))
+        assert np.array_equal(violations[i], acr_hinge(xy[i], box)[0])
         assert np.array_equal(signs[i], acr_gradient(xy[i], box))
         assert acr_loss(xy[i], box) == float(violations[i].sum())
 
@@ -351,6 +350,8 @@ def _population_with_bad_records(kinds):
             xy[v > 0, 1] = 77.5
             v[3] = 0
             xy[3, 1] = 5.0        # a hidden keypoint never counts
+        elif kind == "nan_x":
+            xy[6, 0] = np.nan
         records[image_id - 1] = make_record(make_keypoints(xy=xy, v=v, image_id=image_id), 2000.0, 2000.0)
     return Dataset(records=tuple(records), role="train")
 
@@ -369,6 +370,7 @@ _CASES = {
     "zero_x": {5: "zero_x"},
     "zero_y": {5: "zero_y"},
     "two_bad": {4: "zero_y", 7: "too_few"},
+    "nan_x": {5: "nan_x"},
 }
 
 
@@ -391,6 +393,7 @@ def test_fit_prior_names_first_bad_record_like_per_record_path(case):
         "zero_x": "record 5 failed normalization: image 5: zero x-range across visible keypoints",
         "zero_y": "record 5 failed normalization: image 5: zero y-range across visible keypoints",
         "two_bad": "record 4 failed normalization: image 4: zero y-range across visible keypoints",
+        "nan_x": "record 5 failed normalization: image 5: non-finite x-range across visible keypoints",
     }
     assert str(exc.value) == literal[case]
 
@@ -404,9 +407,14 @@ def test_dataset_boxes_raise_like_box_for_keypoints(case):
         dataset_boxes(prior, pred)
     assert type(exc.value) is expected_type and str(exc.value) == expected
     if case == "zero_x":
-        assert expected_type is ValueError and expected.startswith("bbox must have positive extent, got (123.25, ")
+        assert expected_type is DegeneratePoseError and expected == "image 5: zero x-range across visible keypoints"
     elif case in ("zero_y", "two_bad"):   # record 4 of two_bad comes before record 7
-        assert expected_type is ValueError and expected.endswith(", 77.5)")
+        image_id = 4 if case == "two_bad" else 5
+        assert expected_type is DegeneratePoseError
+        assert expected == f"image {image_id}: zero y-range across visible keypoints"
+    elif case == "nan_x":
+        assert expected_type is DegeneratePoseError
+        assert expected == "image 5: non-finite x-range across visible keypoints"
     else:
         assert expected == "image 5: need at least 2 visible keypoints, got 1"
 
@@ -419,5 +427,5 @@ def test_dataset_boxes_equal_per_record_boxes():
         one = box_for_keypoints(prior, rec.keypoints)
         assert np.array_equal(boxes.origin[n, 0], one.origin) and np.array_equal(boxes.extent[n, 0], one.extent)
         hinge, signs = acr_hinge(pred.xy, boxes)
-        assert np.array_equal(hinge[n], acr_violations(rec.keypoints, one))
+        assert np.array_equal(hinge[n], acr_hinge(rec.keypoints.xy, one)[0])
         assert np.array_equal(signs[n], acr_gradient(rec.keypoints, one))

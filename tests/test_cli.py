@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phenokey.cli import main
-from phenokey.dataset import serialize_coco
+from phenokey.dataset import Dataset, parse_coco, serialize_coco
 from phenokey.errors import DegenerateMeasurementWarning
 from phenokey.morphometry import default_table
 from phenokey.schema import KEYPOINT_COUNT
@@ -212,6 +212,35 @@ def test_plot_deviation_missing_image_is_data_error(synth_files, tmp_path, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value, axis", [(float("nan"), "x"), (float("inf"), "y")])
+def test_prior_and_acr_name_a_fish_with_a_nonfinite_visible_coordinate(synth_files, tmp_path, capsys, value, axis):
+    gt, pred = synth_files
+    prior = tmp_path / "prior.json"
+    assert main(["prior", "--train", str(gt), "--out", str(prior)]) == 0
+    for path in (gt, pred):
+        doc = json.loads(path.read_text())
+        doc["annotations"][2]["keypoints"][3 * 4 + "xy".index(axis)] = value   # image 3, visible K-5
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    reason = f"image 3: non-finite {axis}-range across visible keypoints"
+    assert main(["prior", "--train", str(gt), "--out", str(tmp_path / "again.json")]) == 1
+    assert capsys.readouterr().err == f"error: record 3 failed normalization: {reason}\n"
+    assert main(["acr", "--pred", str(pred), "--prior", str(prior), "--out", str(tmp_path / "acr.json")]) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+def test_evaluate_missing_prediction_is_data_error(synth_files, tmp_path, capsys):
+    gt, _ = synth_files
+    short = tmp_path / "short.json"
+    assert main(["synth", "--template", "deep_bodied", "--n", "11", "--seed", "3",
+                 "--perturb", "uniform_px", "--magnitude", "4", "--out", str(short)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(short), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: predictions missing for image ids [12]\n"
+    assert "Traceback" not in err
+
+
 def test_report_composes_without_recompute(synth_files, tmp_path):
     gt, pred = synth_files
     evaluation = tmp_path / "eval.json"
@@ -326,3 +355,35 @@ def test_writers_never_use_the_pure_python_encoder(synth_files, tmp_path, monkey
     for name in ("r.json", "acr.json", "s.json"):
         text = (tmp_path / name).read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_whole_file_commands_never_build_record_views(synth_files, tmp_path, monkeypatch, capsys):
+    def no_records(self):
+        raise AssertionError("record views were built")
+
+    gt, pred = synth_files
+    monkeypatch.setattr(Dataset, "records", property(no_records))
+    with pytest.raises(AssertionError):
+        parse_coco(gt).records
+    doc = json.loads(gt.read_text())
+    doc["annotations"][1]["keypoints"][0] = -5.0
+    doc["images"][3]["width"] = 0
+    flagged = tmp_path / "flagged.json"
+    flagged.write_text(json.dumps(doc))
+    prior = tmp_path / "prior.json"
+    runs = [
+        ["measure", "--input", str(gt), "--out", str(tmp_path / "m.csv")],
+        ["evaluate", "--gt", str(gt), "--pred", str(pred), "--metric", "all", "--out", str(tmp_path / "r.json")],
+        ["prior", "--train", str(gt), "--out", str(prior)],
+        ["acr", "--pred", str(pred), "--prior", str(prior), "--out", str(tmp_path / "acr.json")],
+        ["plot", "--kind", "deviation", "--gt", str(gt), "--pred", f"m={pred}", "--out", str(tmp_path / "d.svg")],
+        ["synth", "--template", "elongate", "--n", "5", "--seed", "2", "--out", str(tmp_path / "s.json")],
+        ["synth", "--template", "elongate", "--n", "5", "--seed", "2", "--perturb", "uniform_px",
+         "--magnitude", "3", "--out", str(tmp_path / "p.json")],
+    ]
+    assert main(["validate", "--input", str(flagged)]) == 1
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.startswith("[visible_nonnegative] image 2, keypoint 1: (-5.0, ")
+    assert second.startswith("[positive_dimensions] image 4: width=0.0, height=")
+    for argv in runs:
+        assert main(argv) == 0, argv

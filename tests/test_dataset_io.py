@@ -235,6 +235,32 @@ def test_validate_matches_oracle_on_every_rule():
     assert len({image_id for image_id, *_ in got}) > 3
 
 
+def test_validate_text_is_the_same_however_the_dataset_was_built(tmp_path):
+    hidden = np.full(KEYPOINT_COUNT, 2)
+    hidden[6] = 3
+    kps = [
+        make_keypoints(image_id=1),
+        make_keypoints(image_id="b", overrides={3: (950.0, 10.0), 4: (-1.0, 5.0)}),
+        make_keypoints(image_id=2, v=hidden, overrides={5: (np.nan, 1.0)}),
+    ]
+    # int dimensions, as records may carry them
+    sizes = [(0, 480), (900, 600), (900, -2)]
+    from_records = Dataset(
+        records=tuple(FishImageRecord(kp.image_id, w, h, kp) for kp, (w, h) in zip(kps, sizes)), role="test"
+    )
+    from_columns = Dataset.from_columns(
+        [kp.xy for kp in kps], [kp.v for kp in kps], [kp.image_id for kp in kps],
+        [w for w, _ in sizes], [h for _, h in sizes], [0, 0, 0], role="test",
+    )
+    path = tmp_path / "dirty.json"
+    path.write_text(json.dumps(dataset_to_coco_dict(from_records)))
+    texts = [[str(v) for v in validate(ds)] for ds in (from_records, from_columns, parse_coco(path))]
+    assert texts[0] == texts[1] == texts[2]
+    assert texts[0][0] == "[positive_dimensions] image 1: width=0.0, height=480.0"
+    assert "[visible_within_bounds] image 'b', keypoint 3: (950.0, 10.0) outside 900.0 x 600.0" in texts[0]
+    assert len(texts[0]) == 6
+
+
 def _serializer_cases():
     hidden = np.full(KEYPOINT_COUNT, 2)
     hidden[[0, 9, 21]] = 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phenokey.errors import DegenerateFitError, DegenerateScaleError, UndefinedMetricError
+from phenokey.errors import DegenerateFitError, DegenerateScaleError, IntegrityError, UndefinedMetricError
 from phenokey.metrics import (
     EvalConfig,
     evaluate_datasets,
@@ -435,7 +435,7 @@ def test_report_undefined_entries_are_null():
 def test_report_missing_prediction_errors():
     gt = generate_population(TEMPLATES["elongate"], 3, seed=2, role="test")
     pred = generate_population(TEMPLATES["elongate"], 2, seed=2, role="test")
-    with pytest.raises(ValueError, match="missing"):
+    with pytest.raises(IntegrityError, match=r"predictions missing for image ids \[3\]"):
         evaluate_datasets(gt, pred)
 
 
