@@ -29,8 +29,8 @@ def visible_corners(xy, v) -> tuple[np.ndarray, np.ndarray]:
     return np.where(vis, xy, np.inf).min(axis=1), np.where(vis, xy, -np.inf).max(axis=1)
 
 
-def body_frames(xy, v, image_ids) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 2) lower corner and extent of each sample's visible keypoints: the frame the prior is stated in.
+def body_frames(xy, v, image_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, 2) lower corner, upper corner and extent of each sample's visible keypoints: the prior's frame.
 
     Raises :class:`DegeneratePoseError` for the first sample, in order, with
     fewer than 2 visible keypoints or with an x- or y-range that is not both
@@ -49,19 +49,18 @@ def body_frames(xy, v, image_ids) -> tuple[np.ndarray, np.ndarray]:
             axis = int(np.argmax(bad[n]))
             reason = f"{'zero' if extent[n, axis] == 0 else 'non-finite'} {'xy'[axis]}-range across visible keypoints"
         raise DegeneratePoseError(f"image {image_id!r}: {reason}", image_id)
-    return lo, extent
+    return lo, hi, extent
 
 
-def _frame(keypoints: KeypointSet) -> tuple[np.ndarray, np.ndarray]:
-    lo, extent = body_frames(keypoints.xy[None], keypoints.v[None], [keypoints.image_id])
-    return lo[0], extent[0]
+def _frame(keypoints: KeypointSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    lo, hi, extent = body_frames(keypoints.xy[None], keypoints.v[None], [keypoints.image_id])
+    return lo[0], hi[0], extent[0]
 
 
 def visible_bbox(keypoints: KeypointSet) -> tuple[float, float, float, float]:
     """(x_min, y_min, x_max, y_max) over the visible keypoints of a sample :func:`body_frames` accepts."""
-    _frame(keypoints)
-    lo, hi = visible_corners(keypoints.xy[None], keypoints.v[None])
-    return (*lo[0].tolist(), *hi[0].tolist())
+    lo, hi, _ = _frame(keypoints)
+    return (*lo.tolist(), *hi.tolist())
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,9 @@ class NormalizedKeypoints:
 
 def normalize(keypoints: KeypointSet) -> NormalizedKeypoints:
     """Scale keypoints into the unit square spanned by their bounding rectangle."""
-    lo, extent = _frame(keypoints)
+    lo, hi, extent = _frame(keypoints)
     points = np.where(keypoints.visible[:, None], (keypoints.xy - lo) / extent, np.nan)
-    return NormalizedKeypoints(points=points, image_id=keypoints.image_id, bbox=visible_bbox(keypoints))
+    return NormalizedKeypoints(points=points, image_id=keypoints.image_id, bbox=(*lo.tolist(), *hi.tolist()))
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def fit_prior(train: Dataset, species: str = "other") -> AnatomicalPrior:
     if len(train) == 0:
         raise ValueError("cannot fit a prior on an empty training set")
     try:
-        lo, extent = body_frames(train.xy, train.v, train.image_ids)
+        lo, _, extent = body_frames(train.xy, train.v, train.image_ids)
     except DegeneratePoseError as exc:
         raise DegeneratePoseError(f"record {exc.image_id!r} failed normalization: {exc}", exc.image_id) from exc
     cube = (train.xy - lo[:, None]) / extent[:, None]
@@ -165,13 +164,13 @@ def box_for_keypoints(prior: AnatomicalPrior, keypoints: KeypointSet) -> BoxCons
     This is how the constraint is used when no annotated rectangle exists:
     at evaluation time the box follows the predicted keypoints themselves.
     """
-    lo, extent = _frame(keypoints)
+    lo, _, extent = _frame(keypoints)
     return BoxConstraint(origin=lo, extent=extent, nmin=prior.mins, nmax=prior.maxs)
 
 
 def dataset_boxes(prior: AnatomicalPrior, dataset: Dataset) -> BoxConstraint:
     """:func:`box_for_keypoints` for every record at once, as (N, 1, 2) frames."""
-    lo, extent = body_frames(dataset.xy, dataset.v, dataset.image_ids)
+    lo, _, extent = body_frames(dataset.xy, dataset.v, dataset.image_ids)
     return BoxConstraint(origin=lo[:, None], extent=extent[:, None], nmin=prior.mins, nmax=prior.maxs)
 
 

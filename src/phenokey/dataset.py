@@ -169,17 +169,18 @@ class Dataset:
             raise ValueError(f"role must be one of {_ROLES}, got {role!r}")
         n = len(image_ids)
         columns = {
-            "xy": (np.asarray(xy, dtype=np.float64), (n, KEYPOINT_COUNT, 2)),
-            "v": (np.asarray(v, dtype=np.int64), (n, KEYPOINT_COUNT)),
-            "width": (np.asarray(width, dtype=np.float64), (n,)),
-            "height": (np.asarray(height, dtype=np.float64), (n,)),
-            "species": (np.asarray(species, dtype=np.int64), (n,)),
+            "xy": (np.array(xy, dtype=np.float64), (n, KEYPOINT_COUNT, 2)),
+            "v": (np.array(v, dtype=np.int64), (n, KEYPOINT_COUNT)),
+            "width": (np.array(width, dtype=np.float64), (n,)),
+            "height": (np.array(height, dtype=np.float64), (n,)),
+            "species": (np.array(species, dtype=np.int64), (n,)),
         }
         order = sorted(range(n), key=lambda k: _id_sort_key(image_ids[k]))
+        canonical = order == list(range(n))  # no gather needed: the columns above are already copies
         for name, (column, shape) in columns.items():
             if column.shape != shape:
                 raise ValueError(f"column {name} has shape {column.shape}, expected {shape} for {n} image ids")
-            object.__setattr__(self, name, _freeze(column[order]))
+            object.__setattr__(self, name, _freeze(column if canonical else column[order]))
         object.__setattr__(self, "image_ids", tuple(image_ids[k] for k in order))
         object.__setattr__(self, "role", role)
         object.__setattr__(self, "_records", None)

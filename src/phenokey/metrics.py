@@ -217,7 +217,7 @@ class _Pairs:
 
     def __init__(self, pred_xy, gt_xy, gt_v, image_ids, table=None):
         self.pred_xy, self.gt_xy, self.gt_v, self.image_ids = pred_xy, gt_xy, gt_v, image_ids
-        self.table = table or default_table()
+        self.table = table  # None means the default table, built only when a metric reads phenotypes
         self.annotated = gt_v > 0
         self.n = gt_xy.shape[0]
 
@@ -231,7 +231,7 @@ class _Pairs:
 
     @cached_property
     def shortest_phenotypes(self) -> np.ndarray:
-        return shortest_phenotype_lengths(self.gt_xy, self.gt_v, self.table)
+        return shortest_phenotype_lengths(self.gt_xy, self.gt_v, self.table or default_table())
 
 
 def _deviations(pred_xy, gt_xy) -> np.ndarray:
@@ -384,7 +384,7 @@ class MetricReport:
 
 
 def _phenotype_stats(pairs: _Pairs) -> dict:
-    table = pairs.table
+    table = pairs.table or default_table()
     gt_len, pred_len = _phenotype_lengths(pairs, table.endpoint_index)
     measurable = np.isfinite(gt_len)
     usable = measurable & (gt_len > 0) & np.isfinite(pred_len)
@@ -435,8 +435,8 @@ def evaluate_datasets(
         pmp_res = _pmp(pairs, cfg)
     if "phenotypes" in metrics:
         phen = _phenotype_stats(pairs)
-        mapes = np.array([np.nan if s is None else s.mape for s in phen.values()])
-        mmape_arr = np.array([mapes[table.related_index(j)].mean() for j in range(1, KEYPOINT_COUNT + 1)])
+        mapes = {abbrev: np.nan if s is None else s.mape for abbrev, s in phen.items()}
+        mmape_arr = np.array([mmape(j, mapes, table) for j in range(1, KEYPOINT_COUNT + 1)])
     return MetricReport(
         n_samples=pairs.n,
         config=cfg,

@@ -161,7 +161,7 @@ class ToyProblem:
     def boxes(self) -> BoxConstraint:
         """Per-sample boxes framed by each target's own body frame, as (N, 1, 2) frames; rows are named by index."""
         pts = self.targets.reshape(-1, KEYPOINT_COUNT, 2)
-        lo, extent = body_frames(pts, np.ones(pts.shape[:2]), range(len(pts)))
+        lo, _, extent = body_frames(pts, np.ones(pts.shape[:2]), range(len(pts)))
         return BoxConstraint(lo[:, None], extent[:, None], self.prior.mins, self.prior.maxs)
 
 
@@ -311,18 +311,22 @@ def gradnorm_step(w: LossWeights, grad_norms, losses, lr_w: float) -> LossWeight
     return replace(w, w_mse=float(new[0]), w_acr=float(new[1]))
 
 
+def _batch_losses(weights, bias, features, targets, boxes: BoxConstraint):
+    """MSE and ACR loss of the full batch, with the residuals and hinge terms their gradients use."""
+    preds = features @ weights.T + bias
+    err = preds - targets
+    violations, signs = acr_hinge(preds.reshape(-1, KEYPOINT_COUNT, 2), boxes)
+    return float(np.mean(err * err)), float(violations.sum(axis=(1, 2)).mean()), err, violations, signs
+
+
 def _batch_terms(weights, bias, features, targets, boxes: BoxConstraint):
     """Losses, parameter gradients, and diagnostics for the full batch."""
     n = features.shape[0]
-    preds = features @ weights.T + bias
-    err = preds - targets
-    l_mse = float(np.mean(err * err))
+    l_mse, l_acr, err, violations, signs = _batch_losses(weights, bias, features, targets, boxes)
     d_mse = 2.0 * err / err.size
     g_w_mse = d_mse.T @ features
     g_b_mse = d_mse.sum(axis=0)
 
-    violations, signs = acr_hinge(preds.reshape(n, KEYPOINT_COUNT, 2), boxes)
-    l_acr = float(violations.sum(axis=(1, 2)).mean())
     d_acr = signs.reshape(n, N_COORDS) / n
     g_w_acr = d_acr.T @ features
     g_b_acr = d_acr.sum(axis=0)
@@ -429,15 +433,6 @@ def _unflatten_params(theta, feature_dim):
     return w, b
 
 
-def _weighted_objective(theta, feature_dim, features, targets, boxes, w: LossWeights):
-    """Weighted total loss and its flattened parameter gradient, both from :func:`_batch_terms`."""
-    weights, bias = _unflatten_params(theta, feature_dim)
-    l_mse, l_acr, (g_w_mse, g_b_mse), (g_w_acr, g_b_acr), _ = _batch_terms(weights, bias, features, targets, boxes)
-    g_w = w.w_mse * g_w_mse + w.w_acr * g_w_acr
-    g_b = w.w_mse * g_b_mse + w.w_acr * g_b_acr
-    return w.w_mse * l_mse + w.w_acr * l_acr, _flatten_params(g_w, g_b)
-
-
 def grad_check(
     predictor: ToyPredictor,
     problem: ToyProblem,
@@ -473,6 +468,10 @@ def grad_check(
         dist = np.minimum(np.abs(preds - k_min), np.abs(preds - k_max))
         return bool((dist >= BOUNDARY_MARGIN).all())
 
+    def loss(theta) -> float:  # all a finite-difference probe needs: no gradient terms
+        l_mse, l_acr, *_ = _batch_losses(*_unflatten_params(theta, feature_dim), features, targets, boxes)
+        return w.w_mse * l_mse + w.w_acr * l_acr
+
     worst = 0.0
     done = 0
     while done < probes:
@@ -482,15 +481,16 @@ def grad_check(
                 break
         else:
             raise RuntimeError("could not sample a parameter point clear of hinge boundaries")
-        _, analytic = _weighted_objective(theta, feature_dim, features, targets, boxes, w)
+        _, _, g_mse, g_acr, _ = _batch_terms(*_unflatten_params(theta, feature_dim), features, targets, boxes)
+        analytic = w.w_mse * _flatten_params(*g_mse) + w.w_acr * _flatten_params(*g_acr)
         todo = min(PROBES_PER_POINT, probes - done)
         idx = rng.choice(n_params, size=todo, replace=False)
         for k in idx:
             saved = theta[k]
             theta[k] = saved + FD_STEP
-            f_plus, _ = _weighted_objective(theta, feature_dim, features, targets, boxes, w)
+            f_plus = loss(theta)
             theta[k] = saved - FD_STEP
-            f_minus, _ = _weighted_objective(theta, feature_dim, features, targets, boxes, w)
+            f_minus = loss(theta)
             theta[k] = saved
             fd = (f_plus - f_minus) / (2 * FD_STEP)
             err = abs(analytic[k] - fd) / max(1.0, abs(analytic[k]), abs(fd))

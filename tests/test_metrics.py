@@ -113,6 +113,20 @@ def test_oks_zero_visible_errors():
         oks(gt, gt)
 
 
+def test_metrics_without_phenotypes_never_build_the_phenotype_table(monkeypatch):
+    import phenokey.metrics as metrics
+
+    def no_table():
+        raise AssertionError("default_table() called by a metric that reads no phenotype")
+
+    monkeypatch.setattr(metrics, "default_table", no_table)
+    gt = _box_gt()
+    pred = _shifted(gt, 3, dx=20.0)
+    assert 0.0 < oks(pred, gt) < 1.0
+    assert oks_per_image([pred], [gt]) == [oks(pred, gt)]
+    assert pck([pred], [gt]).mean() == pytest.approx(21 / 22)
+
+
 # ---------------------------------------------------------------------------
 # PCK
 
