@@ -11,7 +11,7 @@ population = generate_population(TEMPLATES["deep_bodied"], n=1, seed=3)
 fish = population.records[0]
 table = default_table()
 
-measured, skipped = measure_all(fish.keypoints, table)
+measured, skipped = measure_all(fish.keypoints)
 print(f"fish {fish.image_id}: image {fish.width:.0f} x {fish.height:.0f} px\n")
 print(f"{'abbrev':<7}{'keypoints':<14}{'length (px)':>12}   name")
 for m in measured:

@@ -14,7 +14,6 @@ import numpy as np
 from phenokey import EvalConfig, evaluate_datasets, generate_population
 from phenokey.dataset import Dataset, FishImageRecord, KeypointSet
 from phenokey.metrics import shortest_phenotype_lengths
-from phenokey.morphometry import default_table
 from phenokey.schema import KEYPOINT_COUNT
 from phenokey.synth import TEMPLATES, PerturbationModel, perturb
 
@@ -31,9 +30,7 @@ candidates = {
 }
 
 # heteroscedastic candidate: noise piled onto the small-phenotype keypoints
-shortest = shortest_phenotype_lengths(
-    np.stack([k.xy for k in gts]), np.stack([k.v for k in gts]), default_table()
-)
+shortest = shortest_phenotype_lengths(np.stack([k.xy for k in gts]), np.stack([k.v for k in gts]))
 small = shortest.mean(axis=0) < np.median(shortest.mean(axis=0))
 rng = np.random.default_rng(3)
 records = []

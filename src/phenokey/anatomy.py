@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, KeypointSet
-from .errors import DegeneratePoseError
+from .errors import DegeneratePoseError, SchemaError
 from .schema import KEYPOINT_COUNT
 
 
@@ -209,17 +209,16 @@ def acr_gradient(preds, box: BoxConstraint) -> np.ndarray:
 
 def prior_to_dict(prior: AnatomicalPrior) -> dict:
     """JSON-ready form: 22 x 4 extremes plus the training-set size."""
-    extremes = []
-    for i in range(KEYPOINT_COUNT):
-        extremes.append(
-            {
-                "keypoint": i + 1,
-                "x_min": float(prior.mins[i, 0]),
-                "x_max": float(prior.maxs[i, 0]),
-                "y_min": float(prior.mins[i, 1]),
-                "y_max": float(prior.maxs[i, 1]),
-            }
-        )
+    extremes = [
+        {
+            "keypoint": i + 1,
+            "x_min": float(prior.mins[i, 0]),
+            "x_max": float(prior.maxs[i, 0]),
+            "y_min": float(prior.mins[i, 1]),
+            "y_max": float(prior.maxs[i, 1]),
+        }
+        for i in range(KEYPOINT_COUNT)
+    ]
     return {
         "schema_version": 1,
         "species": prior.species,
@@ -228,19 +227,36 @@ def prior_to_dict(prior: AnatomicalPrior) -> dict:
     }
 
 
-def prior_from_dict(doc: dict) -> AnatomicalPrior:
-    entries = doc["extremes"]
-    if len(entries) != KEYPOINT_COUNT:
-        raise ValueError(f"prior file must carry {KEYPOINT_COUNT} extreme entries, got {len(entries)}")
-    mins = np.zeros((KEYPOINT_COUNT, 2))
-    maxs = np.zeros((KEYPOINT_COUNT, 2))
-    for entry in entries:
-        i = int(entry["keypoint"]) - 1
-        mins[i] = (entry["x_min"], entry["y_min"])
-        maxs[i] = (entry["x_max"], entry["y_max"])
-    return AnatomicalPrior(
-        mins=mins,
-        maxs=maxs,
-        training_set_size=int(doc["training_set_size"]),
-        species=doc.get("species", "other"),
-    )
+def _field(obj, key: str, where: str = ""):
+    if not isinstance(obj, dict) or key not in obj:
+        raise SchemaError(f"{where}missing field {key!r}")
+    return obj[key]
+
+
+def prior_from_dict(doc) -> AnatomicalPrior:
+    """Inverse of :func:`prior_to_dict`; a malformed document raises :class:`SchemaError` naming the field.
+
+    Entries are named as ``extremes[n]``. Keypoint numbers cover 1..22 once; extremes lie in [0, 1], min <= max.
+    """
+    entries = _field(doc, "extremes")
+    if not isinstance(entries, list) or len(entries) != KEYPOINT_COUNT:
+        raise SchemaError(f"field 'extremes' must be a list of {KEYPOINT_COUNT} entries")
+    extremes = np.full((KEYPOINT_COUNT, 4), np.nan)  # x_min, y_min, x_max, y_max; NaN until an entry sets them
+    for n, entry in enumerate(entries):
+        where = f"extremes[{n}]: "
+        k = _field(entry, "keypoint", where)
+        if type(k) is not int or not 1 <= k <= KEYPOINT_COUNT:
+            raise SchemaError(f"{where}field 'keypoint' must be an integer in 1..{KEYPOINT_COUNT}, got {k!r}")
+        if not np.isnan(extremes[k - 1, 0]):
+            raise SchemaError(f"{where}field 'keypoint' repeats K-{k}")
+        for c, key in enumerate(("x_min", "y_min", "x_max", "y_max")):
+            x = _field(entry, key, where)
+            if type(x) not in (int, float) or not 0 <= x <= 1:
+                raise SchemaError(f"{where}field {key!r} must be a number in [0, 1], got {x!r}")
+            extremes[k - 1, c] = x
+        if (extremes[k - 1, :2] > extremes[k - 1, 2:]).any():
+            raise SchemaError(f"{where}field 'x_min' or 'y_min' exceeds its 'x_max' or 'y_max'")
+    size = _field(doc, "training_set_size")
+    if type(size) is not int or size < 1:
+        raise SchemaError(f"field 'training_set_size' must be a positive integer, got {size!r}")
+    return AnatomicalPrior(extremes[:, :2], extremes[:, 2:], size, doc.get("species", "other"))

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .anatomy import acr_hinge, dataset_boxes, fit_prior, prior_from_dict, prior_to_dict
 from .dataset import parse_coco, serialize_coco, validate
-from .errors import DivergenceError, PhenokeyError
+from .errors import DivergenceError, PhenokeyError, SchemaError
 from .jsontext import dumps, same_shape_texts
 from .metrics import (
     PCK_SCALE_MODES,
@@ -67,7 +67,7 @@ def _cmd_measure(args) -> int:
     dataset = parse_coco(args.input)
     table = default_table()
     lengths = phenotype_lengths(dataset.xy, dataset.v, table.endpoint_index).tolist()
-    hidden = hidden_endpoints(dataset.v, table).tolist()
+    hidden = hidden_endpoints(dataset.v).tolist()
     abbrevs = table.abbrevs()
     rows = [("image_id", "abbrev", "value_px", "status")]
     for image_id, rec_lengths, rec_hidden in zip(dataset.image_ids, lengths, hidden):
@@ -163,8 +163,11 @@ def _acr_entry_texts(entries, depth: int) -> list[str]:
 
 def _cmd_acr(args) -> int:
     pred = parse_coco(args.pred)
-    with open(args.prior, encoding="utf-8") as fh:
-        prior = prior_from_dict(json.load(fh))
+    try:
+        with open(args.prior, encoding="utf-8") as fh:
+            prior = prior_from_dict(json.load(fh))
+    except (ValueError, SchemaError) as exc:  # a malformed JSON text raises ValueError
+        raise SchemaError(f"prior file {args.prior}: {exc}") from exc
     violations, grad = acr_hinge(pred.xy, dataset_boxes(prior, pred))
     # each image's loss sums its 44 contiguous hinge values; the total adds them left to right
     losses = violations.reshape(len(pred), -1).sum(axis=1).tolist()

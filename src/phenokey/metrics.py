@@ -20,7 +20,8 @@ Every metric is computed on whole (N, 22, 2) arrays. :func:`evaluate_datasets`
 pairs the two datasets' rows once and computes the deviations, the
 ground-truth box diagonals and the shortest ground-truth phenotypes once for
 all metrics; :func:`oks_per_image`, :func:`pck` and :func:`pmp` stack their
-keypoint sets and run the same array code.
+keypoint sets and run the same array code. Those three pair their lists by
+position, not by image id: a length or image-id mismatch raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .anatomy import visible_corners
 from .dataset import Dataset, KeypointSet, stack_keypoints
 from .errors import DegenerateFitError, DegenerateScaleError, IntegrityError, UndefinedMetricError
-from .morphometry import PhenotypeTable, default_table, phenotype_lengths, shortest_phenotype_lengths
+from .morphometry import default_table, phenotype_lengths, shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT
 
 PCK_SCALE_MODES = ("head", "torso", "bbox_diagonal")
@@ -114,11 +115,10 @@ def mape(gt_values, pred_values) -> float:
     return float(np.mean(np.abs(pred_arr - gt_arr) / gt_arr))
 
 
-def mmape(keypoint: int, per_phenotype_mape: dict, table: PhenotypeTable | None = None) -> float:
+def mmape(keypoint: int, per_phenotype_mape: dict) -> float:
     """Unweighted mean MAPE over all phenotypes whose endpoints include ``keypoint``."""
-    table = table or default_table()
     values = []
-    for pdef in table.related(keypoint):
+    for pdef in default_table().related(keypoint):
         if pdef.abbrev not in per_phenotype_mape:
             raise KeyError(f"no MAPE entry for phenotype {pdef.abbrev}")
         values.append(per_phenotype_mape[pdef.abbrev])
@@ -201,7 +201,7 @@ class PerKeypointResult:
         return float(self.values[defined].mean())
 
 
-def _paired_arrays(preds, gts, table=None) -> _Pairs:
+def _paired_arrays(preds, gts) -> _Pairs:
     if len(preds) != len(gts):
         raise ValueError(f"got {len(preds)} predictions for {len(gts)} ground truths")
     for p, g in zip(preds, gts):
@@ -209,15 +209,14 @@ def _paired_arrays(preds, gts, table=None) -> _Pairs:
             raise ValueError(f"prediction/ground-truth id mismatch: {p.image_id!r} vs {g.image_id!r}")
     gt_xy, gt_v = stack_keypoints(list(gts))
     pred_xy, _ = stack_keypoints(list(preds))
-    return _Pairs(pred_xy, gt_xy, gt_v, [g.image_id for g in gts], table)
+    return _Pairs(pred_xy, gt_xy, gt_v, [g.image_id for g in gts])
 
 
 class _Pairs:
     """Row-paired prediction and ground-truth arrays; the terms metrics share are computed once, on first use."""
 
-    def __init__(self, pred_xy, gt_xy, gt_v, image_ids, table=None):
+    def __init__(self, pred_xy, gt_xy, gt_v, image_ids):
         self.pred_xy, self.gt_xy, self.gt_v, self.image_ids = pred_xy, gt_xy, gt_v, image_ids
-        self.table = table  # None means the default table, built only when a metric reads phenotypes
         self.annotated = gt_v > 0
         self.n = gt_xy.shape[0]
 
@@ -231,7 +230,7 @@ class _Pairs:
 
     @cached_property
     def shortest_phenotypes(self) -> np.ndarray:
-        return shortest_phenotype_lengths(self.gt_xy, self.gt_v, self.table or default_table())
+        return shortest_phenotype_lengths(self.gt_xy, self.gt_v)
 
 
 def _deviations(pred_xy, gt_xy) -> np.ndarray:
@@ -308,33 +307,35 @@ def pck(preds, gts, cfg: EvalConfig | None = None) -> PerKeypointResult:
 
     The denominator counts annotated (v > 0) ground-truth keypoints; a sample
     is skipped for no keypoint here because a missing scale factor raises.
+    The lists pair by position and must agree in length and image ids.
     """
     return _pck(_paired_arrays(preds, gts), cfg or EvalConfig())
 
 
-def pmp(preds, gts, table: PhenotypeTable | None = None, cfg: EvalConfig | None = None) -> PerKeypointResult:
+def pmp(preds, gts, cfg: EvalConfig | None = None) -> PerKeypointResult:
     """Per-keypoint fraction of predictions within r of the shortest related phenotype.
 
     A sample counts for keypoint j when the ground-truth keypoint is annotated
     and its shortest related ground-truth phenotype exists with positive
     length; other annotated samples are recorded as skips. Keypoints with no
-    evaluable samples come back as NaN markers.
+    evaluable samples come back as NaN markers. The lists pair by position
+    and must agree in length and image ids.
     """
-    return _pmp(_paired_arrays(preds, gts, table), cfg or EvalConfig())
+    return _pmp(_paired_arrays(preds, gts), cfg or EvalConfig())
 
 
 def oks_per_image(preds, gts, cfg: EvalConfig | None = None) -> list[float | None]:
-    """Per-image object keypoint similarity; None where undefined."""
+    """Per-image object keypoint similarity in list order, None where undefined; lists pair by position."""
     return _oks(_paired_arrays(preds, gts), cfg or EvalConfig())
 
 
-def _paired_datasets(gt: Dataset, pred: Dataset, table=None) -> _Pairs:
+def _paired_datasets(gt: Dataset, pred: Dataset) -> _Pairs:
     """Each ground-truth row with the prediction row of the same image id."""
     rows = pred.rows_for(gt.image_ids)
     missing = [gt.image_ids[n] for n in np.flatnonzero(rows < 0)[:5].tolist()]
     if missing:
         raise IntegrityError(f"predictions missing for image ids {missing!r}")
-    return _Pairs(pred.xy[rows], gt.xy, gt.v, gt.image_ids, table)
+    return _Pairs(pred.xy[rows], gt.xy, gt.v, gt.image_ids)
 
 
 def _phenotype_lengths(pairs: _Pairs, ends):
@@ -342,13 +343,13 @@ def _phenotype_lengths(pairs: _Pairs, ends):
     return phenotype_lengths(pairs.gt_xy, pairs.gt_v, ends), phenotype_lengths(pairs.pred_xy, pairs.gt_v, ends)
 
 
-def phenotype_value_pairs(gt: Dataset, pred: Dataset, abbrev: str, table: PhenotypeTable | None = None):
+def phenotype_value_pairs(gt: Dataset, pred: Dataset, abbrev: str):
     """Paired (gt, pred) lengths of one phenotype over all measurable samples with a finite prediction."""
-    table = table or default_table()
+    table = default_table()
     if abbrev not in table:
         raise KeyError(f"unknown phenotype {abbrev!r}")
     t = list(table.abbrevs()).index(abbrev)
-    gt_len, pred_len = _phenotype_lengths(_paired_datasets(gt, pred, table), table.endpoint_index[:, [t]])
+    gt_len, pred_len = _phenotype_lengths(_paired_datasets(gt, pred), table.endpoint_index[:, [t]])
     usable = np.isfinite(gt_len[:, 0]) & np.isfinite(pred_len[:, 0])
     return gt_len[usable, 0], pred_len[usable, 0]
 
@@ -384,7 +385,7 @@ class MetricReport:
 
 
 def _phenotype_stats(pairs: _Pairs) -> dict:
-    table = pairs.table or default_table()
+    table = default_table()
     gt_len, pred_len = _phenotype_lengths(pairs, table.endpoint_index)
     measurable = np.isfinite(gt_len)
     usable = measurable & (gt_len > 0) & np.isfinite(pred_len)
@@ -411,13 +412,11 @@ def evaluate_datasets(
     gt: Dataset,
     pred: Dataset,
     cfg: EvalConfig | None = None,
-    table: PhenotypeTable | None = None,
     metrics: tuple = ("oks", "pck", "pmp", "phenotypes"),
 ) -> MetricReport:
     """Score a prediction dataset against ground truth on the chosen metrics."""
     cfg = cfg or EvalConfig()
-    table = table or default_table()
-    pairs = _paired_datasets(gt, pred, table)
+    pairs = _paired_datasets(gt, pred)
 
     oks_vals: list = []
     oks_mean = None
@@ -436,7 +435,7 @@ def evaluate_datasets(
     if "phenotypes" in metrics:
         phen = _phenotype_stats(pairs)
         mapes = {abbrev: np.nan if s is None else s.mape for abbrev, s in phen.items()}
-        mmape_arr = np.array([mmape(j, mapes, table) for j in range(1, KEYPOINT_COUNT + 1)])
+        mmape_arr = np.array([mmape(j, mapes) for j in range(1, KEYPOINT_COUNT + 1)])
     return MetricReport(
         n_samples=pairs.n,
         config=cfg,

@@ -7,6 +7,7 @@ of the eye. The table below covers every keypoint at least once.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -64,8 +65,6 @@ _DEFS = (
     ("PeDD", "pelvic-dorsal fin origin distance", (15, 20)),
 )
 
-PHENOTYPE_COUNT = 23
-
 
 class PhenotypeTable:
     """Ordered collection of phenotype definitions with index lookups."""
@@ -88,6 +87,9 @@ class PhenotypeTable:
             i: np.flatnonzero((self.endpoint_index == i - 1).any(axis=0))
             for i in range(1, KEYPOINT_COUNT + 1)
         }
+        # the default table is shared by every caller, so its arrays are read-only
+        for arr in (self.endpoint_index, *self._related.values()):
+            arr.flags.writeable = False
 
     def __len__(self):
         return len(self.defs)
@@ -115,8 +117,9 @@ class PhenotypeTable:
         return tuple(self.defs[t] for t in self.related_index(keypoint))
 
 
+@functools.cache
 def default_table() -> PhenotypeTable:
-    """The standard 23-phenotype table."""
+    """The standard 23-phenotype table, built once; every metric and measurement uses it."""
     return PhenotypeTable(PhenotypeDef(a, n, e) for a, n, e in _DEFS)
 
 
@@ -148,17 +151,18 @@ def phenotype_lengths(xy, v, ends) -> np.ndarray:
     return np.where((v[:, a] > 0) & (v[:, b] > 0), lengths, np.nan)
 
 
-def hidden_endpoints(v, table: PhenotypeTable) -> np.ndarray:
+def hidden_endpoints(v) -> np.ndarray:
     """(n_samples, n_phenotypes) first unannotated 1-based endpoint of each phenotype, 0 if none."""
-    a, b = table.endpoint_index
+    a, b = default_table().endpoint_index
     return np.where(v[:, a] <= 0, a + 1, np.where(v[:, b] <= 0, b + 1, 0))
 
 
-def shortest_phenotype_lengths(gt_xy, gt_v, table: PhenotypeTable) -> np.ndarray:
+def shortest_phenotype_lengths(gt_xy, gt_v) -> np.ndarray:
     """(n_samples, 22) length of each keypoint's shortest measurable phenotype.
 
     +inf marks keypoints with no measurable related phenotype on a sample.
     """
+    table = default_table()
     lengths = phenotype_lengths(gt_xy, gt_v, table.endpoint_index)
     filled = np.where(np.isnan(lengths), np.inf, lengths)
     out = np.empty((gt_xy.shape[0], KEYPOINT_COUNT), dtype=np.float64)
@@ -198,12 +202,11 @@ def measure(keypoints: KeypointSet, pdef: PhenotypeDef) -> PhenotypeMeasurement:
     return _measurement(pdef.abbrev, value, keypoints.image_id)
 
 
-def measure_all(
-    keypoints: KeypointSet, table: PhenotypeTable
-) -> tuple[list[PhenotypeMeasurement], list[SkippedPhenotype]]:
+def measure_all(keypoints: KeypointSet) -> tuple[list[PhenotypeMeasurement], list[SkippedPhenotype]]:
     """Measure every phenotype with both endpoints visible; report the rest as skips."""
+    table = default_table()
     lengths = phenotype_lengths(keypoints.xy[None], keypoints.v[None], table.endpoint_index)[0]
-    hidden = hidden_endpoints(keypoints.v[None], table)[0]
+    hidden = hidden_endpoints(keypoints.v[None])[0]
     measured = []
     skipped = []
     for pdef, value, missing in zip(table, lengths, hidden.tolist()):
@@ -214,14 +217,13 @@ def measure_all(
     return measured, skipped
 
 
-def shortest_related_phenotype(
-    keypoint: int, ground_truth: KeypointSet, table: PhenotypeTable
-) -> PhenotypeMeasurement:
+def shortest_related_phenotype(keypoint: int, ground_truth: KeypointSet) -> PhenotypeMeasurement:
     """The measurable phenotype containing ``keypoint`` with minimum ground-truth length.
 
     Ties resolve to the earlier table entry. Raises when no related phenotype
     is measurable on this sample.
     """
+    table = default_table()
     idx = table.related_index(keypoint)
     ends = table.endpoint_index[:, idx]
     lengths = phenotype_lengths(ground_truth.xy[None], ground_truth.v[None], ends)[0]

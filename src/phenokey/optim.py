@@ -229,16 +229,7 @@ def make_toy_problem(
     boundary; the clean population coordinates stay available for scoring.
     """
     tpl = load_template(template)
-    if spread_scale != 1.0:
-        from .synth import SpeciesTemplate
-
-        tpl = SpeciesTemplate(
-            name=tpl.name,
-            mean_layout=tpl.mean_layout,
-            spread=tpl.spread * spread_scale,
-            body_size_range=tpl.body_size_range,
-            aspect=tpl.aspect,
-        )
+    tpl = replace(tpl, spread=tpl.spread * spread_scale)
     population = generate_population(tpl, n, seed=seed)
     prior_pop = generate_population(tpl, PRIOR_POPULATION, seed=(int(seed) * 2 + 1) * 15485863)
     prior = fit_prior(prior_pop)

@@ -71,23 +71,21 @@ def _svg_document(body: list[str]) -> str:
     return "\n".join([head, style, *body, "</svg>"]) + "\n"
 
 
-def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
-    parts = [
+def _axes(frame: _Frame) -> list[str]:
+    return [
         f'<rect class="axis" x="{_MARGIN}" y="{_MARGIN}" '
         f'width="{_WIDTH - 2 * _MARGIN}" height="{_HEIGHT - 2 * _MARGIN}"/>',
-        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 16}" text-anchor="middle">{x_label}</text>',
+        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 16}" text-anchor="middle">ground truth (px)</text>',
         f'<text x="16" y="{_HEIGHT // 2}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_HEIGHT // 2})">{y_label}</text>',
+        f'transform="rotate(-90 16 {_HEIGHT // 2})">predicted (px)</text>',
         f'<text x="{_MARGIN}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle">{frame.x0:.4g}</text>',
         f'<text x="{_WIDTH - _MARGIN}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle">{frame.x1:.4g}</text>',
         f'<text x="{_MARGIN - 6}" y="{_HEIGHT - _MARGIN + 4}" text-anchor="end">{frame.y0:.4g}</text>',
         f'<text x="{_MARGIN - 6}" y="{_MARGIN + 4}" text-anchor="end">{frame.y1:.4g}</text>',
     ]
-    return parts
 
 
-def plot_scatter(pairs, out, title: str = "", x_label: str = "ground truth (px)",
-                 y_label: str = "predicted (px)") -> None:
+def plot_scatter(pairs, out, title: str = "") -> None:
     """Scatter the (gt, pred) pairs, overlay the least-squares line, annotate R².
 
     With a degenerate fit (constant ground truth) the plot is still written,
@@ -99,7 +97,7 @@ def plot_scatter(pairs, out, title: str = "", x_label: str = "ground truth (px)"
     xs = [g for g, _ in pairs]
     ys = [p for _, p in pairs]
     frame = _Frame.around(xs, ys)
-    body = _axes(frame, x_label, y_label)
+    body = _axes(frame)
     if title:
         body.append(f'<text class="title" x="{_WIDTH // 2}" y="24" text-anchor="middle">{title}</text>')
     for g, p in pairs:
@@ -141,8 +139,7 @@ def deviation_quantiles(values) -> dict:
     }
 
 
-def plot_deviation_summary(deviations: dict, out, csv_path=None,
-                           title: str = "positional deviation (px)") -> None:
+def plot_deviation_summary(deviations: dict, out, csv_path=None) -> None:
     """Box-and-whisker summary of pixel deviations, one group per labeled list.
 
     Also writes the quantiles as CSV (next to the SVG unless ``csv_path``
@@ -158,7 +155,7 @@ def plot_deviation_summary(deviations: dict, out, csv_path=None,
     body = [
         f'<rect class="axis" x="{_MARGIN}" y="{_MARGIN}" '
         f'width="{_WIDTH - 2 * _MARGIN}" height="{_HEIGHT - 2 * _MARGIN}"/>',
-        f'<text class="title" x="{_WIDTH // 2}" y="24" text-anchor="middle">{title}</text>',
+        f'<text class="title" x="{_WIDTH // 2}" y="24" text-anchor="middle">positional deviation (px)</text>',
         f'<text x="{_MARGIN - 6}" y="{_HEIGHT - _MARGIN + 4}" text-anchor="end">{frame.y0:.4g}</text>',
         f'<text x="{_MARGIN - 6}" y="{_MARGIN + 4}" text-anchor="end">{frame.y1:.4g}</text>',
     ]

@@ -6,6 +6,10 @@ annotation convention; array storage is 0-based internally.
 
 KEYPOINT_COUNT = 22
 
+# Visibility flags follow the usual annotation convention:
+# 0 = not labeled, 1 = labeled but occluded, 2 = labeled and visible.
+# All metrics treat v > 0 as "annotated and usable".
+
 # Index -> anatomical landmark name.
 KEYPOINT_NAMES = {
     1: "snout tip",
@@ -40,18 +44,6 @@ SPECIES = (
     "common_carp",
     "other",
 )
-
-# Visibility flags follow the usual annotation convention:
-# 0 = not labeled, 1 = labeled but occluded, 2 = labeled and visible.
-# All metrics treat v > 0 as "annotated and usable".
-VISIBILITY_FLAGS = (0, 1, 2)
-
-
-def keypoint_name(index: int) -> str:
-    """Name of the 1-based keypoint ``index``."""
-    if index not in KEYPOINT_NAMES:
-        raise KeyError(f"keypoint index must be in 1..{KEYPOINT_COUNT}, got {index}")
-    return KEYPOINT_NAMES[index]
 
 
 def normalize_species(name: str) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .morphometry import PhenotypeTable, default_table, shortest_phenotype_lengths
+from .morphometry import shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT, SPECIES
 
 PERTURBATION_MODES = ("uniform_px", "proportional_to_shortest_phenotype")
@@ -226,7 +226,7 @@ class PerturbationModel:
             raise ValueError(f"magnitude must be nonnegative, got {self.magnitude}")
 
 
-def perturb(gt: Dataset, model: PerturbationModel, table: PhenotypeTable | None = None) -> Dataset:
+def perturb(gt: Dataset, model: PerturbationModel) -> Dataset:
     """Displaced copy of ``gt`` acting as a prediction set.
 
     uniform_px draws per-axis uniform noise in [-magnitude, magnitude].
@@ -242,9 +242,8 @@ def perturb(gt: Dataset, model: PerturbationModel, table: PhenotypeTable | None 
     Non-finite coordinates, which hidden keypoints may carry, stay as they
     are and never move the canvas.
     """
-    table = table or default_table()
     if model.mode != "uniform_px":
-        pheno = shortest_phenotype_lengths(gt.xy, gt.v, table)
+        pheno = shortest_phenotype_lengths(gt.xy, gt.v)
         sigma = np.where(np.isfinite(pheno), model.magnitude * pheno, 0.0)
     noise = np.empty_like(gt.xy)
     for idx in range(len(gt)):

@@ -25,7 +25,6 @@ from phenokey.metrics import (
     pmp,
     shortest_phenotype_lengths,
 )
-from phenokey.morphometry import default_table
 from phenokey.optim import (
     LossWeights,
     ToyPredictor,
@@ -185,7 +184,7 @@ def _selection_trial(seed):
     # heteroscedastic: noise concentrated on the small-phenotype keypoints
     gt_xy = np.stack([k.xy for k in gts])
     gt_v = np.stack([k.v for k in gts])
-    shortest = shortest_phenotype_lengths(gt_xy, gt_v, default_table())
+    shortest = shortest_phenotype_lengths(gt_xy, gt_v)
     small = shortest.mean(axis=0) < np.median(shortest.mean(axis=0))
     rng = np.random.default_rng(seed * 3 + 3)
     records = []

@@ -17,7 +17,7 @@ from phenokey.anatomy import (
     visible_bbox,
 )
 from phenokey.dataset import Dataset
-from phenokey.errors import DegeneratePoseError
+from phenokey.errors import DegeneratePoseError, SchemaError
 from phenokey.schema import KEYPOINT_COUNT
 from phenokey.synth import TEMPLATES, generate_population
 
@@ -145,6 +145,46 @@ def test_prior_dict_roundtrip():
     assert np.array_equal(again.mins, prior.mins)
     assert np.array_equal(again.maxs, prior.maxs)
     assert again.training_set_size == prior.training_set_size
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("x_min", float("nan"), "extremes[3]: field 'x_min' must be a number in [0, 1], got nan"),
+        ("y_max", 1.5, "extremes[3]: field 'y_max' must be a number in [0, 1], got 1.5"),
+        ("keypoint", True, "extremes[3]: field 'keypoint' must be an integer in 1..22, got True"),
+        ("x_max", -1, "extremes[3]: field 'x_max' must be a number in [0, 1], got -1"),
+        ("x_min", "0.1", "extremes[3]: field 'x_min' must be a number in [0, 1], got '0.1'"),
+    ],
+    ids=["nan", "above-1", "bool-keypoint", "negative", "string"],
+)
+def test_prior_from_dict_names_the_bad_entry_and_field(field, value, message):
+    doc = prior_to_dict(fit_prior(generate_population(TEMPLATES["elongate"], 6, seed=1)))
+    doc["extremes"][3][field] = value
+    with pytest.raises(SchemaError) as info:
+        prior_from_dict(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc["extremes"].pop(), "field 'extremes' must be a list of 22 entries"),
+        (lambda doc: doc["extremes"][5].pop("y_min"), "extremes[5]: missing field 'y_min'"),
+        (lambda doc: doc["extremes"].__setitem__(2, 7), "extremes[2]: missing field 'keypoint'"),
+        (lambda doc: doc.pop("training_set_size"), "missing field 'training_set_size'"),
+        (lambda doc: doc.update(training_set_size=0), "field 'training_set_size' must be a positive integer, got 0"),
+        (lambda doc: doc["extremes"][4].update(y_min=1.0, y_max=0.0),
+         "extremes[4]: field 'x_min' or 'y_min' exceeds its 'x_max' or 'y_max'"),
+    ],
+    ids=["21-entries", "no-y_min", "entry-not-an-object", "no-size", "zero-size", "min-above-max"],
+)
+def test_prior_from_dict_rejects_malformed_documents(mutate, message):
+    doc = prior_to_dict(fit_prior(generate_population(TEMPLATES["elongate"], 6, seed=1)))
+    mutate(doc)
+    with pytest.raises(SchemaError) as info:
+        prior_from_dict(doc)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

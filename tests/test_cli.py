@@ -174,6 +174,31 @@ def test_prior_species_filter_errors_when_empty(synth_files, tmp_path, capsys):
     assert "grouper" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutate, named",
+    [
+        (lambda doc: {k: v for k, v in doc.items() if k != "extremes"}, "missing field 'extremes'"),
+        (lambda doc: [1], "missing field 'extremes'"),
+        (lambda doc: dict(doc, extremes=[dict(doc["extremes"][0], keypoint=99), *doc["extremes"][1:]]),
+         "extremes[0]: field 'keypoint' must be an integer in 1..22, got 99"),
+        (lambda doc: dict(doc, extremes=[dict(e, keypoint=1) for e in doc["extremes"]]),
+         "extremes[1]: field 'keypoint' repeats K-1"),
+    ],
+    ids=["no-extremes", "not-an-object", "keypoint-99", "keypoint-1-twice"],
+)
+def test_acr_rejects_a_bad_prior_file_naming_file_and_field(synth_files, tmp_path, capsys, mutate, named):
+    gt, pred = synth_files
+    prior = tmp_path / "prior.json"
+    assert main(["prior", "--train", str(gt), "--out", str(prior)]) == 0
+    prior.write_text(json.dumps(mutate(json.loads(prior.read_text()))))
+    capsys.readouterr()
+    out = tmp_path / "acr.json"
+    assert main(["acr", "--pred", str(pred), "--prior", str(prior), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: prior file {prior}: {named}\n"
+    assert not out.exists()
+
+
 def test_train_toy_writes_trace(tmp_path):
     trace = tmp_path / "trace.csv"
     assert main(["train-toy", "--seed", "1", "--steps", "40", "--lr", "2.0",

@@ -127,6 +127,15 @@ def test_metrics_without_phenotypes_never_build_the_phenotype_table(monkeypatch)
     assert pck([pred], [gt]).mean() == pytest.approx(21 / 22)
 
 
+@pytest.mark.parametrize("metric", [pck, pmp, oks_per_image])
+def test_list_metrics_pair_by_position_and_reject_mismatched_lists(metric):
+    gts = [_box_gt(1), _box_gt(2)]
+    with pytest.raises(ValueError, match="got 1 predictions for 2 ground truths"):
+        metric(gts[:1], gts)
+    with pytest.raises(ValueError, match="id mismatch: 2 vs 1"):
+        metric(gts[::-1], gts)
+
+
 # ---------------------------------------------------------------------------
 # PCK
 

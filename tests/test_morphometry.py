@@ -50,6 +50,14 @@ def test_related_sets():
     assert tuple(d.abbrev for d in TABLE.related(22)) == ("DFH",)
 
 
+def test_default_table_is_one_shared_read_only_table():
+    assert default_table() is default_table()
+    arrays = [TABLE.endpoint_index, *(TABLE.related_index(j) for j in range(1, KEYPOINT_COUNT + 1))]
+    assert not any(arr.flags.writeable for arr in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        TABLE.endpoint_index[0, 0] = 5
+
+
 def test_def_rejects_identical_endpoints():
     with pytest.raises(ValueError, match="distinct"):
         PhenotypeDef("XX", "broken", (3, 3))
@@ -100,7 +108,7 @@ def test_measure_symmetric_and_rigid_invariant():
 
 
 def test_measure_all_full_visibility():
-    measured, skipped = measure_all(make_keypoints(), TABLE)
+    measured, skipped = measure_all(make_keypoints())
     assert len(measured) == 23
     assert skipped == []
 
@@ -108,14 +116,14 @@ def test_measure_all_full_visibility():
 def test_measure_all_hidden_k22_skips_only_dfh():
     v = np.full(KEYPOINT_COUNT, 2)
     v[21] = 0
-    measured, skipped = measure_all(make_keypoints(v=v), TABLE)
+    measured, skipped = measure_all(make_keypoints(v=v))
     assert len(measured) == 22
     assert [s.abbrev for s in skipped] == ["DFH"]
     assert skipped[0].missing_keypoint == 22
 
 
 def test_measure_all_nothing_visible():
-    measured, skipped = measure_all(make_keypoints(v=np.zeros(KEYPOINT_COUNT, dtype=int)), TABLE)
+    measured, skipped = measure_all(make_keypoints(v=np.zeros(KEYPOINT_COUNT, dtype=int)))
     assert measured == []
     assert len(skipped) == 23
 
@@ -123,14 +131,14 @@ def test_measure_all_nothing_visible():
 def test_shortest_related_picks_eye_diameter():
     # SnL (K-1..K-11) = 120, ED (K-11..K-12) = 40
     kp = make_keypoints(overrides={1: (0.0, 0.0), 11: (120.0, 0.0), 12: (160.0, 0.0)})
-    m = shortest_related_phenotype(11, kp, TABLE)
+    m = shortest_related_phenotype(11, kp)
     assert m.abbrev == "ED"
     assert m.value == 40.0
 
 
 def test_shortest_related_tail_fin():
     kp = make_keypoints(overrides={1: (0.0, 0.0), 9: (500.0, 0.0), 10: (410.0, 0.0)})
-    m = shortest_related_phenotype(9, kp, TABLE)
+    m = shortest_related_phenotype(9, kp)
     assert m.abbrev == "TFL"
     assert m.value == 90.0
 
@@ -140,7 +148,7 @@ def test_shortest_related_no_measurable_errors():
     v[19] = 0  # K-20 hidden; K-22's only phenotype DFH needs it
     kp = make_keypoints(v=v)
     with pytest.raises(NoMeasurablePhenotypeError, match="K-22"):
-        shortest_related_phenotype(22, kp, TABLE)
+        shortest_related_phenotype(22, kp)
 
 
 def test_shortest_related_is_minimum_of_related():
@@ -148,7 +156,7 @@ def test_shortest_related_is_minimum_of_related():
     for _ in range(10):
         kp = make_keypoints(xy=rng.uniform(10, 900, size=(KEYPOINT_COUNT, 2)))
         for j in range(1, KEYPOINT_COUNT + 1):
-            shortest = shortest_related_phenotype(j, kp, TABLE)
+            shortest = shortest_related_phenotype(j, kp)
             for pdef in TABLE.related(j):
                 assert shortest.value <= measure(kp, pdef).value
 
@@ -156,4 +164,4 @@ def test_shortest_related_is_minimum_of_related():
 def test_shortest_related_tie_breaks_by_table_order():
     # SnL and ED both measure 40 for K-11: SnL comes first in the table
     kp = make_keypoints(overrides={1: (0.0, 0.0), 11: (40.0, 0.0), 12: (80.0, 0.0)})
-    assert shortest_related_phenotype(11, kp, TABLE).abbrev == "SnL"
+    assert shortest_related_phenotype(11, kp).abbrev == "SnL"

@@ -4,7 +4,6 @@ import pytest
 from phenokey.anatomy import fit_prior, normalize
 from phenokey.dataset import Dataset, FishImageRecord, KeypointSet, validate
 from phenokey.metrics import pmp, shortest_phenotype_lengths
-from phenokey.morphometry import default_table
 from phenokey.schema import KEYPOINT_COUNT
 from phenokey.synth import (
     TEMPLATES,
@@ -148,7 +147,6 @@ def test_perturbed_dataset_serializes(tmp_path):
 
 def _perturb_one_fish_at_a_time(gt, model):
     """Reference perturbation: phenotype lengths computed for each fish on its own."""
-    table = default_table()
     records = []
     for idx, rec in enumerate(gt):
         rng = np.random.default_rng([int(model.seed), idx, 7919])
@@ -156,7 +154,7 @@ def _perturb_one_fish_at_a_time(gt, model):
         if model.mode == "uniform_px":
             noise = rng.uniform(-model.magnitude, model.magnitude, size=(KEYPOINT_COUNT, 2))
         else:
-            pheno = shortest_phenotype_lengths(kp.xy[None], kp.v[None], table)[0]
+            pheno = shortest_phenotype_lengths(kp.xy[None], kp.v[None])[0]
             sigma = np.where(np.isfinite(pheno), model.magnitude * pheno, 0.0)
             noise = _truncated_normal(rng, (KEYPOINT_COUNT, 2)) * sigma[:, None]
         xy = np.maximum(kp.xy + noise, 0.0)
