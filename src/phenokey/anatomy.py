@@ -20,7 +20,8 @@ import numpy as np
 
 from .dataset import Dataset, KeypointSet
 from .errors import DegeneratePoseError, SchemaError
-from .schema import KEYPOINT_COUNT
+from .jsontext import doc_field
+from .schema import KEYPOINT_COUNT, SPECIES
 
 
 def visible_corners(xy, v) -> tuple[np.ndarray, np.ndarray]:
@@ -227,36 +228,34 @@ def prior_to_dict(prior: AnatomicalPrior) -> dict:
     }
 
 
-def _field(obj, key: str, where: str = ""):
-    if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"{where}missing field {key!r}")
-    return obj[key]
-
-
 def prior_from_dict(doc) -> AnatomicalPrior:
     """Inverse of :func:`prior_to_dict`; a malformed document raises :class:`SchemaError` naming the field.
 
     Entries are named as ``extremes[n]``. Keypoint numbers cover 1..22 once; extremes lie in [0, 1], min <= max.
+    ``species``, ``other`` when absent, is one of :data:`~phenokey.schema.SPECIES`.
     """
-    entries = _field(doc, "extremes")
+    entries = doc_field(doc, "extremes")
     if not isinstance(entries, list) or len(entries) != KEYPOINT_COUNT:
         raise SchemaError(f"field 'extremes' must be a list of {KEYPOINT_COUNT} entries")
     extremes = np.full((KEYPOINT_COUNT, 4), np.nan)  # x_min, y_min, x_max, y_max; NaN until an entry sets them
     for n, entry in enumerate(entries):
         where = f"extremes[{n}]: "
-        k = _field(entry, "keypoint", where)
+        k = doc_field(entry, "keypoint", where)
         if type(k) is not int or not 1 <= k <= KEYPOINT_COUNT:
             raise SchemaError(f"{where}field 'keypoint' must be an integer in 1..{KEYPOINT_COUNT}, got {k!r}")
         if not np.isnan(extremes[k - 1, 0]):
             raise SchemaError(f"{where}field 'keypoint' repeats K-{k}")
         for c, key in enumerate(("x_min", "y_min", "x_max", "y_max")):
-            x = _field(entry, key, where)
+            x = doc_field(entry, key, where)
             if type(x) not in (int, float) or not 0 <= x <= 1:
                 raise SchemaError(f"{where}field {key!r} must be a number in [0, 1], got {x!r}")
             extremes[k - 1, c] = x
         if (extremes[k - 1, :2] > extremes[k - 1, 2:]).any():
             raise SchemaError(f"{where}field 'x_min' or 'y_min' exceeds its 'x_max' or 'y_max'")
-    size = _field(doc, "training_set_size")
+    size = doc_field(doc, "training_set_size")
     if type(size) is not int or size < 1:
         raise SchemaError(f"field 'training_set_size' must be a positive integer, got {size!r}")
-    return AnatomicalPrior(extremes[:, :2], extremes[:, 2:], size, doc.get("species", "other"))
+    species = doc.get("species", "other")
+    if species not in SPECIES:
+        raise SchemaError(f"field 'species' must be one of {', '.join(SPECIES)}, got {species!r}")
+    return AnatomicalPrior(extremes[:, :2], extremes[:, 2:], size, species)

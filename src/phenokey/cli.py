@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -22,12 +22,13 @@ import numpy as np
 from . import __version__
 from .anatomy import acr_hinge, dataset_boxes, fit_prior, prior_from_dict, prior_to_dict
 from .dataset import parse_coco, serialize_coco, validate
-from .errors import DivergenceError, PhenokeyError, SchemaError
-from .jsontext import dumps, same_shape_texts
+from .errors import DivergenceError, IntegrityError, PhenokeyError, SchemaError
+from .jsontext import doc_field, dumps, read_json, same_shape_texts
 from .metrics import (
+    METRICS,
     PCK_SCALE_MODES,
     EvalConfig,
-    _deviations,
+    _paired_datasets,
     evaluate_datasets,
     phenotype_value_pairs,
     report_to_dict,
@@ -63,13 +64,17 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+# the header of the `measure` CSV, which `report` reads back
+MEASURE_HEADER = ("image_id", "abbrev", "value_px", "status")
+
+
 def _cmd_measure(args) -> int:
     dataset = parse_coco(args.input)
     table = default_table()
     lengths = phenotype_lengths(dataset.xy, dataset.v, table.endpoint_index).tolist()
     hidden = hidden_endpoints(dataset.v).tolist()
     abbrevs = table.abbrevs()
-    rows = [("image_id", "abbrev", "value_px", "status")]
+    rows = [MEASURE_HEADER]
     for image_id, rec_lengths, rec_hidden in zip(dataset.image_ids, lengths, hidden):
         for abbrev, value, missing in zip(abbrevs, rec_lengths, rec_hidden):
             # csv writes a float as str(value), which is its repr
@@ -89,21 +94,22 @@ def _cmd_measure(args) -> int:
 _CONFIG_KEYS = tuple(f.name for f in fields(EvalConfig))
 
 
+def _config_values(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise SchemaError("config must be a JSON object")
+    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    if unknown:
+        raise SchemaError(
+            f"unknown config key(s) {', '.join(map(repr, unknown))}; known keys are {', '.join(_CONFIG_KEYS)}"
+        )
+    return doc
+
+
 def _eval_config(args) -> EvalConfig:
     # precedence: flags > config file > defaults
     values = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise PhenokeyError(f"{args.config}: config must be a JSON object")
-        unknown = sorted(set(file_cfg) - set(_CONFIG_KEYS))
-        if unknown:
-            raise PhenokeyError(
-                f"{args.config}: unknown config key(s) {', '.join(map(repr, unknown))}; "
-                f"known keys are {', '.join(_CONFIG_KEYS)}"
-            )
-        values.update(file_cfg)
+        values.update(read_json(args.config, _config_values))
     if args.r is not None:
         values["pmp_threshold"] = args.r
         if args.pck_threshold is None:
@@ -114,8 +120,6 @@ def _eval_config(args) -> EvalConfig:
         values["pck_scale_mode"] = args.pck_scale
     if getattr(args, "oks_scale", None) is not None:
         values["oks_scale"] = args.oks_scale
-    if "oks_k" in values:
-        values["oks_k"] = tuple(values["oks_k"])
     return EvalConfig(**values)
 
 
@@ -123,17 +127,20 @@ def _oks_entry_texts(entries, depth: int) -> list[str]:
     return same_shape_texts(entries, depth, lambda e: (e["image_id"], e["oks"]))
 
 
+@contextmanager
+def _predictions(path):
+    """The prediction file ``path``, parsed; in the block, a ground-truth image it lacks is named with the file."""
+    try:
+        yield parse_coco(path)
+    except IntegrityError as exc:
+        raise IntegrityError(f"prediction file {path}: {exc}") from exc
+
+
 def _cmd_evaluate(args) -> int:
     gt = parse_coco(args.gt)
-    pred = parse_coco(args.pred)
     cfg = _eval_config(args)
-    metrics = {
-        "oks": ("oks",),
-        "pck": ("pck",),
-        "pmp": ("pmp",),
-        "all": ("oks", "pck", "pmp", "phenotypes"),
-    }[args.metric]
-    report = evaluate_datasets(gt, pred, cfg, metrics=metrics)
+    with _predictions(args.pred) as pred:
+        report = evaluate_datasets(gt, pred, cfg, metrics=METRICS if args.metric == "all" else (args.metric,))
     doc = report_to_dict(report)
     doc["metric"] = args.metric
     _write_json(args.out, doc, {("oks", "per_image"): _oks_entry_texts})
@@ -163,11 +170,7 @@ def _acr_entry_texts(entries, depth: int) -> list[str]:
 
 def _cmd_acr(args) -> int:
     pred = parse_coco(args.pred)
-    try:
-        with open(args.prior, encoding="utf-8") as fh:
-            prior = prior_from_dict(json.load(fh))
-    except (ValueError, SchemaError) as exc:  # a malformed JSON text raises ValueError
-        raise SchemaError(f"prior file {args.prior}: {exc}") from exc
+    prior = read_json(args.prior, prior_from_dict, name=f"prior file {args.prior}")
     violations, grad = acr_hinge(pred.xy, dataset_boxes(prior, pred))
     # each image's loss sums its 44 contiguous hinge values; the total adds them left to right
     losses = violations.reshape(len(pred), -1).sum(axis=1).tolist()
@@ -228,34 +231,47 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    if args.kind == "scatter" and len(args.pred) > 1:
+        sys.stderr.write("error: a scatter plot takes one --pred\n")
+        return 2
     gt = parse_coco(args.gt)
-    if args.kind == "scatter":
-        pred = parse_coco(args.pred[0].split("=", 1)[-1])
-        gt_vals, pred_vals = phenotype_value_pairs(gt, pred, args.phenotype)
-        plot_scatter(list(zip(gt_vals, pred_vals)), args.out, title=args.phenotype)
-    else:
-        deviations = {}
-        for spec_item in args.pred:
-            label, _, path = spec_item.partition("=")
-            if not path:
-                label, path = spec_item, spec_item
-            pred = parse_coco(path)
-            rows = pred.rows_for(gt.image_ids)
-            if (rows < 0).any():
-                missing = gt.image_ids[int(np.argmax(rows < 0))]
-                raise PhenokeyError(f"prediction file {path} missing image {missing!r}")
-            deviations[label] = _deviations(pred.xy[rows], gt.xy)[gt.v > 0].tolist()
-        plot_deviation_summary(deviations, args.out, csv_path=args.csv)
+    deviations = {}
+    for spec_item in args.pred:
+        label, _, path = spec_item.partition("=")
+        if not path:
+            label, path = spec_item, spec_item
+        with _predictions(path) as pred:
+            if args.kind == "scatter":
+                values = zip(*phenotype_value_pairs(gt, pred, args.phenotype))
+                plot_scatter(list(values), args.out, title=args.phenotype)
+                return 0
+            pairs = _paired_datasets(gt, pred)
+        # a non-finite predicted coordinate is a miss, as in `evaluate`, with no place on a pixel axis
+        finite = np.isfinite(pairs.pred_xy).all(axis=-1)[pairs.annotated]
+        if not finite.all():
+            sys.stderr.write(f"{label}: {int((~finite).sum())} non-finite predicted keypoints left out\n")
+        if not finite.any():
+            raise PhenokeyError(f"{label}: no finite deviation to plot")
+        deviations[label] = pairs.deviations[pairs.annotated][finite].tolist()
+    plot_deviation_summary(deviations, args.out, csv_path=args.csv)
     return 0
 
 
+def _evaluation(doc) -> dict:
+    """An `evaluate` report, recognised by its schema version and sample count."""
+    if doc_field(doc, "schema_version") != 1:
+        raise SchemaError(f"field 'schema_version' must be 1, got {doc['schema_version']!r}")
+    doc_field(doc, "n_samples")
+    return doc
+
+
 def _cmd_report(args) -> int:
-    with open(args.evaluation, encoding="utf-8") as fh:
-        evaluation = json.load(fh)
-    measurements = []
+    evaluation = read_json(args.evaluation, _evaluation)
     with open(args.measures, encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            measurements.append(row)
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != MEASURE_HEADER:
+            raise SchemaError(f"{args.measures}: header must be {','.join(MEASURE_HEADER)}, got {reader.fieldnames}")
+        measurements = list(reader)
     _write_json(
         args.out,
         {"schema_version": 1, "evaluation": evaluation, "measurements": measurements},
@@ -333,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["scatter", "deviation"], required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", action="append", required=True,
-                   help="prediction file; for deviation plots use LABEL=FILE, repeatable")
-    p.add_argument("--phenotype", default="TL", help="phenotype abbreviation for scatter plots")
+                   help="prediction file, as LABEL=FILE or FILE; repeatable for deviation plots")
+    p.add_argument("--phenotype", choices=default_table().abbrevs(), default="TL",
+                   help="phenotype abbreviation for scatter plots")
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None, help="quantile CSV path (deviation plots)")
     p.set_defaults(fn=_cmd_plot)

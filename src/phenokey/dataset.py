@@ -21,7 +21,6 @@ leaves it open): the five species tags as categories 1..5, each listing the
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ from .errors import (
     PhenokeyWarning,
     SchemaError,
 )
-from .jsontext import dumps, same_shape_texts
+from .jsontext import dumps, read_json, same_shape_texts
 from .schema import KEYPOINT_COUNT, KEYPOINT_NAMES, SPECIES, normalize_species
 
 TRIPLET_LEN = 3 * KEYPOINT_COUNT
@@ -72,13 +71,6 @@ class KeypointSet:
     def visible(self) -> np.ndarray:
         """Boolean mask over the 22 keypoints with v > 0."""
         return self.v > 0
-
-    def point(self, index: int) -> tuple[float, float, int]:
-        """(x, y, v) of the 1-based keypoint ``index``."""
-        if not 1 <= index <= KEYPOINT_COUNT:
-            raise KeyError(f"keypoint index must be in 1..{KEYPOINT_COUNT}, got {index}")
-        x, y = self.xy[index - 1]
-        return float(x), float(y), int(self.v[index - 1])
 
     def __eq__(self, other):
         if not isinstance(other, KeypointSet):
@@ -219,11 +211,6 @@ class Dataset:
             self.role,
         )
 
-    def rows_for(self, image_ids) -> np.ndarray:
-        """Row holding each of ``image_ids`` (the last one, for a repeated id); -1 where absent."""
-        row = {image_id: k for k, image_id in enumerate(self.image_ids)}
-        return np.array([row.get(image_id, -1) for image_id in image_ids], dtype=np.intp)
-
     def __len__(self):
         return len(self.image_ids)
 
@@ -350,12 +337,7 @@ def parse_coco(path) -> Dataset:
     lists of all annotations are then decoded into the columns at once. An
     error names the first offending annotation in file order.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: malformed document at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object, got {type(doc).__name__}")
     for key in ("images", "annotations"):

@@ -1,4 +1,4 @@
-"""``json.dumps(obj, indent=2)`` text built with the C encoder.
+"""The JSON reader of every input file, and ``json.dumps(obj, indent=2)`` text built with the C encoder.
 
 Python's ``json`` module drops to its pure-Python encoder whenever ``indent``
 is set. Here the C encoder writes every flat container (a list or dict whose
@@ -16,7 +16,34 @@ from __future__ import annotations
 import json
 from functools import cache
 
+from .errors import ParseError, SchemaError
+
 _CONTAINERS = (dict, list, tuple)
+
+
+def read_json(path, decode=lambda doc: doc, name=None):
+    """The document in the JSON file ``path``, passed through ``decode``.
+
+    Errors start with ``name``, the path by default: a malformed text raises :class:`ParseError` naming its line
+    and column, and a :class:`SchemaError` from ``decode`` is raised again with the name in front.
+    """
+    name = path if name is None else name
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{name}: malformed document at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    try:
+        return decode(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{name}: {exc}") from exc
+
+
+def doc_field(doc, key: str, where: str = ""):
+    """``doc[key]`` of a decoded object; a missing key, or a ``doc`` that is no object, raises :class:`SchemaError`."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise SchemaError(f"{where}missing field {key!r}")
+    return doc[key]
 
 
 @cache

@@ -27,7 +27,7 @@ position, not by image id: a length or image-id mismatch raises ``ValueError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -40,9 +40,12 @@ from .schema import KEYPOINT_COUNT
 
 PCK_SCALE_MODES = ("head", "torso", "bbox_diagonal")
 
-# Scale endpoints (1-based): head = snout tip to operculum; torso, which fish
-# lack in the human-pose sense, is read as the standard-length axis.
-_SCALE_ENDPOINTS = {"head": (1, 2), "torso": (1, 10)}
+# Scale phenotypes: head = snout tip to operculum; torso, which fish lack in
+# the human-pose sense, is read as the standard-length axis.
+_SCALE_PHENOTYPES = {"head": "HL", "torso": "SL"}
+
+# What evaluate_datasets computes by default, and `evaluate --metric all`.
+METRICS = ("oks", "pck", "pmp", "phenotypes")
 
 DEFAULT_OKS_K = 0.025
 
@@ -68,9 +71,6 @@ class EvalConfig:
         if len(k) != KEYPOINT_COUNT or any(v <= 0 for v in k):
             raise ValueError(f"oks_k must hold {KEYPOINT_COUNT} positive values")
         object.__setattr__(self, "oks_k", k)
-
-    def k_array(self) -> np.ndarray:
-        return np.asarray(self.oks_k, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +195,14 @@ class PerKeypointResult:
 
     def mean(self) -> float | None:
         """Mean over defined keypoints (the aggregate 'All' figure)."""
-        defined = ~np.isnan(self.values)
-        if not defined.any():
-            return None
-        return float(self.values[defined].mean())
+        return _defined_mean(self.values)
+
+
+def _defined_mean(values) -> float | None:
+    """Mean of the values that are neither NaN nor None; None when there are none."""
+    arr = np.array(values, dtype=np.float64)
+    defined = arr[~np.isnan(arr)]
+    return float(defined.mean()) if defined.size else None
 
 
 def _paired_arrays(preds, gts) -> _Pairs:
@@ -246,6 +250,8 @@ def _similarity(d, s, k):
 
 
 def _fractions(correct, counted, skips) -> PerKeypointResult:
+    if correct.shape[0] == 0:
+        raise UndefinedMetricError("no samples to evaluate")
     counts = counted.sum(axis=0)
     values = np.full(KEYPOINT_COUNT, np.nan)
     nonzero = counts > 0
@@ -257,17 +263,14 @@ def _pck_scales(pairs: _Pairs, mode) -> np.ndarray:
     if mode == "bbox_diagonal":
         missing = ~pairs.annotated.any(axis=1)
         reason = "no visible keypoints for scale"
-    else:
-        a, b = _SCALE_ENDPOINTS[mode]
-        missing = (pairs.gt_v[:, a - 1] <= 0) | (pairs.gt_v[:, b - 1] <= 0)
-        reason = f"scale endpoints K-{a}/K-{b} not visible"
-    if missing.any():
-        raise DegenerateScaleError(f"image {pairs.image_ids[np.argmax(missing)]!r}: {reason}")
-    if mode == "bbox_diagonal":
         h = pairs.diagonals
     else:
-        span = pairs.gt_xy[:, b - 1] - pairs.gt_xy[:, a - 1]
-        h = np.array([math.hypot(w, z) for w, z in span.tolist()], dtype=np.float64)
+        a, b = default_table()[_SCALE_PHENOTYPES[mode]].endpoints
+        missing = (pairs.gt_v[:, a - 1] <= 0) | (pairs.gt_v[:, b - 1] <= 0)
+        reason = f"scale endpoints K-{a}/K-{b} not visible"
+        h = phenotype_lengths(pairs.gt_xy, pairs.gt_v, np.array([[a - 1], [b - 1]]))[:, 0]
+    if missing.any():
+        raise DegenerateScaleError(f"image {pairs.image_ids[np.argmax(missing)]!r}: {reason}")
     zero = np.flatnonzero(h == 0.0)
     if zero.size:
         raise DegenerateScaleError(f"image {pairs.image_ids[zero[0]]!r}: scale factor is 0")
@@ -275,16 +278,12 @@ def _pck_scales(pairs: _Pairs, mode) -> np.ndarray:
 
 
 def _pck(pairs: _Pairs, cfg: EvalConfig) -> PerKeypointResult:
-    if pairs.n == 0:
-        raise UndefinedMetricError("no samples to evaluate")
     h = _pck_scales(pairs, cfg.pck_scale_mode)
     correct = (pairs.deviations / h[:, None] < cfg.pck_threshold) & pairs.annotated
     return _fractions(correct, pairs.annotated, np.zeros(KEYPOINT_COUNT, dtype=np.int64))
 
 
 def _pmp(pairs: _Pairs, cfg: EvalConfig) -> PerKeypointResult:
-    if pairs.n == 0:
-        raise UndefinedMetricError("no samples to evaluate")
     pheno = pairs.shortest_phenotypes
     evaluable = pairs.annotated & np.isfinite(pheno) & (pheno > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -297,7 +296,7 @@ def _oks(pairs: _Pairs, cfg: EvalConfig) -> list[float | None]:
     s = pairs.diagonals if cfg.oks_scale is None else np.full(pairs.n, float(cfg.oks_scale))
     defined = pairs.annotated.any(axis=1) & (s > 0)
     with np.errstate(all="ignore"):
-        sim = np.where(pairs.annotated, _similarity(pairs.deviations, s[:, None], cfg.k_array()), 0.0)
+        sim = np.where(pairs.annotated, _similarity(pairs.deviations, s[:, None], np.array(cfg.oks_k)), 0.0)
         values = sim.sum(axis=1) / pairs.annotated.sum(axis=1)
     return [v if ok else None for v, ok in zip(values.tolist(), defined.tolist())]
 
@@ -330,8 +329,9 @@ def oks_per_image(preds, gts, cfg: EvalConfig | None = None) -> list[float | Non
 
 
 def _paired_datasets(gt: Dataset, pred: Dataset) -> _Pairs:
-    """Each ground-truth row with the prediction row of the same image id."""
-    rows = pred.rows_for(gt.image_ids)
+    """Each ground-truth row with the prediction row of the same image id (the last one, for a repeated id)."""
+    row = {image_id: k for k, image_id in enumerate(pred.image_ids)}
+    rows = np.array([row.get(image_id, -1) for image_id in gt.image_ids], dtype=np.intp)
     missing = [gt.image_ids[n] for n in np.flatnonzero(rows < 0)[:5].tolist()]
     if missing:
         raise IntegrityError(f"predictions missing for image ids {missing!r}")
@@ -412,28 +412,17 @@ def evaluate_datasets(
     gt: Dataset,
     pred: Dataset,
     cfg: EvalConfig | None = None,
-    metrics: tuple = ("oks", "pck", "pmp", "phenotypes"),
+    metrics: tuple = METRICS,
 ) -> MetricReport:
     """Score a prediction dataset against ground truth on the chosen metrics."""
     cfg = cfg or EvalConfig()
     pairs = _paired_datasets(gt, pred)
-
-    oks_vals: list = []
-    oks_mean = None
-    pck_res = pmp_res = None
-    phen: dict = {}
+    oks_vals = _oks(pairs, cfg) if "oks" in metrics else []
+    pck_res = _pck(pairs, cfg) if "pck" in metrics else None
+    pmp_res = _pmp(pairs, cfg) if "pmp" in metrics else None
+    phen = _phenotype_stats(pairs) if "phenotypes" in metrics else {}
     mmape_arr = None
-
-    if "oks" in metrics:
-        oks_vals = _oks(pairs, cfg)
-        defined = [v for v in oks_vals if v is not None]
-        oks_mean = float(np.mean(defined)) if defined else None
-    if "pck" in metrics:
-        pck_res = _pck(pairs, cfg)
-    if "pmp" in metrics:
-        pmp_res = _pmp(pairs, cfg)
-    if "phenotypes" in metrics:
-        phen = _phenotype_stats(pairs)
+    if phen:
         mapes = {abbrev: np.nan if s is None else s.mape for abbrev, s in phen.items()}
         mmape_arr = np.array([mmape(j, mapes) for j in range(1, KEYPOINT_COUNT + 1)])
     return MetricReport(
@@ -441,7 +430,7 @@ def evaluate_datasets(
         config=cfg,
         oks_image_ids=list(gt.image_ids),
         oks_per_image=oks_vals,
-        oks_mean=oks_mean,
+        oks_mean=_defined_mean(oks_vals),
         pck=pck_res,
         pmp=pmp_res,
         phenotypes=phen,
@@ -449,25 +438,17 @@ def evaluate_datasets(
     )
 
 
-def _none_if_nan(x) -> float | None:
-    x = float(x)
-    return None if math.isnan(x) else x
+def _per_keypoint(values: np.ndarray) -> dict:
+    """``{"K-1": ..., "K-22": ...}`` block of one per-keypoint array, with the mean over its defined values."""
+    return {
+        "per_keypoint": {f"K-{j}": None if math.isnan(v) else v for j, v in enumerate(values.tolist(), start=1)},
+        "mean": _defined_mean(values),
+    }
 
 
 def report_to_dict(report: MetricReport) -> dict:
     """JSON-ready form of a report; undefined entries become explicit nulls."""
-    cfg = report.config
-    out = {
-        "schema_version": 1,
-        "config": {
-            "pmp_threshold": cfg.pmp_threshold,
-            "pck_threshold": cfg.pck_threshold,
-            "pck_scale_mode": cfg.pck_scale_mode,
-            "oks_scale": cfg.oks_scale,
-            "oks_k": list(cfg.oks_k),
-        },
-        "n_samples": report.n_samples,
-    }
+    out = {"schema_version": 1, "config": asdict(report.config), "n_samples": report.n_samples}
     if report.oks_per_image:
         out["oks"] = {
             "mean": report.oks_mean,
@@ -479,37 +460,14 @@ def report_to_dict(report: MetricReport) -> dict:
     for name, res in (("pck", report.pck), ("pmp", report.pmp)):
         if res is not None:
             out[name] = {
-                "per_keypoint": {
-                    f"K-{j}": _none_if_nan(res.values[j - 1]) for j in range(1, KEYPOINT_COUNT + 1)
-                },
-                "mean": res.mean(),
+                **_per_keypoint(res.values),
                 "sample_counts": res.sample_counts.tolist(),
                 "skip_counts": res.skip_counts.tolist(),
             }
     if report.phenotypes:
         out["phenotypes"] = {
-            abbrev: (
-                None
-                if stats is None
-                else {
-                    "mape": stats.mape,
-                    "pearson": stats.pearson,
-                    "r2": stats.r2,
-                    "slope": stats.slope,
-                    "intercept": stats.intercept,
-                    "n_samples": stats.n_samples,
-                    "n_skipped": stats.n_skipped,
-                }
-            )
-            for abbrev, stats in report.phenotypes.items()
+            abbrev: None if stats is None else asdict(stats) for abbrev, stats in report.phenotypes.items()
         }
     if report.mmape_per_keypoint is not None:
-        defined = report.mmape_per_keypoint[~np.isnan(report.mmape_per_keypoint)]
-        out["mmape"] = {
-            "per_keypoint": {
-                f"K-{j}": _none_if_nan(report.mmape_per_keypoint[j - 1])
-                for j in range(1, KEYPOINT_COUNT + 1)
-            },
-            "mean": float(defined.mean()) if defined.size else None,
-        }
+        out["mmape"] = _per_keypoint(report.mmape_per_keypoint)
     return out

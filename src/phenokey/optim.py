@@ -80,9 +80,6 @@ class ToyPredictor:
         """(N, F) features -> (N, 44) coordinates."""
         return features @ self.weights.T + self.bias
 
-    def copy(self) -> "ToyPredictor":
-        return ToyPredictor(self.weights.copy(), self.bias.copy())
-
 
 @dataclass(frozen=True)
 class LossWeights:

@@ -13,13 +13,14 @@ never depend on generation order or scheduling.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
+from .errors import SchemaError
+from .jsontext import doc_field, read_json
 from .morphometry import shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT, SPECIES
 
@@ -132,15 +133,32 @@ TEMPLATES = {
 }
 
 
-def template_from_dict(doc: dict) -> SpeciesTemplate:
+def _numbers(doc, key: str, shape: tuple, default=None) -> np.ndarray:
+    """Field ``key`` of ``doc`` as float64 numbers of ``shape``; an optional field has a ``default``."""
+    value = doc_field(doc, key) if default is None else doc.get(key, default)
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape:
+        got = "non-numeric values" if arr is None else f"shape {arr.shape}"
+        raise SchemaError(f"field {key!r} must hold numbers of shape {shape}, got {got}")
+    return arr
+
+
+def template_from_dict(doc) -> SpeciesTemplate:
+    """Inverse of :func:`template_to_dict`; a malformed or invalid document raises :class:`SchemaError`."""
     tpl = SpeciesTemplate(
+        mean_layout=_numbers(doc, "mean_layout", (KEYPOINT_COUNT, 2)),
+        spread=_numbers(doc, "spread", (KEYPOINT_COUNT,)),
+        body_size_range=tuple(_numbers(doc, "body_size_range", (2,)).tolist()),
+        aspect=float(_numbers(doc, "aspect", (), default=0.5)),
         name=str(doc.get("name", "custom")),
-        mean_layout=np.asarray(doc["mean_layout"], dtype=np.float64),
-        spread=np.asarray(doc["spread"], dtype=np.float64),
-        body_size_range=tuple(doc["body_size_range"]),
-        aspect=float(doc.get("aspect", 0.5)),
     )
-    tpl.validate()
+    try:
+        tpl.validate()
+    except ValueError as exc:
+        raise SchemaError(f"invalid template: {exc}") from exc
     return tpl
 
 
@@ -158,8 +176,7 @@ def load_template(name_or_path: str) -> SpeciesTemplate:
     """Resolve a built-in template name or read one from a JSON file."""
     if name_or_path in TEMPLATES:
         return TEMPLATES[name_or_path]
-    with open(name_or_path, encoding="utf-8") as fh:
-        return template_from_dict(json.load(fh))
+    return read_json(name_or_path, template_from_dict)
 
 
 def _truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:

@@ -147,6 +147,16 @@ def test_prior_dict_roundtrip():
     assert again.training_set_size == prior.training_set_size
 
 
+@pytest.mark.parametrize("species, read", [(None, "other"), ("grouper", "grouper"), ("other", "other")])
+def test_prior_from_dict_reads_species_and_an_absent_one_as_other(species, read):
+    doc = prior_to_dict(fit_prior(generate_population(TEMPLATES["elongate"], 6, seed=1)))
+    if species is None:
+        del doc["species"]
+    else:
+        doc["species"] = species
+    assert prior_from_dict(doc).species == read
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

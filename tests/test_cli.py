@@ -8,7 +8,8 @@ from phenokey.cli import main
 from phenokey.dataset import Dataset, parse_coco, serialize_coco
 from phenokey.errors import DegenerateMeasurementWarning
 from phenokey.morphometry import default_table
-from phenokey.schema import KEYPOINT_COUNT
+from phenokey.schema import KEYPOINT_COUNT, SPECIES
+from phenokey.synth import TEMPLATES, template_to_dict
 
 from conftest import make_dataset, make_keypoints
 from oracles import oracle_phenotype_length
@@ -183,8 +184,10 @@ def test_prior_species_filter_errors_when_empty(synth_files, tmp_path, capsys):
          "extremes[0]: field 'keypoint' must be an integer in 1..22, got 99"),
         (lambda doc: dict(doc, extremes=[dict(e, keypoint=1) for e in doc["extremes"]]),
          "extremes[1]: field 'keypoint' repeats K-1"),
+        (lambda doc: dict(doc, species=5), f"field 'species' must be one of {', '.join(SPECIES)}, got 5"),
+        (lambda doc: dict(doc, species="salmon"), f"field 'species' must be one of {', '.join(SPECIES)}, got 'salmon'"),
     ],
-    ids=["no-extremes", "not-an-object", "keypoint-99", "keypoint-1-twice"],
+    ids=["no-extremes", "not-an-object", "keypoint-99", "keypoint-1-twice", "species-5", "species-salmon"],
 )
 def test_acr_rejects_a_bad_prior_file_naming_file_and_field(synth_files, tmp_path, capsys, mutate, named):
     gt, pred = synth_files
@@ -233,7 +236,7 @@ def test_plot_deviation_missing_image_is_data_error(synth_files, tmp_path, capsy
     assert main(["plot", "--kind", "deviation", "--gt", str(gt), "--pred", f"m={short}",
                  "--out", str(tmp_path / "dev.svg")]) == 1
     err = capsys.readouterr().err
-    assert f"prediction file {short} missing image 12" in err
+    assert err == f"error: prediction file {short}: predictions missing for image ids [12]\n"
     assert "Traceback" not in err
 
 
@@ -262,7 +265,7 @@ def test_evaluate_missing_prediction_is_data_error(synth_files, tmp_path, capsys
     capsys.readouterr()
     assert main(["evaluate", "--gt", str(gt), "--pred", str(short), "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
-    assert err == "error: predictions missing for image ids [12]\n"
+    assert err == f"error: prediction file {short}: predictions missing for image ids [12]\n"
     assert "Traceback" not in err
 
 
@@ -412,3 +415,211 @@ def test_whole_file_commands_never_build_record_views(synth_files, tmp_path, mon
     assert second.startswith("[positive_dimensions] image 4: width=0.0, height=")
     for argv in runs:
         assert main(argv) == 0, argv
+
+
+@pytest.mark.parametrize("flag", ["--gt", "--pred", "--config", "--prior", "--template", "--evaluation"])
+def test_every_json_input_names_its_file(synth_files, tmp_path, capsys, flag):
+    gt, pred = synth_files
+    prior, evaluation, measures = tmp_path / "prior.json", tmp_path / "eval.json", tmp_path / "m.csv"
+    assert main(["prior", "--train", str(gt), "--out", str(prior)]) == 0
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--metric", "pmp", "--out", str(evaluation)]) == 0
+    assert main(["measure", "--input", str(gt), "--out", str(measures)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text('{\n  "a": 1,\n  }\n')
+    files = {"--gt": gt, "--pred": pred, "--config": None, "--prior": prior, "--evaluation": evaluation, flag: bad}
+    argv = {
+        "--gt": ["evaluate", "--gt", str(files["--gt"]), "--pred", str(pred)],
+        "--pred": ["evaluate", "--gt", str(gt), "--pred", str(files["--pred"])],
+        "--config": ["evaluate", "--gt", str(gt), "--pred", str(pred), "--config", str(bad)],
+        "--prior": ["acr", "--pred", str(pred), "--prior", str(files["--prior"])],
+        "--template": ["synth", "--template", str(bad), "--n", "3", "--out", str(tmp_path / "s.json")],
+        "--evaluation": ["report", "--evaluation", str(files["--evaluation"]), "--measures", str(measures)],
+    }[flag]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(argv + (["--out", str(out)] if flag != "--template" else [])) == 1
+    name = f"prior file {bad}" if flag == "--prior" else str(bad)
+    assert capsys.readouterr().err == (
+        f"error: {name}: malformed document at line 3, column 3: Expecting property name enclosed in double quotes\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mutate, named",
+    [
+        (lambda doc: [1], "missing field 'mean_layout'"),
+        (lambda doc: {"name": "x"}, "missing field 'mean_layout'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "spread"}, "missing field 'spread'"),
+        (lambda doc: dict(doc, mean_layout=doc["mean_layout"][:3]),
+         "field 'mean_layout' must hold numbers of shape (22, 2), got shape (3, 2)"),
+        (lambda doc: dict(doc, body_size_range=["big", "small"]),
+         "field 'body_size_range' must hold numbers of shape (2,), got non-numeric values"),
+        (lambda doc: dict(doc, aspect=[0.5]), "field 'aspect' must hold numbers of shape (), got shape (1,)"),
+        (lambda doc: dict(doc, body_size_range=[900.0, 500.0]),
+         "invalid template: body_size_range must satisfy 0 < min <= max, got (900.0, 500.0)"),
+        (lambda doc: dict(doc, spread=[0.2] * KEYPOINT_COUNT),
+         "invalid template: mean_layout +/- 3*spread must stay within [0, 1] on both axes"),
+    ],
+    ids=["not-an-object", "name-only", "no-spread", "short-layout", "text-sizes", "list-aspect", "sizes-reversed",
+         "spread-too-wide"],
+)
+def test_synth_rejects_a_bad_template_file_naming_file_and_field(tmp_path, capsys, mutate, named):
+    template = tmp_path / "template.json"
+    template.write_text(json.dumps(mutate(template_to_dict(TEMPLATES["elongate"]))))
+    out = tmp_path / "s.json"
+    assert main(["synth", "--template", str(template), "--n", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {template}: {named}\n"
+    assert not out.exists()
+
+
+def test_synth_reads_a_good_template_file_like_the_built_in_one(tmp_path):
+    template = tmp_path / "template.json"
+    template.write_text(json.dumps(template_to_dict(TEMPLATES["elongate"])))
+    from_file, built_in = tmp_path / "file.json", tmp_path / "built_in.json"
+    assert main(["synth", "--template", str(template), "--n", "4", "--seed", "2", "--out", str(from_file)]) == 0
+    assert main(["synth", "--template", "elongate", "--n", "4", "--seed", "2", "--out", str(built_in)]) == 0
+    assert from_file.read_bytes() == built_in.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "evaluation_text, measures_text, bad, named",
+    [
+        ("[1, 2]", None, "evaluation", "missing field 'schema_version'"),
+        ('{"schema_version": 2, "n_samples": 12}', None, "evaluation", "field 'schema_version' must be 1, got 2"),
+        ('{"schema_version": 1}', None, "evaluation", "missing field 'n_samples'"),
+        (None, "a,b\n1,2\n", "measures", "header must be image_id,abbrev,value_px,status, got ['a', 'b']"),
+        (None, "", "measures", "header must be image_id,abbrev,value_px,status, got None"),
+    ],
+    ids=["list", "version-2", "no-n_samples", "header-a-b", "empty-csv"],
+)
+def test_report_rejects_what_evaluate_and_measure_do_not_write(
+    synth_files, tmp_path, capsys, evaluation_text, measures_text, bad, named
+):
+    gt, pred = synth_files
+    evaluation, measures = tmp_path / "eval.json", tmp_path / "m.csv"
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--metric", "pmp", "--out", str(evaluation)]) == 0
+    assert main(["measure", "--input", str(gt), "--out", str(measures)]) == 0
+    if evaluation_text is not None:
+        evaluation.write_text(evaluation_text)
+    if measures_text is not None:
+        measures.write_text(measures_text)
+    out = tmp_path / "combined.json"
+    capsys.readouterr()
+    assert main(["report", "--evaluation", str(evaluation), "--measures", str(measures), "--out", str(out)]) == 1
+    path = evaluation if bad == "evaluation" else measures
+    assert capsys.readouterr().err == f"error: {path}: {named}\n"
+    assert not out.exists()
+
+
+def _deviation_quantiles_by_hand(gt_path, pred_path):
+    gt_doc, pred_doc = json.loads(gt_path.read_text()), json.loads(pred_path.read_text())
+    values = []
+    for g, p in zip(gt_doc["annotations"], pred_doc["annotations"]):
+        assert g["image_id"] == p["image_id"]
+        for i in range(KEYPOINT_COUNT):
+            gx, gy, gv = g["keypoints"][3 * i:3 * i + 3]
+            px, py, _ = p["keypoints"][3 * i:3 * i + 3]
+            if gv > 0 and np.isfinite(px) and np.isfinite(py):
+                values.append(float(np.hypot(px - gx, py - gy)))
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return [min(values), q1, med, q3, max(values)]
+
+
+def test_plot_deviation_leaves_out_nonfinite_predictions_and_counts_them(synth_files, tmp_path, capsys):
+    gt, pred = synth_files
+    doc = json.loads(pred.read_text())
+    doc["annotations"][0]["keypoints"][3 * 4] = float("inf")       # image 1, K-5 x
+    doc["annotations"][5]["keypoints"][3 * 7 + 1] = float("nan")   # image 6, K-8 y
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    svg, table = tmp_path / "dev.svg", tmp_path / "dev.csv"
+    capsys.readouterr()
+    assert main(["plot", "--kind", "deviation", "--gt", str(gt), "--pred", f"m={bad}",
+                 "--out", str(svg), "--csv", str(table)]) == 0
+    assert capsys.readouterr().err == "m: 2 non-finite predicted keypoints left out\n"
+    header, row = table.read_text().splitlines()
+    assert row.split(",")[0] == "m"
+    assert [float(x) for x in row.split(",")[1:]] == pytest.approx(_deviation_quantiles_by_hand(gt, bad), rel=1e-12)
+    text = svg.read_text()
+    assert "nan" not in text and "inf" not in text
+
+    assert main(["plot", "--kind", "deviation", "--gt", str(gt), "--pred", f"m={pred}",
+                 "--out", str(svg), "--csv", str(table)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_plot_deviation_with_no_finite_prediction_is_a_data_error(synth_files, tmp_path, capsys):
+    gt, pred = synth_files
+    doc = json.loads(pred.read_text())
+    for ann in doc["annotations"]:
+        ann["keypoints"][0::3] = [float("nan")] * KEYPOINT_COUNT
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["plot", "--kind", "deviation", "--gt", str(gt), "--pred", f"m={bad}",
+                 "--out", str(tmp_path / "dev.svg")]) == 1
+    assert capsys.readouterr().err == (
+        f"m: {12 * KEYPOINT_COUNT} non-finite predicted keypoints left out\nerror: m: no finite deviation to plot\n"
+    )
+
+
+def test_plot_scatter_takes_one_prediction_file(synth_files, tmp_path, capsys):
+    gt, pred = synth_files
+    svg = tmp_path / "tl.svg"
+    capsys.readouterr()
+    assert main(["plot", "--kind", "scatter", "--gt", str(gt), "--pred", str(pred),
+                 "--pred", str(tmp_path / "absent.json"), "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == "error: a scatter plot takes one --pred\n"
+    assert not svg.exists()
+    assert main(["plot", "--kind", "scatter", "--gt", str(gt), "--pred", f"run={pred}", "--out", str(svg)]) == 0
+    labelled = svg.read_bytes()
+    assert main(["plot", "--kind", "scatter", "--gt", str(gt), "--pred", str(pred), "--out", str(svg)]) == 0
+    assert svg.read_bytes() == labelled
+
+
+def test_plot_scatter_missing_image_names_the_prediction_file(synth_files, tmp_path, capsys):
+    gt, _ = synth_files
+    short = tmp_path / "short.json"
+    assert main(["synth", "--template", "deep_bodied", "--n", "10", "--seed", "3", "--out", str(short)]) == 0
+    capsys.readouterr()
+    assert main(["plot", "--kind", "scatter", "--gt", str(gt), "--pred", str(short),
+                 "--out", str(tmp_path / "tl.svg")]) == 1
+    assert capsys.readouterr().err == f"error: prediction file {short}: predictions missing for image ids [11, 12]\n"
+
+
+def test_plot_phenotype_choices_come_from_the_table(synth_files, tmp_path, capsys):
+    gt, pred = synth_files
+    assert main(["plot", "--kind", "scatter", "--gt", str(gt), "--pred", str(pred),
+                 "--phenotype", "XX", "--out", str(tmp_path / "xx.svg")]) == 2
+    err = capsys.readouterr().err
+    assert "argument --phenotype: invalid choice: 'XX'" in err
+    assert all(pdef.abbrev in err for pdef in default_table())
+
+
+def test_pipeline_on_30_fish_runs_end_to_end(tmp_path, capsys):
+    f = {name: str(tmp_path / name) for name in (
+        "gt.json", "pred.json", "m.csv", "eval.json", "prior.json", "acr.json", "tl.svg", "dev.svg", "dev.csv",
+        "combined.json",
+    )}
+    steps = [
+        ["synth", "--template", "elongate", "--n", "30", "--seed", "8", "--out", f["gt.json"]],
+        ["synth", "--template", "elongate", "--n", "30", "--seed", "8", "--perturb",
+         "proportional_to_shortest_phenotype", "--magnitude", "0.05", "--out", f["pred.json"]],
+        ["validate", "--input", f["gt.json"]],
+        ["measure", "--input", f["gt.json"], "--out", f["m.csv"]],
+        ["evaluate", "--gt", f["gt.json"], "--pred", f["pred.json"], "--metric", "all", "--out", f["eval.json"]],
+        ["prior", "--train", f["gt.json"], "--out", f["prior.json"]],
+        ["acr", "--pred", f["pred.json"], "--prior", f["prior.json"], "--out", f["acr.json"]],
+        ["plot", "--kind", "scatter", "--gt", f["gt.json"], "--pred", f["pred.json"], "--out", f["tl.svg"]],
+        ["plot", "--kind", "deviation", "--gt", f["gt.json"], "--pred", f"p={f['pred.json']}",
+         "--out", f["dev.svg"], "--csv", f["dev.csv"]],
+        ["report", "--evaluation", f["eval.json"], "--measures", f["m.csv"], "--out", f["combined.json"]],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+    combined = json.loads((tmp_path / "combined.json").read_text())
+    assert combined["evaluation"] == json.loads((tmp_path / "eval.json").read_text())
+    with open(tmp_path / "m.csv", newline="", encoding="utf-8") as fh:
+        assert combined["measurements"] == list(csv.DictReader(fh))
+    assert len(combined["measurements"]) == 30 * 23

@@ -40,9 +40,9 @@ def test_parse_fixture_two_records(fixture_path):
     assert first.width == 1152 and first.height == 864
     assert first.keypoints.species == "grouper"
     assert second.keypoints.species == "mottled_naked_carp"
-    assert first.keypoints.point(1) == (110.0, 430.0, 2)
-    assert first.keypoints.point(15)[2] == 1
-    assert second.keypoints.point(22) == (0.0, 0.0, 0)
+    assert first.keypoints.xy[0].tolist() == [110.0, 430.0] and first.keypoints.v[0] == 2
+    assert first.keypoints.v[14] == 1
+    assert second.keypoints.xy[21].tolist() == [0.0, 0.0] and second.keypoints.v[21] == 0
 
 
 def test_no_keypoints_dropped(fixture_path):
@@ -92,7 +92,7 @@ def test_fractional_visibility_flag_names_annotation_and_keypoint(fixture_path, 
         parse_coco(path)
     doc["annotations"][0]["keypoints"][3 * 3 + 2] = 2.0
     path.write_text(json.dumps(doc))
-    assert parse_coco(path).records[0].keypoints.point(4)[2] == 2
+    assert parse_coco(path).v[0, 3] == 2
 
 
 def test_empty_annotations_warns(fixture_path, tmp_path):

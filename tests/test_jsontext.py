@@ -1,8 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from phenokey.jsontext import dumps, same_shape_texts
+import phenokey
+from phenokey.errors import ParseError, SchemaError
+from phenokey.jsontext import doc_field, dumps, read_json, same_shape_texts
 
 _DOCS = [
     {},
@@ -49,3 +53,23 @@ def test_same_shape_writer_equals_generic_text():
 
     assert dumps(doc, {("per_image",): write}) == json.dumps(doc, indent=2)
     assert dumps({"per_image": []}, {("per_image",): write}) == json.dumps({"per_image": []}, indent=2)
+
+
+def test_no_module_but_jsontext_reads_json():
+    package = Path(phenokey.__file__).parent
+    readers = [p.name for p in sorted(package.glob("*.py")) if re.search(r"\bjson\.loads?\(", p.read_text())]
+    assert readers == ["jsontext.py"]
+
+
+def test_read_json_names_the_file_of_a_decoder_schema_error(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": 1}')
+    assert read_json(path) == {"a": 1}
+    assert read_json(path, lambda doc: doc_field(doc, "a")) == 1
+    with pytest.raises(SchemaError) as info:
+        read_json(path, lambda doc: doc_field(doc, "b", "entry[0]: "), name=f"thing {path}")
+    assert str(info.value) == f"thing {path}: entry[0]: missing field 'b'"
+    path.write_text('[1,\n 2,,]')
+    with pytest.raises(ParseError) as info:
+        read_json(path)
+    assert str(info.value) == f"{path}: malformed document at line 2, column 4: Expecting value"

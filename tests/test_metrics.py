@@ -468,3 +468,9 @@ def test_thread_count_does_not_change_results():
     one = report_to_dict(evaluate_datasets(gt, pred))
     four = report_to_dict(evaluate_datasets(gt, pred))
     assert one == four
+
+
+@pytest.mark.parametrize("metric", [pck, pmp])
+def test_per_keypoint_metrics_refuse_an_empty_sample(metric):
+    with pytest.raises(UndefinedMetricError, match="no samples to evaluate"):
+        metric([], [])
