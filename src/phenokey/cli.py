@@ -23,7 +23,7 @@ from . import __version__
 from .anatomy import acr_hinge, dataset_boxes, fit_prior, prior_from_dict, prior_to_dict
 from .dataset import parse_coco, serialize_coco, validate
 from .errors import DivergenceError, IntegrityError, PhenokeyError, SchemaError
-from .jsontext import doc_field, dumps, read_json, same_shape_texts
+from .jsontext import doc_field, dumps, read_json
 from .metrics import (
     METRICS,
     PCK_SCALE_MODES,
@@ -33,7 +33,7 @@ from .metrics import (
     phenotype_value_pairs,
     report_to_dict,
 )
-from .morphometry import default_table, hidden_endpoints, phenotype_lengths, warn_degenerate
+from .morphometry import default_table, measurement_rows
 from .optim import ToyPredictor, TrainConfig, make_toy_problem, train
 from .plots import plot_deviation_summary, plot_scatter
 from .schema import SPECIES
@@ -48,8 +48,8 @@ def _write_text(path, text: str) -> None:
             fh.write(text)
 
 
-def _write_json(path, obj, writers=None) -> None:
-    _write_text(path, dumps(obj, writers) + "\n")
+def _write_json(path, obj) -> None:
+    _write_text(path, dumps(obj) + "\n")
 
 
 def _cmd_validate(args) -> int:
@@ -70,23 +70,9 @@ MEASURE_HEADER = ("image_id", "abbrev", "value_px", "status")
 
 def _cmd_measure(args) -> int:
     dataset = parse_coco(args.input)
-    table = default_table()
-    lengths = phenotype_lengths(dataset.xy, dataset.v, table.endpoint_index).tolist()
-    hidden = hidden_endpoints(dataset.v).tolist()
-    abbrevs = table.abbrevs()
-    rows = [MEASURE_HEADER]
-    for image_id, rec_lengths, rec_hidden in zip(dataset.image_ids, lengths, hidden):
-        for abbrev, value, missing in zip(abbrevs, rec_lengths, rec_hidden):
-            # csv writes a float as str(value), which is its repr
-            if missing:
-                rows.append((image_id, abbrev, "", f"skipped:K-{missing}"))
-            elif value == 0.0:
-                warn_degenerate(abbrev, image_id)
-                rows.append((image_id, abbrev, value, "degenerate"))
-            else:
-                rows.append((image_id, abbrev, value, "ok"))
     buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
+    # csv writes a float as str(value), which is its repr, and None as an empty field
+    csv.writer(buf).writerows([MEASURE_HEADER, *measurement_rows(dataset.image_ids, dataset.xy, dataset.v)])
     _write_text(args.out, buf.getvalue())
     return 0
 
@@ -102,14 +88,16 @@ def _config_values(doc) -> dict:
         raise SchemaError(
             f"unknown config key(s) {', '.join(map(repr, unknown))}; known keys are {', '.join(_CONFIG_KEYS)}"
         )
+    try:
+        EvalConfig(**doc)  # its message names the field
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     return doc
 
 
 def _eval_config(args) -> EvalConfig:
     # precedence: flags > config file > defaults
-    values = {}
-    if getattr(args, "config", None):
-        values.update(read_json(args.config, _config_values))
+    values = read_json(args.config, _config_values) if args.config else {}
     if args.r is not None:
         values["pmp_threshold"] = args.r
         if args.pck_threshold is None:
@@ -118,13 +106,9 @@ def _eval_config(args) -> EvalConfig:
         values["pck_threshold"] = args.pck_threshold
     if args.pck_scale is not None:
         values["pck_scale_mode"] = args.pck_scale
-    if getattr(args, "oks_scale", None) is not None:
+    if args.oks_scale is not None:
         values["oks_scale"] = args.oks_scale
     return EvalConfig(**values)
-
-
-def _oks_entry_texts(entries, depth: int) -> list[str]:
-    return same_shape_texts(entries, depth, lambda e: (e["image_id"], e["oks"]))
 
 
 @contextmanager
@@ -143,7 +127,7 @@ def _cmd_evaluate(args) -> int:
         report = evaluate_datasets(gt, pred, cfg, metrics=METRICS if args.metric == "all" else (args.metric,))
     doc = report_to_dict(report)
     doc["metric"] = args.metric
-    _write_json(args.out, doc, {("oks", "per_image"): _oks_entry_texts})
+    _write_json(args.out, doc)
     return 0
 
 
@@ -160,14 +144,6 @@ def _cmd_prior(args) -> int:
     return 0
 
 
-def _acr_entry_texts(entries, depth: int) -> list[str]:
-    return same_shape_texts(
-        entries,
-        depth,
-        lambda e: (e["image_id"], e["loss"], e["keypoints_outside"], *(x for pair in e["gradient"] for x in pair)),
-    )
-
-
 def _cmd_acr(args) -> int:
     pred = parse_coco(args.pred)
     prior = read_json(args.prior, prior_from_dict, name=f"prior file {args.prior}")
@@ -182,11 +158,7 @@ def _cmd_acr(args) -> int:
         {"image_id": image_id, "loss": loss, "keypoints_outside": count, "gradient": rows}
         for image_id, loss, count, rows in zip(pred.image_ids, losses, outside, grad.tolist())
     ]
-    _write_json(
-        args.out,
-        {"schema_version": 1, "total_loss": total, "per_image": per_image},
-        {("per_image",): _acr_entry_texts},
-    )
+    _write_json(args.out, {"schema_version": 1, "total_loss": total, "per_image": per_image})
     return 0
 
 
@@ -272,10 +244,7 @@ def _cmd_report(args) -> int:
         if tuple(reader.fieldnames or ()) != MEASURE_HEADER:
             raise SchemaError(f"{args.measures}: header must be {','.join(MEASURE_HEADER)}, got {reader.fieldnames}")
         measurements = list(reader)
-    _write_json(
-        args.out,
-        {"schema_version": 1, "evaluation": evaluation, "measurements": measurements},
-    )
+    _write_json(args.out, {"schema_version": 1, "evaluation": evaluation, "measurements": measurements})
     return 0
 
 

@@ -33,7 +33,7 @@ from .errors import (
     PhenokeyWarning,
     SchemaError,
 )
-from .jsontext import dumps, read_json, same_shape_texts
+from .jsontext import dumps, read_json
 from .schema import KEYPOINT_COUNT, KEYPOINT_NAMES, SPECIES, normalize_species
 
 TRIPLET_LEN = 3 * KEYPOINT_COUNT
@@ -461,16 +461,6 @@ def dataset_to_coco_dict(dataset: Dataset) -> dict:
     }
 
 
-def _annotation_texts(annotations, depth: int) -> list[str]:
-    # NaN may stand on hidden keypoints
-    return same_shape_texts(
-        annotations,
-        depth,
-        lambda a: (a["id"], a["image_id"], a["category_id"], *a["keypoints"], a["num_keypoints"]),
-        allow_nan=True,
-    )
-
-
 def serialize_coco(dataset: Dataset, path) -> None:
     """Write the canonical annotation document; fails fast on invalid data.
 
@@ -480,7 +470,8 @@ def serialize_coco(dataset: Dataset, path) -> None:
     violations = validate(dataset)
     if violations:
         raise DatasetValidationError(violations)
-    text = dumps(dataset_to_coco_dict(dataset), {("annotations",): _annotation_texts}, allow_nan=True)
+    # NaN may stand on hidden keypoints
+    text = dumps(dataset_to_coco_dict(dataset), allow_nan=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")

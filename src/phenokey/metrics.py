@@ -27,6 +27,7 @@ position, not by image id: a length or image-id mismatch raises ``ValueError``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -61,16 +62,21 @@ class EvalConfig:
     oks_k: tuple = tuple([DEFAULT_OKS_K] * KEYPOINT_COUNT)
 
     def __post_init__(self):
-        if self.pmp_threshold <= 0 or self.pck_threshold <= 0:
-            raise ValueError("thresholds must be positive")
+        for name in ("pmp_threshold", "pck_threshold", "oks_scale"):
+            value = getattr(self, name)
+            if not (_positive_number(value) or name == "oks_scale" and value is None):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if self.pck_scale_mode not in PCK_SCALE_MODES:
-            raise ValueError(f"pck_scale_mode must be one of {PCK_SCALE_MODES}")
-        if self.oks_scale is not None and not self.oks_scale > 0:
-            raise ValueError("oks_scale must be positive")
-        k = tuple(float(v) for v in self.oks_k)
-        if len(k) != KEYPOINT_COUNT or any(v <= 0 for v in k):
-            raise ValueError(f"oks_k must hold {KEYPOINT_COUNT} positive values")
-        object.__setattr__(self, "oks_k", k)
+            raise ValueError(f"pck_scale_mode must be one of {', '.join(PCK_SCALE_MODES)}, got {self.pck_scale_mode!r}")
+        k = tuple(self.oks_k) if isinstance(self.oks_k, (list, tuple, np.ndarray)) else ()
+        if len(k) != KEYPOINT_COUNT or not all(map(_positive_number, k)):
+            raise ValueError(f"oks_k must hold {KEYPOINT_COUNT} finite positive numbers")
+        object.__setattr__(self, "oks_k", tuple(map(float, k)))
+
+
+def _positive_number(value) -> bool:
+    """A finite positive real number; a bool is none."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
 # ---------------------------------------------------------------------------

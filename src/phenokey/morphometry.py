@@ -151,12 +151,6 @@ def phenotype_lengths(xy, v, ends) -> np.ndarray:
     return np.where((v[:, a] > 0) & (v[:, b] > 0), lengths, np.nan)
 
 
-def hidden_endpoints(v) -> np.ndarray:
-    """(n_samples, n_phenotypes) first unannotated 1-based endpoint of each phenotype, 0 if none."""
-    a, b = default_table().endpoint_index
-    return np.where(v[:, a] <= 0, a + 1, np.where(v[:, b] <= 0, b + 1, 0))
-
-
 def shortest_phenotype_lengths(gt_xy, gt_v) -> np.ndarray:
     """(n_samples, 22) length of each keypoint's shortest measurable phenotype.
 
@@ -171,19 +165,32 @@ def shortest_phenotype_lengths(gt_xy, gt_v) -> np.ndarray:
     return out
 
 
-def warn_degenerate(abbrev: str, image_id) -> None:
-    """Warn of a zero-length phenotype, pointing at the caller of the public measuring function."""
-    warnings.warn(
-        f"{abbrev} on image {image_id!r}: coincident endpoints, zero length",
-        DegenerateMeasurementWarning,
-        stacklevel=4,
-    )
+def measurement_rows(image_ids, xy, v, defs=None) -> list[tuple]:
+    """``(image_id, abbrev, value_px, status)`` for every image and phenotype of ``defs``, the table by default.
 
-
-def _measurement(abbrev: str, value, image_id) -> PhenotypeMeasurement:
-    if value == 0.0:
-        warn_degenerate(abbrev, image_id)
-    return PhenotypeMeasurement(abbrev, float(value), image_id)
+    The status is ``skipped:K-n``, with value None, when endpoint K-n is not
+    annotated (the first one when both are not); ``degenerate``, with a
+    :class:`DegenerateMeasurementWarning` pointing at the caller of the
+    public measuring function, when the endpoints coincide; ``ok`` otherwise.
+    """
+    defs = default_table().defs if defs is None else defs
+    a, b = ends = np.array([d.endpoints for d in defs], dtype=np.intp).T - 1
+    lengths = phenotype_lengths(xy, v, ends).tolist()
+    # the first unannotated 1-based endpoint of each phenotype, 0 if none
+    hidden = np.where(v[:, a] <= 0, a + 1, np.where(v[:, b] <= 0, b + 1, 0)).tolist()
+    abbrevs = [d.abbrev for d in defs]
+    rows = []
+    for image_id, rec_lengths, rec_hidden in zip(image_ids, lengths, hidden):
+        for abbrev, value, missing in zip(abbrevs, rec_lengths, rec_hidden):
+            if missing:
+                rows.append((image_id, abbrev, None, f"skipped:K-{missing}"))
+            elif value == 0.0:
+                message = f"{abbrev} on image {image_id!r}: coincident endpoints, zero length"
+                warnings.warn(message, DegenerateMeasurementWarning, stacklevel=3)
+                rows.append((image_id, abbrev, value, "degenerate"))
+            else:
+                rows.append((image_id, abbrev, value, "ok"))
+    return rows
 
 
 def measure(keypoints: KeypointSet, pdef: PhenotypeDef) -> PhenotypeMeasurement:
@@ -192,28 +199,24 @@ def measure(keypoints: KeypointSet, pdef: PhenotypeDef) -> PhenotypeMeasurement:
     Both endpoints must be annotated (v > 0). Coincident endpoints yield a
     0.0 measurement and a :class:`DegenerateMeasurementWarning`.
     """
-    for e in pdef.endpoints:
-        if keypoints.v[e - 1] <= 0:
-            raise MissingKeypointError(
-                f"{pdef.abbrev}: keypoint K-{e} is not visible on image {keypoints.image_id!r}"
-            )
-    ends = np.array(pdef.endpoints, dtype=np.intp)[:, None] - 1
-    value = phenotype_lengths(keypoints.xy[None], keypoints.v[None], ends)[0, 0]
-    return _measurement(pdef.abbrev, value, keypoints.image_id)
+    rows = measurement_rows([keypoints.image_id], keypoints.xy[None], keypoints.v[None], [pdef])
+    ((image_id, abbrev, value, status),) = rows
+    if value is None:
+        missing = status.removeprefix("skipped:")
+        raise MissingKeypointError(f"{abbrev}: keypoint {missing} is not visible on image {image_id!r}")
+    return PhenotypeMeasurement(abbrev, value, image_id)
 
 
 def measure_all(keypoints: KeypointSet) -> tuple[list[PhenotypeMeasurement], list[SkippedPhenotype]]:
     """Measure every phenotype with both endpoints visible; report the rest as skips."""
-    table = default_table()
-    lengths = phenotype_lengths(keypoints.xy[None], keypoints.v[None], table.endpoint_index)[0]
-    hidden = hidden_endpoints(keypoints.v[None])[0]
     measured = []
     skipped = []
-    for pdef, value, missing in zip(table, lengths, hidden.tolist()):
-        if missing:
-            skipped.append(SkippedPhenotype(pdef.abbrev, missing, keypoints.image_id))
+    rows = measurement_rows([keypoints.image_id], keypoints.xy[None], keypoints.v[None])
+    for image_id, abbrev, value, status in rows:
+        if value is None:
+            skipped.append(SkippedPhenotype(abbrev, int(status.removeprefix("skipped:K-")), image_id))
         else:
-            measured.append(_measurement(pdef.abbrev, value, keypoints.image_id))
+            measured.append(PhenotypeMeasurement(abbrev, value, image_id))
     return measured, skipped
 
 
@@ -231,5 +234,7 @@ def shortest_related_phenotype(keypoint: int, ground_truth: KeypointSet) -> Phen
         raise NoMeasurablePhenotypeError(
             f"keypoint K-{keypoint}: no measurable related phenotype on image {ground_truth.image_id!r}"
         )
-    best = int(np.nanargmin(lengths))  # first minimum: ties go to the earlier table entry
-    return _measurement(table.defs[idx[best]].abbrev, lengths[best], ground_truth.image_id)
+    best = table.defs[idx[int(np.nanargmin(lengths))]]  # first minimum: ties go to the earlier table entry
+    rows = measurement_rows([ground_truth.image_id], ground_truth.xy[None], ground_truth.v[None], [best])
+    ((image_id, abbrev, value, _),) = rows
+    return PhenotypeMeasurement(abbrev, value, image_id)

@@ -334,6 +334,8 @@ def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tup
         raise ValueError("training batch is empty")
     if cfg.lr < 0:
         raise ValueError("learning rate must be nonnegative")
+    if cfg.steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {cfg.steps}")
     features = problem.features
     targets = problem.targets
     boxes = problem.boxes()

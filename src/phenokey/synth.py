@@ -134,15 +134,15 @@ TEMPLATES = {
 
 
 def _numbers(doc, key: str, shape: tuple, default=None) -> np.ndarray:
-    """Field ``key`` of ``doc`` as float64 numbers of ``shape``; an optional field has a ``default``."""
+    """Field ``key`` of ``doc`` as finite float64 numbers of ``shape``; an optional field has a ``default``."""
     value = doc_field(doc, key) if default is None else doc.get(key, default)
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         arr = None
-    if arr is None or arr.shape != shape:
-        got = "non-numeric values" if arr is None else f"shape {arr.shape}"
-        raise SchemaError(f"field {key!r} must hold numbers of shape {shape}, got {got}")
+    if arr is None or arr.shape != shape or not np.isfinite(arr).all():
+        got = "non-numeric values" if arr is None else f"shape {arr.shape}" if arr.shape != shape else "NaN or infinity"
+        raise SchemaError(f"field {key!r} must hold finite numbers of shape {shape}, got {got}")
     return arr
 
 

@@ -140,6 +140,18 @@ def test_evaluate_config_file_and_flag_precedence(synth_files, tmp_path):
 @pytest.mark.parametrize("config,message", [
     ({"pmp_treshold": 0.05, "pck_scale_mode": "torso"}, "unknown config key(s) 'pmp_treshold'"),
     ("pmp_threshold", "config must be a JSON object"),
+    ({"oks_k": 5}, "oks_k must hold 22 finite positive numbers"),
+    ({"oks_k": [0.1] * 21}, "oks_k must hold 22 finite positive numbers"),
+    ({"oks_k": ["0.1"] * 22}, "oks_k must hold 22 finite positive numbers"),
+    ({"oks_k": "0.1"}, "oks_k must hold 22 finite positive numbers"),
+    ({"pmp_threshold": -1}, "pmp_threshold must be a finite positive number, got -1"),
+    ({"pck_threshold": True}, "pck_threshold must be a finite positive number, got True"),
+    ({"pmp_threshold": float("nan")}, "pmp_threshold must be a finite positive number, got nan"),
+    ({"pmp_threshold": float("inf")}, "pmp_threshold must be a finite positive number, got inf"),
+    ({"pck_threshold": "0.1"}, "pck_threshold must be a finite positive number, got '0.1'"),
+    ({"pck_scale_mode": "elbow"}, "pck_scale_mode must be one of head, torso, bbox_diagonal, got 'elbow'"),
+    ({"oks_scale": 0}, "oks_scale must be a finite positive number, got 0"),
+    ({"oks_scale": [1.0]}, "oks_scale must be a finite positive number, got [1.0]"),
 ])
 def test_evaluate_config_unknown_key_is_data_error(synth_files, tmp_path, capsys, config, message):
     gt, pred = synth_files
@@ -148,7 +160,7 @@ def test_evaluate_config_unknown_key_is_data_error(synth_files, tmp_path, capsys
     out = tmp_path / "report.json"
     assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--metric", "pmp",
                  "--config", str(cfg), "--out", str(out)]) == 1
-    assert message in capsys.readouterr().err
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -210,6 +222,13 @@ def test_train_toy_writes_trace(tmp_path):
     assert lines[0].split(",") == ["step", "L_mse", "L_acr", "w_mse", "w_acr",
                                    "grad_norm_mse", "grad_norm_acr", "violation_count"]
     assert len(lines) == 42  # header + steps + final row
+
+
+def test_train_toy_rejects_negative_steps(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    assert main(["train-toy", "--steps", "-1", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == "error: steps must be nonnegative, got -1\n"
+    assert not trace.exists()
 
 
 def test_plot_scatter_and_deviation(synth_files, tmp_path):
@@ -376,11 +395,14 @@ def test_writers_never_use_the_pure_python_encoder(synth_files, tmp_path, monkey
         ["synth", "--template", "elongate", "--n", "5", "--seed", "2", "--out", str(tmp_path / "s.json")],
         ["synth", "--template", "elongate", "--n", "5", "--seed", "2", "--perturb", "uniform_px",
          "--magnitude", "3", "--out", str(tmp_path / "p.json")],
+        ["measure", "--input", str(gt), "--out", str(tmp_path / "m.csv")],
+        ["report", "--evaluation", str(tmp_path / "r.json"), "--measures", str(tmp_path / "m.csv"),
+         "--out", str(tmp_path / "report.json")],
     ]
     for argv in runs:
         assert main(argv) == 0, argv
     monkeypatch.undo()
-    for name in ("r.json", "acr.json", "s.json"):
+    for name in ("r.json", "prior.json", "acr.json", "s.json", "p.json", "report.json"):
         text = (tmp_path / name).read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
@@ -452,17 +474,23 @@ def test_every_json_input_names_its_file(synth_files, tmp_path, capsys, flag):
         (lambda doc: {"name": "x"}, "missing field 'mean_layout'"),
         (lambda doc: {k: v for k, v in doc.items() if k != "spread"}, "missing field 'spread'"),
         (lambda doc: dict(doc, mean_layout=doc["mean_layout"][:3]),
-         "field 'mean_layout' must hold numbers of shape (22, 2), got shape (3, 2)"),
+         "field 'mean_layout' must hold finite numbers of shape (22, 2), got shape (3, 2)"),
         (lambda doc: dict(doc, body_size_range=["big", "small"]),
-         "field 'body_size_range' must hold numbers of shape (2,), got non-numeric values"),
-        (lambda doc: dict(doc, aspect=[0.5]), "field 'aspect' must hold numbers of shape (), got shape (1,)"),
+         "field 'body_size_range' must hold finite numbers of shape (2,), got non-numeric values"),
+        (lambda doc: dict(doc, aspect=[0.5]), "field 'aspect' must hold finite numbers of shape (), got shape (1,)"),
+        (lambda doc: dict(doc, mean_layout=[[float("nan"), 0.5]] + doc["mean_layout"][1:]),
+         "field 'mean_layout' must hold finite numbers of shape (22, 2), got NaN or infinity"),
+        (lambda doc: dict(doc, spread=doc["spread"][:-1] + [float("inf")]),
+         "field 'spread' must hold finite numbers of shape (22,), got NaN or infinity"),
+        (lambda doc: dict(doc, aspect=float("-inf")),
+         "field 'aspect' must hold finite numbers of shape (), got NaN or infinity"),
         (lambda doc: dict(doc, body_size_range=[900.0, 500.0]),
          "invalid template: body_size_range must satisfy 0 < min <= max, got (900.0, 500.0)"),
         (lambda doc: dict(doc, spread=[0.2] * KEYPOINT_COUNT),
          "invalid template: mean_layout +/- 3*spread must stay within [0, 1] on both axes"),
     ],
-    ids=["not-an-object", "name-only", "no-spread", "short-layout", "text-sizes", "list-aspect", "sizes-reversed",
-         "spread-too-wide"],
+    ids=["not-an-object", "name-only", "no-spread", "short-layout", "text-sizes", "list-aspect", "nan-layout",
+         "inf-spread", "inf-aspect", "sizes-reversed", "spread-too-wide"],
 )
 def test_synth_rejects_a_bad_template_file_naming_file_and_field(tmp_path, capsys, mutate, named):
     template = tmp_path / "template.json"

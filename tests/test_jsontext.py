@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 import phenokey
+from phenokey import jsontext
 from phenokey.errors import ParseError, SchemaError
-from phenokey.jsontext import doc_field, dumps, read_json, same_shape_texts
+from phenokey.jsontext import doc_field, dumps, read_json
 
 _DOCS = [
     {},
@@ -22,12 +23,33 @@ _DOCS = [
     {"nested": [[1, [2, [3, {}]]], ({"t": (1, 2)},)]},
     {1: "int key", 2.5: [1], None: {}, True: 0, False: [[]]},
     {"per_image": [{"image_id": "x,\ny", "oks": None}, {"image_id": 2, "oks": 0.5}]},
+    # record lists whose records differ from the first one's shape
+    [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+    [{"a": 1, "b": [1, 2]}, {"a": 1, "b": [1]}],
+    [[[1, 2], [3]], [[1], [2, 3]]],
+    [{"a": 1, "b": 2}, {"a": [3, 4], "b": 2}],
+    [{"a": 1}, {"a": {}}, {"a": [5]}, {"a": {"b": 5}}],
+    [[1, 2], [[], 2]],
+    [{"a": 1}, {"a": 1, "b": 2}],
+    [{"1": 0}, {1: 0}, {True: 0}],
+    [{1: 0}, {True: 0}],
+    [[1], {"0": 1}],
+    [[1, [2]], "x", [1, [2]]],
+    # records that hold no scalar
+    [{}, {}],
+    [[], []],
+    [{"a": []}, {"a": []}],
+    # keys and values holding % and the template's blank
+    [{"%s": 1, "x%": "%s", "%": "100%"}, {"%s": "%d", "x%": "%%", "%": None}],
+    [{"a": "%s", "b": ['"%s"', "%(b)s"]}, {"a": '"%s": x', "b": ["%", "%%s"]}],
+    [[{"%s": ["%s"]}], [{"%s": ["x"]}]],
 ]
 
 
 @pytest.mark.parametrize("doc", _DOCS)
 def test_dumps_equals_indent2_dumps(doc):
     assert dumps(doc) == json.dumps(doc, indent=2)
+    assert dumps(doc, allow_nan=True) == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), {"a": [float("inf")]}, [[float("-inf")]], {"k": {"j": float("nan")}}])
@@ -43,16 +65,26 @@ def test_same_shape_writer_equals_generic_text():
         for image_id, loss in ((1, 0.25), ("two", 1e-17), ('th"ree', 3.0))
     ]
     doc = {"schema_version": 1, "per_image": entries, "tail": [entries[0]]}
+    assert dumps(doc) == json.dumps(doc, indent=2)
+    assert dumps({"per_image": []}) == json.dumps({"per_image": []}, indent=2)
 
-    def write(items, depth):
-        return same_shape_texts(
-            items,
-            depth,
-            lambda e: (e["image_id"], e["loss"], *(x for pair in e["gradient"] for x in pair), *e["tags"]),
-        )
 
-    assert dumps(doc, {("per_image",): write}) == json.dumps(doc, indent=2)
-    assert dumps({"per_image": []}, {("per_image",): write}) == json.dumps({"per_image": []}, indent=2)
+def test_a_same_shape_record_list_costs_a_fixed_number_of_encoder_calls(monkeypatch):
+    calls = []
+    encoder = jsontext._encoder
+
+    def counting(depth, allow_nan):
+        calls.append(depth)
+        return encoder(depth, allow_nan)
+
+    monkeypatch.setattr(jsontext, "_encoder", counting)
+    counts = []
+    for n in (10, 100):
+        records = [{"id": i, "xy": [[i, 0.5], [1, 2]], "tags": ["a", None], "v": {"k": [i]}} for i in range(n)]
+        calls.clear()
+        assert dumps({"records": records}) == json.dumps({"records": records}, indent=2)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_no_module_but_jsontext_reads_json():

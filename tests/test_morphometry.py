@@ -122,6 +122,16 @@ def test_measure_all_hidden_k22_skips_only_dfh():
     assert skipped[0].missing_keypoint == 22
 
 
+def test_measuring_functions_warn_of_coincident_endpoints_at_the_caller():
+    kp = make_keypoints(overrides={11: (50.0, 50.0), 12: (50.0, 50.0)})
+    with pytest.warns(DegenerateMeasurementWarning, match="ED on image") as record:
+        measured, skipped = measure_all(kp)
+        measure(kp, TABLE["ED"])
+        shortest_related_phenotype(12, kp)
+    assert [m.value for m in measured if m.abbrev == "ED"] == [0.0] and skipped == []
+    assert [w.filename for w in record] == [__file__] * 3
+
+
 def test_measure_all_nothing_visible():
     measured, skipped = measure_all(make_keypoints(v=np.zeros(KEYPOINT_COUNT, dtype=int)))
     assert measured == []

@@ -1,0 +1,20 @@
+import ast
+import sys
+from pathlib import Path
+
+import phenokey
+
+
+def test_package_imports_only_numpy_and_the_stdlib():
+    allowed = sys.stdlib_module_names | {"numpy"}
+    outside = []
+    for path in sorted(Path(phenokey.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one
+            outside += [f"{path.name}: {name}" for name in names if name.partition(".")[0] not in allowed]
+    assert outside == []
