@@ -71,8 +71,9 @@ MEASURE_HEADER = ("image_id", "abbrev", "value_px", "status")
 def _cmd_measure(args) -> int:
     dataset = parse_coco(args.input)
     buf = io.StringIO()
+    rows, _ = measurement_rows(dataset.image_ids, dataset.xy, dataset.v)
     # csv writes a float as str(value), which is its repr, and None as an empty field
-    csv.writer(buf).writerows([MEASURE_HEADER, *measurement_rows(dataset.image_ids, dataset.xy, dataset.v)])
+    csv.writer(buf).writerows([MEASURE_HEADER, *rows])
     _write_text(args.out, buf.getvalue())
     return 0
 

@@ -79,11 +79,6 @@ def _columns(objs, first):
         return None
     width = len(first)
     values = list(chain.from_iterable(objs))
-    if first and all(isinstance(v, _CONTAINERS) for v in first):
-        # every position holds a container: check them all against the first one at once
-        inner = _columns(values, first[0])
-        if inner is not None:
-            return [column[i::width] for i in range(width) for column in inner]
     columns = []
     for i, value in enumerate(first):
         inner = _columns(values[i::width], value) if isinstance(value, _CONTAINERS) else [values[i::width]]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -165,18 +166,20 @@ def shortest_phenotype_lengths(gt_xy, gt_v) -> np.ndarray:
     return out
 
 
-def measurement_rows(image_ids, xy, v, defs=None) -> list[tuple]:
-    """``(image_id, abbrev, value_px, status)`` for every image and phenotype of ``defs``, the table by default.
+def measurement_rows(image_ids, xy, v, defs=None) -> tuple[list[tuple], list[list[int]]]:
+    """The ``measure`` CSV rows ``(image_id, abbrev, value_px, status)`` for every image and phenotype of ``defs``,
+    the table by default, and per image the first unannotated 1-based endpoint of each phenotype, 0 if none.
 
-    The status is ``skipped:K-n``, with value None, when endpoint K-n is not
-    annotated (the first one when both are not); ``degenerate``, with a
-    :class:`DegenerateMeasurementWarning` pointing at the caller of the
-    public measuring function, when the endpoints coincide; ``ok`` otherwise.
+    The status is ``skipped:K-n``, with value None, for that endpoint K-n;
+    ``degenerate`` when the endpoints coincide, with a
+    :class:`DegenerateMeasurementWarning` pointing at the caller of its
+    caller's caller: the caller of the public measuring function (through
+    ``_measure_one``) or of ``cli.main`` (through the ``measure`` command);
+    ``ok`` otherwise.
     """
     defs = default_table().defs if defs is None else defs
     a, b = ends = np.array([d.endpoints for d in defs], dtype=np.intp).T - 1
     lengths = phenotype_lengths(xy, v, ends).tolist()
-    # the first unannotated 1-based endpoint of each phenotype, 0 if none
     hidden = np.where(v[:, a] <= 0, a + 1, np.where(v[:, b] <= 0, b + 1, 0)).tolist()
     abbrevs = [d.abbrev for d in defs]
     rows = []
@@ -186,11 +189,17 @@ def measurement_rows(image_ids, xy, v, defs=None) -> list[tuple]:
                 rows.append((image_id, abbrev, None, f"skipped:K-{missing}"))
             elif value == 0.0:
                 message = f"{abbrev} on image {image_id!r}: coincident endpoints, zero length"
-                warnings.warn(message, DegenerateMeasurementWarning, stacklevel=3)
+                warnings.warn(message, DegenerateMeasurementWarning, stacklevel=4)
                 rows.append((image_id, abbrev, value, "degenerate"))
             else:
                 rows.append((image_id, abbrev, value, "ok"))
-    return rows
+    return rows, hidden
+
+
+def _measure_one(keypoints: KeypointSet, defs=None) -> list[tuple]:
+    """``(abbrev, value_px, missing)`` of each phenotype on one image, warning at the public function's caller."""
+    rows, (missing,) = measurement_rows([keypoints.image_id], keypoints.xy[None], keypoints.v[None], defs)
+    return [(abbrev, value, m) for (_, abbrev, value, _), m in zip(rows, missing)]
 
 
 def measure(keypoints: KeypointSet, pdef: PhenotypeDef) -> PhenotypeMeasurement:
@@ -199,24 +208,17 @@ def measure(keypoints: KeypointSet, pdef: PhenotypeDef) -> PhenotypeMeasurement:
     Both endpoints must be annotated (v > 0). Coincident endpoints yield a
     0.0 measurement and a :class:`DegenerateMeasurementWarning`.
     """
-    rows = measurement_rows([keypoints.image_id], keypoints.xy[None], keypoints.v[None], [pdef])
-    ((image_id, abbrev, value, status),) = rows
-    if value is None:
-        missing = status.removeprefix("skipped:")
-        raise MissingKeypointError(f"{abbrev}: keypoint {missing} is not visible on image {image_id!r}")
-    return PhenotypeMeasurement(abbrev, value, image_id)
+    ((abbrev, value, missing),) = _measure_one(keypoints, [pdef])
+    if missing:
+        raise MissingKeypointError(f"{abbrev}: keypoint K-{missing} is not visible on image {keypoints.image_id!r}")
+    return PhenotypeMeasurement(abbrev, value, keypoints.image_id)
 
 
 def measure_all(keypoints: KeypointSet) -> tuple[list[PhenotypeMeasurement], list[SkippedPhenotype]]:
     """Measure every phenotype with both endpoints visible; report the rest as skips."""
-    measured = []
-    skipped = []
-    rows = measurement_rows([keypoints.image_id], keypoints.xy[None], keypoints.v[None])
-    for image_id, abbrev, value, status in rows:
-        if value is None:
-            skipped.append(SkippedPhenotype(abbrev, int(status.removeprefix("skipped:K-")), image_id))
-        else:
-            measured.append(PhenotypeMeasurement(abbrev, value, image_id))
+    rows = _measure_one(keypoints)
+    measured = [PhenotypeMeasurement(abbrev, value, keypoints.image_id) for abbrev, value, m in rows if not m]
+    skipped = [SkippedPhenotype(abbrev, m, keypoints.image_id) for abbrev, _, m in rows if m]
     return measured, skipped
 
 
@@ -226,15 +228,11 @@ def shortest_related_phenotype(keypoint: int, ground_truth: KeypointSet) -> Phen
     Ties resolve to the earlier table entry. Raises when no related phenotype
     is measurable on this sample.
     """
-    table = default_table()
-    idx = table.related_index(keypoint)
-    ends = table.endpoint_index[:, idx]
-    lengths = phenotype_lengths(ground_truth.xy[None], ground_truth.v[None], ends)[0]
-    if np.isnan(lengths).all():
+    related = default_table().related(keypoint)
+    measured = [(value, abbrev) for abbrev, value, missing in _measure_one(ground_truth, related) if not missing]
+    if not measured:
         raise NoMeasurablePhenotypeError(
             f"keypoint K-{keypoint}: no measurable related phenotype on image {ground_truth.image_id!r}"
         )
-    best = table.defs[idx[int(np.nanargmin(lengths))]]  # first minimum: ties go to the earlier table entry
-    rows = measurement_rows([ground_truth.image_id], ground_truth.xy[None], ground_truth.v[None], [best])
-    ((image_id, abbrev, value, _),) = rows
-    return PhenotypeMeasurement(abbrev, value, image_id)
+    value, abbrev = min(measured, key=itemgetter(0))  # the first minimum: ties go to the earlier table entry
+    return PhenotypeMeasurement(abbrev, value, ground_truth.image_id)

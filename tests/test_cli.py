@@ -78,8 +78,9 @@ def test_measure_skips_by_flags_and_matches_oracle(tmp_path):
     path = tmp_path / "gt.json"
     serialize_coco(make_dataset(kps), path)
     out = tmp_path / "measures.csv"
-    with pytest.warns(DegenerateMeasurementWarning, match="ED on image 4"):
+    with pytest.warns(DegenerateMeasurementWarning, match="ED on image 4") as record:
         assert main(["measure", "--input", str(path), "--out", str(out)]) == 0
+    assert [w.filename for w in record] == [__file__]    # the warning points at the caller of main
     with open(out, newline="", encoding="utf-8") as fh:
         rows = {(r["image_id"], r["abbrev"]): r for r in csv.DictReader(fh)}
     assert len(rows) == 4 * 23
