@@ -66,6 +66,8 @@ class EvalConfig:
             value = getattr(self, name)
             if not (_positive_number(value) or name == "oks_scale" and value is None):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+            if value is not None:
+                object.__setattr__(self, name, float(value))    # a config file's 1 and a flag's 1.0 read alike
         if self.pck_scale_mode not in PCK_SCALE_MODES:
             raise ValueError(f"pck_scale_mode must be one of {', '.join(PCK_SCALE_MODES)}, got {self.pck_scale_mode!r}")
         k = tuple(self.oks_k) if isinstance(self.oks_k, (list, tuple, np.ndarray)) else ()
@@ -75,8 +77,11 @@ class EvalConfig:
 
 
 def _positive_number(value) -> bool:
-    """A finite positive real number; a bool is none."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+    """A positive real number that is finite as a float; a bool is none."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < float(value) < math.inf
+    except OverflowError:    # an int beyond the float range
+        return False
 
 
 # ---------------------------------------------------------------------------

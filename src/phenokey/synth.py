@@ -7,14 +7,18 @@ Perturbations displace ground truth either uniformly in pixels or with noise
 proportional to each keypoint's shortest related phenotype, the quantity the
 phenotype-normalized metric is sensitive to.
 
-Each fish derives its own random stream from (seed, fish index), so results
-never depend on generation order or scheduling.
+Fish ``idx`` draws exactly the stream of ``np.random.default_rng([seed, idx])``
+(``[seed, idx, 7919]`` for its perturbation), so results never depend on
+generation order or scheduling; one vectorized pass of numpy's own seeding
+positions the streams of all fish.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import permutations, product
 
 import numpy as np
 
@@ -179,14 +183,73 @@ def load_template(name_or_path: str) -> SpeciesTemplate:
     return read_json(name_or_path, template_from_dict)
 
 
-def _truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals with rejection outside +/- 3."""
-    out = rng.standard_normal(shape)
-    bad = np.abs(out) > 3.0
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(out) > 3.0
-    return out
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 constants
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _seed_words(seed) -> list:
+    """The uint32 words SeedSequence makes of ``seed``, least significant first."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return [int(seed) >> shift & _MASK32 for shift in range(0, max(int(seed).bit_length(), 1), 32)]
+
+
+def _streams(seed, indices, tail=()):
+    """``(idx, rng)`` for each fish index (each < 2**32), ``rng`` at the start of ``default_rng([seed, idx, *tail])``.
+
+    SeedSequence's pool hash runs once, as uint32 arithmetic over all indices; each fish then gets PCG64's seeding
+    step, ``state = (inc + s) * MULT + inc`` mod 2**128, and one Generator is set to that state in turn: it is the
+    same Generator every time, so draw from it before taking the next fish.
+    """
+    words = _seed_words(seed)
+    column = [*words, 0, *tail]    # the entropy, padded with zeros to the pool size
+    entropy = np.array(column + [0] * (4 - len(column)), dtype=np.uint32)[:, None].repeat(len(indices), axis=1)
+    entropy[len(words)] = indices
+    const, mult = _INIT_A, _MULT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value *= const
+        return value ^ value >> 16
+
+    rows = [hashmix(row) for row in entropy[:4]] + list(entropy[4:])    # the pool, then the entropy beyond it
+    for src, dst in [*permutations(range(4), 2), *product(range(4, len(rows)), range(4))]:
+        x = rows[dst] * _MIX_MULT_L - hashmix(rows[src]) * _MIX_MULT_R
+        rows[dst] = x ^ x >> 16
+    const, mult = _INIT_B, _MULT_B    # generate_state(4, np.uint64), as eight uint32 halves
+    out = np.array([hashmix(rows[i % 4]) for i in range(8)], dtype=np.uint64)
+    rng = np.random.Generator(np.random.PCG64(0))
+    # fish by fish, so no list of every state is held: the 64-bit words s high, s low, initseq high, initseq low,
+    # then PCG64's srandom step on them
+    for idx, words64 in zip(indices, (out[1::2] << 32 | out[::2]).T):
+        s_high, s_low, seq_high, seq_low = words64.tolist()
+        inc = (seq_high << 65 | seq_low << 1 | 1) & _MASK128
+        state = ((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK128
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield idx, rng
+
+
+def _draws(seed, n: int, uniforms: int, normals: int, tail=()):
+    """Per fish ``idx < n``, from the stream of ``default_rng([seed, idx, *tail])``: ``uniforms`` values of
+    ``random()``, then ``normals`` standard normals, those beyond +/- 3 redrawn together until none is; two arrays."""
+    u, z = np.empty((n, uniforms)), np.empty((n, normals))
+    for idx, rng in _streams(seed, range(n), tail):
+        rng.random(out=u[idx])
+        rng.standard_normal(out=z[idx])
+    # a fish with a normal beyond +/- 3 runs its stream again from the start, redrawing as it goes
+    beyond = (z.max(axis=1, initial=0.0) > 3.0) | (z.min(axis=1, initial=0.0) < -3.0)
+    for idx, rng in _streams(seed, np.flatnonzero(beyond), tail):
+        rng.random(out=u[idx])
+        rng.standard_normal(out=z[idx])
+        while (bad := np.abs(z[idx]) > 3.0).any():
+            z[idx, bad] = rng.standard_normal(int(bad.sum()))
+    return u, z
 
 
 def generate_population(
@@ -196,33 +259,32 @@ def generate_population(
     species: str = "other",
     role: str = "train",
 ) -> Dataset:
-    """Draw ``n`` synthetic fish; deterministic per (seed, fish index)."""
-    if n < 1:
-        raise ValueError(f"population size must be >= 1, got {n}")
+    """Draw ``n`` synthetic fish; fish ``idx`` draws from the stream of ``default_rng([seed, idx])``."""
+    if not 1 <= n < 2**32:
+        raise ValueError(f"population size must be >= 1 and < 2**32 (one seed word per fish index), got {n}")
     template.validate()
     if species not in SPECIES:
         raise ValueError(f"unknown species tag {species!r}")
     s_min, s_max = template.body_size_range
-    xy = np.empty((n, KEYPOINT_COUNT, 2))
-    width = np.empty(n)
-    height = np.empty(n)
-    for idx in range(n):
-        rng = np.random.default_rng([int(seed), idx])
-        size = float(rng.uniform(s_min, s_max))
-        off_x = float(rng.uniform(0.15, 0.50)) * size
-        off_y = float(rng.uniform(0.15, 0.50)) * size * template.aspect
-        jitter = _truncated_normal(rng, (KEYPOINT_COUNT, 2)) * template.spread[:, None]
-        pos = template.mean_layout + jitter
-        xy[idx, :, 0] = off_x + pos[:, 0] * size
-        xy[idx, :, 1] = off_y + pos[:, 1] * size * template.aspect
-        width[idx] = math.ceil(2 * off_x + size)
-        height[idx] = math.ceil(2 * off_y + size * template.aspect)
+    u, z = _draws(seed, n, 3, 2 * KEYPOINT_COUNT)
+    # uniform(lo, hi) is lo + (hi - lo) * random(): body length, then the two canvas offsets
+    u *= (s_max - s_min, 0.50 - 0.15, 0.50 - 0.15)
+    u += (s_min, 0.15, 0.15)
+    size, off = u[:, :1], u[:, 1:]
+    off *= size
+    off[:, 1] *= template.aspect
+    xy = z.reshape(n, KEYPOINT_COUNT, 2)      # jitter, normalized position, then pixels, in place
+    xy *= template.spread[:, None]
+    xy += template.mean_layout
+    xy *= size[:, :, None]
+    xy[:, :, 1] *= template.aspect
+    xy += off[:, None]
     return Dataset.from_columns(
         xy,
         np.full((n, KEYPOINT_COUNT), 2),
         range(1, n + 1),
-        width,
-        height,
+        np.ceil(2 * off[:, 0] + size[:, 0]),
+        np.ceil(2 * off[:, 1] + size[:, 0] * template.aspect),
         np.full(n, SPECIES.index(species)),
         role,
     )
@@ -239,8 +301,9 @@ class PerturbationModel:
     def __post_init__(self):
         if self.mode not in PERTURBATION_MODES:
             raise ValueError(f"mode must be one of {PERTURBATION_MODES}, got {self.mode!r}")
-        if self.magnitude < 0:
-            raise ValueError(f"magnitude must be nonnegative, got {self.magnitude}")
+        if not 0 <= self.magnitude < math.inf:
+            raise ValueError(f"magnitude must be a finite nonnegative number, got {self.magnitude}")
+        _seed_words(self.seed)    # raises for a negative or non-integer seed
 
 
 def perturb(gt: Dataset, model: PerturbationModel) -> Dataset:
@@ -251,7 +314,7 @@ def perturb(gt: Dataset, model: PerturbationModel) -> Dataset:
     per-keypoint sigma = magnitude * shortest related ground-truth phenotype
     (keypoints with no measurable related phenotype stay unperturbed); the
     sigmas of all fish come from one batched phenotype-length computation.
-    Each fish still draws its noise from its own (seed, fish index) stream.
+    Fish ``idx`` draws its noise from the stream of ``default_rng([seed, idx, 7919])``.
 
     Displaced points are kept on the canvas: the canvas grows to cover
     overshoot on the high side and coordinates clamp at zero on the low side
@@ -261,14 +324,16 @@ def perturb(gt: Dataset, model: PerturbationModel) -> Dataset:
     """
     if model.mode != "uniform_px":
         pheno = shortest_phenotype_lengths(gt.xy, gt.v)
-        sigma = np.where(np.isfinite(pheno), model.magnitude * pheno, 0.0)
-    noise = np.empty_like(gt.xy)
-    for idx in range(len(gt)):
-        rng = np.random.default_rng([int(model.seed), idx, 7919])
+    with np.errstate(over="ignore", invalid="ignore"):    # noise a magnitude makes non-finite is refused below
         if model.mode == "uniform_px":
-            noise[idx] = rng.uniform(-model.magnitude, model.magnitude, size=(KEYPOINT_COUNT, 2))
+            noise = _draws(model.seed, len(gt), 2 * KEYPOINT_COUNT, 0, (7919,))[0].reshape(gt.xy.shape)
+            noise *= 2.0 * model.magnitude    # uniform(-m, m) is -m + (m - -m) * random()
+            noise -= model.magnitude
         else:
-            noise[idx] = _truncated_normal(rng, (KEYPOINT_COUNT, 2)) * sigma[idx][:, None]
+            noise = _draws(model.seed, len(gt), 0, 2 * KEYPOINT_COUNT, (7919,))[1].reshape(gt.xy.shape)
+            noise *= np.where(np.isfinite(pheno), model.magnitude * pheno, 0.0)[:, :, None]
+    if not np.isfinite(noise).all():
+        raise ValueError(f"magnitude {model.magnitude} displaces keypoints beyond the float range")
     xy = np.maximum(gt.xy + noise, 0.0)
     reach = np.where(np.isfinite(xy), xy, 0.0).max(axis=1)
     width = np.maximum(gt.width, np.ceil(reach[:, 0]))

@@ -125,6 +125,19 @@ def test_evaluate_all_includes_phenotypes(synth_files, tmp_path):
     assert "mmape" in doc and "oks" in doc and "pck" in doc
 
 
+def test_evaluate_config_file_and_flags_give_the_same_report(synth_files, tmp_path):
+    gt, pred = synth_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pmp_threshold": 1, "pck_threshold": 2, "oks_scale": 300}))
+    by_config, by_flags = tmp_path / "config.json", tmp_path / "flags.json"
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--config", str(cfg),
+                 "--out", str(by_config)]) == 0
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--r", "1", "--pck-threshold", "2",
+                 "--oks-scale", "300", "--out", str(by_flags)]) == 0
+    assert by_config.read_bytes() == by_flags.read_bytes()
+    assert json.loads(by_config.read_text())["config"]["pmp_threshold"] == 1.0
+
+
 def test_evaluate_config_file_and_flag_precedence(synth_files, tmp_path):
     gt, pred = synth_files
     cfg = tmp_path / "cfg.json"
@@ -153,6 +166,8 @@ def test_evaluate_config_file_and_flag_precedence(synth_files, tmp_path):
     ({"pck_scale_mode": "elbow"}, "pck_scale_mode must be one of head, torso, bbox_diagonal, got 'elbow'"),
     ({"oks_scale": 0}, "oks_scale must be a finite positive number, got 0"),
     ({"oks_scale": [1.0]}, "oks_scale must be a finite positive number, got [1.0]"),
+    ({"pmp_threshold": 10**400}, f"pmp_threshold must be a finite positive number, got {10**400}"),
+    ({"oks_k": [10**400] * 22}, "oks_k must hold 22 finite positive numbers"),
 ])
 def test_evaluate_config_unknown_key_is_data_error(synth_files, tmp_path, capsys, config, message):
     gt, pred = synth_files
@@ -223,6 +238,25 @@ def test_train_toy_writes_trace(tmp_path):
     assert lines[0].split(",") == ["step", "L_mse", "L_acr", "w_mse", "w_acr",
                                    "grad_norm_mse", "grad_norm_acr", "violation_count"]
     assert len(lines) == 42  # header + steps + final row
+
+
+@pytest.mark.parametrize("command", [["synth", "--template", "elongate", "--n", "3"], ["train-toy"]])
+def test_negative_seed_is_named(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([*command, "--seed", "-1", "--out" if command[0] == "synth" else "--trace", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["uniform_px", "proportional_to_shortest_phenotype"])
+@pytest.mark.parametrize("magnitude", ["nan", "inf", "1e308"])
+def test_synth_rejects_a_magnitude_without_finite_noise(tmp_path, capsys, mode, magnitude):
+    out = tmp_path / "pred.json"
+    assert main(["synth", "--template", "elongate", "--n", "3", "--perturb", mode,
+                 "--magnitude", magnitude, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: magnitude ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_train_toy_rejects_negative_steps(tmp_path, capsys):

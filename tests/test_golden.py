@@ -2,9 +2,9 @@
 
 A seeded 300-fish pair with hidden and occluded keypoints and all five
 species goes through ``prior``, ``acr``, ``measure``, ``plot --kind
-deviation`` and plain and perturbed ``synth``; the SHA-256 of every output
-must equal the digest recorded from an earlier release, so a refactor of
-the read or write path cannot move a byte unnoticed.
+deviation`` and plain, proportional and uniform-pixel ``synth``; the SHA-256
+of every output must equal the digest recorded from an earlier release, so a
+refactor of the read or write path cannot move a byte unnoticed.
 """
 
 import hashlib
@@ -25,6 +25,7 @@ GOLDEN = {
     "deviation.csv": "cee1d174f48c720fd2652bb285662371bbfabc8fb78c77b0bf2a0944bb688a83",
     "synth.json": "efdd1bd0aa911fd2a2e351e2c7a0f9ed2ce8d319480b6771462ae2e31b90e3d1",
     "synth_proportional.json": "bc4a09c3821782f1adc4ed001569ea1744dcb0d13e876f9b337279bc4a8eaaff",
+    "synth_uniform.json": "8d7239d49cd04800449e7d4974b2563867c77e8efbf448a862ecd83769063989",
 }
 
 
@@ -60,6 +61,7 @@ def golden_outputs(tmp_path):
         synth + ["--out", str(out["synth.json"])],
         synth + ["--perturb", "proportional_to_shortest_phenotype", "--magnitude", "0.05",
                  "--out", str(out["synth_proportional.json"])],
+        synth + ["--perturb", "uniform_px", "--magnitude", "6", "--out", str(out["synth_uniform.json"])],
         synth + ["--out", str(gt)],
         synth + ["--perturb", "uniform_px", "--magnitude", "6", "--out", str(pred)],
     ]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from phenokey.synth import (
     TEMPLATES,
     PerturbationModel,
     SpeciesTemplate,
-    _truncated_normal,
+    _streams,
     generate_population,
     load_template,
     perturb,
@@ -98,6 +100,72 @@ def test_prior_contains_every_training_sample():
 def test_population_size_validation():
     with pytest.raises(ValueError, match=">= 1"):
         generate_population(TEMPLATES["elongate"], 0, seed=0)
+    # a fish index must stay one SeedSequence word
+    with pytest.raises(ValueError, match=r"< 2\*\*32"):
+        generate_population(TEMPLATES["elongate"], 2**32, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+        generate_population(TEMPLATES["elongate"], 3, seed=seed)
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+        PerturbationModel("uniform_px", 1.0, seed=seed)
+
+
+# make_toy_problem draws its prior population from seed (2 * s + 1) * 15485863
+_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, *((2 * s + 1) * 15485863 for s in (0, 1, 4242, 2**31))]
+
+
+@pytest.mark.parametrize("tail", [(), (7919,)])
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_streams_start_where_default_rng_starts(seed, tail):
+    indices = [*range(1200), 2**16, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]
+    starts = [(idx, rng.bit_generator.state) for idx, rng in _streams(seed, indices, tail)]
+    assert [idx for idx, _ in starts] == indices
+    for idx, state in starts:
+        assert state == np.random.PCG64(np.random.SeedSequence([seed, idx, *tail])).state
+
+
+def _truncated_normal(rng, shape):
+    """Standard normals with rejection outside +/- 3, drawn as the per-fish loop drew them; also whether any was
+    redrawn."""
+    out = rng.standard_normal(shape)
+    bad = np.abs(out) > 3.0
+    redrawn = bool(bad.any())
+    while bad.any():
+        out[bad] = rng.standard_normal(int(bad.sum()))
+        bad = np.abs(out) > 3.0
+    return out, redrawn
+
+
+def _generate_one_fish_at_a_time(template, n, seed):
+    """Reference population: one ``default_rng([seed, idx])`` per fish; also the number of fish that redrew."""
+    s_min, s_max = template.body_size_range
+    xy, width, height, redrawn = np.empty((n, KEYPOINT_COUNT, 2)), np.empty(n), np.empty(n), 0
+    for idx in range(n):
+        rng = np.random.default_rng([int(seed), idx])
+        size = float(rng.uniform(s_min, s_max))
+        off_x = float(rng.uniform(0.15, 0.50)) * size
+        off_y = float(rng.uniform(0.15, 0.50)) * size * template.aspect
+        z, again = _truncated_normal(rng, (KEYPOINT_COUNT, 2))
+        redrawn += again
+        pos = template.mean_layout + z * template.spread[:, None]
+        xy[idx, :, 0] = off_x + pos[:, 0] * size
+        xy[idx, :, 1] = off_y + pos[:, 1] * size * template.aspect
+        width[idx] = math.ceil(2 * off_x + size)
+        height[idx] = math.ceil(2 * off_y + size * template.aspect)
+    return xy, width, height, redrawn
+
+
+@pytest.mark.parametrize("name", list(TEMPLATES))
+@pytest.mark.parametrize("seed", [0, 31, 2**32 + 5, 2**64 + 3])
+def test_generate_population_equals_per_fish_reference(name, seed):
+    pop = generate_population(TEMPLATES[name], 150, seed=seed)
+    xy, width, height, redrawn = _generate_one_fish_at_a_time(TEMPLATES[name], 150, seed)
+    assert redrawn > 5    # the sample exercises the +/- 3 sigma redraw
+    assert np.array_equal(pop.xy, xy)
+    assert np.array_equal(pop.width, width) and np.array_equal(pop.height, height)
 
 
 def test_load_template_by_name_and_file(tmp_path):
@@ -156,7 +224,7 @@ def _perturb_one_fish_at_a_time(gt, model):
         else:
             pheno = shortest_phenotype_lengths(kp.xy[None], kp.v[None])[0]
             sigma = np.where(np.isfinite(pheno), model.magnitude * pheno, 0.0)
-            noise = _truncated_normal(rng, (KEYPOINT_COUNT, 2)) * sigma[:, None]
+            noise = _truncated_normal(rng, (KEYPOINT_COUNT, 2))[0] * sigma[:, None]
         xy = np.maximum(kp.xy + noise, 0.0)
         width = max(rec.width, float(np.ceil(xy[:, 0].max())))
         height = max(rec.height, float(np.ceil(xy[:, 1].max())))
@@ -178,16 +246,17 @@ def test_perturb_equals_per_fish_reference(mode, magnitude):
         kp = KeypointSet(xy=rec.keypoints.xy, v=v, image_id=rec.image_id)
         hidden.append(FishImageRecord(rec.image_id, rec.width, rec.height, kp))
     gt = Dataset(records=tuple(hidden), role="test")
-    model = PerturbationModel(mode, magnitude, seed=21)
-    pred = perturb(gt, model)
-    reference = _perturb_one_fish_at_a_time(gt, model)
-    assert pred == reference
-    assert pred.role == "test"
-    assert [(r.width, r.height) for r in pred] == [(r.width, r.height) for r in reference]
-    assert pred != gt
-    if mode != "uniform_px":
-        for g, p in list(zip(gt, pred))[::7]:
-            assert np.array_equal(p.keypoints.xy[10], g.keypoints.xy[10])
+    for seed in (21, 2**32 + 5, 2**64 + 3):    # seeds of one, two and three SeedSequence words
+        model = PerturbationModel(mode, magnitude, seed=seed)
+        pred = perturb(gt, model)
+        reference = _perturb_one_fish_at_a_time(gt, model)
+        assert pred == reference
+        assert pred.role == "test"
+        assert [(r.width, r.height) for r in pred] == [(r.width, r.height) for r in reference]
+        assert pred != gt
+        if mode != "uniform_px":
+            for g, p in list(zip(gt, pred))[::7]:
+                assert np.array_equal(p.keypoints.xy[10], g.keypoints.xy[10])
 
 
 @pytest.mark.parametrize(
@@ -222,8 +291,9 @@ def test_perturb_keeps_hidden_nan_coordinates(mode, magnitude):
 def test_invalid_perturbation_model():
     with pytest.raises(ValueError, match="mode"):
         PerturbationModel("bogus", 1.0)
-    with pytest.raises(ValueError, match="magnitude"):
-        PerturbationModel("uniform_px", -1.0)
+    for magnitude in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="magnitude must be a finite nonnegative number"):
+            PerturbationModel("uniform_px", magnitude)
 
 
 def test_proportional_noise_pmp_matches_analytic_probability():
