@@ -12,13 +12,11 @@ __version__ = "0.1.0"
 from .anatomy import (
     AnatomicalPrior,
     BoxConstraint,
-    NormalizedKeypoints,
     acr_gradient,
     acr_loss,
     box_for_image,
-    box_for_keypoints,
     fit_prior,
-    normalize,
+    normalized_coords,
     visible_bbox,
 )
 from .dataset import (
@@ -38,7 +36,6 @@ from .metrics import (
     keypoint_similarity,
     mape,
     mmape,
-    oks,
     oks_per_image,
     ols_fit,
     pck,
@@ -51,9 +48,7 @@ from .morphometry import (
     PhenotypeMeasurement,
     PhenotypeTable,
     default_table,
-    measure,
     measure_all,
-    shortest_related_phenotype,
 )
 from .optim import (
     LossWeights,

@@ -53,31 +53,16 @@ def body_frames(xy, v, image_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lo, hi, extent
 
 
-def _frame(keypoints: KeypointSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lo, hi, extent = body_frames(keypoints.xy[None], keypoints.v[None], [keypoints.image_id])
-    return lo[0], hi[0], extent[0]
-
-
 def visible_bbox(keypoints: KeypointSet) -> tuple[float, float, float, float]:
     """(x_min, y_min, x_max, y_max) over the visible keypoints of a sample :func:`body_frames` accepts."""
-    lo, hi, _ = _frame(keypoints)
-    return (*lo.tolist(), *hi.tolist())
+    lo, hi, _ = body_frames(keypoints.xy[None], keypoints.v[None], [keypoints.image_id])
+    return (*lo[0].tolist(), *hi[0].tolist())
 
 
-@dataclass(frozen=True)
-class NormalizedKeypoints:
-    """Body-normalized coordinates in [0,1]²; NaN rows mark invisible keypoints."""
-
-    points: np.ndarray   # (22, 2) float64
-    image_id: object
-    bbox: tuple          # (x_min, y_min, x_max, y_max) pixels
-
-
-def normalize(keypoints: KeypointSet) -> NormalizedKeypoints:
-    """Scale keypoints into the unit square spanned by their bounding rectangle."""
-    lo, hi, extent = _frame(keypoints)
-    points = np.where(keypoints.visible[:, None], (keypoints.xy - lo) / extent, np.nan)
-    return NormalizedKeypoints(points=points, image_id=keypoints.image_id, bbox=(*lo.tolist(), *hi.tolist()))
+def normalized_coords(dataset: Dataset) -> np.ndarray:
+    """(N, 22, 2) coordinates scaled into each sample's body frame, the unit square; NaN where a keypoint is hidden."""
+    lo, _, extent = body_frames(dataset.xy, dataset.v, dataset.image_ids)
+    return np.where((dataset.v > 0)[..., None], (dataset.xy - lo[:, None]) / extent[:, None], np.nan)
 
 
 @dataclass(frozen=True)
@@ -111,11 +96,9 @@ def fit_prior(train: Dataset, species: str = "other") -> AnatomicalPrior:
     if len(train) == 0:
         raise ValueError("cannot fit a prior on an empty training set")
     try:
-        lo, _, extent = body_frames(train.xy, train.v, train.image_ids)
+        cube = normalized_coords(train)
     except DegeneratePoseError as exc:
         raise DegeneratePoseError(f"record {exc.image_id!r} failed normalization: {exc}", exc.image_id) from exc
-    cube = (train.xy - lo[:, None]) / extent[:, None]
-    cube = np.where((train.v > 0)[..., None], cube, np.nan)  # (n, 22, 2), NaN where invisible
     never_seen = np.isnan(cube).all(axis=0).any(axis=1)
     if never_seen.any():
         missing = [f"K-{i + 1}" for i in np.flatnonzero(never_seen)]
@@ -159,18 +142,8 @@ def box_for_image(prior: AnatomicalPrior, bbox) -> BoxConstraint:
     )
 
 
-def box_for_keypoints(prior: AnatomicalPrior, keypoints: KeypointSet) -> BoxConstraint:
-    """Box constraint derived from a keypoint set's own bounding rectangle.
-
-    This is how the constraint is used when no annotated rectangle exists:
-    at evaluation time the box follows the predicted keypoints themselves.
-    """
-    lo, _, extent = _frame(keypoints)
-    return BoxConstraint(origin=lo, extent=extent, nmin=prior.mins, nmax=prior.maxs)
-
-
 def dataset_boxes(prior: AnatomicalPrior, dataset: Dataset) -> BoxConstraint:
-    """:func:`box_for_keypoints` for every record at once, as (N, 1, 2) frames."""
+    """:func:`box_for_image` of every record's own :func:`visible_bbox` at once, as (N, 1, 2) frames."""
     lo, _, extent = body_frames(dataset.xy, dataset.v, dataset.image_ids)
     return BoxConstraint(origin=lo[:, None], extent=extent[:, None], nmin=prior.mins, nmax=prior.maxs)
 

@@ -164,9 +164,6 @@ def _cmd_acr(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
-    problem = make_toy_problem(
-        n=args.n, feature_dim=args.feature_dim, seed=args.seed, template=args.template
-    )
     cfg = TrainConfig(
         steps=args.steps,
         lr=args.lr,
@@ -174,6 +171,9 @@ def _cmd_train_toy(args) -> int:
         lr_weights=args.lr_weights,
         alpha=args.alpha,
         use_acr=(args.acr == "on"),
+    )
+    problem = make_toy_problem(
+        n=args.n, feature_dim=args.feature_dim, seed=args.seed, template=args.template
     )
     predictor = ToyPredictor.mean_baseline(problem.targets, args.feature_dim)
     try:

@@ -27,14 +27,6 @@ class DatasetValidationError(PhenokeyError):
         super().__init__(f"dataset failed validation: {lines}{more}")
 
 
-class MissingKeypointError(PhenokeyError):
-    """A measurement endpoint is not visible/annotated."""
-
-
-class NoMeasurablePhenotypeError(PhenokeyError):
-    """No phenotype related to a keypoint is measurable on the given sample."""
-
-
 class DegeneratePoseError(PhenokeyError):
     """Visible keypoints cannot frame the body; carries the id of the image they belong to."""
 

@@ -20,8 +20,8 @@ Every metric is computed on whole (N, 22, 2) arrays. :func:`evaluate_datasets`
 pairs the two datasets' rows once and computes the deviations, the
 ground-truth box diagonals and the shortest ground-truth phenotypes once for
 all metrics; :func:`oks_per_image`, :func:`pck` and :func:`pmp` stack their
-keypoint sets and run the same array code. Those three pair their lists by
-position, not by image id: a length or image-id mismatch raises ``ValueError``.
+keypoint lists, which pair by position, not by image id (a length or image-id
+mismatch raises ``ValueError``): one image's OKS is ``oks_per_image([p], [g])[0]``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .anatomy import visible_corners
-from .dataset import Dataset, KeypointSet, stack_keypoints
+from .dataset import Dataset, stack_keypoints
 from .errors import DegenerateFitError, DegenerateScaleError, IntegrityError, UndefinedMetricError
 from .morphometry import default_table, phenotype_lengths, shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT
@@ -97,17 +97,6 @@ def keypoint_similarity(d: float, s: float, k: float) -> float:
     if d < 0:
         raise ValueError(f"distance must be nonnegative, got {d}")
     return float(_similarity(d, s, k))
-
-
-def oks(pred: KeypointSet, gt: KeypointSet, cfg: EvalConfig | None = None) -> float:
-    """Mean keypoint similarity over the ground-truth-annotated keypoints."""
-    pairs = _Pairs(pred.xy[None], gt.xy[None], gt.v[None], [gt.image_id])
-    if not pairs.annotated.any():
-        raise UndefinedMetricError(f"image {gt.image_id!r}: no visible ground-truth keypoints")
-    value = _oks(pairs, cfg or EvalConfig())[0]
-    if value is None:
-        raise DegenerateScaleError(f"image {gt.image_id!r}: object scale is 0")
-    return value
 
 
 def mape(gt_values, pred_values) -> float:

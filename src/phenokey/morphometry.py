@@ -8,18 +8,15 @@ of the eye. The table below covers every keypoint at least once.
 from __future__ import annotations
 
 import functools
+import os
+import sys
 import warnings
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from .dataset import KeypointSet
-from .errors import (
-    DegenerateMeasurementWarning,
-    MissingKeypointError,
-    NoMeasurablePhenotypeError,
-)
+from .errors import DegenerateMeasurementWarning
 from .schema import KEYPOINT_COUNT
 
 
@@ -166,22 +163,22 @@ def shortest_phenotype_lengths(gt_xy, gt_v) -> np.ndarray:
     return out
 
 
-def measurement_rows(image_ids, xy, v, defs=None) -> tuple[list[tuple], list[list[int]]]:
-    """The ``measure`` CSV rows ``(image_id, abbrev, value_px, status)`` for every image and phenotype of ``defs``,
-    the table by default, and per image the first unannotated 1-based endpoint of each phenotype, 0 if none.
+def measurement_rows(image_ids, xy, v) -> tuple[list[tuple], list[list[int]]]:
+    """The ``measure`` CSV rows ``(image_id, abbrev, value_px, status)`` of every image and table phenotype, and per
+    image the first unannotated 1-based endpoint of each phenotype, 0 if none.
 
-    The status is ``skipped:K-n``, with value None, for that endpoint K-n;
-    ``degenerate`` when the endpoints coincide, with a
-    :class:`DegenerateMeasurementWarning` pointing at the caller of its
-    caller's caller: the caller of the public measuring function (through
-    ``_measure_one``) or of ``cli.main`` (through the ``measure`` command);
-    ``ok`` otherwise.
+    The status is ``skipped:K-n``, with value None, for that endpoint K-n; ``degenerate`` when the endpoints
+    coincide, with a :class:`DegenerateMeasurementWarning` at the nearest frame that is no function of the package
+    (the caller of :func:`measure_all` or of ``cli.main``); ``ok`` otherwise.
     """
-    defs = default_table().defs if defs is None else defs
-    a, b = ends = np.array([d.endpoints for d in defs], dtype=np.intp).T - 1
-    lengths = phenotype_lengths(xy, v, ends).tolist()
+    stacklevel, package = 2, os.path.dirname(__file__) + os.sep    # out past every function of the package
+    while (code := sys._getframe(stacklevel - 1).f_code).co_name != "<module>" and code.co_filename.startswith(package):
+        stacklevel += 1
+    table = default_table()
+    a, b = table.endpoint_index
+    lengths = phenotype_lengths(xy, v, table.endpoint_index).tolist()
     hidden = np.where(v[:, a] <= 0, a + 1, np.where(v[:, b] <= 0, b + 1, 0)).tolist()
-    abbrevs = [d.abbrev for d in defs]
+    abbrevs = table.abbrevs()
     rows = []
     for image_id, rec_lengths, rec_hidden in zip(image_ids, lengths, hidden):
         for abbrev, value, missing in zip(abbrevs, rec_lengths, rec_hidden):
@@ -189,50 +186,16 @@ def measurement_rows(image_ids, xy, v, defs=None) -> tuple[list[tuple], list[lis
                 rows.append((image_id, abbrev, None, f"skipped:K-{missing}"))
             elif value == 0.0:
                 message = f"{abbrev} on image {image_id!r}: coincident endpoints, zero length"
-                warnings.warn(message, DegenerateMeasurementWarning, stacklevel=4)
+                warnings.warn(message, DegenerateMeasurementWarning, stacklevel=stacklevel)
                 rows.append((image_id, abbrev, value, "degenerate"))
             else:
                 rows.append((image_id, abbrev, value, "ok"))
     return rows, hidden
 
 
-def _measure_one(keypoints: KeypointSet, defs=None) -> list[tuple]:
-    """``(abbrev, value_px, missing)`` of each phenotype on one image, warning at the public function's caller."""
-    rows, (missing,) = measurement_rows([keypoints.image_id], keypoints.xy[None], keypoints.v[None], defs)
-    return [(abbrev, value, m) for (_, abbrev, value, _), m in zip(rows, missing)]
-
-
-def measure(keypoints: KeypointSet, pdef: PhenotypeDef) -> PhenotypeMeasurement:
-    """Euclidean distance between the phenotype's two endpoints.
-
-    Both endpoints must be annotated (v > 0). Coincident endpoints yield a
-    0.0 measurement and a :class:`DegenerateMeasurementWarning`.
-    """
-    ((abbrev, value, missing),) = _measure_one(keypoints, [pdef])
-    if missing:
-        raise MissingKeypointError(f"{abbrev}: keypoint K-{missing} is not visible on image {keypoints.image_id!r}")
-    return PhenotypeMeasurement(abbrev, value, keypoints.image_id)
-
-
 def measure_all(keypoints: KeypointSet) -> tuple[list[PhenotypeMeasurement], list[SkippedPhenotype]]:
     """Measure every phenotype with both endpoints visible; report the rest as skips."""
-    rows = _measure_one(keypoints)
-    measured = [PhenotypeMeasurement(abbrev, value, keypoints.image_id) for abbrev, value, m in rows if not m]
-    skipped = [SkippedPhenotype(abbrev, m, keypoints.image_id) for abbrev, _, m in rows if m]
+    rows, (missing,) = measurement_rows([keypoints.image_id], keypoints.xy[None], keypoints.v[None])
+    measured = [PhenotypeMeasurement(abbrev, value, i) for (i, abbrev, value, _), m in zip(rows, missing) if not m]
+    skipped = [SkippedPhenotype(abbrev, m, i) for (i, abbrev, _, _), m in zip(rows, missing) if m]
     return measured, skipped
-
-
-def shortest_related_phenotype(keypoint: int, ground_truth: KeypointSet) -> PhenotypeMeasurement:
-    """The measurable phenotype containing ``keypoint`` with minimum ground-truth length.
-
-    Ties resolve to the earlier table entry. Raises when no related phenotype
-    is measurable on this sample.
-    """
-    related = default_table().related(keypoint)
-    measured = [(value, abbrev) for abbrev, value, missing in _measure_one(ground_truth, related) if not missing]
-    if not measured:
-        raise NoMeasurablePhenotypeError(
-            f"keypoint K-{keypoint}: no measurable related phenotype on image {ground_truth.image_id!r}"
-        )
-    value, abbrev = min(measured, key=itemgetter(0))  # the first minimum: ties go to the earlier table entry
-    return PhenotypeMeasurement(abbrev, value, ground_truth.image_id)

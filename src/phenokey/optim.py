@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -105,6 +106,16 @@ class TrainConfig:
     # starting task weights; with lr_weights = 0 they stay fixed
     init_w_mse: float = 1.0
     init_w_acr: float = 1.0
+
+    def __post_init__(self):
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be nonnegative, got {self.steps}")
+        for name in ("lr", "lr_decay", "lr_weights", "alpha", "init_w_mse", "init_w_acr"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -332,10 +343,6 @@ def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tup
     """
     if len(problem.features) == 0:
         raise ValueError("training batch is empty")
-    if cfg.lr < 0:
-        raise ValueError("learning rate must be nonnegative")
-    if cfg.steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {cfg.steps}")
     features = problem.features
     targets = problem.targets
     boxes = problem.boxes()

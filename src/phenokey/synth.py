@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import SchemaError
+from .errors import PhenokeyError, SchemaError
 from .jsontext import doc_field, read_json
 from .morphometry import shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT, SPECIES
@@ -180,6 +181,8 @@ def load_template(name_or_path: str) -> SpeciesTemplate:
     """Resolve a built-in template name or read one from a JSON file."""
     if name_or_path in TEMPLATES:
         return TEMPLATES[name_or_path]
+    if not os.path.isfile(name_or_path):
+        raise PhenokeyError(f"template {name_or_path!r} is neither a built-in ({', '.join(TEMPLATES)}) nor a file")
     return read_json(name_or_path, template_from_dict)
 
 

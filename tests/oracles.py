@@ -8,9 +8,32 @@ vectorized library internals.
 import json
 import math
 
-from phenokey.errors import IntegrityError, ParseError, SchemaError
-from phenokey.morphometry import default_table
-from phenokey.schema import KEYPOINT_COUNT, normalize_species
+KEYPOINT_COUNT = 22
+
+# Endpoint pairs (1-based keypoints) of the 23 phenotypes, restated from the method's table
+PHENOTYPE_ENDPOINTS = (
+    (1, 9), (1, 10), (1, 2), (1, 11), (11, 12), (12, 2), (5, 6), (3, 4), (15, 17), (7, 8), (18, 10), (20, 21),
+    (20, 22), (13, 14), (15, 16), (17, 18), (17, 19), (10, 9), (1, 20), (20, 10), (13, 20), (13, 15), (15, 20),
+)
+
+SPECIES = ("grouper", "mottled_naked_carp", "bighead_carp", "common_carp", "other")
+
+
+class ParseError(Exception):
+    """The oracle's counterpart of the library error of the same name."""
+
+
+class SchemaError(Exception):
+    """The oracle's counterpart of the library error of the same name."""
+
+
+class IntegrityError(Exception):
+    """The oracle's counterpart of the library error of the same name."""
+
+
+def _species(name):
+    tag = name.strip().lower().replace(" ", "_").replace("-", "_")
+    return tag if tag in SPECIES else "other"
 
 
 def _pt(kp, i):
@@ -91,14 +114,12 @@ def oracle_phenotype_length(g, pdef):
     return math.hypot(bx - ax, by - ay), None
 
 
-def oracle_shortest_phenotype(g, keypoint, table=None):
+def oracle_shortest_phenotype(g, keypoint):
     """Length of the shortest measurable related phenotype, or None."""
-    table = table or default_table()
     best = None
-    for pdef in table:
-        if keypoint not in pdef.endpoints:
+    for a, b in PHENOTYPE_ENDPOINTS:
+        if keypoint not in (a, b):
             continue
-        a, b = pdef.endpoints
         if not (_vis(g, a) and _vis(g, b)):
             continue
         ax, ay = _pt(g, a)
@@ -109,16 +130,15 @@ def oracle_shortest_phenotype(g, keypoint, table=None):
     return best
 
 
-def oracle_pmp(preds, gts, cfg, table=None):
+def oracle_pmp(preds, gts, cfg):
     """Per-keypoint list, None where no evaluable samples."""
-    table = table or default_table()
     hits = [0] * KEYPOINT_COUNT
     counts = [0] * KEYPOINT_COUNT
     for p, g in zip(preds, gts):
         for j in range(1, KEYPOINT_COUNT + 1):
             if not _vis(g, j):
                 continue
-            pheno = oracle_shortest_phenotype(g, j, table)
+            pheno = oracle_shortest_phenotype(g, j)
             if pheno is None or pheno <= 0:
                 continue
             counts[j - 1] += 1
@@ -182,7 +202,7 @@ def oracle_parse_coco(path):
         if img["id"] in images:
             raise IntegrityError(f"duplicate image id {img['id']!r} in images array")
         images[img["id"]] = (float(img["width"]), float(img["height"]))
-    names = {c["id"]: normalize_species(str(c.get("name", "other"))) for c in doc.get("categories", [])}
+    names = {c["id"]: _species(str(c.get("name", "other"))) for c in doc.get("categories", [])}
     records = []
     fractional = None
     used = set()

@@ -8,10 +8,9 @@ from phenokey.anatomy import (
     acr_gradient,
     acr_loss,
     box_for_image,
-    box_for_keypoints,
     dataset_boxes,
     fit_prior,
-    normalize,
+    normalized_coords,
     prior_from_dict,
     prior_to_dict,
     visible_bbox,
@@ -37,21 +36,24 @@ def _point_prior(nx_min=0.25, ny_min=0.5, nx_max=None, ny_max=None):
 # normalization
 
 
+def _normalized(kp):
+    """(22, 2) normalized coordinates of one keypoint set."""
+    return normalized_coords(make_dataset([kp]))[0]
+
+
 def test_normalize_extremes_map_to_unit_corners():
     kp = make_keypoints()
-    norm = normalize(kp)
-    x_min, y_min, x_max, y_max = visible_bbox(kp)
-    assert norm.bbox == (x_min, y_min, x_max, y_max)
-    assert norm.points.min() == 0.0 and norm.points.max() == 1.0
-    assert tuple(norm.points[0]) == (0.0, 0.0)     # K-1 sits at the bbox minimum
-    assert tuple(norm.points[-1]) == (1.0, 1.0)    # K-22 at the maximum
+    points = _normalized(kp)
+    assert visible_bbox(kp) == (10.0, 20.0, 850.0, 545.0)   # K-1 and K-22 of the diagonal layout
+    assert points.min() == 0.0 and points.max() == 1.0
+    assert tuple(points[0]) == (0.0, 0.0)     # K-1 sits at the bbox minimum
+    assert tuple(points[-1]) == (1.0, 1.0)    # K-22 at the maximum
 
 
 def test_normalize_attains_zero_and_one_each_axis():
     rng = np.random.default_rng(1)
-    for _ in range(5):
-        kp = make_keypoints(xy=rng.uniform(50, 800, size=(KEYPOINT_COUNT, 2)))
-        pts = normalize(kp).points
+    kps = [make_keypoints(xy=rng.uniform(50, 800, size=(KEYPOINT_COUNT, 2)), image_id=n) for n in range(5)]
+    for pts in normalized_coords(make_dataset(kps)):
         for axis in (0, 1):
             assert pts[:, axis].min() == 0.0
             assert pts[:, axis].max() == 1.0
@@ -62,7 +64,7 @@ def test_normalize_uses_visible_points_only():
     v = np.full(KEYPOINT_COUNT, 2)
     v[0] = 0
     kp = make_keypoints(v=v, overrides={1: (-1e6, -1e6)})
-    pts = normalize(kp).points
+    pts = _normalized(kp)
     assert np.isnan(pts[0]).all()
     assert np.nanmin(pts) == 0.0
 
@@ -70,14 +72,14 @@ def test_normalize_uses_visible_points_only():
 def test_normalize_collinear_errors():
     xy = np.column_stack([np.full(KEYPOINT_COUNT, 5.0), np.linspace(0, 100, KEYPOINT_COUNT)])
     with pytest.raises(DegeneratePoseError, match="x-range"):
-        normalize(make_keypoints(xy=xy))
+        _normalized(make_keypoints(xy=xy))
 
 
 def test_normalize_needs_two_visible():
     v = np.zeros(KEYPOINT_COUNT, dtype=int)
     v[0] = 2
     with pytest.raises(DegeneratePoseError, match="2 visible"):
-        normalize(make_keypoints(v=v))
+        _normalized(make_keypoints(v=v))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +356,8 @@ def test_box_for_keypoints_uses_own_bbox():
     pop = generate_population(TEMPLATES["elongate"], 3, seed=0)
     prior = fit_prior(pop)
     rec = pop.records[0]
-    assert acr_loss(rec.keypoints, box_for_keypoints(prior, rec.keypoints)) == 0.0
+    assert acr_loss(rec.keypoints, box_for_image(prior, visible_bbox(rec.keypoints))) == 0.0
+    assert acr_hinge(pop.xy, dataset_boxes(prior, pop))[0].sum() == 0.0
 
 
 def test_acr_hinge_batch_equals_single_sample_calls():
@@ -430,7 +433,7 @@ def test_fit_prior_names_first_bad_record_like_per_record_path(case):
 
     def one(rec):
         try:
-            normalize(rec.keypoints)
+            visible_bbox(rec.keypoints)
         except DegeneratePoseError as exc:
             raise DegeneratePoseError(f"record {rec.image_id!r} failed normalization: {exc}") from exc
 
@@ -452,7 +455,7 @@ def test_fit_prior_names_first_bad_record_like_per_record_path(case):
 def test_dataset_boxes_raise_like_box_for_keypoints(case):
     prior = fit_prior(generate_population(TEMPLATES["deep_bodied"], 20, seed=4))
     pred = _population_with_bad_records(_CASES[case])
-    expected_type, expected = _first_error(lambda rec: box_for_keypoints(prior, rec.keypoints), pred.records)
+    expected_type, expected = _first_error(lambda rec: box_for_image(prior, visible_bbox(rec.keypoints)), pred.records)
     with pytest.raises(expected_type) as exc:
         dataset_boxes(prior, pred)
     assert type(exc.value) is expected_type and str(exc.value) == expected
@@ -474,7 +477,7 @@ def test_dataset_boxes_equal_per_record_boxes():
     pred = generate_population(TEMPLATES["elongate"], 12, seed=9)
     boxes = dataset_boxes(prior, pred)
     for n, rec in enumerate(pred):
-        one = box_for_keypoints(prior, rec.keypoints)
+        one = box_for_image(prior, visible_bbox(rec.keypoints))
         assert np.array_equal(boxes.origin[n, 0], one.origin) and np.array_equal(boxes.extent[n, 0], one.extent)
         hinge, signs = acr_hinge(pred.xy, boxes)
         assert np.array_equal(hinge[n], acr_hinge(rec.keypoints.xy, one)[0])

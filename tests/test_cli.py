@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phenokey.cli
 from phenokey.cli import main
 from phenokey.dataset import Dataset, parse_coco, serialize_coco
 from phenokey.errors import DegenerateMeasurementWarning
@@ -60,6 +65,18 @@ def test_measure_emits_23_rows_per_image(fixture_path, tmp_path):
     image2 = [l for l in lines if l.startswith("2,")]
     skipped = [l for l in image2 if "skipped" in l]
     assert len(skipped) == 1 and skipped[0].startswith("2,DFH,,skipped:K-22")
+
+
+def test_measure_run_as_a_module_warns_at_its_entry_line(tmp_path):
+    path = tmp_path / "gt.json"
+    serialize_coco(make_dataset([make_keypoints(image_id=4, overrides={12: (410.0, 270.0)})]), path)
+    src = str(Path(phenokey.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "phenokey.cli", "measure", "--input", str(path), "--out", str(tmp_path / "m.csv")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    first, second = done.stderr.splitlines()
+    assert first.endswith(": DegenerateMeasurementWarning: ED on image 4: coincident endpoints, zero length")
+    assert Path(first.split(":")[0]) == Path(phenokey.cli.__file__) and second == "  sys.exit(main())"
 
 
 def test_measure_skips_by_flags_and_matches_oracle(tmp_path):
@@ -264,6 +281,29 @@ def test_train_toy_rejects_negative_steps(tmp_path, capsys):
     assert main(["train-toy", "--steps", "-1", "--trace", str(trace)]) == 1
     assert capsys.readouterr().err == "error: steps must be nonnegative, got -1\n"
     assert not trace.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--lr-decay", "-1"), ("--lr", "nan"), ("--lr", "inf"), ("--lr-decay", "nan"), ("--lr-weights", "nan"),
+     ("--lr-weights", "-1"), ("--alpha", "-5"), ("--alpha", "inf")],
+)
+def test_train_toy_rejects_a_bad_rate_naming_the_field(tmp_path, capsys, flag, value):
+    trace = tmp_path / "trace.csv"
+    assert main(["train-toy", "--steps", "3", flag, value, "--trace", str(trace)]) == 1
+    field = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {field} must be a finite nonnegative number, got {float(value)!r}\n"
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("command", [["synth", "--n", "3", "--out"], ["train-toy", "--steps", "3", "--trace"]])
+def test_an_unknown_template_lists_the_built_in_names(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([*command, str(out), "--template", "nosuch"]) == 1
+    assert capsys.readouterr().err == (
+        "error: template 'nosuch' is neither a built-in (deep_bodied, elongate) nor a file\n"
+    )
+    assert not out.exists()
 
 
 def test_plot_scatter_and_deviation(synth_files, tmp_path):

@@ -22,6 +22,7 @@ from phenokey.errors import (
 from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import TEMPLATES, generate_population
 
+import oracles
 from conftest import make_dataset, make_keypoints
 from oracles import oracle_parse_coco, oracle_validate
 
@@ -427,7 +428,7 @@ def test_parse_names_first_offending_annotation_like_oracle(tmp_path, kind):
     _break(doc, 6, kind)
     _break(doc, 3, kind)
     path = _write(tmp_path, doc)
-    with pytest.raises(_ERRORS[kind]) as oracle_exc:
+    with pytest.raises(getattr(oracles, _ERRORS[kind].__name__)) as oracle_exc:
         oracle_parse_coco(path)
     with pytest.raises(_ERRORS[kind]) as exc:
         parse_coco(path)
@@ -446,7 +447,7 @@ def test_parse_reports_earlier_non_numeric_before_later_structural_error(tmp_pat
     path = _write(tmp_path, doc)
     with pytest.raises(ParseError, match="annotation 102: non-numeric keypoints entry"):
         parse_coco(path)
-    with pytest.raises(ParseError, match="annotation 102"):
+    with pytest.raises(oracles.ParseError, match="annotation 102"):
         oracle_parse_coco(path)
 
 

@@ -10,7 +10,6 @@ from phenokey.metrics import (
     keypoint_similarity,
     mape,
     mmape,
-    oks,
     oks_per_image,
     ols_fit,
     pck,
@@ -94,7 +93,7 @@ def test_ks_monotonicity():
 
 def test_oks_exact_prediction_is_one():
     gt = _box_gt()
-    assert oks(gt, gt) == 1.0
+    assert oks_per_image([gt], [gt]) == [1.0]
 
 
 def test_oks_single_visible_keypoint():
@@ -104,13 +103,13 @@ def test_oks_single_visible_keypoint():
     s, k = 200.0, 0.025
     pred = _shifted(gt, 5, dx=s * k * math.sqrt(2))
     cfg = EvalConfig(oks_scale=s)
-    assert oks(pred, gt, cfg) == pytest.approx(math.exp(-1), rel=1e-12)
+    assert oks_per_image([pred], [gt], cfg)[0] == pytest.approx(math.exp(-1), rel=1e-12)
 
 
-def test_oks_zero_visible_errors():
+def test_oks_zero_visible_is_none():
     gt = make_keypoints(v=np.zeros(KEYPOINT_COUNT, dtype=int))
-    with pytest.raises(UndefinedMetricError):
-        oks(gt, gt)
+    assert oks_per_image([gt], [gt]) == [None]
+    assert oks_per_image([gt], [gt], EvalConfig(oks_scale=100.0)) == [None]
 
 
 def test_metrics_without_phenotypes_never_build_the_phenotype_table(monkeypatch):
@@ -122,8 +121,8 @@ def test_metrics_without_phenotypes_never_build_the_phenotype_table(monkeypatch)
     monkeypatch.setattr(metrics, "default_table", no_table)
     gt = _box_gt()
     pred = _shifted(gt, 3, dx=20.0)
-    assert 0.0 < oks(pred, gt) < 1.0
-    assert oks_per_image([pred], [gt]) == [oks(pred, gt)]
+    (value,) = oks_per_image([pred], [gt])
+    assert 0.0 < value < 1.0
     assert pck([pred], [gt]).mean() == pytest.approx(21 / 22)
 
 
@@ -340,9 +339,9 @@ def test_oks_rigid_invariance_with_fixed_scale():
     gt = _box_gt()
     pred = make_keypoints(xy=gt.xy + rng.normal(0, 2, size=(KEYPOINT_COUNT, 2)), image_id=1)
     cfg = EvalConfig(oks_scale=100.0)
-    base = oks(pred, gt, cfg)
+    (base,) = oks_per_image([pred], [gt], cfg)
     for theta, shift in [(0.3, (50, -20)), (1.2, (0, 0)), (2.9, (-5, 400))]:
-        moved = oks(_rigid(pred, theta, np.array(shift)), _rigid(gt, theta, np.array(shift)), cfg)
+        (moved,) = oks_per_image([_rigid(pred, theta, np.array(shift))], [_rigid(gt, theta, np.array(shift))], cfg)
         assert abs(moved - base) < 1e-9
 
 

@@ -3,24 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from phenokey.errors import (
-    DegenerateMeasurementWarning,
-    MissingKeypointError,
-    NoMeasurablePhenotypeError,
-)
+from phenokey.errors import DegenerateMeasurementWarning
 from phenokey.morphometry import (
     PhenotypeDef,
     PhenotypeTable,
     default_table,
-    measure,
     measure_all,
-    shortest_related_phenotype,
+    measurement_rows,
+    phenotype_lengths,
+    shortest_phenotype_lengths,
 )
 from phenokey.schema import KEYPOINT_COUNT
 
 from conftest import make_keypoints
+from oracles import PHENOTYPE_ENDPOINTS
 
 TABLE = default_table()
+
+
+def _rows(kp):
+    """``{abbrev: (value_px, status)}`` of one keypoint set's ``measure`` rows."""
+    rows, _ = measurement_rows([kp.image_id], kp.xy[None], kp.v[None])
+    return {abbrev: (value, status) for _, abbrev, value, status in rows}
+
+
+def _shortest(kp):
+    """(22,) shortest measurable related phenotype of each keypoint of one set; +inf where none is."""
+    return shortest_phenotype_lengths(kp.xy[None], kp.v[None])[0]
 
 
 def test_table_has_23_phenotypes():
@@ -71,40 +80,38 @@ def test_table_rejects_missing_coverage():
 
 def test_measure_three_four_five():
     kp = make_keypoints(overrides={1: (0.0, 0.0), 9: (3.0, 4.0)})
-    m = measure(kp, TABLE["TL"])
-    assert m.value == 5.0
-    assert m.abbrev == "TL"
+    assert _rows(kp)["TL"] == (5.0, "ok")
 
 
 def test_measure_coincident_warns_zero():
     kp = make_keypoints(overrides={11: (50.0, 50.0), 12: (50.0, 50.0)})
     with pytest.warns(DegenerateMeasurementWarning):
-        m = measure(kp, TABLE["ED"])
-    assert m.value == 0.0
+        rows = _rows(kp)
+    assert rows["ED"] == (0.0, "degenerate")
 
 
-def test_measure_hidden_endpoint_errors():
+def test_measure_hidden_endpoint_skips():
     v = np.full(KEYPOINT_COUNT, 2)
     v[10] = 0  # K-11
     kp = make_keypoints(v=v)
-    with pytest.raises(MissingKeypointError, match="K-11"):
-        measure(kp, TABLE["ED"])
+    assert _rows(kp)["ED"] == (None, "skipped:K-11")
+    assert [(s.abbrev, s.missing_keypoint) for s in measure_all(kp)[1]] == [("SnL", 11), ("ED", 11)]
 
 
 def test_measure_symmetric_and_rigid_invariant():
     rng = np.random.default_rng(7)
     base = make_keypoints()
+    moved = []
     for _ in range(20):
         theta = rng.uniform(0, 2 * math.pi)
         shift = rng.uniform(-500, 500, size=2)
         rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-        moved = make_keypoints(xy=base.xy @ rot.T + shift)
-        for pdef in TABLE:
-            a = measure(base, pdef).value
-            b = measure(moved, pdef).value
-            assert abs(a - b) < 1e-9
-            flipped = PhenotypeDef("tmp", "tmp", (pdef.endpoints[1], pdef.endpoints[0]))
-            assert measure(base, flipped).value == a
+        moved.append(base.xy @ rot.T + shift)
+    xy = np.stack([base.xy, *moved])
+    v = np.full(xy.shape[:2], 2)
+    lengths = phenotype_lengths(xy, v, TABLE.endpoint_index)
+    assert np.abs(lengths[1:] - lengths[0]).max() < 1e-9
+    assert np.array_equal(phenotype_lengths(xy, v, TABLE.endpoint_index[::-1]), lengths)   # endpoints swapped
 
 
 def test_measure_all_full_visibility():
@@ -126,10 +133,9 @@ def test_measuring_functions_warn_of_coincident_endpoints_at_the_caller():
     kp = make_keypoints(overrides={11: (50.0, 50.0), 12: (50.0, 50.0)})
     with pytest.warns(DegenerateMeasurementWarning, match="ED on image") as record:
         measured, skipped = measure_all(kp)
-        measure(kp, TABLE["ED"])
-        shortest_related_phenotype(12, kp)
+        measurement_rows([kp.image_id], kp.xy[None], kp.v[None])
     assert [m.value for m in measured if m.abbrev == "ED"] == [0.0] and skipped == []
-    assert [w.filename for w in record] == [__file__] * 3
+    assert [w.filename for w in record] == [__file__] * 2
 
 
 def test_measure_all_nothing_visible():
@@ -141,37 +147,37 @@ def test_measure_all_nothing_visible():
 def test_shortest_related_picks_eye_diameter():
     # SnL (K-1..K-11) = 120, ED (K-11..K-12) = 40
     kp = make_keypoints(overrides={1: (0.0, 0.0), 11: (120.0, 0.0), 12: (160.0, 0.0)})
-    m = shortest_related_phenotype(11, kp)
-    assert m.abbrev == "ED"
-    assert m.value == 40.0
+    assert _shortest(kp)[10] == _rows(kp)["ED"][0] == 40.0
 
 
 def test_shortest_related_tail_fin():
     kp = make_keypoints(overrides={1: (0.0, 0.0), 9: (500.0, 0.0), 10: (410.0, 0.0)})
-    m = shortest_related_phenotype(9, kp)
-    assert m.abbrev == "TFL"
-    assert m.value == 90.0
+    assert _shortest(kp)[8] == _rows(kp)["TFL"][0] == 90.0
 
 
-def test_shortest_related_no_measurable_errors():
+def test_shortest_related_no_measurable_is_inf():
     v = np.full(KEYPOINT_COUNT, 2)
     v[19] = 0  # K-20 hidden; K-22's only phenotype DFH needs it
     kp = make_keypoints(v=v)
-    with pytest.raises(NoMeasurablePhenotypeError, match="K-22"):
-        shortest_related_phenotype(22, kp)
+    assert _shortest(kp)[21] == math.inf
 
 
 def test_shortest_related_is_minimum_of_related():
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        kp = make_keypoints(xy=rng.uniform(10, 900, size=(KEYPOINT_COUNT, 2)))
-        for j in range(1, KEYPOINT_COUNT + 1):
-            shortest = shortest_related_phenotype(j, kp)
-            for pdef in TABLE.related(j):
-                assert shortest.value <= measure(kp, pdef).value
+    xy = rng.uniform(10, 900, size=(10, KEYPOINT_COUNT, 2))
+    v = np.full(xy.shape[:2], 2)
+    shortest = shortest_phenotype_lengths(xy, v)
+    rows, _ = measurement_rows(range(10), xy, v)
+    for n, abbrev, value, _ in rows:
+        for j in TABLE[abbrev].endpoints:
+            assert shortest[n, j - 1] <= value
 
 
 def test_shortest_related_tie_breaks_by_table_order():
-    # SnL and ED both measure 40 for K-11: SnL comes first in the table
+    # SnL and ED both measure 40 for K-11: the shortest is that shared length
     kp = make_keypoints(overrides={1: (0.0, 0.0), 11: (40.0, 0.0), 12: (80.0, 0.0)})
-    assert shortest_related_phenotype(11, kp).abbrev == "SnL"
+    assert _shortest(kp)[10] == _rows(kp)["SnL"][0] == _rows(kp)["ED"][0] == 40.0
+
+
+def test_oracle_restates_the_table():
+    assert tuple(pdef.endpoints for pdef in TABLE) == PHENOTYPE_ENDPOINTS

@@ -135,6 +135,27 @@ def test_gradnorm_requires_recorded_initial_losses():
 # training
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("steps", -1, "steps must be nonnegative, got -1"),
+        ("steps", 2.5, "steps must be an integer, got 2.5"),
+        ("steps", True, "steps must be an integer, got True"),
+        ("lr", float("nan"), "lr must be a finite nonnegative number, got nan"),
+        ("lr_decay", -1.0, "lr_decay must be a finite nonnegative number, got -1.0"),
+        ("init_w_mse", -0.5, "init_w_mse must be a finite nonnegative number, got -0.5"),
+        ("init_w_acr", float("inf"), "init_w_acr must be a finite nonnegative number, got inf"),
+        ("alpha", "1.5", "alpha must be a finite nonnegative number, got '1.5'"),
+    ],
+)
+def test_train_config_checks_its_fields(field, value, message):
+    with pytest.raises(ValueError) as info:
+        TrainConfig(**{field: value})
+    assert str(info.value) == message
+    with pytest.raises(ValueError):
+        replace(TrainConfig(), **{field: value})
+
+
 def test_zero_learning_rate_keeps_everything_constant():
     problem = make_toy_problem(n=8, feature_dim=5, seed=2)
     init = ToyPredictor.mean_baseline(problem.targets, 5)

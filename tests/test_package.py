@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -18,3 +19,17 @@ def test_package_imports_only_numpy_and_the_stdlib():
                 continue  # not an import, or a relative one
             outside += [f"{path.name}: {name}" for name in names if name.partition(".")[0] not in allowed]
     assert outside == []
+
+
+def test_every_name_the_demos_import_from_phenokey_resolves():
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    imported = [
+        (path.name, node.module, alias.name)
+        for path in demos
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.partition(".")[0] == "phenokey"
+        for alias in node.names
+    ]
+    assert demos and imported
+    assert [f"{demo}: {module}.{name}" for demo, module, name in imported
+            if not hasattr(importlib.import_module(module), name)] == []

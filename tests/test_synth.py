@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phenokey.anatomy import fit_prior, normalize
+from phenokey.anatomy import fit_prior, normalized_coords
 from phenokey.dataset import Dataset, FishImageRecord, KeypointSet, validate
 from phenokey.metrics import pmp, shortest_phenotype_lengths
 from phenokey.schema import KEYPOINT_COUNT
@@ -56,7 +56,7 @@ def test_zero_spread_fish_are_scaled_copies():
         aspect=tpl.aspect,
     )
     pop = generate_population(frozen, 6, seed=5)
-    shapes = [normalize(rec.keypoints).points for rec in pop]
+    shapes = normalized_coords(pop)
     for pts in shapes[1:]:
         assert np.allclose(pts, shapes[0], atol=1e-12)
 
@@ -82,7 +82,7 @@ def test_generated_population_validates():
 def test_prior_extremes_bracket_sample_means():
     pop = generate_population(TEMPLATES["deep_bodied"], 500, seed=7)
     prior = fit_prior(pop)
-    normalized = np.stack([normalize(rec.keypoints).points for rec in pop])
+    normalized = normalized_coords(pop)
     means = normalized.mean(axis=0)
     assert np.all(prior.mins <= means + 1e-12)
     assert np.all(prior.maxs >= means - 1e-12)
@@ -91,8 +91,7 @@ def test_prior_extremes_bracket_sample_means():
 def test_prior_contains_every_training_sample():
     pop = generate_population(TEMPLATES["elongate"], 120, seed=2)
     prior = fit_prior(pop)
-    for rec in pop:
-        pts = normalize(rec.keypoints).points
+    for pts in normalized_coords(pop):
         assert np.all(pts >= prior.mins - 0.0)
         assert np.all(pts <= prior.maxs + 0.0)
 
