@@ -33,7 +33,6 @@ from .metrics import (
     MetricReport,
     PerKeypointResult,
     evaluate_datasets,
-    keypoint_similarity,
     mape,
     mmape,
     oks_per_image,

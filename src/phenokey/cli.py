@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -68,13 +67,21 @@ def _cmd_validate(args) -> int:
 MEASURE_HEADER = ("image_id", "abbrev", "value_px", "status")
 
 
+def _csv_field(value) -> str:
+    """``value`` as a field of a ``csv.writer`` row: None empty, a comma, quote or line break quoted, quotes doubled."""
+    text = "" if value is None else str(value)
+    return f'"{text.replace(chr(34), chr(34) * 2)}"' if any(c in text for c in ',"\r\n') else text
+
+
 def _cmd_measure(args) -> int:
     dataset = parse_coco(args.input)
-    buf = io.StringIO()
-    rows, _ = measurement_rows(dataset.image_ids, dataset.xy, dataset.v)
-    # csv writes a float as str(value), which is its repr, and None as an empty field
-    csv.writer(buf).writerows([MEASURE_HEADER, *rows])
-    _write_text(args.out, buf.getvalue())
+    lengths, status, hidden = measurement_rows(dataset.image_ids, dataset.xy, dataset.v)
+    ids = np.array([_csv_field(image_id) for image_id in dataset.image_ids], dtype=object)[:, None]
+    # csv writes a float as str(value), which is its repr, and a skipped value as an empty field
+    values = np.array(list(map(repr, lengths.ravel().tolist())), dtype=object).reshape(lengths.shape)
+    fields = np.stack(np.broadcast_arrays(ids, np.where(hidden > 0, "", values), status), axis=-1)
+    row = "".join(f"%s,{abbrev},%s,%s\r\n" for abbrev in default_table().abbrevs())
+    _write_text(args.out, ",".join(MEASURE_HEADER) + "\r\n" + row * len(dataset) % tuple(fields.ravel().tolist()))
     return 0
 
 

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DatasetValidationError,
-    IntegrityError,
-    ParseError,
-    PhenokeyWarning,
-    SchemaError,
-)
+from .errors import DatasetValidationError, IntegrityError, ParseError, PhenokeyWarning, SchemaError
 from .jsontext import dumps, read_json
 from .schema import KEYPOINT_COUNT, KEYPOINT_NAMES, SPECIES, normalize_species
 
@@ -136,15 +130,9 @@ class Dataset:
     def __init__(self, records=(), role: str = "train"):
         records = tuple(records)
         xy, v = stack_keypoints([r.keypoints for r in records])
-        self._fill(
-            xy,
-            v,
-            tuple(r.image_id for r in records),
-            [r.width for r in records],
-            [r.height for r in records],
-            [_SPECIES_CODE[r.keypoints.species] for r in records],
-            role,
-        )
+        ids = tuple(r.image_id for r in records)
+        widths, heights = [r.width for r in records], [r.height for r in records]
+        self._fill(xy, v, ids, widths, heights, [_SPECIES_CODE[r.keypoints.species] for r in records], role)
 
     @classmethod
     def from_columns(cls, xy, v, image_ids, width, height, species, role: str = "train") -> Dataset:
@@ -325,6 +313,27 @@ def _decode(flats, ann_ids, path) -> np.ndarray:
         raise
 
 
+def _id_error(where: str, key: str, value) -> ParseError:
+    return ParseError(f"{where}: field {key!r} must be a number or a string, got {value!r}")
+
+
+def _image_error(path, k: int, img) -> ParseError:
+    """Why the ``k``-th entry of ``images`` is no image, naming the entry and the field that is missing or wrong."""
+    where = f"{path}: images[{k}]"
+    if not isinstance(img, dict):
+        return ParseError(f"{where} must be an object, got {type(img).__name__}")
+    for key in ("id", "width", "height"):
+        if key not in img:
+            return ParseError(f"{where}: missing field {key!r}")
+    if isinstance(img["id"], (dict, list)):
+        return _id_error(where, "id", img["id"])
+    for key in ("width", "height"):
+        try:
+            float(img[key])
+        except (TypeError, ValueError):
+            return ParseError(f"{where}: field {key!r} must be a number, got {img[key]!r}")
+
+
 def parse_coco(path) -> Dataset:
     """Read a COCO keypoint annotation file into a :class:`Dataset`.
 
@@ -345,19 +354,21 @@ def parse_coco(path) -> Dataset:
             raise ParseError(f"{path}: missing or non-array field {key!r}")
 
     images = {}
-    for img in doc["images"]:
+    for k, img in enumerate(doc["images"]):
         try:
-            img_id = img["id"]
-            width, height = img["width"], img["height"]
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"{path}: image entry missing field {exc}") from exc
-        if img_id in images:
+            img_id, size = img["id"], (float(img["width"]), float(img["height"]))
+            known = img_id in images
+        except (TypeError, KeyError, ValueError):
+            raise _image_error(path, k, img) from None
+        if known:
             raise IntegrityError(f"duplicate image id {img_id!r} in images array")
-        images[img_id] = (float(width), float(height))
+        images[img_id] = size
 
     categories = {}
-    for cat in doc.get("categories", []):
+    for k, cat in enumerate(doc.get("categories", [])):
         if isinstance(cat, dict) and "id" in cat:
+            if isinstance(cat["id"], (dict, list)):
+                raise _id_error(f"{path}: categories[{k}]", "id", cat["id"])
             categories[cat["id"]] = _SPECIES_CODE[normalize_species(str(cat.get("name", "other")))]
     other = _SPECIES_CODE["other"]
 
@@ -378,10 +389,13 @@ def parse_coco(path) -> Dataset:
         if not isinstance(ann, dict) or "image_id" not in ann or "keypoints" not in ann:
             raise after_earlier_entries(ParseError(f"{path}: annotation {ann_id!r} missing image_id or keypoints"))
         img_id = ann["image_id"]
-        if img_id not in images:
-            raise after_earlier_entries(
-                IntegrityError(f"annotation {ann_id!r} references unknown image id {img_id!r}")
-            )
+        try:
+            known, code = img_id in images, categories.get(ann.get("category_id"), other)
+        except TypeError:    # an array or an object as an id
+            key = "image_id" if isinstance(img_id, (dict, list)) else "category_id"
+            raise after_earlier_entries(_id_error(f"{path}: annotation {ann_id!r}", key, ann[key])) from None
+        if not known:
+            raise after_earlier_entries(IntegrityError(f"annotation {ann_id!r} references unknown image id {img_id!r}"))
         if img_id in seen:
             raise after_earlier_entries(
                 IntegrityError(f"duplicate image id {img_id!r}: multiple annotations for one image")
@@ -397,7 +411,7 @@ def parse_coco(path) -> Dataset:
         ann_ids.append(ann_id)
         image_ids.append(img_id)
         sizes.append(images[img_id])
-        species.append(categories.get(ann.get("category_id"), other))
+        species.append(code)
 
     triplets = _decode(flats, ann_ids, path)
     flags = triplets[..., 2]

@@ -5,11 +5,14 @@ is set. Here the C encoder writes every flat container (a list or dict whose
 values are all scalars) in one call, with an item separator that carries the
 line break and the indentation, and the nested levels around them are joined
 from those pieces. The writer finds every list of records that share one
-shape (keys in order, nesting and list lengths) itself: such a list is
-written from a %-template of that shape, filled with values the C encoder
-writes in one call for the whole list; any other list is written item by
-item. Reports reject NaN and infinities (``allow_nan=False``, a
-``ValueError``); annotation files may carry NaN on hidden keypoints.
+shape (keys in order, nesting and list lengths) itself and fills a %-template
+of that shape with one text per scalar and one per block, a list of at least
+``_BLOCK_MIN`` scalars such as an annotation's 66 ``keypoints``. One C-encoder
+call writes a position for all records, a block as a list of lists with the
+separator of its depth, and the output is split into one text per record.
+Any other list is written item by item. Reports reject NaN and infinities
+(``allow_nan=False``, a ``ValueError``); annotation files may carry NaN on
+hidden keypoints.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import re
 from functools import cache
 from itertools import chain, repeat
-from operator import eq
+from operator import eq, itemgetter
 
 from .errors import ParseError, SchemaError
 
@@ -64,10 +67,20 @@ def _flat_text(obj, depth: int, allow_nan: bool) -> str:
     return f"{text[0]}\n{'  ' * (depth + 1)}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
 
 
-def _columns(objs, first):
-    """Values of the containers ``objs`` position by position, inner containers spliced in, each check one C-level
-    pass over ``objs``; None if one differs from ``first`` in its keys and their order, its nesting or a list length,
-    or if ``first`` has a key that is no str (``1 == True``, but the two keys are written differently)."""
+_BLOCK_MIN = 8    # shorter lists cost more as one list per record than as scalars (crossover at 5k records: 5-8)
+
+
+def _block(obj) -> bool:
+    """A list of at least ``_BLOCK_MIN`` scalars, which a record list writes as one text per record."""
+    flat = isinstance(obj, (list, tuple)) and not any(isinstance(v, _CONTAINERS) for v in obj)
+    return flat and len(obj) >= _BLOCK_MIN
+
+
+def _columns(objs, first, depth):
+    """``(values, depth)`` of the containers ``objs`` position by position, inner containers spliced in, each check
+    one C-level pass over ``objs``; None if one differs from ``first`` in its keys and their order, its nesting or a
+    list length, or if ``first`` has a key that is no str (``1 == True``, but the two keys are written differently).
+    A scalar of ``first`` gives the records' values there and depth None, a block their lists and its nesting."""
     if isinstance(first, dict):
         head = tuple(first)
         same = all(isinstance(k, str) for k in head) and all(map(isinstance, objs, repeat(dict)))
@@ -75,73 +88,95 @@ def _columns(objs, first):
         objs, first = map(dict.values, objs), list(first.values())
     else:
         same = all(map(isinstance, objs, repeat((list, tuple)))) and all(map(eq, map(len, objs), repeat(len(first))))
+        if same and _block(first):
+            return [(objs, depth)]
     if not same:
         return None
     width = len(first)
     values = list(chain.from_iterable(objs))
     columns = []
     for i, value in enumerate(first):
-        inner = _columns(values[i::width], value) if isinstance(value, _CONTAINERS) else [values[i::width]]
+        column = values[i::width]
+        inner = _columns(column, value, depth + 1) if isinstance(value, _CONTAINERS) else [(column, None)]
         if inner is None:
             return None
         columns += inner
     return columns
 
 
+def _block_texts(lists, depth: int, allow_nan: bool):
+    """The inner texts of ``lists``, opening at nesting ``depth``, from one C-encoder call split between the lists;
+    None if one holds a container, which shows as a bracket after a separator or after the list's own bracket."""
+    if any(map(isinstance, map(itemgetter(0), lists), repeat(_CONTAINERS))):
+        return None
+    sep = ",\n" + "  " * (depth + 1)
+    text = _encoder(depth + 1, allow_nan)(lists)[2:-2]
+    # the n - 1 boundaries between the lists hold every "[" that follows a separator
+    if text.count(sep + "[") != len(lists) - 1 or sep + "{" in text:
+        return None
+    return text.split("]" + sep + "[")
+
+
 def _blank(obj):
     if isinstance(obj, dict):
         return {k: _blank(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_blank(v) for v in obj]
+        return ["%s"] if _block(obj) else [_blank(v) for v in obj]
     return "%s"
 
 
 def _record_texts(items, depth: int, allow_nan: bool):
     """Texts of the records ``items`` at nesting ``depth`` if all have the first one's shape and it holds a scalar.
 
-    The shape is the keys in order, the nesting and the list lengths. The
-    scalars of all records are encoded by one C-encoder call and set, record
-    by record, into a %-template of the shape. Other lists give None.
+    The shape is the keys in order, the nesting and the list lengths. Each scalar or block position is encoded for
+    all records by one C-encoder call, and each record fills a %-template of the shape. Other lists give None.
     """
-    columns = _columns(items, items[0]) if isinstance(items[0], _CONTAINERS) else None
+    columns = _columns(items, items[0], depth) if isinstance(items[0], _CONTAINERS) else None
     if not columns:
         return None
-    # record by record, as the template takes them, without the brackets
-    text = _encoder(0, allow_nan)(list(chain.from_iterable(zip(*columns))))[1:-1]
-    del columns  # the split and the fill below hold the texts of all values: keep nothing else alive there
-    # a container where the first record holds a scalar would open a line with its bracket
+    scalars = [values for values, block_depth in columns if block_depth is None]
+    # every scalar in one call, record by record; a container there opens a line with its bracket (see _block_texts)
+    text = _encoder(0, allow_nan)(list(chain.from_iterable(zip(*scalars))))[1:-1]
     if "\n[" in text or "\n{" in text:
         return None
-    # a raw line break occurs in the encoder's output only where the separator put it
-    texts = text.split(",\n")
-    del text
+    flat = text.split(",\n")
+    dealt = iter([flat[j::len(scalars)] for j in range(len(scalars))])    # back into columns
+    texts = [next(dealt) if d is None else _block_texts(values, d, allow_nan) for values, d in columns]
+    if None in texts:
+        return None
     # a blank is a value, never a key: the closing quote of a key is followed by ":"
-    parts = re.split(r'"%s"(?!:)', _text(_blank(items[0]), depth, False))
-    template, k = "%s".join(part.replace("%", "%%") for part in parts), len(parts) - 1
-    return [template % tuple(texts[i:i + k]) for i in range(0, len(texts), k)]
+    parts = re.split(r'"%s"(?!:)', "".join(_pieces(_blank(items[0]), depth, False, [])))
+    template = "%s".join(part.replace("%", "%%") for part in parts)
+    return [template % record for record in zip(*texts)]
 
 
-def _text(obj, depth: int, allow_nan: bool) -> str:
-    if isinstance(obj, dict):
-        if not any(isinstance(v, _CONTAINERS) for v in obj.values()):
-            return _flat_text(obj, depth, allow_nan)
-        # the C encoder writes the keys, a non-str one included, as json.dumps does; a key has no raw line break
-        keys = _encoder(0, allow_nan)(dict.fromkeys(obj, 0))[1:-4].split(": 0,\n")
-        items = [f"{key}: {_text(v, depth + 1, allow_nan)}" for key, v in zip(keys, obj.values())]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        if not any(isinstance(v, _CONTAINERS) for v in obj):
-            return _flat_text(obj, depth, allow_nan)
-        items = _record_texts(obj, depth + 1, allow_nan) or [_text(v, depth + 1, allow_nan) for v in obj]
-        brackets = "[]"
+def _pieces(obj, depth: int, allow_nan: bool, out: list) -> list:
+    """``out`` with the text of ``obj``, its opening bracket at nesting ``depth``, appended in pieces that one join
+    puts together, so no level copies the text of the levels inside it."""
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    if not isinstance(obj, _CONTAINERS):
+        out.append(_encoder(0, allow_nan)(obj))
+    elif not any(isinstance(v, _CONTAINERS) for v in values):
+        out.append(_flat_text(obj, depth, allow_nan))
     else:
-        return _encoder(0, allow_nan)(obj)
-    pad = "  " * (depth + 1)
-    sep = ",\n" + pad
-    # one f-string: the long text is copied once, not once per concatenation
-    return f"{brackets[0]}\n{pad}{sep.join(items)}\n{'  ' * depth}{brackets[1]}"
+        brackets, pad = "{}" if is_dict else "[]", "  " * (depth + 1)
+        heads = [f"{brackets[0]}\n{pad}"] + [",\n" + pad] * (len(obj) - 1)
+        if is_dict:
+            # the C encoder writes the keys, a non-str one included, as json.dumps does; a key has no raw line break
+            keys = _encoder(0, allow_nan)(dict.fromkeys(obj, 0))[1:-4].split(": 0,\n")
+            heads = [f"{head}{key}: " for head, key in zip(heads, keys)]
+        texts = None if is_dict else _record_texts(obj, depth + 1, allow_nan)
+        if texts is None:
+            for head, v in zip(heads, values):
+                out.append(head)
+                _pieces(v, depth + 1, allow_nan, out)
+        else:
+            out += chain.from_iterable(zip(heads, texts))
+        out.append(f"\n{'  ' * depth}{brackets[1]}")
+    return out
 
 
 def dumps(obj, allow_nan: bool = False) -> str:
     """``json.dumps(obj, indent=2, allow_nan=allow_nan)``, byte for byte."""
-    return _text(obj, 0, allow_nan)
+    return "".join(_pieces(obj, 0, allow_nan, []))

@@ -84,21 +84,6 @@ def _positive_number(value) -> bool:
         return False
 
 
-# ---------------------------------------------------------------------------
-# scalar kernels
-
-
-def keypoint_similarity(d: float, s: float, k: float) -> float:
-    """exp(-d² / (2 s² k²)): similarity of one predicted keypoint at deviation d."""
-    if not s > 0:
-        raise ValueError(f"scale s must be positive, got {s}")
-    if not k > 0:
-        raise ValueError(f"per-keypoint constant k must be positive, got {k}")
-    if d < 0:
-        raise ValueError(f"distance must be nonnegative, got {d}")
-    return float(_similarity(d, s, k))
-
-
 def mape(gt_values, pred_values) -> float:
     """Mean absolute percentage error; ground-truth values must be positive."""
     gt_arr = np.asarray(gt_values, dtype=np.float64)

@@ -163,39 +163,38 @@ def shortest_phenotype_lengths(gt_xy, gt_v) -> np.ndarray:
     return out
 
 
-def measurement_rows(image_ids, xy, v) -> tuple[list[tuple], list[list[int]]]:
-    """The ``measure`` CSV rows ``(image_id, abbrev, value_px, status)`` of every image and table phenotype, and per
-    image the first unannotated 1-based endpoint of each phenotype, 0 if none.
+# the status of a measured phenotype, and of one skipped for its hidden 1-based endpoint n at position n
+_STATUS = np.array(["ok", *(f"skipped:K-{n}" for n in range(1, KEYPOINT_COUNT + 1))], dtype=object)
 
-    The status is ``skipped:K-n``, with value None, for that endpoint K-n; ``degenerate`` when the endpoints
-    coincide, with a :class:`DegenerateMeasurementWarning` at the nearest frame that is no function of the package
-    (the caller of :func:`measure_all` or of ``cli.main``); ``ok`` otherwise.
+
+def measurement_rows(image_ids, xy, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``measure`` CSV columns of every image (rows) and table phenotype (columns): the (n, 23) lengths, NaN
+    where skipped; the (n, 23) status texts; and the (n, 23) first unannotated 1-based endpoint, 0 if none.
+
+    The status is ``skipped:K-n`` for that endpoint K-n; ``degenerate`` when the endpoints coincide, with a
+    :class:`DegenerateMeasurementWarning` at the nearest frame that is no function of the package (the caller of
+    :func:`measure_all` or of ``cli.main``); ``ok`` otherwise.
     """
     stacklevel, package = 2, os.path.dirname(__file__) + os.sep    # out past every function of the package
     while (code := sys._getframe(stacklevel - 1).f_code).co_name != "<module>" and code.co_filename.startswith(package):
         stacklevel += 1
     table = default_table()
     a, b = table.endpoint_index
-    lengths = phenotype_lengths(xy, v, table.endpoint_index).tolist()
-    hidden = np.where(v[:, a] <= 0, a + 1, np.where(v[:, b] <= 0, b + 1, 0)).tolist()
-    abbrevs = table.abbrevs()
-    rows = []
-    for image_id, rec_lengths, rec_hidden in zip(image_ids, lengths, hidden):
-        for abbrev, value, missing in zip(abbrevs, rec_lengths, rec_hidden):
-            if missing:
-                rows.append((image_id, abbrev, None, f"skipped:K-{missing}"))
-            elif value == 0.0:
-                message = f"{abbrev} on image {image_id!r}: coincident endpoints, zero length"
-                warnings.warn(message, DegenerateMeasurementWarning, stacklevel=stacklevel)
-                rows.append((image_id, abbrev, value, "degenerate"))
-            else:
-                rows.append((image_id, abbrev, value, "ok"))
-    return rows, hidden
+    lengths = phenotype_lengths(xy, v, table.endpoint_index)
+    hidden = np.where(v[:, a] <= 0, a + 1, np.where(v[:, b] <= 0, b + 1, 0))
+    status = _STATUS[hidden]
+    degenerate = lengths == 0.0
+    status[degenerate] = "degenerate"
+    for n, t in np.argwhere(degenerate).tolist():
+        message = f"{table.defs[t].abbrev} on image {image_ids[n]!r}: coincident endpoints, zero length"
+        warnings.warn(message, DegenerateMeasurementWarning, stacklevel=stacklevel)
+    return lengths, status, hidden
 
 
 def measure_all(keypoints: KeypointSet) -> tuple[list[PhenotypeMeasurement], list[SkippedPhenotype]]:
     """Measure every phenotype with both endpoints visible; report the rest as skips."""
-    rows, (missing,) = measurement_rows([keypoints.image_id], keypoints.xy[None], keypoints.v[None])
-    measured = [PhenotypeMeasurement(abbrev, value, i) for (i, abbrev, value, _), m in zip(rows, missing) if not m]
-    skipped = [SkippedPhenotype(abbrev, m, i) for (i, abbrev, _, _), m in zip(rows, missing) if m]
+    lengths, _, hidden = measurement_rows([keypoints.image_id], keypoints.xy[None], keypoints.v[None])
+    columns = list(zip(default_table().abbrevs(), lengths[0].tolist(), hidden[0].tolist()))
+    measured = [PhenotypeMeasurement(abbrev, value, keypoints.image_id) for abbrev, value, m in columns if not m]
+    skipped = [SkippedPhenotype(abbrev, m, keypoints.image_id) for abbrev, _, m in columns if m]
     return measured, skipped

@@ -14,7 +14,6 @@ order, and analytic gradients that the finite-difference checker verifies.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import warnings
@@ -145,16 +144,9 @@ class TrainTrace:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["step", "L_mse", "L_acr", "w_mse", "w_acr",
-                 "grad_norm_mse", "grad_norm_acr", "violation_count"]
-            )
-            for r in self.rows:
-                writer.writerow(
-                    [r.step, repr(r.l_mse), repr(r.l_acr), repr(r.w_mse), repr(r.w_acr),
-                     repr(r.grad_norm_mse), repr(r.grad_norm_acr), r.violation_count]
-                )
+            fh.write("step,L_mse,L_acr,w_mse,w_acr,grad_norm_mse,grad_norm_acr,violation_count\r\n")
+            # one template per row, written as it is filled: the text of a number holds nothing csv would quote
+            fh.writelines("%s,%r,%r,%r,%r,%r,%r,%s\r\n" % tuple(vars(row).values()) for row in self.rows)
 
 
 @dataclass(frozen=True)

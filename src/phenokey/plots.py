@@ -17,6 +17,8 @@ from .metrics import ols_fit
 
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN = 64
+# the deviation summary of one list, in its CSV's column order
+_QUANTILES = ("min", "q1", "median", "q3", "max")
 
 
 def _fmt(v: float) -> str:
@@ -130,13 +132,7 @@ def deviation_quantiles(values) -> dict:
     if arr.size == 0:
         raise ValueError("deviation list is empty")
     q1, med, q3 = np.percentile(arr, [25, 50, 75])
-    return {
-        "min": float(arr.min()),
-        "q1": float(q1),
-        "median": float(med),
-        "q3": float(q3),
-        "max": float(arr.max()),
-    }
+    return dict(zip(_QUANTILES, map(float, (arr.min(), q1, med, q3, arr.max()))))
 
 
 def plot_deviation_summary(deviations: dict, out, csv_path=None) -> None:
@@ -166,35 +162,24 @@ def plot_deviation_summary(deviations: dict, out, csv_path=None) -> None:
         x_left = frame.px(cx - half_width)
         x_right = frame.px(cx + half_width)
         x_mid = frame.px(cx)
-        group = [f'<g class="box-group" data-label="{label}">']
-        group.append(
-            f'<line class="whisker" x1="{_fmt(x_mid)}" y1="{_fmt(frame.py(s["min"]))}" '
-            f'x2="{_fmt(x_mid)}" y2="{_fmt(frame.py(s["q1"]))}"/>'
-        )
-        group.append(
-            f'<line class="whisker" x1="{_fmt(x_mid)}" y1="{_fmt(frame.py(s["q3"]))}" '
-            f'x2="{_fmt(x_mid)}" y2="{_fmt(frame.py(s["max"]))}"/>'
-        )
         box_top = frame.py(s["q3"])
         box_height = max(frame.py(s["q1"]) - box_top, 0.5)
-        group.append(
+        body += [
+            f'<g class="box-group" data-label="{label}">',
+            f'<line class="whisker" x1="{_fmt(x_mid)}" y1="{_fmt(frame.py(s["min"]))}" '
+            f'x2="{_fmt(x_mid)}" y2="{_fmt(frame.py(s["q1"]))}"/>',
+            f'<line class="whisker" x1="{_fmt(x_mid)}" y1="{_fmt(frame.py(s["q3"]))}" '
+            f'x2="{_fmt(x_mid)}" y2="{_fmt(frame.py(s["max"]))}"/>',
             f'<rect class="box" x="{_fmt(x_left)}" y="{_fmt(box_top)}" '
-            f'width="{_fmt(x_right - x_left)}" height="{_fmt(box_height)}"/>'
-        )
-        group.append(
+            f'width="{_fmt(x_right - x_left)}" height="{_fmt(box_height)}"/>',
             f'<line class="median" x1="{_fmt(x_left)}" y1="{_fmt(frame.py(s["median"]))}" '
-            f'x2="{_fmt(x_right)}" y2="{_fmt(frame.py(s["median"]))}"/>'
-        )
-        group.append(
-            f'<text x="{_fmt(x_mid)}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle">{label}</text>'
-        )
-        group.append("</g>")
-        body.extend(group)
+            f'x2="{_fmt(x_right)}" y2="{_fmt(frame.py(s["median"]))}"/>',
+            f'<text x="{_fmt(x_mid)}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle">{label}</text>',
+            "</g>",
+        ]
     Path(out).write_text(_svg_document(body), encoding="utf-8")
     csv_file = Path(csv_path) if csv_path is not None else Path(out).with_suffix(".csv")
     with open(csv_file, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["metric", "min", "q1", "median", "q3", "max"])
-        for label in labels:
-            s = stats[label]
-            writer.writerow([label] + [repr(s[k]) for k in ("min", "q1", "median", "q3", "max")])
+        writer.writerow(["metric", *_QUANTILES])
+        writer.writerows([label, *map(repr, stats[label].values())] for label in labels)

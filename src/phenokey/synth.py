@@ -95,29 +95,12 @@ _DEEP_BODIED_LAYOUT = np.array([
     (0.52, 0.02),   # K-22 outer margin of dorsal fin
 ])
 
-_ELONGATE_LAYOUT = np.array([
-    (0.02, 0.50),   # K-1
-    (0.22, 0.52),   # K-2
-    (0.15, 0.28),   # K-3
-    (0.17, 0.72),   # K-4
-    (0.40, 0.10),   # K-5
-    (0.42, 0.90),   # K-6
-    (0.84, 0.40),   # K-7
-    (0.83, 0.60),   # K-8
-    (0.98, 0.52),   # K-9
-    (0.88, 0.50),   # K-10
-    (0.06, 0.40),   # K-11
-    (0.10, 0.40),   # K-12
-    (0.24, 0.60),   # K-13
-    (0.34, 0.64),   # K-14
-    (0.42, 0.82),   # K-15
-    (0.50, 0.86),   # K-16
-    (0.62, 0.82),   # K-17
-    (0.74, 0.76),   # K-18
-    (0.68, 0.96),   # K-19
-    (0.38, 0.12),   # K-20
-    (0.58, 0.16),   # K-21
-    (0.46, 0.04),   # K-22
+_ELONGATE_LAYOUT = np.array([    # K-1 to K-22, five to a line
+    (0.02, 0.50), (0.22, 0.52), (0.15, 0.28), (0.17, 0.72), (0.40, 0.10),
+    (0.42, 0.90), (0.84, 0.40), (0.83, 0.60), (0.98, 0.52), (0.88, 0.50),
+    (0.06, 0.40), (0.10, 0.40), (0.24, 0.60), (0.34, 0.64), (0.42, 0.82),
+    (0.50, 0.86), (0.62, 0.82), (0.74, 0.76), (0.68, 0.96), (0.38, 0.12),
+    (0.58, 0.16), (0.46, 0.04),
 ])
 
 TEMPLATES = {

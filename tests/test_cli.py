@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import phenokey.cli
 from phenokey.cli import main
-from phenokey.dataset import Dataset, parse_coco, serialize_coco
+from phenokey.dataset import Dataset, dataset_to_coco_dict, parse_coco, serialize_coco
 from phenokey.errors import DegenerateMeasurementWarning
 from phenokey.morphometry import default_table
 from phenokey.schema import KEYPOINT_COUNT, SPECIES
@@ -115,6 +116,35 @@ def test_measure_skips_by_flags_and_matches_oracle(tmp_path):
             else:
                 assert row["status"] in ("ok", "degenerate")
                 assert float(row["value_px"]) == pytest.approx(length, rel=1e-12, abs=1e-12)
+
+
+def test_measure_csv_equals_the_csv_module_text(tmp_path, recwarn):
+    hidden = np.full(KEYPOINT_COUNT, 2)
+    hidden[21] = 0                                                         # K-22: DFH skipped
+    kps = [
+        make_keypoints(image_id="a,b", overrides={12: (410.0, 270.0)}),     # K-12 on K-11: ED degenerate
+        make_keypoints(image_id='q"t', v=hidden),
+        make_keypoints(image_id="x\ny", overrides={5: (np.nan, 30.0)}),   # visible NaN: BD is nan, "ok"
+        make_keypoints(image_id=""),
+        make_keypoints(image_id=7),
+    ]
+    dataset = make_dataset(kps)
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(dataset_to_coco_dict(dataset)))    # json writes the NaN that validate refuses
+    out = tmp_path / "m.csv"
+    assert main(["measure", "--input", str(path), "--out", str(out)]) == 0
+    rows = [("image_id", "abbrev", "value_px", "status")]
+    for kp in dataset:
+        for pdef in default_table():
+            (ax, ay), (bx, by) = (kp.keypoints.xy[e - 1] for e in pdef.endpoints)
+            missing = [e for e in pdef.endpoints if kp.keypoints.v[e - 1] == 0]
+            length = float(np.hypot(bx - ax, by - ay))
+            status = f"skipped:K-{missing[0]}" if missing else "degenerate" if length == 0 else "ok"
+            rows.append((kp.image_id, pdef.abbrev, None if missing else length, status))
+    reference = io.StringIO()
+    csv.writer(reference).writerows(rows)
+    assert out.read_bytes() == reference.getvalue().encode()
+    assert b'\r\n"x\ny",BD,nan,ok\r\n' in out.read_bytes() and b"\r\n,TL," in out.read_bytes()
 
 
 def test_evaluate_pmp_report(synth_files, tmp_path):
@@ -726,3 +756,31 @@ def test_pipeline_on_30_fish_runs_end_to_end(tmp_path, capsys):
     with open(tmp_path / "m.csv", newline="", encoding="utf-8") as fh:
         assert combined["measurements"] == list(csv.DictReader(fh))
     assert len(combined["measurements"]) == 30 * 23
+
+
+
+@pytest.mark.parametrize(
+    "mutate, named",
+    [
+        (lambda doc: doc["annotations"][1].update(image_id=[2]),
+         "annotation 2: field 'image_id' must be a number or a string, got [2]"),
+        (lambda doc: doc["images"][1].update(id=[2]), "images[1]: field 'id' must be a number or a string, got [2]"),
+        (lambda doc: doc["annotations"][0].update(category_id={"id": 1}),
+         "annotation 1: field 'category_id' must be a number or a string, got {'id': 1}"),
+        (lambda doc: doc["categories"][1].update(id=[2]),
+         "categories[1]: field 'id' must be a number or a string, got [2]"),
+        (lambda doc: doc["images"][0].update(height="tall"), "images[0]: field 'height' must be a number, got 'tall'"),
+        (lambda doc: doc["images"][1].update(width=None), "images[1]: field 'width' must be a number, got None"),
+        (lambda doc: doc["images"].insert(0, 5), "images[0] must be an object, got int"),
+        (lambda doc: doc["images"][1].pop("width"), "images[1]: missing field 'width'"),
+    ],
+    ids=["list-image_id", "list-image-id", "object-category_id", "list-category-id", "text-height", "null-width",
+         "int-image", "no-width"],
+)
+def test_parse_coco_names_file_entry_and_field_of_a_bad_entry(fixture_path, tmp_path, capsys, mutate, named):
+    doc = json.loads(fixture_path.read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--input", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {named}\n"

@@ -9,6 +9,9 @@ from phenokey import jsontext
 from phenokey.errors import ParseError, SchemaError
 from phenokey.jsontext import doc_field, dumps, read_json
 
+# as long as the shortest list of scalars a record list writes as one text per record
+_K = list(range(1, jsontext._BLOCK_MIN + 1))
+
 _DOCS = [
     {},
     [],
@@ -43,6 +46,31 @@ _DOCS = [
     [{"%s": 1, "x%": "%s", "%": "100%"}, {"%s": "%d", "x%": "%%", "%": None}],
     [{"a": "%s", "b": ['"%s"', "%(b)s"]}, {"a": '"%s": x', "b": ["%", "%%s"]}],
     [[{"%s": ["%s"]}], [{"%s": ["x"]}]],
+    # record lists whose lists of scalars are empty
+    [{"a": 1, "k": []}, {"a": 2, "k": []}],
+    [{"k": []}, {"k": _K}],
+    [{"k": _K}, {"k": []}],
+    [_K, []],
+    # lists of scalars whose length varies across records
+    [{"k": _K}, {"k": _K + [9]}],
+    [{"k": _K + [9]}, {"k": _K[:1]}, {"k": _K}],
+    [_K, _K[:3]],
+    # strings holding brackets and separators inside lists of scalars
+    [{"k": ["]", "],", "["] * 3}, {"k": ["],\n  [", "[[", "]]"] * 3}],
+    [["a]", "[b"] * 4, ["],[", "]"] * 4, ["]\n,[", '"]'] * 4, ["", "{"] * 4],
+    [{"k": ["x", "],\n      ["] * 4}, {"k": ["}", "{\n"] * 4}],
+    # a container at one record's list position
+    [{"k": _K}, {"k": _K[:-1] + [[2]]}],
+    [{"k": _K}, {"k": [[1]] + _K[1:]}],
+    [{"k": _K}, {"k": _K[:-1] + [{"a": 2}]}],
+    [{"k": _K}, {"k": [{}] + _K[1:]}],
+    [{"k": _K}, {"k": _K[:3] + [[]] + _K[4:]}, {"k": _K}],
+    [_K, _K[:-1] + [[4, 5]]],
+    [_K, _K, [{"a": []}] + _K[1:]],
+    [[1], [[2]]],
+    # long lists beside scalars and short lists, at several depths, as lists and tuples
+    [{"id": 1, "kp": _K, "g": [[0.5, -1.0], _K]}, {"id": "2", "kp": tuple(_K), "g": [(3, 4), _K[::-1]]}],
+    ({"k": tuple(_K)}, {"k": _K}),
 ]
 
 
@@ -52,7 +80,19 @@ def test_dumps_equals_indent2_dumps(doc):
     assert dumps(doc, allow_nan=True) == json.dumps(doc, indent=2)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), {"a": [float("inf")]}, [[float("-inf")]], {"k": {"j": float("nan")}}])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        float("nan"),
+        {"a": [float("inf")]},
+        [[float("-inf")]],
+        {"k": {"j": float("nan")}},
+        # NaN in lists of scalars of a record list, and among its scalars
+        [{"k": [float("nan")] + _K[1:]}, {"k": _K[1:] + [float("inf")]}],
+        [{"id": float("nan"), "k": _K}, {"id": 2, "k": _K[:-1] + [float("-inf")]}],
+        [{"g": [float("nan"), 1.0]}, {"g": [2.0, float("inf")]}],
+    ],
+)
 def test_dumps_refuses_nonfinite_numbers_unless_allowed(bad):
     with pytest.raises(ValueError, match="not JSON compliant"):
         dumps(bad)

@@ -7,7 +7,6 @@ from phenokey.errors import DegenerateFitError, DegenerateScaleError, IntegrityE
 from phenokey.metrics import (
     EvalConfig,
     evaluate_datasets,
-    keypoint_similarity,
     mape,
     mmape,
     oks_per_image,
@@ -61,30 +60,39 @@ def test_eval_config_rejects_invalid_values():
 # keypoint similarity
 
 
+def _ks(d, s, k):
+    """The OKS of one visible keypoint predicted ``d`` px off along x, at scale ``s`` with constant ``k``."""
+    v = np.zeros(KEYPOINT_COUNT, dtype=int)
+    v[0] = 2
+    gt = make_keypoints(v=v)
+    (value,) = oks_per_image([_shifted(gt, 1, dx=d)], [gt], EvalConfig(oks_scale=s, oks_k=[k] * KEYPOINT_COUNT))
+    return value
+
+
 def test_ks_zero_distance_is_one():
-    assert keypoint_similarity(0.0, 100.0, 0.025) == 1.0
+    assert _ks(0.0, 100.0, 0.025) == 1.0
 
 
 def test_ks_analytic_points():
     s, k = 100.0, 0.025
-    assert keypoint_similarity(s * k * math.sqrt(2), s, k) == pytest.approx(math.exp(-1), rel=1e-12)
-    assert keypoint_similarity(2 * s * k, s, k) == pytest.approx(math.exp(-2), rel=1e-12)
+    assert _ks(s * k * math.sqrt(2), s, k) == pytest.approx(math.exp(-1), rel=1e-12)
+    assert _ks(2 * s * k, s, k) == pytest.approx(math.exp(-2), rel=1e-12)
 
 
 def test_ks_domain_errors():
     with pytest.raises(ValueError):
-        keypoint_similarity(1.0, 0.0, 0.025)
+        _ks(1.0, 0.0, 0.025)
     with pytest.raises(ValueError):
-        keypoint_similarity(1.0, 10.0, -1.0)
-    with pytest.raises(ValueError):
-        keypoint_similarity(-1.0, 10.0, 0.025)
+        _ks(1.0, 10.0, -1.0)
+    # a deviation is a distance: moving the prediction the other way gives the same similarity
+    assert _ks(-1.0, 10.0, 0.025) == _ks(1.0, 10.0, 0.025)
 
 
 def test_ks_monotonicity():
     for d1, d2 in [(0.0, 1.0), (1.0, 2.0), (2.0, 10.0)]:
-        assert keypoint_similarity(d2, 50.0, 0.05) < keypoint_similarity(d1, 50.0, 0.05)
-    assert keypoint_similarity(5.0, 60.0, 0.05) > keypoint_similarity(5.0, 50.0, 0.05)
-    assert keypoint_similarity(5.0, 50.0, 0.06) > keypoint_similarity(5.0, 50.0, 0.05)
+        assert _ks(d2, 50.0, 0.05) < _ks(d1, 50.0, 0.05)
+    assert _ks(5.0, 60.0, 0.05) > _ks(5.0, 50.0, 0.05)
+    assert _ks(5.0, 50.0, 0.06) > _ks(5.0, 50.0, 0.05)
 
 
 # ---------------------------------------------------------------------------

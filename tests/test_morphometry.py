@@ -22,9 +22,10 @@ TABLE = default_table()
 
 
 def _rows(kp):
-    """``{abbrev: (value_px, status)}`` of one keypoint set's ``measure`` rows."""
-    rows, _ = measurement_rows([kp.image_id], kp.xy[None], kp.v[None])
-    return {abbrev: (value, status) for _, abbrev, value, status in rows}
+    """``{abbrev: (value_px, status)}`` of one keypoint set's ``measure`` rows, the value None where skipped."""
+    lengths, status, hidden = measurement_rows([kp.image_id], kp.xy[None], kp.v[None])
+    values = [None if h else value for value, h in zip(lengths[0].tolist(), hidden[0])]
+    return {abbrev: (value, s) for abbrev, value, s in zip(TABLE.abbrevs(), values, status[0])}
 
 
 def _shortest(kp):
@@ -167,10 +168,10 @@ def test_shortest_related_is_minimum_of_related():
     xy = rng.uniform(10, 900, size=(10, KEYPOINT_COUNT, 2))
     v = np.full(xy.shape[:2], 2)
     shortest = shortest_phenotype_lengths(xy, v)
-    rows, _ = measurement_rows(range(10), xy, v)
-    for n, abbrev, value, _ in rows:
-        for j in TABLE[abbrev].endpoints:
-            assert shortest[n, j - 1] <= value
+    lengths, _, _ = measurement_rows(range(10), xy, v)
+    for n, t in np.ndindex(lengths.shape):
+        for j in TABLE.defs[t].endpoints:
+            assert shortest[n, j - 1] <= lengths[n, t]
 
 
 def test_shortest_related_tie_breaks_by_table_order():
