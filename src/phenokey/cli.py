@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .anatomy import acr_hinge, dataset_boxes, fit_prior, prior_from_dict, prior_to_dict
 from .dataset import parse_coco, serialize_coco, validate
-from .errors import DivergenceError, IntegrityError, PhenokeyError, SchemaError
+from .errors import DivergenceError, IntegrityError, ParseError, PhenokeyError, SchemaError
 from .jsontext import doc_field, dumps, read_json
 from .metrics import (
     METRICS,
@@ -248,10 +248,14 @@ def _evaluation(doc) -> dict:
 def _cmd_report(args) -> int:
     evaluation = read_json(args.evaluation, _evaluation)
     with open(args.measures, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != MEASURE_HEADER:
-            raise SchemaError(f"{args.measures}: header must be {','.join(MEASURE_HEADER)}, got {reader.fieldnames}")
-        measurements = list(reader)
+        try:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames
+            measurements = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.measures}: {exc}") from exc
+    if tuple(header or ()) != MEASURE_HEADER:
+        raise SchemaError(f"{args.measures}: header must be {','.join(MEASURE_HEADER)}, got {header}")
     _write_json(args.out, {"schema_version": 1, "evaluation": evaluation, "measurements": measurements})
     return 0
 

@@ -328,9 +328,7 @@ def _image_error(path, k: int, img) -> ParseError:
     if isinstance(img["id"], (dict, list)):
         return _id_error(where, "id", img["id"])
     for key in ("width", "height"):
-        try:
-            float(img[key])
-        except (TypeError, ValueError):
+        if type(img[key]) not in (int, float):
             return ParseError(f"{where}: field {key!r} must be a number, got {img[key]!r}")
 
 
@@ -356,13 +354,15 @@ def parse_coco(path) -> Dataset:
     images = {}
     for k, img in enumerate(doc["images"]):
         try:
-            img_id, size = img["id"], (float(img["width"]), float(img["height"]))
+            img_id, w, h = img["id"], img["width"], img["height"]
             known = img_id in images
-        except (TypeError, KeyError, ValueError):
+        except (TypeError, KeyError):
             raise _image_error(path, k, img) from None
+        if type(w) not in (int, float) or type(h) not in (int, float):    # a JSON number, and no bool
+            raise _image_error(path, k, img)
         if known:
             raise IntegrityError(f"duplicate image id {img_id!r} in images array")
-        images[img_id] = size
+        images[img_id] = (w, h)
 
     categories = {}
     for k, cat in enumerate(doc.get("categories", [])):

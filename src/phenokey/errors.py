@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types, and the number tests of config fields, shared across the package."""
+
+import math
+import numbers
 
 
 class PhenokeyError(Exception):
@@ -35,10 +38,6 @@ class DegeneratePoseError(PhenokeyError):
         self.image_id = image_id
 
 
-class DegenerateScaleError(PhenokeyError):
-    """A per-sample scale factor is zero or not computable."""
-
-
 class UndefinedMetricError(PhenokeyError):
     """Metric has an empty denominator (no evaluable terms)."""
 
@@ -69,3 +68,12 @@ class GradNormFallbackWarning(PhenokeyWarning):
 
 class DegenerateFitWarning(PhenokeyWarning):
     """A regression line could not be fitted; output degraded gracefully."""
+
+
+def positive_number(value, zero=False) -> bool:
+    """A positive real number, or with ``zero`` a nonnegative one, that is finite as a float; a bool is none."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:    # an int beyond the float range
+        return False
+    return (x >= 0 if zero else x > 0) and x < math.inf

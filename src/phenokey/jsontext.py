@@ -31,8 +31,9 @@ _CONTAINERS = (dict, list, tuple)
 def read_json(path, decode=lambda doc: doc, name=None):
     """The document in the JSON file ``path``, passed through ``decode``.
 
-    Errors start with ``name``, the path by default: a malformed text raises :class:`ParseError` naming its line
-    and column, and a :class:`SchemaError` from ``decode`` is raised again with the name in front.
+    Errors start with ``name``, the path by default: a text that is no UTF-8 raises :class:`ParseError`, as does a
+    malformed one, naming its line and column; a :class:`SchemaError` from ``decode`` is raised again with the name
+    in front.
     """
     name = path if name is None else name
     with open(path, encoding="utf-8") as fh:
@@ -40,6 +41,8 @@ def read_json(path, decode=lambda doc: doc, name=None):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{name}: malformed document at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{name}: {exc}") from exc
     try:
         return decode(doc)
     except SchemaError as exc:

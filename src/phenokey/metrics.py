@@ -3,9 +3,11 @@
 Implements the full battery used to score coordinate predictors:
 
 * object keypoint similarity (exponential, object-scale normalized),
-* percentage of correct keypoints (scale-normalized distance threshold),
-* percentage of measured phenotype (distance normalized by the shortest
-  ground-truth phenotype related to each keypoint, threshold r, default 0.1),
+* percentage of correct keypoints and percentage of measured phenotype, one
+  hit test ``deviation / scale < threshold`` (default 0.1) with two scales:
+  PCK's per-sample box diagonal, head (HL) or standard (SL) length, and PMP's
+  shortest ground-truth phenotype related to each keypoint. An annotated
+  keypoint whose scale is missing, zero or non-finite is skipped and counted,
 * MAPE / mMAPE of phenotype measurements, Pearson correlation, and the
   ordinary-least-squares R² between ground-truth and predicted measurements.
 
@@ -27,7 +29,6 @@ mismatch raises ``ValueError``): one image's OKS is ``oks_per_image([p], [g])[0]
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .anatomy import visible_corners
 from .dataset import Dataset, stack_keypoints
-from .errors import DegenerateFitError, DegenerateScaleError, IntegrityError, UndefinedMetricError
+from .errors import DegenerateFitError, IntegrityError, SchemaError, UndefinedMetricError, positive_number
 from .morphometry import default_table, phenotype_lengths, shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT
 
@@ -64,24 +65,16 @@ class EvalConfig:
     def __post_init__(self):
         for name in ("pmp_threshold", "pck_threshold", "oks_scale"):
             value = getattr(self, name)
-            if not (_positive_number(value) or name == "oks_scale" and value is None):
+            if not (positive_number(value) or name == "oks_scale" and value is None):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
             if value is not None:
                 object.__setattr__(self, name, float(value))    # a config file's 1 and a flag's 1.0 read alike
         if self.pck_scale_mode not in PCK_SCALE_MODES:
             raise ValueError(f"pck_scale_mode must be one of {', '.join(PCK_SCALE_MODES)}, got {self.pck_scale_mode!r}")
         k = tuple(self.oks_k) if isinstance(self.oks_k, (list, tuple, np.ndarray)) else ()
-        if len(k) != KEYPOINT_COUNT or not all(map(_positive_number, k)):
+        if len(k) != KEYPOINT_COUNT or not all(map(positive_number, k)):
             raise ValueError(f"oks_k must hold {KEYPOINT_COUNT} finite positive numbers")
         object.__setattr__(self, "oks_k", tuple(map(float, k)))
-
-
-def _positive_number(value) -> bool:
-    """A positive real number that is finite as a float; a bool is none."""
-    try:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < float(value) < math.inf
-    except OverflowError:    # an int beyond the float range
-        return False
 
 
 def mape(gt_values, pred_values) -> float:
@@ -202,12 +195,20 @@ def _paired_arrays(preds, gts) -> _Pairs:
 
 
 class _Pairs:
-    """Row-paired prediction and ground-truth arrays; the terms metrics share are computed once, on first use."""
+    """Row-paired prediction and ground-truth arrays; the terms metrics share are computed once, on first use.
+
+    A ground truth with a non-finite annotated coordinate raises :class:`SchemaError` naming the image and keypoint.
+    """
 
     def __init__(self, pred_xy, gt_xy, gt_v, image_ids):
         self.pred_xy, self.gt_xy, self.gt_v, self.image_ids = pred_xy, gt_xy, gt_v, image_ids
         self.annotated = gt_v > 0
         self.n = gt_xy.shape[0]
+        bad = self.annotated & ~np.isfinite(gt_xy).all(axis=-1)
+        if bad.any():
+            n, j = np.argwhere(bad)[0].tolist()
+            x, y = gt_xy[n, j].tolist()
+            raise SchemaError(f"ground truth image {image_ids[n]!r}: K-{j + 1} is annotated at non-finite ({x}, {y})")
 
     @cached_property
     def deviations(self) -> np.ndarray:
@@ -234,47 +235,30 @@ def _similarity(d, s, k):
     return np.exp(-(d**2) / (2.0 * s * s * k**2))
 
 
-def _fractions(correct, counted, skips) -> PerKeypointResult:
-    if correct.shape[0] == 0:
-        raise UndefinedMetricError("no samples to evaluate")
-    counts = counted.sum(axis=0)
-    values = np.full(KEYPOINT_COUNT, np.nan)
-    nonzero = counts > 0
-    values[nonzero] = correct.sum(axis=0)[nonzero] / counts[nonzero]
-    return PerKeypointResult(values, counts.astype(np.int64), skips.astype(np.int64))
-
-
 def _pck_scales(pairs: _Pairs, mode) -> np.ndarray:
+    """(N, 1) PCK scale of each sample: its box diagonal, or its HL or SL length (NaN when an endpoint is hidden)."""
     if mode == "bbox_diagonal":
-        missing = ~pairs.annotated.any(axis=1)
-        reason = "no visible keypoints for scale"
-        h = pairs.diagonals
-    else:
-        a, b = default_table()[_SCALE_PHENOTYPES[mode]].endpoints
-        missing = (pairs.gt_v[:, a - 1] <= 0) | (pairs.gt_v[:, b - 1] <= 0)
-        reason = f"scale endpoints K-{a}/K-{b} not visible"
-        h = phenotype_lengths(pairs.gt_xy, pairs.gt_v, np.array([[a - 1], [b - 1]]))[:, 0]
-    if missing.any():
-        raise DegenerateScaleError(f"image {pairs.image_ids[np.argmax(missing)]!r}: {reason}")
-    zero = np.flatnonzero(h == 0.0)
-    if zero.size:
-        raise DegenerateScaleError(f"image {pairs.image_ids[zero[0]]!r}: scale factor is 0")
-    return h
+        return pairs.diagonals[:, None]
+    table = default_table()
+    t = table.abbrevs().index(_SCALE_PHENOTYPES[mode])
+    return phenotype_lengths(pairs.gt_xy, pairs.gt_v, table.endpoint_index[:, [t]])
 
 
-def _pck(pairs: _Pairs, cfg: EvalConfig) -> PerKeypointResult:
-    h = _pck_scales(pairs, cfg.pck_scale_mode)
-    correct = (pairs.deviations / h[:, None] < cfg.pck_threshold) & pairs.annotated
-    return _fractions(correct, pairs.annotated, np.zeros(KEYPOINT_COUNT, dtype=np.int64))
+def _hits(pairs: _Pairs, scale, threshold) -> PerKeypointResult:
+    """Per-keypoint share of hits among the scored keypoints; ``scale`` is (N, 22), or (N, 1) for one per sample.
 
-
-def _pmp(pairs: _Pairs, cfg: EvalConfig) -> PerKeypointResult:
-    pheno = pairs.shortest_phenotypes
-    evaluable = pairs.annotated & np.isfinite(pheno) & (pheno > 0)
+    An annotated keypoint is scored when its scale is finite and positive, and a hit when its deviation divided by
+    the scale is below ``threshold``; one with a missing, zero or non-finite scale is skipped and counted. A keypoint
+    with no scored sample is NaN.
+    """
+    if pairs.n == 0:
+        raise UndefinedMetricError("no samples to evaluate")
+    scored = pairs.annotated & np.isfinite(scale) & (scale > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = pairs.deviations / pheno
-    correct = evaluable & (ratio < cfg.pmp_threshold)
-    return _fractions(correct, evaluable, (pairs.annotated & ~evaluable).sum(axis=0))
+        hits = (scored & (pairs.deviations / scale < threshold)).sum(axis=0)
+    counts = scored.sum(axis=0)
+    values = np.divide(hits, counts, out=np.full(KEYPOINT_COUNT, np.nan), where=counts > 0)
+    return PerKeypointResult(values, counts, (pairs.annotated & ~scored).sum(axis=0))
 
 
 def _oks(pairs: _Pairs, cfg: EvalConfig) -> list[float | None]:
@@ -287,25 +271,24 @@ def _oks(pairs: _Pairs, cfg: EvalConfig) -> list[float | None]:
 
 
 def pck(preds, gts, cfg: EvalConfig | None = None) -> PerKeypointResult:
-    """Per-keypoint fraction of predictions within the scale-normalized threshold.
+    """Per-keypoint fraction of predictions within the threshold times the sample's scale.
 
-    The denominator counts annotated (v > 0) ground-truth keypoints; a sample
-    is skipped for no keypoint here because a missing scale factor raises.
-    The lists pair by position and must agree in length and image ids.
+    The scale is the ground truth's box diagonal or its HL (``head``) or SL (``torso``) length; where it is missing
+    (a hidden endpoint), zero or non-finite, the sample's annotated keypoints are skipped and counted, as in
+    :func:`pmp`. The lists pair by position and must agree in length and image ids.
     """
-    return _pck(_paired_arrays(preds, gts), cfg or EvalConfig())
+    pairs, cfg = _paired_arrays(preds, gts), cfg or EvalConfig()
+    return _hits(pairs, _pck_scales(pairs, cfg.pck_scale_mode), cfg.pck_threshold)
 
 
 def pmp(preds, gts, cfg: EvalConfig | None = None) -> PerKeypointResult:
-    """Per-keypoint fraction of predictions within r of the shortest related phenotype.
+    """Per-keypoint fraction of predictions within r of the shortest related ground-truth phenotype.
 
-    A sample counts for keypoint j when the ground-truth keypoint is annotated
-    and its shortest related ground-truth phenotype exists with positive
-    length; other annotated samples are recorded as skips. Keypoints with no
-    evaluable samples come back as NaN markers. The lists pair by position
-    and must agree in length and image ids.
+    A keypoint whose shortest related phenotype is missing or zero-length is skipped and counted, as in :func:`pck`.
+    The lists pair by position and must agree in length and image ids.
     """
-    return _pmp(_paired_arrays(preds, gts), cfg or EvalConfig())
+    pairs = _paired_arrays(preds, gts)
+    return _hits(pairs, pairs.shortest_phenotypes, (cfg or EvalConfig()).pmp_threshold)
 
 
 def oks_per_image(preds, gts, cfg: EvalConfig | None = None) -> list[float | None]:
@@ -403,8 +386,8 @@ def evaluate_datasets(
     cfg = cfg or EvalConfig()
     pairs = _paired_datasets(gt, pred)
     oks_vals = _oks(pairs, cfg) if "oks" in metrics else []
-    pck_res = _pck(pairs, cfg) if "pck" in metrics else None
-    pmp_res = _pmp(pairs, cfg) if "pmp" in metrics else None
+    pck_res = _hits(pairs, _pck_scales(pairs, cfg.pck_scale_mode), cfg.pck_threshold) if "pck" in metrics else None
+    pmp_res = _hits(pairs, pairs.shortest_phenotypes, cfg.pmp_threshold) if "pmp" in metrics else None
     phen = _phenotype_stats(pairs) if "phenotypes" in metrics else {}
     mmape_arr = None
     if phen:

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .anatomy import AnatomicalPrior, BoxConstraint, acr_hinge, body_frames, fit_prior
+from .anatomy import AnatomicalPrior, BoxConstraint, acr_hinge, dataset_boxes, fit_prior
 from .dataset import Dataset
-from .errors import DivergenceError, GradNormFallbackWarning
+from .errors import DivergenceError, GradNormFallbackWarning, positive_number
 from .schema import KEYPOINT_COUNT
 from .synth import generate_population, load_template
 
@@ -113,7 +113,7 @@ class TrainConfig:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
         for name in ("lr", "lr_decay", "lr_weights", "alpha", "init_w_mse", "init_w_acr"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+            if not positive_number(value, zero=True):
                 raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
 
 
@@ -156,13 +156,11 @@ class ToyProblem:
     features: np.ndarray       # (N, F)
     targets: np.ndarray        # (N, 44)
     prior: AnatomicalPrior
-    population: Dataset | None = None
+    population: Dataset
 
     def boxes(self) -> BoxConstraint:
-        """Per-sample boxes framed by each target's own body frame, as (N, 1, 2) frames; rows are named by index."""
-        pts = self.targets.reshape(-1, KEYPOINT_COUNT, 2)
-        lo, _, extent = body_frames(pts, np.ones(pts.shape[:2]), range(len(pts)))
-        return BoxConstraint(lo[:, None], extent[:, None], self.prior.mins, self.prior.maxs)
+        """Per-sample boxes framed by each target's own body frame, as (N, 1, 2) frames."""
+        return dataset_boxes(self.prior, coords_to_dataset(self.targets, self.population))
 
 
 def population_coords(population: Dataset) -> np.ndarray:
@@ -228,6 +226,8 @@ def make_toy_problem(
     exactly realizable), while the box constraint blocks it at the anatomical
     boundary; the clean population coordinates stay available for scoring.
     """
+    if not (isinstance(feature_dim, numbers.Integral) and positive_number(feature_dim, zero=True)):
+        raise ValueError(f"feature_dim must be a nonnegative integer, got {feature_dim!r}")
     tpl = load_template(template)
     tpl = replace(tpl, spread=tpl.spread * spread_scale)
     population = generate_population(tpl, n, seed=seed)

@@ -15,7 +15,6 @@ positions the streams of all fish.
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .dataset import Dataset
-from .errors import PhenokeyError, SchemaError
+from .errors import PhenokeyError, SchemaError, positive_number
 from .jsontext import doc_field, read_json
 from .morphometry import shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT, SPECIES
@@ -287,7 +286,7 @@ class PerturbationModel:
     def __post_init__(self):
         if self.mode not in PERTURBATION_MODES:
             raise ValueError(f"mode must be one of {PERTURBATION_MODES}, got {self.mode!r}")
-        if not 0 <= self.magnitude < math.inf:
+        if not positive_number(self.magnitude, zero=True):
             raise ValueError(f"magnitude must be a finite nonnegative number, got {self.magnitude}")
         _seed_words(self.seed)    # raises for a negative or non-integer seed
 

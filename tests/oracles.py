@@ -80,27 +80,46 @@ def oracle_oks(preds, gts, cfg):
 
 
 def _scale(g, mode):
+    """The sample's PCK scale, None when an endpoint of its head or torso length is hidden."""
     if mode == "bbox_diagonal":
         return _bbox_diag(g)
     a, b = {"head": (1, 2), "torso": (1, 10)}[mode]
+    if not (_vis(g, a) and _vis(g, b)):
+        return None
     ax, ay = _pt(g, a)
     bx, by = _pt(g, b)
     return math.hypot(bx - ax, by - ay)
 
 
-def oracle_pck(preds, gts, cfg):
-    """Per-keypoint list, None where no annotated samples."""
+def _scored_fractions(preds, gts, scales, threshold):
+    """(per-keypoint fraction, None where nothing was scored; scored counts; skip counts).
+
+    ``scales(g)`` lists the 22 scales of a ground truth. An annotated keypoint
+    is scored when its scale exists and is finite and positive, and skipped
+    otherwise; a scored keypoint is a hit when deviation / scale < threshold.
+    """
     hits = [0] * KEYPOINT_COUNT
     counts = [0] * KEYPOINT_COUNT
+    skips = [0] * KEYPOINT_COUNT
     for p, g in zip(preds, gts):
-        h = _scale(g, cfg.pck_scale_mode)
-        for i in range(1, KEYPOINT_COUNT + 1):
-            if not _vis(g, i):
+        visible = [j for j in range(1, KEYPOINT_COUNT + 1) if _vis(g, j)]
+        if not visible:
+            continue
+        sample_scales = scales(g)
+        for j in visible:
+            h = sample_scales[j - 1]
+            if h is None or not 0 < h < math.inf:
+                skips[j - 1] += 1
                 continue
-            counts[i - 1] += 1
-            if _deviation(p, g, i) / h < cfg.pck_threshold:
-                hits[i - 1] += 1
-    return [hits[j] / counts[j] if counts[j] else None for j in range(KEYPOINT_COUNT)]
+            counts[j - 1] += 1
+            if _deviation(p, g, j) / h < threshold:
+                hits[j - 1] += 1
+    return [hits[j] / counts[j] if counts[j] else None for j in range(KEYPOINT_COUNT)], counts, skips
+
+
+def oracle_pck(preds, gts, cfg):
+    """(per-keypoint list, None where nothing was scored; scored counts; skip counts) of PCK."""
+    return _scored_fractions(preds, gts, lambda g: [_scale(g, cfg.pck_scale_mode)] * KEYPOINT_COUNT, cfg.pck_threshold)
 
 
 def oracle_phenotype_length(g, pdef):
@@ -131,20 +150,11 @@ def oracle_shortest_phenotype(g, keypoint):
 
 
 def oracle_pmp(preds, gts, cfg):
-    """Per-keypoint list, None where no evaluable samples."""
-    hits = [0] * KEYPOINT_COUNT
-    counts = [0] * KEYPOINT_COUNT
-    for p, g in zip(preds, gts):
-        for j in range(1, KEYPOINT_COUNT + 1):
-            if not _vis(g, j):
-                continue
-            pheno = oracle_shortest_phenotype(g, j)
-            if pheno is None or pheno <= 0:
-                continue
-            counts[j - 1] += 1
-            if _deviation(p, g, j) / pheno < cfg.pmp_threshold:
-                hits[j - 1] += 1
-    return [hits[j] / counts[j] if counts[j] else None for j in range(KEYPOINT_COUNT)]
+    """(per-keypoint list, None where nothing was scored; scored counts; skip counts) of PMP."""
+    def scales(g):
+        return [oracle_shortest_phenotype(g, j) for j in range(1, KEYPOINT_COUNT + 1)]
+
+    return _scored_fractions(preds, gts, scales, cfg.pmp_threshold)
 
 
 def oracle_validate(dataset):

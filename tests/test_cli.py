@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,13 @@ def test_synth_rejects_a_magnitude_without_finite_noise(tmp_path, capsys, mode, 
     assert not out.exists()
 
 
+def test_train_toy_rejects_a_negative_feature_dim_naming_the_field(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    assert main(["train-toy", "--steps", "3", "--feature-dim", "-1", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == "error: feature_dim must be a nonnegative integer, got -1\n"
+    assert not trace.exists()
+
+
 def test_train_toy_rejects_negative_steps(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert main(["train-toy", "--steps", "-1", "--trace", str(trace)]) == 1
@@ -379,6 +387,52 @@ def test_prior_and_acr_name_a_fish_with_a_nonfinite_visible_coordinate(synth_fil
     assert capsys.readouterr().err == f"error: record 3 failed normalization: {reason}\n"
     assert main(["acr", "--pred", str(pred), "--prior", str(prior), "--out", str(tmp_path / "acr.json")]) == 1
     assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["evaluate", "deviation", "scatter"])
+def test_evaluate_and_plot_name_a_ground_truth_with_a_nonfinite_visible_coordinate(
+    synth_files, tmp_path, capsys, value, command
+):
+    gt, pred = synth_files
+    doc = json.loads(gt.read_text())
+    doc["annotations"][2]["keypoints"][3 * 1] = value   # image 3, visible K-2
+    gt.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {
+        "evaluate": ["evaluate", "--gt", str(gt), "--pred", str(pred), "--out", str(out)],
+        "deviation": ["plot", "--kind", "deviation", "--gt", str(gt), "--pred", str(pred), "--out", str(out)],
+        "scatter": ["plot", "--kind", "scatter", "--gt", str(gt), "--pred", str(pred), "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # no numpy RuntimeWarning on the way
+        assert main(argv) == 1
+    x, y = doc["annotations"][2]["keypoints"][3:5]
+    assert capsys.readouterr().err == f"error: ground truth image 3: K-2 is annotated at non-finite ({x}, {y})\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--gt", "--measures"])
+def test_an_input_that_is_no_utf8_names_its_file(synth_files, tmp_path, capsys, flag):
+    gt, pred = synth_files
+    evaluation, measures = tmp_path / "eval.json", tmp_path / "m.csv"
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--metric", "pmp", "--out", str(evaluation)]) == 0
+    assert main(["measure", "--input", str(gt), "--out", str(measures)]) == 0
+    bad = gt if flag == "--gt" else measures
+    text = bad.read_bytes()
+    bad.write_bytes(text[:40] + b"\xff" + text[41:])
+    argv = {
+        "--gt": ["evaluate", "--gt", str(gt), "--pred", str(pred)],
+        "--measures": ["report", "--evaluation", str(evaluation), "--measures", str(measures)],
+    }[flag]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 40: invalid start byte\n"
+    )
+    assert not out.exists()
 
 
 def test_evaluate_missing_prediction_is_data_error(synth_files, tmp_path, capsys):
@@ -771,11 +825,13 @@ def test_pipeline_on_30_fish_runs_end_to_end(tmp_path, capsys):
          "categories[1]: field 'id' must be a number or a string, got [2]"),
         (lambda doc: doc["images"][0].update(height="tall"), "images[0]: field 'height' must be a number, got 'tall'"),
         (lambda doc: doc["images"][1].update(width=None), "images[1]: field 'width' must be a number, got None"),
+        (lambda doc: doc["images"][0].update(width="1152"), "images[0]: field 'width' must be a number, got '1152'"),
+        (lambda doc: doc["images"][1].update(height=True), "images[1]: field 'height' must be a number, got True"),
         (lambda doc: doc["images"].insert(0, 5), "images[0] must be an object, got int"),
         (lambda doc: doc["images"][1].pop("width"), "images[1]: missing field 'width'"),
     ],
     ids=["list-image_id", "list-image-id", "object-category_id", "list-category-id", "text-height", "null-width",
-         "int-image", "no-width"],
+         "numeric-text-width", "bool-height", "int-image", "no-width"],
 )
 def test_parse_coco_names_file_entry_and_field_of_a_bad_entry(fixture_path, tmp_path, capsys, mutate, named):
     doc = json.loads(fixture_path.read_text())

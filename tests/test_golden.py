@@ -1,22 +1,29 @@
 """Byte pins on the file-scoring commands and on synth.
 
 A seeded 300-fish pair with hidden and occluded keypoints and all five
-species goes through ``prior``, ``acr``, ``measure``, ``plot --kind
-deviation`` and plain, proportional and uniform-pixel ``synth``; the SHA-256
-of every output must equal the digest recorded from an earlier release, so a
-refactor of the read or write path cannot move a byte unnoticed.
+species goes through ``evaluate --metric all``, ``prior``, ``acr``,
+``measure``, ``plot --kind deviation`` and plain, proportional and
+uniform-pixel ``synth``; the SHA-256 of every output must equal the digest
+recorded from an earlier release, so a refactor of the read or write path
+cannot move a byte unnoticed.
 """
 
 import hashlib
 import json
+from types import SimpleNamespace
+
+import pytest
 
 from phenokey.cli import main
+
+from oracles import oracle_parse_coco, oracle_pck
 
 N_FISH = 300
 # Keypoints 1, 5, 6 and 9 span the body rectangle and are never hidden.
 _ALWAYS_VISIBLE = (0, 4, 5, 8)
 
 GOLDEN = {
+    "evaluate.json": "d8379f6296118fb44d08b4a8bdb38797b2a41be181f8b2a1822172f1890e945b",
     "prior.json": "6889e323bbbc43684731c600ff05f8c0d61d8f9d93c7ba8fec631e8b68e761e0",
     "prior_grouper.json": "5799b161cf987765ad15647ba64c2185dde10fe04070de32250324f199fb8d2f",
     "acr.json": "05c77f7dd55f12e2c93cb3b11af2afb906fe37eaf050a50cc4d1bfbd2b78e203",
@@ -48,28 +55,37 @@ def _hide(path, salt):
     path.write_text(json.dumps(doc))
 
 
+_SYNTH = ["synth", "--template", "elongate", "--n", str(N_FISH), "--seed", "29"]
+
+
+def _golden_pair(tmp_path):
+    """Paths of the seeded ground truth and its uniform-pixel predictions, both with hidden keypoints."""
+    gt, pred = tmp_path / "gt.json", tmp_path / "pred.json"
+    assert main(_SYNTH + ["--out", str(gt)]) == 0
+    assert main(_SYNTH + ["--perturb", "uniform_px", "--magnitude", "6", "--out", str(pred)]) == 0
+    _hide(gt, 0)
+    _hide(pred, 11)
+    return gt, pred
+
+
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def golden_outputs(tmp_path):
     """{output name: SHA-256} of every pinned command on the seeded pair."""
-    gt, pred = tmp_path / "gt.json", tmp_path / "pred.json"
     out = {name: tmp_path / name for name in GOLDEN}
-    synth = ["synth", "--template", "elongate", "--n", str(N_FISH), "--seed", "29"]
     runs = [
-        synth + ["--out", str(out["synth.json"])],
-        synth + ["--perturb", "proportional_to_shortest_phenotype", "--magnitude", "0.05",
-                 "--out", str(out["synth_proportional.json"])],
-        synth + ["--perturb", "uniform_px", "--magnitude", "6", "--out", str(out["synth_uniform.json"])],
-        synth + ["--out", str(gt)],
-        synth + ["--perturb", "uniform_px", "--magnitude", "6", "--out", str(pred)],
+        _SYNTH + ["--out", str(out["synth.json"])],
+        _SYNTH + ["--perturb", "proportional_to_shortest_phenotype", "--magnitude", "0.05",
+                  "--out", str(out["synth_proportional.json"])],
+        _SYNTH + ["--perturb", "uniform_px", "--magnitude", "6", "--out", str(out["synth_uniform.json"])],
     ]
     for argv in runs:
         assert main(argv) == 0
-    _hide(gt, 0)
-    _hide(pred, 11)
+    gt, pred = _golden_pair(tmp_path)
     runs = [
+        ["evaluate", "--gt", str(gt), "--pred", str(pred), "--metric", "all", "--out", str(out["evaluate.json"])],
         ["prior", "--train", str(gt), "--out", str(out["prior.json"])],
         ["prior", "--train", str(gt), "--species", "grouper", "--out", str(out["prior_grouper.json"])],
         ["acr", "--pred", str(pred), "--prior", str(out["prior.json"]), "--out", str(out["acr.json"])],
@@ -84,3 +100,18 @@ def golden_outputs(tmp_path):
 
 def test_outputs_match_recorded_digests(tmp_path):
     assert golden_outputs(tmp_path) == GOLDEN
+
+
+@pytest.mark.parametrize("mode", ["head", "torso"])
+def test_pck_scale_modes_count_what_the_oracle_counts(tmp_path, mode):
+    """Samples with a hidden head or torso endpoint are skipped and counted, not fatal."""
+    gt, pred = _golden_pair(tmp_path)
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--metric", "pck", "--pck-scale", mode,
+                 "--out", str(report)]) == 0
+    got = json.loads(report.read_text())["pck"]
+    gts, preds = ([SimpleNamespace(xy=r[4], v=r[5]) for r in oracle_parse_coco(path)[1]] for path in (gt, pred))
+    values, counts, skips = oracle_pck(preds, gts, SimpleNamespace(pck_scale_mode=mode, pck_threshold=0.1))
+    assert got["sample_counts"] == counts and got["skip_counts"] == skips
+    assert sum(skips) > 0
+    assert list(got["per_keypoint"].values()) == pytest.approx(values, rel=0, abs=1e-12)

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from phenokey.errors import DegenerateFitError, DegenerateScaleError, IntegrityError, UndefinedMetricError
+from phenokey.errors import DegenerateFitError, IntegrityError, SchemaError, UndefinedMetricError
 from phenokey.metrics import (
+    PCK_SCALE_MODES,
     EvalConfig,
     evaluate_datasets,
     mape,
@@ -179,15 +183,36 @@ def test_pck_head_mode_scale():
     assert res.values[6] == 0.0  # 6/50 = 0.12
 
 
-def test_pck_degenerate_scale_errors():
-    gt = make_keypoints(xy=np.full((KEYPOINT_COUNT, 2), 7.0))
-    with pytest.raises(DegenerateScaleError):
-        pck([gt], [gt])
+def test_pck_skips_and_counts_samples_without_a_scale():
+    gt = make_keypoints(xy=np.full((KEYPOINT_COUNT, 2), 7.0), image_id=1)  # zero box diagonal
+    ok = _box_gt(image_id=2)
+    res = pck([gt, ok], [gt, ok])
+    assert res.skip_counts.tolist() == [1] * KEYPOINT_COUNT
+    assert res.sample_counts.tolist() == [1] * KEYPOINT_COUNT
+    assert res.values.tolist() == [1.0] * KEYPOINT_COUNT
+    assert np.isnan(pck([gt], [gt]).values).all()
     v = np.full(KEYPOINT_COUNT, 2)
-    v[1] = 0  # hide K-2: head scale not computable
-    gt2 = make_keypoints(v=v)
-    with pytest.raises(DegenerateScaleError):
-        pck([gt2], [gt2], EvalConfig(pck_scale_mode="head"))
+    v[1] = 0  # hide K-2: head scale not computable, K-2 itself is not annotated
+    gt2 = make_keypoints(v=v, image_id=3)
+    res = pck([gt2, ok], [gt2, ok], EvalConfig(pck_scale_mode="head"))
+    assert res.skip_counts.tolist() == [1] + [0] + [1] * (KEYPOINT_COUNT - 2)
+    assert res.sample_counts.tolist() == [1] * KEYPOINT_COUNT
+    res = pck([gt2, ok], [gt2, ok], EvalConfig(pck_scale_mode="torso"))
+    assert res.skip_counts.tolist() == [0] * KEYPOINT_COUNT
+    assert res.sample_counts.tolist() == [2] + [1] + [2] * (KEYPOINT_COUNT - 2)
+
+
+def test_metrics_reject_a_non_finite_annotated_ground_truth():
+    xy = _BOX_XY.copy()
+    xy[4] = (np.inf, 3.0)
+    gt = make_keypoints(xy=xy, image_id="a")
+    for metric in (pck, pmp, oks_per_image):
+        with pytest.raises(SchemaError, match=r"ground truth image 'a': K-5 is annotated at non-finite \(inf, 3.0\)"):
+            metric([_box_gt("a")], [gt])
+    v = np.full(KEYPOINT_COUNT, 2)
+    v[4] = 0
+    hidden = make_keypoints(xy=xy, v=v, image_id="a")
+    assert pck([_box_gt("a")], [hidden]).sample_counts[4] == 0    # a hidden keypoint's coordinate is not read
 
 
 def test_pck_skips_unannotated_keypoints():
@@ -424,13 +449,53 @@ def test_metrics_match_bruteforce_oracle_small():
     orc, _ = oracle_oks(preds, gts, cfg)
     assert all(abs(a - b) < 1e-12 for a, b in zip(lib, orc))
 
-    lib_pck = pck(preds, gts, cfg).values
-    for a, b in zip(lib_pck, oracle_pck(preds, gts, cfg)):
-        assert (b is None and math.isnan(a)) or abs(a - b) < 1e-12
+    for metric, oracle in ((pck, oracle_pck), (pmp, oracle_pmp)):
+        lib = metric(preds, gts, cfg)
+        values, counts, skips = oracle(preds, gts, cfg)
+        for a, b in zip(lib.values, values):
+            assert (b is None and math.isnan(a)) or abs(a - b) < 1e-12
+        assert lib.sample_counts.tolist() == counts and lib.skip_counts.tolist() == skips
 
-    lib_pmp = pmp(preds, gts, cfg=cfg).values
-    for a, b in zip(lib_pmp, oracle_pmp(preds, gts, cfg)):
-        assert (b is None and math.isnan(a)) or abs(a - b) < 1e-12
+
+# Thresholds whose squares are no ratio of small integers: on the integer grid below no deviation / scale ratio
+# lands on one, so a last-digit difference between two hypot implementations cannot flip a hit.
+_THRESHOLDS = (0.1237, 0.3141, 0.0577)
+
+
+@st.composite
+def _scored_lists(draw):
+    """(predictions, ground truths, config) on a small integer grid, with random visibility.
+
+    Coincident points are common on the grid, a sample may collapse to one point (zero box diagonal), a head or
+    torso endpoint is hidden in about a quarter of the samples, and a few predicted coordinates are infinite.
+    """
+    n = draw(st.integers(1, 6))
+    gt_xy = draw(arrays(np.int64, (n, KEYPOINT_COUNT, 2), elements=st.integers(0, 12))).astype(np.float64)
+    collapsed = draw(arrays(np.bool_, n, elements=st.sampled_from([False] * 4 + [True])))
+    gt_xy[collapsed] = gt_xy[collapsed, :1]
+    v = draw(arrays(np.int64, (n, KEYPOINT_COUNT), elements=st.sampled_from([0, 1, 2, 2, 2, 2, 2, 2])))
+    pred_xy = gt_xy + draw(arrays(np.int64, (n, KEYPOINT_COUNT, 2), elements=st.integers(-3, 3)))
+    pred_xy[draw(arrays(np.bool_, (n, KEYPOINT_COUNT), elements=st.sampled_from([False] * 19 + [True]))), 0] = np.inf
+    cfg = EvalConfig(pck_threshold=draw(st.sampled_from(_THRESHOLDS)), pmp_threshold=draw(st.sampled_from(_THRESHOLDS)),
+                     pck_scale_mode=draw(st.sampled_from(PCK_SCALE_MODES)), oks_k=[0.1] * KEYPOINT_COUNT)
+    gts = [make_keypoints(xy=gt_xy[i], v=v[i], image_id=i) for i in range(n)]
+    preds = [make_keypoints(xy=pred_xy[i], image_id=i) for i in range(n)]
+    return preds, gts, cfg
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_scored_lists())
+def test_pck_pmp_and_oks_equal_the_oracles_on_random_visibility(case):
+    preds, gts, cfg = case
+    for metric, oracle in ((pck, oracle_pck), (pmp, oracle_pmp)):
+        lib = metric(preds, gts, cfg)
+        values, counts, skips = oracle(preds, gts, cfg)
+        assert lib.sample_counts.tolist() == counts and lib.skip_counts.tolist() == skips
+        assert [None if math.isnan(x) else x for x in lib.values.tolist()] == values
+    lib_oks = oks_per_image(preds, gts, cfg)
+    ref_oks, _ = oracle_oks(preds, gts, cfg)
+    assert [x is None for x in lib_oks] == [x is None for x in ref_oks]
+    assert all(a is None or abs(a - b) < 1e-12 for a, b in zip(lib_oks, ref_oks))
 
 
 # ---------------------------------------------------------------------------

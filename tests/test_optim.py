@@ -146,6 +146,8 @@ def test_gradnorm_requires_recorded_initial_losses():
         ("init_w_mse", -0.5, "init_w_mse must be a finite nonnegative number, got -0.5"),
         ("init_w_acr", float("inf"), "init_w_acr must be a finite nonnegative number, got inf"),
         ("alpha", "1.5", "alpha must be a finite nonnegative number, got '1.5'"),
+        ("lr", 10**400, f"lr must be a finite nonnegative number, got {10**400!r}"),
+        ("lr_weights", True, "lr_weights must be a finite nonnegative number, got True"),
     ],
 )
 def test_train_config_checks_its_fields(field, value, message):
@@ -154,6 +156,12 @@ def test_train_config_checks_its_fields(field, value, message):
     assert str(info.value) == message
     with pytest.raises(ValueError):
         replace(TrainConfig(), **{field: value})
+
+
+@pytest.mark.parametrize("feature_dim", [-1, 2.5, True])
+def test_toy_problem_needs_a_nonnegative_integer_feature_dim(feature_dim):
+    with pytest.raises(ValueError, match=f"feature_dim must be a nonnegative integer, got {feature_dim!r}"):
+        make_toy_problem(n=8, feature_dim=feature_dim)
 
 
 def test_zero_learning_rate_keeps_everything_constant():

@@ -3,7 +3,11 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import phenokey
+from phenokey.errors import positive_number
 
 
 def test_package_imports_only_numpy_and_the_stdlib():
@@ -33,3 +37,14 @@ def test_every_name_the_demos_import_from_phenokey_resolves():
     assert demos and imported
     assert [f"{demo}: {module}.{name}" for demo, module, name in imported
             if not hasattr(importlib.import_module(module), name)] == []
+
+
+@pytest.mark.parametrize(
+    "value, positive, nonnegative",
+    [(1, True, True), (0.5, True, True), (np.float64(2.0), True, True), (0, False, True), (np.int64(0), False, True),
+     (-1e-300, False, False), (True, False, False), (False, False, False), (10**400, False, False),
+     (-10**400, False, False), (float("inf"), False, False), (float("nan"), False, False), ("1", False, False),
+     (None, False, False)],
+)
+def test_number_tests_take_finite_reals_and_no_bool(value, positive, nonnegative):
+    assert (positive_number(value), positive_number(value, zero=True)) == (positive, nonnegative)

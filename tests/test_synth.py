@@ -290,7 +290,7 @@ def test_perturb_keeps_hidden_nan_coordinates(mode, magnitude):
 def test_invalid_perturbation_model():
     with pytest.raises(ValueError, match="mode"):
         PerturbationModel("bogus", 1.0)
-    for magnitude in (-1.0, math.nan, math.inf):
+    for magnitude in (-1.0, math.nan, math.inf, True, 10**400):
         with pytest.raises(ValueError, match="magnitude must be a finite nonnegative number"):
             PerturbationModel("uniform_px", magnitude)
 
