@@ -113,10 +113,10 @@ def fit_prior(train: Dataset, species: str = "other") -> AnatomicalPrior:
 class BoxConstraint:
     """Per-keypoint admissible boxes placed inside one image's rectangle, or N images' rectangles."""
 
-    origin: np.ndarray   # (2,) or (N, 1, 2) bbox minimum corner, pixels
-    extent: np.ndarray   # (2,) or (N, 1, 2) bbox width/height, pixels
-    nmin: np.ndarray     # (22, 2) normalized lower extremes
-    nmax: np.ndarray     # (22, 2) normalized upper extremes
+    origin: np.ndarray   # (2,), (N, 1, 2) or (N, 22, 2) bbox minimum corner, pixels
+    extent: np.ndarray   # (2,), (N, 1, 2) or (N, 22, 2) bbox width/height, pixels
+    nmin: np.ndarray     # (22, 2) or (N, 22, 2) normalized lower extremes
+    nmax: np.ndarray     # (22, 2) or (N, 22, 2) normalized upper extremes
 
     @property
     def k_min(self) -> np.ndarray:
@@ -151,16 +151,14 @@ def dataset_boxes(prior: AnatomicalPrior, dataset: Dataset) -> BoxConstraint:
 def acr_hinge(xy: np.ndarray, box: BoxConstraint) -> tuple[np.ndarray, np.ndarray]:
     """Hinge magnitudes in pixels and subgradient signs of ``xy``, shape (..., 22, 2).
 
-    Coordinates are normalized once by the box frame, which broadcasts: a
-    (2,) frame for one image, (N, 1, 2) frames for an (N, 22, 2) batch. The
-    sign is -1 below the box, +1 above and 0 inside or on it.
+    Coordinates are normalized once by the box frame, which broadcasts: a (2,) frame for one
+    image, (N, 1, 2) or full (N, 22, 2) frames for an (N, 22, 2) batch. The sign is -1 below
+    the box, +1 above and +0.0 (never -0.0) inside or on it, or for a NaN coordinate.
     """
     norm = (xy - box.origin) / box.extent
     low = np.maximum(0.0, box.nmin - norm)
     high = np.maximum(0.0, norm - box.nmax)
-    signs = np.zeros_like(norm)
-    signs[norm < box.nmin] = -1.0
-    signs[norm > box.nmax] = 1.0
+    signs = np.subtract(norm > box.nmax, norm < box.nmin, dtype=np.float64)
     return (low + high) * box.extent, signs
 
 

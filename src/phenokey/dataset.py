@@ -317,7 +317,7 @@ def _id_error(where: str, key: str, value) -> ParseError:
     return ParseError(f"{where}: field {key!r} must be a number or a string, got {value!r}")
 
 
-def _image_error(path, k: int, img) -> ParseError:
+def _image_error(path, k: int, img) -> ParseError | SchemaError:
     """Why the ``k``-th entry of ``images`` is no image, naming the entry and the field that is missing or wrong."""
     where = f"{path}: images[{k}]"
     if not isinstance(img, dict):
@@ -330,6 +330,11 @@ def _image_error(path, k: int, img) -> ParseError:
     for key in ("width", "height"):
         if type(img[key]) not in (int, float):
             return ParseError(f"{where}: field {key!r} must be a number, got {img[key]!r}")
+        try:
+            float(img[key])
+        except OverflowError:
+            digits = len(str(abs(img[key])))
+            return SchemaError(f"{where}: field {key!r} is an integer of {digits} digits, past the float range")
 
 
 def parse_coco(path) -> Dataset:
@@ -355,14 +360,14 @@ def parse_coco(path) -> Dataset:
     for k, img in enumerate(doc["images"]):
         try:
             img_id, w, h = img["id"], img["width"], img["height"]
-            known = img_id in images
-        except (TypeError, KeyError):
+            known, size = img_id in images, (float(w), float(h))
+        except (TypeError, KeyError, ValueError, OverflowError):
             raise _image_error(path, k, img) from None
         if type(w) not in (int, float) or type(h) not in (int, float):    # a JSON number, and no bool
             raise _image_error(path, k, img)
         if known:
             raise IntegrityError(f"duplicate image id {img_id!r} in images array")
-        images[img_id] = (w, h)
+        images[img_id] = size
 
     categories = {}
     for k, cat in enumerate(doc.get("categories", [])):

@@ -159,8 +159,10 @@ class ToyProblem:
     population: Dataset
 
     def boxes(self) -> BoxConstraint:
-        """Per-sample boxes framed by each target's own body frame, as (N, 1, 2) frames."""
-        return dataset_boxes(self.prior, coords_to_dataset(self.targets, self.population))
+        """Each target's own body-frame boxes, every field copied out to (N, 22, 2) for contiguous hinge loops."""
+        box = dataset_boxes(self.prior, coords_to_dataset(self.targets, self.population))
+        shape = (len(self.targets), KEYPOINT_COUNT, 2)
+        return BoxConstraint(*(np.broadcast_to(a, shape).copy() for a in (box.origin, box.extent, box.nmin, box.nmax)))
 
 
 def population_coords(population: Dataset) -> np.ndarray:
@@ -272,34 +274,41 @@ def make_toy_problem(
 
 
 def gradnorm_step(w: LossWeights, grad_norms, losses, lr_w: float) -> LossWeights:
-    """One balancing update; returns weights clamped positive and summing to 2."""
+    """One balancing update on Python floats; returns weights clamped positive and summing to 2."""
     if w.initial_losses is None:
         raise ValueError("initial losses must be recorded before balancing")
-    l0 = np.asarray(w.initial_losses, dtype=np.float64)
-    if np.any(l0 <= 0):
+    l0_mse, l0_acr = w.initial_losses
+    if l0_mse <= 0 or l0_acr <= 0:
         warnings.warn(
             "initial task loss is zero; balancing disabled, keeping equal weights",
             GradNormFallbackWarning,
             stacklevel=2,
         )
-        return replace(w, w_mse=1.0, w_acr=1.0)
-    norms = np.asarray(grad_norms, dtype=np.float64)
-    losses = np.asarray(losses, dtype=np.float64)
-    if norms.shape != (2,) or losses.shape != (2,):
-        raise ValueError("grad_norms and losses must each hold two entries")
-    if np.any(norms < 0):
+        return LossWeights(1.0, 1.0, w.alpha, w.initial_losses)
+    try:
+        (n_mse, n_acr), (l_mse, l_acr) = map(float, grad_norms), map(float, losses)
+    except (TypeError, ValueError):
+        raise ValueError("grad_norms and losses must each hold two entries") from None
+    if n_mse < 0 or n_acr < 0:
         raise ValueError("gradient norms must be nonnegative")
-    wv = np.array([w.w_mse, w.w_acr])
-    weighted = wv * norms
-    ratios = losses / l0
-    if np.mean(ratios) == 0.0:
+    if l_mse < 0 or l_acr < 0:  # a negative loss ratio has no real power
+        raise ValueError("losses must be nonnegative")
+    r_mse, r_acr = l_mse / l0_mse, l_acr / l0_acr
+    mean_ratio = (r_mse + r_acr) / 2
+    if mean_ratio == 0.0:
         return w  # both tasks fully converged; nothing to balance
-    rate = ratios / np.mean(ratios)
-    target = weighted.mean() * rate**w.alpha
-    grad_w = np.sign(weighted - target) * norms
-    new = np.maximum(wv - lr_w * grad_w, 1e-6)
-    new = 2.0 * new / new.sum()
-    return replace(w, w_mse=float(new[0]), w_acr=float(new[1]))
+    mean_weighted = (w.w_mse * n_mse + w.w_acr * n_acr) / 2
+    new = []
+    for weight, norm, ratio in ((w.w_mse, n_mse, r_mse), (w.w_acr, n_acr, r_acr)):
+        try:
+            scaled = mean_weighted * (ratio / mean_ratio) ** w.alpha
+        except (OverflowError, ZeroDivisionError):  # where numpy's power gives inf
+            scaled = mean_weighted * math.inf
+        gap = float(weight * norm - scaled)
+        sign = (gap > 0) - (gap < 0) if gap == gap else gap  # np.sign: a NaN gap stays NaN
+        new.append(max(weight - lr_w * (sign * norm), 1e-6))
+    total = new[0] + new[1]
+    return LossWeights(float(2.0 * new[0] / total), float(2.0 * new[1] / total), w.alpha, w.initial_losses)
 
 
 def _batch_losses(weights, bias, features, targets, boxes: BoxConstraint):
@@ -357,11 +366,12 @@ def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tup
                     stacklevel=2,
                 )
                 balancing = False
-        n_mse = float(np.linalg.norm(g_w_mse))
-        n_acr = float(np.linalg.norm(g_w_acr))
+        # np.linalg.norm's Frobenius path, without its dispatch
+        n_mse = math.sqrt(g_w_mse.ravel() @ g_w_mse.ravel())
+        n_acr = math.sqrt(g_w_acr.ravel() @ g_w_acr.ravel())
         total = w.w_mse * l_mse + (w.w_acr * l_acr if cfg.use_acr else 0.0)
         trace.rows.append(TraceRow(step, l_mse, l_acr, w.w_mse, w.w_acr, n_mse, n_acr, outside))
-        if not np.isfinite(total) or total > DIVERGENCE_LIMIT:
+        if not math.isfinite(total) or total > DIVERGENCE_LIMIT:
             raise DivergenceError(f"training diverged at step {step}: total loss {total}", trace=trace)
         if step == cfg.steps:
             break

@@ -384,6 +384,22 @@ def test_acr_hinge_batch_equals_single_sample_calls():
         assert acr_loss(xy[i], box) == float(violations[i].sum())
 
 
+def test_acr_hinge_signs_are_plus_zero_inside_on_edge_and_at_nan():
+    """``acr`` writes the signs into its report, so a -0.0 would change the document's bytes."""
+    box = _dyadic_box()  # boxes span [32, 96]^2
+    preds = _inside_preds()
+    preds[1] = (32.0, 96.0)      # on the lower x edge and the upper y edge
+    preds[2] = (np.nan, 64.0)
+    preds[3] = (10.0, 120.0)     # below in x, above in y
+    full = BoxConstraint(*(np.broadcast_to(a, (1, KEYPOINT_COUNT, 2)).copy()
+                           for a in (box.origin, box.extent, box.nmin, box.nmax)))
+    for signs in (acr_hinge(preds, box)[1], acr_hinge(preds[None], full)[1][0]):
+        zero = np.ones(signs.shape, dtype=bool)
+        zero[3] = False
+        assert np.all(signs[zero] == 0.0) and not np.signbit(signs[zero]).any()
+        assert signs[3].tolist() == [-1.0, 1.0]
+
+
 # ---------------------------------------------------------------------------
 # whole-file prior and boxes: the first bad record is named as one at a time
 

@@ -829,9 +829,13 @@ def test_pipeline_on_30_fish_runs_end_to_end(tmp_path, capsys):
         (lambda doc: doc["images"][1].update(height=True), "images[1]: field 'height' must be a number, got True"),
         (lambda doc: doc["images"].insert(0, 5), "images[0] must be an object, got int"),
         (lambda doc: doc["images"][1].pop("width"), "images[1]: missing field 'width'"),
+        (lambda doc: doc["images"][1].update(width=10**400),
+         "images[1]: field 'width' is an integer of 401 digits, past the float range"),
+        (lambda doc: doc["images"][0].update(height=-(10**400)),
+         "images[0]: field 'height' is an integer of 401 digits, past the float range"),
     ],
     ids=["list-image_id", "list-image-id", "object-category_id", "list-category-id", "text-height", "null-width",
-         "numeric-text-width", "bool-height", "int-image", "no-width"],
+         "numeric-text-width", "bool-height", "int-image", "no-width", "beyond-float-width", "beyond-float-height"],
 )
 def test_parse_coco_names_file_entry_and_field_of_a_bad_entry(fixture_path, tmp_path, capsys, mutate, named):
     doc = json.loads(fixture_path.read_text())

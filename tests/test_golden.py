@@ -5,7 +5,8 @@ species goes through ``evaluate --metric all``, ``prior``, ``acr``,
 ``measure``, ``plot --kind deviation`` and plain, proportional and
 uniform-pixel ``synth``; the SHA-256 of every output must equal the digest
 recorded from an earlier release, so a refactor of the read or write path
-cannot move a byte unnoticed.
+cannot move a byte unnoticed. Three ``train-toy`` trace CSVs are pinned the
+same way, so a faster training step cannot move a loss, weight or norm digit.
 """
 
 import hashlib
@@ -33,6 +34,16 @@ GOLDEN = {
     "synth.json": "efdd1bd0aa911fd2a2e351e2c7a0f9ed2ce8d319480b6771462ae2e31b90e3d1",
     "synth_proportional.json": "bc4a09c3821782f1adc4ed001569ea1744dcb0d13e876f9b337279bc4a8eaaff",
     "synth_uniform.json": "8d7239d49cd04800449e7d4974b2563867c77e8efbf448a862ecd83769063989",
+}
+
+# train-toy arguments -> SHA-256 of the trace CSV: ACR with GradNorm balancing, MSE alone, fixed weights with decay
+TRACE_GOLDEN = {
+    ("--seed", "0", "--steps", "4000", "--acr", "on"):
+        "41939f1f074ef4542ad38b83787d3d36b5d85fb9655dfc090d36aa6b4bc7c716",
+    ("--seed", "3", "--acr", "off"):
+        "30b804c164e7e4d27f62b841690fa81e604dd9dc6ab2450b5c2a57cb68450e7e",
+    ("--seed", "7", "--lr-decay", "0.006", "--lr-weights", "0", "--alpha", "0.5"):
+        "f5f8fc1968268125983767b78e441341c31ec1764260d7d4b742c33a6c8521a3",
 }
 
 
@@ -100,6 +111,13 @@ def golden_outputs(tmp_path):
 
 def test_outputs_match_recorded_digests(tmp_path):
     assert golden_outputs(tmp_path) == GOLDEN
+
+
+@pytest.mark.parametrize("args", list(TRACE_GOLDEN), ids=["acr_gradnorm_seed0", "mse_only_seed3", "fixed_weights_seed7"])
+def test_train_toy_trace_matches_recorded_digest(tmp_path, args):
+    trace = tmp_path / "trace.csv"
+    assert main(["train-toy", *args, "--trace", str(trace)]) == 0
+    assert _digest(trace) == TRACE_GOLDEN[args]
 
 
 @pytest.mark.parametrize("mode", ["head", "torso"])

@@ -48,7 +48,7 @@ def test_combined_loss_zero_at_truth_inside_box():
     problem = make_toy_problem(n=4, feature_dim=5, seed=1)
     coords = problem.targets[0]
     boxes = problem.boxes()
-    box = replace(boxes, origin=boxes.origin[0], extent=boxes.extent[0])
+    box = replace(boxes, origin=boxes.origin[0], extent=boxes.extent[0], nmin=boxes.nmin[0], nmax=boxes.nmax[0])
     total, l_mse, l_acr = _sample_loss(coords, coords, box, LossWeights())
     assert total == 0.0 and l_mse == 0.0 and l_acr == 0.0
 
@@ -58,7 +58,7 @@ def test_combined_loss_pure_mse_when_acr_weight_zero():
     gt = problem.targets[0]
     pred = gt + 1000.0  # far outside every box
     boxes = problem.boxes()
-    box = replace(boxes, origin=boxes.origin[0], extent=boxes.extent[0])
+    box = replace(boxes, origin=boxes.origin[0], extent=boxes.extent[0], nmin=boxes.nmin[0], nmax=boxes.nmax[0])
     w = LossWeights(w_mse=1.0, w_acr=0.0)
     total, l_mse, l_acr = _sample_loss(pred, gt, box, w)
     assert l_acr > 0
@@ -129,6 +129,98 @@ def test_gradnorm_zero_initial_loss_falls_back():
 def test_gradnorm_requires_recorded_initial_losses():
     with pytest.raises(ValueError, match="initial"):
         gradnorm_step(LossWeights(), (1.0, 1.0), (1.0, 1.0), 0.025)
+
+
+@pytest.mark.parametrize("norms, losses, message", [
+    ((1.0, 2.0, 3.0), (1.0, 1.0), "two entries"),
+    ((1.0, 2.0), 4.0, "two entries"),
+    (([1.0], [2.0]), (1.0, 1.0), "two entries"),
+    ((-1.0, 2.0), (1.0, 1.0), "norms must be nonnegative"),
+    ((1.0, 2.0), (1.0, -1.0), "losses must be nonnegative"),
+])
+def test_gradnorm_rejects_malformed_inputs(norms, losses, message):
+    with pytest.raises(ValueError, match=message):
+        gradnorm_step(_weights(), norms, losses, 0.025)
+
+
+def _numpy_gradnorm_step(w: LossWeights, grad_norms, losses, lr_w: float) -> LossWeights:
+    """The balancing update as the trainer ran it on length-2 numpy arrays: the reference for the float form."""
+    l0 = np.asarray(w.initial_losses, dtype=np.float64)
+    if np.any(l0 <= 0):
+        return replace(w, w_mse=1.0, w_acr=1.0)
+    norms = np.asarray(grad_norms, dtype=np.float64)
+    losses = np.asarray(losses, dtype=np.float64)
+    wv = np.array([w.w_mse, w.w_acr])
+    weighted = wv * norms
+    ratios = losses / l0
+    if np.mean(ratios) == 0.0:
+        return w
+    rate = ratios / np.mean(ratios)
+    target = weighted.mean() * rate**w.alpha
+    grad_w = np.sign(weighted - target) * norms
+    new = np.maximum(wv - lr_w * grad_w, 1e-6)
+    new = 2.0 * new / new.sum()
+    return replace(w, w_mse=float(new[0]), w_acr=float(new[1]))
+
+
+def _gradnorm_draws(rng, count):
+    """(weights, norms, losses, lr) draws: random, zero norms, exact ties, zero losses, NaN norms and losses."""
+    for i in range(count):
+        kind = i % 8
+        w_mse = rng.uniform(1e-6, 2.0)
+        l0 = tuple(rng.uniform(0.01, 50.0, size=2).tolist())
+        norms = rng.uniform(0.0, 50.0, size=2).tolist()
+        losses = rng.uniform(0.0, 40.0, size=2).tolist()
+        if kind == 1:    # one or both norms zero
+            norms[i % 2] = 0.0
+            if i % 3 == 0:
+                norms[1 - i % 2] = 0.0
+        elif kind == 2:  # exact tie: equal weights, norms and loss ratios give weighted == target
+            w_mse, l0, norms[1], losses[1] = 1.0, (l0[0], l0[0]), norms[0], losses[0]
+        elif kind == 3:  # a tie through zero: both weighted norms and one ratio are zero
+            norms, losses[i % 2] = [0.0, 0.0], 0.0
+        elif kind == 4:  # one task converged, or both
+            losses[i % 2] = 0.0
+            if i % 3 == 0:
+                losses[1 - i % 2] = 0.0
+        elif kind == 5:  # a NaN norm, or a NaN loss, which leaves every gap NaN
+            (norms, losses)[i // 32 % 2][i // 64 % 2] = np.nan
+        elif kind == 6:  # large steps drive a weight to the clamp
+            norms = rng.uniform(0.0, 5e3, size=2).tolist()
+        elif kind == 7:  # numpy scalars and arrays in, as a caller holding arrays passes them
+            l0, norms, losses = tuple(np.array(l0)), np.array(norms), np.array(losses)
+        alpha = (0.5, 1.0, 1.5, 2.0)[(i // 8) % 4]
+        w = LossWeights(w_mse, 2.0 - w_mse, alpha=alpha, initial_losses=l0)
+        yield w, norms, losses, rng.uniform(0.0, 0.2)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_gradnorm_step_is_bit_equal_to_numpy_reference():
+    rng = np.random.default_rng(2018)
+    kinds = set()
+    for w, norms, losses, lr in _gradnorm_draws(rng, 12_000):
+        got, want = gradnorm_step(w, norms, losses, lr), _numpy_gradnorm_step(w, norms, losses, lr)
+        assert (_bits(got.w_mse), _bits(got.w_acr)) == (_bits(want.w_mse), _bits(want.w_acr)), (w, norms, losses, lr)
+        assert type(got.w_mse) is float and type(got.w_acr) is float
+        assert got.alpha == w.alpha and got.initial_losses == w.initial_losses
+        kinds.add(("nan" if np.isnan(got.w_mse) else "clamped" if min(got.w_mse, got.w_acr) < 1e-5
+                   else "kept" if got == w else "moved", w.alpha))
+    assert {kind for kind, _ in kinds} == {"nan", "clamped", "kept", "moved"}
+    assert {alpha for _, alpha in kinds} == {0.5, 1.0, 1.5, 2.0}
+
+
+@pytest.mark.parametrize("alpha", [2000.0, -1.0])
+def test_gradnorm_step_takes_numpy_inf_where_a_float_power_raises(alpha):
+    """A converged task makes one loss ratio 0 and the other 2: 2.0 ** 2000 overflows and 0.0 ** -1 divides by zero."""
+    w = LossWeights(0.7, 1.3, alpha=alpha, initial_losses=(10.0, 4.0))
+    with np.errstate(over="ignore", divide="ignore"):
+        want = _numpy_gradnorm_step(w, (3.0, 5.0), (6.0, 0.0), 0.05)
+    got = gradnorm_step(w, (3.0, 5.0), (6.0, 0.0), 0.05)
+    assert (_bits(got.w_mse), _bits(got.w_acr)) == (_bits(want.w_mse), _bits(want.w_acr))
+    assert got != w
 
 
 # ---------------------------------------------------------------------------
