@@ -1,7 +1,9 @@
 """Command-line interface: one subcommand per workflow.
 
-Exit codes: 0 success, 1 data/validation failure, 2 usage error. Diagnostics
-go to stderr; data goes to files or stdout. Output is byte-identical across
+Exit codes: 0 success, 1 data/validation failure, 2 usage error. Data goes
+to files or stdout. Each stderr line is an ``error:`` line, a status line or
+a ``warning:`` line, which :func:`main` writes for every warning the command
+issues; the warning filters stay as they are. Output is byte-identical across
 runs for identical flags and seeds (reports never embed timestamps). JSON
 reports are ``json.dumps(doc, indent=2)`` text written with the C encoder
 (:mod:`phenokey.jsontext`) and never contain NaN or infinities: a report
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import fields
 
@@ -21,7 +24,8 @@ import numpy as np
 from . import __version__
 from .anatomy import acr_hinge, dataset_boxes, fit_prior, prior_from_dict, prior_to_dict
 from .dataset import parse_coco, serialize_coco, validate
-from .errors import DivergenceError, IntegrityError, ParseError, PhenokeyError, SchemaError
+from .errors import (DegenerateMeasurementWarning, DivergenceError, IntegrityError, ParseError, PhenokeyError,
+                     PhenokeyWarning, SchemaError)
 from .jsontext import doc_field, dumps, read_json
 from .metrics import (
     METRICS,
@@ -32,7 +36,7 @@ from .metrics import (
     phenotype_value_pairs,
     report_to_dict,
 )
-from .morphometry import default_table, measurement_rows
+from .morphometry import default_table, degenerate_messages, measurement_rows
 from .optim import ToyPredictor, TrainConfig, make_toy_problem, train
 from .plots import plot_deviation_summary, plot_scatter
 from .schema import SPECIES
@@ -57,8 +61,7 @@ def _cmd_validate(args) -> int:
     for v in violations:
         sys.stdout.write(str(v) + "\n")
     if violations:
-        sys.stderr.write(f"{args.input}: {len(violations)} violation(s)\n")
-        return 1
+        raise PhenokeyError(f"{args.input}: {len(violations)} violation(s)")
     sys.stderr.write(f"{args.input}: ok ({len(dataset)} records)\n")
     return 0
 
@@ -75,7 +78,9 @@ def _csv_field(value) -> str:
 
 def _cmd_measure(args) -> int:
     dataset = parse_coco(args.input)
-    lengths, status, hidden = measurement_rows(dataset.image_ids, dataset.xy, dataset.v)
+    lengths, status, hidden = measurement_rows(dataset.xy, dataset.v)
+    for message in degenerate_messages(dataset.image_ids, status):
+        warnings.warn(message, DegenerateMeasurementWarning)
     ids = np.array([_csv_field(image_id) for image_id in dataset.image_ids], dtype=object)[:, None]
     # csv writes a float as str(value), which is its repr, and a skipped value as an empty field
     values = np.array(list(map(repr, lengths.ravel().tolist())), dtype=object).reshape(lengths.shape)
@@ -188,8 +193,7 @@ def _cmd_train_toy(args) -> int:
     except DivergenceError as exc:
         if exc.trace is not None:
             exc.trace.to_csv(args.trace)
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        raise
     trace.to_csv(args.trace)
     last = trace[-1]
     sys.stderr.write(
@@ -229,7 +233,7 @@ def _cmd_plot(args) -> int:
         # a non-finite predicted coordinate is a miss, as in `evaluate`, with no place on a pixel axis
         finite = np.isfinite(pairs.pred_xy).all(axis=-1)[pairs.annotated]
         if not finite.all():
-            sys.stderr.write(f"{label}: {int((~finite).sum())} non-finite predicted keypoints left out\n")
+            warnings.warn(f"{label}: {int((~finite).sum())} non-finite predicted keypoints left out", PhenokeyWarning)
         if not finite.any():
             raise PhenokeyError(f"{label}: no finite deviation to plot")
         deviations[label] = pairs.deviations[pairs.annotated][finite].tolist()
@@ -352,11 +356,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.fn(args)
-    except (PhenokeyError, OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    with warnings.catch_warnings():
+        # every warning the command issues is one `warning:` line; the filters, and so `-W error`, stay as they are
+        warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
+        try:
+            return args.fn(args)
+        except (PhenokeyError, OSError, ValueError, KeyError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
 
 
 if __name__ == "__main__":

@@ -379,7 +379,7 @@ def parse_coco(path) -> Dataset:
 
     annotations = doc["annotations"]
     if not annotations:
-        warnings.warn("annotations array is empty; dataset has no records", PhenokeyWarning, stacklevel=2)
+        warnings.warn(f"{path}: annotations array is empty; dataset has no records", PhenokeyWarning, stacklevel=2)
 
     flats, ann_ids, image_ids, sizes, species = [], [], [], [], []
     seen = set()

@@ -32,8 +32,8 @@ def read_json(path, decode=lambda doc: doc, name=None):
     """The document in the JSON file ``path``, passed through ``decode``.
 
     Errors start with ``name``, the path by default: a text that is no UTF-8 raises :class:`ParseError`, as does a
-    malformed one, naming its line and column; a :class:`SchemaError` from ``decode`` is raised again with the name
-    in front.
+    malformed one, naming its line and column, and any other ``ValueError`` of ``json``; a :class:`SchemaError`
+    from ``decode`` is raised again with the name in front.
     """
     name = path if name is None else name
     with open(path, encoding="utf-8") as fh:
@@ -41,7 +41,7 @@ def read_json(path, decode=lambda doc: doc, name=None):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{name}: malformed document at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
+        except ValueError as exc:    # no UTF-8 text, or json's own limits such as a 4,300-digit integer
             raise ParseError(f"{name}: {exc}") from exc
     try:
         return decode(doc)

@@ -29,6 +29,7 @@ mismatch raises ``ValueError``): one image's OKS is ``oks_per_image([p], [g])[0]
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -36,7 +37,8 @@ import numpy as np
 
 from .anatomy import visible_corners
 from .dataset import Dataset, stack_keypoints
-from .errors import DegenerateFitError, IntegrityError, SchemaError, UndefinedMetricError, positive_number
+from .errors import (DegenerateFitError, IntegrityError, PhenokeyWarning, SchemaError, UndefinedMetricError,
+                     positive_number)
 from .morphometry import default_table, phenotype_lengths, shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT
 
@@ -297,12 +299,22 @@ def oks_per_image(preds, gts, cfg: EvalConfig | None = None) -> list[float | Non
 
 
 def _paired_datasets(gt: Dataset, pred: Dataset) -> _Pairs:
-    """Each ground-truth row with the prediction row of the same image id (the last one, for a repeated id)."""
+    """Each ground-truth row with the prediction row of the same image id (the last one, for a repeated id).
+
+    A prediction for an image id the ground truth lacks is ignored, with one :class:`PhenokeyWarning` that counts
+    those ids and names up to five.
+    """
     row = {image_id: k for k, image_id in enumerate(pred.image_ids)}
     rows = np.array([row.get(image_id, -1) for image_id in gt.image_ids], dtype=np.intp)
     missing = [gt.image_ids[n] for n in np.flatnonzero(rows < 0)[:5].tolist()]
     if missing:
         raise IntegrityError(f"predictions missing for image ids {missing!r}")
+    unknown = len(row) - len(gt.image_ids)    # every ground-truth id, each once, is a key of `row` by now
+    if unknown:
+        known = set(gt.image_ids)
+        ids = [image_id for image_id in row if image_id not in known][:5]
+        warnings.warn(f"{unknown} predicted image id(s) not in the ground truth, ignored: {ids!r}", PhenokeyWarning,
+                      stacklevel=2)
     return _Pairs(pred.xy[rows], gt.xy, gt.v, gt.image_ids)
 
 

@@ -8,8 +8,6 @@ of the eye. The table below covers every keypoint at least once.
 from __future__ import annotations
 
 import functools
-import os
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -167,33 +165,34 @@ def shortest_phenotype_lengths(gt_xy, gt_v) -> np.ndarray:
 _STATUS = np.array(["ok", *(f"skipped:K-{n}" for n in range(1, KEYPOINT_COUNT + 1))], dtype=object)
 
 
-def measurement_rows(image_ids, xy, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``measure`` CSV columns of every image (rows) and table phenotype (columns): the (n, 23) lengths, NaN
+def measurement_rows(xy, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``measure`` CSV columns of every set (rows) and table phenotype (columns): the (n, 23) lengths, NaN
     where skipped; the (n, 23) status texts; and the (n, 23) first unannotated 1-based endpoint, 0 if none.
 
-    The status is ``skipped:K-n`` for that endpoint K-n; ``degenerate`` when the endpoints coincide, with a
-    :class:`DegenerateMeasurementWarning` at the nearest frame that is no function of the package (the caller of
-    :func:`measure_all` or of ``cli.main``); ``ok`` otherwise.
+    The status is ``skipped:K-n`` for that endpoint K-n; ``degenerate`` when the endpoints coincide; ``ok``
+    otherwise. Nothing is warned here: :func:`degenerate_messages` words the ``degenerate`` cells for a caller.
     """
-    stacklevel, package = 2, os.path.dirname(__file__) + os.sep    # out past every function of the package
-    while (code := sys._getframe(stacklevel - 1).f_code).co_name != "<module>" and code.co_filename.startswith(package):
-        stacklevel += 1
     table = default_table()
     a, b = table.endpoint_index
     lengths = phenotype_lengths(xy, v, table.endpoint_index)
     hidden = np.where(v[:, a] <= 0, a + 1, np.where(v[:, b] <= 0, b + 1, 0))
     status = _STATUS[hidden]
-    degenerate = lengths == 0.0
-    status[degenerate] = "degenerate"
-    for n, t in np.argwhere(degenerate).tolist():
-        message = f"{table.defs[t].abbrev} on image {image_ids[n]!r}: coincident endpoints, zero length"
-        warnings.warn(message, DegenerateMeasurementWarning, stacklevel=stacklevel)
+    status[lengths == 0.0] = "degenerate"
     return lengths, status, hidden
 
 
+def degenerate_messages(image_ids, status) -> list[str]:
+    """The :class:`DegenerateMeasurementWarning` text of each ``degenerate`` cell of a status column, row by row."""
+    abbrevs = default_table().abbrevs()
+    cells = np.argwhere(status == "degenerate").tolist()
+    return [f"{abbrevs[t]} on image {image_ids[n]!r}: coincident endpoints, zero length" for n, t in cells]
+
+
 def measure_all(keypoints: KeypointSet) -> tuple[list[PhenotypeMeasurement], list[SkippedPhenotype]]:
-    """Measure every phenotype with both endpoints visible; report the rest as skips."""
-    lengths, _, hidden = measurement_rows([keypoints.image_id], keypoints.xy[None], keypoints.v[None])
+    """Measure every phenotype with both endpoints visible, warning of a zero length; report the rest as skips."""
+    lengths, status, hidden = measurement_rows(keypoints.xy[None], keypoints.v[None])
+    for message in degenerate_messages([keypoints.image_id], status):
+        warnings.warn(message, DegenerateMeasurementWarning, stacklevel=2)
     columns = list(zip(default_table().abbrevs(), lengths[0].tolist(), hidden[0].tolist()))
     measured = [PhenotypeMeasurement(abbrev, value, keypoints.image_id) for abbrev, value, m in columns if not m]
     skipped = [SkippedPhenotype(abbrev, m, keypoints.image_id) for abbrev, _, m in columns if m]

@@ -273,17 +273,17 @@ def make_toy_problem(
     return ToyProblem(features=features, targets=targets, prior=prior, population=population)
 
 
+# the GradNormFallbackWarning of `gradnorm_step` and of `train`'s first step
+_ZERO_LOSS = "initial task loss is zero; balancing disabled, keeping equal weights"
+
+
 def gradnorm_step(w: LossWeights, grad_norms, losses, lr_w: float) -> LossWeights:
     """One balancing update on Python floats; returns weights clamped positive and summing to 2."""
     if w.initial_losses is None:
         raise ValueError("initial losses must be recorded before balancing")
     l0_mse, l0_acr = w.initial_losses
     if l0_mse <= 0 or l0_acr <= 0:
-        warnings.warn(
-            "initial task loss is zero; balancing disabled, keeping equal weights",
-            GradNormFallbackWarning,
-            stacklevel=2,
-        )
+        warnings.warn(_ZERO_LOSS, GradNormFallbackWarning, stacklevel=2)
         return LossWeights(1.0, 1.0, w.alpha, w.initial_losses)
     try:
         (n_mse, n_acr), (l_mse, l_acr) = map(float, grad_norms), map(float, losses)
@@ -360,11 +360,7 @@ def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tup
         if step == 0:
             w = replace(w, initial_losses=(l_mse, l_acr))
             if balancing and (l_mse <= 0 or l_acr <= 0):
-                warnings.warn(
-                    "initial task loss is zero; balancing disabled, keeping equal weights",
-                    GradNormFallbackWarning,
-                    stacklevel=2,
-                )
+                warnings.warn(_ZERO_LOSS, GradNormFallbackWarning, stacklevel=2)
                 balancing = False
         # np.linalg.norm's Frobenius path, without its dispatch
         n_mse = math.sqrt(g_w_mse.ravel() @ g_w_mse.ravel())

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ import pytest
 import phenokey.cli
 from phenokey.cli import main
 from phenokey.dataset import Dataset, dataset_to_coco_dict, parse_coco, serialize_coco
-from phenokey.errors import DegenerateMeasurementWarning
+from phenokey.errors import DegenerateMeasurementWarning, PhenokeyWarning
 from phenokey.morphometry import default_table
 from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import TEMPLATES, template_to_dict
@@ -74,14 +75,15 @@ def test_measure_run_as_a_module_warns_at_its_entry_line(tmp_path):
     serialize_coco(make_dataset([make_keypoints(image_id=4, overrides={12: (410.0, 270.0)})]), path)
     src = str(Path(phenokey.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "phenokey.cli", "measure", "--input", str(path), "--out", str(tmp_path / "m.csv")]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    first, second = done.stderr.splitlines()
-    assert first.endswith(": DegenerateMeasurementWarning: ED on image 4: coincident endpoints, zero length")
-    assert Path(first.split(":")[0]) == Path(phenokey.cli.__file__) and second == "  sys.exit(main())"
+    args = ["measure", "--input", str(path), "--out", str(tmp_path / "m.csv")]
+    # as `python -m`, and as the console script's stub calls main
+    stub = "import sys; from phenokey.cli import main; sys.exit(main())"
+    for entry in (["-m", "phenokey.cli"], ["-c", stub]):
+        done = subprocess.run([sys.executable, *entry, *args], env=env, capture_output=True, text=True, check=True)
+        assert done.stderr == "warning: ED on image 4: coincident endpoints, zero length\n"
 
 
-def test_measure_skips_by_flags_and_matches_oracle(tmp_path):
+def test_measure_skips_by_flags_and_matches_oracle(tmp_path, capsys):
     hidden_a = np.full(KEYPOINT_COUNT, 2)
     hidden_a[0] = 0                        # K-1: TL (1, 9) loses endpoint a
     hidden_b = np.full(KEYPOINT_COUNT, 2)
@@ -97,9 +99,9 @@ def test_measure_skips_by_flags_and_matches_oracle(tmp_path):
     path = tmp_path / "gt.json"
     serialize_coco(make_dataset(kps), path)
     out = tmp_path / "measures.csv"
-    with pytest.warns(DegenerateMeasurementWarning, match="ED on image 4") as record:
-        assert main(["measure", "--input", str(path), "--out", str(out)]) == 0
-    assert [w.filename for w in record] == [__file__]    # the warning points at the caller of main
+    capsys.readouterr()
+    assert main(["measure", "--input", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "warning: ED on image 4: coincident endpoints, zero length\n"
     with open(out, newline="", encoding="utf-8") as fh:
         rows = {(r["image_id"], r["abbrev"]): r for r in csv.DictReader(fh)}
     assert len(rows) == 4 * 23
@@ -724,7 +726,7 @@ def test_plot_deviation_leaves_out_nonfinite_predictions_and_counts_them(synth_f
     capsys.readouterr()
     assert main(["plot", "--kind", "deviation", "--gt", str(gt), "--pred", f"m={bad}",
                  "--out", str(svg), "--csv", str(table)]) == 0
-    assert capsys.readouterr().err == "m: 2 non-finite predicted keypoints left out\n"
+    assert capsys.readouterr().err == "warning: m: 2 non-finite predicted keypoints left out\n"
     header, row = table.read_text().splitlines()
     assert row.split(",")[0] == "m"
     assert [float(x) for x in row.split(",")[1:]] == pytest.approx(_deviation_quantiles_by_hand(gt, bad), rel=1e-12)
@@ -747,7 +749,8 @@ def test_plot_deviation_with_no_finite_prediction_is_a_data_error(synth_files, t
     assert main(["plot", "--kind", "deviation", "--gt", str(gt), "--pred", f"m={bad}",
                  "--out", str(tmp_path / "dev.svg")]) == 1
     assert capsys.readouterr().err == (
-        f"m: {12 * KEYPOINT_COUNT} non-finite predicted keypoints left out\nerror: m: no finite deviation to plot\n"
+        f"warning: m: {12 * KEYPOINT_COUNT} non-finite predicted keypoints left out\n"
+        "error: m: no finite deviation to plot\n"
     )
 
 
@@ -844,3 +847,79 @@ def test_parse_coco_names_file_entry_and_field_of_a_bad_entry(fixture_path, tmp_
     bad.write_text(json.dumps(doc))
     assert main(["validate", "--input", str(bad)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {named}\n"
+
+
+def test_json_limits_name_the_file(fixture_path, tmp_path, capsys):
+    digits = "9" * 5000
+    with pytest.raises(ValueError) as limit:    # the interpreter's cap on integer texts, which json applies
+        int(digits)
+    text = fixture_path.read_text()
+    width = json.dumps(json.loads(text)["images"][0]["width"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace(f'"width": {width}', f'"width": {digits}', 1))
+    assert main(["validate", "--input", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {limit.value}\n"
+
+
+# the stderr lines a command may write: an error, a warning, or one of the three status lines
+_STDERR_LINE = re.compile(r"(error|warning): .+|wrote \d+ records to .+|finished \d+ steps: .+|.+: ok \(\d+ records\)")
+
+
+def test_every_stderr_line_is_an_error_a_warning_or_a_status_line(tmp_path, capsys):
+    f = {name: str(tmp_path / name) for name in (
+        "gt.json", "pred.json", "empty.json", "dirty.json", "m.csv", "eval.json", "prior.json", "acr.json",
+        "trace.csv", "synth.json", "tl.svg", "dev.svg", "combined.json",
+    )}
+    # three fish of one shape, so TL is constant, and one whose K-12 sits on K-11, so its ED is 0
+    gt = make_dataset([*(make_keypoints(image_id=n) for n in (1, 2, 3)),
+                       make_keypoints(image_id=4, overrides={12: (410.0, 270.0)})])
+    serialize_coco(gt, f["gt.json"])
+    pred = dataset_to_coco_dict(make_dataset([*(r.keypoints for r in gt), make_keypoints(image_id=99)]))
+    pred["annotations"][0]["keypoints"][3 * 4] = float("inf")    # image 1, K-5 x: a non-finite prediction
+    Path(f["pred.json"]).write_text(json.dumps(pred))
+    Path(f["empty.json"]).write_text(json.dumps(dict(dataset_to_coco_dict(gt), annotations=[])))
+    dirty = dataset_to_coco_dict(gt)
+    dirty["annotations"][0]["keypoints"][0] = -5
+    Path(f["dirty.json"]).write_text(json.dumps(dirty))
+    runs = [
+        (["validate", "--input", f["empty.json"]], 0),
+        (["validate", "--input", f["dirty.json"]], 1),
+        (["measure", "--input", f["gt.json"], "--out", f["m.csv"]], 0),
+        (["evaluate", "--gt", f["gt.json"], "--pred", f["pred.json"], "--out", f["eval.json"]], 0),
+        (["evaluate", "--gt", f["pred.json"], "--pred", f["gt.json"], "--out", f["acr.json"]], 1),
+        (["prior", "--train", f["gt.json"], "--out", f["prior.json"]], 0),
+        (["acr", "--pred", f["gt.json"], "--prior", f["prior.json"], "--out", f["acr.json"]], 0),
+        (["train-toy", "--n", "1", "--steps", "5", "--trace", f["trace.csv"]], 0),
+        (["train-toy", "--steps", "5", "--lr", "1e9", "--trace", f["trace.csv"]], 1),
+        (["synth", "--template", "deep_bodied", "--n", "3", "--out", f["synth.json"]], 0),
+        (["plot", "--kind", "scatter", "--gt", f["gt.json"], "--pred", f["pred.json"], "--out", f["tl.svg"]], 0),
+        (["plot", "--kind", "deviation", "--gt", f["gt.json"], "--pred", f"p={f['pred.json']}", "--out", f["dev.svg"]],
+         0),
+        (["report", "--evaluation", f["eval.json"], "--measures", f["m.csv"], "--out", f["combined.json"]], 0),
+    ]
+    capsys.readouterr()
+    lines = []
+    for argv, code in runs:
+        assert main(argv) == code, argv
+        lines += capsys.readouterr().err.splitlines()
+    assert [line for line in lines if not _STDERR_LINE.fullmatch(line)] == []
+    warned = [line for line in lines if line.startswith("warning: ")]
+    assert warned == [
+        f"warning: {f['empty.json']}: annotations array is empty; dataset has no records",
+        "warning: ED on image 4: coincident endpoints, zero length",
+        "warning: 1 predicted image id(s) not in the ground truth, ignored: [99]",
+        "warning: initial task loss is zero; balancing disabled, keeping equal weights",
+        "warning: 1 predicted image id(s) not in the ground truth, ignored: [99]",
+        "warning: constant ground truth; scatter emitted without a fitted line",
+        "warning: 1 predicted image id(s) not in the ground truth, ignored: [99]",
+        "warning: p: 1 non-finite predicted keypoints left out",
+    ]
+    assert f"error: {f['dirty.json']}: 1 violation(s)" in lines
+
+    # the hook changes the display only: a filter that makes a warning an error still raises it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PhenokeyWarning, match="annotations array is empty"):
+            main(["validate", "--input", f["empty.json"]])
+        with pytest.raises(DegenerateMeasurementWarning, match="ED on image 4"):
+            main(["measure", "--input", f["gt.json"], "--out", f["m.csv"]])

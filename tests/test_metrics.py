@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from phenokey.errors import DegenerateFitError, IntegrityError, SchemaError, UndefinedMetricError
+from phenokey.errors import DegenerateFitError, IntegrityError, PhenokeyWarning, SchemaError, UndefinedMetricError
 from phenokey.metrics import (
     PCK_SCALE_MODES,
     EvalConfig,
@@ -532,6 +533,19 @@ def test_report_missing_prediction_errors():
     pred = generate_population(TEMPLATES["elongate"], 2, seed=2, role="test")
     with pytest.raises(IntegrityError, match=r"predictions missing for image ids \[3\]"):
         evaluate_datasets(gt, pred)
+
+
+def test_report_ignores_predictions_for_unknown_image_ids_with_one_warning():
+    gt = generate_population(TEMPLATES["elongate"], 3, seed=2, role="test")
+    pred = generate_population(TEMPLATES["elongate"], 10, seed=2, role="test")    # ids 1..10, of which 1..3 pair
+    with pytest.warns(PhenokeyWarning) as record:
+        report = report_to_dict(evaluate_datasets(gt, pred))
+    assert [str(w.message) for w in record] == [
+        "7 predicted image id(s) not in the ground truth, ignored: [4, 5, 6, 7, 8]"
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # the same ids on both sides: nothing to warn of
+        assert report == report_to_dict(evaluate_datasets(gt, gt))
 
 
 def test_thread_count_does_not_change_results():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from phenokey.morphometry import (
     PhenotypeDef,
     PhenotypeTable,
     default_table,
+    degenerate_messages,
     measure_all,
     measurement_rows,
     phenotype_lengths,
@@ -23,7 +25,7 @@ TABLE = default_table()
 
 def _rows(kp):
     """``{abbrev: (value_px, status)}`` of one keypoint set's ``measure`` rows, the value None where skipped."""
-    lengths, status, hidden = measurement_rows([kp.image_id], kp.xy[None], kp.v[None])
+    lengths, status, hidden = measurement_rows(kp.xy[None], kp.v[None])
     values = [None if h else value for value, h in zip(lengths[0].tolist(), hidden[0])]
     return {abbrev: (value, s) for abbrev, value, s in zip(TABLE.abbrevs(), values, status[0])}
 
@@ -87,6 +89,9 @@ def test_measure_three_four_five():
 def test_measure_coincident_warns_zero():
     kp = make_keypoints(overrides={11: (50.0, 50.0), 12: (50.0, 50.0)})
     with pytest.warns(DegenerateMeasurementWarning):
+        measure_all(kp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # the kernel states the fact in its status column and warns nothing
         rows = _rows(kp)
     assert rows["ED"] == (0.0, "degenerate")
 
@@ -134,9 +139,10 @@ def test_measuring_functions_warn_of_coincident_endpoints_at_the_caller():
     kp = make_keypoints(overrides={11: (50.0, 50.0), 12: (50.0, 50.0)})
     with pytest.warns(DegenerateMeasurementWarning, match="ED on image") as record:
         measured, skipped = measure_all(kp)
-        measurement_rows([kp.image_id], kp.xy[None], kp.v[None])
+        _, status, _ = measurement_rows(kp.xy[None], kp.v[None])
     assert [m.value for m in measured if m.abbrev == "ED"] == [0.0] and skipped == []
-    assert [w.filename for w in record] == [__file__] * 2
+    assert [w.filename for w in record] == [__file__]    # measure_all's caller; measurement_rows warns nothing
+    assert degenerate_messages([kp.image_id], status) == [str(record[0].message)]
 
 
 def test_measure_all_nothing_visible():
@@ -168,7 +174,7 @@ def test_shortest_related_is_minimum_of_related():
     xy = rng.uniform(10, 900, size=(10, KEYPOINT_COUNT, 2))
     v = np.full(xy.shape[:2], 2)
     shortest = shortest_phenotype_lengths(xy, v)
-    lengths, _, _ = measurement_rows(range(10), xy, v)
+    lengths, _, _ = measurement_rows(xy, v)
     for n, t in np.ndindex(lengths.shape):
         for j in TABLE.defs[t].endpoints:
             assert shortest[n, j - 1] <= lengths[n, t]
