@@ -16,7 +16,6 @@ import argparse
 import csv
 import sys
 import warnings
-from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -124,20 +123,26 @@ def _eval_config(args) -> EvalConfig:
     return EvalConfig(**values)
 
 
-@contextmanager
-def _predictions(path):
-    """The prediction file ``path``, parsed; in the block, a ground-truth image it lacks is named with the file."""
+def _with_predictions(path, fn):
+    """``fn`` of the parsed prediction file ``path``; its integrity errors and the warnings of ``fn`` name the file."""
+    caught = []
     try:
-        yield parse_coco(path)
+        pred = parse_coco(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")    # each is issued again below, under the caller's filters
+            return fn(pred)
     except IntegrityError as exc:
         raise IntegrityError(f"prediction file {path}: {exc}") from exc
+    finally:
+        for w in caught:
+            warnings.warn(f"prediction file {path}: {w.message}", w.category)
 
 
 def _cmd_evaluate(args) -> int:
     gt = parse_coco(args.gt)
     cfg = _eval_config(args)
-    with _predictions(args.pred) as pred:
-        report = evaluate_datasets(gt, pred, cfg, metrics=METRICS if args.metric == "all" else (args.metric,))
+    metrics = METRICS if args.metric == "all" else (args.metric,)
+    report = _with_predictions(args.pred, lambda pred: evaluate_datasets(gt, pred, cfg, metrics=metrics))
     doc = report_to_dict(report)
     doc["metric"] = args.metric
     _write_json(args.out, doc)
@@ -224,12 +229,11 @@ def _cmd_plot(args) -> int:
         label, _, path = spec_item.partition("=")
         if not path:
             label, path = spec_item, spec_item
-        with _predictions(path) as pred:
-            if args.kind == "scatter":
-                values = zip(*phenotype_value_pairs(gt, pred, args.phenotype))
-                plot_scatter(list(values), args.out, title=args.phenotype)
-                return 0
-            pairs = _paired_datasets(gt, pred)
+        if args.kind == "scatter":
+            values = _with_predictions(path, lambda pred: phenotype_value_pairs(gt, pred, args.phenotype))
+            plot_scatter(list(zip(*values)), args.out, title=args.phenotype)
+            return 0
+        pairs = _with_predictions(path, lambda pred: _paired_datasets(gt, pred))
         # a non-finite predicted coordinate is a miss, as in `evaluate`, with no place on a pixel axis
         finite = np.isfinite(pairs.pred_xy).all(axis=-1)[pairs.annotated]
         if not finite.all():

@@ -77,7 +77,7 @@ class KeypointSet:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FishImageRecord:
     """One annotated image: dimensions plus its keypoint set."""
 
@@ -85,16 +85,6 @@ class FishImageRecord:
     width: float
     height: float
     keypoints: KeypointSet
-
-    def __eq__(self, other):
-        if not isinstance(other, FishImageRecord):
-            return NotImplemented
-        return (
-            self.image_id == other.image_id
-            and self.width == other.width
-            and self.height == other.height
-            and self.keypoints == other.keypoints
-        )
 
 
 def _id_sort_key(image_id):
@@ -121,15 +111,19 @@ class Dataset:
 
     The arrays are read-only and are the only copy of the data. ``records``
     gives the rows as :class:`FishImageRecord` views over the columns, built
-    on first use and then kept; a dataset built from records stacks them into
-    columns and does not keep them.
+    on first use and then kept; a dataset built from records (each with its own
+    image's keypoints) stacks them into columns and does not keep them.
     """
 
     __slots__ = ("xy", "v", "image_ids", "width", "height", "species", "role", "_records")
 
     def __init__(self, records=(), role: str = "train"):
         records = tuple(records)
-        xy, v = stack_keypoints([r.keypoints for r in records])
+        for r in records:
+            if r.keypoints.image_id != r.image_id:
+                raise ValueError(f"record {r.image_id!r} holds the keypoints of image {r.keypoints.image_id!r}")
+        xy = np.reshape([r.keypoints.xy for r in records], (-1, KEYPOINT_COUNT, 2))
+        v = np.reshape([r.keypoints.v for r in records], (-1, KEYPOINT_COUNT))
         ids = tuple(r.image_id for r in records)
         widths, heights = [r.width for r in records], [r.height for r in records]
         self._fill(xy, v, ids, widths, heights, [_SPECIES_CODE[r.keypoints.species] for r in records], role)
@@ -233,13 +227,6 @@ class Violation:
         if self.keypoint_index is not None:
             where += f", keypoint {self.keypoint_index}"
         return f"[{self.rule}] {where}: {self.detail}"
-
-
-def stack_keypoints(sets) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 22, 2) coordinates and (n, 22) flags of a sequence of keypoint sets."""
-    xy = np.stack([s.xy for s in sets]) if sets else np.zeros((0, KEYPOINT_COUNT, 2))
-    v = np.stack([s.v for s in sets]) if sets else np.zeros((0, KEYPOINT_COUNT), dtype=np.int64)
-    return xy, v
 
 
 # Keypoint rules in priority order: a keypoint reports only the first it breaks.

@@ -9,21 +9,22 @@ Implements the full battery used to score coordinate predictors:
   shortest ground-truth phenotype related to each keypoint. An annotated
   keypoint whose scale is missing, zero or non-finite is skipped and counted,
 * MAPE / mMAPE of phenotype measurements, Pearson correlation, and the
-  ordinary-least-squares R² between ground-truth and predicted measurements.
+  ordinary-least-squares R² between ground-truth and predicted measurements,
+  over the pairs :func:`phenotype_value_pairs` gives (the scatter plot's).
 
 All thresholds compare with strict ``<``. Undefined quantities (empty
 denominators) are reported as NaN markers in arrays and ``None`` in report
 dictionaries, never silently as 0. A predicted keypoint with a non-finite
 coordinate is a miss: its deviation is +inf, so its similarity is 0 and it
-fails PCK and PMP; a phenotype whose predicted length is non-finite is
-skipped and counted.
+fails PCK and PMP; a phenotype whose predicted length is non-finite, or
+whose ground-truth length is 0, is skipped and counted.
 
 Every metric is computed on whole (N, 22, 2) arrays. :func:`evaluate_datasets`
-pairs the two datasets' rows once and computes the deviations, the
-ground-truth box diagonals and the shortest ground-truth phenotypes once for
-all metrics; :func:`oks_per_image`, :func:`pck` and :func:`pmp` stack their
-keypoint lists, which pair by position, not by image id (a length or image-id
-mismatch raises ``ValueError``): one image's OKS is ``oks_per_image([p], [g])[0]``.
+pairs the two datasets' rows by image id once and computes the deviations,
+the ground-truth box diagonals and the shortest ground-truth phenotypes once
+for all metrics. :func:`oks_per_image`, :func:`pck` and :func:`pmp` take
+lists of keypoint sets and pair them by position, whatever their image ids
+(a length or id mismatch raises ``ValueError``): ``oks_per_image([p], [g])[0]``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .anatomy import visible_corners
-from .dataset import Dataset, stack_keypoints
+from .dataset import Dataset
 from .errors import (DegenerateFitError, IntegrityError, PhenokeyWarning, SchemaError, UndefinedMetricError,
                      positive_number)
 from .morphometry import default_table, phenotype_lengths, shortest_phenotype_lengths
@@ -191,8 +192,8 @@ def _paired_arrays(preds, gts) -> _Pairs:
     for p, g in zip(preds, gts):
         if p.image_id != g.image_id:
             raise ValueError(f"prediction/ground-truth id mismatch: {p.image_id!r} vs {g.image_id!r}")
-    gt_xy, gt_v = stack_keypoints(list(gts))
-    pred_xy, _ = stack_keypoints(list(preds))
+    pred_xy, gt_xy = (np.reshape([k.xy for k in sets], (-1, KEYPOINT_COUNT, 2)) for sets in (preds, gts))
+    gt_v = np.reshape([g.v for g in gts], (-1, KEYPOINT_COUNT))
     return _Pairs(pred_xy, gt_xy, gt_v, [g.image_id for g in gts])
 
 
@@ -319,19 +320,19 @@ def _paired_datasets(gt: Dataset, pred: Dataset) -> _Pairs:
 
 
 def _phenotype_lengths(pairs: _Pairs, ends):
-    """Ground-truth and predicted lengths of the phenotypes ``ends``; gt visibility governs both."""
-    return phenotype_lengths(pairs.gt_xy, pairs.gt_v, ends), phenotype_lengths(pairs.pred_xy, pairs.gt_v, ends)
+    """Ground-truth and predicted lengths of the phenotypes ``ends`` (gt visibility governs both); which are usable."""
+    gt_len, pred_len = (phenotype_lengths(xy, pairs.gt_v, ends) for xy in (pairs.gt_xy, pairs.pred_xy))
+    return gt_len, pred_len, np.isfinite(gt_len) & (gt_len > 0) & np.isfinite(pred_len)
 
 
 def phenotype_value_pairs(gt: Dataset, pred: Dataset, abbrev: str):
-    """Paired (gt, pred) lengths of one phenotype over all measurable samples with a finite prediction."""
+    """Paired (gt, pred) lengths of one phenotype over the usable samples, those the report's statistics use."""
     table = default_table()
     if abbrev not in table:
         raise KeyError(f"unknown phenotype {abbrev!r}")
     t = list(table.abbrevs()).index(abbrev)
-    gt_len, pred_len = _phenotype_lengths(_paired_datasets(gt, pred), table.endpoint_index[:, [t]])
-    usable = np.isfinite(gt_len[:, 0]) & np.isfinite(pred_len[:, 0])
-    return gt_len[usable, 0], pred_len[usable, 0]
+    gt_len, pred_len, usable = _phenotype_lengths(_paired_datasets(gt, pred), table.endpoint_index[:, [t]])
+    return gt_len[usable], pred_len[usable]
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +367,11 @@ class MetricReport:
 
 def _phenotype_stats(pairs: _Pairs) -> dict:
     table = default_table()
-    gt_len, pred_len = _phenotype_lengths(pairs, table.endpoint_index)
-    measurable = np.isfinite(gt_len)
-    usable = measurable & (gt_len > 0) & np.isfinite(pred_len)
+    gt_len, pred_len, usable = _phenotype_lengths(pairs, table.endpoint_index)
     stats = {}
     for t, pdef in enumerate(table):
         n_usable = int(usable[:, t].sum())
-        skipped = int(measurable[:, t].sum()) - n_usable
+        skipped = int(np.isfinite(gt_len[:, t]).sum()) - n_usable    # measurable, but not usable
         if n_usable == 0:
             stats[pdef.abbrev] = None
             continue

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,24 +129,14 @@ class TraceRow:
     violation_count: int
 
 
-@dataclass
-class TrainTrace:
-    rows: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
+class TrainTrace(list):
+    """The :class:`TraceRow` of each training step, in order."""
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("step,L_mse,L_acr,w_mse,w_acr,grad_norm_mse,grad_norm_acr,violation_count\r\n")
             # one template per row, written as it is filled: the text of a number holds nothing csv would quote
-            fh.writelines("%s,%r,%r,%r,%r,%r,%r,%s\r\n" % tuple(vars(row).values()) for row in self.rows)
+            fh.writelines("%s,%r,%r,%r,%r,%r,%r,%s\r\n" % tuple(vars(row).values()) for row in self)
 
 
 @dataclass(frozen=True)
@@ -366,7 +356,7 @@ def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tup
         n_mse = math.sqrt(g_w_mse.ravel() @ g_w_mse.ravel())
         n_acr = math.sqrt(g_w_acr.ravel() @ g_w_acr.ravel())
         total = w.w_mse * l_mse + (w.w_acr * l_acr if cfg.use_acr else 0.0)
-        trace.rows.append(TraceRow(step, l_mse, l_acr, w.w_mse, w.w_acr, n_mse, n_acr, outside))
+        trace.append(TraceRow(step, l_mse, l_acr, w.w_mse, w.w_acr, n_mse, n_acr, outside))
         if not math.isfinite(total) or total > DIVERGENCE_LIMIT:
             raise DivergenceError(f"training diverged at step {step}: total loss {total}", trace=trace)
         if step == cfg.steps:

@@ -907,11 +907,11 @@ def test_every_stderr_line_is_an_error_a_warning_or_a_status_line(tmp_path, caps
     assert warned == [
         f"warning: {f['empty.json']}: annotations array is empty; dataset has no records",
         "warning: ED on image 4: coincident endpoints, zero length",
-        "warning: 1 predicted image id(s) not in the ground truth, ignored: [99]",
+        f"warning: prediction file {f['pred.json']}: 1 predicted image id(s) not in the ground truth, ignored: [99]",
         "warning: initial task loss is zero; balancing disabled, keeping equal weights",
-        "warning: 1 predicted image id(s) not in the ground truth, ignored: [99]",
+        f"warning: prediction file {f['pred.json']}: 1 predicted image id(s) not in the ground truth, ignored: [99]",
         "warning: constant ground truth; scatter emitted without a fitted line",
-        "warning: 1 predicted image id(s) not in the ground truth, ignored: [99]",
+        f"warning: prediction file {f['pred.json']}: 1 predicted image id(s) not in the ground truth, ignored: [99]",
         "warning: p: 1 non-finite predicted keypoints left out",
     ]
     assert f"error: {f['dirty.json']}: 1 violation(s)" in lines
@@ -923,3 +923,42 @@ def test_every_stderr_line_is_an_error_a_warning_or_a_status_line(tmp_path, caps
             main(["validate", "--input", f["empty.json"]])
         with pytest.raises(DegenerateMeasurementWarning, match="ED on image 4"):
             main(["measure", "--input", f["gt.json"], "--out", f["m.csv"]])
+
+
+def test_each_prediction_file_with_unknown_image_ids_gets_its_own_warning(fixture_path, tmp_path, capsys):
+    doc = json.loads(fixture_path.read_text())
+    doc["images"].append(dict(doc["images"][0], id=99999))
+    doc["annotations"].append(dict(doc["annotations"][0], id=99999, image_id=99999))
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["plot", "--kind", "deviation", "--gt", str(fixture_path), "--pred", f"a={paths[0]}",
+                 "--pred", f"b={paths[1]}", "--out", str(tmp_path / "dev.svg")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: prediction file {path}: 1 predicted image id(s) not in the ground truth, ignored: [99999]"
+        for path in paths
+    ]
+    # under an error filter the raised warning names the file too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PhenokeyWarning, match=f"^prediction file {re.escape(str(paths[0]))}: 1 predicted"):
+            main(["evaluate", "--gt", str(fixture_path), "--pred", str(paths[0]), "--out", str(tmp_path / "e.json")])
+
+
+def test_scatter_fits_the_pairs_the_report_scores(tmp_path):
+    gt, pred, report, svg = (tmp_path / name for name in ("gt.json", "pred.json", "eval.json", "ed.svg"))
+    synth = ["synth", "--template", "deep_bodied", "--n", "5", "--seed", "4"]
+    assert main([*synth, "--out", str(gt)]) == 0
+    assert main([*synth, "--perturb", "uniform_px", "--magnitude", "3", "--out", str(pred)]) == 0
+    doc = json.loads(gt.read_text())
+    flat = doc["annotations"][0]["keypoints"]
+    flat[3 * 11:3 * 11 + 2] = flat[3 * 10:3 * 10 + 2]    # K-12 on K-11: image 1's ED is 0
+    gt.write_text(json.dumps(doc))
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--out", str(report)]) == 0
+    assert main(["plot", "--kind", "scatter", "--gt", str(gt), "--pred", str(pred), "--phenotype", "ED",
+                 "--out", str(svg)]) == 0
+    ed = json.loads(report.read_text())["phenotypes"]["ED"]
+    assert ed["n_samples"] == 4 and ed["n_skipped"] == 1
+    assert svg.read_text().count('class="pt"') == 4
+    assert f"R² = {ed['r2'] * 100:.1f}%" in svg.read_text()

@@ -323,6 +323,27 @@ def test_records_kept_in_canonical_id_order():
     assert [r.image_id for r in ds] == [3, 9]
 
 
+def test_a_record_holding_the_keypoints_of_another_image_is_refused():
+    kp = make_keypoints(image_id=2)
+    with pytest.raises(ValueError, match=r"^record 1 holds the keypoints of image 2$"):
+        Dataset([FishImageRecord(1, 100.0, 100.0, kp)])
+    assert Dataset([FishImageRecord(2, 100.0, 100.0, kp)]).records[0].keypoints == kp
+
+
+def test_records_compare_field_by_field():
+    kp = make_keypoints(xy=np.full((KEYPOINT_COUNT, 2), np.nan), v=np.zeros(KEYPOINT_COUNT), image_id=1)
+    record = FishImageRecord(1, 100.0, 100.0, kp)
+    assert record == FishImageRecord(1, 100.0, 100.0, make_keypoints(xy=kp.xy, v=kp.v, image_id=1))
+    assert record != FishImageRecord(1, 100.0, 101.0, kp)
+    assert record != FishImageRecord(1, 100.0, 100.0, make_keypoints(v=kp.v, image_id=1))
+
+
+def test_no_records_make_empty_columns():
+    ds = Dataset([])
+    assert ds.xy.shape == (0, KEYPOINT_COUNT, 2) and ds.v.shape == (0, KEYPOINT_COUNT) and ds.v.dtype == np.int64
+    assert ds.records == () and len(ds) == 0
+
+
 def test_wrong_shape_construction_raises():
     with pytest.raises(ValueError, match="keypoints"):
         KeypointSet(xy=np.zeros((21, 2)), v=np.zeros(21, dtype=int), image_id=1)

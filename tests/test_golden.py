@@ -2,7 +2,7 @@
 
 A seeded 300-fish pair with hidden and occluded keypoints and all five
 species goes through ``evaluate --metric all``, ``prior``, ``acr``,
-``measure``, ``plot --kind deviation`` and plain, proportional and
+``measure``, both ``plot`` kinds and plain, proportional and
 uniform-pixel ``synth``; the SHA-256 of every output must equal the digest
 recorded from an earlier release, so a refactor of the read or write path
 cannot move a byte unnoticed. Three ``train-toy`` trace CSVs are pinned the
@@ -31,6 +31,7 @@ GOLDEN = {
     "measures.csv": "67dac57358a820daf6e2449aba46cdee81b5c696a21585ff5df99ab972034857",
     "deviation.svg": "3731aab9ed1c60c8beb0fe152bffc9d8b721abb29e1deb1ffb24d8d09612ca33",
     "deviation.csv": "cee1d174f48c720fd2652bb285662371bbfabc8fb78c77b0bf2a0944bb688a83",
+    "scatter.svg": "0e7993a4c889432ee0908783515013074639df79bd1c87d9da604c5e64fd2cef",
     "synth.json": "efdd1bd0aa911fd2a2e351e2c7a0f9ed2ce8d319480b6771462ae2e31b90e3d1",
     "synth_proportional.json": "bc4a09c3821782f1adc4ed001569ea1744dcb0d13e876f9b337279bc4a8eaaff",
     "synth_uniform.json": "8d7239d49cd04800449e7d4974b2563867c77e8efbf448a862ecd83769063989",
@@ -103,6 +104,7 @@ def golden_outputs(tmp_path):
         ["measure", "--input", str(gt), "--out", str(out["measures.csv"])],
         ["plot", "--kind", "deviation", "--gt", str(gt), "--pred", f"noisy={pred}", "--pred", f"self={gt}",
          "--out", str(out["deviation.svg"]), "--csv", str(out["deviation.csv"])],
+        ["plot", "--kind", "scatter", "--gt", str(gt), "--pred", str(pred), "--out", str(out["scatter.svg"])],
     ]
     for argv in runs:
         assert main(argv) == 0

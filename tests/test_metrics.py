@@ -458,6 +458,23 @@ def test_metrics_match_bruteforce_oracle_small():
         assert lib.sample_counts.tolist() == counts and lib.skip_counts.tolist() == skips
 
 
+@pytest.mark.parametrize("ids", [(5, 3), (4, 4)], ids=["descending", "repeated"])
+def test_list_metrics_pair_by_position_whatever_the_ids(ids):
+    # two fish of different size, the first predicted almost exactly and the second far off
+    gts = [make_keypoints(xy=_BOX_XY * scale, image_id=i) for scale, i in zip((1.0, 2.0), ids)]
+    preds = [make_keypoints(xy=g.xy + shift, image_id=g.image_id) for g, shift in zip(gts, (0.25, 30.0))]
+    cfg = EvalConfig()
+    lib_oks = oks_per_image(preds, gts, cfg)
+    ref_oks, _ = oracle_oks(preds, gts, cfg)
+    assert all(abs(a - b) < 1e-12 for a, b in zip(lib_oks, ref_oks, strict=True))
+    assert lib_oks[0] > 0.99 > lib_oks[1]
+    for metric, oracle in ((pck, oracle_pck), (pmp, oracle_pmp)):
+        lib = metric(preds, gts, cfg)
+        values, counts, skips = oracle(preds, gts, cfg)
+        assert [None if math.isnan(x) else x for x in lib.values.tolist()] == values
+        assert lib.sample_counts.tolist() == counts and lib.skip_counts.tolist() == skips
+
+
 # Thresholds whose squares are no ratio of small integers: on the integer grid below no deviation / scale ratio
 # lands on one, so a last-digit difference between two hypot implementations cannot flip a hit.
 _THRESHOLDS = (0.1237, 0.3141, 0.0577)

@@ -287,7 +287,7 @@ def test_training_is_bit_reproducible():
     (pred_a, trace_a), (pred_b, trace_b) = once(), once()
     assert np.array_equal(pred_a.weights, pred_b.weights)
     assert np.array_equal(pred_a.bias, pred_b.bias)
-    assert trace_a.rows == trace_b.rows
+    assert trace_a == trace_b
 
 
 def test_total_loss_nonincreasing_at_small_fixed_step():
