@@ -94,7 +94,7 @@ def fit_prior(train: Dataset, species: str = "other") -> AnatomicalPrior:
     is named, the first in canonical order.
     """
     if len(train) == 0:
-        raise ValueError("cannot fit a prior on an empty training set")
+        raise SchemaError("cannot fit a prior on an empty training set")
     try:
         cube = normalized_coords(train)
     except DegeneratePoseError as exc:
@@ -102,7 +102,7 @@ def fit_prior(train: Dataset, species: str = "other") -> AnatomicalPrior:
     never_seen = np.isnan(cube).all(axis=0).any(axis=1)
     if never_seen.any():
         missing = [f"K-{i + 1}" for i in np.flatnonzero(never_seen)]
-        raise ValueError(f"keypoints never visible in the training set: {missing}")
+        raise SchemaError(f"keypoints never visible in the training set: {missing}")
     with np.errstate(invalid="ignore"):
         mins = np.nanmin(cube, axis=0)
         maxs = np.nanmax(cube, axis=0)

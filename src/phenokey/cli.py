@@ -38,7 +38,7 @@ from .metrics import (
 from .morphometry import default_table, degenerate_messages, measurement_rows
 from .optim import ToyPredictor, TrainConfig, make_toy_problem, train
 from .plots import plot_deviation_summary, plot_scatter
-from .schema import SPECIES
+from .schema import KEYPOINT_COUNT, SPECIES
 from .synth import PerturbationModel, generate_population, load_template, perturb
 
 
@@ -51,7 +51,11 @@ def _write_text(path, text: str) -> None:
 
 
 def _write_json(path, obj) -> None:
-    _write_text(path, dumps(obj) + "\n")
+    try:
+        text = dumps(obj)
+    except ValueError as exc:    # the encoder's refusal of NaN or infinity
+        raise PhenokeyError(f"{path or 'stdout'}: {exc}") from exc
+    _write_text(path, text + "\n")
 
 
 def _cmd_validate(args) -> int:
@@ -100,10 +104,7 @@ def _config_values(doc) -> dict:
         raise SchemaError(
             f"unknown config key(s) {', '.join(map(repr, unknown))}; known keys are {', '.join(_CONFIG_KEYS)}"
         )
-    try:
-        EvalConfig(**doc)  # its message names the field
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    EvalConfig(**doc)  # its message names the field
     return doc
 
 
@@ -167,7 +168,7 @@ def _cmd_acr(args) -> int:
     prior = read_json(args.prior, prior_from_dict, name=f"prior file {args.prior}")
     violations, grad = acr_hinge(pred.xy, dataset_boxes(prior, pred))
     # each image's loss sums its 44 contiguous hinge values; the total adds them left to right
-    losses = violations.reshape(len(pred), -1).sum(axis=1).tolist()
+    losses = violations.reshape(-1, 2 * KEYPOINT_COUNT).sum(axis=1).tolist()
     total = 0.0
     for loss in losses:
         total += loss
@@ -231,6 +232,9 @@ def _cmd_plot(args) -> int:
             label, path = spec_item, spec_item
         if args.kind == "scatter":
             values = _with_predictions(path, lambda pred: phenotype_value_pairs(gt, pred, args.phenotype))
+            if (kept := len(values[0])) < 2:
+                raise PhenokeyError(f"{args.phenotype}: {kept} usable pair(s) with prediction file {path} "
+                                    f"({len(gt) - kept} left out), a scatter needs at least 2")
             plot_scatter(list(zip(*values)), args.out, title=args.phenotype)
             return 0
         pairs = _with_predictions(path, lambda pred: _paired_datasets(gt, pred))
@@ -365,7 +369,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
         try:
             return args.fn(args)
-        except (PhenokeyError, OSError, ValueError, KeyError) as exc:
+        except (PhenokeyError, OSError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 1
 

@@ -291,11 +291,11 @@ def _decode(flats, ann_ids, path) -> np.ndarray:
     """
     try:
         return np.array(flats, dtype=np.float64).reshape(len(flats), KEYPOINT_COUNT, 3)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         for flat, ann_id in zip(flats, ann_ids):
             try:
                 np.asarray(flat, dtype=np.float64).reshape(KEYPOINT_COUNT, 3)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"{path}: annotation {ann_id!r}: non-numeric keypoints entry: {exc}") from exc
         raise
 
@@ -339,8 +339,8 @@ def parse_coco(path) -> Dataset:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object, got {type(doc).__name__}")
-    for key in ("images", "annotations"):
-        if key not in doc or not isinstance(doc[key], list):
+    for key, default in (("images", None), ("annotations", None), ("categories", [])):    # categories are optional
+        if not isinstance(doc.get(key, default), list):
             raise ParseError(f"{path}: missing or non-array field {key!r}")
 
     images = {}
@@ -407,12 +407,12 @@ def parse_coco(path) -> Dataset:
 
     triplets = _decode(flats, ann_ids, path)
     flags = triplets[..., 2]
-    fractional = np.isfinite(flags) & (flags != np.trunc(flags))
-    if fractional.any():
-        n, i = np.argwhere(fractional)[0]
-        raise SchemaError(
-            f"annotation {ann_ids[n]!r}: keypoint {i + 1} has fractional visibility flag {float(flags[n, i])!r}"
-        )
+    bad = ~(np.abs(flags) < 2**63) | (flags != np.trunc(flags))    # NaN, infinity, past int64, or a fraction
+    if bad.any():
+        n, i = np.argwhere(bad)[0]
+        flag = float(flags[n, i])
+        kind = "fractional" if abs(flag) < 2**63 else "out-of-range"
+        raise SchemaError(f"annotation {ann_ids[n]!r}: keypoint {i + 1} has {kind} visibility flag {flag!r}")
 
     info = doc.get("info", {})
     role = info.get("role", "train") if isinstance(info, dict) else "train"

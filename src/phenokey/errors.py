@@ -1,19 +1,19 @@
-"""Exception and warning types, and the number tests of config fields, shared across the package."""
+"""Exception and warning types, and the number rule of flags and config fields, shared across the package."""
 
 import math
 import numbers
 
 
 class PhenokeyError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; a command exits 1 on one, any other exception is a bug."""
 
 
 class ParseError(PhenokeyError):
     """Annotation document could not be parsed; message carries line/field context."""
 
 
-class SchemaError(PhenokeyError):
-    """Document parsed but violates the keypoint annotation schema."""
+class SchemaError(PhenokeyError, ValueError):
+    """An input value (a document field, a config value, a flag or an argument) breaks a documented rule."""
 
 
 class IntegrityError(PhenokeyError):
@@ -70,10 +70,20 @@ class DegenerateFitWarning(PhenokeyWarning):
     """A regression line could not be fitted; output degraded gracefully."""
 
 
-def positive_number(value, zero=False) -> bool:
-    """A positive real number, or with ``zero`` a nonnegative one, that is finite as a float; a bool is none."""
+def positive_number(value, zero=False, integer=False) -> bool:
+    """A positive real number, or with ``zero`` a nonnegative one, that is finite as a float, or with ``integer`` a
+    nonnegative integer of any size; a bool is none."""
     try:
-        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:    # an int beyond the float range
-        return False
-    return (x >= 0 if zero else x > 0) and x < math.inf
+        kind = numbers.Integral if integer else numbers.Real
+        x = float(value) if isinstance(value, kind) and not isinstance(value, bool) else math.nan
+    except OverflowError:    # an int beyond the float range, which only an integer rule admits
+        return integer and value > 0
+    return (x >= 0 if zero or integer else x > 0) and x < math.inf
+
+
+def check_number(name: str, value, zero=False, integer=False):
+    """``value`` if it is a :func:`positive_number`, else a :class:`SchemaError` naming ``name`` and the rule."""
+    if not positive_number(value, zero, integer):
+        rule = "a nonnegative integer" if integer else f"a finite {'nonnegative' if zero else 'positive'} number"
+        raise SchemaError(f"{name} must be {rule}, got {value!r}")
+    return value

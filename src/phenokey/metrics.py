@@ -39,7 +39,7 @@ import numpy as np
 from .anatomy import visible_corners
 from .dataset import Dataset
 from .errors import (DegenerateFitError, IntegrityError, PhenokeyWarning, SchemaError, UndefinedMetricError,
-                     positive_number)
+                     check_number, positive_number)
 from .morphometry import default_table, phenotype_lengths, shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT
 
@@ -67,16 +67,14 @@ class EvalConfig:
 
     def __post_init__(self):
         for name in ("pmp_threshold", "pck_threshold", "oks_scale"):
-            value = getattr(self, name)
-            if not (positive_number(value) or name == "oks_scale" and value is None):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-            if value is not None:
-                object.__setattr__(self, name, float(value))    # a config file's 1 and a flag's 1.0 read alike
+            if name != "oks_scale" or self.oks_scale is not None:    # a config file's 1 and a flag's 1.0 read alike
+                object.__setattr__(self, name, float(check_number(name, getattr(self, name))))
         if self.pck_scale_mode not in PCK_SCALE_MODES:
-            raise ValueError(f"pck_scale_mode must be one of {', '.join(PCK_SCALE_MODES)}, got {self.pck_scale_mode!r}")
+            modes = ", ".join(PCK_SCALE_MODES)
+            raise SchemaError(f"pck_scale_mode must be one of {modes}, got {self.pck_scale_mode!r}")
         k = tuple(self.oks_k) if isinstance(self.oks_k, (list, tuple, np.ndarray)) else ()
         if len(k) != KEYPOINT_COUNT or not all(map(positive_number, k)):
-            raise ValueError(f"oks_k must hold {KEYPOINT_COUNT} finite positive numbers")
+            raise SchemaError(f"oks_k must hold {KEYPOINT_COUNT} finite positive numbers")
         object.__setattr__(self, "oks_k", tuple(map(float, k)))
 
 

@@ -15,7 +15,6 @@ order, and analytic gradients that the finite-difference checker verifies.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .anatomy import AnatomicalPrior, BoxConstraint, acr_hinge, dataset_boxes, fit_prior
 from .dataset import Dataset
-from .errors import DivergenceError, GradNormFallbackWarning, positive_number
+from .errors import DivergenceError, GradNormFallbackWarning, check_number
 from .schema import KEYPOINT_COUNT
 from .synth import generate_population, load_template
 
@@ -107,14 +106,9 @@ class TrainConfig:
     init_w_acr: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be nonnegative, got {self.steps}")
+        check_number("steps", self.steps, integer=True)
         for name in ("lr", "lr_decay", "lr_weights", "alpha", "init_w_mse", "init_w_acr"):
-            value = getattr(self, name)
-            if not positive_number(value, zero=True):
-                raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
+            check_number(name, getattr(self, name), zero=True)
 
 
 @dataclass(frozen=True)
@@ -218,8 +212,7 @@ def make_toy_problem(
     exactly realizable), while the box constraint blocks it at the anatomical
     boundary; the clean population coordinates stay available for scoring.
     """
-    if not (isinstance(feature_dim, numbers.Integral) and positive_number(feature_dim, zero=True)):
-        raise ValueError(f"feature_dim must be a nonnegative integer, got {feature_dim!r}")
+    check_number("feature_dim", feature_dim, integer=True)
     tpl = load_template(template)
     tpl = replace(tpl, spread=tpl.spread * spread_scale)
     population = generate_population(tpl, n, seed=seed)

@@ -15,7 +15,6 @@ positions the streams of all fish.
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -23,7 +22,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .dataset import Dataset
-from .errors import PhenokeyError, SchemaError, positive_number
+from .errors import PhenokeyError, SchemaError, check_number
 from .jsontext import doc_field, read_json
 from .morphometry import shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT, SPECIES
@@ -47,20 +46,20 @@ class SpeciesTemplate:
 
     def validate(self) -> None:
         if self.mean_layout.shape != (KEYPOINT_COUNT, 2):
-            raise ValueError(f"mean_layout must be (22, 2), got {self.mean_layout.shape}")
+            raise SchemaError(f"invalid template: mean_layout must be (22, 2), got {self.mean_layout.shape}")
         if self.spread.shape != (KEYPOINT_COUNT,):
-            raise ValueError(f"spread must be (22,), got {self.spread.shape}")
+            raise SchemaError(f"invalid template: spread must be (22,), got {self.spread.shape}")
         if np.any(self.spread < 0):
-            raise ValueError("spread must be nonnegative")
+            raise SchemaError("invalid template: spread must be nonnegative")
         lo = self.mean_layout - 3.0 * self.spread[:, None]
         hi = self.mean_layout + 3.0 * self.spread[:, None]
         if np.any(lo < 0) or np.any(hi > 1):
-            raise ValueError("mean_layout +/- 3*spread must stay within [0, 1] on both axes")
+            raise SchemaError("invalid template: mean_layout +/- 3*spread must stay within [0, 1] on both axes")
         s_min, s_max = self.body_size_range
         if not (0 < s_min <= s_max):
-            raise ValueError(f"body_size_range must satisfy 0 < min <= max, got {self.body_size_range}")
+            raise SchemaError(f"invalid template: body_size_range must satisfy 0 < min <= max, got {s_min, s_max}")
         if not (0 < self.aspect <= 2):
-            raise ValueError(f"aspect must be in (0, 2], got {self.aspect}")
+            raise SchemaError(f"invalid template: aspect must be in (0, 2], got {self.aspect}")
 
 
 def _auto_spread(layout: np.ndarray, base: float) -> np.ndarray:
@@ -125,7 +124,7 @@ def _numbers(doc, key: str, shape: tuple, default=None) -> np.ndarray:
     value = doc_field(doc, key) if default is None else doc.get(key, default)
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):    # OverflowError: an int past the float range
         arr = None
     if arr is None or arr.shape != shape or not np.isfinite(arr).all():
         got = "non-numeric values" if arr is None else f"shape {arr.shape}" if arr.shape != shape else "NaN or infinity"
@@ -142,10 +141,7 @@ def template_from_dict(doc) -> SpeciesTemplate:
         aspect=float(_numbers(doc, "aspect", (), default=0.5)),
         name=str(doc.get("name", "custom")),
     )
-    try:
-        tpl.validate()
-    except ValueError as exc:
-        raise SchemaError(f"invalid template: {exc}") from exc
+    tpl.validate()
     return tpl
 
 
@@ -177,8 +173,7 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 def _seed_words(seed) -> list:
     """The uint32 words SeedSequence makes of ``seed``, least significant first."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    check_number("seed", seed, integer=True)
     return [int(seed) >> shift & _MASK32 for shift in range(0, max(int(seed).bit_length(), 1), 32)]
 
 
@@ -246,7 +241,7 @@ def generate_population(
 ) -> Dataset:
     """Draw ``n`` synthetic fish; fish ``idx`` draws from the stream of ``default_rng([seed, idx])``."""
     if not 1 <= n < 2**32:
-        raise ValueError(f"population size must be >= 1 and < 2**32 (one seed word per fish index), got {n}")
+        raise SchemaError(f"population size must be >= 1 and < 2**32 (one seed word per fish index), got {n}")
     template.validate()
     if species not in SPECIES:
         raise ValueError(f"unknown species tag {species!r}")
@@ -286,8 +281,7 @@ class PerturbationModel:
     def __post_init__(self):
         if self.mode not in PERTURBATION_MODES:
             raise ValueError(f"mode must be one of {PERTURBATION_MODES}, got {self.mode!r}")
-        if not positive_number(self.magnitude, zero=True):
-            raise ValueError(f"magnitude must be a finite nonnegative number, got {self.magnitude}")
+        check_number("magnitude", self.magnitude, zero=True)
         _seed_words(self.seed)    # raises for a negative or non-integer seed
 
 
@@ -318,7 +312,7 @@ def perturb(gt: Dataset, model: PerturbationModel) -> Dataset:
             noise = _draws(model.seed, len(gt), 0, 2 * KEYPOINT_COUNT, (7919,))[1].reshape(gt.xy.shape)
             noise *= np.where(np.isfinite(pheno), model.magnitude * pheno, 0.0)[:, :, None]
     if not np.isfinite(noise).all():
-        raise ValueError(f"magnitude {model.magnitude} displaces keypoints beyond the float range")
+        raise SchemaError(f"magnitude {model.magnitude} displaces keypoints beyond the float range")
     xy = np.maximum(gt.xy + noise, 0.0)
     reach = np.where(np.isfinite(xy), xy, 0.0).max(axis=1)
     width = np.maximum(gt.width, np.ceil(reach[:, 0]))

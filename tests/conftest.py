@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,8 @@ from phenokey.dataset import Dataset, FishImageRecord, KeypointSet
 from phenokey.schema import KEYPOINT_COUNT
 
 DATA_DIR = Path(__file__).parent / "data"
+# the stderr lines a command may write: an error, a warning, or one of the three status lines
+STDERR_LINE = re.compile(r"(error|warning): .+|wrote \d+ records to .+|finished \d+ steps: .+|.+: ok \(\d+ records\)")
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from phenokey.morphometry import default_table
 from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import TEMPLATES, template_to_dict
 
-from conftest import make_dataset, make_keypoints
+from conftest import STDERR_LINE, make_dataset, make_keypoints
 from oracles import oracle_phenotype_length
 
 
@@ -294,7 +294,7 @@ def test_train_toy_writes_trace(tmp_path):
 def test_negative_seed_is_named(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([*command, "--seed", "-1", "--out" if command[0] == "synth" else "--trace", str(out)]) == 1
-    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
     assert not out.exists()
 
 
@@ -319,7 +319,7 @@ def test_train_toy_rejects_a_negative_feature_dim_naming_the_field(tmp_path, cap
 def test_train_toy_rejects_negative_steps(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert main(["train-toy", "--steps", "-1", "--trace", str(trace)]) == 1
-    assert capsys.readouterr().err == "error: steps must be nonnegative, got -1\n"
+    assert capsys.readouterr().err == "error: steps must be a nonnegative integer, got -1\n"
     assert not trace.exists()
 
 
@@ -334,6 +334,45 @@ def test_train_toy_rejects_a_bad_rate_naming_the_field(tmp_path, capsys, flag, v
     field = flag[2:].replace("-", "_")
     assert capsys.readouterr().err == f"error: {field} must be a finite nonnegative number, got {float(value)!r}\n"
     assert not trace.exists()
+
+
+def _hide_k5(doc):
+    for ann in doc["annotations"]:
+        ann["keypoints"][3 * 4 + 2] = 0
+
+
+@pytest.mark.parametrize(
+    "argv, mutate, message",
+    [
+        (["synth", "--template", "deep_bodied", "--n", "0", "--out", "{out}"], None,
+         "population size must be >= 1 and < 2**32 (one seed word per fish index), got 0"),
+        (["synth", "--template", "deep_bodied", "--n", "4294967296", "--out", "{out}"], None,
+         "population size must be >= 1 and < 2**32 (one seed word per fish index), got 4294967296"),
+        (["train-toy", "--n", "0", "--trace", "{out}"], None,
+         "population size must be >= 1 and < 2**32 (one seed word per fish index), got 0"),
+        (["prior", "--train", "{doc}", "--out", "{out}"], lambda doc: doc.update(annotations=[]),
+         "cannot fit a prior on an empty training set"),
+        (["prior", "--train", "{doc}", "--out", "{out}"], _hide_k5,
+         "keypoints never visible in the training set: ['K-5']"),
+        (["evaluate", "--gt", "{doc}", "--pred", "{doc}", "--oks-scale", "-1", "--out", "{out}"], None,
+         "oks_scale must be a finite positive number, got -1.0"),
+        (["evaluate", "--gt", "{doc}", "--pred", "{doc}", "--r", "0", "--out", "{out}"], None,
+         "pmp_threshold must be a finite positive number, got 0.0"),
+    ],
+    ids=["synth-no-fish", "synth-2**32-fish", "train-toy-no-fish", "prior-no-annotations", "prior-K-5-never-visible",
+         "negative-oks-scale", "zero-r"],
+)
+def test_each_refusal_is_one_error_line_and_exit_1(fixture_path, tmp_path, capsys, argv, mutate, message):
+    doc, out = tmp_path / "doc.json", tmp_path / "out"
+    data = json.loads(fixture_path.read_text())
+    if mutate:
+        mutate(data)
+    doc.write_text(json.dumps(data))
+    assert main([arg.format(doc=doc, out=out) for arg in argv]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == f"error: {message}"
+    assert all(line.startswith("warning: ") for line in lines[:-1])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["synth", "--n", "3", "--out"], ["train-toy", "--steps", "3", "--trace"]])
@@ -536,7 +575,8 @@ def test_report_writers_refuse_nonfinite_numbers(synth_files, tmp_path, capsys):
     out = tmp_path / "acr.json"
     capsys.readouterr()
     assert main(["acr", "--pred", str(bad), "--prior", str(prior), "--out", str(out)]) == 1
-    assert "not JSON compliant" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and "not JSON compliant" in err
     assert not out.exists()
 
 
@@ -778,6 +818,22 @@ def test_plot_scatter_missing_image_names_the_prediction_file(synth_files, tmp_p
     assert capsys.readouterr().err == f"error: prediction file {short}: predictions missing for image ids [11, 12]\n"
 
 
+def test_a_scatter_with_fewer_than_2_usable_pairs_names_the_phenotype_the_file_and_the_pairs_left_out(
+    fixture_path, tmp_path, capsys
+):
+    doc = json.loads(fixture_path.read_text())
+    flat = doc["annotations"][0]["keypoints"]
+    flat[3 * 11:3 * 11 + 2] = flat[3 * 10:3 * 10 + 2]    # K-12 on K-11: fish 1's ED is 0
+    gt, svg = tmp_path / "gt.json", tmp_path / "ed.svg"
+    gt.write_text(json.dumps(doc))
+    assert main(["plot", "--kind", "scatter", "--gt", str(gt), "--pred", str(fixture_path), "--phenotype", "ED",
+                 "--out", str(svg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ED: 1 usable pair(s) with prediction file {fixture_path} (1 left out), a scatter needs at least 2\n"
+    )
+    assert not svg.exists()
+
+
 def test_plot_phenotype_choices_come_from_the_table(synth_files, tmp_path, capsys):
     gt, pred = synth_files
     assert main(["plot", "--kind", "scatter", "--gt", str(gt), "--pred", str(pred),
@@ -836,9 +892,13 @@ def test_pipeline_on_30_fish_runs_end_to_end(tmp_path, capsys):
          "images[1]: field 'width' is an integer of 401 digits, past the float range"),
         (lambda doc: doc["images"][0].update(height=-(10**400)),
          "images[0]: field 'height' is an integer of 401 digits, past the float range"),
+        (lambda doc: doc.update(categories=5), "missing or non-array field 'categories'"),
+        (lambda doc: doc["annotations"][1]["keypoints"].__setitem__(4, 10**400),
+         "annotation 2: non-numeric keypoints entry: int too large to convert to float"),
     ],
     ids=["list-image_id", "list-image-id", "object-category_id", "list-category-id", "text-height", "null-width",
-         "numeric-text-width", "bool-height", "int-image", "no-width", "beyond-float-width", "beyond-float-height"],
+         "numeric-text-width", "bool-height", "int-image", "no-width", "beyond-float-width", "beyond-float-height",
+         "int-categories", "beyond-float-keypoint"],
 )
 def test_parse_coco_names_file_entry_and_field_of_a_bad_entry(fixture_path, tmp_path, capsys, mutate, named):
     doc = json.loads(fixture_path.read_text())
@@ -859,10 +919,6 @@ def test_json_limits_name_the_file(fixture_path, tmp_path, capsys):
     bad.write_text(text.replace(f'"width": {width}', f'"width": {digits}', 1))
     assert main(["validate", "--input", str(bad)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {limit.value}\n"
-
-
-# the stderr lines a command may write: an error, a warning, or one of the three status lines
-_STDERR_LINE = re.compile(r"(error|warning): .+|wrote \d+ records to .+|finished \d+ steps: .+|.+: ok \(\d+ records\)")
 
 
 def test_every_stderr_line_is_an_error_a_warning_or_a_status_line(tmp_path, capsys):
@@ -902,7 +958,7 @@ def test_every_stderr_line_is_an_error_a_warning_or_a_status_line(tmp_path, caps
     for argv, code in runs:
         assert main(argv) == code, argv
         lines += capsys.readouterr().err.splitlines()
-    assert [line for line in lines if not _STDERR_LINE.fullmatch(line)] == []
+    assert [line for line in lines if not STDERR_LINE.fullmatch(line)] == []
     warned = [line for line in lines if line.startswith("warning: ")]
     assert warned == [
         f"warning: {f['empty.json']}: annotations array is empty; dataset has no records",

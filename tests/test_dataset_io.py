@@ -96,6 +96,17 @@ def test_fractional_visibility_flag_names_annotation_and_keypoint(fixture_path, 
     assert parse_coco(path).v[0, 3] == 2
 
 
+@pytest.mark.parametrize("flag", [float("nan"), float("inf"), -float("inf"), 2.0**63])
+def test_a_visibility_flag_no_int64_holds_is_refused_not_cast(fixture_path, tmp_path, flag):
+    doc = _load_fixture_doc(fixture_path)
+    doc["annotations"][1]["keypoints"][3 * 3 + 2] = flag
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as info:
+        parse_coco(path)
+    assert str(info.value) == f"annotation 2: keypoint 4 has out-of-range visibility flag {flag!r}"
+
+
 def test_empty_annotations_warns(fixture_path, tmp_path):
     doc = _load_fixture_doc(fixture_path)
     doc["annotations"] = []

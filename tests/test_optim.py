@@ -230,9 +230,9 @@ def test_gradnorm_step_takes_numpy_inf_where_a_float_power_raises(alpha):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("steps", -1, "steps must be nonnegative, got -1"),
-        ("steps", 2.5, "steps must be an integer, got 2.5"),
-        ("steps", True, "steps must be an integer, got True"),
+        ("steps", -1, "steps must be a nonnegative integer, got -1"),
+        ("steps", 2.5, "steps must be a nonnegative integer, got 2.5"),
+        ("steps", True, "steps must be a nonnegative integer, got True"),
         ("lr", float("nan"), "lr must be a finite nonnegative number, got nan"),
         ("lr_decay", -1.0, "lr_decay must be a finite nonnegative number, got -1.0"),
         ("init_w_mse", -0.5, "init_w_mse must be a finite nonnegative number, got -0.5"),

@@ -106,14 +106,16 @@ def test_population_size_validation():
 
 @pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
 def test_seed_must_be_a_non_negative_integer(seed):
-    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+    with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed!r}"):
         generate_population(TEMPLATES["elongate"], 3, seed=seed)
-    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+    with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed!r}"):
         PerturbationModel("uniform_px", 1.0, seed=seed)
 
 
-# make_toy_problem draws its prior population from seed (2 * s + 1) * 15485863
-_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, *((2 * s + 1) * 15485863 for s in (0, 1, 4242, 2**31))]
+# make_toy_problem draws its prior population from seed (2 * s + 1) * 15485863; a seed past the float range is
+# still a seed, and its 42 words take SeedSequence's mixing beyond the pool
+_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, *((2 * s + 1) * 15485863 for s in (0, 1, 4242, 2**31)),
+                 pytest.param(10**400, id="10**400")]
 
 
 @pytest.mark.parametrize("tail", [(), (7919,)])
