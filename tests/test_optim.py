@@ -230,7 +230,9 @@ def test_gradnorm_step_takes_numpy_inf_where_a_float_power_raises(alpha):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("steps", -1, "steps must be a nonnegative integer, got -1"),
+        # the id keeps this case's name from before the integer messages shared one wording
+        pytest.param("steps", -1, "steps must be a nonnegative integer, got -1",
+                     id="steps--1-steps must be nonnegative, got -1"),
         ("steps", 2.5, "steps must be a nonnegative integer, got 2.5"),
         ("steps", True, "steps must be a nonnegative integer, got True"),
         ("lr", float("nan"), "lr must be a finite nonnegative number, got nan"),
