@@ -125,10 +125,10 @@ def _eval_config(args) -> EvalConfig:
 
 
 def _with_predictions(path, fn):
-    """``fn`` of the parsed prediction file ``path``; its integrity errors and the warnings of ``fn`` name the file."""
+    """``fn`` of the parsed prediction file ``path``; the integrity errors and the warnings of ``fn`` name the file."""
+    pred = parse_coco(path)
     caught = []
     try:
-        pred = parse_coco(path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")    # each is issued again below, under the caller's filters
             return fn(pred)
@@ -158,7 +158,10 @@ def _cmd_prior(args) -> int:
         if not rows.size:
             raise PhenokeyError(f"no records with species {species!r} in {args.train}")
         dataset = dataset.take(rows)
-    prior = fit_prior(dataset, species=species or "other")
+    try:
+        prior = fit_prior(dataset, species=species or "other")
+    except SchemaError as exc:    # an empty training set, or a keypoint it never shows
+        raise SchemaError(f"{args.train}: {exc}") from exc
     _write_json(args.out, prior_to_dict(prior))
     return 0
 

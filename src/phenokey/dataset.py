@@ -6,7 +6,7 @@ widths and heights, and species codes, one row per image in canonical id
 order. Whole-file code (validation, serialization, metrics, the prior and
 the ACR loss) reads the arrays; :class:`FishImageRecord` and
 :class:`KeypointSet` are per-image views of one row, built on demand.
-Parsing decodes all keypoint lists of a file into the columns in one call.
+Parsing decodes each annotation's keypoint list into its row as it checks it.
 
 Files use the standard COCO keypoint layout (``images``,
 ``annotations`` with flat x,y,v triplets, ``categories``). The canonical
@@ -283,30 +283,13 @@ def validate(dataset: Dataset) -> list[Violation]:
     return violations
 
 
-def _decode(flats, ann_ids, path) -> np.ndarray:
-    """(n, 22, 3) float64 triplets of the annotations' keypoint lists, decoded in one call.
-
-    When that fails, the first annotation in file order whose list does not
-    decode on its own is named.
-    """
-    try:
-        return np.array(flats, dtype=np.float64).reshape(len(flats), KEYPOINT_COUNT, 3)
-    except (TypeError, ValueError, OverflowError):
-        for flat, ann_id in zip(flats, ann_ids):
-            try:
-                np.asarray(flat, dtype=np.float64).reshape(KEYPOINT_COUNT, 3)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"{path}: annotation {ann_id!r}: non-numeric keypoints entry: {exc}") from exc
-        raise
-
-
 def _id_error(where: str, key: str, value) -> ParseError:
     return ParseError(f"{where}: field {key!r} must be a number or a string, got {value!r}")
 
 
-def _image_error(path, k: int, img) -> ParseError | SchemaError:
+def _image_error(k: int, img) -> ParseError | SchemaError:
     """Why the ``k``-th entry of ``images`` is no image, naming the entry and the field that is missing or wrong."""
-    where = f"{path}: images[{k}]"
+    where = f"images[{k}]"
     if not isinstance(img, dict):
         return ParseError(f"{where} must be an object, got {type(img).__name__}")
     for key in ("id", "width", "height"):
@@ -324,24 +307,13 @@ def _image_error(path, k: int, img) -> ParseError | SchemaError:
             return SchemaError(f"{where}: field {key!r} is an integer of {digits} digits, past the float range")
 
 
-def parse_coco(path) -> Dataset:
-    """Read a COCO keypoint annotation file into a :class:`Dataset`.
-
-    One record per annotated image; the 66-value triplet list decodes into
-    22 (x, y, v) entries. Species comes from the annotation's category name
-    when recognizable, else ``other``. The dataset role is read from
-    ``info.role`` when present (defaults to ``train``).
-
-    Each annotation gets its structural checks in file order; the keypoint
-    lists of all annotations are then decoded into the columns at once. An
-    error names the first offending annotation in file order.
-    """
-    doc = read_json(path)
+def _coco_dataset(doc) -> Dataset:
+    """The :class:`Dataset` of a decoded annotation document; see :func:`parse_coco`."""
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object, got {type(doc).__name__}")
+        raise ParseError(f"top level must be an object, got {type(doc).__name__}")
     for key, default in (("images", None), ("annotations", None), ("categories", [])):    # categories are optional
         if not isinstance(doc.get(key, default), list):
-            raise ParseError(f"{path}: missing or non-array field {key!r}")
+            raise ParseError(f"missing or non-array field {key!r}")
 
     images = {}
     for k, img in enumerate(doc["images"]):
@@ -349,9 +321,9 @@ def parse_coco(path) -> Dataset:
             img_id, w, h = img["id"], img["width"], img["height"]
             known, size = img_id in images, (float(w), float(h))
         except (TypeError, KeyError, ValueError, OverflowError):
-            raise _image_error(path, k, img) from None
+            raise _image_error(k, img) from None
         if type(w) not in (int, float) or type(h) not in (int, float):    # a JSON number, and no bool
-            raise _image_error(path, k, img)
+            raise _image_error(k, img)
         if known:
             raise IntegrityError(f"duplicate image id {img_id!r} in images array")
         images[img_id] = size
@@ -360,52 +332,44 @@ def parse_coco(path) -> Dataset:
     for k, cat in enumerate(doc.get("categories", [])):
         if isinstance(cat, dict) and "id" in cat:
             if isinstance(cat["id"], (dict, list)):
-                raise _id_error(f"{path}: categories[{k}]", "id", cat["id"])
+                raise _id_error(f"categories[{k}]", "id", cat["id"])
             categories[cat["id"]] = _SPECIES_CODE[normalize_species(str(cat.get("name", "other")))]
     other = _SPECIES_CODE["other"]
 
     annotations = doc["annotations"]
-    if not annotations:
-        warnings.warn(f"{path}: annotations array is empty; dataset has no records", PhenokeyWarning, stacklevel=2)
-
-    flats, ann_ids, image_ids, sizes, species = [], [], [], [], []
+    # rows only for annotations that can pass (each takes an unused image): 16M `0`s must not make an 8 GB array
+    triplets = np.empty((min(len(annotations), len(images)), TRIPLET_LEN))
+    ann_ids, image_ids, sizes, species = [], [], [], []
     seen = set()
-
-    def after_earlier_entries(exc):
-        # a non-numeric list in an earlier annotation is the first error in file order
-        _decode(flats, ann_ids, path)
-        return exc
-
-    for ann in annotations:
+    for k, ann in enumerate(annotations):
         ann_id = ann.get("id", "<missing>") if isinstance(ann, dict) else "<missing>"
         if not isinstance(ann, dict) or "image_id" not in ann or "keypoints" not in ann:
-            raise after_earlier_entries(ParseError(f"{path}: annotation {ann_id!r} missing image_id or keypoints"))
+            raise ParseError(f"annotation {ann_id!r} missing image_id or keypoints")
         img_id = ann["image_id"]
         try:
             known, code = img_id in images, categories.get(ann.get("category_id"), other)
         except TypeError:    # an array or an object as an id
             key = "image_id" if isinstance(img_id, (dict, list)) else "category_id"
-            raise after_earlier_entries(_id_error(f"{path}: annotation {ann_id!r}", key, ann[key])) from None
+            raise _id_error(f"annotation {ann_id!r}", key, ann[key]) from None
         if not known:
-            raise after_earlier_entries(IntegrityError(f"annotation {ann_id!r} references unknown image id {img_id!r}"))
+            raise IntegrityError(f"annotation {ann_id!r} references unknown image id {img_id!r}")
         if img_id in seen:
-            raise after_earlier_entries(
-                IntegrityError(f"duplicate image id {img_id!r}: multiple annotations for one image")
-            )
+            raise IntegrityError(f"duplicate image id {img_id!r}: multiple annotations for one image")
         flat = ann["keypoints"]
         if not isinstance(flat, (list, tuple)) or len(flat) != TRIPLET_LEN:
             found = len(flat) if isinstance(flat, (list, tuple)) else type(flat).__name__
-            raise after_earlier_entries(
-                SchemaError(f"annotation {ann_id!r}: keypoints list has {found} values, expected {TRIPLET_LEN}")
-            )
+            raise SchemaError(f"annotation {ann_id!r}: keypoints list has {found} values, expected {TRIPLET_LEN}")
+        try:
+            triplets[k] = flat
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"annotation {ann_id!r}: non-numeric keypoints entry: {exc}") from exc
         seen.add(img_id)
-        flats.append(flat)
         ann_ids.append(ann_id)
         image_ids.append(img_id)
         sizes.append(images[img_id])
         species.append(code)
 
-    triplets = _decode(flats, ann_ids, path)
+    triplets = triplets.reshape(-1, KEYPOINT_COUNT, 3)
     flags = triplets[..., 2]
     bad = ~(np.abs(flags) < 2**63) | (flags != np.trunc(flags))    # NaN, infinity, past int64, or a fraction
     if bad.any():
@@ -422,6 +386,24 @@ def parse_coco(path) -> Dataset:
     return Dataset.from_columns(
         triplets[..., :2], flags.astype(np.int64), image_ids, width, height, species, role
     )
+
+
+def parse_coco(path) -> Dataset:
+    """Read a COCO keypoint annotation file into a :class:`Dataset`.
+
+    One record per annotated image; the 66-value triplet list decodes into
+    22 (x, y, v) entries. Species comes from the annotation's category name
+    when recognizable, else ``other``. The dataset role is read from
+    ``info.role`` when present (defaults to ``train``).
+
+    Each annotation is checked and decoded in file order, so an error names
+    the first offending annotation; the visibility flags are checked once
+    every annotation has decoded. Every error starts with ``path``.
+    """
+    dataset = read_json(path, _coco_dataset)
+    if not len(dataset):
+        warnings.warn(f"{path}: annotations array is empty; dataset has no records", PhenokeyWarning, stacklevel=2)
+    return dataset
 
 
 def dataset_to_coco_dict(dataset: Dataset) -> dict:

@@ -23,7 +23,7 @@ from functools import cache
 from itertools import chain, repeat
 from operator import eq, itemgetter
 
-from .errors import ParseError, SchemaError
+from .errors import IntegrityError, ParseError, SchemaError
 
 _CONTAINERS = (dict, list, tuple)
 
@@ -32,8 +32,9 @@ def read_json(path, decode=lambda doc: doc, name=None):
     """The document in the JSON file ``path``, passed through ``decode``.
 
     Errors start with ``name``, the path by default: a text that is no UTF-8 raises :class:`ParseError`, as does a
-    malformed one, naming its line and column, and any other ``ValueError`` of ``json``; a :class:`SchemaError`
-    from ``decode`` is raised again with the name in front.
+    malformed one, naming its line and column, and any other ``ValueError`` of ``json``; a :class:`ParseError`,
+    :class:`SchemaError` or :class:`IntegrityError` from ``decode`` is raised again as the same class with the name
+    in front, so no message of ``decode`` carries the path.
     """
     name = path if name is None else name
     with open(path, encoding="utf-8") as fh:
@@ -45,8 +46,8 @@ def read_json(path, decode=lambda doc: doc, name=None):
             raise ParseError(f"{name}: {exc}") from exc
     try:
         return decode(doc)
-    except SchemaError as exc:
-        raise SchemaError(f"{name}: {exc}") from exc
+    except (ParseError, SchemaError, IntegrityError) as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 def doc_field(doc, key: str, where: str = ""):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .anatomy import AnatomicalPrior, BoxConstraint, acr_hinge, dataset_boxes, fit_prior
 from .dataset import Dataset
-from .errors import DivergenceError, GradNormFallbackWarning, check_number
+from .errors import DivergenceError, GradNormFallbackWarning, SchemaError, check_number
 from .schema import KEYPOINT_COUNT
 from .synth import generate_population, load_template
 
@@ -212,7 +212,8 @@ def make_toy_problem(
     exactly realizable), while the box constraint blocks it at the anatomical
     boundary; the clean population coordinates stay available for scoring.
     """
-    check_number("feature_dim", feature_dim, integer=True)
+    if check_number("feature_dim", feature_dim, integer=True) > 4096:    # far above any width in use (6)
+        raise SchemaError(f"feature_dim must be at most 4096, got {feature_dim!r}")
     tpl = load_template(template)
     tpl = replace(tpl, spread=tpl.spread * spread_scale)
     population = generate_population(tpl, n, seed=seed)

@@ -236,15 +236,12 @@ def generate_population(
     template: SpeciesTemplate,
     n: int,
     seed: int,
-    species: str = "other",
     role: str = "train",
 ) -> Dataset:
     """Draw ``n`` synthetic fish; fish ``idx`` draws from the stream of ``default_rng([seed, idx])``."""
     if not 1 <= n < 2**32:
         raise SchemaError(f"population size must be >= 1 and < 2**32 (one seed word per fish index), got {n}")
     template.validate()
-    if species not in SPECIES:
-        raise ValueError(f"unknown species tag {species!r}")
     s_min, s_max = template.body_size_range
     u, z = _draws(seed, n, 3, 2 * KEYPOINT_COUNT)
     # uniform(lo, hi) is lo + (hi - lo) * random(): body length, then the two canvas offsets
@@ -265,7 +262,7 @@ def generate_population(
         range(1, n + 1),
         np.ceil(2 * off[:, 0] + size[:, 0]),
         np.ceil(2 * off[:, 1] + size[:, 0] * template.aspect),
-        np.full(n, SPECIES.index(species)),
+        np.full(n, SPECIES.index("other")),
         role,
     )
 

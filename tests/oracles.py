@@ -201,16 +201,17 @@ def oracle_parse_coco(path):
     Returns ``(role, records)`` with records sorted into canonical id order,
     each ``(image_id, width, height, species, [(x, y), ...], [v, ...])``.
     Raises the error the file's first offending annotation earns, in file
-    order; a fractional flag is only looked for once every annotation has
-    decoded. Keypoint entries are numbers or numeric strings; for any other
-    entry the ParseError message is only the part before numpy's reason.
+    order, its message starting with the path; a fractional flag is only
+    looked for once every annotation has decoded. Keypoint entries are
+    numbers or numeric strings; for any other entry the ParseError message
+    is only the part before numpy's reason.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     images = {}
     for img in doc["images"]:
         if img["id"] in images:
-            raise IntegrityError(f"duplicate image id {img['id']!r} in images array")
+            raise IntegrityError(f"{path}: duplicate image id {img['id']!r} in images array")
         images[img["id"]] = (float(img["width"]), float(img["height"]))
     names = {c["id"]: _species(str(c.get("name", "other"))) for c in doc.get("categories", [])}
     records = []
@@ -220,14 +221,14 @@ def oracle_parse_coco(path):
         ann_id = ann.get("id", "<missing>")
         image_id = ann["image_id"]
         if image_id not in images:
-            raise IntegrityError(f"annotation {ann_id!r} references unknown image id {image_id!r}")
+            raise IntegrityError(f"{path}: annotation {ann_id!r} references unknown image id {image_id!r}")
         if image_id in used:
-            raise IntegrityError(f"duplicate image id {image_id!r}: multiple annotations for one image")
+            raise IntegrityError(f"{path}: duplicate image id {image_id!r}: multiple annotations for one image")
         used.add(image_id)
         flat = ann["keypoints"]
         if len(flat) != 3 * KEYPOINT_COUNT:
             raise SchemaError(
-                f"annotation {ann_id!r}: keypoints list has {len(flat)} values, expected {3 * KEYPOINT_COUNT}"
+                f"{path}: annotation {ann_id!r}: keypoints list has {len(flat)} values, expected {3 * KEYPOINT_COUNT}"
             )
         try:
             values = [float(x) for x in flat]
@@ -237,7 +238,9 @@ def oracle_parse_coco(path):
         flags = values[2::3]
         for i, flag in enumerate(flags, start=1):
             if fractional is None and math.isfinite(flag) and flag != math.trunc(flag):
-                fractional = SchemaError(f"annotation {ann_id!r}: keypoint {i} has fractional visibility flag {flag!r}")
+                fractional = SchemaError(
+                    f"{path}: annotation {ann_id!r}: keypoint {i} has fractional visibility flag {flag!r}"
+                )
         width, height = images[image_id]
         species = names.get(ann.get("category_id"), "other")
         records.append((image_id, width, height, species, xy, [int(f) for f in flags]))

@@ -4,6 +4,7 @@ A valid annotation file, evaluation config, species template and prior each have
 a bool, a negative number, NaN, infinity, a string, `[]`, `{}` or an integer past the float range. Every command
 that reads the file must then accept it (exit 0) or refuse it (exit 1), and write nothing to stderr but `error:`,
 `warning:` and status lines: no exception may leave `main`. Each test draws every (field, value) pair once.
+`validate` and `measure` only read the file, so each of their `error:` lines must start with its path.
 """
 
 import json
@@ -56,8 +57,10 @@ def files(tmp_path_factory):
     return f
 
 
-def _check(capsys, f, doc, commands):
-    """``doc`` with one field mutated, written to ``f['bad.json']``, through each command; one Hypothesis test."""
+def _check(capsys, f, doc, commands, naming=()):
+    """``doc`` with one field mutated, written to ``f['bad.json']``, through each command; one Hypothesis test.
+
+    Every `error:` line of a command named in ``naming`` must start with the file's path."""
     paths = sorted(_paths(doc), key=repr)
 
     # as many examples as (path, value) pairs: Hypothesis draws no pair twice, so it draws every one
@@ -71,6 +74,9 @@ def _check(capsys, f, doc, commands):
             assert main(argv) in (0, 1), (path, value, argv)
             lines = capsys.readouterr().err.splitlines()
             assert [line for line in lines if not STDERR_LINE.fullmatch(line)] == [], (path, value, argv)
+            if argv[0] in naming:
+                errors = [line for line in lines if line.startswith("error: ")]
+                assert all(line.startswith(f"error: {f['bad.json']}: ") for line in errors), (path, value, errors)
 
     run()
 
@@ -93,7 +99,7 @@ def test_every_reader_of_an_annotation_file_accepts_or_refuses_each_mutation(fil
         ["evaluate", "--gt", good, "--pred", bad, "--out", f["out"]],
         ["prior", "--train", bad, "--out", f["out"]],
         ["acr", "--pred", bad, "--prior", f["prior.json"], "--out", f["out"]],
-    ])
+    ], naming=("validate", "measure"))
 
 
 def test_an_evaluation_config_accepts_or_refuses_each_mutation(files, capsys):

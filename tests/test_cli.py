@@ -314,6 +314,10 @@ def test_train_toy_rejects_a_negative_feature_dim_naming_the_field(tmp_path, cap
     assert main(["train-toy", "--steps", "3", "--feature-dim", "-1", "--trace", str(trace)]) == 1
     assert capsys.readouterr().err == "error: feature_dim must be a nonnegative integer, got -1\n"
     assert not trace.exists()
+    # a width numpy itself refuses, with a traceback, before it allocates anything
+    assert main(["train-toy", "--steps", "3", "--feature-dim", str(10**20), "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == f"error: feature_dim must be at most 4096, got {10**20}\n"
+    assert not trace.exists()
 
 
 def test_train_toy_rejects_negative_steps(tmp_path, capsys):
@@ -351,9 +355,9 @@ def _hide_k5(doc):
         (["train-toy", "--n", "0", "--trace", "{out}"], None,
          "population size must be >= 1 and < 2**32 (one seed word per fish index), got 0"),
         (["prior", "--train", "{doc}", "--out", "{out}"], lambda doc: doc.update(annotations=[]),
-         "cannot fit a prior on an empty training set"),
+         "{doc}: cannot fit a prior on an empty training set"),
         (["prior", "--train", "{doc}", "--out", "{out}"], _hide_k5,
-         "keypoints never visible in the training set: ['K-5']"),
+         "{doc}: keypoints never visible in the training set: ['K-5']"),
         (["evaluate", "--gt", "{doc}", "--pred", "{doc}", "--oks-scale", "-1", "--out", "{out}"], None,
          "oks_scale must be a finite positive number, got -1.0"),
         (["evaluate", "--gt", "{doc}", "--pred", "{doc}", "--r", "0", "--out", "{out}"], None,
@@ -370,7 +374,7 @@ def test_each_refusal_is_one_error_line_and_exit_1(fixture_path, tmp_path, capsy
     doc.write_text(json.dumps(data))
     assert main([arg.format(doc=doc, out=out) for arg in argv]) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert lines[-1] == f"error: {message}"
+    assert lines[-1] == f"error: {message.format(doc=doc)}"
     assert all(line.startswith("warning: ") for line in lines[:-1])
     assert not out.exists()
 
@@ -895,10 +899,19 @@ def test_pipeline_on_30_fish_runs_end_to_end(tmp_path, capsys):
         (lambda doc: doc.update(categories=5), "missing or non-array field 'categories'"),
         (lambda doc: doc["annotations"][1]["keypoints"].__setitem__(4, 10**400),
          "annotation 2: non-numeric keypoints entry: int too large to convert to float"),
+        (lambda doc: doc["annotations"][0]["keypoints"].pop(),
+         "annotation 1: keypoints list has 65 values, expected 66"),
+        (lambda doc: doc["annotations"][1]["keypoints"].__setitem__(3 * 3 + 2, 1.5),
+         "annotation 2: keypoint 4 has fractional visibility flag 1.5"),
+        (lambda doc: doc["annotations"][1].update(image_id=7), "annotation 2 references unknown image id 7"),
+        (lambda doc: doc["annotations"][1].update(image_id=1),
+         "duplicate image id 1: multiple annotations for one image"),
+        (lambda doc: doc["images"][1].update(id=1), "duplicate image id 1 in images array"),
     ],
     ids=["list-image_id", "list-image-id", "object-category_id", "list-category-id", "text-height", "null-width",
          "numeric-text-width", "bool-height", "int-image", "no-width", "beyond-float-width", "beyond-float-height",
-         "int-categories", "beyond-float-keypoint"],
+         "int-categories", "beyond-float-keypoint", "65-keypoint-values", "fractional-flag", "unknown-image-id",
+         "two-annotations-one-image", "duplicate-image-id"],
 )
 def test_parse_coco_names_file_entry_and_field_of_a_bad_entry(fixture_path, tmp_path, capsys, mutate, named):
     doc = json.loads(fixture_path.read_text())

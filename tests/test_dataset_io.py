@@ -104,7 +104,7 @@ def test_a_visibility_flag_no_int64_holds_is_refused_not_cast(fixture_path, tmp_
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError) as info:
         parse_coco(path)
-    assert str(info.value) == f"annotation 2: keypoint 4 has out-of-range visibility flag {flag!r}"
+    assert str(info.value) == f"{path}: annotation 2: keypoint 4 has out-of-range visibility flag {flag!r}"
 
 
 def test_empty_annotations_warns(fixture_path, tmp_path):
@@ -286,11 +286,13 @@ def _serializer_cases():
         for k, (image_id, sp) in enumerate(zip(odd_ids, SPECIES))
     ]
     numeric = [make_keypoints(image_id=k, species=SPECIES[k % len(SPECIES)]) for k in (3, 1, 2)]
+    pop = generate_population(TEMPLATES["deep_bodied"], 4, seed=5)
+    grouper = np.full(4, SPECIES.index("grouper"))
     return [
         Dataset(records=tuple(records), role="test"),
         make_dataset(numeric, role="train"),
         Dataset(records=(), role="test"),
-        generate_population(TEMPLATES["deep_bodied"], 4, seed=5, species="grouper"),
+        Dataset.from_columns(pop.xy, pop.v, pop.image_ids, pop.width, pop.height, grouper, pop.role),
     ]
 
 

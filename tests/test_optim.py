@@ -252,9 +252,11 @@ def test_train_config_checks_its_fields(field, value, message):
         replace(TrainConfig(), **{field: value})
 
 
-@pytest.mark.parametrize("feature_dim", [-1, 2.5, True])
+@pytest.mark.parametrize("feature_dim", [-1, 2.5, True, 10**20])
 def test_toy_problem_needs_a_nonnegative_integer_feature_dim(feature_dim):
-    with pytest.raises(ValueError, match=f"feature_dim must be a nonnegative integer, got {feature_dim!r}"):
+    # 10**20 features per fish is more than numpy allocates; the bound refuses it before numpy is asked
+    rule = "at most 4096" if feature_dim == 10**20 else "a nonnegative integer"
+    with pytest.raises(ValueError, match=f"^feature_dim must be {rule}, got {feature_dim!r}$"):
         make_toy_problem(n=8, feature_dim=feature_dim)
 
 
