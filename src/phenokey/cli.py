@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .anatomy import acr_hinge, dataset_boxes, fit_prior, prior_from_dict, prior_to_dict
 from .dataset import parse_coco, serialize_coco, validate
-from .errors import (DegenerateMeasurementWarning, DivergenceError, IntegrityError, ParseError, PhenokeyError,
-                     PhenokeyWarning, SchemaError)
+from .errors import (DegenerateMeasurementWarning, DegeneratePoseError, DivergenceError, IntegrityError, ParseError,
+                     PhenokeyError, PhenokeyWarning, SchemaError, named)
 from .jsontext import doc_field, dumps, read_json
 from .metrics import (
     METRICS,
@@ -124,16 +124,16 @@ def _eval_config(args) -> EvalConfig:
     return EvalConfig(**values)
 
 
-def _with_predictions(path, fn):
-    """``fn`` of the parsed prediction file ``path``; the integrity errors and the warnings of ``fn`` name the file."""
+def _with_predictions(gt_path, path, fn):
+    """``fn`` of the parsed prediction file ``path``; the integrity errors and the warnings of ``fn`` name that file,
+    and its schema errors, which only a ground-truth value raises, name the ground-truth file ``gt_path``."""
     pred = parse_coco(path)
     caught = []
     try:
-        with warnings.catch_warnings(record=True) as caught:
+        with (named(f"prediction file {path}", IntegrityError), named(gt_path, SchemaError),
+              warnings.catch_warnings(record=True) as caught):
             warnings.simplefilter("always")    # each is issued again below, under the caller's filters
             return fn(pred)
-    except IntegrityError as exc:
-        raise IntegrityError(f"prediction file {path}: {exc}") from exc
     finally:
         for w in caught:
             warnings.warn(f"prediction file {path}: {w.message}", w.category)
@@ -143,7 +143,7 @@ def _cmd_evaluate(args) -> int:
     gt = parse_coco(args.gt)
     cfg = _eval_config(args)
     metrics = METRICS if args.metric == "all" else (args.metric,)
-    report = _with_predictions(args.pred, lambda pred: evaluate_datasets(gt, pred, cfg, metrics=metrics))
+    report = _with_predictions(args.gt, args.pred, lambda pred: evaluate_datasets(gt, pred, cfg, metrics=metrics))
     doc = report_to_dict(report)
     doc["metric"] = args.metric
     _write_json(args.out, doc)
@@ -158,10 +158,8 @@ def _cmd_prior(args) -> int:
         if not rows.size:
             raise PhenokeyError(f"no records with species {species!r} in {args.train}")
         dataset = dataset.take(rows)
-    try:
+    with named(args.train, SchemaError, DegeneratePoseError):    # no fish, a keypoint never seen, a fish with no frame
         prior = fit_prior(dataset, species=species or "other")
-    except SchemaError as exc:    # an empty training set, or a keypoint it never shows
-        raise SchemaError(f"{args.train}: {exc}") from exc
     _write_json(args.out, prior_to_dict(prior))
     return 0
 
@@ -169,7 +167,8 @@ def _cmd_prior(args) -> int:
 def _cmd_acr(args) -> int:
     pred = parse_coco(args.pred)
     prior = read_json(args.prior, prior_from_dict, name=f"prior file {args.prior}")
-    violations, grad = acr_hinge(pred.xy, dataset_boxes(prior, pred))
+    with named(args.pred, DegeneratePoseError):
+        violations, grad = acr_hinge(pred.xy, dataset_boxes(prior, pred))
     # each image's loss sums its 44 contiguous hinge values; the total adds them left to right
     losses = violations.reshape(-1, 2 * KEYPOINT_COUNT).sum(axis=1).tolist()
     total = 0.0
@@ -234,13 +233,13 @@ def _cmd_plot(args) -> int:
         if not path:
             label, path = spec_item, spec_item
         if args.kind == "scatter":
-            values = _with_predictions(path, lambda pred: phenotype_value_pairs(gt, pred, args.phenotype))
+            values = _with_predictions(args.gt, path, lambda pred: phenotype_value_pairs(gt, pred, args.phenotype))
             if (kept := len(values[0])) < 2:
                 raise PhenokeyError(f"{args.phenotype}: {kept} usable pair(s) with prediction file {path} "
                                     f"({len(gt) - kept} left out), a scatter needs at least 2")
             plot_scatter(list(zip(*values)), args.out, title=args.phenotype)
             return 0
-        pairs = _with_predictions(path, lambda pred: _paired_datasets(gt, pred))
+        pairs = _with_predictions(args.gt, path, lambda pred: _paired_datasets(gt, pred))
         # a non-finite predicted coordinate is a miss, as in `evaluate`, with no place on a pixel axis
         finite = np.isfinite(pairs.pred_xy).all(axis=-1)[pairs.annotated]
         if not finite.all():

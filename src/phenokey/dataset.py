@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetValidationError, IntegrityError, ParseError, PhenokeyWarning, SchemaError
-from .jsontext import dumps, read_json
+from .jsontext import dump, read_json
 from .schema import KEYPOINT_COUNT, KEYPOINT_NAMES, SPECIES, normalize_species
 
 TRIPLET_LEN = 3 * KEYPOINT_COUNT
@@ -406,60 +406,56 @@ def parse_coco(path) -> Dataset:
     return dataset
 
 
-def dataset_to_coco_dict(dataset: Dataset) -> dict:
-    """Canonical document form of a dataset (fixed key order, sorted by id)."""
-    xy, v = dataset.xy, dataset.v
-    n = len(dataset)
+_CHUNK = 500    # rows per record list that serialize_coco encodes and writes at once, which bounds its memory
+
+
+def _annotations(dataset: Dataset, rows: slice) -> list:
+    xy, v = dataset.xy[rows], dataset.v[rows]
     # x, y, v triplets as Python floats, with the flags swapped back to ints
-    rows = np.concatenate([xy, v[..., None].astype(np.float64)], axis=2).reshape(n, TRIPLET_LEN).tolist()
-    for row, row_flags in zip(rows, v.tolist()):
+    triplets = np.concatenate([xy, v[..., None].astype(np.float64)], axis=2).reshape(len(v), TRIPLET_LEN).tolist()
+    for row, row_flags in zip(triplets, v.tolist()):
         row[2::3] = row_flags
-    images = [
-        {"id": image_id, "width": width, "height": height, "file_name": f"{image_id}.jpg"}
-        for image_id, width, height in zip(dataset.image_ids, dataset.width.tolist(), dataset.height.tolist())
-    ]
-    annotations = [
-        {
-            "id": k,
-            "image_id": image_id,
-            "category_id": code + 1,
-            "keypoints": row,
-            "num_keypoints": num,
-        }
-        for k, (image_id, code, row, num) in enumerate(
-            zip(dataset.image_ids, dataset.species.tolist(), rows, (v > 0).sum(axis=1).tolist()), start=1
-        )
-    ]
-    categories = [
-        {
-            "id": code + 1,
-            "name": sp,
-            "supercategory": "fish",
-            "keypoints": [KEYPOINT_NAMES[i] for i in range(1, KEYPOINT_COUNT + 1)],
-            "skeleton": [],
-        }
-        for code, sp in enumerate(SPECIES)
-    ]
+    columns = zip(dataset.image_ids[rows], dataset.species[rows].tolist(), triplets, (v > 0).sum(axis=1).tolist())
+    return [{"id": k, "image_id": image_id, "category_id": code + 1, "keypoints": row, "num_keypoints": num}
+            for k, (image_id, code, row, num) in enumerate(columns, start=rows.start + 1)]
+
+
+def _coco_doc(dataset: Dataset, chunks: list) -> dict:
+    """:func:`dataset_to_coco_dict` with images and annotations as generators of record lists, one per row slice."""
+    ids, width, height = dataset.image_ids, dataset.width, dataset.height
+    images = (
+        [{"id": i, "width": w, "height": h, "file_name": f"{i}.jpg"}
+         for i, w, h in zip(ids[rows], width[rows].tolist(), height[rows].tolist())]
+        for rows in chunks
+    )
+    names = [KEYPOINT_NAMES[i] for i in range(1, KEYPOINT_COUNT + 1)]
+    categories = [{"id": code + 1, "name": sp, "supercategory": "fish", "keypoints": names.copy(), "skeleton": []}
+                  for code, sp in enumerate(SPECIES)]
     return {
         "info": {"description": "fish keypoint annotations", "role": dataset.role},
         "licenses": [],
         "images": images,
-        "annotations": annotations,
+        "annotations": (_annotations(dataset, rows) for rows in chunks),
         "categories": categories,
     }
+
+
+def dataset_to_coco_dict(dataset: Dataset) -> dict:
+    """Canonical document form of a dataset (fixed key order, sorted by id)."""
+    doc = _coco_doc(dataset, [slice(0, len(dataset))])
+    return doc | {"images": next(doc["images"]), "annotations": next(doc["annotations"])}
 
 
 def serialize_coco(dataset: Dataset, path) -> None:
     """Write the canonical annotation document; fails fast on invalid data.
 
-    The text is ``json.dumps(doc, indent=2)`` byte for byte, written with the
-    C encoder (see :mod:`phenokey.jsontext`).
+    The text is ``json.dumps(dataset_to_coco_dict(dataset), indent=2)`` byte for byte, written with the C encoder
+    (see :mod:`phenokey.jsontext`) ``_CHUNK`` records at a time, so the writer's memory does not grow with the data.
     """
     violations = validate(dataset)
     if violations:
         raise DatasetValidationError(violations)
-    # NaN may stand on hidden keypoints
-    text = dumps(dataset_to_coco_dict(dataset), allow_nan=True)
+    doc = _coco_doc(dataset, [slice(k, k + _CHUNK) for k in range(0, len(dataset), _CHUNK)])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        dump(doc, fh, allow_nan=True)    # NaN may stand on hidden keypoints
         fh.write("\n")

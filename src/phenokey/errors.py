@@ -2,6 +2,7 @@
 
 import math
 import numbers
+from contextlib import contextmanager
 
 
 class PhenokeyError(Exception):
@@ -87,3 +88,12 @@ def check_number(name: str, value, zero=False, integer=False):
         rule = "a nonnegative integer" if integer else f"a finite {'nonnegative' if zero else 'positive'} number"
         raise SchemaError(f"{name} must be {rule}, got {value!r}")
     return value
+
+
+@contextmanager
+def named(name: str, *kinds):
+    """Raise each error of the classes ``kinds`` again as the same class with ``name: `` in front of its message."""
+    try:
+        yield
+    except kinds as exc:
+        raise type(exc)(f"{name}: {exc}") from exc

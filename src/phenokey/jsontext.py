@@ -12,7 +12,9 @@ call writes a position for all records, a block as a list of lists with the
 separator of its depth, and the output is split into one text per record.
 Any other list is written item by item. Reports reject NaN and infinities
 (``allow_nan=False``, a ``ValueError``); annotation files may carry NaN on
-hidden keypoints.
+hidden keypoints. :func:`dump` writes the pieces to a file instead of joining
+them, and a list may come as a generator of record lists, written as their
+concatenation, so the file writer holds one of them at a time.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ import re
 from functools import cache
 from itertools import chain, repeat
 from operator import eq, itemgetter
+from types import GeneratorType
 
-from .errors import IntegrityError, ParseError, SchemaError
+from .errors import IntegrityError, ParseError, SchemaError, named
 
 _CONTAINERS = (dict, list, tuple)
+_NESTED = _CONTAINERS + (GeneratorType,)    # what :func:`_pieces` walks: a generator of record lists is one list
 
 
 def read_json(path, decode=lambda doc: doc, name=None):
@@ -44,10 +48,8 @@ def read_json(path, decode=lambda doc: doc, name=None):
             raise ParseError(f"{name}: malformed document at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
         except ValueError as exc:    # no UTF-8 text, or json's own limits such as a 4,300-digit integer
             raise ParseError(f"{name}: {exc}") from exc
-    try:
+    with named(name, ParseError, SchemaError, IntegrityError):
         return decode(doc)
-    except (ParseError, SchemaError, IntegrityError) as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
 
 
 def doc_field(doc, key: str, where: str = ""):
@@ -149,38 +151,44 @@ def _record_texts(items, depth: int, allow_nan: bool):
     if None in texts:
         return None
     # a blank is a value, never a key: the closing quote of a key is followed by ":"
-    parts = re.split(r'"%s"(?!:)', "".join(_pieces(_blank(items[0]), depth, False, [])))
+    parts = re.split(r'"%s"(?!:)', "".join(_pieces(_blank(items[0]), depth, False)))
     template = "%s".join(part.replace("%", "%%") for part in parts)
     return [template % record for record in zip(*texts)]
 
 
-def _pieces(obj, depth: int, allow_nan: bool, out: list) -> list:
-    """``out`` with the text of ``obj``, its opening bracket at nesting ``depth``, appended in pieces that one join
-    puts together, so no level copies the text of the levels inside it."""
-    is_dict = isinstance(obj, dict)
+def _pieces(obj, depth: int, allow_nan: bool):
+    """The text of ``obj``, its opening bracket at nesting ``depth``, in pieces whose concatenation is the text, so no
+    level copies the text of the levels inside it. A generator stands for a list: the concatenation of the record
+    lists it yields, each encoded when it is taken, so only one of them need exist at a time."""
+    is_dict, pad = isinstance(obj, dict), "  " * (depth + 1)
     values = obj.values() if is_dict else obj
-    if not isinstance(obj, _CONTAINERS):
-        out.append(_encoder(0, allow_nan)(obj))
-    elif not any(isinstance(v, _CONTAINERS) for v in values):
-        out.append(_flat_text(obj, depth, allow_nan))
+    if not isinstance(obj, _NESTED):
+        yield _encoder(0, allow_nan)(obj)
+    elif not isinstance(obj, GeneratorType) and not any(isinstance(v, _NESTED) for v in values):
+        yield _flat_text(obj, depth, allow_nan)
+    elif is_dict:
+        # the C encoder writes the keys, a non-str one included, as json.dumps does; a key has no raw line break
+        keys = _encoder(0, allow_nan)(dict.fromkeys(obj, 0))[1:-4].split(": 0,\n")
+        for k, (key, v) in enumerate(zip(keys, values)):
+            yield f"{',' if k else '{'}\n{pad}{key}: "
+            yield from _pieces(v, depth + 1, allow_nan)
+        yield f"\n{'  ' * depth}}}"
     else:
-        brackets, pad = "{}" if is_dict else "[]", "  " * (depth + 1)
-        heads = [f"{brackets[0]}\n{pad}"] + [",\n" + pad] * (len(obj) - 1)
-        if is_dict:
-            # the C encoder writes the keys, a non-str one included, as json.dumps does; a key has no raw line break
-            keys = _encoder(0, allow_nan)(dict.fromkeys(obj, 0))[1:-4].split(": 0,\n")
-            heads = [f"{head}{key}: " for head, key in zip(heads, keys)]
-        texts = None if is_dict else _record_texts(obj, depth + 1, allow_nan)
-        if texts is None:
-            for head, v in zip(heads, values):
-                out.append(head)
-                _pieces(v, depth + 1, allow_nan, out)
-        else:
-            out += chain.from_iterable(zip(heads, texts))
-        out.append(f"\n{'  ' * depth}{brackets[1]}")
-    return out
+        head = "[\n" + pad
+        for chunk in obj if isinstance(obj, GeneratorType) else [obj]:
+            texts = _record_texts(chunk, depth + 1, allow_nan) if chunk else None
+            for k, v in enumerate(chunk):
+                yield head
+                yield from _pieces(v, depth + 1, allow_nan) if texts is None else (texts[k],)
+                head = ",\n" + pad
+        yield "[]" if head[0] == "[" else f"\n{'  ' * depth}]"
 
 
 def dumps(obj, allow_nan: bool = False) -> str:
     """``json.dumps(obj, indent=2, allow_nan=allow_nan)``, byte for byte."""
-    return "".join(_pieces(obj, 0, allow_nan, []))
+    return "".join(_pieces(obj, 0, allow_nan))
+
+
+def dump(obj, fh, allow_nan: bool = False) -> None:
+    """Write ``dumps(obj, allow_nan)`` to the text file ``fh`` piece by piece, never holding the whole text."""
+    fh.writelines(_pieces(obj, 0, allow_nan))

@@ -429,9 +429,9 @@ def test_prior_and_acr_name_a_fish_with_a_nonfinite_visible_coordinate(synth_fil
     capsys.readouterr()
     reason = f"image 3: non-finite {axis}-range across visible keypoints"
     assert main(["prior", "--train", str(gt), "--out", str(tmp_path / "again.json")]) == 1
-    assert capsys.readouterr().err == f"error: record 3 failed normalization: {reason}\n"
+    assert capsys.readouterr().err == f"error: {gt}: record 3 failed normalization: {reason}\n"
     assert main(["acr", "--pred", str(pred), "--prior", str(prior), "--out", str(tmp_path / "acr.json")]) == 1
-    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert capsys.readouterr().err == f"error: {pred}: {reason}\n"
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -454,7 +454,7 @@ def test_evaluate_and_plot_name_a_ground_truth_with_a_nonfinite_visible_coordina
         warnings.simplefilter("error")    # no numpy RuntimeWarning on the way
         assert main(argv) == 1
     x, y = doc["annotations"][2]["keypoints"][3:5]
-    assert capsys.readouterr().err == f"error: ground truth image 3: K-2 is annotated at non-finite ({x}, {y})\n"
+    assert capsys.readouterr().err == f"error: {gt}: ground truth image 3: K-2 is annotated at non-finite ({x}, {y})\n"
     assert not out.exists()
 
 

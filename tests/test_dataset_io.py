@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from phenokey.dataset import (
+    _CHUNK,
     Dataset,
     FishImageRecord,
     KeypointSet,
@@ -20,7 +22,7 @@ from phenokey.errors import (
     SchemaError,
 )
 from phenokey.schema import KEYPOINT_COUNT, SPECIES
-from phenokey.synth import TEMPLATES, generate_population
+from phenokey.synth import TEMPLATES, PerturbationModel, generate_population, perturb
 
 import oracles
 from conftest import make_dataset, make_keypoints
@@ -303,6 +305,44 @@ def test_serialize_bytes_equal_indent2_dumps(case, tmp_path):
     serialize_coco(ds, out)
     expected = json.dumps(dataset_to_coco_dict(ds), indent=2) + "\n"
     assert out.read_bytes() == expected.encode("utf-8")
+
+
+def _chunked_population(n, perturbed):
+    """``n`` fish whose ids mix ints and strings and whose hidden keypoints stand at NaN, perturbed if asked."""
+    pop = generate_population(TEMPLATES["deep_bodied"], max(n, 1), seed=8)
+    if perturbed:
+        pop = perturb(pop, PerturbationModel("proportional_to_shortest_phenotype", 0.05, seed=8))
+    v = pop.v[:n].copy()
+    v[::3, 4] = 0
+    v[1::7, [0, 17]] = 0
+    xy = np.where((v == 0)[..., None], np.nan, pop.xy[:n])
+    ids = [image_id if image_id % 4 else f"fish {image_id}" for image_id in pop.image_ids[:n]]
+    return Dataset.from_columns(xy, v, ids, pop.width[:n], pop.height[:n], pop.species[:n], pop.role)
+
+
+@pytest.mark.parametrize("n, perturbed", [(0, False), (1, False), (_CHUNK - 1, False), (_CHUNK, False),
+                                          (_CHUNK + 1, False), (2 * _CHUNK + 1, False), (2 * _CHUNK + 1, True)])
+def test_serialize_bytes_hold_across_chunk_boundaries(n, perturbed, tmp_path):
+    ds = _chunked_population(n, perturbed)
+    assert len(ds) == n and (n < 4 or {type(i) for i in ds.image_ids} == {int, str})
+    assert np.isnan(ds.xy[ds.v == 0]).all() and (ds.v == 0).any() == (n > 0)
+    out = tmp_path / "out.json"
+    serialize_coco(ds, out)
+    expected = json.dumps(dataset_to_coco_dict(ds), indent=2) + "\n"
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_serialize_memory_does_not_grow_with_the_population(tmp_path):
+    peaks = {}
+    for n in (2 * _CHUNK, 8 * _CHUNK):
+        ds = generate_population(TEMPLATES["deep_bodied"], n, seed=4)
+        tracemalloc.start()
+        try:
+            serialize_coco(ds, tmp_path / f"{n}.json")
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8 * _CHUNK] <= 1.3 * peaks[2 * _CHUNK], peaks
 
 
 def test_serialize_invalid_fails_before_write(tmp_path):

@@ -1,5 +1,7 @@
+import io
 import json
 import re
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -107,6 +109,43 @@ def test_same_shape_writer_equals_generic_text():
     doc = {"schema_version": 1, "per_image": entries, "tail": [entries[0]]}
     assert dumps(doc) == json.dumps(doc, indent=2)
     assert dumps({"per_image": []}) == json.dumps({"per_image": []}, indent=2)
+
+
+@pytest.mark.parametrize("chunks", [
+    [],
+    [[]],
+    [[], []],
+    [[{"a": 1}]],
+    [[{"a": 1}, {"a": 2}], [], [{"a": 3}]],
+    [[1, 2], ["x"]],
+    [[_K, _K], [[1, [2]]]],
+    [[{"k": _K}], [{"k": _K[:-1] + [[2]]}, {"k": _K}]],
+])
+def test_a_generator_of_record_lists_is_written_as_their_concatenation(chunks):
+    whole = list(chain.from_iterable(chunks))
+    expected = json.dumps({"head": 1, "records": whole, "tail": [whole]}, indent=2)
+
+    def doc():
+        return {"head": 1, "records": (c for c in chunks), "tail": [(c for c in chunks)]}
+
+    assert dumps(doc()) == expected
+    fh = io.StringIO()
+    jsontext.dump(doc(), fh)
+    assert fh.getvalue() == expected
+
+
+def test_dump_writes_each_record_list_before_it_takes_the_next():
+    fh = io.StringIO()
+    written = []
+
+    def chunks():
+        for k in range(3):
+            written.append(len(fh.getvalue()))
+            yield [{"id": k, "k": _K}] * 2
+
+    jsontext.dump({"records": chunks()}, fh)
+    assert written[0] < written[1] < written[2]
+    assert fh.getvalue() == json.dumps({"records": [{"id": k, "k": _K} for k in (0, 0, 1, 1, 2, 2)]}, indent=2)
 
 
 def test_a_same_shape_record_list_costs_a_fixed_number_of_encoder_calls(monkeypatch):
