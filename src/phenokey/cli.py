@@ -1,13 +1,13 @@
 """Command-line interface: one subcommand per workflow.
 
 Exit codes: 0 success, 1 data/validation failure, 2 usage error. Data goes
-to files or stdout. Each stderr line is an ``error:`` line, a status line or
-a ``warning:`` line, which :func:`main` writes for every warning the command
-issues; the warning filters stay as they are. Output is byte-identical across
-runs for identical flags and seeds (reports never embed timestamps). JSON
-reports are ``json.dumps(doc, indent=2)`` text written with the C encoder
-(:mod:`phenokey.jsontext`) and never contain NaN or infinities: a report
-with a non-finite number is refused (exit 1) rather than written.
+to files, each whole or absent, or stdout (:func:`phenokey.jsontext.write_whole`).
+Each stderr line is an ``error:`` line, a status line or a ``warning:`` line,
+which :func:`main` writes for every warning the command issues; the warning
+filters stay as they are. Output is byte-identical across runs for identical
+flags and seeds (reports never embed timestamps). JSON reports are
+``json.dumps(doc, indent=2)`` text written with the C encoder and never contain
+NaN or infinities: such a report is refused (exit 1) and no file is left.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .anatomy import acr_hinge, dataset_boxes, fit_prior, prior_from_dict, prior
 from .dataset import parse_coco, serialize_coco, validate
 from .errors import (DegenerateMeasurementWarning, DegeneratePoseError, DivergenceError, IntegrityError, ParseError,
                      PhenokeyError, PhenokeyWarning, SchemaError, named)
-from .jsontext import doc_field, dumps, read_json
+from .jsontext import csv_field, doc_field, dump, read_json, write_whole
 from .metrics import (
     METRICS,
     PCK_SCALE_MODES,
@@ -42,27 +42,10 @@ from .schema import KEYPOINT_COUNT, SPECIES
 from .synth import PerturbationModel, generate_population, load_template, perturb
 
 
-def _write_text(path, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _write_json(path, obj) -> None:
-    try:
-        text = dumps(obj)
-    except ValueError as exc:    # the encoder's refusal of NaN or infinity
-        raise PhenokeyError(f"{path or 'stdout'}: {exc}") from exc
-    _write_text(path, text + "\n")
-
-
 def _cmd_validate(args) -> int:
     dataset = parse_coco(args.input)
     violations = validate(dataset)
-    for v in violations:
-        sys.stdout.write(str(v) + "\n")
+    write_whole(None, (f"{v}\n" for v in violations))
     if violations:
         raise PhenokeyError(f"{args.input}: {len(violations)} violation(s)")
     sys.stderr.write(f"{args.input}: ok ({len(dataset)} records)\n")
@@ -73,23 +56,17 @@ def _cmd_validate(args) -> int:
 MEASURE_HEADER = ("image_id", "abbrev", "value_px", "status")
 
 
-def _csv_field(value) -> str:
-    """``value`` as a field of a ``csv.writer`` row: None empty, a comma, quote or line break quoted, quotes doubled."""
-    text = "" if value is None else str(value)
-    return f'"{text.replace(chr(34), chr(34) * 2)}"' if any(c in text for c in ',"\r\n') else text
-
-
 def _cmd_measure(args) -> int:
     dataset = parse_coco(args.input)
     lengths, status, hidden = measurement_rows(dataset.xy, dataset.v)
     for message in degenerate_messages(dataset.image_ids, status):
         warnings.warn(message, DegenerateMeasurementWarning)
-    ids = np.array([_csv_field(image_id) for image_id in dataset.image_ids], dtype=object)[:, None]
+    ids = np.array([csv_field(image_id) for image_id in dataset.image_ids], dtype=object)[:, None]
     # csv writes a float as str(value), which is its repr, and a skipped value as an empty field
     values = np.array(list(map(repr, lengths.ravel().tolist())), dtype=object).reshape(lengths.shape)
     fields = np.stack(np.broadcast_arrays(ids, np.where(hidden > 0, "", values), status), axis=-1)
     row = "".join(f"%s,{abbrev},%s,%s\r\n" for abbrev in default_table().abbrevs())
-    _write_text(args.out, ",".join(MEASURE_HEADER) + "\r\n" + row * len(dataset) % tuple(fields.ravel().tolist()))
+    write_whole(args.out, (",".join(MEASURE_HEADER) + "\r\n", row * len(dataset) % tuple(fields.ravel().tolist())))
     return 0
 
 
@@ -146,7 +123,7 @@ def _cmd_evaluate(args) -> int:
     report = _with_predictions(args.gt, args.pred, lambda pred: evaluate_datasets(gt, pred, cfg, metrics=metrics))
     doc = report_to_dict(report)
     doc["metric"] = args.metric
-    _write_json(args.out, doc)
+    dump(doc, args.out)
     return 0
 
 
@@ -160,7 +137,7 @@ def _cmd_prior(args) -> int:
         dataset = dataset.take(rows)
     with named(args.train, SchemaError, DegeneratePoseError):    # no fish, a keypoint never seen, a fish with no frame
         prior = fit_prior(dataset, species=species or "other")
-    _write_json(args.out, prior_to_dict(prior))
+    dump(prior_to_dict(prior), args.out)
     return 0
 
 
@@ -169,6 +146,8 @@ def _cmd_acr(args) -> int:
     prior = read_json(args.prior, prior_from_dict, name=f"prior file {args.prior}")
     with named(args.pred, DegeneratePoseError):
         violations, grad = acr_hinge(pred.xy, dataset_boxes(prior, pred))
+    for n, k in np.argwhere(~np.isfinite(violations).all(axis=2))[:1].tolist():    # NaN or inf on a hidden keypoint
+        raise PhenokeyError(f"{args.pred}: image {pred.image_ids[n]!r}: K-{k + 1} has a non-finite ACR hinge")
     # each image's loss sums its 44 contiguous hinge values; the total adds them left to right
     losses = violations.reshape(-1, 2 * KEYPOINT_COUNT).sum(axis=1).tolist()
     total = 0.0
@@ -179,7 +158,7 @@ def _cmd_acr(args) -> int:
         {"image_id": image_id, "loss": loss, "keypoints_outside": count, "gradient": rows}
         for image_id, loss, count, rows in zip(pred.image_ids, losses, outside, grad.tolist())
     ]
-    _write_json(args.out, {"schema_version": 1, "total_loss": total, "per_image": per_image})
+    dump({"schema_version": 1, "total_loss": total, "per_image": per_image}, args.out)
     return 0
 
 
@@ -199,8 +178,7 @@ def _cmd_train_toy(args) -> int:
     try:
         _, trace = train(predictor, problem, cfg)
     except DivergenceError as exc:
-        if exc.trace is not None:
-            exc.trace.to_csv(args.trace)
+        exc.trace.to_csv(args.trace)    # the steps up to the divergence
         raise
     trace.to_csv(args.trace)
     last = trace[-1]
@@ -270,7 +248,7 @@ def _cmd_report(args) -> int:
             raise ParseError(f"{args.measures}: {exc}") from exc
     if tuple(header or ()) != MEASURE_HEADER:
         raise SchemaError(f"{args.measures}: header must be {','.join(MEASURE_HEADER)}, got {header}")
-    _write_json(args.out, {"schema_version": 1, "evaluation": evaluation, "measurements": measurements})
+    dump({"schema_version": 1, "evaluation": evaluation, "measurements": measurements}, args.out)
     return 0
 
 

@@ -456,6 +456,4 @@ def serialize_coco(dataset: Dataset, path) -> None:
     if violations:
         raise DatasetValidationError(violations)
     doc = _coco_doc(dataset, [slice(k, k + _CHUNK) for k in range(0, len(dataset), _CHUNK)])
-    with open(path, "w", encoding="utf-8") as fh:
-        dump(doc, fh, allow_nan=True)    # NaN may stand on hidden keypoints
-        fh.write("\n")
+    dump(doc, path, allow_nan=True)    # NaN may stand on hidden keypoints

@@ -50,7 +50,7 @@ class DegenerateFitError(PhenokeyError):
 class DivergenceError(PhenokeyError):
     """Training diverged; carries the trace recorded up to the failure."""
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace):
         super().__init__(message)
         self.trace = trace
 

@@ -1,4 +1,4 @@
-"""The JSON reader of every input file, and ``json.dumps(obj, indent=2)`` text built with the C encoder.
+"""The JSON reader of every input file, the writer of every output file, and ``json.dumps(obj, indent=2)`` text.
 
 Python's ``json`` module drops to its pure-Python encoder whenever ``indent``
 is set. Here the C encoder writes every flat container (a list or dict whose
@@ -20,13 +20,16 @@ concatenation, so the file writer holds one of them at a time.
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
+import sys
 from functools import cache
 from itertools import chain, repeat
 from operator import eq, itemgetter
 from types import GeneratorType
 
-from .errors import IntegrityError, ParseError, SchemaError, named
+from .errors import IntegrityError, ParseError, PhenokeyError, SchemaError, named
 
 _CONTAINERS = (dict, list, tuple)
 _NESTED = _CONTAINERS + (GeneratorType,)    # what :func:`_pieces` walks: a generator of record lists is one list
@@ -50,6 +53,40 @@ def read_json(path, decode=lambda doc: doc, name=None):
             raise ParseError(f"{name}: {exc}") from exc
     with named(name, ParseError, SchemaError, IntegrityError):
         return decode(doc)
+
+
+def write_whole(path, pieces) -> None:
+    """Write the text ``pieces`` to ``path`` whole or not at all; None or ``-`` is stdout, the pieces joined first. A
+    new or regular file is written as ``<dest>.<pid>.part``, which takes its place and an old file's mode after the
+    last piece and is removed on any exception; a symlink is followed, a FIFO, device or directory opened in place."""
+    if path is None or path == "-":
+        sys.stdout.write("".join(pieces))    # so a refusal prints nothing
+        return
+    dest = os.path.realpath(path)
+    try:
+        mode = os.stat(dest).st_mode if os.path.lexists(dest) else None
+        part = dest if mode is not None and not stat.S_ISREG(mode) else f"{dest}.{os.getpid()}.part"
+        fh = open(part, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        exc.filename = os.fspath(path)    # the error names the destination, not its sibling
+        raise
+    try:
+        with fh:
+            fh.writelines(pieces)
+        if part != dest:
+            if mode is not None:
+                os.chmod(part, stat.S_IMODE(mode))
+            os.replace(part, dest)
+    except BaseException:
+        if part != dest:
+            os.remove(part)
+        raise
+
+
+def csv_field(value) -> str:
+    """``value`` as a field of a ``csv.writer`` row: None empty, a comma, quote or line break quoted, quotes doubled."""
+    text = "" if value is None else str(value)
+    return f'"{text.replace(chr(34), chr(34) * 2)}"' if any(c in text for c in ',"\r\n') else text
 
 
 def doc_field(doc, key: str, where: str = ""):
@@ -189,6 +226,10 @@ def dumps(obj, allow_nan: bool = False) -> str:
     return "".join(_pieces(obj, 0, allow_nan))
 
 
-def dump(obj, fh, allow_nan: bool = False) -> None:
-    """Write ``dumps(obj, allow_nan)`` to the text file ``fh`` piece by piece, never holding the whole text."""
-    fh.writelines(_pieces(obj, 0, allow_nan))
+def dump(obj, path, allow_nan: bool = False) -> None:
+    """Write ``dumps(obj, allow_nan)`` and a newline to ``path`` with :func:`write_whole`, piece by piece; the encoder's
+    refusal of NaN or infinity, after which no file is left, is a :class:`PhenokeyError` naming ``path``."""
+    try:
+        write_whole(path, chain(_pieces(obj, 0, allow_nan), "\n"))
+    except ValueError as exc:
+        raise PhenokeyError(f"{path or 'stdout'}: {exc}") from exc

@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .anatomy import AnatomicalPrior, BoxConstraint, acr_hinge, dataset_boxes, fit_prior
 from .dataset import Dataset
 from .errors import DivergenceError, GradNormFallbackWarning, SchemaError, check_number
+from .jsontext import write_whole
 from .schema import KEYPOINT_COUNT
 from .synth import generate_population, load_template
 
@@ -127,10 +129,9 @@ class TrainTrace(list):
     """The :class:`TraceRow` of each training step, in order."""
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("step,L_mse,L_acr,w_mse,w_acr,grad_norm_mse,grad_norm_acr,violation_count\r\n")
-            # one template per row, written as it is filled: the text of a number holds nothing csv would quote
-            fh.writelines("%s,%r,%r,%r,%r,%r,%r,%s\r\n" % tuple(vars(row).values()) for row in self)
+        header = "step,L_mse,L_acr,w_mse,w_acr,grad_norm_mse,grad_norm_acr,violation_count\r\n"
+        # one template per row, written as it is filled: the text of a number holds nothing csv would quote
+        write_whole(path, chain([header], ("%s,%r,%r,%r,%r,%r,%r,%s\r\n" % tuple(vars(row).values()) for row in self)))
 
 
 @dataclass(frozen=True)

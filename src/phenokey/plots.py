@@ -6,13 +6,13 @@ and trivially inspectable (tests re-parse it with the XML parser).
 
 from __future__ import annotations
 
-import csv
 import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateFitError, DegenerateFitWarning
+from .jsontext import csv_field, write_whole
 from .metrics import ols_fit
 
 _WIDTH, _HEIGHT = 640, 480
@@ -123,7 +123,7 @@ def plot_scatter(pairs, out, title: str = "") -> None:
         body.append(
             f'<text class="r2" x="{_MARGIN + 8}" y="{_MARGIN + 34}">R² = {r2 * 100:.1f}%</text>'
         )
-    Path(out).write_text(_svg_document(body), encoding="utf-8")
+    write_whole(out, [_svg_document(body)])
 
 
 def deviation_quantiles(values) -> dict:
@@ -177,9 +177,7 @@ def plot_deviation_summary(deviations: dict, out, csv_path=None) -> None:
             f'<text x="{_fmt(x_mid)}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle">{label}</text>',
             "</g>",
         ]
-    Path(out).write_text(_svg_document(body), encoding="utf-8")
-    csv_file = Path(csv_path) if csv_path is not None else Path(out).with_suffix(".csv")
-    with open(csv_file, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", *_QUANTILES])
-        writer.writerows([label, *map(repr, stats[label].values())] for label in labels)
+    write_whole(out, [_svg_document(body)])
+    rows = [["metric", *_QUANTILES], *([label, *map(repr, stats[label].values())] for label in labels)]
+    write_whole(Path(out).with_suffix(".csv") if csv_path is None else csv_path,
+                (",".join(map(csv_field, row)) + "\r\n" for row in rows))

@@ -569,6 +569,26 @@ def test_evaluate_nonfinite_prediction_is_a_counted_miss(fixture_path, tmp_path,
 
 def test_report_writers_refuse_nonfinite_numbers(synth_files, tmp_path, capsys):
     gt, pred = synth_files
+    evaluation, measures = tmp_path / "r.json", tmp_path / "m.csv"
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--out", str(evaluation)]) == 0
+    assert main(["measure", "--input", str(gt), "--out", str(measures)]) == 0
+    doc = json.loads(evaluation.read_text())
+    doc["oks"]["mean"] = float("nan")    # json.load reads NaN, the report writer refuses it
+    evaluation.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    out.write_text("old report\n")
+    argv = ["report", "--evaluation", str(evaluation), "--measures", str(measures)]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out}: Out of range float values are not JSON compliant\n"
+    assert out.read_text() == "old report\n"
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: stdout: Out of range float values are not JSON compliant\n")
+    assert list(tmp_path.glob("*.part")) == []
+
+
+def test_acr_names_the_record_with_a_nonfinite_hinge(synth_files, tmp_path, capsys):
+    gt, pred = synth_files
     prior = tmp_path / "prior.json"
     assert main(["prior", "--train", str(gt), "--out", str(prior)]) == 0
     doc = json.loads(pred.read_text())
@@ -579,8 +599,7 @@ def test_report_writers_refuse_nonfinite_numbers(synth_files, tmp_path, capsys):
     out = tmp_path / "acr.json"
     capsys.readouterr()
     assert main(["acr", "--pred", str(bad), "--prior", str(prior), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {out}: ") and "not JSON compliant" in err
+    assert capsys.readouterr().err == f"error: {bad}: image 1: K-13 has a non-finite ACR hinge\n"
     assert not out.exists()
 
 

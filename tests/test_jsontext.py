@@ -1,4 +1,3 @@
-import io
 import json
 import re
 from itertools import chain
@@ -121,7 +120,7 @@ def test_same_shape_writer_equals_generic_text():
     [[_K, _K], [[1, [2]]]],
     [[{"k": _K}], [{"k": _K[:-1] + [[2]]}, {"k": _K}]],
 ])
-def test_a_generator_of_record_lists_is_written_as_their_concatenation(chunks):
+def test_a_generator_of_record_lists_is_written_as_their_concatenation(chunks, tmp_path):
     whole = list(chain.from_iterable(chunks))
     expected = json.dumps({"head": 1, "records": whole, "tail": [whole]}, indent=2)
 
@@ -129,23 +128,26 @@ def test_a_generator_of_record_lists_is_written_as_their_concatenation(chunks):
         return {"head": 1, "records": (c for c in chunks), "tail": [(c for c in chunks)]}
 
     assert dumps(doc()) == expected
-    fh = io.StringIO()
-    jsontext.dump(doc(), fh)
-    assert fh.getvalue() == expected
+    path = tmp_path / "doc.json"
+    jsontext.dump(doc(), path)
+    assert path.read_text() == expected + "\n"
 
 
-def test_dump_writes_each_record_list_before_it_takes_the_next():
-    fh = io.StringIO()
+def test_dump_writes_each_record_list_before_it_takes_the_next(tmp_path):
+    path = tmp_path / "doc.json"
     written = []
+    pad = "x" * 40_000    # two records outgrow the file buffers, so what is written reaches the file
 
     def chunks():
         for k in range(3):
-            written.append(len(fh.getvalue()))
-            yield [{"id": k, "k": _K}] * 2
+            written.extend(part.stat().st_size for part in tmp_path.glob("doc.json.*.part"))
+            yield [{"id": k, "k": _K, "pad": pad}] * 2
 
-    jsontext.dump({"records": chunks()}, fh)
-    assert written[0] < written[1] < written[2]
-    assert fh.getvalue() == json.dumps({"records": [{"id": k, "k": _K} for k in (0, 0, 1, 1, 2, 2)]}, indent=2)
+    jsontext.dump({"records": chunks()}, path)
+    assert len(written) == 3 and written[0] < written[1] < written[2]
+    records = [{"id": k, "k": _K, "pad": pad} for k in (0, 0, 1, 1, 2, 2)]
+    assert path.read_text() == json.dumps({"records": records}, indent=2) + "\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_a_same_shape_record_list_costs_a_fixed_number_of_encoder_calls(monkeypatch):
