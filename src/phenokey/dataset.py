@@ -21,13 +21,19 @@ leaves it open): the five species tags as categories 1..5, each listing the
 
 from __future__ import annotations
 
+import base64
+import os
+import sys
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetValidationError, IntegrityError, ParseError, PhenokeyWarning, SchemaError
-from .jsontext import dump, read_json
+from .errors import DatasetValidationError, IntegrityError, ParseError, PhenokeyError, PhenokeyWarning, SchemaError
+from .jsontext import dump, dumps, read_json, write_whole
 from .schema import KEYPOINT_COUNT, KEYPOINT_NAMES, SPECIES, normalize_species
 
 TRIPLET_LEN = 3 * KEYPOINT_COUNT
@@ -388,19 +394,59 @@ def _coco_dataset(doc) -> Dataset:
     )
 
 
+_CACHE_ENTRIES = 8    # parsed annotation files kept; keeping one more removes the oldest written
+_CACHED = (("xy", "<f8", (KEYPOINT_COUNT, 2)), ("v", "<i8", (KEYPOINT_COUNT,)), ("width", "<f8", ()),
+           ("height", "<f8", ()), ("species", "<i8", ()))    # an entry's numeric columns, as base64 texts
+
+
+def _parse_cache(data: bytes):
+    """The :class:`Dataset` that annotation file bytes ``data`` parsed to before, or None, and a function keeping a
+    new one. An entry is the JSON list ``[role, image ids, *base64 columns]``, named by SHA-256 over the Python and
+    numpy versions, this package's sources and ``data``; one that is unreadable or no parse's is a miss."""
+    import hashlib    # here, since its OpenSSL adds about 4 MB to every process that imports it
+    try:
+        key = hashlib.sha256(f"{sys.version}\0{np.__version__}".encode())
+        for source in sorted(Path(__file__).parent.glob("*.py")):
+            key.update(source.name.encode() + hashlib.sha256(source.read_bytes()).digest())
+        key.update(data)
+        base = os.environ.get("XDG_CACHE_HOME", "")
+        entry = Path(base if os.path.isabs(base) else Path.home() / ".cache", "phenokey", key.hexdigest())
+    except (OSError, RuntimeError):    # unreadable sources, or no home directory
+        return None, lambda dataset: None
+
+    def keep(dataset):
+        head = dumps([dataset.role, list(dataset.image_ids)], allow_nan=True)    # an id may be inf
+        quoted = (f',\n  "{base64.b64encode(np.asarray(getattr(dataset, k), t)).decode()}"' for k, t, _ in _CACHED)
+        with suppress(OSError):
+            entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+            write_whole(entry, chain([head[:-2]], quoted, ["\n]"]))    # dumps' text; base64 needs no escape
+            for old in sorted(entry.parent.glob("[0-9a-f]" * 64), key=os.path.getmtime)[:-_CACHE_ENTRIES]:
+                old.unlink(missing_ok=True)
+
+    def cached(doc):
+        role, ids, *texts = doc
+        columns = {name: np.frombuffer(base64.b64decode(text, validate=True), dtype).reshape(len(ids), *shape)
+                   for (name, dtype, shape), text in zip(_CACHED, texts, strict=True)}
+        if type(ids) is list and len(set(ids)) == len(ids) and np.isin(columns["species"], range(len(SPECIES))).all():
+            return Dataset.from_columns(image_ids=ids, role=role, **columns)
+
+    with suppress(OSError, PhenokeyError, ValueError, TypeError, RecursionError):
+        return read_json(entry, cached), keep
+    return None, keep
+
+
 def parse_coco(path) -> Dataset:
     """Read a COCO keypoint annotation file into a :class:`Dataset`.
 
-    One record per annotated image; the 66-value triplet list decodes into
-    22 (x, y, v) entries. Species comes from the annotation's category name
-    when recognizable, else ``other``. The dataset role is read from
-    ``info.role`` when present (defaults to ``train``).
+    One record per annotated image; the 66-value triplet list decodes into 22 (x, y, v) entries. Species comes from
+    the annotation's category name when recognizable, else ``other``. The dataset role is read from ``info.role``
+    when present (defaults to ``train``).
 
-    Each annotation is checked and decoded in file order, so an error names
-    the first offending annotation; the visibility flags are checked once
-    every annotation has decoded. Every error starts with ``path``.
+    Each annotation is checked and decoded in file order, so an error names the first offending annotation; the
+    visibility flags are checked once every annotation has decoded. Every error starts with ``path``. A parse is
+    kept by the file's bytes (:func:`_parse_cache`), so a file parsed before is not decoded again.
     """
-    dataset = read_json(path, _coco_dataset)
+    dataset = read_json(path, _coco_dataset, cache=_parse_cache)
     if not len(dataset):
         warnings.warn(f"{path}: annotations array is empty; dataset has no records", PhenokeyWarning, stacklevel=2)
     return dataset

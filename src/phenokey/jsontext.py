@@ -35,24 +35,35 @@ _CONTAINERS = (dict, list, tuple)
 _NESTED = _CONTAINERS + (GeneratorType,)    # what :func:`_pieces` walks: a generator of record lists is one list
 
 
-def read_json(path, decode=lambda doc: doc, name=None):
+def read_json(path, decode=lambda doc: doc, name=None, cache=None):
     """The document in the JSON file ``path``, passed through ``decode``.
 
     Errors start with ``name``, the path by default: a text that is no UTF-8 raises :class:`ParseError`, as does a
     malformed one, naming its line and column, and any other ``ValueError`` of ``json``; a :class:`ParseError`,
     :class:`SchemaError` or :class:`IntegrityError` from ``decode`` is raised again as the same class with the name
-    in front, so no message of ``decode`` carries the path.
+    in front, so no message of ``decode`` carries the path. ``cache(data)`` of the file's bytes, if given, returns a
+    value decoded from the same bytes before, or None, and a function that keeps a value decoded now.
     """
     name = path if name is None else name
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{name}: malformed document at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        except ValueError as exc:    # no UTF-8 text, or json's own limits such as a 4,300-digit integer
-            raise ParseError(f"{name}: {exc}") from exc
+    with open(path, "rb") as fh:
+        content = fh.read()
+    found, keep = cache(content) if cache else (None, lambda value: None)
+    if found is not None:
+        return found
+    try:
+        content = content.decode("utf-8")    # the file is held once at a time: as bytes, text, then a document
+        content = content.replace("\r\n", "\n").replace("\r", "\n") if "\r" in content else content    # as open() reads
+        doc = json.loads(content)
+        del content
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{name}: malformed document at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:    # no UTF-8 text, or json's own limits such as a 4,300-digit integer
+        raise ParseError(f"{name}: {exc}") from exc
     with named(name, ParseError, SchemaError, IntegrityError):
-        return decode(doc)
+        value = decode(doc)
+    del doc    # so keeping the value costs no memory beyond the document's peak
+    keep(value)
+    return value
 
 
 def write_whole(path, pieces) -> None:

@@ -19,6 +19,9 @@ _WIDTH, _HEIGHT = 640, 480
 _MARGIN = 64
 # the deviation summary of one list, in its CSV's column order
 _QUANTILES = ("min", "q1", "median", "q3", "max")
+# markup characters, and the white space an attribute value would fold into spaces, as character references
+_XML = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\t": "&#9;", "\n": "&#10;",
+                     "\r": "&#13;"})
 
 
 def _fmt(v: float) -> str:
@@ -101,7 +104,7 @@ def plot_scatter(pairs, out, title: str = "") -> None:
     frame = _Frame.around(xs, ys)
     body = _axes(frame)
     if title:
-        body.append(f'<text class="title" x="{_WIDTH // 2}" y="24" text-anchor="middle">{title}</text>')
+        body.append(f'<text class="title" x="{_WIDTH // 2}" y="24" text-anchor="middle">{title.translate(_XML)}</text>')
     for g, p in pairs:
         body.append(f'<circle class="pt" cx="{_fmt(frame.px(g))}" cy="{_fmt(frame.py(p))}" r="3"/>')
     try:
@@ -165,7 +168,7 @@ def plot_deviation_summary(deviations: dict, out, csv_path=None) -> None:
         box_top = frame.py(s["q3"])
         box_height = max(frame.py(s["q1"]) - box_top, 0.5)
         body += [
-            f'<g class="box-group" data-label="{label}">',
+            f'<g class="box-group" data-label="{label.translate(_XML)}">',
             f'<line class="whisker" x1="{_fmt(x_mid)}" y1="{_fmt(frame.py(s["min"]))}" '
             f'x2="{_fmt(x_mid)}" y2="{_fmt(frame.py(s["q1"]))}"/>',
             f'<line class="whisker" x1="{_fmt(x_mid)}" y1="{_fmt(frame.py(s["q3"]))}" '
@@ -174,7 +177,7 @@ def plot_deviation_summary(deviations: dict, out, csv_path=None) -> None:
             f'width="{_fmt(x_right - x_left)}" height="{_fmt(box_height)}"/>',
             f'<line class="median" x1="{_fmt(x_left)}" y1="{_fmt(frame.py(s["median"]))}" '
             f'x2="{_fmt(x_right)}" y2="{_fmt(frame.py(s["median"]))}"/>',
-            f'<text x="{_fmt(x_mid)}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle">{label}</text>',
+            f'<text x="{_fmt(x_mid)}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle">{label.translate(_XML)}</text>',
             "</g>",
         ]
     write_whole(out, [_svg_document(body)])

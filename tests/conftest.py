@@ -1,15 +1,49 @@
 import re
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from phenokey.dataset import Dataset, FishImageRecord, KeypointSet
+from phenokey.optim import acr_benchmark_scenario, train
 from phenokey.schema import KEYPOINT_COUNT
 
 DATA_DIR = Path(__file__).parent / "data"
 # the stderr lines a command may write: an error, a warning, or one of the three status lines
 STDERR_LINE = re.compile(r"(error|warning): .+|wrote \d+ records to .+|finished \d+ steps: .+|.+: ok \(\d+ records\)")
+
+
+def _cache_home(base: Path):
+    """``XDG_CACHE_HOME`` set to ``base`` until the fixture ends; a test's own ``monkeypatch.undo()`` keeps it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(base))
+        yield base / "phenokey"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_parse_cache(tmp_path_factory):
+    """The parse cache of module- and session-scoped fixtures, which run before :func:`parse_cache`."""
+    yield from _cache_home(tmp_path_factory.mktemp("session-cache"))
+
+
+@pytest.fixture(autouse=True)
+def parse_cache(tmp_path_factory) -> Path:
+    """Each test's own parse cache directory, so no test writes under ``~/.cache`` or reads another's entries."""
+    yield from _cache_home(tmp_path_factory.mktemp("cache"))
+
+
+@pytest.fixture(scope="session")
+def acr_scenario():
+    """``acr_benchmark_scenario(seed=0)`` trained once with ACR and once MSE-only, shared by the tests that check it;
+    ``seconds`` is the time the set-up and both trainings took."""
+    start = time.perf_counter()
+    problem, init, with_acr, mse_only = acr_benchmark_scenario(seed=0)
+    acr_pred, acr_trace = train(init, problem, with_acr)
+    mse_pred, mse_trace = train(init, problem, mse_only)
+    return SimpleNamespace(problem=problem, acr_pred=acr_pred, acr_trace=acr_trace, mse_pred=mse_pred,
+                           mse_trace=mse_trace, seconds=time.perf_counter() - start)
 
 
 @pytest.fixture

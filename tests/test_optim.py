@@ -10,7 +10,6 @@ from phenokey.optim import (
     ToyPredictor,
     TrainConfig,
     _batch_terms,
-    acr_benchmark_scenario,
     coords_to_dataset,
     grad_check,
     gradnorm_step,
@@ -332,10 +331,9 @@ def test_zero_initial_task_loss_disables_balancing():
     assert all(row.w_mse == 1.0 and row.w_acr == 1.0 for row in trace)
 
 
-def test_acr_scenario_drives_violations_to_zero_and_helps_pmp():
-    problem, init, with_acr, mse_only = acr_benchmark_scenario(seed=0)
-    acr_pred, acr_trace = train(init, problem, with_acr)
-    mse_pred, mse_trace = train(init, problem, mse_only)
+def test_acr_scenario_drives_violations_to_zero_and_helps_pmp(acr_scenario):
+    problem, acr_pred, acr_trace = acr_scenario.problem, acr_scenario.acr_pred, acr_scenario.acr_trace
+    mse_pred, mse_trace = acr_scenario.mse_pred, acr_scenario.mse_trace
 
     assert acr_trace[0].violation_count >= 50
     assert acr_trace[-1].violation_count == 0

@@ -86,6 +86,24 @@ def test_deviation_two_groups_and_csv(tmp_path):
     assert lines[1].startswith("oks,1.0,2.0,3.0,4.0,5.0")
 
 
+@pytest.mark.parametrize("label", ['a<b"c', "it's & <ok> ]]>", "'\"\t", "two\r\nlines\r", "plain"])
+def test_deviation_labels_and_a_scatter_title_are_escaped_in_the_svg(tmp_path, label):
+    out = tmp_path / "dev.svg"
+    plot_deviation_summary({label: [1.0, 2.0, 3.0], "b": [2.0, 4.0]}, out)
+    groups = [g for g in _elements(out, "g") if g.get("class") == "box-group"]
+    assert [g.get("data-label") for g in groups] == [label, "b"]
+    assert label in _texts(out)
+    plot_scatter([(1.0, 2.0), (2.0, 3.5), (3.0, 4.0)], out, title=label)
+    assert label in _texts(out)
+
+
+def test_a_plain_label_keeps_its_bytes(tmp_path):
+    out = tmp_path / "dev.svg"
+    plot_deviation_summary({"model>1": [1.0, 2.0], "m'2": [2.0, 3.0]}, out)
+    text = out.read_text()
+    assert '<g class="box-group" data-label="m\'2">' in text and ">m'2</text>" in text
+
+
 def test_deviation_csv_defaults_next_to_svg(tmp_path):
     out = tmp_path / "plot.svg"
     plot_deviation_summary({"only": [2.0, 2.0]}, out)
