@@ -148,18 +148,46 @@ def dataset_boxes(prior: AnatomicalPrior, dataset: Dataset) -> BoxConstraint:
     return BoxConstraint(origin=lo[:, None], extent=extent[:, None], nmin=prior.mins, nmax=prior.maxs)
 
 
-def acr_hinge(xy: np.ndarray, box: BoxConstraint) -> tuple[np.ndarray, np.ndarray]:
+class HingeBuffers:
+    """The arrays :func:`acr_hinge` works in and returns, for coordinates of one shape against one box.
+
+    One (3, ...) array stacks the box's normalized lower extremes, the normalized coordinates and its
+    upper extremes, so that a single subtraction gives the distances below and above the box. Every
+    view the kernel writes through is made here, once.
+    """
+
+    __slots__ = ("norm", "lower", "upper", "gaps", "gap_below", "gap_above", "outside", "is_below", "is_above",
+                 "hinge", "signs")
+
+    def __init__(self, box: BoxConstraint, shape):
+        bounds = np.empty((3, *shape))
+        bounds[0], bounds[2] = box.nmin, box.nmax
+        self.norm, self.lower, self.upper = bounds[1], bounds[:2], bounds[1:]
+        self.gaps = np.empty((2, *shape))
+        self.gap_below, self.gap_above = self.gaps
+        self.outside = np.empty((2, *shape), bool)
+        self.is_below, self.is_above = self.outside.view(np.int8)
+        self.hinge = np.empty(shape)
+        self.signs = np.empty(shape)
+
+
+def acr_hinge(xy: np.ndarray, box: BoxConstraint, out: HingeBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Hinge magnitudes in pixels and subgradient signs of ``xy``, shape (..., 22, 2).
 
     Coordinates are normalized once by the box frame, which broadcasts: a (2,) frame for one
     image, (N, 1, 2) or full (N, 22, 2) frames for an (N, 22, 2) batch. The sign is -1 below
     the box, +1 above and +0.0 (never -0.0) inside or on it, or for a NaN coordinate.
+    With ``out`` the two results are its ``hinge`` and ``signs``, which the next call overwrites.
     """
-    norm = (xy - box.origin) / box.extent
-    low = np.maximum(0.0, box.nmin - norm)
-    high = np.maximum(0.0, norm - box.nmax)
-    signs = np.subtract(norm > box.nmax, norm < box.nmin, dtype=np.float64)
-    return (low + high) * box.extent, signs
+    if out is None:
+        out = HingeBuffers(box, np.broadcast(xy, box.origin, box.extent, box.nmin).shape)
+    np.divide(np.subtract(xy, box.origin, out=out.norm), box.extent, out=out.norm)
+    np.subtract(out.lower, out.upper, out=out.gaps)           # nmin - norm, norm - nmax
+    np.greater(out.gaps, 0.0, out=out.outside)                # norm < nmin, norm > nmax: no such difference rounds to 0
+    np.subtract(out.is_above, out.is_below, out=out.signs)   # int8 into float64: bools need a slower buffered cast
+    np.maximum(0.0, out.gaps, out=out.gaps)
+    np.multiply(np.add(out.gap_below, out.gap_above, out=out.hinge), box.extent, out=out.hinge)
+    return out.hinge, out.signs
 
 
 def _coords(preds) -> np.ndarray:

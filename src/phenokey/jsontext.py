@@ -39,10 +39,11 @@ def read_json(path, decode=lambda doc: doc, name=None, cache=None):
     """The document in the JSON file ``path``, passed through ``decode``.
 
     Errors start with ``name``, the path by default: a text that is no UTF-8 raises :class:`ParseError`, as does a
-    malformed one, naming its line and column, and any other ``ValueError`` of ``json``; a :class:`ParseError`,
-    :class:`SchemaError` or :class:`IntegrityError` from ``decode`` is raised again as the same class with the name
-    in front, so no message of ``decode`` carries the path. ``cache(data)`` of the file's bytes, if given, returns a
-    value decoded from the same bytes before, or None, and a function that keeps a value decoded now.
+    malformed one, naming its line and column, and any other ``ValueError`` or ``RecursionError`` of ``json``; a
+    :class:`ParseError`, :class:`SchemaError` or :class:`IntegrityError` from ``decode`` is raised again as the same
+    class with the name in front, so no message of ``decode`` carries the path. ``cache(data)`` of the file's bytes,
+    if given, returns a value decoded from the same bytes before, or None, and a function that keeps a value decoded
+    now.
     """
     name = path if name is None else name
     with open(path, "rb") as fh:
@@ -57,7 +58,7 @@ def read_json(path, decode=lambda doc: doc, name=None, cache=None):
         del content
     except json.JSONDecodeError as exc:
         raise ParseError(f"{name}: malformed document at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:    # no UTF-8 text, or json's own limits such as a 4,300-digit integer
+    except (ValueError, RecursionError) as exc:    # no UTF-8 text, or json's limits: 4,300-digit integers, deep nesting
         raise ParseError(f"{name}: {exc}") from exc
     with named(name, ParseError, SchemaError, IntegrityError):
         value = decode(doc)

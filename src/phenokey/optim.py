@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .anatomy import AnatomicalPrior, BoxConstraint, acr_hinge, dataset_boxes, fit_prior
+from .anatomy import AnatomicalPrior, BoxConstraint, HingeBuffers, acr_hinge, dataset_boxes, fit_prior
 from .dataset import Dataset
 from .errors import DivergenceError, GradNormFallbackWarning, SchemaError, check_number
 from .jsontext import write_whole
@@ -296,28 +296,82 @@ def gradnorm_step(w: LossWeights, grad_norms, losses, lr_w: float) -> LossWeight
     return LossWeights(float(2.0 * new[0] / total), float(2.0 * new[1] / total), w.alpha, w.initial_losses)
 
 
-def _batch_losses(weights, bias, features, targets, boxes: BoxConstraint):
-    """MSE and ACR loss of the full batch, with the residuals and hinge terms their gradients use."""
-    preds = features @ weights.T + bias
-    err = preds - targets
-    violations, signs = acr_hinge(preds.reshape(-1, KEYPOINT_COUNT, 2), boxes)
-    return float(np.mean(err * err)), float(violations.sum(axis=(1, 2)).mean()), err, violations, signs
+class StepKernel:
+    """Losses and gradients of the full batch at one flat parameter vector, in buffers held for one problem.
 
+    ``theta`` = [weights.ravel(), bias] is the kernel's own parameter vector: callers write it in place and
+    every method reads it. Each array a method returns is a buffer that the next call overwrites.
+    """
 
-def _batch_terms(weights, bias, features, targets, boxes: BoxConstraint):
-    """Losses, parameter gradients, and diagnostics for the full batch."""
-    n = features.shape[0]
-    l_mse, l_acr, err, violations, signs = _batch_losses(weights, bias, features, targets, boxes)
-    d_mse = 2.0 * err / err.size
-    g_w_mse = d_mse.T @ features
-    g_b_mse = d_mse.sum(axis=0)
+    def __init__(self, predictor: ToyPredictor, features, targets, boxes: BoxConstraint):
+        n, feature_dim = features.shape
+        size = N_COORDS * feature_dim
+        self.features, self.targets, self.boxes = features, targets, boxes
+        self.theta = np.concatenate([predictor.weights.ravel(), predictor.bias])
+        self._weights, self._bias = self.theta[:size].reshape(N_COORDS, feature_dim), self.theta[size:]
+        self._weights_t = self._weights.T
+        # forward pass: predictions, residuals, hinge terms, violating keypoints
+        self._preds = np.empty((n, N_COORDS))
+        self._xy = self._preds.reshape(n, KEYPOINT_COUNT, 2)
+        self._resid, self._squares = np.empty((2, n, N_COORDS))
+        self._hinge = HingeBuffers(boxes, self._xy.shape)
+        self._hinge_rows = self._hinge.hinge.reshape(n, N_COORDS)
+        self._signs_rows = self._hinge.signs.reshape(n, N_COORDS)
+        self._per_sample = np.empty(n)
+        self._far = np.empty((n, KEYPOINT_COUNT, 2), bool)
+        self._far_keypoints = self._far.view(np.uint16)[..., 0]   # a keypoint's two flags as one number, 0 if neither
+        # backward pass, one row per task (MSE, ACR): d loss / d preds, then the gradients in theta's layout
+        self._dpreds = np.empty((2, n, N_COORDS))
+        self._dpreds_mse, self._dpreds_acr = self._dpreds
+        self._dpreds_t = self._dpreds.transpose(0, 2, 1)
+        self.grads = np.empty((2, self.theta.size))
+        self._grads_mse, self._grads_acr = self.grads
+        self._grad_weights = self.grads[:, :size].reshape(2, N_COORDS, feature_dim)
+        self._grad_bias = self.grads[:, size:]
+        self._grad_weights_mse, self._grad_weights_acr = self.grads[:, :size]
+        self._combined, self._scaled = np.empty((2, self.theta.size))
 
-    d_acr = signs.reshape(n, N_COORDS) / n
-    g_w_acr = d_acr.T @ features
-    g_b_acr = d_acr.sum(axis=0)
+    def predictor(self) -> ToyPredictor:
+        """The parameters in ``theta`` as a predictor of their own."""
+        return ToyPredictor(self._weights.copy(), self._bias.copy())
 
-    outside = int((violations > VIOLATION_TOLERANCE_PX).any(axis=2).sum())
-    return l_mse, l_acr, (g_w_mse, g_b_mse), (g_w_acr, g_b_acr), outside
+    def predict(self) -> np.ndarray:
+        """(N, 44) predicted coordinates."""
+        return np.add(np.matmul(self.features, self._weights_t, out=self._preds), self._bias, out=self._preds)
+
+    def losses(self) -> tuple[float, float]:
+        """MSE and ACR loss of the batch; the residuals and hinge terms stay for the methods below."""
+        np.subtract(self.predict(), self.targets, out=self._resid)
+        acr_hinge(self._xy, self.boxes, self._hinge)
+        # np.mean's sums: pairwise over all squares, and over each sample's 44 hinges, then over samples
+        l_mse = np.add.reduce(np.multiply(self._resid, self._resid, out=self._squares), axis=None) / self._resid.size
+        l_acr = np.add.reduce(np.add.reduce(self._hinge_rows, axis=1, out=self._per_sample)) / self._per_sample.size
+        return float(l_mse), float(l_acr)
+
+    def violation_count(self) -> int:
+        """Keypoints of the last :meth:`losses` with a hinge above ``VIOLATION_TOLERANCE_PX`` on either axis."""
+        np.greater(self._hinge.hinge, VIOLATION_TOLERANCE_PX, out=self._far)
+        return int(np.count_nonzero(self._far_keypoints))
+
+    def gradients(self) -> np.ndarray:
+        """(2, len(theta)) gradients of the MSE and the ACR loss of the last :meth:`losses`."""
+        np.divide(self._resid, self._resid.size / 2, out=self._dpreds_mse)   # 2 * resid / size, rounded once
+        np.divide(self._signs_rows, self._per_sample.size, out=self._dpreds_acr)
+        np.matmul(self._dpreds_t, self.features, out=self._grad_weights)
+        np.add.reduce(self._dpreds, axis=1, out=self._grad_bias)
+        return self.grads
+
+    def weight_grad_norms(self) -> tuple[float, float]:
+        """Frobenius norms of the MSE and ACR weight-matrix gradients of the last :meth:`gradients`."""
+        mse, acr = self._grad_weights_mse, self._grad_weights_acr
+        return math.sqrt(mse @ mse), math.sqrt(acr @ acr)   # np.linalg.norm's path, without its dispatch
+
+    def combined_gradient(self, w_mse: float, w_acr: float | None) -> np.ndarray:
+        """``w_mse`` times the MSE gradient, plus ``w_acr`` times the ACR gradient unless it is None."""
+        np.multiply(self._grads_mse, w_mse, out=self._combined)
+        if w_acr is not None:
+            np.add(self._combined, np.multiply(self._grads_acr, w_acr, out=self._scaled), out=self._combined)
+        return self._combined
 
 
 def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tuple[ToyPredictor, TrainTrace]:
@@ -329,44 +383,32 @@ def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tup
     """
     if len(problem.features) == 0:
         raise ValueError("training batch is empty")
-    features = problem.features
-    targets = problem.targets
-    boxes = problem.boxes()
-    weights = predictor.weights.copy()
-    bias = predictor.bias.copy()
+    kernel = StepKernel(predictor, problem.features, problem.targets, problem.boxes())
+    theta = kernel.theta
     w = LossWeights(cfg.init_w_mse, cfg.init_w_acr if cfg.use_acr else 0.0, alpha=cfg.alpha)
     balancing = cfg.use_acr and cfg.lr_weights > 0
     trace = TrainTrace()
 
     for step in range(cfg.steps + 1):
-        l_mse, l_acr, (g_w_mse, g_b_mse), (g_w_acr, g_b_acr), outside = _batch_terms(
-            weights, bias, features, targets, boxes
-        )
+        l_mse, l_acr = kernel.losses()
+        kernel.gradients()
+        n_mse, n_acr = kernel.weight_grad_norms()
         if step == 0:
             w = replace(w, initial_losses=(l_mse, l_acr))
             if balancing and (l_mse <= 0 or l_acr <= 0):
                 warnings.warn(_ZERO_LOSS, GradNormFallbackWarning, stacklevel=2)
                 balancing = False
-        # np.linalg.norm's Frobenius path, without its dispatch
-        n_mse = math.sqrt(g_w_mse.ravel() @ g_w_mse.ravel())
-        n_acr = math.sqrt(g_w_acr.ravel() @ g_w_acr.ravel())
         total = w.w_mse * l_mse + (w.w_acr * l_acr if cfg.use_acr else 0.0)
-        trace.append(TraceRow(step, l_mse, l_acr, w.w_mse, w.w_acr, n_mse, n_acr, outside))
+        trace.append(TraceRow(step, l_mse, l_acr, w.w_mse, w.w_acr, n_mse, n_acr, kernel.violation_count()))
         if not math.isfinite(total) or total > DIVERGENCE_LIMIT:
             raise DivergenceError(f"training diverged at step {step}: total loss {total}", trace=trace)
         if step == cfg.steps:
             break
-        g_w = w.w_mse * g_w_mse
-        g_b = w.w_mse * g_b_mse
-        if cfg.use_acr:
-            g_w = g_w + w.w_acr * g_w_acr
-            g_b = g_b + w.w_acr * g_b_acr
-        lr_t = cfg.lr / (1.0 + cfg.lr_decay * step)
-        weights = weights - lr_t * g_w
-        bias = bias - lr_t * g_b
+        update = kernel.combined_gradient(w.w_mse, w.w_acr if cfg.use_acr else None)
+        np.subtract(theta, np.multiply(update, cfg.lr / (1.0 + cfg.lr_decay * step), out=update), out=theta)
         if balancing:
             w = gradnorm_step(w, (n_mse, n_acr), (l_mse, l_acr), cfg.lr_weights)
-    return ToyPredictor(weights, bias), trace
+    return kernel.predictor(), trace
 
 
 def least_squares_solution(problem: ToyProblem) -> ToyPredictor:
@@ -403,16 +445,6 @@ def acr_benchmark_scenario(seed: int = 0) -> tuple[ToyProblem, ToyPredictor, Tra
     return problem, init, with_acr, mse_only
 
 
-def _flatten_params(weights, bias):
-    return np.concatenate([weights.reshape(-1), bias])
-
-
-def _unflatten_params(theta, feature_dim):
-    w = theta[: N_COORDS * feature_dim].reshape(N_COORDS, feature_dim)
-    b = theta[N_COORDS * feature_dim:]
-    return w, b
-
-
 def grad_check(
     predictor: ToyPredictor,
     problem: ToyProblem,
@@ -429,48 +461,46 @@ def grad_check(
     |analytic - fd| / max(1, |analytic|, |fd|).
     """
     w = w or LossWeights()
-    features = problem.features
-    targets = problem.targets
     boxes = problem.boxes()
     k_min, k_max = boxes.k_min, boxes.k_max
-    feature_dim = predictor.feature_dim
-    base = _flatten_params(predictor.weights, predictor.bias)
-    n_params = base.size
+    kernel = StepKernel(predictor, problem.features, problem.targets, boxes)
+    theta = kernel.theta
+    base = theta.copy()
     rng = np.random.default_rng(seed)
     # keep perturbed losses moderate: central-difference roundoff grows with
     # the loss magnitude (~eps * L / h), and 1% of the coordinate range still
     # swings predictions across hinge states
-    coord_scale = 0.01 * (float(np.ptp(targets)) or 1.0)
+    coord_scale = 0.01 * (float(np.ptp(problem.targets)) or 1.0)
 
-    def far_from_boundaries(theta) -> bool:
-        weights, bias = _unflatten_params(theta, feature_dim)
-        preds = (features @ weights.T + bias).reshape(-1, KEYPOINT_COUNT, 2)
+    def far_from_boundaries() -> bool:
+        preds = kernel.predict().reshape(-1, KEYPOINT_COUNT, 2)
         dist = np.minimum(np.abs(preds - k_min), np.abs(preds - k_max))
         return bool((dist >= BOUNDARY_MARGIN).all())
 
-    def loss(theta) -> float:  # all a finite-difference probe needs: no gradient terms
-        l_mse, l_acr, *_ = _batch_losses(*_unflatten_params(theta, feature_dim), features, targets, boxes)
+    def loss() -> float:  # all a finite-difference probe needs: no gradient terms
+        l_mse, l_acr = kernel.losses()
         return w.w_mse * l_mse + w.w_acr * l_acr
 
     worst = 0.0
     done = 0
     while done < probes:
         for _ in range(200):
-            theta = base + rng.normal(0.0, coord_scale, size=n_params)
-            if far_from_boundaries(theta):
+            np.add(base, rng.normal(0.0, coord_scale, size=theta.size), out=theta)
+            if far_from_boundaries():
                 break
         else:
             raise RuntimeError("could not sample a parameter point clear of hinge boundaries")
-        _, _, g_mse, g_acr, _ = _batch_terms(*_unflatten_params(theta, feature_dim), features, targets, boxes)
-        analytic = w.w_mse * _flatten_params(*g_mse) + w.w_acr * _flatten_params(*g_acr)
+        kernel.losses()
+        kernel.gradients()
+        analytic = kernel.combined_gradient(w.w_mse, w.w_acr).copy()
         todo = min(PROBES_PER_POINT, probes - done)
-        idx = rng.choice(n_params, size=todo, replace=False)
+        idx = rng.choice(theta.size, size=todo, replace=False)
         for k in idx:
             saved = theta[k]
             theta[k] = saved + FD_STEP
-            f_plus = loss(theta)
+            f_plus = loss()
             theta[k] = saved - FD_STEP
-            f_minus = loss(theta)
+            f_minus = loss()
             theta[k] = saved
             fd = (f_plus - f_minus) / (2 * FD_STEP)
             err = abs(analytic[k] - fd) / max(1.0, abs(analytic[k]), abs(fd))

@@ -6,12 +6,13 @@ and trivially inspectable (tests re-parse it with the XML parser).
 
 from __future__ import annotations
 
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateFitError, DegenerateFitWarning
+from .errors import DegenerateFitError, DegenerateFitWarning, PhenokeyError
 from .jsontext import csv_field, write_whole
 from .metrics import ols_fit
 
@@ -22,6 +23,16 @@ _QUANTILES = ("min", "q1", "median", "q3", "max")
 # markup characters, and the white space an attribute value would fold into spaces, as character references
 _XML = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\t": "&#9;", "\n": "&#10;",
                      "\r": "&#13;"})
+# the characters no XML 1.0 document holds, not even as a character reference: C0 controls but tab, LF and CR,
+# the surrogates, which a file name's undecodable bytes become in a command line, and U+FFFE, U+FFFF
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _xml_text(text: str, what: str) -> str:
+    """``text`` escaped for SVG markup; a :class:`PhenokeyError` naming it if it holds a character XML forbids."""
+    if bad := _NOT_XML.search(text):
+        raise PhenokeyError(f"{what} {text!r}: {bad.group()!r} is a character an SVG (XML 1.0) cannot hold")
+    return text.translate(_XML)
 
 
 def _fmt(v: float) -> str:
@@ -104,7 +115,8 @@ def plot_scatter(pairs, out, title: str = "") -> None:
     frame = _Frame.around(xs, ys)
     body = _axes(frame)
     if title:
-        body.append(f'<text class="title" x="{_WIDTH // 2}" y="24" text-anchor="middle">{title.translate(_XML)}</text>')
+        title = _xml_text(title, "title")
+        body.append(f'<text class="title" x="{_WIDTH // 2}" y="24" text-anchor="middle">{title}</text>')
     for g, p in pairs:
         body.append(f'<circle class="pt" cx="{_fmt(frame.px(g))}" cy="{_fmt(frame.py(p))}" r="3"/>')
     try:
@@ -146,6 +158,7 @@ def plot_deviation_summary(deviations: dict, out, csv_path=None) -> None:
     """
     if not deviations:
         raise ValueError("need at least one labeled deviation list")
+    markup = {label: _xml_text(label, "label") for label in deviations}
     stats = {label: deviation_quantiles(vals) for label, vals in deviations.items()}
     labels = list(stats)
     lo = min(s["min"] for s in stats.values())
@@ -168,7 +181,7 @@ def plot_deviation_summary(deviations: dict, out, csv_path=None) -> None:
         box_top = frame.py(s["q3"])
         box_height = max(frame.py(s["q1"]) - box_top, 0.5)
         body += [
-            f'<g class="box-group" data-label="{label.translate(_XML)}">',
+            f'<g class="box-group" data-label="{markup[label]}">',
             f'<line class="whisker" x1="{_fmt(x_mid)}" y1="{_fmt(frame.py(s["min"]))}" '
             f'x2="{_fmt(x_mid)}" y2="{_fmt(frame.py(s["q1"]))}"/>',
             f'<line class="whisker" x1="{_fmt(x_mid)}" y1="{_fmt(frame.py(s["q3"]))}" '
@@ -177,7 +190,7 @@ def plot_deviation_summary(deviations: dict, out, csv_path=None) -> None:
             f'width="{_fmt(x_right - x_left)}" height="{_fmt(box_height)}"/>',
             f'<line class="median" x1="{_fmt(x_left)}" y1="{_fmt(frame.py(s["median"]))}" '
             f'x2="{_fmt(x_right)}" y2="{_fmt(frame.py(s["median"]))}"/>',
-            f'<text x="{_fmt(x_mid)}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle">{label.translate(_XML)}</text>',
+            f'<text x="{_fmt(x_mid)}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle">{markup[label]}</text>',
             "</g>",
         ]
     write_whole(out, [_svg_document(body)])

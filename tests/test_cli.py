@@ -404,6 +404,15 @@ def test_plot_scatter_and_deviation(synth_files, tmp_path):
     assert csv_out.read_text().startswith("metric,min")
 
 
+def test_plot_deviation_refuses_a_label_xml_forbids_and_writes_nothing(synth_files, tmp_path, capsys):
+    gt, pred = synth_files
+    dev = tmp_path / "dev.svg"
+    capsys.readouterr()
+    assert main(["plot", "--kind", "deviation", "--gt", str(gt), "--pred", f"m\x01={pred}", "--out", str(dev)]) == 1
+    assert capsys.readouterr().err == "error: label 'm\\x01': '\\x01' is a character an SVG (XML 1.0) cannot hold\n"
+    assert not dev.exists() and not dev.with_suffix(".csv").exists()
+
+
 def test_plot_deviation_missing_image_is_data_error(synth_files, tmp_path, capsys):
     gt, _ = synth_files
     short = tmp_path / "short.json"
@@ -951,6 +960,25 @@ def test_json_limits_name_the_file(fixture_path, tmp_path, capsys):
     bad.write_text(text.replace(f'"width": {width}', f'"width": {digits}', 1))
     assert main(["validate", "--input", str(bad)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {limit.value}\n"
+
+
+@pytest.mark.parametrize("flag", ["--input", "--config", "--prior", "--template"])
+def test_json_nested_past_the_recursion_limit_names_its_file(synth_files, tmp_path, capsys, flag):
+    gt, pred = synth_files
+    deep, out = tmp_path / "deep.json", tmp_path / "out.json"
+    deep.write_text("[" * 100_000)
+    argv = {
+        "--input": ["validate", "--input", str(deep)],
+        "--config": ["evaluate", "--gt", str(gt), "--pred", str(pred), "--config", str(deep), "--out", str(out)],
+        "--prior": ["acr", "--pred", str(pred), "--prior", str(deep), "--out", str(out)],
+        "--template": ["synth", "--template", str(deep), "--n", "3", "--out", str(out)],
+    }[flag]
+    capsys.readouterr()
+    assert main(argv) == 1
+    name = f"prior file {deep}" if flag == "--prior" else str(deep)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: maximum recursion depth exceeded") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_every_stderr_line_is_an_error_a_warning_or_a_status_line(tmp_path, capsys):

@@ -1,15 +1,22 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from phenokey.anatomy import acr_hinge
 from phenokey.errors import DivergenceError, GradNormFallbackWarning
 from phenokey.metrics import pmp
 from phenokey.optim import (
+    DIVERGENCE_LIMIT,
+    VIOLATION_TOLERANCE_PX,
     LossWeights,
+    StepKernel,
     ToyPredictor,
     TrainConfig,
-    _batch_terms,
+    TraceRow,
+    TrainTrace,
     coords_to_dataset,
     grad_check,
     gradnorm_step,
@@ -38,8 +45,9 @@ def _mean_pmp(predictor: ToyPredictor, problem) -> float:
 
 
 def _sample_loss(pred_coords, gt_coords, box, w: LossWeights):
-    """(total, L_mse, L_acr) of one sample from the trainer's batch kernel: zero weights, the prediction as bias."""
-    l_mse, l_acr, *_ = _batch_terms(np.zeros((44, 1)), pred_coords, np.zeros((1, 1)), gt_coords[None], box)
+    """(total, L_mse, L_acr) of one sample from the trainer's step kernel: zero weights, the prediction as bias."""
+    kernel = StepKernel(ToyPredictor(np.zeros((44, 1)), pred_coords), np.zeros((1, 1)), gt_coords[None], box)
+    l_mse, l_acr = kernel.losses()
     return w.w_mse * l_mse + w.w_acr * l_acr, l_mse, l_acr
 
 
@@ -193,8 +201,8 @@ def _gradnorm_draws(rng, count):
         yield w, norms, losses, rng.uniform(0.0, 0.2)
 
 
-def _bits(x: float) -> bytes:
-    return np.float64(x).tobytes()
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
 
 
 def test_gradnorm_step_is_bit_equal_to_numpy_reference():
@@ -358,6 +366,135 @@ def test_trace_csv_round_trip(tmp_path):
     assert float(first[1]) == trace[0].l_mse  # repr round-trips exactly
 
 
+_ZERO_LOSS = "initial task loss is zero; balancing disabled, keeping equal weights"
+
+
+def _reference_batch_terms(weights, bias, features, targets, boxes):
+    """The trainer's batch terms as it computed them on fresh arrays: the reference for the step kernel."""
+    n = features.shape[0]
+    preds = features @ weights.T + bias
+    err = preds - targets
+    violations, signs = acr_hinge(preds.reshape(-1, 22, 2), boxes)
+    l_mse, l_acr = float(np.mean(err * err)), float(violations.sum(axis=(1, 2)).mean())
+    d_mse = 2.0 * err / err.size
+    d_acr = signs.reshape(n, 44) / n
+    outside = int((violations > VIOLATION_TOLERANCE_PX).any(axis=2).sum())
+    return l_mse, l_acr, (d_mse.T @ features, d_mse.sum(axis=0)), (d_acr.T @ features, d_acr.sum(axis=0)), outside
+
+
+def _reference_train(predictor, problem, cfg):
+    """The training loop over :func:`_reference_batch_terms`, with separate weight and bias arrays."""
+    boxes = problem.boxes()
+    weights, bias = predictor.weights.copy(), predictor.bias.copy()
+    w = LossWeights(cfg.init_w_mse, cfg.init_w_acr if cfg.use_acr else 0.0, alpha=cfg.alpha)
+    balancing = cfg.use_acr and cfg.lr_weights > 0
+    trace = TrainTrace()
+    for step in range(cfg.steps + 1):
+        l_mse, l_acr, (g_w_mse, g_b_mse), (g_w_acr, g_b_acr), outside = _reference_batch_terms(
+            weights, bias, problem.features, problem.targets, boxes
+        )
+        if step == 0:
+            w = replace(w, initial_losses=(l_mse, l_acr))
+            if balancing and (l_mse <= 0 or l_acr <= 0):
+                warnings.warn(_ZERO_LOSS, GradNormFallbackWarning)
+                balancing = False
+        n_mse = math.sqrt(g_w_mse.ravel() @ g_w_mse.ravel())
+        n_acr = math.sqrt(g_w_acr.ravel() @ g_w_acr.ravel())
+        total = w.w_mse * l_mse + (w.w_acr * l_acr if cfg.use_acr else 0.0)
+        trace.append(TraceRow(step, l_mse, l_acr, w.w_mse, w.w_acr, n_mse, n_acr, outside))
+        if not math.isfinite(total) or total > DIVERGENCE_LIMIT:
+            raise DivergenceError(f"training diverged at step {step}: total loss {total}", trace=trace)
+        if step == cfg.steps:
+            break
+        g_w = w.w_mse * g_w_mse
+        g_b = w.w_mse * g_b_mse
+        if cfg.use_acr:
+            g_w = g_w + w.w_acr * g_w_acr
+            g_b = g_b + w.w_acr * g_b_acr
+        lr_t = cfg.lr / (1.0 + cfg.lr_decay * step)
+        weights = weights - lr_t * g_w
+        bias = bias - lr_t * g_b
+        if balancing:
+            w = gradnorm_step(w, (n_mse, n_acr), (l_mse, l_acr), cfg.lr_weights)
+    return ToyPredictor(weights, bias), trace
+
+
+def _outcome(fn, predictor, problem, cfg):
+    """Trace rows with each value's type and bits, the trained parameters' bits or the divergence, the warnings."""
+    with warnings.catch_warnings(record=True) as issued:
+        warnings.simplefilter("always")
+        try:
+            trained, trace = fn(predictor, problem, cfg)
+            end = (trained.weights.shape, trained.weights.tobytes(), trained.bias.tobytes())
+        except DivergenceError as exc:
+            trace, end = exc.trace, str(exc)
+    rows = [tuple((type(v), _bits(v) if isinstance(v, float) else v) for v in vars(row).values()) for row in trace]
+    return rows, end, [(w.category, str(w.message)) for w in issued]
+
+
+def _perfbench(seed):   # train-toy's defaults: 48 fish, 6 features, the mean baseline, balancing on
+    problem = make_toy_problem(seed=seed)
+    return problem, ToyPredictor.mean_baseline(problem.targets, 6)
+
+
+def _small(n=16, feature_dim=6, seed=5):
+    problem = make_toy_problem(n=n, feature_dim=feature_dim, seed=seed)
+    return problem, ToyPredictor.mean_baseline(problem.targets, feature_dim)
+
+
+def _exact_fit():  # one fish predicted exactly: both initial losses are zero
+    problem = make_toy_problem(n=1, feature_dim=5, seed=7)
+    return problem, ToyPredictor(np.zeros((44, 5)), problem.targets[0].copy())
+
+
+@pytest.mark.parametrize("case, cfg", [
+    pytest.param(lambda: _perfbench(611), TrainConfig(steps=4000), id="perfbench-seed-611"),
+    pytest.param(lambda: _perfbench(9400), TrainConfig(steps=4000), id="perfbench-seed-9400"),
+    pytest.param(_small, TrainConfig(steps=400, use_acr=False), id="acr-off"),
+    pytest.param(_small, TrainConfig(steps=400, lr_weights=0.0), id="fixed-weights"),
+    pytest.param(_small, TrainConfig(steps=400, lr_decay=0.006), id="lr-decay"),
+    pytest.param(_small, TrainConfig(steps=400, alpha=2000.0), id="alpha-2000"),
+    pytest.param(lambda: _small(n=1), TrainConfig(steps=200), id="one-fish"),
+    pytest.param(lambda: _small(feature_dim=1), TrainConfig(steps=200), id="one-feature"),
+    pytest.param(lambda: _small(n=200, feature_dim=9), TrainConfig(steps=100), id="200-fish-9-features"),
+    pytest.param(_exact_fit, TrainConfig(steps=5, lr=0.01, lr_weights=0.025), id="zero-initial-loss"),
+    pytest.param(_small, TrainConfig(steps=400, lr=200.0), id="divergence"),
+])
+def test_train_is_bit_equal_to_reference_loop(case, cfg):
+    problem, init = case()
+    got = _outcome(train, init, problem, cfg)
+    assert got == _outcome(_reference_train, init, problem, cfg)
+    rows, end, issued = got
+    if cfg.lr == 200.0:
+        assert isinstance(end, str) and len(rows) > 1
+    if cfg.lr == 0.01:
+        assert issued == [(GradNormFallbackWarning, _ZERO_LOSS)]
+
+
+@pytest.mark.parametrize("n, feature_dim", [(8, 5), (1, 1), (48, 6)])
+def test_step_kernel_is_bit_equal_to_reference_terms(n, feature_dim):
+    """Losses, gradients, violation count and combined gradient at scattered parameter points, a non-finite one too."""
+    problem, init = _small(n, feature_dim, seed=n)
+    boxes = problem.boxes()
+    kernel = StepKernel(init, problem.features, problem.targets, boxes)
+    base = kernel.theta.copy()
+    rng = np.random.default_rng(feature_dim)
+    for scale in (0.0, 1.0, 30.0, np.inf):
+        with np.errstate(invalid="ignore", over="ignore"):
+            kernel.theta[:] = base + scale * rng.standard_normal(base.size)
+            weights, bias = kernel.theta[:-44].reshape(44, feature_dim), kernel.theta[-44:]
+            l_mse, l_acr, g_mse, g_acr, outside = _reference_batch_terms(
+                weights, bias, problem.features, problem.targets, boxes)
+            assert _bits(kernel.losses()) == _bits((l_mse, l_acr))
+            assert kernel.violation_count() == outside
+            flat_mse, flat_acr = (np.concatenate([g.ravel(), b]) for g, b in (g_mse, g_acr))
+            assert _bits(kernel.gradients()) == _bits([flat_mse, flat_acr])
+            norms = [math.sqrt(g.ravel() @ g.ravel()) for g, _ in (g_mse, g_acr)]
+            assert _bits(kernel.weight_grad_norms()) == _bits(norms)
+            assert _bits(kernel.combined_gradient(0.3, 1.7)) == _bits(0.3 * flat_mse + 1.7 * flat_acr)
+            assert _bits(kernel.combined_gradient(0.3, None)) == _bits(0.3 * flat_mse)
+
+
 # ---------------------------------------------------------------------------
 # gradient verification
 
@@ -383,11 +520,11 @@ def test_gradient_exactly_zero_at_zero_residual():
     features = np.zeros((6, 5))
     boxes_problem = make_toy_problem(n=6, feature_dim=5, seed=9)
     bias = problem.targets[0].copy()
-    l_mse, l_acr, (gw_m, gb_m), (gw_a, gb_a), _ = _batch_terms(
-        np.zeros((44, 5)), bias, features, targets, boxes_problem.boxes()
-    )
+    kernel = StepKernel(ToyPredictor(np.zeros((44, 5)), bias), features, targets, boxes_problem.boxes())
+    l_mse, l_acr = kernel.losses()
+    grad_mse = kernel.gradients()[0]   # the weights' gradient and then the bias's
     assert l_mse == 0.0
-    assert np.all(gw_m == 0.0) and np.all(gb_m == 0.0)
+    assert np.all(grad_mse[:-44] == 0.0) and np.all(grad_mse[-44:] == 0.0)
 
 
 def test_population_coords_shape_and_order():

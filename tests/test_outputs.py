@@ -207,8 +207,13 @@ def test_a_diverged_run_writes_the_trace_up_to_the_divergence(tmp_path, capsys):
     assert lines[0].startswith("step,") and [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
 
+# every label an SVG can hold: XML 1.0 has no C0 control but tab, LF and CR, no surrogate and no U+FFFE or U+FFFF
+# (a plot refuses a label with one, see tests/test_plots.py)
+_NOT_XML = "".join(map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF]))
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(st.text(st.characters(blacklist_categories=("Cs",))))    # a lone surrogate has no UTF-8 form to write
+@given(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=_NOT_XML)))
 def test_each_quantile_csv_row_is_the_csv_writer_row(tmp_path_factory, label):
     base = tmp_path_factory.getbasetemp() / "quantile_csv"
     base.mkdir(exist_ok=True)

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from phenokey.errors import DegenerateFitWarning
+from phenokey.errors import DegenerateFitWarning, PhenokeyError
 from phenokey.plots import deviation_quantiles, plot_deviation_summary, plot_scatter
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -95,6 +95,18 @@ def test_deviation_labels_and_a_scatter_title_are_escaped_in_the_svg(tmp_path, l
     assert label in _texts(out)
     plot_scatter([(1.0, 2.0), (2.0, 3.5), (3.0, 4.0)], out, title=label)
     assert label in _texts(out)
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\ud800", "\udcff", "\ufffe"])
+def test_a_label_or_title_with_a_character_xml_forbids_is_refused_before_any_file(tmp_path, char):
+    out = tmp_path / "dev.svg"
+    label = f"a{char}b"
+    with pytest.raises(PhenokeyError) as refused:
+        plot_deviation_summary({"b": [2.0, 4.0], label: [1.0, 2.0]}, out)
+    assert str(refused.value) == f"label {label!r}: {char!r} is a character an SVG (XML 1.0) cannot hold"
+    with pytest.raises(PhenokeyError, match="^title "):
+        plot_scatter([(1.0, 2.0), (2.0, 3.5), (3.0, 4.0)], out, title=label)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_plain_label_keeps_its_bytes(tmp_path):
