@@ -8,14 +8,7 @@ Training ground truth scores exactly zero against its own image's box.
 
 import numpy as np
 
-from phenokey import (
-    acr_gradient,
-    acr_loss,
-    box_for_image,
-    fit_prior,
-    generate_population,
-    visible_bbox,
-)
+from phenokey import acr_hinge, dataset_boxes, fit_prior, generate_population
 from phenokey.synth import TEMPLATES
 
 train_set = generate_population(TEMPLATES["deep_bodied"], n=200, seed=5)
@@ -28,17 +21,15 @@ for j in (1, 5, 11, 22):
           f"  y' in [{prior.mins[j-1,1]:.3f}, {prior.maxs[j-1,1]:.3f}]"
           f"  (box {w[0]:.3f} x {w[1]:.3f})")
 
-losses = []
-for rec in train_set:
-    box = box_for_image(prior, visible_bbox(rec.keypoints))
-    losses.append(acr_loss(rec.keypoints, box))
-print("\nmax ACR loss over all training ground truths:", max(losses), "(exactly 0)")
+# every fish against the boxes placed in its own frame: (N, 22, 2) hinges in px
+hinge, _ = acr_hinge(train_set.xy, dataset_boxes(prior, train_set))
+losses = hinge.sum(axis=(1, 2))
+print("\nmax ACR loss over all training ground truths:", float(losses.max()), "(exactly 0)")
 
-# push one keypoint far outside its box and look at loss and gradient
-rec = train_set.records[0]
-box = box_for_image(prior, visible_bbox(rec.keypoints))
-displaced = rec.keypoints.xy.copy()
-displaced[10] += (250.0, -120.0)  # K-11 anterior eye, way off
-print("loss after displacing K-11:", round(acr_loss(displaced, box), 2), "px")
-g = acr_gradient(displaced, box)
-print("gradient rows with active hinges:", np.flatnonzero((g != 0).any(axis=1)) + 1)
+# push one keypoint of the first fish far outside its box and look at loss and gradient
+fish = train_set.take([0])
+displaced = fish.xy.copy()
+displaced[0, 10] += (250.0, -120.0)  # K-11 anterior eye, way off
+hinge, signs = acr_hinge(displaced, dataset_boxes(prior, fish))
+print("loss after displacing K-11:", round(float(hinge.sum()), 2), "px")
+print("gradient rows with active hinges:", np.flatnonzero((signs[0] != 0).any(axis=1)) + 1)

@@ -10,12 +10,11 @@ from phenokey import pmp, train
 from phenokey.optim import acr_benchmark_scenario, coords_to_dataset
 
 problem, init, with_acr, mse_only = acr_benchmark_scenario(seed=0)
-gts = [r.keypoints for r in problem.population]
 
 
 def mean_pmp(predictor):
     pred_ds = coords_to_dataset(predictor.predict(problem.features), problem.population)
-    return pmp([r.keypoints for r in pred_ds], gts).mean()
+    return pmp(pred_ds, problem.population).mean()
 
 
 for label, cfg in (("MSE + ACR", with_acr), ("MSE only ", mse_only)):

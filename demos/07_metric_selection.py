@@ -12,14 +12,13 @@ import math
 import numpy as np
 
 from phenokey import EvalConfig, evaluate_datasets, generate_population
-from phenokey.dataset import Dataset, FishImageRecord, KeypointSet
+from phenokey.dataset import Dataset
 from phenokey.metrics import shortest_phenotype_lengths
 from phenokey.schema import KEYPOINT_COUNT
 from phenokey.synth import TEMPLATES, PerturbationModel, perturb
 
 gt = generate_population(TEMPLATES["deep_bodied"], n=40, seed=1001, role="test")
-gts = [r.keypoints for r in gt]
-diag = float(np.mean([math.hypot(*np.ptp(k.xy, axis=0)) for k in gts]))
+diag = float(np.mean([math.hypot(*np.ptp(xy, axis=0)) for xy in gt.xy]))
 base_sigma = 0.011 * diag
 
 candidates = {
@@ -30,17 +29,13 @@ candidates = {
 }
 
 # heteroscedastic candidate: noise piled onto the small-phenotype keypoints
-shortest = shortest_phenotype_lengths(np.stack([k.xy for k in gts]), np.stack([k.v for k in gts]))
+shortest = shortest_phenotype_lengths(gt.xy, gt.v)
 small = shortest.mean(axis=0) < np.median(shortest.mean(axis=0))
 rng = np.random.default_rng(3)
-records = []
-for rec in gt:
-    sigma = np.where(small, 3.0 * base_sigma, 0.9 * base_sigma)
-    noise = rng.uniform(-1.0, 1.0, size=(KEYPOINT_COUNT, 2)) * sigma[:, None]
-    kp = KeypointSet(xy=rec.keypoints.xy + noise, v=rec.keypoints.v.copy(),
-                     image_id=rec.image_id, species=rec.keypoints.species)
-    records.append(FishImageRecord(rec.image_id, rec.width * 2, rec.height * 2, kp))
-candidates["small_pheno_heavy"] = Dataset(records=tuple(records), role="test")
+sigma = np.where(small, 3.0 * base_sigma, 0.9 * base_sigma)
+noise = rng.uniform(-1.0, 1.0, size=(len(gt), KEYPOINT_COUNT, 2)) * sigma[:, None]   # fish by fish
+candidates["small_pheno_heavy"] = Dataset(gt.xy + noise, gt.v, gt.image_ids, gt.width * 2, gt.height * 2,
+                                          gt.species, role="test")
 
 cfg = EvalConfig(pck_threshold=0.01)
 print(f"{'candidate':<20}{'OKS':>8}{'PCK':>8}{'PMP':>8}{'mMAPE':>9}")

@@ -12,17 +12,13 @@ __version__ = "0.1.0"
 from .anatomy import (
     AnatomicalPrior,
     BoxConstraint,
-    acr_gradient,
-    acr_loss,
-    box_for_image,
+    acr_hinge,
+    dataset_boxes,
     fit_prior,
     normalized_coords,
-    visible_bbox,
 )
 from .dataset import (
     Dataset,
-    FishImageRecord,
-    KeypointSet,
     Violation,
     parse_coco,
     serialize_coco,
@@ -44,10 +40,9 @@ from .metrics import (
 )
 from .morphometry import (
     PhenotypeDef,
-    PhenotypeMeasurement,
     PhenotypeTable,
     default_table,
-    measure_all,
+    measurement_rows,
 )
 from .optim import (
     LossWeights,

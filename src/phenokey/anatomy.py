@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, KeypointSet
+from .dataset import Dataset
 from .errors import DegeneratePoseError, SchemaError
 from .jsontext import doc_field
 from .schema import KEYPOINT_COUNT, SPECIES
@@ -51,12 +51,6 @@ def body_frames(xy, v, image_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             reason = f"{'zero' if extent[n, axis] == 0 else 'non-finite'} {'xy'[axis]}-range across visible keypoints"
         raise DegeneratePoseError(f"image {image_id!r}: {reason}", image_id)
     return lo, hi, extent
-
-
-def visible_bbox(keypoints: KeypointSet) -> tuple[float, float, float, float]:
-    """(x_min, y_min, x_max, y_max) over the visible keypoints of a sample :func:`body_frames` accepts."""
-    lo, hi, _ = body_frames(keypoints.xy[None], keypoints.v[None], [keypoints.image_id])
-    return (*lo[0].tolist(), *hi[0].tolist())
 
 
 def normalized_coords(dataset: Dataset) -> np.ndarray:
@@ -129,21 +123,8 @@ class BoxConstraint:
         return self.origin + self.nmax * self.extent
 
 
-def box_for_image(prior: AnatomicalPrior, bbox) -> BoxConstraint:
-    """Place the prior's boxes inside ``bbox`` = (x_min, y_min, x_max, y_max)."""
-    x_min, y_min, x_max, y_max = (float(v) for v in bbox)
-    if not (x_max > x_min and y_max > y_min):
-        raise ValueError(f"bbox must have positive extent, got {bbox}")
-    return BoxConstraint(
-        origin=np.array([x_min, y_min]),
-        extent=np.array([x_max - x_min, y_max - y_min]),
-        nmin=prior.mins,
-        nmax=prior.maxs,
-    )
-
-
 def dataset_boxes(prior: AnatomicalPrior, dataset: Dataset) -> BoxConstraint:
-    """:func:`box_for_image` of every record's own :func:`visible_bbox` at once, as (N, 1, 2) frames."""
+    """The prior's boxes placed inside each row's own :func:`body_frames` frame, as (N, 1, 2) origins and extents."""
     lo, _, extent = body_frames(dataset.xy, dataset.v, dataset.image_ids)
     return BoxConstraint(origin=lo[:, None], extent=extent[:, None], nmin=prior.mins, nmax=prior.maxs)
 
@@ -188,23 +169,6 @@ def acr_hinge(xy: np.ndarray, box: BoxConstraint, out: HingeBuffers | None = Non
     np.maximum(0.0, out.gaps, out=out.gaps)
     np.multiply(np.add(out.gap_below, out.gap_above, out=out.hinge), box.extent, out=out.hinge)
     return out.hinge, out.signs
-
-
-def _coords(preds) -> np.ndarray:
-    xy = preds.xy if isinstance(preds, KeypointSet) else np.asarray(preds, dtype=np.float64)
-    if xy.shape != (KEYPOINT_COUNT, 2):
-        raise ValueError(f"expected coordinates of shape (22, 2), got {xy.shape}")
-    return xy
-
-
-def acr_loss(preds, box: BoxConstraint) -> float:
-    """Total box-violation penalty in pixels, summed over keypoints and axes."""
-    return float(acr_hinge(_coords(preds), box)[0].sum())
-
-
-def acr_gradient(preds, box: BoxConstraint) -> np.ndarray:
-    """Per-coordinate hinge subgradient: -1 below the box, +1 above, 0 inside or on it."""
-    return acr_hinge(_coords(preds), box)[1]
 
 
 def prior_to_dict(prior: AnatomicalPrior) -> dict:

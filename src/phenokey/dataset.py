@@ -3,10 +3,9 @@
 A dataset holds single-fish images, each with the full 22-keypoint set, as
 columns: (N, 22, 2) coordinates, (N, 22) visibility flags, image ids, image
 widths and heights, and species codes, one row per image in canonical id
-order. Whole-file code (validation, serialization, metrics, the prior and
-the ACR loss) reads the arrays; :class:`FishImageRecord` and
-:class:`KeypointSet` are per-image views of one row, built on demand.
-Parsing decodes each annotation's keypoint list into its row as it checks it.
+order. Every consumer (validation, serialization, metrics, the prior and
+the ACR loss) reads the arrays. Parsing decodes each annotation's keypoint
+list into its row as it checks it.
 
 Files use the standard COCO keypoint layout (``images``,
 ``annotations`` with flat x,y,v triplets, ``categories``). The canonical
@@ -46,53 +45,6 @@ def _freeze(arr):
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class KeypointSet:
-    """The 22 annotated points of one fish: pixel coordinates plus visibility."""
-
-    xy: np.ndarray          # (22, 2) float64
-    v: np.ndarray           # (22,) int64, values 0/1/2
-    image_id: object
-    species: str = "other"
-
-    def __post_init__(self):
-        xy = np.asarray(self.xy, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.int64)
-        if xy.shape != (KEYPOINT_COUNT, 2):
-            raise ValueError(f"expected {KEYPOINT_COUNT} keypoints with 2 coordinates, got shape {xy.shape}")
-        if v.shape != (KEYPOINT_COUNT,):
-            raise ValueError(f"expected {KEYPOINT_COUNT} visibility flags, got shape {v.shape}")
-        if self.species not in SPECIES:
-            raise ValueError(f"unknown species tag {self.species!r}")
-        object.__setattr__(self, "xy", _freeze(xy))
-        object.__setattr__(self, "v", _freeze(v))
-
-    @property
-    def visible(self) -> np.ndarray:
-        """Boolean mask over the 22 keypoints with v > 0."""
-        return self.v > 0
-
-    def __eq__(self, other):
-        if not isinstance(other, KeypointSet):
-            return NotImplemented
-        return (
-            self.image_id == other.image_id
-            and self.species == other.species
-            and np.array_equal(self.xy, other.xy, equal_nan=True)
-            and np.array_equal(self.v, other.v)
-        )
-
-
-@dataclass(frozen=True)
-class FishImageRecord:
-    """One annotated image: dimensions plus its keypoint set."""
-
-    image_id: object
-    width: float
-    height: float
-    keypoints: KeypointSet
-
-
 def _id_sort_key(image_id):
     # ints sort before strings; ids of one dataset are normally homogeneous
     if isinstance(image_id, bool) or not isinstance(image_id, (int, float)):
@@ -104,7 +56,7 @@ _SPECIES_CODE = {name: code for code, name in enumerate(SPECIES)}
 
 
 class Dataset:
-    """Ordered, immutable collection of single-fish records with unique image ids.
+    """Ordered, immutable collection of single-fish images, as columns.
 
     The data is held as columns, row n describing one image, in canonical
     order (sorted by image id, the order of the serialized form):
@@ -115,38 +67,19 @@ class Dataset:
     * ``width`` and ``height``, (N,) float64 image dimensions;
     * ``species``, (N,) int64 positions in :data:`~phenokey.schema.SPECIES`.
 
-    The arrays are read-only and are the only copy of the data. ``records``
-    gives the rows as :class:`FishImageRecord` views over the columns, built
-    on first use and then kept; a dataset built from records (each with its own
-    image's keypoints) stacks them into columns and does not keep them.
+    The columns may be given in any row order; a column of the wrong shape, or
+    a species code outside ``0..4``, raises ``ValueError``. The arrays are
+    read-only copies. An image id may repeat: :func:`validate` reports each
+    repeat as ``unique_image_id``, and the metrics pair a ground-truth row with
+    the last prediction row of its id.
     """
 
-    __slots__ = ("xy", "v", "image_ids", "width", "height", "species", "role", "_records")
+    __slots__ = ("xy", "v", "image_ids", "width", "height", "species", "role")
 
-    def __init__(self, records=(), role: str = "train"):
-        records = tuple(records)
-        for r in records:
-            if r.keypoints.image_id != r.image_id:
-                raise ValueError(f"record {r.image_id!r} holds the keypoints of image {r.keypoints.image_id!r}")
-        xy = np.reshape([r.keypoints.xy for r in records], (-1, KEYPOINT_COUNT, 2))
-        v = np.reshape([r.keypoints.v for r in records], (-1, KEYPOINT_COUNT))
-        ids = tuple(r.image_id for r in records)
-        widths, heights = [r.width for r in records], [r.height for r in records]
-        self._fill(xy, v, ids, widths, heights, [_SPECIES_CODE[r.keypoints.species] for r in records], role)
-
-    @classmethod
-    def from_columns(cls, xy, v, image_ids, width, height, species, role: str = "train") -> Dataset:
-        """Dataset over columns given in any row order; rows are put in canonical order.
-
-        ``species`` holds positions in :data:`~phenokey.schema.SPECIES`.
-        """
-        self = cls.__new__(cls)
-        self._fill(xy, v, tuple(image_ids), width, height, species, role)
-        return self
-
-    def _fill(self, xy, v, image_ids, width, height, species, role):
+    def __init__(self, xy, v, image_ids, width, height, species, role: str = "train"):
         if role not in _ROLES:
             raise ValueError(f"role must be one of {_ROLES}, got {role!r}")
+        image_ids = tuple(image_ids)
         n = len(image_ids)
         columns = {
             "xy": (np.array(xy, dtype=np.float64), (n, KEYPOINT_COUNT, 2)),
@@ -155,41 +88,27 @@ class Dataset:
             "height": (np.array(height, dtype=np.float64), (n,)),
             "species": (np.array(species, dtype=np.int64), (n,)),
         }
-        order = sorted(range(n), key=lambda k: _id_sort_key(image_ids[k]))
-        canonical = order == list(range(n))  # no gather needed: the columns above are already copies
         for name, (column, shape) in columns.items():
             if column.shape != shape:
                 raise ValueError(f"column {name} has shape {column.shape}, expected {shape} for {n} image ids")
+        codes = columns["species"][0]
+        bad = np.flatnonzero((codes < 0) | (codes >= len(SPECIES)))
+        if bad.size:
+            raise ValueError(f"column species has {codes[bad[0]]} in row {bad[0]}, expected 0..{len(SPECIES) - 1}")
+        order = sorted(range(n), key=lambda k: _id_sort_key(image_ids[k]))
+        canonical = order == list(range(n))  # no gather needed: the columns above are already copies
+        for name, (column, _) in columns.items():
             object.__setattr__(self, name, _freeze(column if canonical else column[order]))
         object.__setattr__(self, "image_ids", tuple(image_ids[k] for k in order))
         object.__setattr__(self, "role", role)
-        object.__setattr__(self, "_records", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
 
-    @property
-    def records(self) -> tuple:
-        """The rows as :class:`FishImageRecord` views over the columns."""
-        if self._records is None:
-            records = tuple(
-                FishImageRecord(
-                    image_id=image_id,
-                    width=width,
-                    height=height,
-                    keypoints=KeypointSet(xy=xy, v=v, image_id=image_id, species=SPECIES[code]),
-                )
-                for image_id, width, height, code, xy, v in zip(
-                    self.image_ids, self.width.tolist(), self.height.tolist(), self.species.tolist(), self.xy, self.v
-                )
-            )
-            object.__setattr__(self, "_records", records)
-        return self._records
-
     def take(self, rows) -> Dataset:
         """Dataset of the given rows, kept in canonical order."""
         rows = np.asarray(rows, dtype=np.intp)
-        return Dataset.from_columns(
+        return Dataset(
             self.xy[rows],
             self.v[rows],
             [self.image_ids[k] for k in rows.tolist()],
@@ -201,9 +120,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.image_ids)
-
-    def __iter__(self):
-        return iter(self.records)
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
@@ -389,7 +305,7 @@ def _coco_dataset(doc) -> Dataset:
     if role not in _ROLES:
         role = "train"
     width, height = np.array(sizes, dtype=np.float64).reshape(-1, 2).T
-    return Dataset.from_columns(
+    return Dataset(
         triplets[..., :2], flags.astype(np.int64), image_ids, width, height, species, role
     )
 
@@ -427,8 +343,8 @@ def _parse_cache(data: bytes):
         role, ids, *texts = doc
         columns = {name: np.frombuffer(base64.b64decode(text, validate=True), dtype).reshape(len(ids), *shape)
                    for (name, dtype, shape), text in zip(_CACHED, texts, strict=True)}
-        if type(ids) is list and len(set(ids)) == len(ids) and np.isin(columns["species"], range(len(SPECIES))).all():
-            return Dataset.from_columns(image_ids=ids, role=role, **columns)
+        if type(ids) is list and len(set(ids)) == len(ids):
+            return Dataset(image_ids=ids, role=role, **columns)
 
     with suppress(OSError, PhenokeyError, ValueError, TypeError, RecursionError):
         return read_json(entry, cached), keep

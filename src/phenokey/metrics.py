@@ -19,12 +19,14 @@ coordinate is a miss: its deviation is +inf, so its similarity is 0 and it
 fails PCK and PMP; a phenotype whose predicted length is non-finite, or
 whose ground-truth length is 0, is skipped and counted.
 
-Every metric is computed on whole (N, 22, 2) arrays. :func:`evaluate_datasets`
-pairs the two datasets' rows by image id once and computes the deviations,
-the ground-truth box diagonals and the shortest ground-truth phenotypes once
-for all metrics. :func:`oks_per_image`, :func:`pck` and :func:`pmp` take
-lists of keypoint sets and pair them by position, whatever their image ids
-(a length or id mismatch raises ``ValueError``): ``oks_per_image([p], [g])[0]``.
+Every metric is computed on whole (N, 22, 2) arrays, and every one takes a
+prediction and a ground-truth :class:`~phenokey.dataset.Dataset` paired by one
+rule: each ground-truth row with the last prediction row of its image id. A
+ground-truth id with no prediction raises ``IntegrityError``; predictions for
+ids the ground truth lacks are ignored with one warning.
+:func:`evaluate_datasets` pairs the rows once and computes the deviations, the
+ground-truth box diagonals and the shortest ground-truth phenotypes once for
+all metrics.
 """
 
 from __future__ import annotations
@@ -184,17 +186,6 @@ def _defined_mean(values) -> float | None:
     return float(defined.mean()) if defined.size else None
 
 
-def _paired_arrays(preds, gts) -> _Pairs:
-    if len(preds) != len(gts):
-        raise ValueError(f"got {len(preds)} predictions for {len(gts)} ground truths")
-    for p, g in zip(preds, gts):
-        if p.image_id != g.image_id:
-            raise ValueError(f"prediction/ground-truth id mismatch: {p.image_id!r} vs {g.image_id!r}")
-    pred_xy, gt_xy = (np.reshape([k.xy for k in sets], (-1, KEYPOINT_COUNT, 2)) for sets in (preds, gts))
-    gt_v = np.reshape([g.v for g in gts], (-1, KEYPOINT_COUNT))
-    return _Pairs(pred_xy, gt_xy, gt_v, [g.image_id for g in gts])
-
-
 class _Pairs:
     """Row-paired prediction and ground-truth arrays; the terms metrics share are computed once, on first use.
 
@@ -271,30 +262,29 @@ def _oks(pairs: _Pairs, cfg: EvalConfig) -> list[float | None]:
     return [v if ok else None for v, ok in zip(values.tolist(), defined.tolist())]
 
 
-def pck(preds, gts, cfg: EvalConfig | None = None) -> PerKeypointResult:
+def pck(preds: Dataset, gts: Dataset, cfg: EvalConfig | None = None) -> PerKeypointResult:
     """Per-keypoint fraction of predictions within the threshold times the sample's scale.
 
     The scale is the ground truth's box diagonal or its HL (``head``) or SL (``torso``) length; where it is missing
     (a hidden endpoint), zero or non-finite, the sample's annotated keypoints are skipped and counted, as in
-    :func:`pmp`. The lists pair by position and must agree in length and image ids.
+    :func:`pmp`.
     """
-    pairs, cfg = _paired_arrays(preds, gts), cfg or EvalConfig()
+    pairs, cfg = _paired_datasets(gts, preds), cfg or EvalConfig()
     return _hits(pairs, _pck_scales(pairs, cfg.pck_scale_mode), cfg.pck_threshold)
 
 
-def pmp(preds, gts, cfg: EvalConfig | None = None) -> PerKeypointResult:
+def pmp(preds: Dataset, gts: Dataset, cfg: EvalConfig | None = None) -> PerKeypointResult:
     """Per-keypoint fraction of predictions within r of the shortest related ground-truth phenotype.
 
     A keypoint whose shortest related phenotype is missing or zero-length is skipped and counted, as in :func:`pck`.
-    The lists pair by position and must agree in length and image ids.
     """
-    pairs = _paired_arrays(preds, gts)
+    pairs = _paired_datasets(gts, preds)
     return _hits(pairs, pairs.shortest_phenotypes, (cfg or EvalConfig()).pmp_threshold)
 
 
-def oks_per_image(preds, gts, cfg: EvalConfig | None = None) -> list[float | None]:
-    """Per-image object keypoint similarity in list order, None where undefined; lists pair by position."""
-    return _oks(_paired_arrays(preds, gts), cfg or EvalConfig())
+def oks_per_image(preds: Dataset, gts: Dataset, cfg: EvalConfig | None = None) -> list[float | None]:
+    """Object keypoint similarity of each ground-truth row, in its order; None where undefined."""
+    return _oks(_paired_datasets(gts, preds), cfg or EvalConfig())
 
 
 def _paired_datasets(gt: Dataset, pred: Dataset) -> _Pairs:
@@ -308,7 +298,7 @@ def _paired_datasets(gt: Dataset, pred: Dataset) -> _Pairs:
     missing = [gt.image_ids[n] for n in np.flatnonzero(rows < 0)[:5].tolist()]
     if missing:
         raise IntegrityError(f"predictions missing for image ids {missing!r}")
-    unknown = len(row) - len(gt.image_ids)    # every ground-truth id, each once, is a key of `row` by now
+    unknown = len(row) - len(set(gt.image_ids))    # every ground-truth id is a key of `row` by now
     if unknown:
         known = set(gt.image_ids)
         ids = [image_id for image_id in row if image_id not in known][:5]

@@ -8,13 +8,10 @@ of the eye. The table below covers every keypoint at least once.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import KeypointSet
-from .errors import DegenerateMeasurementWarning
 from .schema import KEYPOINT_COUNT
 
 
@@ -119,22 +116,6 @@ def default_table() -> PhenotypeTable:
     return PhenotypeTable(PhenotypeDef(a, n, e) for a, n, e in _DEFS)
 
 
-@dataclass(frozen=True)
-class PhenotypeMeasurement:
-    abbrev: str
-    value: float    # pixels, >= 0
-    image_id: object
-
-
-@dataclass(frozen=True)
-class SkippedPhenotype:
-    """A phenotype that could not be measured, with the blocking endpoint."""
-
-    abbrev: str
-    missing_keypoint: int
-    image_id: object
-
-
 def phenotype_lengths(xy, v, ends) -> np.ndarray:
     """(n_samples, n_pairs) distances between keypoint columns ``ends[0]`` and ``ends[1]``.
 
@@ -186,14 +167,3 @@ def degenerate_messages(image_ids, status) -> list[str]:
     abbrevs = default_table().abbrevs()
     cells = np.argwhere(status == "degenerate").tolist()
     return [f"{abbrevs[t]} on image {image_ids[n]!r}: coincident endpoints, zero length" for n, t in cells]
-
-
-def measure_all(keypoints: KeypointSet) -> tuple[list[PhenotypeMeasurement], list[SkippedPhenotype]]:
-    """Measure every phenotype with both endpoints visible, warning of a zero length; report the rest as skips."""
-    lengths, status, hidden = measurement_rows(keypoints.xy[None], keypoints.v[None])
-    for message in degenerate_messages([keypoints.image_id], status):
-        warnings.warn(message, DegenerateMeasurementWarning, stacklevel=2)
-    columns = list(zip(default_table().abbrevs(), lengths[0].tolist(), hidden[0].tolist()))
-    measured = [PhenotypeMeasurement(abbrev, value, keypoints.image_id) for abbrev, value, m in columns if not m]
-    skipped = [SkippedPhenotype(abbrev, m, keypoints.image_id) for abbrev, _, m in columns if m]
-    return measured, skipped

@@ -157,7 +157,7 @@ def population_coords(population: Dataset) -> np.ndarray:
 
 def coords_to_dataset(coords: np.ndarray, like: Dataset) -> Dataset:
     """Wrap predicted coordinates as a dataset mirroring ``like``'s rows, every keypoint visible."""
-    return Dataset.from_columns(
+    return Dataset(
         coords.reshape(len(like), KEYPOINT_COUNT, 2),
         np.full((len(like), KEYPOINT_COUNT), 2),
         like.image_ids,

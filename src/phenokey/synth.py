@@ -256,7 +256,7 @@ def generate_population(
     xy *= size[:, :, None]
     xy[:, :, 1] *= template.aspect
     xy += off[:, None]
-    return Dataset.from_columns(
+    return Dataset(
         xy,
         np.full((n, KEYPOINT_COUNT), 2),
         range(1, n + 1),
@@ -314,4 +314,4 @@ def perturb(gt: Dataset, model: PerturbationModel) -> Dataset:
     reach = np.where(np.isfinite(xy), xy, 0.0).max(axis=1)
     width = np.maximum(gt.width, np.ceil(reach[:, 0]))
     height = np.maximum(gt.height, np.ceil(reach[:, 1]))
-    return Dataset.from_columns(xy, gt.v, gt.image_ids, width, height, gt.species, gt.role)
+    return Dataset(xy, gt.v, gt.image_ids, width, height, gt.species, gt.role)

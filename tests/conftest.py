@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from phenokey.dataset import Dataset, FishImageRecord, KeypointSet
+from phenokey.dataset import Dataset
 from phenokey.optim import acr_benchmark_scenario, train
-from phenokey.schema import KEYPOINT_COUNT
+from phenokey.schema import KEYPOINT_COUNT, SPECIES
 
 DATA_DIR = Path(__file__).parent / "data"
 # the stderr lines a command may write: an error, a warning, or one of the three status lines
@@ -52,7 +52,8 @@ def fixture_path() -> Path:
 
 
 def make_keypoints(xy=None, v=None, image_id=1, species="other", overrides=None):
-    """KeypointSet on a simple diagonal layout; overrides maps 1-based index -> (x, y)."""
+    """One fish's keypoints on a simple diagonal layout, as ``xy``, ``v``, ``image_id`` and ``species``; overrides
+    maps 1-based index -> (x, y)."""
     if xy is None:
         xy = np.stack(
             [10.0 + 40.0 * np.arange(KEYPOINT_COUNT), 20.0 + 25.0 * np.arange(KEYPOINT_COUNT)],
@@ -64,12 +65,27 @@ def make_keypoints(xy=None, v=None, image_id=1, species="other", overrides=None)
             xy[idx - 1] = point
     if v is None:
         v = np.full(KEYPOINT_COUNT, 2, dtype=np.int64)
-    return KeypointSet(xy=xy, v=np.array(v, dtype=np.int64), image_id=image_id, species=species)
-
-
-def make_record(kp: KeypointSet, width=2000.0, height=2000.0) -> FishImageRecord:
-    return FishImageRecord(image_id=kp.image_id, width=width, height=height, keypoints=kp)
+    return SimpleNamespace(xy=xy, v=np.array(v, dtype=np.int64), image_id=image_id, species=species)
 
 
 def make_dataset(kps, role="train", width=2000.0, height=2000.0) -> Dataset:
-    return Dataset(records=tuple(make_record(kp, width, height) for kp in kps), role=role)
+    """The dataset of :func:`make_keypoints` sets, one row each; ``width`` and ``height``: one size, or one per set."""
+    n = len(kps)
+    return Dataset(
+        np.reshape([k.xy for k in kps], (n, KEYPOINT_COUNT, 2)),
+        np.reshape([k.v for k in kps], (n, KEYPOINT_COUNT)),
+        [k.image_id for k in kps],
+        np.broadcast_to(width, n),
+        np.broadcast_to(height, n),
+        [SPECIES.index(k.species) for k in kps],
+        role,
+    )
+
+
+def rows(dataset: Dataset):
+    """Each row of ``dataset`` as ``image_id``, ``width``, ``height`` and ``keypoints`` (``xy``, ``v``, ``image_id``),
+    the shape the oracles read."""
+    columns = zip(dataset.image_ids, dataset.width.tolist(), dataset.height.tolist(), dataset.xy, dataset.v)
+    for image_id, width, height, xy, v in columns:
+        yield SimpleNamespace(image_id=image_id, width=width, height=height,
+                              keypoints=SimpleNamespace(xy=xy, v=v, image_id=image_id))

@@ -11,9 +11,9 @@ import time
 
 import numpy as np
 
-from phenokey.anatomy import acr_loss, box_for_image, fit_prior, visible_bbox
+from phenokey.anatomy import acr_hinge, dataset_boxes, fit_prior
 from phenokey.cli import main
-from phenokey.dataset import parse_coco, serialize_coco, validate
+from phenokey.dataset import Dataset, parse_coco, serialize_coco, validate
 from phenokey.errors import SchemaError
 from phenokey.metrics import (
     EvalConfig,
@@ -35,10 +35,10 @@ from phenokey.optim import (
     make_toy_problem,
     train,
 )
-from phenokey.schema import KEYPOINT_COUNT
+from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import TEMPLATES, PerturbationModel, generate_population, perturb
 
-from conftest import DATA_DIR, make_keypoints
+from conftest import DATA_DIR, make_keypoints, rows
 from oracles import oracle_oks, oracle_pck, oracle_pmp
 
 
@@ -53,25 +53,26 @@ def _report(criterion, ok, detail):
 def test_criterion_1_metric_oracle_equivalence():
     start = time.perf_counter()
     gt = generate_population(TEMPLATES["deep_bodied"], 1000, seed=42, role="test")
-    gts = [r.keypoints for r in gt]
+    gts = [r.keypoints for r in rows(gt)]
     cfg = EvalConfig()
     worst = 0.0
     for model in (
         PerturbationModel("uniform_px", 6.0, seed=7),
         PerturbationModel("proportional_to_shortest_phenotype", 0.05, seed=8),
     ):
-        preds = [r.keypoints for r in perturb(gt, model)]
+        pred = perturb(gt, model)
+        preds = [r.keypoints for r in rows(pred)]
 
-        lib_oks = oks_per_image(preds, gts, cfg)
+        lib_oks = oks_per_image(pred, gt, cfg)
         ref_oks, _ = oracle_oks(preds, gts, cfg)
         for a, b in zip(lib_oks, ref_oks):
             worst = max(worst, abs(a - b))
 
-        lib_pck = pck(preds, gts, cfg).values
+        lib_pck = pck(pred, gt, cfg).values
         for a, b in zip(lib_pck, oracle_pck(preds, gts, cfg)[0]):
             worst = max(worst, abs(a - b))
 
-        lib_pmp = pmp(preds, gts, cfg=cfg).values
+        lib_pmp = pmp(pred, gt, cfg=cfg).values
         for a, b in zip(lib_pmp, oracle_pmp(preds, gts, cfg)[0]):
             worst = max(worst, abs(a - b))
     elapsed = time.perf_counter() - start
@@ -89,10 +90,8 @@ def test_criterion_2_acr_zero_on_training():
     for size in (1, 2, 10, 500):
         pop = generate_population(TEMPLATES["deep_bodied"], size, seed=size)
         prior = fit_prior(pop)
-        for rec in pop:
-            box = box_for_image(prior, visible_bbox(rec.keypoints))
-            if acr_loss(rec.keypoints, box) != 0.0:
-                exact = False
+        if not np.all(acr_hinge(pop.xy, dataset_boxes(prior, pop))[0] == 0.0):
+            exact = False
     elapsed = time.perf_counter() - start
     _report(
         2,
@@ -125,9 +124,7 @@ def test_criterion_3_gradient_correctness():
 
 def _mean_pmp(predictor, problem):
     coords = predictor.predict(problem.features)
-    pred_ds = coords_to_dataset(coords, problem.population)
-    gts = [r.keypoints for r in problem.population]
-    return pmp([r.keypoints for r in pred_ds], gts).mean()
+    return pmp(coords_to_dataset(coords, problem.population), problem.population).mean()
 
 
 def test_criterion_4_optimizer_sanity(acr_scenario):
@@ -166,9 +163,8 @@ def test_criterion_4_optimizer_sanity(acr_scenario):
 
 def _selection_trial(seed):
     gt = generate_population(TEMPLATES["deep_bodied"], 40, seed=seed, role="test")
-    gts = [r.keypoints for r in gt]
     diag = float(
-        np.mean([math.hypot(*(np.ptp(k.xy, axis=0))) for k in gts])
+        np.mean([math.hypot(*(np.ptp(xy, axis=0))) for xy in gt.xy])
     )
     # calibrated so object-scale metrics prefer the uniform candidate while
     # the phenotype-normalized metric prefers the phenotype-aware one
@@ -180,21 +176,13 @@ def _selection_trial(seed):
         gt, PerturbationModel("proportional_to_shortest_phenotype", 0.05, seed=seed * 3 + 2)
     )
     # heteroscedastic: noise concentrated on the small-phenotype keypoints
-    gt_xy = np.stack([k.xy for k in gts])
-    gt_v = np.stack([k.v for k in gts])
-    shortest = shortest_phenotype_lengths(gt_xy, gt_v)
+    shortest = shortest_phenotype_lengths(gt.xy, gt.v)
     small = shortest.mean(axis=0) < np.median(shortest.mean(axis=0))
     rng = np.random.default_rng(seed * 3 + 3)
-    records = []
-    for rec in gt:
-        sigma = np.where(small, 3.0 * base_sigma, 0.9 * base_sigma)
-        noise = rng.uniform(-1.0, 1.0, size=(KEYPOINT_COUNT, 2)) * sigma[:, None]
-        xy = rec.keypoints.xy + noise
-        records.append(
-            type(rec)(rec.image_id, rec.width * 2, rec.height * 2,
-                      make_keypoints(xy=xy, v=rec.keypoints.v.copy(), image_id=rec.image_id))
-        )
-    candidates["small_pheno_heavy"] = type(gt)(records=tuple(records), role="test")
+    sigma = np.where(small, 3.0 * base_sigma, 0.9 * base_sigma)
+    noise = rng.uniform(-1.0, 1.0, size=(len(gt), KEYPOINT_COUNT, 2)) * sigma[:, None]    # fish by fish
+    candidates["small_pheno_heavy"] = Dataset(gt.xy + noise, gt.v, gt.image_ids, gt.width * 2, gt.height * 2,
+                                              np.full(len(gt), SPECIES.index("other")), role="test")
 
     cfg = EvalConfig(pck_threshold=0.01)
     scores = {}

@@ -5,22 +5,19 @@ from phenokey.anatomy import (
     AnatomicalPrior,
     BoxConstraint,
     acr_hinge,
-    acr_gradient,
-    acr_loss,
-    box_for_image,
+    body_frames,
     dataset_boxes,
     fit_prior,
     normalized_coords,
     prior_from_dict,
     prior_to_dict,
-    visible_bbox,
 )
 from phenokey.dataset import Dataset
 from phenokey.errors import DegeneratePoseError, SchemaError
 from phenokey.schema import KEYPOINT_COUNT
 from phenokey.synth import TEMPLATES, generate_population
 
-from conftest import make_dataset, make_keypoints, make_record
+from conftest import make_dataset, make_keypoints
 
 
 def _point_prior(nx_min=0.25, ny_min=0.5, nx_max=None, ny_max=None):
@@ -44,7 +41,8 @@ def _normalized(kp):
 def test_normalize_extremes_map_to_unit_corners():
     kp = make_keypoints()
     points = _normalized(kp)
-    assert visible_bbox(kp) == (10.0, 20.0, 850.0, 545.0)   # K-1 and K-22 of the diagonal layout
+    lo, hi, _ = body_frames(kp.xy[None], kp.v[None], [kp.image_id])
+    assert (*lo[0], *hi[0]) == (10.0, 20.0, 850.0, 545.0)   # K-1 and K-22 of the diagonal layout
     assert points.min() == 0.0 and points.max() == 1.0
     assert tuple(points[0]) == (0.0, 0.0)     # K-1 sits at the bbox minimum
     assert tuple(points[-1]) == (1.0, 1.0)    # K-22 at the maximum
@@ -123,7 +121,7 @@ def test_fit_prior_deterministic():
 
 def test_fit_prior_empty_errors():
     with pytest.raises(ValueError, match="empty"):
-        fit_prior(Dataset(records=(), role="train"))
+        fit_prior(make_dataset([]))
 
 
 def test_fit_prior_names_degenerate_record():
@@ -136,7 +134,7 @@ def test_fit_prior_names_degenerate_record():
 def test_subset_never_enlarges_extremes():
     pop = generate_population(TEMPLATES["deep_bodied"], 30, seed=5)
     full = fit_prior(pop)
-    sub = fit_prior(Dataset(records=pop.records[:10], role="train"))
+    sub = fit_prior(pop.take(range(10)))
     assert np.all(sub.mins >= full.mins)
     assert np.all(sub.maxs <= full.maxs)
 
@@ -203,39 +201,45 @@ def test_prior_from_dict_rejects_malformed_documents(mutate, message):
 # box construction
 
 
+def _box(prior, x_min, y_min, x_max, y_max):
+    """:func:`dataset_boxes` of one fish whose visible keypoints span exactly the given rectangle: (1, 1, 2) frames."""
+    xy = np.linspace((x_min, y_min), (x_max, y_max), KEYPOINT_COUNT)
+    return dataset_boxes(prior, make_dataset([make_keypoints(xy=xy)]))
+
+
 def test_full_extremes_give_full_bbox():
     prior = _point_prior(0.0, 0.0, 1.0, 1.0)
-    box = box_for_image(prior, (10.0, 20.0, 110.0, 220.0))
+    box = _box(prior, 10.0, 20.0, 110.0, 220.0)
     assert np.allclose(box.k_min, [10.0, 20.0])
     assert np.allclose(box.k_max, [110.0, 220.0])
 
 
 def test_point_prior_box_direct_substitution():
     prior = _point_prior(0.25, 0.5)
-    box = box_for_image(prior, (0.0, 0.0, 100.0, 200.0))
+    box = _box(prior, 0.0, 0.0, 100.0, 200.0)
     assert np.all(box.k_min == np.tile([25.0, 100.0], (KEYPOINT_COUNT, 1)))
     assert np.array_equal(box.k_min, box.k_max)
 
 
 def test_box_translates_with_bbox():
     prior = _point_prior(0.25, 0.5)
-    base = box_for_image(prior, (0.0, 0.0, 100.0, 200.0))
-    moved = box_for_image(prior, (10.0, 20.0, 110.0, 220.0))
+    base = _box(prior, 0.0, 0.0, 100.0, 200.0)
+    moved = _box(prior, 10.0, 20.0, 110.0, 220.0)
     assert np.allclose(moved.k_min, base.k_min + [10.0, 20.0])
     assert np.allclose(moved.k_max, base.k_max + [10.0, 20.0])
 
 
 def test_box_scales_with_bbox_extent():
     prior = _point_prior(0.25, 0.5, 0.75, 0.75)
-    small = box_for_image(prior, (0.0, 0.0, 128.0, 64.0))
-    large = box_for_image(prior, (0.0, 0.0, 256.0, 128.0))
+    small = _box(prior, 0.0, 0.0, 128.0, 64.0)
+    large = _box(prior, 0.0, 0.0, 256.0, 128.0)
     assert np.allclose(large.k_min, 2.0 * small.k_min)
     assert np.allclose(large.k_max, 2.0 * small.k_max)
 
 
 def test_box_rejects_empty_bbox():
-    with pytest.raises(ValueError, match="positive extent"):
-        box_for_image(_point_prior(), (5.0, 5.0, 5.0, 10.0))
+    with pytest.raises(DegeneratePoseError, match="zero x-range"):
+        _box(_point_prior(), 5.0, 5.0, 5.0, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,68 +248,73 @@ def test_box_rejects_empty_bbox():
 
 def _dyadic_box():
     prior = _point_prior(0.25, 0.25, 0.75, 0.75)
-    return box_for_image(prior, (0.0, 0.0, 128.0, 128.0))  # boxes span [32, 96]^2
+    return _box(prior, 0.0, 0.0, 128.0, 128.0)  # boxes span [32, 96]^2
 
 
 def _inside_preds():
-    return np.tile([64.0, 64.0], (KEYPOINT_COUNT, 1))
+    """One fish, (1, 22, 2), every keypoint inside its box."""
+    return np.tile([64.0, 64.0], (1, KEYPOINT_COUNT, 1))
+
+
+def _loss(preds, box) -> float:
+    return float(acr_hinge(preds, box)[0].sum())
 
 
 def test_acr_zero_inside():
-    assert acr_loss(_inside_preds(), _dyadic_box()) == 0.0
+    assert _loss(_inside_preds(), _dyadic_box()) == 0.0
 
 
 def test_acr_single_active_hinge_is_five():
     preds = _inside_preds()
-    preds[3, 0] = 101.0  # k_max.x = 96, excess exactly 5
-    assert acr_loss(preds, _dyadic_box()) == 5.0
+    preds[0, 3, 0] = 101.0  # k_max.x = 96, excess exactly 5
+    assert _loss(preds, _dyadic_box()) == 5.0
 
 
 def test_acr_below_both_axes_sums_components():
     preds = _inside_preds()
-    preds[7] = (30.0, 29.0)  # k_min = 32: violations 2 and 3
-    assert acr_loss(preds, _dyadic_box()) == 5.0
+    preds[0, 7] = (30.0, 29.0)  # k_min = 32: violations 2 and 3
+    assert _loss(preds, _dyadic_box()) == 5.0
 
 
 def test_acr_is_componentwise_l1_violation():
     box = _dyadic_box()
     preds = _inside_preds()
-    preds[0] = (100.0, 20.0)
-    preds[9] = (16.0, 120.0)
-    v = acr_hinge(preds, box)[0]
+    preds[0, 0] = (100.0, 20.0)
+    preds[0, 9] = (16.0, 120.0)
+    v = acr_hinge(preds, box)[0][0]
     assert v[0, 0] == 4.0 and v[0, 1] == 12.0
     assert v[9, 0] == 16.0 and v[9, 1] == 24.0
-    assert acr_loss(preds, box) == v.sum()
+    assert _loss(preds, box) == v.sum()
 
 
 def test_acr_doubling_violation_doubles_contribution():
     box = _dyadic_box()
     a = _inside_preds()
-    a[5, 0] = 96.0 + 7.0
+    a[0, 5, 0] = 96.0 + 7.0
     b = _inside_preds()
-    b[5, 0] = 96.0 + 14.0
-    assert acr_loss(b, box) == 2.0 * acr_loss(a, box)
+    b[0, 5, 0] = 96.0 + 14.0
+    assert _loss(b, box) == 2.0 * _loss(a, box)
 
 
 def test_acr_convexity_along_segments():
     rng = np.random.default_rng(12)
     box = _dyadic_box()
     for _ in range(25):
-        a = rng.uniform(-50, 200, size=(KEYPOINT_COUNT, 2))
-        b = rng.uniform(-50, 200, size=(KEYPOINT_COUNT, 2))
+        a = rng.uniform(-50, 200, size=(1, KEYPOINT_COUNT, 2))
+        b = rng.uniform(-50, 200, size=(1, KEYPOINT_COUNT, 2))
         lam = rng.uniform()
-        mid = acr_loss(lam * a + (1 - lam) * b, box)
-        assert mid <= lam * acr_loss(a, box) + (1 - lam) * acr_loss(b, box) + 1e-9
+        mid = _loss(lam * a + (1 - lam) * b, box)
+        assert mid <= lam * _loss(a, box) + (1 - lam) * _loss(b, box) + 1e-9
 
 
 def test_acr_gradient_values():
     box = _dyadic_box()
     preds = _inside_preds()
-    assert np.all(acr_gradient(preds, box) == 0.0)
-    preds[2, 0] = 120.0   # above k_max.x
-    preds[4, 1] = 10.0    # below k_min.y
-    preds[6, 0] = 96.0    # exactly on the boundary
-    g = acr_gradient(preds, box)
+    assert np.all(acr_hinge(preds, box)[1] == 0.0)
+    preds[0, 2, 0] = 120.0   # above k_max.x
+    preds[0, 4, 1] = 10.0    # below k_min.y
+    preds[0, 6, 0] = 96.0    # exactly on the boundary
+    g = acr_hinge(preds, box)[1][0]
     assert g[2, 0] == 1.0 and g[2, 1] == 0.0
     assert g[4, 1] == -1.0
     assert g[6, 0] == 0.0
@@ -315,9 +324,9 @@ def test_acr_gradient_matches_finite_differences():
     # 10,000 coordinate probes, all at least 1e-2 px from every hinge boundary
     rng = np.random.default_rng(99)
     prior = _point_prior(0.2, 0.3, 0.7, 0.85)
-    box = box_for_image(prior, (50.0, 80.0, 50.0 + 640.0, 80.0 + 320.0))
-    edges_x = (box.k_min[0, 0], box.k_max[0, 0])
-    edges_y = (box.k_min[0, 1], box.k_max[0, 1])
+    box = _box(prior, 50.0, 80.0, 50.0 + 640.0, 80.0 + 320.0)
+    edges_x = (box.k_min[0, 0, 0], box.k_max[0, 0, 0])
+    edges_y = (box.k_min[0, 0, 1], box.k_max[0, 0, 1])
     step = 1e-4
     margin = 1e-2
     probes = 0
@@ -329,14 +338,14 @@ def test_acr_gradient_matches_finite_differences():
         keep = clear_x & clear_y
         if not keep.all():
             continue
-        analytic = acr_gradient(pts, box)
+        analytic = acr_hinge(pts[None], box)[1][0]
         for i in range(KEYPOINT_COUNT):
             for axis in (0, 1):
-                plus = pts.copy()
-                plus[i, axis] += step
-                minus = pts.copy()
-                minus[i, axis] -= step
-                fd = (acr_loss(plus, box) - acr_loss(minus, box)) / (2 * step)
+                plus = pts[None].copy()
+                plus[0, i, axis] += step
+                minus = pts[None].copy()
+                minus[0, i, axis] -= step
+                fd = (_loss(plus, box) - _loss(minus, box)) / (2 * step)
                 err = abs(analytic[i, axis] - fd) / max(1.0, abs(analytic[i, axis]), abs(fd))
                 worst = max(worst, err)
                 probes += 1
@@ -347,16 +356,14 @@ def test_acr_zero_on_training_ground_truth():
     for size in (1, 2, 10, 120):
         pop = generate_population(TEMPLATES["deep_bodied"], size, seed=size)
         prior = fit_prior(pop)
-        for rec in pop:
-            box = box_for_image(prior, visible_bbox(rec.keypoints))
-            assert acr_loss(rec.keypoints, box) == 0.0
+        assert np.all(acr_hinge(pop.xy, dataset_boxes(prior, pop))[0] == 0.0)
 
 
 def test_box_for_keypoints_uses_own_bbox():
     pop = generate_population(TEMPLATES["elongate"], 3, seed=0)
     prior = fit_prior(pop)
-    rec = pop.records[0]
-    assert acr_loss(rec.keypoints, box_for_image(prior, visible_bbox(rec.keypoints))) == 0.0
+    first = pop.take([0])
+    assert _loss(first.xy, dataset_boxes(prior, first)) == 0.0
     assert acr_hinge(pop.xy, dataset_boxes(prior, pop))[0].sum() == 0.0
 
 
@@ -377,23 +384,23 @@ def test_acr_hinge_batch_equals_single_sample_calls():
     assert on_edge.any() and set(np.unique(signs)) == {-1.0, 0.0, 1.0}
     assert np.all(violations[on_edge] == 0.0) and np.all(signs[on_edge] == 0.0)
     for i in range(n):
-        (x0, y0), (w, h) = origins[i, 0], extents[i, 0]
-        box = box_for_image(prior, (x0, y0, x0 + w, y0 + h))
-        assert np.array_equal(violations[i], acr_hinge(xy[i], box)[0])
-        assert np.array_equal(signs[i], acr_gradient(xy[i], box))
-        assert acr_loss(xy[i], box) == float(violations[i].sum())
+        box = BoxConstraint(origins[i, 0], extents[i, 0], prior.mins, prior.maxs)    # one image's (2,) frame
+        one_violations, one_signs = acr_hinge(xy[i], box)
+        assert np.array_equal(violations[i], one_violations)
+        assert np.array_equal(signs[i], one_signs)
+        assert float(one_violations.sum()) == float(violations[i].sum())
 
 
 def test_acr_hinge_signs_are_plus_zero_inside_on_edge_and_at_nan():
     """``acr`` writes the signs into its report, so a -0.0 would change the document's bytes."""
     box = _dyadic_box()  # boxes span [32, 96]^2
     preds = _inside_preds()
-    preds[1] = (32.0, 96.0)      # on the lower x edge and the upper y edge
-    preds[2] = (np.nan, 64.0)
-    preds[3] = (10.0, 120.0)     # below in x, above in y
+    preds[0, 1] = (32.0, 96.0)      # on the lower x edge and the upper y edge
+    preds[0, 2] = (np.nan, 64.0)
+    preds[0, 3] = (10.0, 120.0)     # below in x, above in y
     full = BoxConstraint(*(np.broadcast_to(a, (1, KEYPOINT_COUNT, 2)).copy()
                            for a in (box.origin, box.extent, box.nmin, box.nmax)))
-    for signs in (acr_hinge(preds, box)[1], acr_hinge(preds[None], full)[1][0]):
+    for signs in (acr_hinge(preds, box)[1][0], acr_hinge(preds, full)[1][0]):
         zero = np.ones(signs.shape, dtype=bool)
         zero[3] = False
         assert np.all(signs[zero] == 0.0) and not np.signbit(signs[zero]).any()
@@ -407,10 +414,9 @@ def test_acr_hinge_signs_are_plus_zero_inside_on_edge_and_at_nan():
 def _population_with_bad_records(kinds):
     """Nine generated fish; the fish with id k (from ``kinds``) made degenerate in the given way."""
     pop = generate_population(TEMPLATES["deep_bodied"], 9, seed=3)
-    records = list(pop.records)
+    columns = pop.xy.copy(), pop.v.copy()
     for image_id, kind in kinds.items():
-        kp = records[image_id - 1].keypoints
-        xy, v = kp.xy.copy(), kp.v.copy()
+        xy, v = (column[image_id - 1] for column in columns)    # views: the edits below land in the columns
         if kind == "too_few":
             v[1:] = 0
         elif kind == "zero_x":
@@ -421,14 +427,14 @@ def _population_with_bad_records(kinds):
             xy[3, 1] = 5.0        # a hidden keypoint never counts
         elif kind == "nan_x":
             xy[6, 0] = np.nan
-        records[image_id - 1] = make_record(make_keypoints(xy=xy, v=v, image_id=image_id), 2000.0, 2000.0)
-    return Dataset(records=tuple(records), role="train")
+    return Dataset(*columns, pop.image_ids, pop.width, pop.height, pop.species, "train")
 
 
-def _first_error(call, records):
-    for rec in records:
+def _first_error(call, dataset):
+    """The type and text of the first error ``call`` raises on a one-row dataset of ``dataset``'s rows, in order."""
+    for n in range(len(dataset)):
         try:
-            call(rec)
+            call(dataset.take([n]))
         except (DegeneratePoseError, ValueError) as exc:
             return type(exc), str(exc)
     return None
@@ -447,13 +453,13 @@ _CASES = {
 def test_fit_prior_names_first_bad_record_like_per_record_path(case):
     train = _population_with_bad_records(_CASES[case])
 
-    def one(rec):
+    def one(row):
         try:
-            visible_bbox(rec.keypoints)
+            body_frames(row.xy, row.v, row.image_ids)
         except DegeneratePoseError as exc:
-            raise DegeneratePoseError(f"record {rec.image_id!r} failed normalization: {exc}") from exc
+            raise DegeneratePoseError(f"record {row.image_ids[0]!r} failed normalization: {exc}") from exc
 
-    expected_type, expected = _first_error(one, train.records)
+    expected_type, expected = _first_error(one, train)
     with pytest.raises(DegeneratePoseError) as exc:
         fit_prior(train)
     assert expected_type is DegeneratePoseError and str(exc.value) == expected
@@ -471,7 +477,7 @@ def test_fit_prior_names_first_bad_record_like_per_record_path(case):
 def test_dataset_boxes_raise_like_box_for_keypoints(case):
     prior = fit_prior(generate_population(TEMPLATES["deep_bodied"], 20, seed=4))
     pred = _population_with_bad_records(_CASES[case])
-    expected_type, expected = _first_error(lambda rec: box_for_image(prior, visible_bbox(rec.keypoints)), pred.records)
+    expected_type, expected = _first_error(lambda row: dataset_boxes(prior, row), pred)
     with pytest.raises(expected_type) as exc:
         dataset_boxes(prior, pred)
     assert type(exc.value) is expected_type and str(exc.value) == expected
@@ -492,9 +498,12 @@ def test_dataset_boxes_equal_per_record_boxes():
     prior = fit_prior(generate_population(TEMPLATES["elongate"], 20, seed=8))
     pred = generate_population(TEMPLATES["elongate"], 12, seed=9)
     boxes = dataset_boxes(prior, pred)
-    for n, rec in enumerate(pred):
-        one = box_for_image(prior, visible_bbox(rec.keypoints))
+    hinge, signs = acr_hinge(pred.xy, boxes)
+    for n in range(len(pred)):
+        visible = pred.xy[n][pred.v[n] > 0]    # the record's own frame, restated
+        lo, hi = visible.min(axis=0), visible.max(axis=0)
+        one = BoxConstraint(lo, hi - lo, prior.mins, prior.maxs)
         assert np.array_equal(boxes.origin[n, 0], one.origin) and np.array_equal(boxes.extent[n, 0], one.extent)
-        hinge, signs = acr_hinge(pred.xy, boxes)
-        assert np.array_equal(hinge[n], acr_hinge(rec.keypoints.xy, one)[0])
-        assert np.array_equal(signs[n], acr_gradient(rec.keypoints, one))
+        one_hinge, one_signs = acr_hinge(pred.xy[n], one)
+        assert np.array_equal(hinge[n], one_hinge)
+        assert np.array_equal(signs[n], one_signs)

@@ -7,8 +7,6 @@ import pytest
 from phenokey.dataset import (
     _CHUNK,
     Dataset,
-    FishImageRecord,
-    KeypointSet,
     dataset_to_coco_dict,
     parse_coco,
     serialize_coco,
@@ -25,7 +23,7 @@ from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import TEMPLATES, PerturbationModel, generate_population, perturb
 
 import oracles
-from conftest import make_dataset, make_keypoints
+from conftest import make_dataset, make_keypoints, rows
 from oracles import oracle_parse_coco, oracle_validate
 
 
@@ -38,20 +36,17 @@ def test_parse_fixture_two_records(fixture_path):
     ds = parse_coco(fixture_path)
     assert len(ds) == 2
     assert ds.role == "test"
-    first, second = ds.records
-    assert first.image_id == 1 and second.image_id == 2
-    assert first.width == 1152 and first.height == 864
-    assert first.keypoints.species == "grouper"
-    assert second.keypoints.species == "mottled_naked_carp"
-    assert first.keypoints.xy[0].tolist() == [110.0, 430.0] and first.keypoints.v[0] == 2
-    assert first.keypoints.v[14] == 1
-    assert second.keypoints.xy[21].tolist() == [0.0, 0.0] and second.keypoints.v[21] == 0
+    assert ds.image_ids == (1, 2)
+    assert ds.width[0] == 1152 and ds.height[0] == 864
+    assert [SPECIES[c] for c in ds.species.tolist()] == ["grouper", "mottled_naked_carp"]
+    assert ds.xy[0, 0].tolist() == [110.0, 430.0] and ds.v[0, 0] == 2
+    assert ds.v[0, 14] == 1
+    assert ds.xy[1, 21].tolist() == [0.0, 0.0] and ds.v[1, 21] == 0
 
 
 def test_no_keypoints_dropped(fixture_path):
     ds = parse_coco(fixture_path)
-    decoded = sum(rec.keypoints.xy.shape[0] for rec in ds)
-    assert decoded == KEYPOINT_COUNT * len(ds)
+    assert ds.xy.shape == (len(ds), KEYPOINT_COUNT, 2) and ds.v.shape == (len(ds), KEYPOINT_COUNT)
 
 
 def test_roundtrip_field_equality(fixture_path, tmp_path):
@@ -60,12 +55,10 @@ def test_roundtrip_field_equality(fixture_path, tmp_path):
     serialize_coco(ds, out)
     again = parse_coco(out)
     assert again == ds
-    for a, b in zip(ds, again):
-        assert a.image_id == b.image_id
-        assert a.width == b.width and a.height == b.height
-        assert np.array_equal(a.keypoints.xy, b.keypoints.xy)
-        assert np.array_equal(a.keypoints.v, b.keypoints.v)
-        assert a.keypoints.species == b.keypoints.species
+    assert again.image_ids == ds.image_ids
+    assert np.array_equal(again.width, ds.width) and np.array_equal(again.height, ds.height)
+    assert np.array_equal(again.xy, ds.xy) and np.array_equal(again.v, ds.v)
+    assert np.array_equal(again.species, ds.species)
 
 
 def test_double_roundtrip_byte_equal(fixture_path, tmp_path):
@@ -222,26 +215,26 @@ def _rule_breaking_dataset():
             v[idx - 1] = flag
         return make_keypoints(v=v, image_id=image_id, overrides=overrides)
 
-    def rec(keypoints, width=2000.0, height=2000.0):
-        return FishImageRecord(keypoints.image_id, width, height, keypoints)
-
-    return Dataset(records=(
-        rec(kp(1)),
-        rec(kp(2, v_at={3: 5, 7: -1, 9: 0}, overrides={3: (np.nan, 1.0), 9: (-5.0, np.inf)})),
-        rec(kp(2, v_at={4: 1}, overrides={4: (np.inf, 3.0), 6: (-1.0, 4.5), 8: (2500.0, 10.0)})),
-        rec(kp(3, overrides={2: (np.nan, -2.0), 10: (10.0, 2000.5)}), width=0.0),
-        rec(kp(4, overrides={11: (3000.0, -1.0), 12: (2100.25, 2100.5)}), height=float("nan")),
-        rec(kp(5, v_at={1: 3}, overrides={5: (1999.5, 2000.0), 6: (2000.0, 2000.0000001)})),
-        rec(kp(5), width=-4.0, height=-1.0),
-        rec(kp(6)),
-        rec(kp(2, overrides={22: (1.0, -0.0), 21: (-0.0, 0.5)})),
-    ))
+    kps = [
+        kp(1),
+        kp(2, v_at={3: 5, 7: -1, 9: 0}, overrides={3: (np.nan, 1.0), 9: (-5.0, np.inf)}),
+        kp(2, v_at={4: 1}, overrides={4: (np.inf, 3.0), 6: (-1.0, 4.5), 8: (2500.0, 10.0)}),
+        kp(3, overrides={2: (np.nan, -2.0), 10: (10.0, 2000.5)}),
+        kp(4, overrides={11: (3000.0, -1.0), 12: (2100.25, 2100.5)}),
+        kp(5, v_at={1: 3}, overrides={5: (1999.5, 2000.0), 6: (2000.0, 2000.0000001)}),
+        kp(5),
+        kp(6),
+        kp(2, overrides={22: (1.0, -0.0), 21: (-0.0, 0.5)}),
+    ]
+    width = [2000.0, 2000.0, 2000.0, 0.0, 2000.0, 2000.0, -4.0, 2000.0, 2000.0]
+    height = [2000.0, 2000.0, 2000.0, 2000.0, float("nan"), 2000.0, -1.0, 2000.0, 2000.0]
+    return make_dataset(kps, width=width, height=height)
 
 
 def test_validate_matches_oracle_on_every_rule():
     ds = _rule_breaking_dataset()
     got = [(v.image_id, v.keypoint_index, v.rule, v.detail) for v in validate(ds)]
-    assert got == oracle_validate(ds)
+    assert got == oracle_validate(rows(ds))
     assert {rule for _, _, rule, _ in got} == {
         "unique_image_id", "positive_dimensions", "visibility_flag",
         "visible_finite", "visible_nonnegative", "visible_within_bounds",
@@ -257,18 +250,17 @@ def test_validate_text_is_the_same_however_the_dataset_was_built(tmp_path):
         make_keypoints(image_id="b", overrides={3: (950.0, 10.0), 4: (-1.0, 5.0)}),
         make_keypoints(image_id=2, v=hidden, overrides={5: (np.nan, 1.0)}),
     ]
-    # int dimensions, as records may carry them
+    # int dimensions, as a caller may pass them
     sizes = [(0, 480), (900, 600), (900, -2)]
-    from_records = Dataset(
-        records=tuple(FishImageRecord(kp.image_id, w, h, kp) for kp, (w, h) in zip(kps, sizes)), role="test"
+    from_lists = Dataset(
+        [kp.xy.tolist() for kp in kps], [kp.v.tolist() for kp in kps], [kp.image_id for kp in kps],
+        [w for w, _ in sizes], [h for _, h in sizes], [4, 4, 4], role="test",
     )
-    from_columns = Dataset.from_columns(
-        [kp.xy for kp in kps], [kp.v for kp in kps], [kp.image_id for kp in kps],
-        [w for w, _ in sizes], [h for _, h in sizes], [0, 0, 0], role="test",
-    )
+    from_arrays = make_dataset(kps, role="test", width=[float(w) for w, _ in sizes],
+                               height=[float(h) for _, h in sizes])
     path = tmp_path / "dirty.json"
-    path.write_text(json.dumps(dataset_to_coco_dict(from_records)))
-    texts = [[str(v) for v in validate(ds)] for ds in (from_records, from_columns, parse_coco(path))]
+    path.write_text(json.dumps(dataset_to_coco_dict(from_lists)))
+    texts = [[str(v) for v in validate(ds)] for ds in (from_lists, from_arrays, parse_coco(path))]
     assert texts[0] == texts[1] == texts[2]
     assert texts[0][0] == "[positive_dimensions] image 1: width=0.0, height=480.0"
     assert "[visible_within_bounds] image 'b', keypoint 3: (950.0, 10.0) outside 900.0 x 600.0" in texts[0]
@@ -280,21 +272,16 @@ def _serializer_cases():
     hidden[[0, 9, 21]] = 0
     nan_hidden = {1: (np.nan, np.nan), 10: (np.nan, 5.0), 22: (7.0, np.nan)}
     odd_ids = ['fish "one"', "poisson \u00e9", "\u9b5a\u2014\U0001f41f", "plain", "back\\slash"]
-    records = [
-        FishImageRecord(
-            image_id, 1000.0 + k, 800.5,
-            make_keypoints(v=hidden, image_id=image_id, species=sp, overrides=nan_hidden),
-        )
-        for k, (image_id, sp) in enumerate(zip(odd_ids, SPECIES))
-    ]
+    odd = [make_keypoints(v=hidden, image_id=image_id, species=sp, overrides=nan_hidden)
+           for image_id, sp in zip(odd_ids, SPECIES)]
     numeric = [make_keypoints(image_id=k, species=SPECIES[k % len(SPECIES)]) for k in (3, 1, 2)]
     pop = generate_population(TEMPLATES["deep_bodied"], 4, seed=5)
     grouper = np.full(4, SPECIES.index("grouper"))
     return [
-        Dataset(records=tuple(records), role="test"),
+        make_dataset(odd, role="test", width=[1000.0 + k for k in range(len(odd))], height=800.5),
         make_dataset(numeric, role="train"),
-        Dataset(records=(), role="test"),
-        Dataset.from_columns(pop.xy, pop.v, pop.image_ids, pop.width, pop.height, grouper, pop.role),
+        make_dataset([], role="test"),
+        Dataset(pop.xy, pop.v, pop.image_ids, pop.width, pop.height, grouper, pop.role),
     ]
 
 
@@ -317,7 +304,7 @@ def _chunked_population(n, perturbed):
     v[1::7, [0, 17]] = 0
     xy = np.where((v == 0)[..., None], np.nan, pop.xy[:n])
     ids = [image_id if image_id % 4 else f"fish {image_id}" for image_id in pop.image_ids[:n]]
-    return Dataset.from_columns(xy, v, ids, pop.width[:n], pop.height[:n], pop.species[:n], pop.role)
+    return Dataset(xy, v, ids, pop.width[:n], pop.height[:n], pop.species[:n], pop.role)
 
 
 @pytest.mark.parametrize("n, perturbed", [(0, False), (1, False), (_CHUNK - 1, False), (_CHUNK, False),
@@ -355,7 +342,7 @@ def test_serialize_invalid_fails_before_write(tmp_path):
 
 def test_serialize_empty_dataset(tmp_path):
     out = tmp_path / "empty.json"
-    serialize_coco(Dataset(records=(), role="train"), out)
+    serialize_coco(make_dataset([], role="train"), out)
     with pytest.warns(PhenokeyWarning):
         again = parse_coco(out)
     assert len(again) == 0
@@ -369,48 +356,52 @@ def test_parse_serialize_identity_on_synthetic(tmp_path):
         assert parse_coco(out) == ds
 
 
-def test_records_kept_in_canonical_id_order():
+def test_records_kept_in_canonical_id_order(tmp_path):
     kp_b = make_keypoints(image_id=9)
     kp_a = make_keypoints(image_id=3)
     ds = make_dataset([kp_b, kp_a])
-    assert [r.image_id for r in ds] == [3, 9]
-
-
-def test_a_record_holding_the_keypoints_of_another_image_is_refused():
-    kp = make_keypoints(image_id=2)
-    with pytest.raises(ValueError, match=r"^record 1 holds the keypoints of image 2$"):
-        Dataset([FishImageRecord(1, 100.0, 100.0, kp)])
-    assert Dataset([FishImageRecord(2, 100.0, 100.0, kp)]).records[0].keypoints == kp
+    assert ds.image_ids == (3, 9)
+    # columns given in reverse canonical order are put back in it
+    ds = parse_coco(_write(tmp_path, _mixed_doc()))
+    rebuilt = Dataset(ds.xy[::-1], ds.v[::-1], ds.image_ids[::-1], ds.width[::-1], ds.height[::-1], ds.species[::-1],
+                      role="test")
+    assert rebuilt == ds
+    assert rebuilt.take([1, 3]).image_ids == (2, 5)
 
 
 def test_records_compare_field_by_field():
     kp = make_keypoints(xy=np.full((KEYPOINT_COUNT, 2), np.nan), v=np.zeros(KEYPOINT_COUNT), image_id=1)
-    record = FishImageRecord(1, 100.0, 100.0, kp)
-    assert record == FishImageRecord(1, 100.0, 100.0, make_keypoints(xy=kp.xy, v=kp.v, image_id=1))
-    assert record != FishImageRecord(1, 100.0, 101.0, kp)
-    assert record != FishImageRecord(1, 100.0, 100.0, make_keypoints(v=kp.v, image_id=1))
+    ds = make_dataset([kp], width=100.0, height=100.0)
+    assert ds == make_dataset([make_keypoints(xy=kp.xy, v=kp.v, image_id=1)], width=100.0, height=100.0)
+    assert ds != make_dataset([kp], width=100.0, height=101.0)
+    assert ds != make_dataset([make_keypoints(v=kp.v, image_id=1)], width=100.0, height=100.0)
 
 
 def test_no_records_make_empty_columns():
-    ds = Dataset([])
+    ds = make_dataset([])
     assert ds.xy.shape == (0, KEYPOINT_COUNT, 2) and ds.v.shape == (0, KEYPOINT_COUNT) and ds.v.dtype == np.int64
-    assert ds.records == () and len(ds) == 0
+    assert ds.image_ids == () and len(ds) == 0
 
 
 def test_wrong_shape_construction_raises():
-    with pytest.raises(ValueError, match="keypoints"):
-        KeypointSet(xy=np.zeros((21, 2)), v=np.zeros(21, dtype=int), image_id=1)
+    with pytest.raises(ValueError, match=r"^column xy has shape \(1, 21, 2\), expected \(1, 22, 2\) for 1 image ids$"):
+        Dataset(np.zeros((1, 21, 2)), np.zeros((1, 21), dtype=int), [1], [10.0], [10.0], [0])
 
 
 def test_unknown_species_rejected_at_construction():
-    with pytest.raises(ValueError, match="species"):
-        make_keypoints(species="haddock")
+    for code in (9, -1, len(SPECIES)):    # serialized, 9 and -1 would name no category
+        with pytest.raises(ValueError, match=rf"^column species has {code} in row 1, expected 0..4$"):
+            Dataset(np.zeros((2, KEYPOINT_COUNT, 2)), np.zeros((2, KEYPOINT_COUNT)), [2, 1], [10.0] * 2, [10.0] * 2,
+                    [len(SPECIES) - 1, code])
 
 
-def test_dataset_arrays_immutable():
-    kp = make_keypoints()
-    with pytest.raises(ValueError):
-        kp.xy[0, 0] = 1.0
+def test_dataset_arrays_immutable(tmp_path):
+    ds = parse_coco(_write(tmp_path, _mixed_doc()))
+    for column in (ds.xy, ds.v, ds.width, ds.height, ds.species):
+        with pytest.raises(ValueError):
+            column[0] = 1
+    with pytest.raises(AttributeError):
+        ds.role = "train"
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +458,9 @@ def test_parse_columns_match_oracle(tmp_path):
     assert np.array_equal(ds.xy, np.array([r[4] for r in expected]), equal_nan=True)
     assert np.isnan(ds.xy[ds.v == 0]).any() and not np.isnan(ds.xy[ds.v > 0]).any()
     assert ds.xy.dtype == np.float64 and ds.v.dtype == np.int64
-    # the record views carry the same rows
-    for rec, row in zip(ds, expected):
-        assert (rec.image_id, rec.width, rec.height, rec.keypoints.species) == row[:4]
+    # the rows the tests read carry the same values
+    for rec, code, row in zip(rows(ds), ds.species.tolist(), expected):
+        assert (rec.image_id, rec.width, rec.height, SPECIES[code]) == row[:4]
         assert rec.keypoints.v.tolist() == row[5]
 
 
@@ -523,18 +514,3 @@ def test_parse_reports_earlier_non_numeric_before_later_structural_error(tmp_pat
         parse_coco(path)
     with pytest.raises(oracles.ParseError, match="annotation 102"):
         oracle_parse_coco(path)
-
-
-def test_records_are_cached_views_of_the_columns(tmp_path):
-    ds = parse_coco(_write(tmp_path, _mixed_doc()))
-    assert ds.records is ds.records
-    first = ds.records[0]
-    assert np.shares_memory(first.keypoints.xy, ds.xy)
-    with pytest.raises(ValueError):
-        ds.xy[0, 0, 0] = 1.0
-    with pytest.raises(AttributeError):
-        ds.role = "train"
-    # a dataset built from records keeps them and has the same columns
-    rebuilt = Dataset(records=tuple(reversed(ds.records)), role="test")
-    assert rebuilt == ds and rebuilt.records == ds.records
-    assert rebuilt.take([1, 3]).image_ids == (2, 5)

@@ -24,7 +24,7 @@ from phenokey.metrics import (
 from phenokey.schema import KEYPOINT_COUNT
 from phenokey.synth import TEMPLATES, PerturbationModel, generate_population, perturb
 
-from conftest import make_keypoints
+from conftest import make_dataset, make_keypoints, rows
 from oracles import oracle_oks, oracle_pck, oracle_pmp
 
 # gt spanning exactly [0,60] x [0,80]: bounding-box diagonal is the 60-80-100 triple
@@ -70,7 +70,8 @@ def _ks(d, s, k):
     v = np.zeros(KEYPOINT_COUNT, dtype=int)
     v[0] = 2
     gt = make_keypoints(v=v)
-    (value,) = oks_per_image([_shifted(gt, 1, dx=d)], [gt], EvalConfig(oks_scale=s, oks_k=[k] * KEYPOINT_COUNT))
+    cfg = EvalConfig(oks_scale=s, oks_k=[k] * KEYPOINT_COUNT)
+    (value,) = oks_per_image(make_dataset([_shifted(gt, 1, dx=d)]), make_dataset([gt]), cfg)
     return value
 
 
@@ -106,7 +107,7 @@ def test_ks_monotonicity():
 
 def test_oks_exact_prediction_is_one():
     gt = _box_gt()
-    assert oks_per_image([gt], [gt]) == [1.0]
+    assert oks_per_image(make_dataset([gt]), make_dataset([gt])) == [1.0]
 
 
 def test_oks_single_visible_keypoint():
@@ -116,13 +117,13 @@ def test_oks_single_visible_keypoint():
     s, k = 200.0, 0.025
     pred = _shifted(gt, 5, dx=s * k * math.sqrt(2))
     cfg = EvalConfig(oks_scale=s)
-    assert oks_per_image([pred], [gt], cfg)[0] == pytest.approx(math.exp(-1), rel=1e-12)
+    assert oks_per_image(make_dataset([pred]), make_dataset([gt]), cfg)[0] == pytest.approx(math.exp(-1), rel=1e-12)
 
 
 def test_oks_zero_visible_is_none():
     gt = make_keypoints(v=np.zeros(KEYPOINT_COUNT, dtype=int))
-    assert oks_per_image([gt], [gt]) == [None]
-    assert oks_per_image([gt], [gt], EvalConfig(oks_scale=100.0)) == [None]
+    assert oks_per_image(make_dataset([gt]), make_dataset([gt])) == [None]
+    assert oks_per_image(make_dataset([gt]), make_dataset([gt]), EvalConfig(oks_scale=100.0)) == [None]
 
 
 def test_metrics_without_phenotypes_never_build_the_phenotype_table(monkeypatch):
@@ -134,18 +135,18 @@ def test_metrics_without_phenotypes_never_build_the_phenotype_table(monkeypatch)
     monkeypatch.setattr(metrics, "default_table", no_table)
     gt = _box_gt()
     pred = _shifted(gt, 3, dx=20.0)
-    (value,) = oks_per_image([pred], [gt])
+    (value,) = oks_per_image(make_dataset([pred]), make_dataset([gt]))
     assert 0.0 < value < 1.0
-    assert pck([pred], [gt]).mean() == pytest.approx(21 / 22)
+    assert pck(make_dataset([pred]), make_dataset([gt])).mean() == pytest.approx(21 / 22)
 
 
 @pytest.mark.parametrize("metric", [pck, pmp, oks_per_image])
-def test_list_metrics_pair_by_position_and_reject_mismatched_lists(metric):
-    gts = [_box_gt(1), _box_gt(2)]
-    with pytest.raises(ValueError, match="got 1 predictions for 2 ground truths"):
-        metric(gts[:1], gts)
-    with pytest.raises(ValueError, match="id mismatch: 2 vs 1"):
-        metric(gts[::-1], gts)
+def test_metrics_refuse_a_ground_truth_id_without_a_prediction(metric):
+    gts = make_dataset([_box_gt(1), _box_gt(2)])
+    with pytest.raises(IntegrityError, match=r"predictions missing for image ids \[2\]"):
+        metric(gts.take([0]), gts)
+    with pytest.raises(IntegrityError, match=r"predictions missing for image ids \[1, 2\]"):
+        metric(make_dataset([_box_gt(3)]), gts)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def test_list_metrics_pair_by_position_and_reject_mismatched_lists(metric):
 
 def test_pck_exact_predictions():
     gts = [_box_gt(i) for i in range(1, 5)]
-    res = pck(gts, gts)
+    res = pck(make_dataset(gts), make_dataset(gts))
     assert np.all(res.values == 1.0)
     assert np.all(res.sample_counts == 4)
 
@@ -162,7 +163,7 @@ def test_pck_exact_predictions():
 def test_pck_counts_two_of_four():
     gts = [_box_gt(i) for i in range(1, 5)]
     preds = [_shifted(g, 3, dx=d) for g, d in zip(gts, [5.0, 15.0, 9.0, 30.0])]
-    res = pck(preds, gts, EvalConfig(pck_threshold=0.1))
+    res = pck(make_dataset(preds), make_dataset(gts), EvalConfig(pck_threshold=0.1))
     assert res.values[2] == 0.5  # K-3: {0.05, 0.09} under, {0.15, 0.30} over
     assert res.values[0] == 1.0
 
@@ -170,35 +171,35 @@ def test_pck_counts_two_of_four():
 def test_pck_threshold_is_strict():
     gt = _box_gt()
     pred = _shifted(gt, 3, dx=10.0)  # normalized distance exactly 0.1
-    res = pck([pred], [gt], EvalConfig(pck_threshold=0.1))
+    res = pck(make_dataset([pred]), make_dataset([gt]), EvalConfig(pck_threshold=0.1))
     assert res.values[2] == 0.0
 
 
 def test_pck_head_mode_scale():
     gt = make_keypoints(overrides={1: (0.0, 0.0), 2: (30.0, 40.0)})  # head length 50
     pred = _shifted(gt, 7, dx=4.0)
-    res = pck([pred], [gt], EvalConfig(pck_threshold=0.1, pck_scale_mode="head"))
+    res = pck(make_dataset([pred]), make_dataset([gt]), EvalConfig(pck_threshold=0.1, pck_scale_mode="head"))
     assert res.values[6] == 1.0  # 4/50 = 0.08
     pred = _shifted(gt, 7, dx=6.0)
-    res = pck([pred], [gt], EvalConfig(pck_threshold=0.1, pck_scale_mode="head"))
+    res = pck(make_dataset([pred]), make_dataset([gt]), EvalConfig(pck_threshold=0.1, pck_scale_mode="head"))
     assert res.values[6] == 0.0  # 6/50 = 0.12
 
 
 def test_pck_skips_and_counts_samples_without_a_scale():
     gt = make_keypoints(xy=np.full((KEYPOINT_COUNT, 2), 7.0), image_id=1)  # zero box diagonal
     ok = _box_gt(image_id=2)
-    res = pck([gt, ok], [gt, ok])
+    res = pck(make_dataset([gt, ok]), make_dataset([gt, ok]))
     assert res.skip_counts.tolist() == [1] * KEYPOINT_COUNT
     assert res.sample_counts.tolist() == [1] * KEYPOINT_COUNT
     assert res.values.tolist() == [1.0] * KEYPOINT_COUNT
-    assert np.isnan(pck([gt], [gt]).values).all()
+    assert np.isnan(pck(make_dataset([gt]), make_dataset([gt])).values).all()
     v = np.full(KEYPOINT_COUNT, 2)
     v[1] = 0  # hide K-2: head scale not computable, K-2 itself is not annotated
     gt2 = make_keypoints(v=v, image_id=3)
-    res = pck([gt2, ok], [gt2, ok], EvalConfig(pck_scale_mode="head"))
+    res = pck(make_dataset([gt2, ok]), make_dataset([gt2, ok]), EvalConfig(pck_scale_mode="head"))
     assert res.skip_counts.tolist() == [1] + [0] + [1] * (KEYPOINT_COUNT - 2)
     assert res.sample_counts.tolist() == [1] * KEYPOINT_COUNT
-    res = pck([gt2, ok], [gt2, ok], EvalConfig(pck_scale_mode="torso"))
+    res = pck(make_dataset([gt2, ok]), make_dataset([gt2, ok]), EvalConfig(pck_scale_mode="torso"))
     assert res.skip_counts.tolist() == [0] * KEYPOINT_COUNT
     assert res.sample_counts.tolist() == [2] + [1] + [2] * (KEYPOINT_COUNT - 2)
 
@@ -209,18 +210,19 @@ def test_metrics_reject_a_non_finite_annotated_ground_truth():
     gt = make_keypoints(xy=xy, image_id="a")
     for metric in (pck, pmp, oks_per_image):
         with pytest.raises(SchemaError, match=r"ground truth image 'a': K-5 is annotated at non-finite \(inf, 3.0\)"):
-            metric([_box_gt("a")], [gt])
+            metric(make_dataset([_box_gt("a")]), make_dataset([gt]))
     v = np.full(KEYPOINT_COUNT, 2)
     v[4] = 0
     hidden = make_keypoints(xy=xy, v=v, image_id="a")
-    assert pck([_box_gt("a")], [hidden]).sample_counts[4] == 0    # a hidden keypoint's coordinate is not read
+    # a hidden keypoint's coordinate is not read
+    assert pck(make_dataset([_box_gt("a")]), make_dataset([hidden])).sample_counts[4] == 0
 
 
 def test_pck_skips_unannotated_keypoints():
     v = np.full(KEYPOINT_COUNT, 2)
     v[12] = 0  # K-13 not annotated
     gt = make_keypoints(v=v)
-    res = pck([gt], [gt])
+    res = pck(make_dataset([gt]), make_dataset([gt]))
     assert math.isnan(res.values[12])
     assert res.sample_counts[12] == 0
 
@@ -233,10 +235,10 @@ def test_pmp_eye_example_counts_correct():
     # SnL = 120, ED = 40; K-11 deviated 3 px -> 3/40 = 0.075 < 0.1
     gt = make_keypoints(overrides={1: (0.0, 0.0), 11: (120.0, 0.0), 12: (160.0, 0.0)})
     pred = _shifted(gt, 11, dy=3.0)
-    res = pmp([pred], [gt])
+    res = pmp(make_dataset([pred]), make_dataset([gt]))
     assert res.values[10] == 1.0
     pred = _shifted(gt, 11, dy=5.0)  # 5/40 = 0.125 over threshold
-    res = pmp([pred], [gt])
+    res = pmp(make_dataset([pred]), make_dataset([gt]))
     assert res.values[10] == 0.0
 
 
@@ -247,13 +249,13 @@ def test_pmp_nine_of_ten():
         pheno = float(np.hypot(*(g.xy[8] - g.xy[9])))  # TFL, shortest for K-9 here
         factor = 0.5 if n == 0 else 0.05
         preds.append(_shifted(g, 9, dy=factor * pheno))
-    res = pmp(preds, gts)
+    res = pmp(make_dataset(preds), make_dataset(gts))
     assert res.values[8] == pytest.approx(0.9)
 
 
 def test_pmp_zero_length_shortest_phenotype_skips_sample():
     gt = make_keypoints(overrides={11: (50.0, 50.0), 12: (50.0, 50.0)})  # ED = 0
-    res = pmp([gt], [gt])
+    res = pmp(make_dataset([gt]), make_dataset([gt]))
     assert math.isnan(res.values[10]) and math.isnan(res.values[11])
     assert res.skip_counts[10] == 1 and res.skip_counts[11] == 1
     assert res.values[0] == 1.0  # other keypoints unaffected
@@ -261,7 +263,7 @@ def test_pmp_zero_length_shortest_phenotype_skips_sample():
 
 def test_pmp_mean_ignores_undefined():
     gt = make_keypoints(overrides={11: (50.0, 50.0), 12: (50.0, 50.0)})
-    res = pmp([gt], [gt])
+    res = pmp(make_dataset([gt]), make_dataset([gt]))
     assert res.mean() == 1.0
 
 
@@ -373,9 +375,10 @@ def test_oks_rigid_invariance_with_fixed_scale():
     gt = _box_gt()
     pred = make_keypoints(xy=gt.xy + rng.normal(0, 2, size=(KEYPOINT_COUNT, 2)), image_id=1)
     cfg = EvalConfig(oks_scale=100.0)
-    (base,) = oks_per_image([pred], [gt], cfg)
+    (base,) = oks_per_image(make_dataset([pred]), make_dataset([gt]), cfg)
     for theta, shift in [(0.3, (50, -20)), (1.2, (0, 0)), (2.9, (-5, 400))]:
-        (moved,) = oks_per_image([_rigid(pred, theta, np.array(shift))], [_rigid(gt, theta, np.array(shift))], cfg)
+        moved_pred, moved_gt = (make_dataset([_rigid(kp, theta, np.array(shift))]) for kp in (pred, gt))
+        (moved,) = oks_per_image(moved_pred, moved_gt, cfg)
         assert abs(moved - base) < 1e-9
 
 
@@ -387,11 +390,10 @@ def test_pck_head_mode_rigid_invariance():
         for g in gts
     ]
     cfg = EvalConfig(pck_scale_mode="head", pck_threshold=0.25)
-    base = pck(preds, gts, cfg).values
+    base = pck(make_dataset(preds), make_dataset(gts), cfg).values
     theta, shift = 0.7, np.array([123.0, -45.0])
-    moved = pck(
-        [_rigid(p, theta, shift) for p in preds], [_rigid(g, theta, shift) for g in gts], cfg
-    ).values
+    moved_preds, moved_gts = (make_dataset([_rigid(kp, theta, shift) for kp in kps]) for kps in (preds, gts))
+    moved = pck(moved_preds, moved_gts, cfg).values
     assert np.allclose(moved, base, atol=1e-9)
 
 
@@ -403,8 +405,9 @@ def test_pck_and_pmp_joint_scaling_invariance():
         for g in gts
     ]
     c = 7.5
-    gts_s = [make_keypoints(xy=g.xy * c, v=g.v.copy(), image_id=g.image_id) for g in gts]
-    preds_s = [make_keypoints(xy=p.xy * c, v=p.v.copy(), image_id=p.image_id) for p in preds]
+    gts_s = make_dataset([make_keypoints(xy=g.xy * c, v=g.v.copy(), image_id=g.image_id) for g in gts])
+    preds_s = make_dataset([make_keypoints(xy=p.xy * c, v=p.v.copy(), image_id=p.image_id) for p in preds])
+    preds, gts = make_dataset(preds), make_dataset(gts)
     assert np.allclose(pck(preds_s, gts_s).values, pck(preds, gts).values, atol=1e-9, equal_nan=True)
     assert np.allclose(pmp(preds_s, gts_s).values, pmp(preds, gts).values, atol=1e-9, equal_nan=True)
 
@@ -416,11 +419,10 @@ def test_pmp_rigid_invariance():
         make_keypoints(xy=g.xy + rng.normal(0, 1.0, size=(KEYPOINT_COUNT, 2)), image_id=g.image_id)
         for g in gts
     ]
-    base = pmp(preds, gts).values
+    base = pmp(make_dataset(preds), make_dataset(gts)).values
     theta, shift = 1.9, np.array([-300.0, 77.0])
-    moved = pmp(
-        [_rigid(p, theta, shift) for p in preds], [_rigid(g, theta, shift) for g in gts]
-    ).values
+    moved_preds, moved_gts = (make_dataset([_rigid(kp, theta, shift) for kp in kps]) for kps in (preds, gts))
+    moved = pmp(moved_preds, moved_gts).values
     assert np.allclose(moved, base, atol=1e-9, equal_nan=True)
 
 
@@ -429,8 +431,8 @@ def test_metrics_monotone_in_deviation():
     values_pmp, values_pck = [], []
     for d in [0.5, 2.0, 5.0, 9.0, 40.0]:
         pred = _shifted(gt, 9, dy=d)
-        values_pmp.append(pmp([pred], [gt]).mean())
-        values_pck.append(pck([pred], [gt]).mean())
+        values_pmp.append(pmp(make_dataset([pred]), make_dataset([gt])).mean())
+        values_pck.append(pck(make_dataset([pred]), make_dataset([gt])).mean())
     assert all(a >= b for a, b in zip(values_pmp, values_pmp[1:]))
     assert all(a >= b for a, b in zip(values_pck, values_pck[1:]))
 
@@ -442,16 +444,16 @@ def test_metrics_monotone_in_deviation():
 def test_metrics_match_bruteforce_oracle_small():
     gt = generate_population(TEMPLATES["deep_bodied"], 60, seed=9, role="test")
     pred_ds = perturb(gt, PerturbationModel("uniform_px", 6.0, seed=10))
-    preds = [r.keypoints for r in pred_ds]
-    gts = [r.keypoints for r in gt]
+    preds = [r.keypoints for r in rows(pred_ds)]
+    gts = [r.keypoints for r in rows(gt)]
     cfg = EvalConfig()
 
-    lib = oks_per_image(preds, gts, cfg)
+    lib = oks_per_image(pred_ds, gt, cfg)
     orc, _ = oracle_oks(preds, gts, cfg)
     assert all(abs(a - b) < 1e-12 for a, b in zip(lib, orc))
 
     for metric, oracle in ((pck, oracle_pck), (pmp, oracle_pmp)):
-        lib = metric(preds, gts, cfg)
+        lib = metric(pred_ds, gt, cfg)
         values, counts, skips = oracle(preds, gts, cfg)
         for a, b in zip(lib.values, values):
             assert (b is None and math.isnan(a)) or abs(a - b) < 1e-12
@@ -459,20 +461,31 @@ def test_metrics_match_bruteforce_oracle_small():
 
 
 @pytest.mark.parametrize("ids", [(5, 3), (4, 4)], ids=["descending", "repeated"])
-def test_list_metrics_pair_by_position_whatever_the_ids(ids):
+def test_metrics_pair_rows_by_image_id_whatever_the_row_order(ids):
     # two fish of different size, the first predicted almost exactly and the second far off
     gts = [make_keypoints(xy=_BOX_XY * scale, image_id=i) for scale, i in zip((1.0, 2.0), ids)]
     preds = [make_keypoints(xy=g.xy + shift, image_id=g.image_id) for g, shift in zip(gts, (0.25, 30.0))]
+    gt, pred = make_dataset(gts), make_dataset(preds[::-1])    # the predictions in the other row order
+    # each ground-truth row, in canonical order, with the last prediction row of its id
+    last = {p.image_id: p for p in rows(pred)}
+    paired_gts = [r.keypoints for r in rows(gt)]
+    paired_preds = [last[g.image_id].keypoints for g in rows(gt)]
     cfg = EvalConfig()
-    lib_oks = oks_per_image(preds, gts, cfg)
-    ref_oks, _ = oracle_oks(preds, gts, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # every predicted id is a ground-truth id, repeated or not
+        lib_oks = oks_per_image(pred, gt, cfg)
+        lib = {metric: metric(pred, gt, cfg) for metric in (pck, pmp)}
+    ref_oks, _ = oracle_oks(paired_preds, paired_gts, cfg)
     assert all(abs(a - b) < 1e-12 for a, b in zip(lib_oks, ref_oks, strict=True))
-    assert lib_oks[0] > 0.99 > lib_oks[1]
+    if ids[0] != ids[1]:
+        assert lib_oks == oks_per_image(make_dataset(preds), gt, cfg)
+        assert lib_oks[gt.image_ids.index(ids[0])] > 0.99 > lib_oks[gt.image_ids.index(ids[1])]
+    else:    # both ground truths scored against the one prediction kept for the id: the near one, listed last
+        assert min(lib_oks) < 0.99 < max(lib_oks)
     for metric, oracle in ((pck, oracle_pck), (pmp, oracle_pmp)):
-        lib = metric(preds, gts, cfg)
-        values, counts, skips = oracle(preds, gts, cfg)
-        assert [None if math.isnan(x) else x for x in lib.values.tolist()] == values
-        assert lib.sample_counts.tolist() == counts and lib.skip_counts.tolist() == skips
+        values, counts, skips = oracle(paired_preds, paired_gts, cfg)
+        assert [None if math.isnan(x) else x for x in lib[metric].values.tolist()] == values
+        assert lib[metric].sample_counts.tolist() == counts and lib[metric].skip_counts.tolist() == skips
 
 
 # Thresholds whose squares are no ratio of small integers: on the integer grid below no deviation / scale ratio
@@ -505,12 +518,13 @@ def _scored_lists(draw):
 @given(_scored_lists())
 def test_pck_pmp_and_oks_equal_the_oracles_on_random_visibility(case):
     preds, gts, cfg = case
+    pred, gt = make_dataset(preds), make_dataset(gts)    # ids 0..n-1: rows stay in list order
     for metric, oracle in ((pck, oracle_pck), (pmp, oracle_pmp)):
-        lib = metric(preds, gts, cfg)
+        lib = metric(pred, gt, cfg)
         values, counts, skips = oracle(preds, gts, cfg)
         assert lib.sample_counts.tolist() == counts and lib.skip_counts.tolist() == skips
         assert [None if math.isnan(x) else x for x in lib.values.tolist()] == values
-    lib_oks = oks_per_image(preds, gts, cfg)
+    lib_oks = oks_per_image(pred, gt, cfg)
     ref_oks, _ = oracle_oks(preds, gts, cfg)
     assert [x is None for x in lib_oks] == [x is None for x in ref_oks]
     assert all(a is None or abs(a - b) < 1e-12 for a, b in zip(lib_oks, ref_oks))
@@ -535,8 +549,6 @@ def test_report_round_numbers():
 
 def test_report_undefined_entries_are_null():
     gt = make_keypoints(overrides={11: (50.0, 50.0), 12: (50.0, 50.0)}, image_id=1)
-    from conftest import make_dataset
-
     ds = make_dataset([gt], role="test")
     doc = report_to_dict(evaluate_datasets(ds, ds))
     assert doc["pmp"]["per_keypoint"]["K-11"] is None
@@ -576,4 +588,4 @@ def test_thread_count_does_not_change_results():
 @pytest.mark.parametrize("metric", [pck, pmp])
 def test_per_keypoint_metrics_refuse_an_empty_sample(metric):
     with pytest.raises(UndefinedMetricError, match="no samples to evaluate"):
-        metric([], [])
+        metric(make_dataset([]), make_dataset([]))

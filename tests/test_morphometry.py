@@ -4,13 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from phenokey.errors import DegenerateMeasurementWarning
 from phenokey.morphometry import (
     PhenotypeDef,
     PhenotypeTable,
     default_table,
     degenerate_messages,
-    measure_all,
     measurement_rows,
     phenotype_lengths,
     shortest_phenotype_lengths,
@@ -88,12 +86,13 @@ def test_measure_three_four_five():
 
 def test_measure_coincident_warns_zero():
     kp = make_keypoints(overrides={11: (50.0, 50.0), 12: (50.0, 50.0)})
-    with pytest.warns(DegenerateMeasurementWarning):
-        measure_all(kp)
     with warnings.catch_warnings():
         warnings.simplefilter("error")    # the kernel states the fact in its status column and warns nothing
         rows = _rows(kp)
-    assert rows["ED"] == (0.0, "degenerate")
+        _, status, hidden = measurement_rows(kp.xy[None], kp.v[None])
+    assert rows["ED"] == (0.0, "degenerate") and not hidden.any()
+    # the text of the DegenerateMeasurementWarning that `measure` gives for the cell
+    assert degenerate_messages([kp.image_id], status) == ["ED on image 1: coincident endpoints, zero length"]
 
 
 def test_measure_hidden_endpoint_skips():
@@ -101,7 +100,8 @@ def test_measure_hidden_endpoint_skips():
     v[10] = 0  # K-11
     kp = make_keypoints(v=v)
     assert _rows(kp)["ED"] == (None, "skipped:K-11")
-    assert [(s.abbrev, s.missing_keypoint) for s in measure_all(kp)[1]] == [("SnL", 11), ("ED", 11)]
+    _, _, hidden = measurement_rows(kp.xy[None], kp.v[None])
+    assert [(abbrev, h) for abbrev, h in zip(TABLE.abbrevs(), hidden[0].tolist()) if h] == [("SnL", 11), ("ED", 11)]
 
 
 def test_measure_symmetric_and_rigid_invariant():
@@ -121,34 +121,27 @@ def test_measure_symmetric_and_rigid_invariant():
 
 
 def test_measure_all_full_visibility():
-    measured, skipped = measure_all(make_keypoints())
-    assert len(measured) == 23
-    assert skipped == []
+    kp = make_keypoints()
+    lengths, status, hidden = measurement_rows(kp.xy[None], kp.v[None])
+    assert np.isfinite(lengths).sum() == 23 and (status == "ok").all()
+    assert not hidden.any()
 
 
 def test_measure_all_hidden_k22_skips_only_dfh():
     v = np.full(KEYPOINT_COUNT, 2)
     v[21] = 0
-    measured, skipped = measure_all(make_keypoints(v=v))
-    assert len(measured) == 22
-    assert [s.abbrev for s in skipped] == ["DFH"]
-    assert skipped[0].missing_keypoint == 22
-
-
-def test_measuring_functions_warn_of_coincident_endpoints_at_the_caller():
-    kp = make_keypoints(overrides={11: (50.0, 50.0), 12: (50.0, 50.0)})
-    with pytest.warns(DegenerateMeasurementWarning, match="ED on image") as record:
-        measured, skipped = measure_all(kp)
-        _, status, _ = measurement_rows(kp.xy[None], kp.v[None])
-    assert [m.value for m in measured if m.abbrev == "ED"] == [0.0] and skipped == []
-    assert [w.filename for w in record] == [__file__]    # measure_all's caller; measurement_rows warns nothing
-    assert degenerate_messages([kp.image_id], status) == [str(record[0].message)]
+    kp = make_keypoints(v=v)
+    lengths, status, hidden = measurement_rows(kp.xy[None], kp.v[None])
+    assert np.isfinite(lengths).sum() == 22
+    assert [abbrev for abbrev, h in zip(TABLE.abbrevs(), hidden[0].tolist()) if h] == ["DFH"]
+    assert hidden[0, TABLE.abbrevs().index("DFH")] == 22 and status[0, TABLE.abbrevs().index("DFH")] == "skipped:K-22"
 
 
 def test_measure_all_nothing_visible():
-    measured, skipped = measure_all(make_keypoints(v=np.zeros(KEYPOINT_COUNT, dtype=int)))
-    assert measured == []
-    assert len(skipped) == 23
+    kp = make_keypoints(v=np.zeros(KEYPOINT_COUNT, dtype=int))
+    lengths, status, hidden = measurement_rows(kp.xy[None], kp.v[None])
+    assert np.isnan(lengths).all()
+    assert hidden.all() and len(hidden[0]) == 23
 
 
 def test_shortest_related_picks_eye_diameter():

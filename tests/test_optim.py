@@ -35,9 +35,7 @@ def _param_distance(a: ToyPredictor, b: ToyPredictor) -> float:
 
 def _mean_pmp(predictor: ToyPredictor, problem) -> float:
     coords = predictor.predict(problem.features)
-    pred_ds = coords_to_dataset(coords, problem.population)
-    gts = [r.keypoints for r in problem.population]
-    return pmp([r.keypoints for r in pred_ds], gts).mean()
+    return pmp(coords_to_dataset(coords, problem.population), problem.population).mean()
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +71,7 @@ def test_combined_loss_pure_mse_when_acr_weight_zero():
 
 
 def test_combined_loss_one_px_everywhere_inside_box():
-    from phenokey.anatomy import AnatomicalPrior, box_for_image
+    from phenokey.anatomy import AnatomicalPrior, dataset_boxes
     from phenokey.schema import KEYPOINT_COUNT
 
     problem = make_toy_problem(n=4, feature_dim=5, seed=1)
@@ -83,7 +81,7 @@ def test_combined_loss_one_px_everywhere_inside_box():
     prior = AnatomicalPrior(
         mins=np.zeros((KEYPOINT_COUNT, 2)), maxs=np.ones((KEYPOINT_COUNT, 2)), training_set_size=1
     )
-    box = box_for_image(prior, (*(pts.min(axis=0)), *(pts.max(axis=0))))
+    box = dataset_boxes(prior, coords_to_dataset(gt[None], problem.population.take([0])))    # gt's own frame
     center = np.tile((pts.min(axis=0) + pts.max(axis=0)) / 2.0, KEYPOINT_COUNT)
     direction = np.sign(center - gt)
     direction[direction == 0] = 1.0
@@ -531,6 +529,5 @@ def test_population_coords_shape_and_order():
     problem = make_toy_problem(n=3, feature_dim=5, seed=10)
     coords = population_coords(problem.population)
     assert coords.shape == (3, 44)
-    rec = problem.population.records[0]
-    assert coords[0, 0] == rec.keypoints.xy[0, 0]
-    assert coords[0, 1] == rec.keypoints.xy[0, 1]
+    assert coords[0, 0] == problem.population.xy[0, 0, 0]
+    assert coords[0, 1] == problem.population.xy[0, 0, 1]

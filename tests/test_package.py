@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -78,15 +79,21 @@ def test_the_scan_finds_each_way_to_open_a_file_for_writing(source, writes):
 
 
 def test_every_name_the_demos_import_from_phenokey_resolves():
-    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    root = Path(__file__).resolve().parents[1]
+    demos = sorted((root / "demos").glob("*.py"))
+    # README's python blocks too, so that its example cannot keep importing a removed name
+    readme = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    sources = [(path.name, path.read_text(encoding="utf-8")) for path in demos]
+    sources += [(f"README.md block {k}", block) for k, block in enumerate(readme, start=1)]
     imported = [
-        (path.name, node.module, alias.name)
-        for path in demos
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        (name, node.module, alias.name)
+        for name, source in sources
+        for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.partition(".")[0] == "phenokey"
         for alias in node.names
     ]
-    assert demos and imported
+    assert demos and readme and imported
+    assert {name for name, _, _ in imported} >= {"README.md block 1"}
     assert [f"{demo}: {module}.{name}" for demo, module, name in imported
             if not hasattr(importlib.import_module(module), name)] == []
 

@@ -48,7 +48,7 @@ def inputs(tmp_path_factory):
     serialize_coco(perturb(gt, PerturbationModel("uniform_px", 3.0, seed=5)), base / "pred.json")
     xy, v = gt.xy.copy(), gt.v.copy()
     v[::3, 5], xy[::3, 5] = 0, np.nan
-    hidden = Dataset.from_columns(xy, v, gt.image_ids, gt.width, gt.height, gt.species, gt.role)
+    hidden = Dataset(xy, v, gt.image_ids, gt.width, gt.height, gt.species, gt.role)
     serialize_coco(hidden, base / "gt.json")
     assert main(["prior", "--train", str(base / "gt.json"), "--out", str(base / "prior.json")]) == 0
     return base

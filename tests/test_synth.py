@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from phenokey.anatomy import fit_prior, normalized_coords
-from phenokey.dataset import Dataset, FishImageRecord, KeypointSet, validate
+from phenokey.dataset import Dataset, validate
 from phenokey.metrics import pmp, shortest_phenotype_lengths
-from phenokey.schema import KEYPOINT_COUNT
+from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import (
     TEMPLATES,
     PerturbationModel,
@@ -19,6 +19,7 @@ from phenokey.synth import (
     template_to_dict,
 )
 
+from conftest import rows
 from oracles import truncated_rayleigh_within
 
 
@@ -70,7 +71,7 @@ def test_same_seed_same_population():
 def test_per_fish_seeding_gives_prefix_stability():
     small = generate_population(TEMPLATES["elongate"], 4, seed=9)
     large = generate_population(TEMPLATES["elongate"], 9, seed=9)
-    assert list(large.records[:4]) == list(small.records)
+    assert large.take(range(4)) == small
 
 
 def test_generated_population_validates():
@@ -192,9 +193,8 @@ def test_perturb_zero_magnitude_is_identity():
 def test_perturb_uniform_componentwise_bound():
     gt = generate_population(TEMPLATES["deep_bodied"], 30, seed=4)
     pred = perturb(gt, PerturbationModel("uniform_px", 5.0, seed=5))
-    for g, p in zip(gt, pred):
-        d = np.hypot(*(p.keypoints.xy - g.keypoints.xy).T)
-        assert np.all(d <= 5.0 * np.sqrt(2.0) + 1e-12)
+    d = np.hypot(*(pred.xy - gt.xy).T)
+    assert np.all(d <= 5.0 * np.sqrt(2.0) + 1e-12)
 
 
 def test_perturb_deterministic_per_seed():
@@ -216,8 +216,8 @@ def test_perturbed_dataset_serializes(tmp_path):
 
 def _perturb_one_fish_at_a_time(gt, model):
     """Reference perturbation: phenotype lengths computed for each fish on its own."""
-    records = []
-    for idx, rec in enumerate(gt):
+    moved, sizes = [], []
+    for idx, rec in enumerate(rows(gt)):
         rng = np.random.default_rng([int(model.seed), idx, 7919])
         kp = rec.keypoints
         if model.mode == "uniform_px":
@@ -229,35 +229,32 @@ def _perturb_one_fish_at_a_time(gt, model):
         xy = np.maximum(kp.xy + noise, 0.0)
         width = max(rec.width, float(np.ceil(xy[:, 0].max())))
         height = max(rec.height, float(np.ceil(xy[:, 1].max())))
-        moved = KeypointSet(xy=xy, v=kp.v.copy(), image_id=kp.image_id, species=kp.species)
-        records.append(FishImageRecord(rec.image_id, width, height, moved))
-    return Dataset(records=tuple(records), role=gt.role)
+        moved.append(xy)
+        sizes.append((width, height))
+    width, height = np.reshape(sizes, (-1, 2)).T
+    return Dataset(np.reshape(moved, (-1, KEYPOINT_COUNT, 2)), gt.v, gt.image_ids, width, height, gt.species, gt.role)
 
 
 @pytest.mark.parametrize("mode,magnitude", [("uniform_px", 6.0), ("proportional_to_shortest_phenotype", 0.08)])
 def test_perturb_equals_per_fish_reference(mode, magnitude):
     gt = generate_population(TEMPLATES["elongate"], 40, seed=13, role="test")
-    hidden = []
-    for k, rec in enumerate(gt):
-        v = rec.keypoints.v.copy()
+    hidden = gt.v.copy()
+    for k, v in enumerate(hidden):
         v[[k % KEYPOINT_COUNT, (5 * k + 3) % KEYPOINT_COUNT]] = 0
         if k % 7 == 0:
             v[[0, 11]] = 0    # keypoint 11 keeps no measurable related phenotype
             v[10] = 2
-        kp = KeypointSet(xy=rec.keypoints.xy, v=v, image_id=rec.image_id)
-        hidden.append(FishImageRecord(rec.image_id, rec.width, rec.height, kp))
-    gt = Dataset(records=tuple(hidden), role="test")
+    gt = Dataset(gt.xy, hidden, gt.image_ids, gt.width, gt.height, gt.species, "test")
     for seed in (21, 2**32 + 5, 2**64 + 3):    # seeds of one, two and three SeedSequence words
         model = PerturbationModel(mode, magnitude, seed=seed)
         pred = perturb(gt, model)
         reference = _perturb_one_fish_at_a_time(gt, model)
         assert pred == reference
         assert pred.role == "test"
-        assert [(r.width, r.height) for r in pred] == [(r.width, r.height) for r in reference]
+        assert pred.width.tolist() == reference.width.tolist() and pred.height.tolist() == reference.height.tolist()
         assert pred != gt
         if mode != "uniform_px":
-            for g, p in list(zip(gt, pred))[::7]:
-                assert np.array_equal(p.keypoints.xy[10], g.keypoints.xy[10])
+            assert np.array_equal(pred.xy[::7, 10], gt.xy[::7, 10])
 
 
 @pytest.mark.parametrize(
@@ -270,23 +267,22 @@ def test_perturb_keeps_hidden_nan_coordinates(mode, magnitude):
     xy[[4, 17]] = np.nan
     v[[4, 17]] = 0
     width, height = float(np.ceil(np.nanmax(xy[:, 0]))), float(np.ceil(np.nanmax(xy[:, 1])))
-    gt = Dataset(records=(FishImageRecord(1, width, height, KeypointSet(xy=xy, v=v, image_id=1)),))
+    gt = Dataset(xy[None], v[None], [1], [width], [height], [SPECIES.index("other")])
     assert validate(gt) == []
     model = PerturbationModel(mode, magnitude, seed=3)
-    (rec,) = perturb(gt, model).records
-    moved = rec.keypoints.xy
+    out = perturb(gt, model)
+    moved = out.xy[0]
     assert np.isnan(moved[[4, 17]]).all()
     assert np.isfinite(np.delete(moved, [4, 17], axis=0)).all()
     assert not np.array_equal(np.delete(moved, [4, 17], axis=0), np.delete(xy, [4, 17], axis=0))
-    assert rec.width == max(width, float(np.ceil(np.nanmax(moved[:, 0]))))
-    assert rec.height == max(height, float(np.ceil(np.nanmax(moved[:, 1]))))
+    assert out.width[0] == max(width, float(np.ceil(np.nanmax(moved[:, 0]))))
+    assert out.height[0] == max(height, float(np.ceil(np.nanmax(moved[:, 1]))))
 
-    hidden = KeypointSet(
-        xy=np.full((KEYPOINT_COUNT, 2), np.nan), v=np.zeros(KEYPOINT_COUNT, dtype=np.int64), image_id=2
-    )
-    (rec,) = perturb(Dataset(records=(FishImageRecord(2, 640.0, 480.0, hidden),)), model).records
-    assert np.isnan(rec.keypoints.xy).all()
-    assert (rec.width, rec.height) == (640.0, 480.0)
+    hidden = Dataset(np.full((1, KEYPOINT_COUNT, 2), np.nan), np.zeros((1, KEYPOINT_COUNT), dtype=np.int64), [2],
+                     [640.0], [480.0], [SPECIES.index("other")])
+    out = perturb(hidden, model)
+    assert np.isnan(out.xy).all()
+    assert (out.width[0], out.height[0]) == (640.0, 480.0)
 
 
 def test_invalid_perturbation_model():
@@ -302,7 +298,7 @@ def test_proportional_noise_pmp_matches_analytic_probability():
     # P(deviation / phenotype < 0.1) = P(sqrt(z1^2+z2^2) < 2) for truncated normals
     gt = generate_population(TEMPLATES["deep_bodied"], 1000, seed=11)
     pred = perturb(gt, PerturbationModel("proportional_to_shortest_phenotype", 0.05, seed=12))
-    res = pmp([r.keypoints for r in pred], [r.keypoints for r in gt])
+    res = pmp(pred, gt)
     observed = res.values[~np.isnan(res.values)].mean()
     expected = truncated_rayleigh_within(radius=2.0, cutoff=3.0)
     assert 0.8 < expected < 0.9  # sanity on the oracle itself
