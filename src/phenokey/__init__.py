@@ -38,12 +38,7 @@ from .metrics import (
     pmp,
     report_to_dict,
 )
-from .morphometry import (
-    PhenotypeDef,
-    PhenotypeTable,
-    default_table,
-    measurement_rows,
-)
+from .morphometry import PHENOTYPES, measurement_rows
 from .optim import (
     LossWeights,
     ToyPredictor,

@@ -35,7 +35,7 @@ from .metrics import (
     phenotype_value_pairs,
     report_to_dict,
 )
-from .morphometry import default_table, degenerate_messages, measurement_rows
+from .morphometry import ABBREVS, degenerate_messages, measurement_rows
 from .optim import ToyPredictor, TrainConfig, make_toy_problem, train
 from .plots import plot_deviation_summary, plot_scatter
 from .schema import KEYPOINT_COUNT, SPECIES
@@ -65,7 +65,7 @@ def _cmd_measure(args) -> int:
     # csv writes a float as str(value), which is its repr, and a skipped value as an empty field
     values = np.array(list(map(repr, lengths.ravel().tolist())), dtype=object).reshape(lengths.shape)
     fields = np.stack(np.broadcast_arrays(ids, np.where(hidden > 0, "", values), status), axis=-1)
-    row = "".join(f"%s,{abbrev},%s,%s\r\n" for abbrev in default_table().abbrevs())
+    row = "".join(f"%s,{abbrev},%s,%s\r\n" for abbrev in ABBREVS)
     write_whole(args.out, (",".join(MEASURE_HEADER) + "\r\n", row * len(dataset) % tuple(fields.ravel().tolist())))
     return 0
 
@@ -153,7 +153,8 @@ def _cmd_acr(args) -> int:
     total = 0.0
     for loss in losses:
         total += loss
-    outside = (grad != 0).any(axis=2).sum(axis=1).tolist()
+    # a keypoint is outside when either gradient coordinate is nonzero: its two bool bytes read as one uint16
+    outside = np.count_nonzero((grad != 0).view(np.uint16)[..., 0], axis=1).tolist()
     per_image = [
         {"image_id": image_id, "loss": loss, "keypoints_outside": count, "gradient": rows}
         for image_id, loss, count, rows in zip(pred.image_ids, losses, outside, grad.tolist())
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", action="append", required=True,
                    help="prediction file, as LABEL=FILE or FILE; repeatable for deviation plots")
-    p.add_argument("--phenotype", choices=default_table().abbrevs(), default="TL",
+    p.add_argument("--phenotype", choices=ABBREVS, default="TL",
                    help="phenotype abbreviation for scatter plots")
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None, help="quantile CSV path (deviation plots)")

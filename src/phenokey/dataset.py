@@ -45,6 +45,19 @@ def _freeze(arr):
     return arr
 
 
+def _integers(name, values) -> np.ndarray:
+    """``values`` as an int64 copy; a column of another dtype must hold whole numbers, checked before any cast."""
+    column = np.asarray(values)
+    if column.dtype.kind not in "biu":
+        column = column.astype(np.float64)
+        rows = np.atleast_1d(column)
+        bad = ~np.isfinite(rows) | (rows != np.floor(rows)) | (np.abs(rows) >= 2.0**63)    # 2**63 overflows int64
+        if bad.any():
+            first = tuple(np.argwhere(bad)[0].tolist())
+            raise ValueError(f"column {name} has {rows[first]} in row {first[0]}, expected an integer")
+    return column.astype(np.int64)
+
+
 def _id_sort_key(image_id):
     # ints sort before strings; ids of one dataset are normally homogeneous
     if isinstance(image_id, bool) or not isinstance(image_id, (int, float)):
@@ -67,11 +80,12 @@ class Dataset:
     * ``width`` and ``height``, (N,) float64 image dimensions;
     * ``species``, (N,) int64 positions in :data:`~phenokey.schema.SPECIES`.
 
-    The columns may be given in any row order; a column of the wrong shape, or
-    a species code outside ``0..4``, raises ``ValueError``. The arrays are
-    read-only copies. An image id may repeat: :func:`validate` reports each
-    repeat as ``unique_image_id``, and the metrics pair a ground-truth row with
-    the last prediction row of its id.
+    The columns may be given in any row order; a column of the wrong shape, a
+    ``v`` or ``species`` value that is no whole number (a fraction, NaN or an
+    infinity), or a species code outside ``0..4``, raises ``ValueError``. The
+    arrays are read-only copies. An image id may repeat: :func:`validate`
+    reports each repeat as ``unique_image_id``, and the metrics pair a
+    ground-truth row with the last prediction row of its id.
     """
 
     __slots__ = ("xy", "v", "image_ids", "width", "height", "species", "role")
@@ -83,10 +97,10 @@ class Dataset:
         n = len(image_ids)
         columns = {
             "xy": (np.array(xy, dtype=np.float64), (n, KEYPOINT_COUNT, 2)),
-            "v": (np.array(v, dtype=np.int64), (n, KEYPOINT_COUNT)),
+            "v": (_integers("v", v), (n, KEYPOINT_COUNT)),
             "width": (np.array(width, dtype=np.float64), (n,)),
             "height": (np.array(height, dtype=np.float64), (n,)),
-            "species": (np.array(species, dtype=np.int64), (n,)),
+            "species": (_integers("species", species), (n,)),
         }
         for name, (column, shape) in columns.items():
             if column.shape != shape:

@@ -67,31 +67,42 @@ def read_json(path, decode=lambda doc: doc, name=None, cache=None):
     return value
 
 
-def write_whole(path, pieces) -> None:
-    """Write the text ``pieces`` to ``path`` whole or not at all; None or ``-`` is stdout, the pieces joined first. A
-    new or regular file is written as ``<dest>.<pid>.part``, which takes its place and an old file's mode after the
-    last piece and is removed on any exception; a symlink is followed, a FIFO, device or directory opened in place."""
-    if path is None or path == "-":
-        sys.stdout.write("".join(pieces))    # so a refusal prints nothing
-        return
-    dest = os.path.realpath(path)
+def write_whole(path, pieces, *more) -> None:
+    """Write the text ``pieces`` to ``path`` whole or not at all, and each ``(path, pieces)`` pair of ``more`` with
+    it: every file is written before any takes its place, so a refusal leaves every destination as it was. None or
+    ``-`` is stdout, the pieces joined first. A new or regular file is written as ``<dest>.<pid>.part`` (the k-th of
+    ``more`` as ``<dest>.<pid>.<k>.part``), which takes its place and an old file's mode after the last piece of the
+    last file; every part is removed on any exception. A symlink is followed, a FIFO, device or directory opened in
+    place."""
+    written = []    # (part, dest, mode) of each file so far; (text, None, None) for stdout
     try:
-        mode = os.stat(dest).st_mode if os.path.lexists(dest) else None
-        part = dest if mode is not None and not stat.S_ISREG(mode) else f"{dest}.{os.getpid()}.part"
-        fh = open(part, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        exc.filename = os.fspath(path)    # the error names the destination, not its sibling
-        raise
-    try:
-        with fh:
-            fh.writelines(pieces)
-        if part != dest:
-            if mode is not None:
-                os.chmod(part, stat.S_IMODE(mode))
-            os.replace(part, dest)
+        for k, (path, pieces) in enumerate(((path, pieces), *more)):
+            if path is None or path == "-":
+                written.append(("".join(pieces), None, None))    # so a refusal prints nothing
+                continue
+            dest = os.path.realpath(path)
+            try:
+                mode = os.stat(dest).st_mode if os.path.lexists(dest) else None
+                suffix = f".{k}" if k else ""    # so two destinations that are one file get two parts
+                part = dest if mode is not None and not stat.S_ISREG(mode) else f"{dest}.{os.getpid()}{suffix}.part"
+                fh = open(part, "w", encoding="utf-8", newline="")
+            except OSError as exc:
+                exc.filename = os.fspath(path)    # the error names the destination, not its sibling
+                raise
+            written.append((part, dest, mode))
+            with fh:
+                fh.writelines(pieces)
+        for part, dest, mode in written:
+            if dest is None:
+                sys.stdout.write(part)
+            elif part != dest:
+                if mode is not None:
+                    os.chmod(part, stat.S_IMODE(mode))
+                os.replace(part, dest)
     except BaseException:
-        if part != dest:
-            os.remove(part)
+        for part, dest, _ in written:
+            if dest is not None and part != dest and os.path.lexists(part):
+                os.remove(part)
         raise
 
 

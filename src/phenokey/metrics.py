@@ -42,7 +42,7 @@ from .anatomy import visible_corners
 from .dataset import Dataset
 from .errors import (DegenerateFitError, IntegrityError, PhenokeyWarning, SchemaError, UndefinedMetricError,
                      check_number, positive_number)
-from .morphometry import default_table, phenotype_lengths, shortest_phenotype_lengths
+from .morphometry import ABBREVS, ENDPOINTS, RELATED, phenotype_lengths, shortest_phenotype_lengths
 from .schema import KEYPOINT_COUNT
 
 PCK_SCALE_MODES = ("head", "torso", "bbox_diagonal")
@@ -98,11 +98,13 @@ def mape(gt_values, pred_values) -> float:
 
 def mmape(keypoint: int, per_phenotype_mape: dict) -> float:
     """Unweighted mean MAPE over all phenotypes whose endpoints include ``keypoint``."""
+    if keypoint not in range(1, KEYPOINT_COUNT + 1):    # RELATED[-1] would be K-22's
+        raise KeyError(f"keypoint index must be in 1..{KEYPOINT_COUNT}, got {keypoint}")
     values = []
-    for pdef in default_table().related(keypoint):
-        if pdef.abbrev not in per_phenotype_mape:
-            raise KeyError(f"no MAPE entry for phenotype {pdef.abbrev}")
-        values.append(per_phenotype_mape[pdef.abbrev])
+    for abbrev in (ABBREVS[t] for t in RELATED[int(keypoint) - 1].tolist()):
+        if abbrev not in per_phenotype_mape:
+            raise KeyError(f"no MAPE entry for phenotype {abbrev}")
+        values.append(per_phenotype_mape[abbrev])
     return float(np.mean(values))
 
 
@@ -231,9 +233,8 @@ def _pck_scales(pairs: _Pairs, mode) -> np.ndarray:
     """(N, 1) PCK scale of each sample: its box diagonal, or its HL or SL length (NaN when an endpoint is hidden)."""
     if mode == "bbox_diagonal":
         return pairs.diagonals[:, None]
-    table = default_table()
-    t = table.abbrevs().index(_SCALE_PHENOTYPES[mode])
-    return phenotype_lengths(pairs.gt_xy, pairs.gt_v, table.endpoint_index[:, [t]])
+    t = ABBREVS.index(_SCALE_PHENOTYPES[mode])
+    return phenotype_lengths(pairs.gt_xy, pairs.gt_v, ENDPOINTS[:, [t]])
 
 
 def _hits(pairs: _Pairs, scale, threshold) -> PerKeypointResult:
@@ -315,11 +316,10 @@ def _phenotype_lengths(pairs: _Pairs, ends):
 
 def phenotype_value_pairs(gt: Dataset, pred: Dataset, abbrev: str):
     """Paired (gt, pred) lengths of one phenotype over the usable samples, those the report's statistics use."""
-    table = default_table()
-    if abbrev not in table:
+    if abbrev not in ABBREVS:
         raise KeyError(f"unknown phenotype {abbrev!r}")
-    t = list(table.abbrevs()).index(abbrev)
-    gt_len, pred_len, usable = _phenotype_lengths(_paired_datasets(gt, pred), table.endpoint_index[:, [t]])
+    t = ABBREVS.index(abbrev)
+    gt_len, pred_len, usable = _phenotype_lengths(_paired_datasets(gt, pred), ENDPOINTS[:, [t]])
     return gt_len[usable], pred_len[usable]
 
 
@@ -354,14 +354,13 @@ class MetricReport:
 
 
 def _phenotype_stats(pairs: _Pairs) -> dict:
-    table = default_table()
-    gt_len, pred_len, usable = _phenotype_lengths(pairs, table.endpoint_index)
+    gt_len, pred_len, usable = _phenotype_lengths(pairs, ENDPOINTS)
     stats = {}
-    for t, pdef in enumerate(table):
+    for t, abbrev in enumerate(ABBREVS):
         n_usable = int(usable[:, t].sum())
         skipped = int(np.isfinite(gt_len[:, t]).sum()) - n_usable    # measurable, but not usable
         if n_usable == 0:
-            stats[pdef.abbrev] = None
+            stats[abbrev] = None
             continue
         g = gt_len[usable[:, t], t]
         p = pred_len[usable[:, t], t]
@@ -371,7 +370,7 @@ def _phenotype_stats(pairs: _Pairs) -> dict:
             slope, intercept, r2 = ols_fit(g, p)
             if np.ptp(p) > 0:
                 corr = pearson(g, p)
-        stats[pdef.abbrev] = PhenotypeStats(m, corr, r2, slope, intercept, n_usable, skipped)
+        stats[abbrev] = PhenotypeStats(m, corr, r2, slope, intercept, n_usable, skipped)
     return stats
 
 

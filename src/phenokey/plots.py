@@ -193,7 +193,7 @@ def plot_deviation_summary(deviations: dict, out, csv_path=None) -> None:
             f'<text x="{_fmt(x_mid)}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle">{markup[label]}</text>',
             "</g>",
         ]
-    write_whole(out, [_svg_document(body)])
     rows = [["metric", *_QUANTILES], *([label, *map(repr, stats[label].values())] for label in labels)]
-    write_whole(Path(out).with_suffix(".csv") if csv_path is None else csv_path,
-                (",".join(map(csv_field, row)) + "\r\n" for row in rows))
+    write_whole(out, [_svg_document(body)],    # the SVG and its CSV are committed as a pair
+                (Path(out).with_suffix(".csv") if csv_path is None else csv_path,
+                 (",".join(map(csv_field, row)) + "\r\n" for row in rows)))

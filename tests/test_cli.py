@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import phenokey.cli
 from phenokey.cli import main
 from phenokey.dataset import dataset_to_coco_dict, serialize_coco
 from phenokey.errors import DegenerateMeasurementWarning, PhenokeyWarning
-from phenokey.morphometry import default_table
+from phenokey.morphometry import ABBREVS, PHENOTYPES
 from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import TEMPLATES, template_to_dict
 
@@ -111,9 +112,9 @@ def test_measure_skips_by_flags_and_matches_oracle(tmp_path, capsys):
     assert status[("3", "ED")] == "skipped:K-11" and status[("3", "PoL")] == "skipped:K-12"
     assert status[("4", "ED")] == "degenerate" and rows[("4", "ED")]["value_px"] == "0.0"
     for kp in kps:
-        for pdef in default_table():
-            row = rows[(str(kp.image_id), pdef.abbrev)]
-            length, hidden = oracle_phenotype_length(kp, pdef)
+        for abbrev, _, ends in PHENOTYPES:
+            row = rows[(str(kp.image_id), abbrev)]
+            length, hidden = oracle_phenotype_length(kp, SimpleNamespace(endpoints=ends))
             if hidden is not None:
                 assert row["status"] == f"skipped:K-{hidden}" and row["value_px"] == ""
             else:
@@ -138,12 +139,12 @@ def test_measure_csv_equals_the_csv_module_text(tmp_path, recwarn):
     assert main(["measure", "--input", str(path), "--out", str(out)]) == 0
     expected = [("image_id", "abbrev", "value_px", "status")]
     for kp in rows(dataset):    # canonical order: the int id first, then the strings
-        for pdef in default_table():
-            (ax, ay), (bx, by) = (kp.keypoints.xy[e - 1] for e in pdef.endpoints)
-            missing = [e for e in pdef.endpoints if kp.keypoints.v[e - 1] == 0]
+        for abbrev, _, ends in PHENOTYPES:
+            (ax, ay), (bx, by) = (kp.keypoints.xy[e - 1] for e in ends)
+            missing = [e for e in ends if kp.keypoints.v[e - 1] == 0]
             length = float(np.hypot(bx - ax, by - ay))
             status = f"skipped:K-{missing[0]}" if missing else "degenerate" if length == 0 else "ok"
-            expected.append((kp.image_id, pdef.abbrev, None if missing else length, status))
+            expected.append((kp.image_id, abbrev, None if missing else length, status))
     reference = io.StringIO()
     csv.writer(reference).writerows(expected)
     assert out.read_bytes() == reference.getvalue().encode()
@@ -866,7 +867,7 @@ def test_plot_phenotype_choices_come_from_the_table(synth_files, tmp_path, capsy
                  "--phenotype", "XX", "--out", str(tmp_path / "xx.svg")]) == 2
     err = capsys.readouterr().err
     assert "argument --phenotype: invalid choice: 'XX'" in err
-    assert all(pdef.abbrev in err for pdef in default_table())
+    assert all(abbrev in err for abbrev in ABBREVS)
 
 
 def test_pipeline_on_30_fish_runs_end_to_end(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import json
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +395,19 @@ def test_unknown_species_rejected_at_construction():
         with pytest.raises(ValueError, match=rf"^column species has {code} in row 1, expected 0..4$"):
             Dataset(np.zeros((2, KEYPOINT_COUNT, 2)), np.zeros((2, KEYPOINT_COUNT)), [2, 1], [10.0] * 2, [10.0] * 2,
                     [len(SPECIES) - 1, code])
+    # a flag or code that is no whole number is refused before any cast, which would truncate it or warn
+    flags = np.full((2, KEYPOINT_COUNT), 2.0)
+    for value, text in ((1.5, "1.5"), (np.nan, "nan"), (-np.inf, "-inf"), (1e20, "1e+20")):
+        bad = flags.copy()
+        bad[1, 4] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^column v has {re.escape(text)} in row 1, expected an integer$"):
+                Dataset(np.zeros((2, KEYPOINT_COUNT, 2)), bad, [2, 1], [10.0] * 2, [10.0] * 2, [0, 1])
+            with pytest.raises(ValueError, match=rf"^column species has {re.escape(text)} in row 0, expected an "):
+                Dataset(np.zeros((2, KEYPOINT_COUNT, 2)), flags, [2, 1], [10.0] * 2, [10.0] * 2, [value, 1])
+    whole = Dataset(np.zeros((2, KEYPOINT_COUNT, 2)), flags, [2, 1], [10.0] * 2, [10.0] * 2, [4.0, 1.0])
+    assert whole.v.dtype == whole.species.dtype == np.int64 and whole.species.tolist() == [1, 4]
 
 
 def test_dataset_arrays_immutable(tmp_path):

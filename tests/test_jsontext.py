@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from itertools import chain
 from pathlib import Path
@@ -148,6 +149,26 @@ def test_dump_writes_each_record_list_before_it_takes_the_next(tmp_path):
     records = [{"id": k, "k": _K, "pad": pad} for k in (0, 0, 1, 1, 2, 2)]
     assert path.read_text() == json.dumps({"records": records}, indent=2) + "\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_files_written_together_take_their_places_together(tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    second.write_text("old\n")
+
+    def refused():
+        pid = os.getpid()    # the first file is written, the second open; no destination is replaced yet
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"first.{pid}.part", "second", f"second.{pid}.2.part"]
+        yield "new\n"
+        raise ValueError("refused")
+
+    with pytest.raises(ValueError, match="refused"):
+        jsontext.write_whole(first, ["one\n"], ("-", ["out\n"]), (second, refused()))
+    assert list(tmp_path.iterdir()) == [second] and second.read_text() == "old\n"
+    assert capsys.readouterr().out == ""
+    jsontext.write_whole(first, ["one\n"], ("-", ["out\n"]), (second, ["two\n"]), (first, ["last\n"]))
+    assert [first.read_text(), second.read_text()] == ["last\n", "two\n"]    # one file given twice: the last wins
+    assert capsys.readouterr().out == "out\n"
+    assert sorted(tmp_path.iterdir()) == [first, second]
 
 
 def test_a_same_shape_record_list_costs_a_fixed_number_of_encoder_calls(monkeypatch):

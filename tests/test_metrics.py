@@ -18,6 +18,7 @@ from phenokey.metrics import (
     ols_fit,
     pck,
     pearson,
+    phenotype_value_pairs,
     pmp,
     report_to_dict,
 )
@@ -129,10 +130,11 @@ def test_oks_zero_visible_is_none():
 def test_metrics_without_phenotypes_never_build_the_phenotype_table(monkeypatch):
     import phenokey.metrics as metrics
 
-    def no_table():
-        raise AssertionError("default_table() called by a metric that reads no phenotype")
+    def no_phenotype(*args):
+        raise AssertionError("a phenotype length computed by a metric that reads no phenotype")
 
-    monkeypatch.setattr(metrics, "default_table", no_table)
+    monkeypatch.setattr(metrics, "phenotype_lengths", no_phenotype)
+    monkeypatch.setattr(metrics, "shortest_phenotype_lengths", no_phenotype)
     gt = _box_gt()
     pred = _shifted(gt, 3, dx=20.0)
     (value,) = oks_per_image(make_dataset([pred]), make_dataset([gt]))
@@ -301,6 +303,21 @@ def test_mmape_singleton_keypoint():
 def test_mmape_missing_entry_errors():
     with pytest.raises(KeyError, match="ED"):
         mmape(11, {"SnL": 0.04})
+
+
+@pytest.mark.parametrize("keypoint", [0, -1, 23, 1.5, "1"])
+def test_mmape_refuses_a_keypoint_outside_1_to_22(keypoint):
+    # -1 would otherwise index K-22's phenotypes
+    with pytest.raises(KeyError, match=r"keypoint index must be in 1\.\.22"):
+        mmape(keypoint, {"DFH": 0.07})
+
+
+def test_value_pairs_refuse_an_unknown_phenotype():
+    gts = make_dataset([_box_gt()])
+    with pytest.raises(KeyError, match="unknown phenotype 'XX'"):
+        phenotype_value_pairs(gts, gts, "XX")
+    gt_len, pred_len = phenotype_value_pairs(gts, gts, "TL")
+    assert gt_len.tolist() == pred_len.tolist() and len(gt_len) == 1
 
 
 # ---------------------------------------------------------------------------

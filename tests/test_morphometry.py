@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from phenokey.morphometry import (
-    PhenotypeDef,
-    PhenotypeTable,
-    default_table,
+    ABBREVS,
+    ENDPOINTS,
+    PHENOTYPES,
+    RELATED,
     degenerate_messages,
     measurement_rows,
     phenotype_lengths,
@@ -18,14 +19,14 @@ from phenokey.schema import KEYPOINT_COUNT
 from conftest import make_keypoints
 from oracles import PHENOTYPE_ENDPOINTS
 
-TABLE = default_table()
+ENDS = {abbrev: ends for abbrev, _, ends in PHENOTYPES}
 
 
 def _rows(kp):
     """``{abbrev: (value_px, status)}`` of one keypoint set's ``measure`` rows, the value None where skipped."""
     lengths, status, hidden = measurement_rows(kp.xy[None], kp.v[None])
     values = [None if h else value for value, h in zip(lengths[0].tolist(), hidden[0])]
-    return {abbrev: (value, s) for abbrev, value, s in zip(TABLE.abbrevs(), values, status[0])}
+    return {abbrev: (value, s) for abbrev, value, s in zip(ABBREVS, values, status[0])}
 
 
 def _shortest(kp):
@@ -34,49 +35,42 @@ def _shortest(kp):
 
 
 def test_table_has_23_phenotypes():
-    assert len(TABLE) == 23
+    assert len(PHENOTYPES) == 23
+    assert ABBREVS == tuple(abbrev for abbrev, _, _ in PHENOTYPES)
+    assert ENDPOINTS.shape == (2, 23) and ENDPOINTS.dtype == np.intp
 
 
 def test_abbrevs_unique():
-    abbrevs = TABLE.abbrevs()
-    assert len(set(abbrevs)) == 23
+    assert len(set(ABBREVS)) == 23
 
 
 def test_every_keypoint_covered():
-    covered = {e for pdef in TABLE for e in pdef.endpoints}
+    covered = {e for _, _, ends in PHENOTYPES for e in ends}
     assert covered == set(range(1, KEYPOINT_COUNT + 1))
+    assert all(a != b for _, _, (a, b) in PHENOTYPES)
 
 
 def test_known_endpoint_pairs():
-    assert TABLE["TL"].endpoints == (1, 9)
-    assert TABLE["ED"].endpoints == (11, 12)
-    assert TABLE["CPD"].endpoints == (7, 8)
-    assert TABLE["PeDD"].endpoints == (15, 20)
+    assert ENDS["TL"] == (1, 9)
+    assert ENDS["ED"] == (11, 12)
+    assert ENDS["CPD"] == (7, 8)
+    assert ENDS["PeDD"] == (15, 20)
+    assert [ENDPOINTS[:, t].tolist() for t in (ABBREVS.index("TL"), ABBREVS.index("PeDD"))] == [[0, 8], [14, 19]]
 
 
 def test_related_sets():
-    assert tuple(d.abbrev for d in TABLE.related(11)) == ("SnL", "ED")
-    assert tuple(d.abbrev for d in TABLE.related(9)) == ("TL", "TFL")
-    assert tuple(d.abbrev for d in TABLE.related(22)) == ("DFH",)
+    assert len(RELATED) == KEYPOINT_COUNT
+    assert tuple(ABBREVS[t] for t in RELATED[11 - 1]) == ("SnL", "ED")
+    assert tuple(ABBREVS[t] for t in RELATED[9 - 1]) == ("TL", "TFL")
+    assert tuple(ABBREVS[t] for t in RELATED[22 - 1]) == ("DFH",)
 
 
-def test_default_table_is_one_shared_read_only_table():
-    assert default_table() is default_table()
-    arrays = [TABLE.endpoint_index, *(TABLE.related_index(j) for j in range(1, KEYPOINT_COUNT + 1))]
-    assert not any(arr.flags.writeable for arr in arrays)
+def test_table_arrays_are_read_only():
+    assert not any(arr.flags.writeable for arr in (ENDPOINTS, *RELATED))
     with pytest.raises(ValueError, match="read-only"):
-        TABLE.endpoint_index[0, 0] = 5
-
-
-def test_def_rejects_identical_endpoints():
-    with pytest.raises(ValueError, match="distinct"):
-        PhenotypeDef("XX", "broken", (3, 3))
-
-
-def test_table_rejects_missing_coverage():
-    defs = [PhenotypeDef(f"P{i}", f"p{i}", (i, i + 1)) for i in range(1, 21)]
-    with pytest.raises(ValueError, match="not covered"):
-        PhenotypeTable(defs)
+        ENDPOINTS[0, 0] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        RELATED[0][0] = 5
 
 
 def test_measure_three_four_five():
@@ -101,7 +95,7 @@ def test_measure_hidden_endpoint_skips():
     kp = make_keypoints(v=v)
     assert _rows(kp)["ED"] == (None, "skipped:K-11")
     _, _, hidden = measurement_rows(kp.xy[None], kp.v[None])
-    assert [(abbrev, h) for abbrev, h in zip(TABLE.abbrevs(), hidden[0].tolist()) if h] == [("SnL", 11), ("ED", 11)]
+    assert [(abbrev, h) for abbrev, h in zip(ABBREVS, hidden[0].tolist()) if h] == [("SnL", 11), ("ED", 11)]
 
 
 def test_measure_symmetric_and_rigid_invariant():
@@ -115,9 +109,9 @@ def test_measure_symmetric_and_rigid_invariant():
         moved.append(base.xy @ rot.T + shift)
     xy = np.stack([base.xy, *moved])
     v = np.full(xy.shape[:2], 2)
-    lengths = phenotype_lengths(xy, v, TABLE.endpoint_index)
+    lengths = phenotype_lengths(xy, v, ENDPOINTS)
     assert np.abs(lengths[1:] - lengths[0]).max() < 1e-9
-    assert np.array_equal(phenotype_lengths(xy, v, TABLE.endpoint_index[::-1]), lengths)   # endpoints swapped
+    assert np.array_equal(phenotype_lengths(xy, v, ENDPOINTS[::-1]), lengths)   # endpoints swapped
 
 
 def test_measure_all_full_visibility():
@@ -133,8 +127,8 @@ def test_measure_all_hidden_k22_skips_only_dfh():
     kp = make_keypoints(v=v)
     lengths, status, hidden = measurement_rows(kp.xy[None], kp.v[None])
     assert np.isfinite(lengths).sum() == 22
-    assert [abbrev for abbrev, h in zip(TABLE.abbrevs(), hidden[0].tolist()) if h] == ["DFH"]
-    assert hidden[0, TABLE.abbrevs().index("DFH")] == 22 and status[0, TABLE.abbrevs().index("DFH")] == "skipped:K-22"
+    assert [abbrev for abbrev, h in zip(ABBREVS, hidden[0].tolist()) if h] == ["DFH"]
+    assert hidden[0, ABBREVS.index("DFH")] == 22 and status[0, ABBREVS.index("DFH")] == "skipped:K-22"
 
 
 def test_measure_all_nothing_visible():
@@ -169,7 +163,7 @@ def test_shortest_related_is_minimum_of_related():
     shortest = shortest_phenotype_lengths(xy, v)
     lengths, _, _ = measurement_rows(xy, v)
     for n, t in np.ndindex(lengths.shape):
-        for j in TABLE.defs[t].endpoints:
+        for j in PHENOTYPES[t][2]:
             assert shortest[n, j - 1] <= lengths[n, t]
 
 
@@ -180,4 +174,4 @@ def test_shortest_related_tie_breaks_by_table_order():
 
 
 def test_oracle_restates_the_table():
-    assert tuple(pdef.endpoints for pdef in TABLE) == PHENOTYPE_ENDPOINTS
+    assert tuple(ends for _, _, ends in PHENOTYPES) == PHENOTYPE_ENDPOINTS

@@ -104,6 +104,10 @@ def _no_part_files(tmp_path):
     return list(tmp_path.rglob("*.part")) == []
 
 
+# what a deviation plot writes to SIDE; its other file is DEST, and the two are committed together or not at all
+_SIDE_FILES = ("d.svg", "q.csv")
+
+
 @pytest.mark.parametrize("writer", WRITERS)
 def test_an_absent_destination_stays_absent_on_a_refusal(writer, inputs, tmp_path, refuse, capsys):
     dest = tmp_path / "out"
@@ -111,6 +115,7 @@ def test_an_absent_destination_stays_absent_on_a_refusal(writer, inputs, tmp_pat
     assert _run(writer, dest, inputs, tmp_path) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "error: refused after the first piece"
     assert not dest.exists()
+    assert list((tmp_path / "side").iterdir()) == []
     assert _no_part_files(tmp_path)
 
 
@@ -120,9 +125,13 @@ def test_an_existing_file_keeps_its_bytes_on_a_refusal_and_its_mode_on_success(w
     dest = tmp_path / "out"
     dest.write_bytes(b"old bytes\n")
     dest.chmod(0o600)
+    (tmp_path / "side").mkdir()
+    for name in _SIDE_FILES:
+        (tmp_path / "side" / name).write_bytes(b"old side bytes\n")
     refuse(dest)
     assert _run(writer, dest, inputs, tmp_path) == 1
     assert dest.read_bytes() == b"old bytes\n"
+    assert [(tmp_path / "side" / name).read_bytes() for name in _SIDE_FILES] == [b"old side bytes\n"] * 2
     assert _no_part_files(tmp_path)
     monkeypatch.undo()
     assert _run(writer, dest, inputs, tmp_path) == CODES.get(writer, 0)
