@@ -42,12 +42,7 @@ print(f"{'candidate':<20}{'OKS':>8}{'PCK':>8}{'PMP':>8}{'mMAPE':>9}")
 scores = {}
 for name, pred_ds in candidates.items():
     report = evaluate_datasets(gt, pred_ds, cfg)
-    scores[name] = {
-        "oks": report.oks_mean,
-        "pck": report.pck.mean(),
-        "pmp": report.pmp.mean(),
-        "mmape": float(np.nanmean(report.mmape_per_keypoint)),
-    }
+    scores[name] = {metric: report[metric]["mean"] for metric in ("oks", "pck", "pmp", "mmape")}
     s = scores[name]
     print(f"{name:<20}{s['oks']:>8.4f}{s['pck']:>8.4f}{s['pmp']:>8.4f}{s['mmape']:>9.2%}")
 

@@ -26,7 +26,6 @@ from .dataset import (
 )
 from .metrics import (
     EvalConfig,
-    MetricReport,
     PerKeypointResult,
     evaluate_datasets,
     mape,
@@ -36,7 +35,6 @@ from .metrics import (
     pck,
     pearson,
     pmp,
-    report_to_dict,
 )
 from .morphometry import PHENOTYPES, measurement_rows
 from .optim import (

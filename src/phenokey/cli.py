@@ -33,7 +33,6 @@ from .metrics import (
     _paired_datasets,
     evaluate_datasets,
     phenotype_value_pairs,
-    report_to_dict,
 )
 from .morphometry import ABBREVS, degenerate_messages, measurement_rows
 from .optim import ToyPredictor, TrainConfig, make_toy_problem, train
@@ -121,9 +120,7 @@ def _cmd_evaluate(args) -> int:
     cfg = _eval_config(args)
     metrics = METRICS if args.metric == "all" else (args.metric,)
     report = _with_predictions(args.gt, args.pred, lambda pred: evaluate_datasets(gt, pred, cfg, metrics=metrics))
-    doc = report_to_dict(report)
-    doc["metric"] = args.metric
-    dump(doc, args.out)
+    dump({**report, "metric": args.metric}, args.out)
     return 0
 
 
@@ -205,6 +202,9 @@ def _cmd_plot(args) -> int:
     if args.kind == "scatter" and len(args.pred) > 1:
         sys.stderr.write("error: a scatter plot takes one --pred\n")
         return 2
+    if args.kind == "deviation" and args.out == "-" and args.csv in (None, "-"):    # no `-.csv`, no mixed stdout
+        sys.stderr.write("error: a deviation plot on stdout (--out -) needs a --csv file for its quantiles\n")
+        return 2
     gt = parse_coco(args.gt)
     deviations = {}
     for spec_item in args.pred:
@@ -240,15 +240,22 @@ def _evaluation(doc) -> dict:
 
 def _cmd_report(args) -> int:
     evaluation = read_json(args.evaluation, _evaluation)
-    with open(args.measures, encoding="utf-8") as fh:
+    measurements = []
+    with open(args.measures, encoding="utf-8", newline="") as fh:    # csv reads a quoted line break as written
+        reader = csv.reader(fh)
         try:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames
-            measurements = list(reader)
+            header = next(reader, None)
+            if tuple(header or ()) != MEASURE_HEADER:
+                raise SchemaError(f"{args.measures}: header must be {','.join(MEASURE_HEADER)}, got {header}")
+            for row in filter(None, reader):    # a blank line is no row
+                if len(row) != len(header):
+                    raise SchemaError(f"{args.measures}: line {reader.line_num}: "
+                                      f"{len(row)} fields, expected {len(header)}")
+                measurements.append(dict(zip(MEASURE_HEADER, row)))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{args.measures}: {exc}") from exc
-    if tuple(header or ()) != MEASURE_HEADER:
-        raise SchemaError(f"{args.measures}: header must be {','.join(MEASURE_HEADER)}, got {header}")
+        except csv.Error as exc:    # a field over csv's size limit, say
+            raise ParseError(f"{args.measures}: line {reader.line_num}: {exc}") from exc
     dump({"schema_version": 1, "evaluation": evaluation, "measurements": measurements}, args.out)
     return 0
 

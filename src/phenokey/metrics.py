@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -327,33 +327,8 @@ def phenotype_value_pairs(gt: Dataset, pred: Dataset, abbrev: str):
 # full report
 
 
-@dataclass(frozen=True)
-class PhenotypeStats:
-    mape: float
-    pearson: float | None
-    r2: float | None
-    slope: float | None
-    intercept: float | None
-    n_samples: int
-    n_skipped: int
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Everything the evaluation protocol reports for one gt/pred pairing."""
-
-    n_samples: int
-    config: EvalConfig
-    oks_image_ids: list = field(default_factory=list)
-    oks_per_image: list = field(default_factory=list)
-    oks_mean: float | None = None
-    pck: PerKeypointResult | None = None
-    pmp: PerKeypointResult | None = None
-    phenotypes: dict = field(default_factory=dict)
-    mmape_per_keypoint: np.ndarray | None = None
-
-
 def _phenotype_stats(pairs: _Pairs) -> dict:
+    """Each phenotype's statistics over its usable samples, in table order; None for one with no usable sample."""
     gt_len, pred_len, usable = _phenotype_lengths(pairs, ENDPOINTS)
     stats = {}
     for t, abbrev in enumerate(ABBREVS):
@@ -370,38 +345,9 @@ def _phenotype_stats(pairs: _Pairs) -> dict:
             slope, intercept, r2 = ols_fit(g, p)
             if np.ptp(p) > 0:
                 corr = pearson(g, p)
-        stats[abbrev] = PhenotypeStats(m, corr, r2, slope, intercept, n_usable, skipped)
+        stats[abbrev] = {"mape": m, "pearson": corr, "r2": r2, "slope": slope, "intercept": intercept,
+                         "n_samples": n_usable, "n_skipped": skipped}
     return stats
-
-
-def evaluate_datasets(
-    gt: Dataset,
-    pred: Dataset,
-    cfg: EvalConfig | None = None,
-    metrics: tuple = METRICS,
-) -> MetricReport:
-    """Score a prediction dataset against ground truth on the chosen metrics."""
-    cfg = cfg or EvalConfig()
-    pairs = _paired_datasets(gt, pred)
-    oks_vals = _oks(pairs, cfg) if "oks" in metrics else []
-    pck_res = _hits(pairs, _pck_scales(pairs, cfg.pck_scale_mode), cfg.pck_threshold) if "pck" in metrics else None
-    pmp_res = _hits(pairs, pairs.shortest_phenotypes, cfg.pmp_threshold) if "pmp" in metrics else None
-    phen = _phenotype_stats(pairs) if "phenotypes" in metrics else {}
-    mmape_arr = None
-    if phen:
-        mapes = {abbrev: np.nan if s is None else s.mape for abbrev, s in phen.items()}
-        mmape_arr = np.array([mmape(j, mapes) for j in range(1, KEYPOINT_COUNT + 1)])
-    return MetricReport(
-        n_samples=pairs.n,
-        config=cfg,
-        oks_image_ids=list(gt.image_ids),
-        oks_per_image=oks_vals,
-        oks_mean=_defined_mean(oks_vals),
-        pck=pck_res,
-        pmp=pmp_res,
-        phenotypes=phen,
-        mmape_per_keypoint=mmape_arr,
-    )
 
 
 def _per_keypoint(values: np.ndarray) -> dict:
@@ -412,28 +358,26 @@ def _per_keypoint(values: np.ndarray) -> dict:
     }
 
 
-def report_to_dict(report: MetricReport) -> dict:
-    """JSON-ready form of a report; undefined entries become explicit nulls."""
-    out = {"schema_version": 1, "config": asdict(report.config), "n_samples": report.n_samples}
-    if report.oks_per_image:
-        out["oks"] = {
-            "mean": report.oks_mean,
-            "per_image": [
-                {"image_id": i, "oks": v}
-                for i, v in zip(report.oks_image_ids, report.oks_per_image)
-            ],
-        }
-    for name, res in (("pck", report.pck), ("pmp", report.pmp)):
-        if res is not None:
-            out[name] = {
-                **_per_keypoint(res.values),
-                "sample_counts": res.sample_counts.tolist(),
-                "skip_counts": res.skip_counts.tolist(),
-            }
-    if report.phenotypes:
-        out["phenotypes"] = {
-            abbrev: None if stats is None else asdict(stats) for abbrev, stats in report.phenotypes.items()
-        }
-    if report.mmape_per_keypoint is not None:
-        out["mmape"] = _per_keypoint(report.mmape_per_keypoint)
-    return out
+def _hit_block(res: PerKeypointResult) -> dict:
+    return {**_per_keypoint(res.values), "sample_counts": res.sample_counts.tolist(),
+            "skip_counts": res.skip_counts.tolist()}
+
+
+def evaluate_datasets(gt: Dataset, pred: Dataset, cfg: EvalConfig | None = None, metrics: tuple = METRICS) -> dict:
+    """The report `evaluate` writes, on the chosen metrics: a JSON-ready dict, None where a value is undefined, with
+    no ``oks`` block when no image was scored and ``mmape`` along with ``phenotypes``."""
+    cfg = cfg or EvalConfig()
+    pairs = _paired_datasets(gt, pred)
+    report = {"schema_version": 1, "config": asdict(cfg), "n_samples": pairs.n}
+    if "oks" in metrics and (oks := _oks(pairs, cfg)):
+        per_image = [{"image_id": i, "oks": v} for i, v in zip(gt.image_ids, oks)]
+        report["oks"] = {"mean": _defined_mean(oks), "per_image": per_image}
+    if "pck" in metrics:
+        report["pck"] = _hit_block(_hits(pairs, _pck_scales(pairs, cfg.pck_scale_mode), cfg.pck_threshold))
+    if "pmp" in metrics:
+        report["pmp"] = _hit_block(_hits(pairs, pairs.shortest_phenotypes, cfg.pmp_threshold))
+    if "phenotypes" in metrics:
+        report["phenotypes"] = stats = _phenotype_stats(pairs)
+        mapes = {abbrev: np.nan if s is None else s["mape"] for abbrev, s in stats.items()}
+        report["mmape"] = _per_keypoint(np.array([mmape(j, mapes) for j in range(1, KEYPOINT_COUNT + 1)]))
+    return report

@@ -188,13 +188,7 @@ def _selection_trial(seed):
     scores = {}
     for name, pred_ds in candidates.items():
         report = evaluate_datasets(gt, pred_ds, cfg)
-        mm = report.mmape_per_keypoint
-        scores[name] = {
-            "oks": report.oks_mean,
-            "pck": report.pck.mean(),
-            "pmp": report.pmp.mean(),
-            "mmape": float(np.nanmean(mm)),
-        }
+        scores[name] = {metric: report[metric]["mean"] for metric in ("oks", "pck", "pmp", "mmape")}
     pick = {m: max(scores, key=lambda c: scores[c][m]) for m in ("oks", "pck", "pmp")}
     mmape_of = {m: scores[pick[m]]["mmape"] for m in pick}
     condition = mmape_of["pmp"] <= mmape_of["oks"] and mmape_of["pmp"] <= mmape_of["pck"]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import phenokey.cli
-from phenokey.cli import main
+from phenokey.cli import MEASURE_HEADER, main
 from phenokey.dataset import dataset_to_coco_dict, serialize_coco
 from phenokey.errors import DegenerateMeasurementWarning, PhenokeyWarning
 from phenokey.morphometry import ABBREVS, PHENOTYPES
@@ -518,6 +518,19 @@ def test_report_composes_without_recompute(synth_files, tmp_path):
     assert doc["measurements"][0]["abbrev"] == "TL"
 
 
+def test_report_embeds_image_ids_with_line_breaks_unchanged(tmp_path, recwarn):
+    dataset = make_dataset([make_keypoints(image_id=image_id) for image_id in ("a\r\nb", "c\rd", "e\nf", 7)])
+    gt, evaluation, measures, combined = (tmp_path / name for name in ("gt.json", "eval.json", "m.csv", "out.json"))
+    serialize_coco(dataset, gt)
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(gt), "--metric", "pmp", "--out", str(evaluation)]) == 0
+    assert main(["measure", "--input", str(gt), "--out", str(measures)]) == 0
+    assert main(["report", "--evaluation", str(evaluation), "--measures", str(measures), "--out", str(combined)]) == 0
+    measurements = json.loads(combined.read_text())["measurements"]
+    assert [row["image_id"] for row in measurements[::len(ABBREVS)]] == ["7", "a\r\nb", "c\rd", "e\nf"]
+    with open(measures, encoding="utf-8", newline="") as fh:
+        assert measurements == list(csv.DictReader(fh))
+
+
 def test_subcommands_byte_deterministic(synth_files, tmp_path):
     gt, pred = synth_files
     r1 = tmp_path / "r1.json"
@@ -746,8 +759,14 @@ def test_synth_reads_a_good_template_file_like_the_built_in_one(tmp_path):
         ('{"schema_version": 1}', None, "evaluation", "missing field 'n_samples'"),
         (None, "a,b\n1,2\n", "measures", "header must be image_id,abbrev,value_px,status, got ['a', 'b']"),
         (None, "", "measures", "header must be image_id,abbrev,value_px,status, got None"),
+        (None, f"{','.join(MEASURE_HEADER)}\r\n1,TL,1.0,ok\r\n{'x' * 131073},TL,1.0,ok\r\n", "measures",
+         "line 3: field larger than field limit (131072)"),
+        (None, f"{','.join(MEASURE_HEADER)}\r\n1,TL,1.0,ok,x\r\n", "measures", "line 2: 5 fields, expected 4"),
+        (None, f"{','.join(MEASURE_HEADER)}\r\n1,TL,1.0,ok\r\n\r\n1,HL\r\n", "measures",
+         "line 4: 2 fields, expected 4"),
     ],
-    ids=["list", "version-2", "no-n_samples", "header-a-b", "empty-csv"],
+    ids=["list", "version-2", "no-n_samples", "header-a-b", "empty-csv", "oversized-field", "extra-field",
+         "short-row"],
 )
 def test_report_rejects_what_evaluate_and_measure_do_not_write(
     synth_files, tmp_path, capsys, evaluation_text, measures_text, bad, named
@@ -833,6 +852,25 @@ def test_plot_scatter_takes_one_prediction_file(synth_files, tmp_path, capsys):
     labelled = svg.read_bytes()
     assert main(["plot", "--kind", "scatter", "--gt", str(gt), "--pred", str(pred), "--out", str(svg)]) == 0
     assert svg.read_bytes() == labelled
+
+
+@pytest.mark.parametrize("csv_flag", [[], ["--csv", "-"]], ids=["no-csv", "csv-on-stdout"])
+def test_plot_deviation_on_stdout_needs_a_csv_file(synth_files, tmp_path, monkeypatch, capsys, csv_flag):
+    _, pred = synth_files
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    capsys.readouterr()
+    # refused before any file is read: the ground truth does not exist
+    argv = ["plot", "--kind", "deviation", "--gt", str(tmp_path / "absent.json"), "--pred", str(pred), "--out", "-"]
+    assert main(argv + csv_flag) == 2
+    refusal = "error: a deviation plot on stdout (--out -) needs a --csv file for its quantiles\n"
+    assert capsys.readouterr() == ("", refusal)
+    assert list(cwd.iterdir()) == []    # no `-.csv`
+    argv[argv.index("--gt") + 1] = str(synth_files[0])
+    assert main(argv + ["--csv", "q.csv"]) == 0
+    assert capsys.readouterr().out.startswith("<svg")
+    assert sorted(path.name for path in cwd.iterdir()) == ["q.csv"]
 
 
 def test_plot_scatter_missing_image_names_the_prediction_file(synth_files, tmp_path, capsys):

@@ -20,7 +20,6 @@ from phenokey.metrics import (
     pearson,
     phenotype_value_pairs,
     pmp,
-    report_to_dict,
 )
 from phenokey.schema import KEYPOINT_COUNT
 from phenokey.synth import TEMPLATES, PerturbationModel, generate_population, perturb
@@ -554,8 +553,7 @@ def test_pck_pmp_and_oks_equal_the_oracles_on_random_visibility(case):
 def test_report_round_numbers():
     gt = generate_population(TEMPLATES["elongate"], 8, seed=2, role="test")
     pred = perturb(gt, PerturbationModel("uniform_px", 2.0, seed=3))
-    report = evaluate_datasets(gt, pred)
-    doc = report_to_dict(report)
+    doc = evaluate_datasets(gt, pred)
     assert doc["n_samples"] == 8
     assert len(doc["pmp"]["per_keypoint"]) == KEYPOINT_COUNT
     assert len(doc["pck"]["per_keypoint"]) == KEYPOINT_COUNT
@@ -567,7 +565,7 @@ def test_report_round_numbers():
 def test_report_undefined_entries_are_null():
     gt = make_keypoints(overrides={11: (50.0, 50.0), 12: (50.0, 50.0)}, image_id=1)
     ds = make_dataset([gt], role="test")
-    doc = report_to_dict(evaluate_datasets(ds, ds))
+    doc = evaluate_datasets(ds, ds)
     assert doc["pmp"]["per_keypoint"]["K-11"] is None
     assert doc["phenotypes"]["ED"] is None  # zero-length ground truth: MAPE undefined
     assert doc["mmape"]["per_keypoint"]["K-11"] is None  # ED entry missing
@@ -585,21 +583,19 @@ def test_report_ignores_predictions_for_unknown_image_ids_with_one_warning():
     gt = generate_population(TEMPLATES["elongate"], 3, seed=2, role="test")
     pred = generate_population(TEMPLATES["elongate"], 10, seed=2, role="test")    # ids 1..10, of which 1..3 pair
     with pytest.warns(PhenokeyWarning) as record:
-        report = report_to_dict(evaluate_datasets(gt, pred))
+        report = evaluate_datasets(gt, pred)
     assert [str(w.message) for w in record] == [
         "7 predicted image id(s) not in the ground truth, ignored: [4, 5, 6, 7, 8]"
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")    # the same ids on both sides: nothing to warn of
-        assert report == report_to_dict(evaluate_datasets(gt, gt))
+        assert report == evaluate_datasets(gt, gt)
 
 
-def test_thread_count_does_not_change_results():
+def test_two_evaluations_give_equal_reports():
     gt = generate_population(TEMPLATES["deep_bodied"], 600, seed=4, role="test")
     pred = perturb(gt, PerturbationModel("proportional_to_shortest_phenotype", 0.04, seed=5))
-    one = report_to_dict(evaluate_datasets(gt, pred))
-    four = report_to_dict(evaluate_datasets(gt, pred))
-    assert one == four
+    assert evaluate_datasets(gt, pred) == evaluate_datasets(gt, pred)
 
 
 @pytest.mark.parametrize("metric", [pck, pmp])

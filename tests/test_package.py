@@ -78,11 +78,17 @@ def test_the_scan_finds_each_way_to_open_a_file_for_writing(source, writes):
     assert bool(_writes(f"def f():\n    {source}\n")) == writes
 
 
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```$", (_ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+
+
 def test_every_name_the_demos_import_from_phenokey_resolves():
-    root = Path(__file__).resolve().parents[1]
-    demos = sorted((root / "demos").glob("*.py"))
+    demos = sorted((_ROOT / "demos").glob("*.py"))
     # README's python blocks too, so that its example cannot keep importing a removed name
-    readme = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    readme = _readme_blocks()
     sources = [(path.name, path.read_text(encoding="utf-8")) for path in demos]
     sources += [(f"README.md block {k}", block) for k, block in enumerate(readme, start=1)]
     imported = [
@@ -96,6 +102,14 @@ def test_every_name_the_demos_import_from_phenokey_resolves():
     assert {name for name, _, _ in imported} >= {"README.md block 1"}
     assert [f"{demo}: {module}.{name}" for demo, module, name in imported
             if not hasattr(importlib.import_module(module), name)] == []
+
+
+def test_readme_python_blocks_run(capsys):
+    # run, not only resolved: the quick start cannot keep an attribute or a key the library no longer has
+    blocks = _readme_blocks()
+    for k, block in enumerate(blocks, start=1):
+        exec(compile(block, f"README.md block {k}", "exec"), {"__name__": "readme"})
+    assert blocks and capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
