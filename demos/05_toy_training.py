@@ -6,7 +6,7 @@ the corruption; with it, predictions are pinned at the anatomical boundary,
 every box violation disappears, and the phenotype-normalized score improves.
 """
 
-from phenokey import pmp, train
+from phenokey import evaluate_datasets, train
 from phenokey.optim import acr_benchmark_scenario, coords_to_dataset
 
 problem, init, with_acr, mse_only = acr_benchmark_scenario(seed=0)
@@ -14,7 +14,7 @@ problem, init, with_acr, mse_only = acr_benchmark_scenario(seed=0)
 
 def mean_pmp(predictor):
     pred_ds = coords_to_dataset(predictor.predict(problem.features), problem.population)
-    return pmp(pred_ds, problem.population).mean()
+    return evaluate_datasets(problem.population, pred_ds, metrics=("pmp",))["pmp"]["mean"]
 
 
 for label, cfg in (("MSE + ACR", with_acr), ("MSE only ", mse_only)):

@@ -26,15 +26,11 @@ from .dataset import (
 )
 from .metrics import (
     EvalConfig,
-    PerKeypointResult,
     evaluate_datasets,
     mape,
     mmape,
-    oks_per_image,
     ols_fit,
-    pck,
     pearson,
-    pmp,
 )
 from .morphometry import PHENOTYPES, measurement_rows
 from .optim import (

@@ -13,20 +13,20 @@ Implements the full battery used to score coordinate predictors:
   over the pairs :func:`phenotype_value_pairs` gives (the scatter plot's).
 
 All thresholds compare with strict ``<``. Undefined quantities (empty
-denominators) are reported as NaN markers in arrays and ``None`` in report
-dictionaries, never silently as 0. A predicted keypoint with a non-finite
-coordinate is a miss: its deviation is +inf, so its similarity is 0 and it
-fails PCK and PMP; a phenotype whose predicted length is non-finite, or
-whose ground-truth length is 0, is skipped and counted.
+denominators) are reported as ``None``, never silently as 0. A predicted
+keypoint with a non-finite coordinate is a miss: its deviation is +inf, so
+its similarity is 0 and it fails PCK and PMP; a phenotype whose predicted
+length is non-finite, or whose ground-truth length is 0, is skipped and
+counted.
 
-Every metric is computed on whole (N, 22, 2) arrays, and every one takes a
-prediction and a ground-truth :class:`~phenokey.dataset.Dataset` paired by one
-rule: each ground-truth row with the last prediction row of its image id. A
-ground-truth id with no prediction raises ``IntegrityError``; predictions for
-ids the ground truth lacks are ignored with one warning.
-:func:`evaluate_datasets` pairs the rows once and computes the deviations, the
-ground-truth box diagonals and the shortest ground-truth phenotypes once for
-all metrics.
+Every metric is computed on whole (N, 22, 2) arrays by one call,
+:func:`evaluate_datasets` ``(gt, pred, cfg, metrics)``, which returns the
+report ``evaluate`` writes, one block per name in ``metrics``. Every function
+that pairs two datasets takes the ground truth first and pairs each
+ground-truth row with the last prediction row of its image id. A ground-truth
+id with no prediction raises ``IntegrityError``; predictions for ids the
+ground truth lacks are ignored with one warning. The deviations, box diagonals
+and shortest phenotypes are computed once for all metrics.
 """
 
 from __future__ import annotations
@@ -165,22 +165,6 @@ def _bbox_diagonals(xy, v) -> np.ndarray:
     return np.where((v > 0).any(axis=1), diagonals, np.nan)
 
 
-@dataclass(frozen=True)
-class PerKeypointResult:
-    """Per-keypoint score plus how many samples were counted or skipped.
-
-    ``values[i]`` is NaN when keypoint i+1 had no evaluable samples.
-    """
-
-    values: np.ndarray        # (22,) float, NaN = undefined
-    sample_counts: np.ndarray  # (22,) int, evaluated samples per keypoint
-    skip_counts: np.ndarray    # (22,) int, annotated but unevaluable samples
-
-    def mean(self) -> float | None:
-        """Mean over defined keypoints (the aggregate 'All' figure)."""
-        return _defined_mean(self.values)
-
-
 def _defined_mean(values) -> float | None:
     """Mean of the values that are neither NaN nor None; None when there are none."""
     arr = np.array(values, dtype=np.float64)
@@ -237,12 +221,13 @@ def _pck_scales(pairs: _Pairs, mode) -> np.ndarray:
     return phenotype_lengths(pairs.gt_xy, pairs.gt_v, ENDPOINTS[:, [t]])
 
 
-def _hits(pairs: _Pairs, scale, threshold) -> PerKeypointResult:
-    """Per-keypoint share of hits among the scored keypoints; ``scale`` is (N, 22), or (N, 1) for one per sample.
+def _hits(pairs: _Pairs, scale, threshold) -> dict:
+    """The report's block of per-keypoint hit shares among the scored keypoints, with the sample and skip counts;
+    ``scale`` is (N, 22), or (N, 1) for one per sample.
 
     An annotated keypoint is scored when its scale is finite and positive, and a hit when its deviation divided by
     the scale is below ``threshold``; one with a missing, zero or non-finite scale is skipped and counted. A keypoint
-    with no scored sample is NaN.
+    with no scored sample is None.
     """
     if pairs.n == 0:
         raise UndefinedMetricError("no samples to evaluate")
@@ -251,7 +236,8 @@ def _hits(pairs: _Pairs, scale, threshold) -> PerKeypointResult:
         hits = (scored & (pairs.deviations / scale < threshold)).sum(axis=0)
     counts = scored.sum(axis=0)
     values = np.divide(hits, counts, out=np.full(KEYPOINT_COUNT, np.nan), where=counts > 0)
-    return PerKeypointResult(values, counts, (pairs.annotated & ~scored).sum(axis=0))
+    return {**_per_keypoint(values), "sample_counts": counts.tolist(),
+            "skip_counts": (pairs.annotated & ~scored).sum(axis=0).tolist()}
 
 
 def _oks(pairs: _Pairs, cfg: EvalConfig) -> list[float | None]:
@@ -261,31 +247,6 @@ def _oks(pairs: _Pairs, cfg: EvalConfig) -> list[float | None]:
         sim = np.where(pairs.annotated, _similarity(pairs.deviations, s[:, None], np.array(cfg.oks_k)), 0.0)
         values = sim.sum(axis=1) / pairs.annotated.sum(axis=1)
     return [v if ok else None for v, ok in zip(values.tolist(), defined.tolist())]
-
-
-def pck(preds: Dataset, gts: Dataset, cfg: EvalConfig | None = None) -> PerKeypointResult:
-    """Per-keypoint fraction of predictions within the threshold times the sample's scale.
-
-    The scale is the ground truth's box diagonal or its HL (``head``) or SL (``torso``) length; where it is missing
-    (a hidden endpoint), zero or non-finite, the sample's annotated keypoints are skipped and counted, as in
-    :func:`pmp`.
-    """
-    pairs, cfg = _paired_datasets(gts, preds), cfg or EvalConfig()
-    return _hits(pairs, _pck_scales(pairs, cfg.pck_scale_mode), cfg.pck_threshold)
-
-
-def pmp(preds: Dataset, gts: Dataset, cfg: EvalConfig | None = None) -> PerKeypointResult:
-    """Per-keypoint fraction of predictions within r of the shortest related ground-truth phenotype.
-
-    A keypoint whose shortest related phenotype is missing or zero-length is skipped and counted, as in :func:`pck`.
-    """
-    pairs = _paired_datasets(gts, preds)
-    return _hits(pairs, pairs.shortest_phenotypes, (cfg or EvalConfig()).pmp_threshold)
-
-
-def oks_per_image(preds: Dataset, gts: Dataset, cfg: EvalConfig | None = None) -> list[float | None]:
-    """Object keypoint similarity of each ground-truth row, in its order; None where undefined."""
-    return _oks(_paired_datasets(gts, preds), cfg or EvalConfig())
 
 
 def _paired_datasets(gt: Dataset, pred: Dataset) -> _Pairs:
@@ -358,14 +319,13 @@ def _per_keypoint(values: np.ndarray) -> dict:
     }
 
 
-def _hit_block(res: PerKeypointResult) -> dict:
-    return {**_per_keypoint(res.values), "sample_counts": res.sample_counts.tolist(),
-            "skip_counts": res.skip_counts.tolist()}
-
-
 def evaluate_datasets(gt: Dataset, pred: Dataset, cfg: EvalConfig | None = None, metrics: tuple = METRICS) -> dict:
     """The report `evaluate` writes, on the chosen metrics: a JSON-ready dict, None where a value is undefined, with
-    no ``oks`` block when no image was scored and ``mmape`` along with ``phenotypes``."""
+    no ``oks`` block when no image was scored and ``mmape`` along with ``phenotypes``. A name outside
+    :data:`METRICS` in ``metrics``, or a bare string for it, raises :class:`SchemaError`."""
+    if isinstance(metrics, str) or (unknown := [m for m in metrics if m not in METRICS]):
+        got = f"the string {metrics!r}" if isinstance(metrics, str) else f"unknown {unknown!r}"
+        raise SchemaError(f"metrics must be a sequence of names among {', '.join(METRICS)}, got {got}")
     cfg = cfg or EvalConfig()
     pairs = _paired_datasets(gt, pred)
     report = {"schema_version": 1, "config": asdict(cfg), "n_samples": pairs.n}
@@ -373,9 +333,9 @@ def evaluate_datasets(gt: Dataset, pred: Dataset, cfg: EvalConfig | None = None,
         per_image = [{"image_id": i, "oks": v} for i, v in zip(gt.image_ids, oks)]
         report["oks"] = {"mean": _defined_mean(oks), "per_image": per_image}
     if "pck" in metrics:
-        report["pck"] = _hit_block(_hits(pairs, _pck_scales(pairs, cfg.pck_scale_mode), cfg.pck_threshold))
+        report["pck"] = _hits(pairs, _pck_scales(pairs, cfg.pck_scale_mode), cfg.pck_threshold)
     if "pmp" in metrics:
-        report["pmp"] = _hit_block(_hits(pairs, pairs.shortest_phenotypes, cfg.pmp_threshold))
+        report["pmp"] = _hits(pairs, pairs.shortest_phenotypes, cfg.pmp_threshold)
     if "phenotypes" in metrics:
         report["phenotypes"] = stats = _phenotype_stats(pairs)
         mapes = {abbrev: np.nan if s is None else s["mape"] for abbrev, s in stats.items()}

@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .anatomy import AnatomicalPrior, BoxConstraint, HingeBuffers, acr_hinge, dataset_boxes, fit_prior
+from .anatomy import AnatomicalPrior, BoxConstraint, HingeBuffers, acr_hinge, body_frames, dataset_boxes, fit_prior
 from .dataset import Dataset
 from .errors import DivergenceError, GradNormFallbackWarning, SchemaError, check_number
 from .jsontext import write_whole
@@ -197,10 +197,11 @@ def make_toy_problem(
     With ``linear_targets`` the targets are an exact affine function of pure
     noise features (so an exact least-squares solution with zero residual
     exists). Otherwise the targets are the population's ground-truth
-    coordinates and the first four features carry each fish's bounding
-    rectangle (standardized origin and extent); those make the per-image box
-    positions learnable while the per-keypoint jitter stays as irreducible
-    residual noise. Remaining feature dimensions are pure noise.
+    coordinates and the first four features carry each fish's body frame
+    (the standardized origin and extent of :func:`~phenokey.anatomy.body_frames`);
+    those make the per-image box positions learnable while the per-keypoint
+    jitter stays as irreducible residual noise. Remaining feature dimensions
+    are pure noise.
 
     The prior comes from a separate ``PRIOR_POPULATION``-sized sample of the
     same species template: the box constraint describes the species, not the
@@ -228,9 +229,7 @@ def make_toy_problem(
         targets = features @ true_w.T + base
     else:
         targets = population_coords(population)
-        pts = targets.reshape(n, KEYPOINT_COUNT, 2)
-        mins = pts.min(axis=1)
-        extents = pts.max(axis=1) - mins
+        mins, _, extents = body_frames(population.xy, population.v, population.image_ids)
         geometry = np.hstack([mins, extents])
         std = geometry.std(axis=0)
         std[std == 0] = 1.0

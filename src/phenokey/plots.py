@@ -154,8 +154,10 @@ def plot_deviation_summary(deviations: dict, out, csv_path=None) -> None:
     """Box-and-whisker summary of pixel deviations, one group per labeled list.
 
     Also writes the quantiles as CSV (next to the SVG unless ``csv_path``
-    says otherwise).
+    says otherwise). An SVG for stdout (``out`` ``-`` or None) needs a ``csv_path``.
     """
+    if csv_path is None and out in (None, "-"):
+        raise ValueError("a deviation plot on stdout needs a csv_path for its quantiles")
     if not deviations:
         raise ValueError("need at least one labeled deviation list")
     markup = {label: _xml_text(label, "label") for label in deviations}

@@ -89,3 +89,8 @@ def rows(dataset: Dataset):
     for image_id, width, height, xy, v in columns:
         yield SimpleNamespace(image_id=image_id, width=width, height=height,
                               keypoints=SimpleNamespace(xy=xy, v=v, image_id=image_id))
+
+
+def keypoint_values(block) -> np.ndarray:
+    """A report block's ``per_keypoint`` values as a (22,) float array, NaN where a value is None."""
+    return np.array(list(block["per_keypoint"].values()), dtype=np.float64)

@@ -18,11 +18,8 @@ from phenokey.errors import SchemaError
 from phenokey.metrics import (
     EvalConfig,
     evaluate_datasets,
-    oks_per_image,
     ols_fit,
-    pck,
     pearson,
-    pmp,
     shortest_phenotype_lengths,
 )
 from phenokey.optim import (
@@ -38,7 +35,7 @@ from phenokey.optim import (
 from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import TEMPLATES, PerturbationModel, generate_population, perturb
 
-from conftest import DATA_DIR, make_keypoints, rows
+from conftest import DATA_DIR, keypoint_values, make_keypoints, rows
 from oracles import oracle_oks, oracle_pck, oracle_pmp
 
 
@@ -63,16 +60,17 @@ def test_criterion_1_metric_oracle_equivalence():
         pred = perturb(gt, model)
         preds = [r.keypoints for r in rows(pred)]
 
-        lib_oks = oks_per_image(pred, gt, cfg)
+        report = evaluate_datasets(gt, pred, cfg, metrics=("oks", "pck", "pmp"))
+        lib_oks = [row["oks"] for row in report["oks"]["per_image"]]
         ref_oks, _ = oracle_oks(preds, gts, cfg)
         for a, b in zip(lib_oks, ref_oks):
             worst = max(worst, abs(a - b))
 
-        lib_pck = pck(pred, gt, cfg).values
+        lib_pck = keypoint_values(report["pck"])
         for a, b in zip(lib_pck, oracle_pck(preds, gts, cfg)[0]):
             worst = max(worst, abs(a - b))
 
-        lib_pmp = pmp(pred, gt, cfg=cfg).values
+        lib_pmp = keypoint_values(report["pmp"])
         for a, b in zip(lib_pmp, oracle_pmp(preds, gts, cfg)[0]):
             worst = max(worst, abs(a - b))
     elapsed = time.perf_counter() - start
@@ -123,8 +121,8 @@ def test_criterion_3_gradient_correctness():
 
 
 def _mean_pmp(predictor, problem):
-    coords = predictor.predict(problem.features)
-    return pmp(coords_to_dataset(coords, problem.population), problem.population).mean()
+    pred = coords_to_dataset(predictor.predict(problem.features), problem.population)
+    return evaluate_datasets(problem.population, pred, metrics=("pmp",))["pmp"]["mean"]
 
 
 def test_criterion_4_optimizer_sanity(acr_scenario):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,24 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from phenokey.dataset import Dataset
 from phenokey.errors import DegenerateFitError, IntegrityError, PhenokeyWarning, SchemaError, UndefinedMetricError
 from phenokey.metrics import (
+    METRICS,
     PCK_SCALE_MODES,
     EvalConfig,
     evaluate_datasets,
     mape,
     mmape,
-    oks_per_image,
     ols_fit,
-    pck,
     pearson,
     phenotype_value_pairs,
-    pmp,
 )
 from phenokey.schema import KEYPOINT_COUNT
 from phenokey.synth import TEMPLATES, PerturbationModel, generate_population, perturb
 
-from conftest import make_dataset, make_keypoints, rows
+from conftest import keypoint_values, make_dataset, make_keypoints, rows
 from oracles import oracle_oks, oracle_pck, oracle_pmp
 
 # gt spanning exactly [0,60] x [0,80]: bounding-box diagonal is the 60-80-100 triple
@@ -44,6 +44,16 @@ def _shifted(kp, index, dx=0.0, dy=0.0):
     xy[index - 1, 0] += dx
     xy[index - 1, 1] += dy
     return make_keypoints(xy=xy, v=kp.v.copy(), image_id=kp.image_id)
+
+
+def _block(metric, gt, pred, cfg=None) -> dict:
+    """The report block of one metric, ``evaluate_datasets`` on that metric alone."""
+    return evaluate_datasets(gt, pred, cfg, metrics=(metric,))[metric]
+
+
+def _oks(gt, pred, cfg=None) -> list:
+    """The OKS of each ground-truth row, in its order; None where undefined."""
+    return [row["oks"] for row in _block("oks", gt, pred, cfg)["per_image"]]
 
 
 def test_eval_config_rejects_invalid_values():
@@ -71,7 +81,7 @@ def _ks(d, s, k):
     v[0] = 2
     gt = make_keypoints(v=v)
     cfg = EvalConfig(oks_scale=s, oks_k=[k] * KEYPOINT_COUNT)
-    (value,) = oks_per_image(make_dataset([_shifted(gt, 1, dx=d)]), make_dataset([gt]), cfg)
+    (value,) = _oks(make_dataset([gt]), make_dataset([_shifted(gt, 1, dx=d)]), cfg)
     return value
 
 
@@ -107,7 +117,7 @@ def test_ks_monotonicity():
 
 def test_oks_exact_prediction_is_one():
     gt = _box_gt()
-    assert oks_per_image(make_dataset([gt]), make_dataset([gt])) == [1.0]
+    assert _oks(make_dataset([gt]), make_dataset([gt])) == [1.0]
 
 
 def test_oks_single_visible_keypoint():
@@ -117,13 +127,13 @@ def test_oks_single_visible_keypoint():
     s, k = 200.0, 0.025
     pred = _shifted(gt, 5, dx=s * k * math.sqrt(2))
     cfg = EvalConfig(oks_scale=s)
-    assert oks_per_image(make_dataset([pred]), make_dataset([gt]), cfg)[0] == pytest.approx(math.exp(-1), rel=1e-12)
+    assert _oks(make_dataset([gt]), make_dataset([pred]), cfg)[0] == pytest.approx(math.exp(-1), rel=1e-12)
 
 
 def test_oks_zero_visible_is_none():
     gt = make_keypoints(v=np.zeros(KEYPOINT_COUNT, dtype=int))
-    assert oks_per_image(make_dataset([gt]), make_dataset([gt])) == [None]
-    assert oks_per_image(make_dataset([gt]), make_dataset([gt]), EvalConfig(oks_scale=100.0)) == [None]
+    assert _oks(make_dataset([gt]), make_dataset([gt])) == [None]
+    assert _oks(make_dataset([gt]), make_dataset([gt]), EvalConfig(oks_scale=100.0)) == [None]
 
 
 def test_metrics_without_phenotypes_never_build_the_phenotype_table(monkeypatch):
@@ -136,18 +146,18 @@ def test_metrics_without_phenotypes_never_build_the_phenotype_table(monkeypatch)
     monkeypatch.setattr(metrics, "shortest_phenotype_lengths", no_phenotype)
     gt = _box_gt()
     pred = _shifted(gt, 3, dx=20.0)
-    (value,) = oks_per_image(make_dataset([pred]), make_dataset([gt]))
+    (value,) = _oks(make_dataset([gt]), make_dataset([pred]))
     assert 0.0 < value < 1.0
-    assert pck(make_dataset([pred]), make_dataset([gt])).mean() == pytest.approx(21 / 22)
+    assert _block("pck", make_dataset([gt]), make_dataset([pred]))["mean"] == pytest.approx(21 / 22)
 
 
-@pytest.mark.parametrize("metric", [pck, pmp, oks_per_image])
+@pytest.mark.parametrize("metric", ["pck", "pmp", "oks"])
 def test_metrics_refuse_a_ground_truth_id_without_a_prediction(metric):
     gts = make_dataset([_box_gt(1), _box_gt(2)])
     with pytest.raises(IntegrityError, match=r"predictions missing for image ids \[2\]"):
-        metric(gts.take([0]), gts)
+        _block(metric, gts, gts.take([0]))
     with pytest.raises(IntegrityError, match=r"predictions missing for image ids \[1, 2\]"):
-        metric(make_dataset([_box_gt(3)]), gts)
+        _block(metric, gts, make_dataset([_box_gt(3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,76 +166,75 @@ def test_metrics_refuse_a_ground_truth_id_without_a_prediction(metric):
 
 def test_pck_exact_predictions():
     gts = [_box_gt(i) for i in range(1, 5)]
-    res = pck(make_dataset(gts), make_dataset(gts))
-    assert np.all(res.values == 1.0)
-    assert np.all(res.sample_counts == 4)
+    res = _block("pck", make_dataset(gts), make_dataset(gts))
+    assert np.all(keypoint_values(res) == 1.0)
+    assert res["sample_counts"] == [4] * KEYPOINT_COUNT
 
 
 def test_pck_counts_two_of_four():
     gts = [_box_gt(i) for i in range(1, 5)]
     preds = [_shifted(g, 3, dx=d) for g, d in zip(gts, [5.0, 15.0, 9.0, 30.0])]
-    res = pck(make_dataset(preds), make_dataset(gts), EvalConfig(pck_threshold=0.1))
-    assert res.values[2] == 0.5  # K-3: {0.05, 0.09} under, {0.15, 0.30} over
-    assert res.values[0] == 1.0
+    res = _block("pck", make_dataset(gts), make_dataset(preds), EvalConfig(pck_threshold=0.1))["per_keypoint"]
+    assert res["K-3"] == 0.5  # {0.05, 0.09} under, {0.15, 0.30} over
+    assert res["K-1"] == 1.0
 
 
 def test_pck_threshold_is_strict():
     gt = _box_gt()
     pred = _shifted(gt, 3, dx=10.0)  # normalized distance exactly 0.1
-    res = pck(make_dataset([pred]), make_dataset([gt]), EvalConfig(pck_threshold=0.1))
-    assert res.values[2] == 0.0
+    res = _block("pck", make_dataset([gt]), make_dataset([pred]), EvalConfig(pck_threshold=0.1))
+    assert res["per_keypoint"]["K-3"] == 0.0
 
 
 def test_pck_head_mode_scale():
     gt = make_keypoints(overrides={1: (0.0, 0.0), 2: (30.0, 40.0)})  # head length 50
     pred = _shifted(gt, 7, dx=4.0)
-    res = pck(make_dataset([pred]), make_dataset([gt]), EvalConfig(pck_threshold=0.1, pck_scale_mode="head"))
-    assert res.values[6] == 1.0  # 4/50 = 0.08
+    cfg = EvalConfig(pck_threshold=0.1, pck_scale_mode="head")
+    assert _block("pck", make_dataset([gt]), make_dataset([pred]), cfg)["per_keypoint"]["K-7"] == 1.0  # 4/50 = 0.08
     pred = _shifted(gt, 7, dx=6.0)
-    res = pck(make_dataset([pred]), make_dataset([gt]), EvalConfig(pck_threshold=0.1, pck_scale_mode="head"))
-    assert res.values[6] == 0.0  # 6/50 = 0.12
+    assert _block("pck", make_dataset([gt]), make_dataset([pred]), cfg)["per_keypoint"]["K-7"] == 0.0  # 6/50 = 0.12
 
 
 def test_pck_skips_and_counts_samples_without_a_scale():
     gt = make_keypoints(xy=np.full((KEYPOINT_COUNT, 2), 7.0), image_id=1)  # zero box diagonal
     ok = _box_gt(image_id=2)
-    res = pck(make_dataset([gt, ok]), make_dataset([gt, ok]))
-    assert res.skip_counts.tolist() == [1] * KEYPOINT_COUNT
-    assert res.sample_counts.tolist() == [1] * KEYPOINT_COUNT
-    assert res.values.tolist() == [1.0] * KEYPOINT_COUNT
-    assert np.isnan(pck(make_dataset([gt]), make_dataset([gt])).values).all()
+    res = _block("pck", make_dataset([gt, ok]), make_dataset([gt, ok]))
+    assert res["skip_counts"] == [1] * KEYPOINT_COUNT
+    assert res["sample_counts"] == [1] * KEYPOINT_COUNT
+    assert keypoint_values(res).tolist() == [1.0] * KEYPOINT_COUNT
+    assert np.isnan(keypoint_values(_block("pck", make_dataset([gt]), make_dataset([gt])))).all()
     v = np.full(KEYPOINT_COUNT, 2)
     v[1] = 0  # hide K-2: head scale not computable, K-2 itself is not annotated
     gt2 = make_keypoints(v=v, image_id=3)
-    res = pck(make_dataset([gt2, ok]), make_dataset([gt2, ok]), EvalConfig(pck_scale_mode="head"))
-    assert res.skip_counts.tolist() == [1] + [0] + [1] * (KEYPOINT_COUNT - 2)
-    assert res.sample_counts.tolist() == [1] * KEYPOINT_COUNT
-    res = pck(make_dataset([gt2, ok]), make_dataset([gt2, ok]), EvalConfig(pck_scale_mode="torso"))
-    assert res.skip_counts.tolist() == [0] * KEYPOINT_COUNT
-    assert res.sample_counts.tolist() == [2] + [1] + [2] * (KEYPOINT_COUNT - 2)
+    res = _block("pck", make_dataset([gt2, ok]), make_dataset([gt2, ok]), EvalConfig(pck_scale_mode="head"))
+    assert res["skip_counts"] == [1] + [0] + [1] * (KEYPOINT_COUNT - 2)
+    assert res["sample_counts"] == [1] * KEYPOINT_COUNT
+    res = _block("pck", make_dataset([gt2, ok]), make_dataset([gt2, ok]), EvalConfig(pck_scale_mode="torso"))
+    assert res["skip_counts"] == [0] * KEYPOINT_COUNT
+    assert res["sample_counts"] == [2] + [1] + [2] * (KEYPOINT_COUNT - 2)
 
 
 def test_metrics_reject_a_non_finite_annotated_ground_truth():
     xy = _BOX_XY.copy()
     xy[4] = (np.inf, 3.0)
     gt = make_keypoints(xy=xy, image_id="a")
-    for metric in (pck, pmp, oks_per_image):
+    for metric in ("pck", "pmp", "oks"):
         with pytest.raises(SchemaError, match=r"ground truth image 'a': K-5 is annotated at non-finite \(inf, 3.0\)"):
-            metric(make_dataset([_box_gt("a")]), make_dataset([gt]))
+            _block(metric, make_dataset([gt]), make_dataset([_box_gt("a")]))
     v = np.full(KEYPOINT_COUNT, 2)
     v[4] = 0
     hidden = make_keypoints(xy=xy, v=v, image_id="a")
     # a hidden keypoint's coordinate is not read
-    assert pck(make_dataset([_box_gt("a")]), make_dataset([hidden])).sample_counts[4] == 0
+    assert _block("pck", make_dataset([hidden]), make_dataset([_box_gt("a")]))["sample_counts"][4] == 0
 
 
 def test_pck_skips_unannotated_keypoints():
     v = np.full(KEYPOINT_COUNT, 2)
     v[12] = 0  # K-13 not annotated
     gt = make_keypoints(v=v)
-    res = pck(make_dataset([gt]), make_dataset([gt]))
-    assert math.isnan(res.values[12])
-    assert res.sample_counts[12] == 0
+    res = _block("pck", make_dataset([gt]), make_dataset([gt]))
+    assert math.isnan(keypoint_values(res)[12])
+    assert res["sample_counts"][12] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +245,9 @@ def test_pmp_eye_example_counts_correct():
     # SnL = 120, ED = 40; K-11 deviated 3 px -> 3/40 = 0.075 < 0.1
     gt = make_keypoints(overrides={1: (0.0, 0.0), 11: (120.0, 0.0), 12: (160.0, 0.0)})
     pred = _shifted(gt, 11, dy=3.0)
-    res = pmp(make_dataset([pred]), make_dataset([gt]))
-    assert res.values[10] == 1.0
+    assert _block("pmp", make_dataset([gt]), make_dataset([pred]))["per_keypoint"]["K-11"] == 1.0
     pred = _shifted(gt, 11, dy=5.0)  # 5/40 = 0.125 over threshold
-    res = pmp(make_dataset([pred]), make_dataset([gt]))
-    assert res.values[10] == 0.0
+    assert _block("pmp", make_dataset([gt]), make_dataset([pred]))["per_keypoint"]["K-11"] == 0.0
 
 
 def test_pmp_nine_of_ten():
@@ -250,22 +257,22 @@ def test_pmp_nine_of_ten():
         pheno = float(np.hypot(*(g.xy[8] - g.xy[9])))  # TFL, shortest for K-9 here
         factor = 0.5 if n == 0 else 0.05
         preds.append(_shifted(g, 9, dy=factor * pheno))
-    res = pmp(make_dataset(preds), make_dataset(gts))
-    assert res.values[8] == pytest.approx(0.9)
+    res = _block("pmp", make_dataset(gts), make_dataset(preds))
+    assert res["per_keypoint"]["K-9"] == pytest.approx(0.9)
 
 
 def test_pmp_zero_length_shortest_phenotype_skips_sample():
     gt = make_keypoints(overrides={11: (50.0, 50.0), 12: (50.0, 50.0)})  # ED = 0
-    res = pmp(make_dataset([gt]), make_dataset([gt]))
-    assert math.isnan(res.values[10]) and math.isnan(res.values[11])
-    assert res.skip_counts[10] == 1 and res.skip_counts[11] == 1
-    assert res.values[0] == 1.0  # other keypoints unaffected
+    res = _block("pmp", make_dataset([gt]), make_dataset([gt]))
+    values = keypoint_values(res)
+    assert math.isnan(values[10]) and math.isnan(values[11])
+    assert res["skip_counts"][10] == 1 and res["skip_counts"][11] == 1
+    assert values[0] == 1.0  # other keypoints unaffected
 
 
 def test_pmp_mean_ignores_undefined():
     gt = make_keypoints(overrides={11: (50.0, 50.0), 12: (50.0, 50.0)})
-    res = pmp(make_dataset([gt]), make_dataset([gt]))
-    assert res.mean() == 1.0
+    assert _block("pmp", make_dataset([gt]), make_dataset([gt]))["mean"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +398,10 @@ def test_oks_rigid_invariance_with_fixed_scale():
     gt = _box_gt()
     pred = make_keypoints(xy=gt.xy + rng.normal(0, 2, size=(KEYPOINT_COUNT, 2)), image_id=1)
     cfg = EvalConfig(oks_scale=100.0)
-    (base,) = oks_per_image(make_dataset([pred]), make_dataset([gt]), cfg)
+    (base,) = _oks(make_dataset([gt]), make_dataset([pred]), cfg)
     for theta, shift in [(0.3, (50, -20)), (1.2, (0, 0)), (2.9, (-5, 400))]:
         moved_pred, moved_gt = (make_dataset([_rigid(kp, theta, np.array(shift))]) for kp in (pred, gt))
-        (moved,) = oks_per_image(moved_pred, moved_gt, cfg)
+        (moved,) = _oks(moved_gt, moved_pred, cfg)
         assert abs(moved - base) < 1e-9
 
 
@@ -406,10 +413,10 @@ def test_pck_head_mode_rigid_invariance():
         for g in gts
     ]
     cfg = EvalConfig(pck_scale_mode="head", pck_threshold=0.25)
-    base = pck(make_dataset(preds), make_dataset(gts), cfg).values
+    base = keypoint_values(_block("pck", make_dataset(gts), make_dataset(preds), cfg))
     theta, shift = 0.7, np.array([123.0, -45.0])
     moved_preds, moved_gts = (make_dataset([_rigid(kp, theta, shift) for kp in kps]) for kps in (preds, gts))
-    moved = pck(moved_preds, moved_gts, cfg).values
+    moved = keypoint_values(_block("pck", moved_gts, moved_preds, cfg))
     assert np.allclose(moved, base, atol=1e-9)
 
 
@@ -424,8 +431,9 @@ def test_pck_and_pmp_joint_scaling_invariance():
     gts_s = make_dataset([make_keypoints(xy=g.xy * c, v=g.v.copy(), image_id=g.image_id) for g in gts])
     preds_s = make_dataset([make_keypoints(xy=p.xy * c, v=p.v.copy(), image_id=p.image_id) for p in preds])
     preds, gts = make_dataset(preds), make_dataset(gts)
-    assert np.allclose(pck(preds_s, gts_s).values, pck(preds, gts).values, atol=1e-9, equal_nan=True)
-    assert np.allclose(pmp(preds_s, gts_s).values, pmp(preds, gts).values, atol=1e-9, equal_nan=True)
+    for metric in ("pck", "pmp"):
+        scaled, base = (keypoint_values(_block(metric, g, p)) for g, p in ((gts_s, preds_s), (gts, preds)))
+        assert np.allclose(scaled, base, atol=1e-9, equal_nan=True)
 
 
 def test_pmp_rigid_invariance():
@@ -435,10 +443,10 @@ def test_pmp_rigid_invariance():
         make_keypoints(xy=g.xy + rng.normal(0, 1.0, size=(KEYPOINT_COUNT, 2)), image_id=g.image_id)
         for g in gts
     ]
-    base = pmp(make_dataset(preds), make_dataset(gts)).values
+    base = keypoint_values(_block("pmp", make_dataset(gts), make_dataset(preds)))
     theta, shift = 1.9, np.array([-300.0, 77.0])
     moved_preds, moved_gts = (make_dataset([_rigid(kp, theta, shift) for kp in kps]) for kps in (preds, gts))
-    moved = pmp(moved_preds, moved_gts).values
+    moved = keypoint_values(_block("pmp", moved_gts, moved_preds))
     assert np.allclose(moved, base, atol=1e-9, equal_nan=True)
 
 
@@ -447,8 +455,8 @@ def test_metrics_monotone_in_deviation():
     values_pmp, values_pck = [], []
     for d in [0.5, 2.0, 5.0, 9.0, 40.0]:
         pred = _shifted(gt, 9, dy=d)
-        values_pmp.append(pmp(make_dataset([pred]), make_dataset([gt])).mean())
-        values_pck.append(pck(make_dataset([pred]), make_dataset([gt])).mean())
+        values_pmp.append(_block("pmp", make_dataset([gt]), make_dataset([pred]))["mean"])
+        values_pck.append(_block("pck", make_dataset([gt]), make_dataset([pred]))["mean"])
     assert all(a >= b for a, b in zip(values_pmp, values_pmp[1:]))
     assert all(a >= b for a, b in zip(values_pck, values_pck[1:]))
 
@@ -464,16 +472,16 @@ def test_metrics_match_bruteforce_oracle_small():
     gts = [r.keypoints for r in rows(gt)]
     cfg = EvalConfig()
 
-    lib = oks_per_image(pred_ds, gt, cfg)
+    lib = _oks(gt, pred_ds, cfg)
     orc, _ = oracle_oks(preds, gts, cfg)
     assert all(abs(a - b) < 1e-12 for a, b in zip(lib, orc))
 
-    for metric, oracle in ((pck, oracle_pck), (pmp, oracle_pmp)):
-        lib = metric(pred_ds, gt, cfg)
+    for metric, oracle in (("pck", oracle_pck), ("pmp", oracle_pmp)):
+        lib = _block(metric, gt, pred_ds, cfg)
         values, counts, skips = oracle(preds, gts, cfg)
-        for a, b in zip(lib.values, values):
+        for a, b in zip(keypoint_values(lib), values):
             assert (b is None and math.isnan(a)) or abs(a - b) < 1e-12
-        assert lib.sample_counts.tolist() == counts and lib.skip_counts.tolist() == skips
+        assert lib["sample_counts"] == counts and lib["skip_counts"] == skips
 
 
 @pytest.mark.parametrize("ids", [(5, 3), (4, 4)], ids=["descending", "repeated"])
@@ -489,19 +497,19 @@ def test_metrics_pair_rows_by_image_id_whatever_the_row_order(ids):
     cfg = EvalConfig()
     with warnings.catch_warnings():
         warnings.simplefilter("error")    # every predicted id is a ground-truth id, repeated or not
-        lib_oks = oks_per_image(pred, gt, cfg)
-        lib = {metric: metric(pred, gt, cfg) for metric in (pck, pmp)}
+        lib_oks = _oks(gt, pred, cfg)
+        lib = {metric: _block(metric, gt, pred, cfg) for metric in ("pck", "pmp")}
     ref_oks, _ = oracle_oks(paired_preds, paired_gts, cfg)
     assert all(abs(a - b) < 1e-12 for a, b in zip(lib_oks, ref_oks, strict=True))
     if ids[0] != ids[1]:
-        assert lib_oks == oks_per_image(make_dataset(preds), gt, cfg)
+        assert lib_oks == _oks(gt, make_dataset(preds), cfg)
         assert lib_oks[gt.image_ids.index(ids[0])] > 0.99 > lib_oks[gt.image_ids.index(ids[1])]
     else:    # both ground truths scored against the one prediction kept for the id: the near one, listed last
         assert min(lib_oks) < 0.99 < max(lib_oks)
-    for metric, oracle in ((pck, oracle_pck), (pmp, oracle_pmp)):
+    for metric, oracle in (("pck", oracle_pck), ("pmp", oracle_pmp)):
         values, counts, skips = oracle(paired_preds, paired_gts, cfg)
-        assert [None if math.isnan(x) else x for x in lib[metric].values.tolist()] == values
-        assert lib[metric].sample_counts.tolist() == counts and lib[metric].skip_counts.tolist() == skips
+        assert [None if math.isnan(x) else x for x in keypoint_values(lib[metric]).tolist()] == values
+        assert lib[metric]["sample_counts"] == counts and lib[metric]["skip_counts"] == skips
 
 
 # Thresholds whose squares are no ratio of small integers: on the integer grid below no deviation / scale ratio
@@ -535,12 +543,12 @@ def _scored_lists(draw):
 def test_pck_pmp_and_oks_equal_the_oracles_on_random_visibility(case):
     preds, gts, cfg = case
     pred, gt = make_dataset(preds), make_dataset(gts)    # ids 0..n-1: rows stay in list order
-    for metric, oracle in ((pck, oracle_pck), (pmp, oracle_pmp)):
-        lib = metric(pred, gt, cfg)
+    for metric, oracle in (("pck", oracle_pck), ("pmp", oracle_pmp)):
+        lib = _block(metric, gt, pred, cfg)
         values, counts, skips = oracle(preds, gts, cfg)
-        assert lib.sample_counts.tolist() == counts and lib.skip_counts.tolist() == skips
-        assert [None if math.isnan(x) else x for x in lib.values.tolist()] == values
-    lib_oks = oks_per_image(pred, gt, cfg)
+        assert lib["sample_counts"] == counts and lib["skip_counts"] == skips
+        assert [None if math.isnan(x) else x for x in keypoint_values(lib).tolist()] == values
+    lib_oks = _oks(gt, pred, cfg)
     ref_oks, _ = oracle_oks(preds, gts, cfg)
     assert [x is None for x in lib_oks] == [x is None for x in ref_oks]
     assert all(a is None or abs(a - b) < 1e-12 for a, b in zip(lib_oks, ref_oks))
@@ -598,7 +606,51 @@ def test_two_evaluations_give_equal_reports():
     assert evaluate_datasets(gt, pred) == evaluate_datasets(gt, pred)
 
 
-@pytest.mark.parametrize("metric", [pck, pmp])
+@pytest.mark.parametrize("metrics,got", [(("pmpp",), "unknown ['pmpp']"), ("pmp", "the string 'pmp'"),
+                                         (("oks", "PMP"), "unknown ['PMP']")], ids=["pmpp", "bare-string", "PMP"])
+def test_evaluate_refuses_a_metric_name_outside_the_known_ones(metrics, got):
+    ds = make_dataset([_box_gt()])
+    message = f"metrics must be a sequence of names among oks, pck, pmp, phenotypes, got {got}"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        evaluate_datasets(ds, ds, metrics=metrics)
+
+
+@pytest.fixture(scope="module")
+def hidden_string_id_pair():
+    """A ground truth with hidden keypoints and string ids; its prediction with one id repeated, so that the
+    prediction rows sit in another order than the ground-truth rows they pair with; and that prediction's paired rows
+    alone."""
+    base = generate_population(TEMPLATES["deep_bodied"], 12, seed=21, role="test")
+    v = base.v.copy()
+    v[::3, [1, 10, 16]] = 0    # K-2 (an HL endpoint), K-11 and K-17 hidden in every third fish
+    v[1::4, 12] = 0            # and K-13 in others
+    ids = [f"fish-{k:02d}" for k in range(len(base))]
+    gt = Dataset(np.where(v[..., None] > 0, base.xy, np.nan), v, ids, base.width, base.height, base.species, "test")
+    moved = perturb(gt, PerturbationModel("uniform_px", 4.0, seed=22))
+    stray = moved.take([5])    # listed first, so fish-05's perturbed row is the last and the one paired
+    pred = Dataset(np.concatenate([stray.xy + 50.0, moved.xy]), np.concatenate([stray.v, moved.v]),
+                   stray.image_ids + moved.image_ids, np.concatenate([stray.width, moved.width]),
+                   np.concatenate([stray.height, moved.height]), np.concatenate([stray.species, moved.species]))
+    return gt, pred, moved
+
+
+@pytest.mark.parametrize("metric,cfg", [("oks", EvalConfig()), *(("pck", EvalConfig(pck_scale_mode=mode))
+                                                                 for mode in PCK_SCALE_MODES),
+                                        ("pmp", EvalConfig()), ("phenotypes", EvalConfig())],
+                         ids=["oks", *(f"pck-{mode}" for mode in PCK_SCALE_MODES), "pmp", "phenotypes"])
+def test_one_metric_alone_equals_its_block_in_the_full_report(hidden_string_id_pair, metric, cfg):
+    gt, pred, paired = hidden_string_id_pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # every predicted id is a ground-truth id
+        alone = evaluate_datasets(gt, pred, cfg, metrics=(metric,))
+        full = evaluate_datasets(gt, pred, cfg, metrics=METRICS)
+    blocks = ("phenotypes", "mmape") if metric == "phenotypes" else (metric,)
+    assert alone == {key: full[key] for key in ("schema_version", "config", "n_samples", *blocks)}
+    assert sum(full["pmp"]["sample_counts"]) < KEYPOINT_COUNT * len(gt)    # the hidden keypoints are not scored
+    assert len(pred) == len(gt) + 1 and full == evaluate_datasets(gt, paired, cfg)    # the stray row is not paired
+
+
+@pytest.mark.parametrize("metric", ["pck", "pmp"])
 def test_per_keypoint_metrics_refuse_an_empty_sample(metric):
     with pytest.raises(UndefinedMetricError, match="no samples to evaluate"):
-        metric(make_dataset([]), make_dataset([]))
+        _block(metric, make_dataset([]), make_dataset([]))

@@ -7,7 +7,7 @@ import pytest
 
 from phenokey.anatomy import acr_hinge
 from phenokey.errors import DivergenceError, GradNormFallbackWarning
-from phenokey.metrics import pmp
+from phenokey.metrics import evaluate_datasets
 from phenokey.optim import (
     DIVERGENCE_LIMIT,
     VIOLATION_TOLERANCE_PX,
@@ -34,8 +34,8 @@ def _param_distance(a: ToyPredictor, b: ToyPredictor) -> float:
 
 
 def _mean_pmp(predictor: ToyPredictor, problem) -> float:
-    coords = predictor.predict(problem.features)
-    return pmp(coords_to_dataset(coords, problem.population), problem.population).mean()
+    pred = coords_to_dataset(predictor.predict(problem.features), problem.population)
+    return evaluate_datasets(problem.population, pred, metrics=("pmp",))["pmp"]["mean"]
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,14 @@ def test_deviation_csv_defaults_next_to_svg(tmp_path):
     assert (tmp_path / "plot.csv").exists()
 
 
+@pytest.mark.parametrize("out", ["-", None])
+def test_a_deviation_plot_on_stdout_without_a_csv_path_writes_nothing(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)    # the old default put the quantiles in `-.csv` here
+    with pytest.raises(ValueError, match="a deviation plot on stdout needs a csv_path"):
+        plot_deviation_summary({"m": [1.0, 2.0, 3.0]}, out)
+    assert list(tmp_path.iterdir()) == [] and capsys.readouterr().out == ""
+
+
 def test_deviation_empty_input_errors(tmp_path):
     with pytest.raises(ValueError):
         plot_deviation_summary({}, tmp_path / "no.svg")

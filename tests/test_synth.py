@@ -5,7 +5,7 @@ import pytest
 
 from phenokey.anatomy import fit_prior, normalized_coords
 from phenokey.dataset import Dataset, validate
-from phenokey.metrics import pmp, shortest_phenotype_lengths
+from phenokey.metrics import evaluate_datasets, shortest_phenotype_lengths
 from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import (
     TEMPLATES,
@@ -298,8 +298,7 @@ def test_proportional_noise_pmp_matches_analytic_probability():
     # P(deviation / phenotype < 0.1) = P(sqrt(z1^2+z2^2) < 2) for truncated normals
     gt = generate_population(TEMPLATES["deep_bodied"], 1000, seed=11)
     pred = perturb(gt, PerturbationModel("proportional_to_shortest_phenotype", 0.05, seed=12))
-    res = pmp(pred, gt)
-    observed = res.values[~np.isnan(res.values)].mean()
+    observed = evaluate_datasets(gt, pred, metrics=("pmp",))["pmp"]["mean"]    # over the defined keypoints
     expected = truncated_rayleigh_within(radius=2.0, cutoff=3.0)
     assert 0.8 < expected < 0.9  # sanity on the oracle itself
     assert observed == pytest.approx(expected, abs=0.012)
