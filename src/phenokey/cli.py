@@ -169,9 +169,7 @@ def _cmd_train_toy(args) -> int:
         alpha=args.alpha,
         use_acr=(args.acr == "on"),
     )
-    problem = make_toy_problem(
-        n=args.n, feature_dim=args.feature_dim, seed=args.seed, template=args.template
-    )
+    problem = make_toy_problem(args.n, args.feature_dim, args.seed, load_template(args.template))
     predictor = ToyPredictor.mean_baseline(problem.targets, args.feature_dim)
     try:
         _, trace = train(predictor, problem, cfg)

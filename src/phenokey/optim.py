@@ -26,7 +26,7 @@ from .dataset import Dataset
 from .errors import DivergenceError, GradNormFallbackWarning, SchemaError, check_number
 from .jsontext import write_whole
 from .schema import KEYPOINT_COUNT
-from .synth import generate_population, load_template
+from .synth import TEMPLATES, SpeciesTemplate, generate_population
 
 N_COORDS = 2 * KEYPOINT_COUNT  # 44
 
@@ -63,14 +63,6 @@ class ToyPredictor:
             raise ValueError(f"bias must be (44,), got {self.bias.shape}")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ValueError("parameters must be finite")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @classmethod
-    def zeros(cls, feature_dim: int) -> "ToyPredictor":
-        return cls(np.zeros((N_COORDS, feature_dim)), np.zeros(N_COORDS))
 
     @classmethod
     def mean_baseline(cls, targets: np.ndarray, feature_dim: int) -> "ToyPredictor":
@@ -150,11 +142,6 @@ class ToyProblem:
         return BoxConstraint(*(np.broadcast_to(a, shape).copy() for a in (box.origin, box.extent, box.nmin, box.nmax)))
 
 
-def population_coords(population: Dataset) -> np.ndarray:
-    """(N, 44) coordinate matrix of a dataset, rows flattened x1,y1,...,x22,y22."""
-    return population.xy.reshape(len(population), -1).copy()
-
-
 def coords_to_dataset(coords: np.ndarray, like: Dataset) -> Dataset:
     """Wrap predicted coordinates as a dataset mirroring ``like``'s rows, every keypoint visible."""
     return Dataset(
@@ -168,92 +155,52 @@ def coords_to_dataset(coords: np.ndarray, like: Dataset) -> Dataset:
     )
 
 
-# Interior keypoints carrying systematic annotation corruption in the ACR
-# demonstration scenario, with a fixed displacement direction each (head top,
-# pectoral and pelvic fins, anal fin origin, dorsal posterior). None of them
-# ever defines an image's bounding rectangle.
-_CORRUPT_KEYPOINTS = (
-    (3, (0.6, -0.8)),
-    (13, (1.0, 0.0)),
-    (14, (0.0, 1.0)),
-    (15, (0.8, 0.6)),
-    (16, (-0.8, 0.6)),
-    (17, (-1.0, 0.0)),
-    (21, (0.6, -0.8)),
-)
-
-
 def make_toy_problem(
     n: int = 48,
     feature_dim: int = 6,
     seed: int = 0,
-    template: str = "deep_bodied",
-    linear_targets: bool = False,
-    corruption_px: float = 0.0,
-    spread_scale: float = 1.0,
+    template: SpeciesTemplate = TEMPLATES["deep_bodied"],
 ) -> ToyProblem:
-    """Build a training scenario from a synthetic population.
+    """Build a training scenario from a synthetic population of ``template``.
 
-    With ``linear_targets`` the targets are an exact affine function of pure
-    noise features (so an exact least-squares solution with zero residual
-    exists). Otherwise the targets are the population's ground-truth
-    coordinates and the first four features carry each fish's body frame
+    The targets are the population's ground-truth coordinates, rows flattened
+    x1,y1,...,x22,y22, and the first four features carry each fish's body frame
     (the standardized origin and extent of :func:`~phenokey.anatomy.body_frames`);
     those make the per-image box positions learnable while the per-keypoint
     jitter stays as irreducible residual noise. Remaining feature dimensions
-    are pure noise.
+    are pure noise, the first of them bounded uniform in [-1, 1]; it drives the
+    corruption that :func:`acr_benchmark_scenario` adds to these targets itself,
+    as it brings its own tight spread in the template it passes.
 
     The prior comes from a separate ``PRIOR_POPULATION``-sized sample of the
     same species template: the box constraint describes the species, not the
     particular training batch, and the wider extremes of a large sample leave
     the regression's own optimum strictly inside the boxes.
-
-    ``corruption_px`` injects feature-correlated annotation corruption: a few
-    interior keypoints' training targets are displaced by that many pixels per
-    unit of a feature. The regression can and will chase the corruption (it is
-    exactly realizable), while the box constraint blocks it at the anatomical
-    boundary; the clean population coordinates stay available for scoring.
     """
     if check_number("feature_dim", feature_dim, integer=True) > 4096:    # far above any width in use (6)
         raise SchemaError(f"feature_dim must be at most 4096, got {feature_dim!r}")
-    tpl = load_template(template)
-    tpl = replace(tpl, spread=tpl.spread * spread_scale)
-    population = generate_population(tpl, n, seed=seed)
-    prior_pop = generate_population(tpl, PRIOR_POPULATION, seed=(int(seed) * 2 + 1) * 15485863)
+    population = generate_population(template, n, seed=seed)
+    prior_pop = generate_population(template, PRIOR_POPULATION, seed=(int(seed) * 2 + 1) * 15485863)
     prior = fit_prior(prior_pop)
     rng = np.random.default_rng([int(seed), 104729])
-    if linear_targets:
-        features = rng.standard_normal((n, feature_dim))
-        base = population_coords(population).mean(axis=0)
-        true_w = rng.normal(0.0, 8.0, size=(N_COORDS, feature_dim))
-        targets = features @ true_w.T + base
-    else:
-        targets = population_coords(population)
-        mins, _, extents = body_frames(population.xy, population.v, population.image_ids)
-        geometry = np.hstack([mins, extents])
-        std = geometry.std(axis=0)
-        std[std == 0] = 1.0
-        geometry = (geometry - geometry.mean(axis=0)) / std
-        # the two extents are nearly collinear (fixed aspect); orthonormalize
-        # the block so gradient descent has no near-singular direction while
-        # the spanned quantities stay exactly representable
-        if n > geometry.shape[1]:
-            q, _ = np.linalg.qr(geometry)
-            geometry = q * math.sqrt(float(n))
-        n_noise = max(0, feature_dim - geometry.shape[1])
-        # first noise dimension is bounded uniform; it drives the corruption below
-        noise = rng.standard_normal((n, n_noise))
-        if n_noise > 0:
-            noise[:, 0] = rng.uniform(-1.0, 1.0, size=n)
-        features = np.hstack([geometry[:, :feature_dim], noise])
-        if corruption_px > 0.0:
-            if feature_dim < 5:
-                raise ValueError("corruption needs at least one noise feature (feature_dim >= 5)")
-            targets = targets.copy()
-            driver = features[:, 4]
-            for kp, (ux, uy) in _CORRUPT_KEYPOINTS:
-                targets[:, 2 * (kp - 1)] += corruption_px * driver * ux
-                targets[:, 2 * (kp - 1) + 1] += corruption_px * driver * uy
+    targets = population.xy.reshape(n, -1).copy()
+    mins, _, extents = body_frames(population.xy, population.v, population.image_ids)
+    geometry = np.hstack([mins, extents])
+    std = geometry.std(axis=0)
+    std[std == 0] = 1.0
+    geometry = (geometry - geometry.mean(axis=0)) / std
+    # the two extents are nearly collinear (fixed aspect); orthonormalize
+    # the block so gradient descent has no near-singular direction while
+    # the spanned quantities stay exactly representable
+    if n > geometry.shape[1]:
+        q, _ = np.linalg.qr(geometry)
+        geometry = q * math.sqrt(float(n))
+    n_noise = max(0, feature_dim - geometry.shape[1])
+    # first noise dimension is bounded uniform; it drives the ACR scenario's corruption
+    noise = rng.standard_normal((n, n_noise))
+    if n_noise > 0:
+        noise[:, 0] = rng.uniform(-1.0, 1.0, size=n)
+    features = np.hstack([geometry[:, :feature_dim], noise])
     return ToyProblem(features=features, targets=targets, prior=prior, population=population)
 
 
@@ -418,13 +365,29 @@ def least_squares_solution(problem: ToyProblem) -> ToyPredictor:
     return ToyPredictor(coef[:-1].T, coef[-1])
 
 
+# The interior keypoints that the ACR scenario corrupts, with a fixed displacement
+# direction each (head top, pectoral and pelvic fins, anal fin origin, dorsal
+# posterior). None of them ever defines an image's bounding rectangle.
+_CORRUPT_KEYPOINTS = (
+    (3, (0.6, -0.8)),
+    (13, (1.0, 0.0)),
+    (14, (0.0, 1.0)),
+    (15, (0.8, 0.6)),
+    (16, (-0.8, 0.6)),
+    (17, (-1.0, 0.0)),
+    (21, (0.6, -0.8)),
+)
+
+
 def acr_benchmark_scenario(seed: int = 0) -> tuple[ToyProblem, ToyPredictor, TrainConfig, TrainConfig]:
     """The frozen corruption scenario contrasting MSE+ACR against MSE alone.
 
-    A tight-anatomy population whose training targets carry feature-correlated
-    annotation corruption on several interior keypoints. Plain regression
-    chases the corruption exactly; the box constraint pins those predictions
-    at the anatomical boundary instead. Returns the problem, the shared
+    :func:`make_toy_problem` on the deep-bodied template with its spread scaled
+    by 0.15 (tight anatomy), whose training targets this function displaces:
+    each ``_CORRUPT_KEYPOINTS`` target by 11 px along its direction per unit of
+    feature 4. Plain regression chases the corruption exactly; the box
+    constraint pins those predictions at the anatomical boundary instead, and
+    the clean ``problem.population`` scores them. Returns the problem, the shared
     mean-baseline initial predictor, and the two training configurations.
 
     Balancing is off here (fixed asymmetric weights): hinge gradient norms do
@@ -432,9 +395,14 @@ def acr_benchmark_scenario(seed: int = 0) -> tuple[ToyProblem, ToyPredictor, Tra
     in this sustained-conflict regime. The decayed step schedule lets the
     subgradient iteration settle onto the box edges.
     """
-    problem = make_toy_problem(
-        n=48, feature_dim=6, seed=seed, corruption_px=11.0, spread_scale=0.15
-    )
+    deep = TEMPLATES["deep_bodied"]
+    problem = make_toy_problem(n=48, feature_dim=6, seed=seed, template=replace(deep, spread=deep.spread * 0.15))
+    targets = problem.targets.copy()
+    driver = problem.features[:, 4]
+    for kp, (ux, uy) in _CORRUPT_KEYPOINTS:
+        targets[:, 2 * (kp - 1)] += 11.0 * driver * ux
+        targets[:, 2 * (kp - 1) + 1] += 11.0 * driver * uy
+    problem = replace(problem, targets=targets)
     init = ToyPredictor.mean_baseline(problem.targets, 6)
     with_acr = TrainConfig(
         steps=12_000, lr=4.0, lr_decay=0.006, lr_weights=0.0,

@@ -122,8 +122,10 @@ TEMPLATES = {
 def _numbers(doc, key: str, shape: tuple, default=None) -> np.ndarray:
     """Field ``key`` of ``doc`` as finite float64 numbers of ``shape``; an optional field has a ``default``."""
     value = doc_field(doc, key) if default is None else doc.get(key, default)
-    try:
-        arr = np.asarray(value, dtype=np.float64)
+    try:    # a JSON number is an int or a float, never a bool, a string or null: each entry is checked before the cast
+        cells = np.asarray(value, dtype=object)
+        numbers = all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in cells.flat)
+        arr = cells.astype(np.float64) if numbers else None
     except (TypeError, ValueError, OverflowError):    # OverflowError: an int past the float range
         arr = None
     if arr is None or arr.shape != shape or not np.isfinite(arr).all():

@@ -1,5 +1,6 @@
 import re
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from phenokey.dataset import Dataset
-from phenokey.optim import acr_benchmark_scenario, train
+from phenokey.optim import acr_benchmark_scenario, make_toy_problem, train
 from phenokey.schema import KEYPOINT_COUNT, SPECIES
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -94,3 +95,13 @@ def rows(dataset: Dataset):
 def keypoint_values(block) -> np.ndarray:
     """A report block's ``per_keypoint`` values as a (22,) float array, NaN where a value is None."""
     return np.array(list(block["per_keypoint"].values()), dtype=np.float64)
+
+
+def linear_problem(n: int, feature_dim: int, seed: int):
+    """``make_toy_problem(n, feature_dim, seed)`` with pure-noise features and targets an exact affine function of
+    them, so the least-squares solution has zero residual."""
+    problem = make_toy_problem(n, feature_dim, seed)
+    rng = np.random.default_rng([seed, 104729])
+    features = rng.standard_normal((n, feature_dim))
+    true_w = rng.normal(0.0, 8.0, size=(2 * KEYPOINT_COUNT, feature_dim))
+    return replace(problem, features=features, targets=features @ true_w.T + problem.targets.mean(axis=0))

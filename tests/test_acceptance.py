@@ -35,7 +35,7 @@ from phenokey.optim import (
 from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import TEMPLATES, PerturbationModel, generate_population, perturb
 
-from conftest import DATA_DIR, keypoint_values, make_keypoints, rows
+from conftest import DATA_DIR, keypoint_values, linear_problem, make_keypoints, rows
 from oracles import oracle_oks, oracle_pck, oracle_pmp
 
 
@@ -128,9 +128,9 @@ def _mean_pmp(predictor, problem):
 def test_criterion_4_optimizer_sanity(acr_scenario):
     start = time.perf_counter()
 
-    linear = make_toy_problem(n=64, feature_dim=6, seed=0, linear_targets=True)
+    linear = linear_problem(n=64, feature_dim=6, seed=0)
     cfg = TrainConfig(steps=2000, lr=20.0, use_acr=False, lr_weights=0.0)
-    trained, trace = train(ToyPredictor.zeros(6), linear, cfg)
+    trained, trace = train(ToyPredictor(np.zeros((44, 6)), np.zeros(44)), linear, cfg)
     ls = least_squares_solution(linear)
     dist = float(
         np.sqrt(np.sum((trained.weights - ls.weights) ** 2) + np.sum((trained.bias - ls.bias) ** 2))

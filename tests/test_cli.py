@@ -718,6 +718,14 @@ def test_every_json_input_names_its_file(synth_files, tmp_path, capsys, flag):
          "field 'mean_layout' must hold finite numbers of shape (22, 2), got shape (3, 2)"),
         (lambda doc: dict(doc, body_size_range=["big", "small"]),
          "field 'body_size_range' must hold finite numbers of shape (2,), got non-numeric values"),
+        (lambda doc: dict(doc, body_size_range=["500", "900"]),
+         "field 'body_size_range' must hold finite numbers of shape (2,), got non-numeric values"),
+        (lambda doc: dict(doc, aspect="0.5"),
+         "field 'aspect' must hold finite numbers of shape (), got non-numeric values"),
+        (lambda doc: dict(doc, aspect=True),
+         "field 'aspect' must hold finite numbers of shape (), got non-numeric values"),
+        (lambda doc: dict(doc, aspect=None),
+         "field 'aspect' must hold finite numbers of shape (), got non-numeric values"),
         (lambda doc: dict(doc, aspect=[0.5]), "field 'aspect' must hold finite numbers of shape (), got shape (1,)"),
         (lambda doc: dict(doc, mean_layout=[[float("nan"), 0.5]] + doc["mean_layout"][1:]),
          "field 'mean_layout' must hold finite numbers of shape (22, 2), got NaN or infinity"),
@@ -730,8 +738,9 @@ def test_every_json_input_names_its_file(synth_files, tmp_path, capsys, flag):
         (lambda doc: dict(doc, spread=[0.2] * KEYPOINT_COUNT),
          "invalid template: mean_layout +/- 3*spread must stay within [0, 1] on both axes"),
     ],
-    ids=["not-an-object", "name-only", "no-spread", "short-layout", "text-sizes", "list-aspect", "nan-layout",
-         "inf-spread", "inf-aspect", "sizes-reversed", "spread-too-wide"],
+    ids=["not-an-object", "name-only", "no-spread", "short-layout", "text-sizes", "numeric-text-sizes",
+         "numeric-text-aspect", "bool-aspect", "null-aspect", "list-aspect", "nan-layout", "inf-spread", "inf-aspect",
+         "sizes-reversed", "spread-too-wide"],
 )
 def test_synth_rejects_a_bad_template_file_naming_file_and_field(tmp_path, capsys, mutate, named):
     template = tmp_path / "template.json"
@@ -742,12 +751,15 @@ def test_synth_rejects_a_bad_template_file_naming_file_and_field(tmp_path, capsy
     assert not out.exists()
 
 
-def test_synth_reads_a_good_template_file_like_the_built_in_one(tmp_path):
+@pytest.mark.parametrize("command", [["synth", "--n", "4", "--seed", "2", "--out"],
+                                     ["train-toy", "--n", "6", "--seed", "2", "--steps", "50", "--trace"]],
+                         ids=["synth", "train-toy"])
+def test_synth_reads_a_good_template_file_like_the_built_in_one(tmp_path, command):
     template = tmp_path / "template.json"
     template.write_text(json.dumps(template_to_dict(TEMPLATES["elongate"])))
-    from_file, built_in = tmp_path / "file.json", tmp_path / "built_in.json"
-    assert main(["synth", "--template", str(template), "--n", "4", "--seed", "2", "--out", str(from_file)]) == 0
-    assert main(["synth", "--template", "elongate", "--n", "4", "--seed", "2", "--out", str(built_in)]) == 0
+    from_file, built_in = tmp_path / "file.out", tmp_path / "built_in.out"
+    assert main([command[0], "--template", str(template), *command[1:], str(from_file)]) == 0
+    assert main([command[0], "--template", "elongate", *command[1:], str(built_in)]) == 0
     assert from_file.read_bytes() == built_in.read_bytes()
 
 

@@ -17,14 +17,17 @@ from phenokey.optim import (
     TrainConfig,
     TraceRow,
     TrainTrace,
+    _CORRUPT_KEYPOINTS,
+    acr_benchmark_scenario,
     coords_to_dataset,
     grad_check,
     gradnorm_step,
     least_squares_solution,
     make_toy_problem,
-    population_coords,
     train,
 )
+
+from conftest import linear_problem
 
 
 def _param_distance(a: ToyPredictor, b: ToyPredictor) -> float:
@@ -280,9 +283,9 @@ def test_zero_learning_rate_keeps_everything_constant():
 
 
 def test_pure_mse_reaches_least_squares_solution():
-    problem = make_toy_problem(n=64, feature_dim=6, seed=0, linear_targets=True)
+    problem = linear_problem(n=64, feature_dim=6, seed=0)
     cfg = TrainConfig(steps=2000, lr=20.0, use_acr=False, lr_weights=0.0)
-    trained, trace = train(ToyPredictor.zeros(6), problem, cfg)
+    trained, trace = train(ToyPredictor(np.zeros((44, 6)), np.zeros(44)), problem, cfg)
     assert trace[-1].l_mse < 1e-6
     assert _param_distance(trained, least_squares_solution(problem)) < 1e-4
 
@@ -349,6 +352,21 @@ def test_acr_scenario_drives_violations_to_zero_and_helps_pmp(acr_scenario):
     assert all(a >= b for a, b in zip(tail, tail[1:]))
 
     assert _mean_pmp(acr_pred, problem) >= _mean_pmp(mse_pred, problem)
+
+
+def test_acr_scenario_corrupts_its_keypoints_along_feature_4_and_nothing_else():
+    problem = acr_benchmark_scenario(0)[0]
+    clean = problem.population.xy.reshape(48, -1)
+    corrupted = [2 * (kp - 1) + axis for kp, _ in _CORRUPT_KEYPOINTS for axis in (0, 1)]
+    others = [column for column in range(44) if column not in corrupted]
+    assert len(corrupted) == 14 and len(others) == 30
+    assert np.array_equal(problem.targets[:, others], clean[:, others])
+    for kp, direction in _CORRUPT_KEYPOINTS:
+        for axis, u in enumerate(direction):
+            column = 2 * (kp - 1) + axis
+            moved = clean[:, column] + 11.0 * problem.features[:, 4] * u
+            assert np.array_equal(problem.targets[:, column], moved)
+            assert u == 0.0 or not np.array_equal(moved, clean[:, column])
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -527,7 +545,7 @@ def test_gradient_exactly_zero_at_zero_residual():
 
 def test_population_coords_shape_and_order():
     problem = make_toy_problem(n=3, feature_dim=5, seed=10)
-    coords = population_coords(problem.population)
+    coords = problem.targets
     assert coords.shape == (3, 44)
     assert coords[0, 0] == problem.population.xy[0, 0, 0]
     assert coords[0, 1] == problem.population.xy[0, 0, 1]
