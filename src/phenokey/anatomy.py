@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegeneratePoseError, SchemaError
+from .errors import DegeneratePoseError, SchemaError, positive_number
 from .jsontext import doc_field
 from .schema import KEYPOINT_COUNT, SPECIES
 
@@ -59,9 +59,14 @@ def normalized_coords(dataset: Dataset) -> np.ndarray:
     return np.where((dataset.v > 0)[..., None], (dataset.xy - lo[:, None]) / extent[:, None], np.nan)
 
 
+# the prior file's names of a keypoint's extremes: x and y of its ``mins`` row, then of its ``maxs`` row
+_EXTREMES = ("x_min", "y_min", "x_max", "y_max")
+
+
 @dataclass(frozen=True)
 class AnatomicalPrior:
-    """Per-keypoint extremes of normalized coordinates over a training set."""
+    """Per-keypoint extremes of normalized coordinates over a training set; construction checks every field's rule
+    and raises :class:`SchemaError` naming the field, and the keypoint as ``K-n``."""
 
     mins: np.ndarray   # (22, 2): x'_min, y'_min per keypoint
     maxs: np.ndarray   # (22, 2): x'_max, y'_max per keypoint
@@ -69,16 +74,24 @@ class AnatomicalPrior:
     species: str = "other"
 
     def __post_init__(self):
-        mins = np.asarray(self.mins, dtype=np.float64)
-        maxs = np.asarray(self.maxs, dtype=np.float64)
+        mins, maxs = (np.asarray(a, dtype=object) for a in (self.mins, self.maxs))    # as given, not cast
         if mins.shape != (KEYPOINT_COUNT, 2) or maxs.shape != (KEYPOINT_COUNT, 2):
-            raise ValueError("prior extremes must have shape (22, 2)")
-        if np.any(mins > maxs):
-            raise ValueError("prior has min > max for some keypoint")
-        if np.any(mins < 0) or np.any(maxs > 1):
-            raise ValueError("prior extremes must lie in [0, 1]")
-        object.__setattr__(self, "mins", mins)
-        object.__setattr__(self, "maxs", maxs)
+            raise SchemaError(f"prior extremes must have shape ({KEYPOINT_COUNT}, 2)")
+        extremes = np.stack([mins, maxs])
+        inside = [positive_number(x, zero=True) and x <= 1 for x in extremes.flat]    # NaN, a bool, text are not
+        if not all(inside):
+            side, j, axis = np.unravel_index(inside.index(False), extremes.shape)
+            key, value = _EXTREMES[2 * side + axis], extremes[side, j, axis]
+            raise SchemaError(f"K-{j + 1}: field {key!r} must be a number in [0, 1], got {value!r}")
+        extremes = extremes.astype(np.float64)
+        for j, axis in np.argwhere(extremes[0] > extremes[1])[:1].tolist():
+            raise SchemaError(f"K-{j + 1}: field {_EXTREMES[axis]!r} exceeds its {_EXTREMES[2 + axis]!r}")
+        if type(self.training_set_size) is not int or self.training_set_size < 1:
+            raise SchemaError(f"field 'training_set_size' must be a positive integer, got {self.training_set_size!r}")
+        if self.species not in SPECIES:
+            raise SchemaError(f"field 'species' must be one of {', '.join(SPECIES)}, got {self.species!r}")
+        object.__setattr__(self, "mins", extremes[0])
+        object.__setattr__(self, "maxs", extremes[1])
 
 
 def fit_prior(train: Dataset, species: str = "other") -> AnatomicalPrior:
@@ -194,31 +207,21 @@ def prior_to_dict(prior: AnatomicalPrior) -> dict:
 def prior_from_dict(doc) -> AnatomicalPrior:
     """Inverse of :func:`prior_to_dict`; a malformed document raises :class:`SchemaError` naming the field.
 
-    Entries are named as ``extremes[n]``. Keypoint numbers cover 1..22 once; extremes lie in [0, 1], min <= max.
-    ``species``, ``other`` when absent, is one of :data:`~phenokey.schema.SPECIES`.
+    The reader checks what only a document can get wrong, naming an entry as ``extremes[n]``: a missing field, and
+    keypoint numbers that do not cover 1..22 once. ``species`` is ``other`` when absent. Every value rule is
+    :class:`AnatomicalPrior`'s, whose messages name an entry by its keypoint.
     """
     entries = doc_field(doc, "extremes")
     if not isinstance(entries, list) or len(entries) != KEYPOINT_COUNT:
         raise SchemaError(f"field 'extremes' must be a list of {KEYPOINT_COUNT} entries")
-    extremes = np.full((KEYPOINT_COUNT, 4), np.nan)  # x_min, y_min, x_max, y_max; NaN until an entry sets them
+    rows = [None] * KEYPOINT_COUNT    # the four extremes of each keypoint, in the order of _EXTREMES
     for n, entry in enumerate(entries):
         where = f"extremes[{n}]: "
         k = doc_field(entry, "keypoint", where)
         if type(k) is not int or not 1 <= k <= KEYPOINT_COUNT:
             raise SchemaError(f"{where}field 'keypoint' must be an integer in 1..{KEYPOINT_COUNT}, got {k!r}")
-        if not np.isnan(extremes[k - 1, 0]):
+        if rows[k - 1] is not None:
             raise SchemaError(f"{where}field 'keypoint' repeats K-{k}")
-        for c, key in enumerate(("x_min", "y_min", "x_max", "y_max")):
-            x = doc_field(entry, key, where)
-            if type(x) not in (int, float) or not 0 <= x <= 1:
-                raise SchemaError(f"{where}field {key!r} must be a number in [0, 1], got {x!r}")
-            extremes[k - 1, c] = x
-        if (extremes[k - 1, :2] > extremes[k - 1, 2:]).any():
-            raise SchemaError(f"{where}field 'x_min' or 'y_min' exceeds its 'x_max' or 'y_max'")
-    size = doc_field(doc, "training_set_size")
-    if type(size) is not int or size < 1:
-        raise SchemaError(f"field 'training_set_size' must be a positive integer, got {size!r}")
-    species = doc.get("species", "other")
-    if species not in SPECIES:
-        raise SchemaError(f"field 'species' must be one of {', '.join(SPECIES)}, got {species!r}")
-    return AnatomicalPrior(extremes[:, :2], extremes[:, 2:], size, species)
+        rows[k - 1] = [doc_field(entry, key, where) for key in _EXTREMES]
+    return AnatomicalPrior([row[:2] for row in rows], [row[2:] for row in rows],
+                           doc_field(doc, "training_set_size"), doc.get("species", "other"))

@@ -34,7 +34,7 @@ from .metrics import (
     evaluate_datasets,
     phenotype_value_pairs,
 )
-from .morphometry import ABBREVS, degenerate_messages, measurement_rows
+from .morphometry import ABBREVS, check_annotated_finite, degenerate_messages, measurement_rows
 from .optim import ToyPredictor, TrainConfig, make_toy_problem, train
 from .plots import plot_deviation_summary, plot_scatter
 from .schema import KEYPOINT_COUNT, SPECIES
@@ -57,6 +57,8 @@ MEASURE_HEADER = ("image_id", "abbrev", "value_px", "status")
 
 def _cmd_measure(args) -> int:
     dataset = parse_coco(args.input)
+    with named(args.input, SchemaError):
+        check_annotated_finite(dataset.xy, dataset.v, dataset.image_ids)
     lengths, status, hidden = measurement_rows(dataset.xy, dataset.v)
     for message in degenerate_messages(dataset.image_ids, status):
         warnings.warn(message, DegenerateMeasurementWarning)

@@ -42,7 +42,8 @@ from .anatomy import visible_corners
 from .dataset import Dataset
 from .errors import (DegenerateFitError, IntegrityError, PhenokeyWarning, SchemaError, UndefinedMetricError,
                      check_number, positive_number)
-from .morphometry import ABBREVS, ENDPOINTS, RELATED, phenotype_lengths, shortest_phenotype_lengths
+from .morphometry import (ABBREVS, ENDPOINTS, RELATED, check_annotated_finite, phenotype_lengths,
+                          shortest_phenotype_lengths)
 from .schema import KEYPOINT_COUNT
 
 PCK_SCALE_MODES = ("head", "torso", "bbox_diagonal")
@@ -100,12 +101,7 @@ def mmape(keypoint: int, per_phenotype_mape: dict) -> float:
     """Unweighted mean MAPE over all phenotypes whose endpoints include ``keypoint``."""
     if keypoint not in range(1, KEYPOINT_COUNT + 1):    # RELATED[-1] would be K-22's
         raise KeyError(f"keypoint index must be in 1..{KEYPOINT_COUNT}, got {keypoint}")
-    values = []
-    for abbrev in (ABBREVS[t] for t in RELATED[int(keypoint) - 1].tolist()):
-        if abbrev not in per_phenotype_mape:
-            raise KeyError(f"no MAPE entry for phenotype {abbrev}")
-        values.append(per_phenotype_mape[abbrev])
-    return float(np.mean(values))
+    return float(np.mean([per_phenotype_mape[ABBREVS[t]] for t in RELATED[int(keypoint) - 1].tolist()]))
 
 
 def pearson(x, y) -> float:
@@ -173,20 +169,12 @@ def _defined_mean(values) -> float | None:
 
 
 class _Pairs:
-    """Row-paired prediction and ground-truth arrays; the terms metrics share are computed once, on first use.
+    """Row-paired prediction and ground-truth arrays; the terms metrics share are computed once, on first use."""
 
-    A ground truth with a non-finite annotated coordinate raises :class:`SchemaError` naming the image and keypoint.
-    """
-
-    def __init__(self, pred_xy, gt_xy, gt_v, image_ids):
-        self.pred_xy, self.gt_xy, self.gt_v, self.image_ids = pred_xy, gt_xy, gt_v, image_ids
+    def __init__(self, pred_xy, gt_xy, gt_v):
+        self.pred_xy, self.gt_xy, self.gt_v = pred_xy, gt_xy, gt_v
         self.annotated = gt_v > 0
         self.n = gt_xy.shape[0]
-        bad = self.annotated & ~np.isfinite(gt_xy).all(axis=-1)
-        if bad.any():
-            n, j = np.argwhere(bad)[0].tolist()
-            x, y = gt_xy[n, j].tolist()
-            raise SchemaError(f"ground truth image {image_ids[n]!r}: K-{j + 1} is annotated at non-finite ({x}, {y})")
 
     @cached_property
     def deviations(self) -> np.ndarray:
@@ -253,7 +241,8 @@ def _paired_datasets(gt: Dataset, pred: Dataset) -> _Pairs:
     """Each ground-truth row with the prediction row of the same image id (the last one, for a repeated id).
 
     A prediction for an image id the ground truth lacks is ignored, with one :class:`PhenokeyWarning` that counts
-    those ids and names up to five.
+    those ids and names up to five. A ground truth with a non-finite annotated coordinate raises :class:`SchemaError`
+    (:func:`~phenokey.morphometry.check_annotated_finite`).
     """
     row = {image_id: k for k, image_id in enumerate(pred.image_ids)}
     rows = np.array([row.get(image_id, -1) for image_id in gt.image_ids], dtype=np.intp)
@@ -266,7 +255,8 @@ def _paired_datasets(gt: Dataset, pred: Dataset) -> _Pairs:
         ids = [image_id for image_id in row if image_id not in known][:5]
         warnings.warn(f"{unknown} predicted image id(s) not in the ground truth, ignored: {ids!r}", PhenokeyWarning,
                       stacklevel=2)
-    return _Pairs(pred.xy[rows], gt.xy, gt.v, gt.image_ids)
+    check_annotated_finite(gt.xy, gt.v, gt.image_ids, "ground truth image")
+    return _Pairs(pred.xy[rows], gt.xy, gt.v)
 
 
 def _phenotype_lengths(pairs: _Pairs, ends):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SchemaError
 from .schema import KEYPOINT_COUNT
 
 PHENOTYPES = (
@@ -58,6 +59,14 @@ def phenotype_lengths(xy, v, ends) -> np.ndarray:
     seg = xy[:, b] - xy[:, a]
     lengths = np.hypot(seg[..., 0], seg[..., 1])
     return np.where((v[:, a] > 0) & (v[:, b] > 0), lengths, np.nan)
+
+
+def check_annotated_finite(xy, v, image_ids, what="image") -> None:
+    """Raise :class:`SchemaError` naming the first ``what`` (by image id) and keypoint annotated at a non-finite xy."""
+    bad = (v > 0) & ~np.isfinite(xy).all(axis=-1)
+    for n, j in np.argwhere(bad)[:1].tolist():
+        x, y = xy[n, j].tolist()
+        raise SchemaError(f"{what} {image_ids[n]!r}: K-{j + 1} is annotated at non-finite ({x}, {y})")
 
 
 def shortest_phenotype_lengths(gt_xy, gt_v) -> np.ndarray:

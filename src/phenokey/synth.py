@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import permutations, product
+from numbers import Real
 
 import numpy as np
 
@@ -30,9 +31,14 @@ from .schema import KEYPOINT_COUNT, SPECIES
 PERTURBATION_MODES = ("uniform_px", "proportional_to_shortest_phenotype")
 
 
+# the shape of each numeric field of a template
+_SHAPES = {"mean_layout": (KEYPOINT_COUNT, 2), "spread": (KEYPOINT_COUNT,), "body_size_range": (2,), "aspect": ()}
+
+
 @dataclass(frozen=True)
 class SpeciesTemplate:
-    """Generative description of one synthetic fish archetype."""
+    """Generative description of one synthetic fish archetype; construction checks every field's rule and raises
+    :class:`SchemaError` naming the field."""
 
     name: str
     mean_layout: np.ndarray        # (22, 2) normalized coordinates
@@ -41,14 +47,20 @@ class SpeciesTemplate:
     aspect: float = 0.5            # body height / body length
 
     def __post_init__(self):
-        object.__setattr__(self, "mean_layout", np.asarray(self.mean_layout, dtype=np.float64))
-        object.__setattr__(self, "spread", np.asarray(self.spread, dtype=np.float64))
-
-    def validate(self) -> None:
-        if self.mean_layout.shape != (KEYPOINT_COUNT, 2):
-            raise SchemaError(f"invalid template: mean_layout must be (22, 2), got {self.mean_layout.shape}")
-        if self.spread.shape != (KEYPOINT_COUNT,):
-            raise SchemaError(f"invalid template: spread must be (22,), got {self.spread.shape}")
+        for key, shape in _SHAPES.items():
+            cells = np.asarray(getattr(self, key), dtype=object)
+            try:    # each entry an int or a float, never a bool, a string or None, checked before the cast
+                real = all(isinstance(c, Real) and not isinstance(c, bool) for c in cells.flat)
+                value = cells.astype(np.float64) if real else None
+            except OverflowError:    # an int past the float range
+                value = None
+            got = ("non-numeric values" if value is None else f"shape {value.shape}" if value.shape != shape
+                   else None if np.isfinite(value).all() else "NaN or infinity")
+            if got:
+                raise SchemaError(f"field {key!r} must hold finite numbers of shape {shape}, got {got}")
+            object.__setattr__(self, key, value)
+        object.__setattr__(self, "body_size_range", tuple(self.body_size_range.tolist()))
+        object.__setattr__(self, "aspect", float(self.aspect))
         if np.any(self.spread < 0):
             raise SchemaError("invalid template: spread must be nonnegative")
         lo = self.mean_layout - 3.0 * self.spread[:, None]
@@ -119,32 +131,16 @@ TEMPLATES = {
 }
 
 
-def _numbers(doc, key: str, shape: tuple, default=None) -> np.ndarray:
-    """Field ``key`` of ``doc`` as finite float64 numbers of ``shape``; an optional field has a ``default``."""
-    value = doc_field(doc, key) if default is None else doc.get(key, default)
-    try:    # a JSON number is an int or a float, never a bool, a string or null: each entry is checked before the cast
-        cells = np.asarray(value, dtype=object)
-        numbers = all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in cells.flat)
-        arr = cells.astype(np.float64) if numbers else None
-    except (TypeError, ValueError, OverflowError):    # OverflowError: an int past the float range
-        arr = None
-    if arr is None or arr.shape != shape or not np.isfinite(arr).all():
-        got = "non-numeric values" if arr is None else f"shape {arr.shape}" if arr.shape != shape else "NaN or infinity"
-        raise SchemaError(f"field {key!r} must hold finite numbers of shape {shape}, got {got}")
-    return arr
-
-
 def template_from_dict(doc) -> SpeciesTemplate:
-    """Inverse of :func:`template_to_dict`; a malformed or invalid document raises :class:`SchemaError`."""
-    tpl = SpeciesTemplate(
-        mean_layout=_numbers(doc, "mean_layout", (KEYPOINT_COUNT, 2)),
-        spread=_numbers(doc, "spread", (KEYPOINT_COUNT,)),
-        body_size_range=tuple(_numbers(doc, "body_size_range", (2,)).tolist()),
-        aspect=float(_numbers(doc, "aspect", (), default=0.5)),
+    """Inverse of :func:`template_to_dict`; a missing field, or a value :class:`SpeciesTemplate` refuses, raises
+    :class:`SchemaError`."""
+    return SpeciesTemplate(
+        mean_layout=doc_field(doc, "mean_layout"),
+        spread=doc_field(doc, "spread"),
+        body_size_range=doc_field(doc, "body_size_range"),
+        aspect=doc.get("aspect", 0.5),
         name=str(doc.get("name", "custom")),
     )
-    tpl.validate()
-    return tpl
 
 
 def template_to_dict(template: SpeciesTemplate) -> dict:
@@ -243,7 +239,6 @@ def generate_population(
     """Draw ``n`` synthetic fish; fish ``idx`` draws from the stream of ``default_rng([seed, idx])``."""
     if not 1 <= n < 2**32:
         raise SchemaError(f"population size must be >= 1 and < 2**32 (one seed word per fish index), got {n}")
-    template.validate()
     s_min, s_max = template.body_size_range
     u, z = _draws(seed, n, 3, 2 * KEYPOINT_COUNT)
     # uniform(lo, hi) is lo + (hi - lo) * random(): body length, then the two canvas offsets

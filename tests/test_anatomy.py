@@ -160,11 +160,11 @@ def test_prior_from_dict_reads_species_and_an_absent_one_as_other(species, read)
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("x_min", float("nan"), "extremes[3]: field 'x_min' must be a number in [0, 1], got nan"),
-        ("y_max", 1.5, "extremes[3]: field 'y_max' must be a number in [0, 1], got 1.5"),
+        ("x_min", float("nan"), "K-4: field 'x_min' must be a number in [0, 1], got nan"),
+        ("y_max", 1.5, "K-4: field 'y_max' must be a number in [0, 1], got 1.5"),
         ("keypoint", True, "extremes[3]: field 'keypoint' must be an integer in 1..22, got True"),
-        ("x_max", -1, "extremes[3]: field 'x_max' must be a number in [0, 1], got -1"),
-        ("x_min", "0.1", "extremes[3]: field 'x_min' must be a number in [0, 1], got '0.1'"),
+        ("x_max", -1, "K-4: field 'x_max' must be a number in [0, 1], got -1"),
+        ("x_min", "0.1", "K-4: field 'x_min' must be a number in [0, 1], got '0.1'"),
     ],
     ids=["nan", "above-1", "bool-keypoint", "negative", "string"],
 )
@@ -185,7 +185,7 @@ def test_prior_from_dict_names_the_bad_entry_and_field(field, value, message):
         (lambda doc: doc.pop("training_set_size"), "missing field 'training_set_size'"),
         (lambda doc: doc.update(training_set_size=0), "field 'training_set_size' must be a positive integer, got 0"),
         (lambda doc: doc["extremes"][4].update(y_min=1.0, y_max=0.0),
-         "extremes[4]: field 'x_min' or 'y_min' exceeds its 'x_max' or 'y_max'"),
+         "K-5: field 'y_min' exceeds its 'y_max'"),
     ],
     ids=["21-entries", "no-y_min", "entry-not-an-object", "no-size", "zero-size", "min-above-max"],
 )
@@ -194,6 +194,33 @@ def test_prior_from_dict_rejects_malformed_documents(mutate, message):
     mutate(doc)
     with pytest.raises(SchemaError) as info:
         prior_from_dict(doc)
+    assert str(info.value) == message
+
+
+def _mins(j, axis, value):
+    """Lower extremes of 0.2 for every keypoint, but ``value`` for K-(j + 1) on ``axis``."""
+    mins = np.full((KEYPOINT_COUNT, 2), 0.2)
+    mins[j, axis] = value
+    return mins
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"mins": np.zeros((KEYPOINT_COUNT - 1, 2))}, "prior extremes must have shape (22, 2)"),
+        ({"mins": _mins(2, 0, np.nan)}, "K-3: field 'x_min' must be a number in [0, 1], got nan"),
+        ({"mins": _mins(6, 1, 0.9)}, "K-7: field 'y_min' exceeds its 'y_max'"),
+        ({"training_set_size": 2.0}, "field 'training_set_size' must be a positive integer, got 2.0"),
+        ({"species": "salmon"}, "field 'species' must be one of grouper, mottled_naked_carp, bighead_carp, "
+                                "common_carp, other, got 'salmon'"),
+    ],
+    ids=["21-keypoints", "nan-min", "min-above-max", "float-size", "unknown-species"],
+)
+def test_a_prior_refuses_a_bad_field_at_construction(fields, message):
+    good = {"mins": np.full((KEYPOINT_COUNT, 2), 0.2), "maxs": np.full((KEYPOINT_COUNT, 2), 0.8),
+            "training_set_size": 5}
+    with pytest.raises(SchemaError) as info:
+        AnatomicalPrior(**good | fields)
     assert str(info.value) == message
 
 

@@ -128,13 +128,13 @@ def test_measure_csv_equals_the_csv_module_text(tmp_path, recwarn):
     kps = [
         make_keypoints(image_id="a,b", overrides={12: (410.0, 270.0)}),     # K-12 on K-11: ED degenerate
         make_keypoints(image_id='q"t', v=hidden),
-        make_keypoints(image_id="x\ny", overrides={5: (np.nan, 30.0)}),   # visible NaN: BD is nan, "ok"
+        make_keypoints(image_id="x\ny"),
         make_keypoints(image_id=""),
         make_keypoints(image_id=7),
     ]
     dataset = make_dataset(kps)
     path = tmp_path / "gt.json"
-    path.write_text(json.dumps(dataset_to_coco_dict(dataset)))    # json writes the NaN that validate refuses
+    path.write_text(json.dumps(dataset_to_coco_dict(dataset)))
     out = tmp_path / "m.csv"
     assert main(["measure", "--input", str(path), "--out", str(out)]) == 0
     expected = [("image_id", "abbrev", "value_px", "status")]
@@ -148,7 +148,7 @@ def test_measure_csv_equals_the_csv_module_text(tmp_path, recwarn):
     reference = io.StringIO()
     csv.writer(reference).writerows(expected)
     assert out.read_bytes() == reference.getvalue().encode()
-    assert b'\r\n"x\ny",BD,nan,ok\r\n' in out.read_bytes() and b"\r\n,TL," in out.read_bytes()
+    assert b'\r\n"x\ny",BD,' in out.read_bytes() and b"\r\n,TL," in out.read_bytes()
 
 
 def test_evaluate_pmp_report(synth_files, tmp_path):
@@ -363,9 +363,12 @@ def _hide_k5(doc):
          "oks_scale must be a finite positive number, got -1.0"),
         (["evaluate", "--gt", "{doc}", "--pred", "{doc}", "--r", "0", "--out", "{out}"], None,
          "pmp_threshold must be a finite positive number, got 0.0"),
+        (["measure", "--input", "{doc}", "--out", "{out}"],
+         lambda doc: doc["annotations"][0]["keypoints"].__setitem__(0, float("nan")),
+         "{doc}: image 1: K-1 is annotated at non-finite (nan, 430.0)"),
     ],
     ids=["synth-no-fish", "synth-2**32-fish", "train-toy-no-fish", "prior-no-annotations", "prior-K-5-never-visible",
-         "negative-oks-scale", "zero-r"],
+         "negative-oks-scale", "zero-r", "measure-nan-K-1"],
 )
 def test_each_refusal_is_one_error_line_and_exit_1(fixture_path, tmp_path, capsys, argv, mutate, message):
     doc, out = tmp_path / "doc.json", tmp_path / "out"
@@ -737,10 +740,15 @@ def test_every_json_input_names_its_file(synth_files, tmp_path, capsys, flag):
          "invalid template: body_size_range must satisfy 0 < min <= max, got (900.0, 500.0)"),
         (lambda doc: dict(doc, spread=[0.2] * KEYPOINT_COUNT),
          "invalid template: mean_layout +/- 3*spread must stay within [0, 1] on both axes"),
+        (lambda doc: dict(doc, spread=doc["spread"][:-1] + [-0.001]), "invalid template: spread must be nonnegative"),
+        (lambda doc: dict(doc, aspect=0), "invalid template: aspect must be in (0, 2], got 0.0"),
+        (lambda doc: dict(doc, aspect=2.5), "invalid template: aspect must be in (0, 2], got 2.5"),
+        (lambda doc: dict(doc, aspect=10**400),
+         "field 'aspect' must hold finite numbers of shape (), got non-numeric values"),
     ],
     ids=["not-an-object", "name-only", "no-spread", "short-layout", "text-sizes", "numeric-text-sizes",
          "numeric-text-aspect", "bool-aspect", "null-aspect", "list-aspect", "nan-layout", "inf-spread", "inf-aspect",
-         "sizes-reversed", "spread-too-wide"],
+         "sizes-reversed", "spread-too-wide", "negative-spread", "zero-aspect", "aspect-2.5", "beyond-float-aspect"],
 )
 def test_synth_rejects_a_bad_template_file_naming_file_and_field(tmp_path, capsys, mutate, named):
     template = tmp_path / "template.json"
@@ -993,6 +1001,13 @@ def test_parse_coco_names_file_entry_and_field_of_a_bad_entry(fixture_path, tmp_
     bad.write_text(json.dumps(doc))
     assert main(["validate", "--input", str(bad)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {named}\n"
+
+
+def test_validate_refuses_a_top_level_that_is_no_object(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[]")
+    assert main(["validate", "--input", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: top level must be an object, got list\n"
 
 
 def test_json_limits_name_the_file(fixture_path, tmp_path, capsys):

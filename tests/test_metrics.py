@@ -297,6 +297,30 @@ def test_mape_length_mismatch():
         mape([1.0], [1.0, 2.0])
 
 
+_TWO_LISTS = "inputs must be equal-length 1-d lists with at least 2 entries"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: mape([], []), ValueError, "cannot compute MAPE of empty lists"),
+        (lambda: mape([10.0, -1.0], [10.0, 5.0]), ValueError, "ground-truth value at index 1 is negative"),
+        (lambda: pearson([1.0, 2.0], [1.0, 2.0, 3.0]), ValueError, _TWO_LISTS),
+        (lambda: pearson([[1.0, 2.0], [3.0, 5.0]], [[1.0, 2.0], [4.0, 3.0]]), ValueError, _TWO_LISTS),
+        (lambda: pearson([1.0], [2.0]), ValueError, _TWO_LISTS),
+        (lambda: ols_fit([1.0, 2.0], [1.0, 2.0, 3.0]), ValueError, _TWO_LISTS),
+        (lambda: ols_fit([[1.0, 2.0], [3.0, 5.0]], [[1.0, 2.0], [4.0, 3.0]]), ValueError, _TWO_LISTS),
+        (lambda: ols_fit([1.0], [2.0]), ValueError, _TWO_LISTS),
+    ],
+    ids=["mape-empty", "mape-negative-gt", "pearson-unequal", "pearson-2-d", "pearson-one-entry", "ols-unequal",
+         "ols-2-d", "ols-one-entry"],
+)
+def test_statistical_kernels_refuse_bad_arguments_with_their_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_mmape_mean_of_related():
     mapes = {"SnL": 0.04, "ED": 0.06}
     assert mmape(11, mapes) == pytest.approx(0.05)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from phenokey import optim
 from phenokey.anatomy import acr_hinge
 from phenokey.errors import DivergenceError, GradNormFallbackWarning
 from phenokey.metrics import evaluate_datasets
@@ -513,6 +514,35 @@ def test_step_kernel_is_bit_equal_to_reference_terms(n, feature_dim):
 
 # ---------------------------------------------------------------------------
 # gradient verification
+
+
+def _empty_batch():
+    problem = make_toy_problem(n=4, feature_dim=3, seed=1)
+    empty = replace(problem, features=problem.features[:0], targets=problem.targets[:0])
+    return train(ToyPredictor.mean_baseline(problem.targets, 3), empty, TrainConfig(steps=1))
+
+
+def _no_point_clear_of_the_hinges(monkeypatch):
+    monkeypatch.setattr(optim, "BOUNDARY_MARGIN", math.inf)    # no predicted coordinate is that far from its box
+    problem = make_toy_problem(n=4, feature_dim=3, seed=1)
+    return grad_check(ToyPredictor.mean_baseline(problem.targets, 3), problem, probes=1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda mp: ToyPredictor(np.zeros(44), np.zeros(44)), ValueError, "weights must be (44, F), got (44,)"),
+        (lambda mp: ToyPredictor(np.zeros((44, 3)), np.zeros(43)), ValueError, "bias must be (44,), got (43,)"),
+        (lambda mp: ToyPredictor(np.full((44, 3), np.nan), np.zeros(44)), ValueError, "parameters must be finite"),
+        (lambda mp: _empty_batch(), ValueError, "training batch is empty"),
+        (_no_point_clear_of_the_hinges, RuntimeError, "could not sample a parameter point clear of hinge boundaries"),
+    ],
+    ids=["1-d-weights", "short-bias", "nan-weights", "train-no-rows", "grad-check-no-clear-point"],
+)
+def test_trainer_guards_refuse_bad_arguments_with_their_message(monkeypatch, call, error, message):
+    with pytest.raises(error) as info:
+        call(monkeypatch)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_grad_check_quadratic_only():

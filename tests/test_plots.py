@@ -135,3 +135,12 @@ def test_deviation_empty_input_errors(tmp_path):
         plot_deviation_summary({}, tmp_path / "no.svg")
     with pytest.raises(ValueError):
         plot_deviation_summary({"empty": []}, tmp_path / "no2.svg")
+
+
+@pytest.mark.parametrize("csv_name", [None, "q.csv"], ids=["csv-next-to-svg", "csv-path"])
+def test_a_deviation_summary_of_no_list_is_refused_before_any_file(tmp_path, csv_name):
+    csv_path = None if csv_name is None else tmp_path / csv_name
+    with pytest.raises(ValueError) as info:
+        plot_deviation_summary({}, tmp_path / "no.svg", csv_path)
+    assert type(info.value) is ValueError and str(info.value) == "need at least one labeled deviation list"
+    assert list(tmp_path.iterdir()) == []

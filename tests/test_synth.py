@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from phenokey.anatomy import fit_prior, normalized_coords
 from phenokey.dataset import Dataset, validate
+from phenokey.errors import SchemaError
 from phenokey.metrics import evaluate_datasets, shortest_phenotype_lengths
 from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import (
@@ -24,8 +26,8 @@ from oracles import truncated_rayleigh_within
 
 
 def test_builtin_templates_validate():
-    for tpl in TEMPLATES.values():
-        tpl.validate()
+    for tpl in TEMPLATES.values():    # construction checks every field: building one again refuses nothing
+        assert template_to_dict(replace(tpl)) == template_to_dict(tpl)
 
 
 def test_template_dict_roundtrip():
@@ -37,14 +39,36 @@ def test_template_dict_roundtrip():
 
 
 def test_template_invariant_rejected():
-    bad = SpeciesTemplate(
-        name="bad",
-        mean_layout=TEMPLATES["deep_bodied"].mean_layout,
-        spread=np.full(KEYPOINT_COUNT, 0.2),  # 3 sigma pokes out of [0, 1]
-        body_size_range=(100.0, 200.0),
-    )
-    with pytest.raises(ValueError, match="3"):
-        generate_population(bad, 3, seed=0)
+    with pytest.raises(SchemaError, match=r"mean_layout \+/- 3\*spread must stay within \[0, 1\]"):
+        SpeciesTemplate(
+            name="bad",
+            mean_layout=TEMPLATES["deep_bodied"].mean_layout,
+            spread=np.full(KEYPOINT_COUNT, 0.2),  # 3 sigma pokes out of [0, 1]
+            body_size_range=(100.0, 200.0),
+        )
+
+
+def _nan_layout():
+    layout = TEMPLATES["elongate"].mean_layout.copy()
+    layout[3, 1] = np.nan
+    return layout
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"mean_layout": _nan_layout()},
+         "field 'mean_layout' must hold finite numbers of shape (22, 2), got NaN or infinity"),
+        ({"aspect": "wide"}, "field 'aspect' must hold finite numbers of shape (), got non-numeric values"),
+        ({"body_size_range": (0.0, 10.0)},
+         "invalid template: body_size_range must satisfy 0 < min <= max, got (0.0, 10.0)"),
+    ],
+    ids=["nan-layout", "text-aspect", "zero-size"],
+)
+def test_a_template_refuses_a_bad_field_at_construction(fields, message):
+    with pytest.raises(SchemaError) as info:
+        replace(TEMPLATES["elongate"], **fields)
+    assert str(info.value) == message
 
 
 def test_zero_spread_fish_are_scaled_copies():
