@@ -49,7 +49,7 @@ def body_frames(xy, v, image_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         else:
             axis = int(np.argmax(bad[n]))
             reason = f"{'zero' if extent[n, axis] == 0 else 'non-finite'} {'xy'[axis]}-range across visible keypoints"
-        raise DegeneratePoseError(f"image {image_id!r}: {reason}", image_id)
+        raise DegeneratePoseError(f"image {image_id!r}: {reason}")
     return lo, hi, extent
 
 
@@ -63,6 +63,15 @@ def normalized_coords(dataset: Dataset) -> np.ndarray:
 _EXTREMES = ("x_min", "y_min", "x_max", "y_max")
 
 
+def _cells(rows) -> list | None:
+    """The 44 entries of a (22, 2) nested sequence, row by row, each as given (``np.asarray`` would descend into an
+    entry that is a list); None for any other shape."""
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows    # an array's numbers as Python's
+    if not (np.iterable(rows) and len(rows) == KEYPOINT_COUNT and all(np.iterable(r) and len(r) == 2 for r in rows)):
+        return None
+    return [x for row in rows for x in row]
+
+
 @dataclass(frozen=True)
 class AnatomicalPrior:
     """Per-keypoint extremes of normalized coordinates over a training set; construction checks every field's rule
@@ -74,16 +83,17 @@ class AnatomicalPrior:
     species: str = "other"
 
     def __post_init__(self):
-        mins, maxs = (np.asarray(a, dtype=object) for a in (self.mins, self.maxs))    # as given, not cast
-        if mins.shape != (KEYPOINT_COUNT, 2) or maxs.shape != (KEYPOINT_COUNT, 2):
+        cells = [_cells(a) for a in (self.mins, self.maxs)]
+        if None in cells:
             raise SchemaError(f"prior extremes must have shape ({KEYPOINT_COUNT}, 2)")
-        extremes = np.stack([mins, maxs])
-        inside = [positive_number(x, zero=True) and x <= 1 for x in extremes.flat]    # NaN, a bool, text are not
+        cells = cells[0] + cells[1]    # mins, then maxs, each row by row
+        inside = [positive_number(x, zero=True) and x <= 1 for x in cells]    # NaN, a bool, text, a list are not
         if not all(inside):
-            side, j, axis = np.unravel_index(inside.index(False), extremes.shape)
-            key, value = _EXTREMES[2 * side + axis], extremes[side, j, axis]
-            raise SchemaError(f"K-{j + 1}: field {key!r} must be a number in [0, 1], got {value!r}")
-        extremes = extremes.astype(np.float64)
+            n = inside.index(False)
+            side, j, axis = np.unravel_index(n, (2, KEYPOINT_COUNT, 2))
+            raise SchemaError(f"K-{j + 1}: field {_EXTREMES[2 * side + axis]!r} must be a number in [0, 1], "
+                              f"got {cells[n]!r}")
+        extremes = np.array(cells, dtype=np.float64).reshape(2, KEYPOINT_COUNT, 2)
         for j, axis in np.argwhere(extremes[0] > extremes[1])[:1].tolist():
             raise SchemaError(f"K-{j + 1}: field {_EXTREMES[axis]!r} exceeds its {_EXTREMES[2 + axis]!r}")
         if type(self.training_set_size) is not int or self.training_set_size < 1:
@@ -102,10 +112,7 @@ def fit_prior(train: Dataset, species: str = "other") -> AnatomicalPrior:
     """
     if len(train) == 0:
         raise SchemaError("cannot fit a prior on an empty training set")
-    try:
-        cube = normalized_coords(train)
-    except DegeneratePoseError as exc:
-        raise DegeneratePoseError(f"record {exc.image_id!r} failed normalization: {exc}", exc.image_id) from exc
+    cube = normalized_coords(train)
     never_seen = np.isnan(cube).all(axis=0).any(axis=1)
     if never_seen.any():
         missing = [f"K-{i + 1}" for i in np.flatnonzero(never_seen)]

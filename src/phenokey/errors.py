@@ -32,19 +32,7 @@ class DatasetValidationError(PhenokeyError):
 
 
 class DegeneratePoseError(PhenokeyError):
-    """Visible keypoints cannot frame the body; carries the id of the image they belong to."""
-
-    def __init__(self, message, image_id=None):
-        super().__init__(message)
-        self.image_id = image_id
-
-
-class UndefinedMetricError(PhenokeyError):
-    """Metric has an empty denominator (no evaluable terms)."""
-
-
-class DegenerateFitError(PhenokeyError):
-    """Least-squares fit is undefined (constant regressor)."""
+    """Visible keypoints cannot frame the body; the message names the image they belong to."""
 
 
 class DivergenceError(PhenokeyError):

@@ -13,11 +13,11 @@ Implements the full battery used to score coordinate predictors:
   over the pairs :func:`phenotype_value_pairs` gives (the scatter plot's).
 
 All thresholds compare with strict ``<``. Undefined quantities (empty
-denominators) are reported as ``None``, never silently as 0. A predicted
-keypoint with a non-finite coordinate is a miss: its deviation is +inf, so
-its similarity is 0 and it fails PCK and PMP; a phenotype whose predicted
-length is non-finite, or whose ground-truth length is 0, is skipped and
-counted.
+denominators, a constant input to Pearson r or the fit) are ``None`` where
+they are computed, never silently 0. A predicted keypoint with a non-finite
+coordinate is a miss: its deviation is +inf, so its similarity is 0 and it
+fails PCK and PMP; a phenotype whose predicted length is non-finite, or
+whose ground-truth length is 0, is skipped and counted.
 
 Every metric is computed on whole (N, 22, 2) arrays by one call,
 :func:`evaluate_datasets` ``(gt, pred, cfg, metrics)``, which returns the
@@ -40,8 +40,7 @@ import numpy as np
 
 from .anatomy import visible_corners
 from .dataset import Dataset
-from .errors import (DegenerateFitError, IntegrityError, PhenokeyWarning, SchemaError, UndefinedMetricError,
-                     check_number, positive_number)
+from .errors import IntegrityError, PhenokeyWarning, SchemaError, check_number, positive_number
 from .morphometry import (ABBREVS, ENDPOINTS, RELATED, check_annotated_finite, phenotype_lengths,
                           shortest_phenotype_lengths)
 from .schema import KEYPOINT_COUNT
@@ -104,24 +103,24 @@ def mmape(keypoint: int, per_phenotype_mape: dict) -> float:
     return float(np.mean([per_phenotype_mape[ABBREVS[t]] for t in RELATED[int(keypoint) - 1].tolist()]))
 
 
-def pearson(x, y) -> float:
-    """Sample Pearson correlation coefficient."""
+def pearson(x, y) -> float | None:
+    """Sample Pearson correlation coefficient; None when either side is constant."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("inputs must be equal-length 1-d lists with at least 2 entries")
+    if np.ptp(x) == 0 or np.ptp(y) == 0:    # all equal: the mean may round, leaving deviations that are not 0
+        return None
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(np.dot(dx, dx))
     syy = float(np.dot(dy, dy))
-    if sxx == 0.0 or syy == 0.0:
-        raise UndefinedMetricError("correlation undefined for a constant input")
     r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 
 
-def ols_fit(gt, pred) -> tuple[float, float, float]:
-    """Least-squares line pred ≈ slope·gt + intercept and its R².
+def ols_fit(gt, pred) -> tuple[float, float, float] | None:
+    """Least-squares line pred ≈ slope·gt + intercept and its R²; None when the ground truth is constant.
 
     R² = 1 - SS_res / SS_tot. Two points interpolate exactly (R² = 1); with
     more points and zero prediction variance the fit explains nothing (R² = 0).
@@ -130,10 +129,10 @@ def ols_fit(gt, pred) -> tuple[float, float, float]:
     pred_arr = np.asarray(pred, dtype=np.float64)
     if gt_arr.shape != pred_arr.shape or gt_arr.ndim != 1 or gt_arr.size < 2:
         raise ValueError("inputs must be equal-length 1-d lists with at least 2 entries")
+    if np.ptp(gt_arr) == 0:    # as in pearson
+        return None
     dx = gt_arr - gt_arr.mean()
     sxx = float(np.dot(dx, dx))
-    if sxx == 0.0:
-        raise DegenerateFitError("ground-truth values are constant; fit undefined")
     slope = float(np.dot(dx, pred_arr)) / sxx
     intercept = float(pred_arr.mean() - slope * gt_arr.mean())
     resid = pred_arr - (slope * gt_arr + intercept)
@@ -142,7 +141,7 @@ def ols_fit(gt, pred) -> tuple[float, float, float]:
     ss_tot = float(np.dot(dy, dy))
     if gt_arr.size == 2:
         r2 = 1.0
-    elif ss_tot == 0.0:
+    elif np.ptp(pred_arr) == 0:    # as above: ss_tot may be a rounding residue
         r2 = 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
@@ -217,8 +216,6 @@ def _hits(pairs: _Pairs, scale, threshold) -> dict:
     the scale is below ``threshold``; one with a missing, zero or non-finite scale is skipped and counted. A keypoint
     with no scored sample is None.
     """
-    if pairs.n == 0:
-        raise UndefinedMetricError("no samples to evaluate")
     scored = pairs.annotated & np.isfinite(scale) & (scale > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         hits = (scored & (pairs.deviations / scale < threshold)).sum(axis=0)
@@ -290,13 +287,9 @@ def _phenotype_stats(pairs: _Pairs) -> dict:
             continue
         g = gt_len[usable[:, t], t]
         p = pred_len[usable[:, t], t]
-        m = mape(g, p)
-        corr = r2 = slope = intercept = None
-        if n_usable >= 2 and np.ptp(g) > 0:
-            slope, intercept, r2 = ols_fit(g, p)
-            if np.ptp(p) > 0:
-                corr = pearson(g, p)
-        stats[abbrev] = {"mape": m, "pearson": corr, "r2": r2, "slope": slope, "intercept": intercept,
+        corr, fit = (pearson(g, p), ols_fit(g, p)) if n_usable >= 2 else (None, None)
+        slope, intercept, r2 = fit or (None, None, None)
+        stats[abbrev] = {"mape": mape(g, p), "pearson": corr, "r2": r2, "slope": slope, "intercept": intercept,
                          "n_samples": n_usable, "n_skipped": skipped}
     return stats
 
@@ -311,15 +304,18 @@ def _per_keypoint(values: np.ndarray) -> dict:
 
 def evaluate_datasets(gt: Dataset, pred: Dataset, cfg: EvalConfig | None = None, metrics: tuple = METRICS) -> dict:
     """The report `evaluate` writes, on the chosen metrics: a JSON-ready dict, None where a value is undefined, with
-    no ``oks`` block when no image was scored and ``mmape`` along with ``phenotypes``. A name outside
-    :data:`METRICS` in ``metrics``, or a bare string for it, raises :class:`SchemaError`."""
+    ``mmape`` along with ``phenotypes``. An empty ground truth gives ``n_samples`` 0 and every requested block:
+    ``oks`` with ``mean`` None and ``per_image`` ``[]``, the hit blocks with every value None and zero counts, every
+    phenotype None. A name outside :data:`METRICS` in ``metrics``, or a bare string for it, raises
+    :class:`SchemaError`."""
     if isinstance(metrics, str) or (unknown := [m for m in metrics if m not in METRICS]):
         got = f"the string {metrics!r}" if isinstance(metrics, str) else f"unknown {unknown!r}"
         raise SchemaError(f"metrics must be a sequence of names among {', '.join(METRICS)}, got {got}")
     cfg = cfg or EvalConfig()
     pairs = _paired_datasets(gt, pred)
     report = {"schema_version": 1, "config": asdict(cfg), "n_samples": pairs.n}
-    if "oks" in metrics and (oks := _oks(pairs, cfg)):
+    if "oks" in metrics:
+        oks = _oks(pairs, cfg)
         per_image = [{"image_id": i, "oks": v} for i, v in zip(gt.image_ids, oks)]
         report["oks"] = {"mean": _defined_mean(oks), "per_image": per_image}
     if "pck" in metrics:

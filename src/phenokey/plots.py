@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateFitError, DegenerateFitWarning, PhenokeyError
+from .errors import DegenerateFitWarning, PhenokeyError
 from .jsontext import csv_field, write_whole
 from .metrics import ols_fit
 
@@ -119,12 +119,12 @@ def plot_scatter(pairs, out, title: str = "") -> None:
         body.append(f'<text class="title" x="{_WIDTH // 2}" y="24" text-anchor="middle">{title}</text>')
     for g, p in pairs:
         body.append(f'<circle class="pt" cx="{_fmt(frame.px(g))}" cy="{_fmt(frame.py(p))}" r="3"/>')
-    try:
-        slope, intercept, r2 = ols_fit(xs, ys)
-    except DegenerateFitError:
+    fit = ols_fit(xs, ys)
+    if fit is None:
         warnings.warn("constant ground truth; scatter emitted without a fitted line",
                       DegenerateFitWarning, stacklevel=2)
     else:
+        slope, intercept, r2 = fit
         x_lo, x_hi = min(xs), max(xs)
         body.append(
             f'<line class="fit" x1="{_fmt(frame.px(x_lo))}" y1="{_fmt(frame.py(slope * x_lo + intercept))}" '

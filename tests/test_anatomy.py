@@ -186,8 +186,11 @@ def test_prior_from_dict_names_the_bad_entry_and_field(field, value, message):
         (lambda doc: doc.update(training_set_size=0), "field 'training_set_size' must be a positive integer, got 0"),
         (lambda doc: doc["extremes"][4].update(y_min=1.0, y_max=0.0),
          "K-5: field 'y_min' exceeds its 'y_max'"),
+        (lambda doc: [entry.update(x_min=[0.2], y_min=[0.3]) for entry in doc["extremes"]],
+         "K-1: field 'x_min' must be a number in [0, 1], got [0.2]"),
     ],
-    ids=["21-entries", "no-y_min", "entry-not-an-object", "no-size", "zero-size", "min-above-max"],
+    ids=["21-entries", "no-y_min", "entry-not-an-object", "no-size", "zero-size", "min-above-max",
+         "every-min-a-list"],
 )
 def test_prior_from_dict_rejects_malformed_documents(mutate, message):
     doc = prior_to_dict(fit_prior(generate_population(TEMPLATES["elongate"], 6, seed=1)))
@@ -209,12 +212,13 @@ def _mins(j, axis, value):
     [
         ({"mins": np.zeros((KEYPOINT_COUNT - 1, 2))}, "prior extremes must have shape (22, 2)"),
         ({"mins": _mins(2, 0, np.nan)}, "K-3: field 'x_min' must be a number in [0, 1], got nan"),
+        ({"mins": [[[0.2], [0.3]]] * KEYPOINT_COUNT}, "K-1: field 'x_min' must be a number in [0, 1], got [0.2]"),
         ({"mins": _mins(6, 1, 0.9)}, "K-7: field 'y_min' exceeds its 'y_max'"),
         ({"training_set_size": 2.0}, "field 'training_set_size' must be a positive integer, got 2.0"),
         ({"species": "salmon"}, "field 'species' must be one of grouper, mottled_naked_carp, bighead_carp, "
                                 "common_carp, other, got 'salmon'"),
     ],
-    ids=["21-keypoints", "nan-min", "min-above-max", "float-size", "unknown-species"],
+    ids=["21-keypoints", "nan-min", "every-min-a-list", "min-above-max", "float-size", "unknown-species"],
 )
 def test_a_prior_refuses_a_bad_field_at_construction(fields, message):
     good = {"mins": np.full((KEYPOINT_COUNT, 2), 0.2), "maxs": np.full((KEYPOINT_COUNT, 2), 0.8),
@@ -479,23 +483,16 @@ _CASES = {
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_fit_prior_names_first_bad_record_like_per_record_path(case):
     train = _population_with_bad_records(_CASES[case])
-
-    def one(row):
-        try:
-            body_frames(row.xy, row.v, row.image_ids)
-        except DegeneratePoseError as exc:
-            raise DegeneratePoseError(f"record {row.image_ids[0]!r} failed normalization: {exc}") from exc
-
-    expected_type, expected = _first_error(one, train)
+    expected_type, expected = _first_error(lambda row: body_frames(row.xy, row.v, row.image_ids), train)
     with pytest.raises(DegeneratePoseError) as exc:
         fit_prior(train)
     assert expected_type is DegeneratePoseError and str(exc.value) == expected
     literal = {
-        "too_few": "record 5 failed normalization: image 5: need at least 2 visible keypoints, got 1",
-        "zero_x": "record 5 failed normalization: image 5: zero x-range across visible keypoints",
-        "zero_y": "record 5 failed normalization: image 5: zero y-range across visible keypoints",
-        "two_bad": "record 4 failed normalization: image 4: zero y-range across visible keypoints",
-        "nan_x": "record 5 failed normalization: image 5: non-finite x-range across visible keypoints",
+        "too_few": "image 5: need at least 2 visible keypoints, got 1",
+        "zero_x": "image 5: zero x-range across visible keypoints",
+        "zero_y": "image 5: zero y-range across visible keypoints",
+        "two_bad": "image 4: zero y-range across visible keypoints",
+        "nan_x": "image 5: non-finite x-range across visible keypoints",
     }
     assert str(exc.value) == literal[case]
 

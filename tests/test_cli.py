@@ -265,8 +265,11 @@ def test_prior_species_filter_errors_when_empty(synth_files, tmp_path, capsys):
          "extremes[1]: field 'keypoint' repeats K-1"),
         (lambda doc: dict(doc, species=5), f"field 'species' must be one of {', '.join(SPECIES)}, got 5"),
         (lambda doc: dict(doc, species="salmon"), f"field 'species' must be one of {', '.join(SPECIES)}, got 'salmon'"),
+        (lambda doc: dict(doc, extremes=[dict(e, x_min=[0.2], y_min=[0.3]) for e in doc["extremes"]]),
+         "K-1: field 'x_min' must be a number in [0, 1], got [0.2]"),
     ],
-    ids=["no-extremes", "not-an-object", "keypoint-99", "keypoint-1-twice", "species-5", "species-salmon"],
+    ids=["no-extremes", "not-an-object", "keypoint-99", "keypoint-1-twice", "species-5", "species-salmon",
+         "every-min-a-list"],
 )
 def test_acr_rejects_a_bad_prior_file_naming_file_and_field(synth_files, tmp_path, capsys, mutate, named):
     gt, pred = synth_files
@@ -430,6 +433,27 @@ def test_plot_deviation_missing_image_is_data_error(synth_files, tmp_path, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("metric", ["all", "oks", "pck", "pmp"])
+def test_evaluate_scores_an_empty_ground_truth_as_null_blocks(synth_files, tmp_path, capsys, metric):
+    gt, _ = synth_files
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(dict(json.loads(gt.read_text()), images=[], annotations=[])))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["evaluate", "--gt", str(empty), "--pred", str(gt), "--metric", metric, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {empty}: annotations array is empty; dataset has no records\n"
+        f"warning: prediction file {gt}: 12 predicted image id(s) not in the ground truth, ignored: [1, 2, 3, 4, 5]\n")
+    nulls = {f"K-{j}": None for j in range(1, KEYPOINT_COUNT + 1)}
+    hits = {"per_keypoint": nulls, "mean": None, "sample_counts": [0] * KEYPOINT_COUNT,
+            "skip_counts": [0] * KEYPOINT_COUNT}
+    blocks = {"oks": {"mean": None, "per_image": []}, "pck": hits, "pmp": hits,
+              "phenotypes": dict.fromkeys(ABBREVS), "mmape": {"per_keypoint": nulls, "mean": None}}
+    report = json.loads(out.read_text())
+    assert report.pop("config") and report.pop("schema_version") == 1
+    assert report == {"n_samples": 0, "metric": metric, **(blocks if metric == "all" else {metric: blocks[metric]})}
+
+
 @pytest.mark.parametrize("value, axis", [(float("nan"), "x"), (float("inf"), "y")])
 def test_prior_and_acr_name_a_fish_with_a_nonfinite_visible_coordinate(synth_files, tmp_path, capsys, value, axis):
     gt, pred = synth_files
@@ -442,7 +466,7 @@ def test_prior_and_acr_name_a_fish_with_a_nonfinite_visible_coordinate(synth_fil
     capsys.readouterr()
     reason = f"image 3: non-finite {axis}-range across visible keypoints"
     assert main(["prior", "--train", str(gt), "--out", str(tmp_path / "again.json")]) == 1
-    assert capsys.readouterr().err == f"error: {gt}: record 3 failed normalization: {reason}\n"
+    assert capsys.readouterr().err == f"error: {gt}: {reason}\n"
     assert main(["acr", "--pred", str(pred), "--prior", str(prior), "--out", str(tmp_path / "acr.json")]) == 1
     assert capsys.readouterr().err == f"error: {pred}: {reason}\n"
 

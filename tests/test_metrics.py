@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phenokey.dataset import Dataset
-from phenokey.errors import DegenerateFitError, IntegrityError, PhenokeyWarning, SchemaError, UndefinedMetricError
+from phenokey.errors import IntegrityError, PhenokeyWarning, SchemaError
 from phenokey.metrics import (
     METRICS,
     PCK_SCALE_MODES,
@@ -21,6 +22,7 @@ from phenokey.metrics import (
     pearson,
     phenotype_value_pairs,
 )
+from phenokey.morphometry import ABBREVS
 from phenokey.schema import KEYPOINT_COUNT
 from phenokey.synth import TEMPLATES, PerturbationModel, generate_population, perturb
 
@@ -362,9 +364,10 @@ def test_pearson_anticorrelated():
     assert pearson([1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]) == -1.0
 
 
-def test_pearson_constant_errors():
-    with pytest.raises(UndefinedMetricError):
-        pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+def test_pearson_of_a_constant_side_is_none():
+    assert pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) is None
+    assert pearson([5.0, 5.0, 5.0], [1.0, 2.0, 3.0]) is None
+    assert pearson([0.1, 0.1, 0.1], [1.0, 2.0, 3.0]) is None    # whose mean rounds to 0.10000000000000002
 
 
 def test_ols_identity():
@@ -375,6 +378,7 @@ def test_ols_identity():
 def test_ols_constant_predictions():
     slope, intercept, r2 = ols_fit([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
     assert slope == 0.0 and r2 == 0.0
+    assert ols_fit([1.0, 2.0, 4.0], [0.1, 0.1, 0.1])[2] == 0.0    # whose mean rounds: not -0.67
 
 
 def test_ols_two_points_interpolate():
@@ -384,9 +388,9 @@ def test_ols_two_points_interpolate():
     assert r2 == 1.0
 
 
-def test_ols_constant_gt_errors():
-    with pytest.raises(DegenerateFitError):
-        ols_fit([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
+def test_ols_of_a_constant_ground_truth_is_none():
+    assert ols_fit([5.0, 5.0, 5.0], [1.0, 2.0, 3.0]) is None
+    assert ols_fit([0.1, 0.1, 0.1], [1.0, 2.0, 3.0]) is None
 
 
 HAND_DATASETS = [
@@ -674,7 +678,28 @@ def test_one_metric_alone_equals_its_block_in_the_full_report(hidden_string_id_p
     assert len(pred) == len(gt) + 1 and full == evaluate_datasets(gt, paired, cfg)    # the stray row is not paired
 
 
-@pytest.mark.parametrize("metric", ["pck", "pmp"])
-def test_per_keypoint_metrics_refuse_an_empty_sample(metric):
-    with pytest.raises(UndefinedMetricError, match="no samples to evaluate"):
-        _block(metric, make_dataset([]), make_dataset([]))
+@pytest.mark.parametrize("metrics", [METRICS, *((metric,) for metric in METRICS)], ids=["all", *METRICS])
+def test_an_empty_sample_gives_null_blocks(metrics):
+    nulls = {f"K-{j}": None for j in range(1, KEYPOINT_COUNT + 1)}
+    hits = {"per_keypoint": nulls, "mean": None, "sample_counts": [0] * KEYPOINT_COUNT,
+            "skip_counts": [0] * KEYPOINT_COUNT}
+    blocks = {"oks": {"oks": {"mean": None, "per_image": []}}, "pck": {"pck": hits}, "pmp": {"pmp": hits},
+              "phenotypes": {"phenotypes": dict.fromkeys(ABBREVS), "mmape": {"per_keypoint": nulls, "mean": None}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # no numpy warning on empty arrays either
+        report = evaluate_datasets(make_dataset([]), make_dataset([]), metrics=metrics)
+    expected = {"schema_version": 1, "config": asdict(EvalConfig()), "n_samples": 0}
+    for metric in metrics:
+        expected |= blocks[metric]
+    assert report == expected
+
+
+def test_report_fit_and_correlation_of_constant_lengths_are_null():
+    same = make_dataset([make_keypoints(image_id=n) for n in (1, 2, 3)])    # one shape: every length is constant
+    scaled = make_dataset([make_keypoints(xy=make_keypoints().xy * c, image_id=n)
+                           for n, c in ((1, 1.0), (2, 1.1), (3, 1.3))])
+    constant_gt = evaluate_datasets(same, scaled, metrics=("phenotypes",))["phenotypes"]["TL"]
+    assert [constant_gt[key] for key in ("slope", "intercept", "r2", "pearson")] == [None] * 4
+    assert constant_gt["mape"] > 0 and constant_gt["n_samples"] == 3
+    constant_pred = evaluate_datasets(scaled, same, metrics=("phenotypes",))["phenotypes"]["TL"]
+    assert constant_pred["r2"] == 0.0 and constant_pred["pearson"] is None    # mean TL rounds: 0.0, not -7.0
