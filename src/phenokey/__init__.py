@@ -34,7 +34,6 @@ from .metrics import (
 )
 from .morphometry import PHENOTYPES, measurement_rows
 from .optim import (
-    LossWeights,
     ToyPredictor,
     TrainConfig,
     TrainTrace,

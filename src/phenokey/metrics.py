@@ -131,6 +131,8 @@ def ols_fit(gt, pred) -> tuple[float, float, float] | None:
         raise ValueError("inputs must be equal-length 1-d lists with at least 2 entries")
     if np.ptp(gt_arr) == 0:    # as in pearson
         return None
+    if np.ptp(pred_arr) == 0:    # the flat line exactly: the sums below would leave a rounding residue
+        return 0.0, float(pred_arr[0]), 1.0 if gt_arr.size == 2 else 0.0
     dx = gt_arr - gt_arr.mean()
     sxx = float(np.dot(dx, dx))
     slope = float(np.dot(dx, pred_arr)) / sxx
@@ -139,12 +141,7 @@ def ols_fit(gt, pred) -> tuple[float, float, float] | None:
     ss_res = float(np.dot(resid, resid))
     dy = pred_arr - pred_arr.mean()
     ss_tot = float(np.dot(dy, dy))
-    if gt_arr.size == 2:
-        r2 = 1.0
-    elif np.ptp(pred_arr) == 0:    # as above: ss_tot may be a rounding residue
-        r2 = 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
+    r2 = 1.0 if gt_arr.size == 2 else 1.0 - ss_res / ss_tot
     return slope, intercept, r2
 
 

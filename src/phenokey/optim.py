@@ -75,16 +75,6 @@ class ToyPredictor:
 
 
 @dataclass(frozen=True)
-class LossWeights:
-    """Task weights for the two-term objective plus balancing state."""
-
-    w_mse: float = 1.0
-    w_acr: float = 1.0
-    alpha: float = 1.5
-    initial_losses: tuple | None = None   # (L_mse at step 0, L_acr at step 0)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     steps: int = 1000
     lr: float = 2.0
@@ -204,42 +194,38 @@ def make_toy_problem(
     return ToyProblem(features=features, targets=targets, prior=prior, population=population)
 
 
-# the GradNormFallbackWarning of `gradnorm_step` and of `train`'s first step
-_ZERO_LOSS = "initial task loss is zero; balancing disabled, keeping equal weights"
+# `train`'s GradNormFallbackWarning when a task's step-0 loss is zero: the loss ratios are undefined
+_ZERO_LOSS = "initial task loss is zero; balancing disabled, keeping the starting weights"
 
 
-def gradnorm_step(w: LossWeights, grad_norms, losses, lr_w: float) -> LossWeights:
-    """One balancing update on Python floats; returns weights clamped positive and summing to 2."""
-    if w.initial_losses is None:
-        raise ValueError("initial losses must be recorded before balancing")
-    l0_mse, l0_acr = w.initial_losses
-    if l0_mse <= 0 or l0_acr <= 0:
-        warnings.warn(_ZERO_LOSS, GradNormFallbackWarning, stacklevel=2)
-        return LossWeights(1.0, 1.0, w.alpha, w.initial_losses)
+def gradnorm_step(weights, grad_norms, ratios, alpha: float, lr_w: float) -> tuple[float, float]:
+    """One balancing update on Python floats; returns ``(w_mse, w_acr)`` clamped positive and summing to 2.
+
+    ``ratios`` holds each task's loss divided by its loss at step 0.
+    """
     try:
-        (n_mse, n_acr), (l_mse, l_acr) = map(float, grad_norms), map(float, losses)
+        (w_mse, w_acr), (n_mse, n_acr), (r_mse, r_acr) = weights, map(float, grad_norms), map(float, ratios)
     except (TypeError, ValueError):
-        raise ValueError("grad_norms and losses must each hold two entries") from None
+        raise ValueError("weights, grad_norms and ratios must each hold two entries") from None
     if n_mse < 0 or n_acr < 0:
         raise ValueError("gradient norms must be nonnegative")
-    if l_mse < 0 or l_acr < 0:  # a negative loss ratio has no real power
-        raise ValueError("losses must be nonnegative")
-    r_mse, r_acr = l_mse / l0_mse, l_acr / l0_acr
+    if r_mse < 0 or r_acr < 0:  # a negative loss ratio has no real power
+        raise ValueError("ratios must be nonnegative")
     mean_ratio = (r_mse + r_acr) / 2
     if mean_ratio == 0.0:
-        return w  # both tasks fully converged; nothing to balance
-    mean_weighted = (w.w_mse * n_mse + w.w_acr * n_acr) / 2
+        return w_mse, w_acr  # both tasks fully converged; nothing to balance
+    mean_weighted = (w_mse * n_mse + w_acr * n_acr) / 2
     new = []
-    for weight, norm, ratio in ((w.w_mse, n_mse, r_mse), (w.w_acr, n_acr, r_acr)):
+    for weight, norm, ratio in ((w_mse, n_mse, r_mse), (w_acr, n_acr, r_acr)):
         try:
-            scaled = mean_weighted * (ratio / mean_ratio) ** w.alpha
+            scaled = mean_weighted * (ratio / mean_ratio) ** alpha
         except (OverflowError, ZeroDivisionError):  # where numpy's power gives inf
             scaled = mean_weighted * math.inf
         gap = float(weight * norm - scaled)
         sign = (gap > 0) - (gap < 0) if gap == gap else gap  # np.sign: a NaN gap stays NaN
         new.append(max(weight - lr_w * (sign * norm), 1e-6))
     total = new[0] + new[1]
-    return LossWeights(float(2.0 * new[0] / total), float(2.0 * new[1] / total), w.alpha, w.initial_losses)
+    return float(2.0 * new[0] / total), float(2.0 * new[1] / total)
 
 
 class StepKernel:
@@ -331,7 +317,7 @@ def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tup
         raise ValueError("training batch is empty")
     kernel = StepKernel(predictor, problem.features, problem.targets, problem.boxes())
     theta = kernel.theta
-    w = LossWeights(cfg.init_w_mse, cfg.init_w_acr if cfg.use_acr else 0.0, alpha=cfg.alpha)
+    w_mse, w_acr = cfg.init_w_mse, cfg.init_w_acr if cfg.use_acr else 0.0
     balancing = cfg.use_acr and cfg.lr_weights > 0
     trace = TrainTrace()
 
@@ -339,21 +325,22 @@ def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tup
         l_mse, l_acr = kernel.losses()
         kernel.gradients()
         n_mse, n_acr = kernel.weight_grad_norms()
-        if step == 0:
-            w = replace(w, initial_losses=(l_mse, l_acr))
-            if balancing and (l_mse <= 0 or l_acr <= 0):
+        if step == 0 and balancing:
+            l0_mse, l0_acr = l_mse, l_acr
+            if l0_mse <= 0 or l0_acr <= 0:
                 warnings.warn(_ZERO_LOSS, GradNormFallbackWarning, stacklevel=2)
                 balancing = False
-        total = w.w_mse * l_mse + (w.w_acr * l_acr if cfg.use_acr else 0.0)
-        trace.append(TraceRow(step, l_mse, l_acr, w.w_mse, w.w_acr, n_mse, n_acr, kernel.violation_count()))
+        total = w_mse * l_mse + (w_acr * l_acr if cfg.use_acr else 0.0)
+        trace.append(TraceRow(step, l_mse, l_acr, w_mse, w_acr, n_mse, n_acr, kernel.violation_count()))
         if not math.isfinite(total) or total > DIVERGENCE_LIMIT:
             raise DivergenceError(f"training diverged at step {step}: total loss {total}", trace=trace)
         if step == cfg.steps:
             break
-        update = kernel.combined_gradient(w.w_mse, w.w_acr if cfg.use_acr else None)
+        update = kernel.combined_gradient(w_mse, w_acr if cfg.use_acr else None)
         np.subtract(theta, np.multiply(update, cfg.lr / (1.0 + cfg.lr_decay * step), out=update), out=theta)
         if balancing:
-            w = gradnorm_step(w, (n_mse, n_acr), (l_mse, l_acr), cfg.lr_weights)
+            ratios = (l_mse / l0_mse, l_acr / l0_acr)
+            w_mse, w_acr = gradnorm_step((w_mse, w_acr), (n_mse, n_acr), ratios, cfg.alpha, cfg.lr_weights)
     return kernel.predictor(), trace
 
 
@@ -415,7 +402,7 @@ def acr_benchmark_scenario(seed: int = 0) -> tuple[ToyProblem, ToyPredictor, Tra
 def grad_check(
     predictor: ToyPredictor,
     problem: ToyProblem,
-    w: LossWeights | None = None,
+    weights: tuple[float, float] = (1.0, 1.0),
     probes: int = 10_000,
     seed: int = 0,
 ) -> float:
@@ -427,7 +414,7 @@ def grad_check(
     The relative error for one probed parameter uses a unit floor:
     |analytic - fd| / max(1, |analytic|, |fd|).
     """
-    w = w or LossWeights()
+    w_mse, w_acr = weights
     boxes = problem.boxes()
     k_min, k_max = boxes.k_min, boxes.k_max
     kernel = StepKernel(predictor, problem.features, problem.targets, boxes)
@@ -446,7 +433,7 @@ def grad_check(
 
     def loss() -> float:  # all a finite-difference probe needs: no gradient terms
         l_mse, l_acr = kernel.losses()
-        return w.w_mse * l_mse + w.w_acr * l_acr
+        return w_mse * l_mse + w_acr * l_acr
 
     worst = 0.0
     done = 0
@@ -459,7 +446,7 @@ def grad_check(
             raise RuntimeError("could not sample a parameter point clear of hinge boundaries")
         kernel.losses()
         kernel.gradients()
-        analytic = kernel.combined_gradient(w.w_mse, w.w_acr).copy()
+        analytic = kernel.combined_gradient(w_mse, w_acr).copy()
         todo = min(PROBES_PER_POINT, probes - done)
         idx = rng.choice(theta.size, size=todo, replace=False)
         for k in idx:

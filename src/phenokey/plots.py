@@ -154,9 +154,9 @@ def plot_deviation_summary(deviations: dict, out, csv_path=None) -> None:
     """Box-and-whisker summary of pixel deviations, one group per labeled list.
 
     Also writes the quantiles as CSV (next to the SVG unless ``csv_path``
-    says otherwise). An SVG for stdout (``out`` ``-`` or None) needs a ``csv_path``.
+    says otherwise). An SVG for stdout (``out`` ``-`` or None) needs a ``csv_path`` that is not stdout too.
     """
-    if csv_path is None and out in (None, "-"):
+    if out in (None, "-") and csv_path in (None, "-"):
         raise ValueError("a deviation plot on stdout needs a csv_path for its quantiles")
     if not deviations:
         raise ValueError("need at least one labeled deviation list")

@@ -23,7 +23,6 @@ from phenokey.metrics import (
     shortest_phenotype_lengths,
 )
 from phenokey.optim import (
-    LossWeights,
     ToyPredictor,
     TrainConfig,
     coords_to_dataset,
@@ -105,9 +104,9 @@ def test_criterion_3_gradient_correctness():
     at_optimum = least_squares_solution(problem)
     baseline = ToyPredictor.mean_baseline(problem.targets, 5)
     errs = {
-        "L_MSE": grad_check(at_optimum, problem, LossWeights(1.0, 0.0), probes=10_000, seed=1),
-        "L_ACR": grad_check(baseline, problem, LossWeights(0.0, 1.0), probes=10_000, seed=2),
-        "combined": grad_check(baseline, problem, LossWeights(1.0, 1.0), probes=10_000, seed=3),
+        "L_MSE": grad_check(at_optimum, problem, (1.0, 0.0), probes=10_000, seed=1),
+        "L_ACR": grad_check(baseline, problem, (0.0, 1.0), probes=10_000, seed=2),
+        "combined": grad_check(baseline, problem, (1.0, 1.0), probes=10_000, seed=3),
     }
     elapsed = time.perf_counter() - start
     worst = max(errs.values())

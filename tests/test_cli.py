@@ -1109,7 +1109,7 @@ def test_every_stderr_line_is_an_error_a_warning_or_a_status_line(tmp_path, caps
         f"warning: {f['empty.json']}: annotations array is empty; dataset has no records",
         "warning: ED on image 4: coincident endpoints, zero length",
         f"warning: prediction file {f['pred.json']}: 1 predicted image id(s) not in the ground truth, ignored: [99]",
-        "warning: initial task loss is zero; balancing disabled, keeping equal weights",
+        "warning: initial task loss is zero; balancing disabled, keeping the starting weights",
         f"warning: prediction file {f['pred.json']}: 1 predicted image id(s) not in the ground truth, ignored: [99]",
         "warning: constant ground truth; scatter emitted without a fitted line",
         f"warning: prediction file {f['pred.json']}: 1 predicted image id(s) not in the ground truth, ignored: [99]",

@@ -22,7 +22,7 @@ from phenokey.metrics import (
     pearson,
     phenotype_value_pairs,
 )
-from phenokey.morphometry import ABBREVS
+from phenokey.morphometry import ABBREVS, measurement_rows
 from phenokey.schema import KEYPOINT_COUNT
 from phenokey.synth import TEMPLATES, PerturbationModel, generate_population, perturb
 
@@ -379,6 +379,8 @@ def test_ols_constant_predictions():
     slope, intercept, r2 = ols_fit([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
     assert slope == 0.0 and r2 == 0.0
     assert ols_fit([1.0, 2.0, 4.0], [0.1, 0.1, 0.1])[2] == 0.0    # whose mean rounds: not -0.67
+    c = 377.35924528226417    # the TL of one shape: a slope of 2.3e-17 and a shifted intercept from the sums
+    assert ols_fit([100.0, 200.0, 300.0], [c] * 3) == (0.0, c, 0.0)
 
 
 def test_ols_two_points_interpolate():
@@ -582,6 +584,49 @@ def test_pck_pmp_and_oks_equal_the_oracles_on_random_visibility(case):
     assert all(a is None or abs(a - b) < 1e-12 for a, b in zip(lib_oks, ref_oks))
 
 
+def _moved(kps, move) -> list:
+    """Each keypoint set of ``kps`` with its (22, 2) coordinates mapped by ``move``."""
+    return [make_keypoints(xy=move(k.xy), v=k.v, image_id=k.image_id) for k in kps]
+
+
+def _scores(preds, gts, cfg) -> dict:
+    """The report of the three keypoint metrics."""
+    return evaluate_datasets(make_dataset(gts), make_dataset(preds), cfg, metrics=("oks", "pck", "pmp"))
+
+
+def _quarter_turn(xy):
+    return np.column_stack([12.0 - xy[:, 1], xy[:, 0]])    # (x, y) -> (12 - y, x): the grid onto itself
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_scored_lists(), st.integers(-40, 40), st.integers(-40, 40), st.sampled_from([4.0, 0.125]))
+def test_pck_pmp_and_oks_ignore_rigid_motion_and_joint_scaling(case, dx, dy, scale):
+    """Whole-pixel shifts, quarter turns and power-of-two scalings are exact, so the scores stay bit for bit."""
+    preds, gts, cfg = case
+    report = _scores(preds, gts, cfg)
+    for move in (lambda xy: xy + (dx, dy), _quarter_turn, lambda xy: xy * scale):
+        assert _scores(_moved(preds, move), _moved(gts, move), cfg) == report
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_scored_lists(), st.data())
+def test_moving_a_prediction_away_from_its_ground_truth_never_raises_its_scores(case, data):
+    preds, gts, cfg = case
+    i = data.draw(st.integers(0, len(preds) - 1))
+    k = data.draw(st.integers(0, KEYPOINT_COUNT - 1))
+    step = data.draw(st.integers(1, 20))
+    xy = preds[i].xy.copy()
+    xy[k] += np.where(xy[k] >= gts[i].xy[k], step, -step)    # the gap on each axis grows by step
+    moved = preds[:i] + [make_keypoints(xy=xy, image_id=i)] + preds[i + 1:]
+
+    def watched(report) -> np.ndarray:    # image i's OKS, keypoint k's PCK and PMP; NaN where undefined
+        oks = report["oks"]["per_image"][i]["oks"]
+        return np.array([math.nan if oks is None else oks] + [keypoint_values(report[m])[k] for m in ("pck", "pmp")])
+
+    was, now = watched(_scores(preds, gts, cfg)), watched(_scores(moved, gts, cfg))
+    assert np.array_equal(np.isnan(was), np.isnan(now)) and not (now > was).any()
+
+
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -703,3 +748,5 @@ def test_report_fit_and_correlation_of_constant_lengths_are_null():
     assert constant_gt["mape"] > 0 and constant_gt["n_samples"] == 3
     constant_pred = evaluate_datasets(scaled, same, metrics=("phenotypes",))["phenotypes"]["TL"]
     assert constant_pred["r2"] == 0.0 and constant_pred["pearson"] is None    # mean TL rounds: 0.0, not -7.0
+    tl = measurement_rows(same.xy, same.v)[0][0, ABBREVS.index("TL")]
+    assert constant_pred["slope"] == 0.0 and constant_pred["intercept"] == tl

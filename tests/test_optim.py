@@ -12,7 +12,6 @@ from phenokey.metrics import evaluate_datasets
 from phenokey.optim import (
     DIVERGENCE_LIMIT,
     VIOLATION_TOLERANCE_PX,
-    LossWeights,
     StepKernel,
     ToyPredictor,
     TrainConfig,
@@ -46,11 +45,11 @@ def _mean_pmp(predictor: ToyPredictor, problem) -> float:
 # combined loss
 
 
-def _sample_loss(pred_coords, gt_coords, box, w: LossWeights):
+def _sample_loss(pred_coords, gt_coords, box, weights=(1.0, 1.0)):
     """(total, L_mse, L_acr) of one sample from the trainer's step kernel: zero weights, the prediction as bias."""
     kernel = StepKernel(ToyPredictor(np.zeros((44, 1)), pred_coords), np.zeros((1, 1)), gt_coords[None], box)
     l_mse, l_acr = kernel.losses()
-    return w.w_mse * l_mse + w.w_acr * l_acr, l_mse, l_acr
+    return weights[0] * l_mse + weights[1] * l_acr, l_mse, l_acr
 
 
 def test_combined_loss_zero_at_truth_inside_box():
@@ -58,7 +57,7 @@ def test_combined_loss_zero_at_truth_inside_box():
     coords = problem.targets[0]
     boxes = problem.boxes()
     box = replace(boxes, origin=boxes.origin[0], extent=boxes.extent[0], nmin=boxes.nmin[0], nmax=boxes.nmax[0])
-    total, l_mse, l_acr = _sample_loss(coords, coords, box, LossWeights())
+    total, l_mse, l_acr = _sample_loss(coords, coords, box)
     assert total == 0.0 and l_mse == 0.0 and l_acr == 0.0
 
 
@@ -68,8 +67,7 @@ def test_combined_loss_pure_mse_when_acr_weight_zero():
     pred = gt + 1000.0  # far outside every box
     boxes = problem.boxes()
     box = replace(boxes, origin=boxes.origin[0], extent=boxes.extent[0], nmin=boxes.nmin[0], nmax=boxes.nmax[0])
-    w = LossWeights(w_mse=1.0, w_acr=0.0)
-    total, l_mse, l_acr = _sample_loss(pred, gt, box, w)
+    total, l_mse, l_acr = _sample_loss(pred, gt, box, (1.0, 0.0))
     assert l_acr > 0
     assert total == pytest.approx(l_mse)
 
@@ -90,7 +88,7 @@ def test_combined_loss_one_px_everywhere_inside_box():
     direction = np.sign(center - gt)
     direction[direction == 0] = 1.0
     pred = gt + direction  # one pixel toward the interior on every coordinate
-    total, l_mse, l_acr = _sample_loss(pred, gt, box, LossWeights())
+    total, l_mse, l_acr = _sample_loss(pred, gt, box)
     assert l_mse == pytest.approx(1.0)
     assert l_acr == 0.0
     assert total == pytest.approx(1.0)
@@ -100,80 +98,69 @@ def test_combined_loss_one_px_everywhere_inside_box():
 # gradient-norm balancing
 
 
-def _weights(w_mse=1.0, w_acr=1.0, alpha=1.5, initial=(10.0, 5.0)):
-    return LossWeights(w_mse, w_acr, alpha=alpha, initial_losses=initial)
-
-
 def test_gradnorm_symmetric_fixed_point():
-    w = _weights(initial=(10.0, 10.0))
-    out = gradnorm_step(w, (3.0, 3.0), (4.0, 4.0), lr_w=0.025)
-    assert out.w_mse == 1.0 and out.w_acr == 1.0
+    assert gradnorm_step((1.0, 1.0), (3.0, 3.0), (0.4, 0.4), 1.5, lr_w=0.025) == (1.0, 1.0)
 
 
 def test_gradnorm_zero_norm_task_gains_weight():
-    w = _weights(initial=(10.0, 10.0))
-    out = gradnorm_step(w, (0.0, 3.0), (4.0, 4.0), lr_w=0.025)
-    assert out.w_mse > 1.0  # the zero-gradient task ends up above its old share
-    assert out.w_mse + out.w_acr == pytest.approx(2.0)
+    w_mse, w_acr = gradnorm_step((1.0, 1.0), (0.0, 3.0), (0.4, 0.4), 1.5, lr_w=0.025)
+    assert w_mse > 1.0  # the zero-gradient task ends up above its old share
+    assert w_mse + w_acr == pytest.approx(2.0)
 
 
 def test_gradnorm_weights_always_sum_to_two_and_stay_positive():
     rng = np.random.default_rng(0)
-    w = _weights()
+    w = (1.0, 1.0)
     for _ in range(200):
         norms = rng.uniform(0, 50, size=2)
-        losses = rng.uniform(0.01, 20, size=2)
-        w = gradnorm_step(w, norms, losses, lr_w=rng.uniform(0.001, 0.2))
-        assert w.w_mse > 0 and w.w_acr > 0
-        assert w.w_mse + w.w_acr == pytest.approx(2.0, abs=1e-12)
+        ratios = rng.uniform(0.01, 20, size=2) / (10.0, 5.0)
+        w = gradnorm_step(w, norms, ratios, 1.5, lr_w=rng.uniform(0.001, 0.2))
+        assert w[0] > 0 and w[1] > 0
+        assert w[0] + w[1] == pytest.approx(2.0, abs=1e-12)
 
 
-def test_gradnorm_zero_initial_loss_falls_back():
-    w = _weights(w_mse=1.7, w_acr=0.3, initial=(10.0, 0.0))
-    with pytest.warns(GradNormFallbackWarning):
-        out = gradnorm_step(w, (3.0, 1.0), (4.0, 1.0), lr_w=0.025)
-    assert out.w_mse == 1.0 and out.w_acr == 1.0
-
-
-def test_gradnorm_requires_recorded_initial_losses():
-    with pytest.raises(ValueError, match="initial"):
-        gradnorm_step(LossWeights(), (1.0, 1.0), (1.0, 1.0), 0.025)
-
-
-@pytest.mark.parametrize("norms, losses, message", [
-    ((1.0, 2.0, 3.0), (1.0, 1.0), "two entries"),
-    ((1.0, 2.0), 4.0, "two entries"),
-    (([1.0], [2.0]), (1.0, 1.0), "two entries"),
-    ((-1.0, 2.0), (1.0, 1.0), "norms must be nonnegative"),
-    ((1.0, 2.0), (1.0, -1.0), "losses must be nonnegative"),
+# the ids keep these cases' names from when the update took the losses rather than their ratios
+@pytest.mark.parametrize("weights, norms, ratios, message", [
+    ((1.0, 1.0), (1.0, 2.0, 3.0), (1.0, 1.0), "two entries"),
+    ((1.0, 1.0), (1.0, 2.0), 4.0, "two entries"),
+    ((1.0, 1.0), ([1.0], [2.0]), (1.0, 1.0), "two entries"),
+    ((1.0, 1.0), (-1.0, 2.0), (1.0, 1.0), "norms must be nonnegative"),
+    ((1.0, 1.0), (1.0, 2.0), (1.0, -1.0), "ratios must be nonnegative"),
+    ((1.0, 1.0, 0.0), (1.0, 2.0), (1.0, 1.0), "two entries"),
+], ids=[
+    "norms0-losses0-two entries",
+    "norms1-4.0-two entries",
+    "norms2-losses2-two entries",
+    "norms3-losses3-norms must be nonnegative",
+    "norms4-losses4-losses must be nonnegative",
+    "three-weights",
 ])
-def test_gradnorm_rejects_malformed_inputs(norms, losses, message):
+def test_gradnorm_rejects_malformed_inputs(weights, norms, ratios, message):
     with pytest.raises(ValueError, match=message):
-        gradnorm_step(_weights(), norms, losses, 0.025)
+        gradnorm_step(weights, norms, ratios, 1.5, 0.025)
 
 
-def _numpy_gradnorm_step(w: LossWeights, grad_norms, losses, lr_w: float) -> LossWeights:
+def _numpy_gradnorm_step(weights, grad_norms, ratios, alpha: float, lr_w: float) -> tuple[float, float]:
     """The balancing update as the trainer ran it on length-2 numpy arrays: the reference for the float form."""
-    l0 = np.asarray(w.initial_losses, dtype=np.float64)
-    if np.any(l0 <= 0):
-        return replace(w, w_mse=1.0, w_acr=1.0)
     norms = np.asarray(grad_norms, dtype=np.float64)
-    losses = np.asarray(losses, dtype=np.float64)
-    wv = np.array([w.w_mse, w.w_acr])
+    ratios = np.asarray(ratios, dtype=np.float64)
+    wv = np.array(weights, dtype=np.float64)
     weighted = wv * norms
-    ratios = losses / l0
     if np.mean(ratios) == 0.0:
-        return w
+        return weights
     rate = ratios / np.mean(ratios)
-    target = weighted.mean() * rate**w.alpha
+    target = weighted.mean() * rate**alpha
     grad_w = np.sign(weighted - target) * norms
     new = np.maximum(wv - lr_w * grad_w, 1e-6)
     new = 2.0 * new / new.sum()
-    return replace(w, w_mse=float(new[0]), w_acr=float(new[1]))
+    return float(new[0]), float(new[1])
 
 
 def _gradnorm_draws(rng, count):
-    """(weights, norms, losses, lr) draws: random, zero norms, exact ties, zero losses, NaN norms and losses."""
+    """(weights, norms, ratios, alpha, lr) draws: random, zero norms, exact ties, zero and NaN norms and ratios.
+
+    Each ratio is a loss over a step-0 loss, divided as the trainer divides them.
+    """
     for i in range(count):
         kind = i % 8
         w_mse = rng.uniform(1e-6, 2.0)
@@ -196,11 +183,11 @@ def _gradnorm_draws(rng, count):
             (norms, losses)[i // 32 % 2][i // 64 % 2] = np.nan
         elif kind == 6:  # large steps drive a weight to the clamp
             norms = rng.uniform(0.0, 5e3, size=2).tolist()
-        elif kind == 7:  # numpy scalars and arrays in, as a caller holding arrays passes them
-            l0, norms, losses = tuple(np.array(l0)), np.array(norms), np.array(losses)
+        ratios = [losses[0] / l0[0], losses[1] / l0[1]]
+        if kind == 7:    # numpy arrays in, as a caller holding arrays passes them
+            norms, ratios = np.array(norms), np.array(ratios)
         alpha = (0.5, 1.0, 1.5, 2.0)[(i // 8) % 4]
-        w = LossWeights(w_mse, 2.0 - w_mse, alpha=alpha, initial_losses=l0)
-        yield w, norms, losses, rng.uniform(0.0, 0.2)
+        yield (w_mse, 2.0 - w_mse), norms, ratios, alpha, rng.uniform(0.0, 0.2)
 
 
 def _bits(x) -> bytes:
@@ -210,13 +197,12 @@ def _bits(x) -> bytes:
 def test_gradnorm_step_is_bit_equal_to_numpy_reference():
     rng = np.random.default_rng(2018)
     kinds = set()
-    for w, norms, losses, lr in _gradnorm_draws(rng, 12_000):
-        got, want = gradnorm_step(w, norms, losses, lr), _numpy_gradnorm_step(w, norms, losses, lr)
-        assert (_bits(got.w_mse), _bits(got.w_acr)) == (_bits(want.w_mse), _bits(want.w_acr)), (w, norms, losses, lr)
-        assert type(got.w_mse) is float and type(got.w_acr) is float
-        assert got.alpha == w.alpha and got.initial_losses == w.initial_losses
-        kinds.add(("nan" if np.isnan(got.w_mse) else "clamped" if min(got.w_mse, got.w_acr) < 1e-5
-                   else "kept" if got == w else "moved", w.alpha))
+    for w, norms, ratios, alpha, lr in _gradnorm_draws(rng, 12_000):
+        got, want = gradnorm_step(w, norms, ratios, alpha, lr), _numpy_gradnorm_step(w, norms, ratios, alpha, lr)
+        assert _bits(got) == _bits(want), (w, norms, ratios, alpha, lr)
+        assert type(got) is tuple and [type(x) for x in got] == [float, float]
+        kinds.add(("nan" if np.isnan(got[0]) else "clamped" if min(got) < 1e-5
+                   else "kept" if got == w else "moved", alpha))
     assert {kind for kind, _ in kinds} == {"nan", "clamped", "kept", "moved"}
     assert {alpha for _, alpha in kinds} == {0.5, 1.0, 1.5, 2.0}
 
@@ -224,12 +210,11 @@ def test_gradnorm_step_is_bit_equal_to_numpy_reference():
 @pytest.mark.parametrize("alpha", [2000.0, -1.0])
 def test_gradnorm_step_takes_numpy_inf_where_a_float_power_raises(alpha):
     """A converged task makes one loss ratio 0 and the other 2: 2.0 ** 2000 overflows and 0.0 ** -1 divides by zero."""
-    w = LossWeights(0.7, 1.3, alpha=alpha, initial_losses=(10.0, 4.0))
     with np.errstate(over="ignore", divide="ignore"):
-        want = _numpy_gradnorm_step(w, (3.0, 5.0), (6.0, 0.0), 0.05)
-    got = gradnorm_step(w, (3.0, 5.0), (6.0, 0.0), 0.05)
-    assert (_bits(got.w_mse), _bits(got.w_acr)) == (_bits(want.w_mse), _bits(want.w_acr))
-    assert got != w
+        want = _numpy_gradnorm_step((0.7, 1.3), (3.0, 5.0), (0.6, 0.0), alpha, 0.05)
+    got = gradnorm_step((0.7, 1.3), (3.0, 5.0), (0.6, 0.0), alpha, 0.05)
+    assert _bits(got) == _bits(want)
+    assert got != (0.7, 1.3)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +326,16 @@ def test_zero_initial_task_loss_disables_balancing():
     assert all(row.w_mse == 1.0 and row.w_acr == 1.0 for row in trace)
 
 
+def test_zero_initial_task_loss_keeps_the_starting_weights():
+    problem, exact = _exact_fit()
+    cfg = TrainConfig(steps=5, lr=0.01, lr_weights=0.025, init_w_mse=0.4, init_w_acr=1.6)
+    with warnings.catch_warnings(record=True) as issued:
+        warnings.simplefilter("always")
+        _, trace = train(exact, problem, cfg)
+    assert [(w.category, str(w.message)) for w in issued] == [(GradNormFallbackWarning, _ZERO_LOSS)]
+    assert len(trace) == 6 and all((row.w_mse, row.w_acr) == (0.4, 1.6) for row in trace)
+
+
 def test_acr_scenario_drives_violations_to_zero_and_helps_pmp(acr_scenario):
     problem, acr_pred, acr_trace = acr_scenario.problem, acr_scenario.acr_pred, acr_scenario.acr_trace
     mse_pred, mse_trace = acr_scenario.mse_pred, acr_scenario.mse_trace
@@ -383,7 +378,7 @@ def test_trace_csv_round_trip(tmp_path):
     assert float(first[1]) == trace[0].l_mse  # repr round-trips exactly
 
 
-_ZERO_LOSS = "initial task loss is zero; balancing disabled, keeping equal weights"
+_ZERO_LOSS = "initial task loss is zero; balancing disabled, keeping the starting weights"
 
 
 def _reference_batch_terms(weights, bias, features, targets, boxes):
@@ -403,36 +398,37 @@ def _reference_train(predictor, problem, cfg):
     """The training loop over :func:`_reference_batch_terms`, with separate weight and bias arrays."""
     boxes = problem.boxes()
     weights, bias = predictor.weights.copy(), predictor.bias.copy()
-    w = LossWeights(cfg.init_w_mse, cfg.init_w_acr if cfg.use_acr else 0.0, alpha=cfg.alpha)
+    w_mse, w_acr = cfg.init_w_mse, cfg.init_w_acr if cfg.use_acr else 0.0
     balancing = cfg.use_acr and cfg.lr_weights > 0
     trace = TrainTrace()
     for step in range(cfg.steps + 1):
         l_mse, l_acr, (g_w_mse, g_b_mse), (g_w_acr, g_b_acr), outside = _reference_batch_terms(
             weights, bias, problem.features, problem.targets, boxes
         )
-        if step == 0:
-            w = replace(w, initial_losses=(l_mse, l_acr))
-            if balancing and (l_mse <= 0 or l_acr <= 0):
+        if step == 0 and balancing:
+            l0_mse, l0_acr = l_mse, l_acr
+            if l0_mse <= 0 or l0_acr <= 0:
                 warnings.warn(_ZERO_LOSS, GradNormFallbackWarning)
                 balancing = False
         n_mse = math.sqrt(g_w_mse.ravel() @ g_w_mse.ravel())
         n_acr = math.sqrt(g_w_acr.ravel() @ g_w_acr.ravel())
-        total = w.w_mse * l_mse + (w.w_acr * l_acr if cfg.use_acr else 0.0)
-        trace.append(TraceRow(step, l_mse, l_acr, w.w_mse, w.w_acr, n_mse, n_acr, outside))
+        total = w_mse * l_mse + (w_acr * l_acr if cfg.use_acr else 0.0)
+        trace.append(TraceRow(step, l_mse, l_acr, w_mse, w_acr, n_mse, n_acr, outside))
         if not math.isfinite(total) or total > DIVERGENCE_LIMIT:
             raise DivergenceError(f"training diverged at step {step}: total loss {total}", trace=trace)
         if step == cfg.steps:
             break
-        g_w = w.w_mse * g_w_mse
-        g_b = w.w_mse * g_b_mse
+        g_w = w_mse * g_w_mse
+        g_b = w_mse * g_b_mse
         if cfg.use_acr:
-            g_w = g_w + w.w_acr * g_w_acr
-            g_b = g_b + w.w_acr * g_b_acr
+            g_w = g_w + w_acr * g_w_acr
+            g_b = g_b + w_acr * g_b_acr
         lr_t = cfg.lr / (1.0 + cfg.lr_decay * step)
         weights = weights - lr_t * g_w
         bias = bias - lr_t * g_b
         if balancing:
-            w = gradnorm_step(w, (n_mse, n_acr), (l_mse, l_acr), cfg.lr_weights)
+            ratios = (l_mse / l0_mse, l_acr / l0_acr)
+            w_mse, w_acr = gradnorm_step((w_mse, w_acr), (n_mse, n_acr), ratios, cfg.alpha, cfg.lr_weights)
     return ToyPredictor(weights, bias), trace
 
 
@@ -548,14 +544,14 @@ def test_trainer_guards_refuse_bad_arguments_with_their_message(monkeypatch, cal
 def test_grad_check_quadratic_only():
     problem = make_toy_problem(n=8, feature_dim=5, seed=3)
     ls = least_squares_solution(problem)
-    err = grad_check(ls, problem, LossWeights(1.0, 0.0), probes=2000, seed=5)
+    err = grad_check(ls, problem, (1.0, 0.0), probes=2000, seed=5)
     assert err < 1e-7
 
 
 def test_grad_check_combined_away_from_kinks():
     problem = make_toy_problem(n=8, feature_dim=5, seed=3)
     init = ToyPredictor.mean_baseline(problem.targets, 5)
-    err = grad_check(init, problem, LossWeights(1.0, 1.0), probes=2000, seed=6)
+    err = grad_check(init, problem, (1.0, 1.0), probes=2000, seed=6)
     assert err < 1e-5
 
 

@@ -122,11 +122,15 @@ def test_deviation_csv_defaults_next_to_svg(tmp_path):
     assert (tmp_path / "plot.csv").exists()
 
 
-@pytest.mark.parametrize("out", ["-", None])
-def test_a_deviation_plot_on_stdout_without_a_csv_path_writes_nothing(tmp_path, monkeypatch, capsys, out):
+@pytest.mark.parametrize("out, csv_path", [
+    pytest.param("-", None, id="-"),
+    pytest.param(None, None, id="None"),
+    pytest.param("-", "-", id="csv-on-stdout-too"),    # the SVG and the CSV would run together
+])
+def test_a_deviation_plot_on_stdout_without_a_csv_path_writes_nothing(tmp_path, monkeypatch, capsys, out, csv_path):
     monkeypatch.chdir(tmp_path)    # the old default put the quantiles in `-.csv` here
     with pytest.raises(ValueError, match="a deviation plot on stdout needs a csv_path"):
-        plot_deviation_summary({"m": [1.0, 2.0, 3.0]}, out)
+        plot_deviation_summary({"m": [1.0, 2.0, 3.0]}, out, csv_path=csv_path)
     assert list(tmp_path.iterdir()) == [] and capsys.readouterr().out == ""
 
 
