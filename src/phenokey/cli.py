@@ -163,14 +163,8 @@ def _cmd_acr(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
-    cfg = TrainConfig(
-        steps=args.steps,
-        lr=args.lr,
-        lr_decay=args.lr_decay,
-        lr_weights=args.lr_weights,
-        alpha=args.alpha,
-        use_acr=(args.acr == "on"),
-    )
+    cfg = TrainConfig(steps=args.steps, lr=args.lr, lr_decay=args.lr_decay, lr_weights=args.lr_weights,
+                      alpha=args.alpha, init_w_acr=TrainConfig.init_w_acr if args.acr == "on" else 0.0)
     problem = make_toy_problem(args.n, args.feature_dim, args.seed, load_template(args.template))
     predictor = ToyPredictor.mean_baseline(problem.targets, args.feature_dim)
     try:
@@ -188,10 +182,14 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.magnitude is not None and args.perturb is None:
+        sys.stderr.write("error: --magnitude needs --perturb\n")
+        return 2
     template = load_template(args.template)
     dataset = generate_population(template, args.n, seed=args.seed, role=args.role)
     if args.perturb is not None:
-        model = PerturbationModel(mode=args.perturb, magnitude=args.magnitude, seed=args.seed)
+        magnitude = 0.0 if args.magnitude is None else args.magnitude
+        model = PerturbationModel(mode=args.perturb, magnitude=magnitude, seed=args.seed)
         dataset = perturb(dataset, model)
     serialize_coco(dataset, args.out)
     sys.stderr.write(f"wrote {len(dataset)} records to {args.out}\n")
@@ -303,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-toy", help="run the toy constrained trainer, writing a trace CSV")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=2.0)
-    p.add_argument("--lr-decay", type=float, default=0.0)
+    p.add_argument("--steps", type=int, default=TrainConfig.steps)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--lr-decay", type=float, default=TrainConfig.lr_decay)
     p.add_argument("--acr", choices=["on", "off"], default="on")
-    p.add_argument("--alpha", type=float, default=1.5)
-    p.add_argument("--lr-weights", type=float, default=0.025)
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
+    p.add_argument("--lr-weights", type=float, default=TrainConfig.lr_weights)
     p.add_argument("--n", type=int, default=48)
     p.add_argument("--feature-dim", type=int, default=6)
     p.add_argument("--template", default="deep_bodied")
@@ -322,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--role", choices=["train", "test"], default="train")
     p.add_argument("--perturb", choices=["uniform_px", "proportional_to_shortest_phenotype"],
                    default=None)
-    p.add_argument("--magnitude", type=float, default=0.0)
+    p.add_argument("--magnitude", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_synth)
 

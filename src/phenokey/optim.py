@@ -76,7 +76,7 @@ class ToyPredictor:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    steps: int = 1000
+    steps: int = 500
     lr: float = 2.0
     # harmonic step decay, lr_t = lr / (1 + lr_decay * t): the hinge term is
     # nonsmooth, and subgradient descent needs diminishing steps to settle
@@ -84,8 +84,7 @@ class TrainConfig:
     lr_decay: float = 0.0
     lr_weights: float = 0.025
     alpha: float = 1.5
-    use_acr: bool = True
-    # starting task weights; with lr_weights = 0 they stay fixed
+    # starting task weights; with lr_weights = 0 they stay fixed, and init_w_acr = 0 trains on MSE alone
     init_w_mse: float = 1.0
     init_w_acr: float = 1.0
 
@@ -298,16 +297,15 @@ class StepKernel:
         mse, acr = self._grad_weights_mse, self._grad_weights_acr
         return math.sqrt(mse @ mse), math.sqrt(acr @ acr)   # np.linalg.norm's path, without its dispatch
 
-    def combined_gradient(self, w_mse: float, w_acr: float | None) -> np.ndarray:
-        """``w_mse`` times the MSE gradient, plus ``w_acr`` times the ACR gradient unless it is None."""
+    def combined_gradient(self, w_mse: float, w_acr: float) -> np.ndarray:
+        """``w_mse`` times the MSE gradient plus ``w_acr`` times the ACR gradient."""
         np.multiply(self._grads_mse, w_mse, out=self._combined)
-        if w_acr is not None:
-            np.add(self._combined, np.multiply(self._grads_acr, w_acr, out=self._scaled), out=self._combined)
-        return self._combined
+        return np.add(self._combined, np.multiply(self._grads_acr, w_acr, out=self._scaled), out=self._combined)
 
 
 def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tuple[ToyPredictor, TrainTrace]:
-    """Gradient descent on the weighted two-term objective with balancing interleaved.
+    """Gradient descent on the weighted two-term objective, balancing interleaved while both the ACR weight and
+    ``lr_weights`` are positive; a zero ACR weight trains on MSE alone.
 
     The trace records one row per step plus a final row for the trained
     parameters. Raises :class:`DivergenceError` (carrying the partial trace)
@@ -317,8 +315,8 @@ def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tup
         raise ValueError("training batch is empty")
     kernel = StepKernel(predictor, problem.features, problem.targets, problem.boxes())
     theta = kernel.theta
-    w_mse, w_acr = cfg.init_w_mse, cfg.init_w_acr if cfg.use_acr else 0.0
-    balancing = cfg.use_acr and cfg.lr_weights > 0
+    w_mse, w_acr = cfg.init_w_mse, cfg.init_w_acr
+    balancing = w_acr > 0 and cfg.lr_weights > 0
     trace = TrainTrace()
 
     for step in range(cfg.steps + 1):
@@ -330,13 +328,13 @@ def train(predictor: ToyPredictor, problem: ToyProblem, cfg: TrainConfig) -> tup
             if l0_mse <= 0 or l0_acr <= 0:
                 warnings.warn(_ZERO_LOSS, GradNormFallbackWarning, stacklevel=2)
                 balancing = False
-        total = w_mse * l_mse + (w_acr * l_acr if cfg.use_acr else 0.0)
+        total = w_mse * l_mse + w_acr * l_acr
         trace.append(TraceRow(step, l_mse, l_acr, w_mse, w_acr, n_mse, n_acr, kernel.violation_count()))
         if not math.isfinite(total) or total > DIVERGENCE_LIMIT:
             raise DivergenceError(f"training diverged at step {step}: total loss {total}", trace=trace)
         if step == cfg.steps:
             break
-        update = kernel.combined_gradient(w_mse, w_acr if cfg.use_acr else None)
+        update = kernel.combined_gradient(w_mse, w_acr)
         np.subtract(theta, np.multiply(update, cfg.lr / (1.0 + cfg.lr_decay * step), out=update), out=theta)
         if balancing:
             ratios = (l_mse / l0_mse, l_acr / l0_acr)
@@ -391,11 +389,8 @@ def acr_benchmark_scenario(seed: int = 0) -> tuple[ToyProblem, ToyPredictor, Tra
         targets[:, 2 * (kp - 1) + 1] += 11.0 * driver * uy
     problem = replace(problem, targets=targets)
     init = ToyPredictor.mean_baseline(problem.targets, 6)
-    with_acr = TrainConfig(
-        steps=12_000, lr=4.0, lr_decay=0.006, lr_weights=0.0,
-        use_acr=True, init_w_mse=0.4, init_w_acr=1.6,
-    )
-    mse_only = TrainConfig(steps=12_000, lr=4.0, lr_decay=0.006, lr_weights=0.0, use_acr=False)
+    with_acr = TrainConfig(steps=12_000, lr=4.0, lr_decay=0.006, lr_weights=0.0, init_w_mse=0.4, init_w_acr=1.6)
+    mse_only = TrainConfig(steps=12_000, lr=4.0, lr_decay=0.006, lr_weights=0.0, init_w_acr=0.0)
     return problem, init, with_acr, mse_only
 
 

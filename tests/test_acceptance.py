@@ -128,7 +128,7 @@ def test_criterion_4_optimizer_sanity(acr_scenario):
     start = time.perf_counter()
 
     linear = linear_problem(n=64, feature_dim=6, seed=0)
-    cfg = TrainConfig(steps=2000, lr=20.0, use_acr=False, lr_weights=0.0)
+    cfg = TrainConfig(steps=2000, lr=20.0, init_w_acr=0.0, lr_weights=0.0)
     trained, trace = train(ToyPredictor(np.zeros((44, 6)), np.zeros(44)), linear, cfg)
     ls = least_squares_solution(linear)
     dist = float(

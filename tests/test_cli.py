@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import phenokey.cli
-from phenokey.cli import MEASURE_HEADER, main
+from phenokey.cli import MEASURE_HEADER, build_parser, main
 from phenokey.dataset import dataset_to_coco_dict, serialize_coco
 from phenokey.errors import DegenerateMeasurementWarning, PhenokeyWarning
 from phenokey.morphometry import ABBREVS, PHENOTYPES
+from phenokey.optim import TrainConfig
 from phenokey.schema import KEYPOINT_COUNT, SPECIES
 from phenokey.synth import TEMPLATES, template_to_dict
 
@@ -292,6 +293,14 @@ def test_train_toy_writes_trace(tmp_path):
     assert lines[0].split(",") == ["step", "L_mse", "L_acr", "w_mse", "w_acr",
                                    "grad_norm_mse", "grad_norm_acr", "violation_count"]
     assert len(lines) == 42  # header + steps + final row
+
+
+def test_train_toy_flags_default_to_the_train_config():
+    args = build_parser().parse_args(["train-toy", "--trace", "t.csv"])
+    cfg = TrainConfig()
+    assert (args.steps, args.lr, args.lr_decay, args.lr_weights, args.alpha) == (
+        cfg.steps, cfg.lr, cfg.lr_decay, cfg.lr_weights, cfg.alpha)
+    assert cfg.steps == 500    # the golden `--seed 3 --acr off` trace runs at this default
 
 
 @pytest.mark.parametrize("command", [["synth", "--template", "elongate", "--n", "3"], ["train-toy"]])
@@ -896,6 +905,20 @@ def test_plot_scatter_takes_one_prediction_file(synth_files, tmp_path, capsys):
     labelled = svg.read_bytes()
     assert main(["plot", "--kind", "scatter", "--gt", str(gt), "--pred", str(pred), "--out", str(svg)]) == 0
     assert svg.read_bytes() == labelled
+
+
+def test_synth_magnitude_needs_perturb(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    # refused before any file is read: the template does not exist
+    assert main(["synth", "--template", str(tmp_path / "absent.json"), "--n", "3", "--magnitude", "5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --magnitude needs --perturb\n"
+    assert not out.exists()
+    # --perturb alone perturbs by 0
+    for name, magnitude in (("default.json", []), ("zero.json", ["--magnitude", "0"])):
+        assert main(["synth", "--template", "elongate", "--n", "3", "--perturb", "uniform_px", *magnitude,
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "default.json").read_bytes() == (tmp_path / "zero.json").read_bytes()
 
 
 @pytest.mark.parametrize("csv_flag", [[], ["--csv", "-"]], ids=["no-csv", "csv-on-stdout"])

@@ -311,7 +311,7 @@ def _chunked_population(n, perturbed):
 
 @pytest.mark.parametrize("n, perturbed", [(0, False), (1, False), (_CHUNK - 1, False), (_CHUNK, False),
                                           (_CHUNK + 1, False), (2 * _CHUNK + 1, False), (2 * _CHUNK + 1, True)])
-def test_serialize_bytes_hold_across_chunk_boundaries(n, perturbed, tmp_path):
+def test_serialize_bytes_hold_across_chunk_boundaries(n, perturbed, tmp_path, parse_cache):
     ds = _chunked_population(n, perturbed)
     assert len(ds) == n and (n < 4 or {type(i) for i in ds.image_ids} == {int, str})
     assert np.isnan(ds.xy[ds.v == 0]).all() and (ds.v == 0).any() == (n > 0)
@@ -319,6 +319,18 @@ def test_serialize_bytes_hold_across_chunk_boundaries(n, perturbed, tmp_path):
     serialize_coco(ds, out)
     expected = json.dumps(dataset_to_coco_dict(ds), indent=2) + "\n"
     assert out.read_bytes() == expected.encode("utf-8")
+    # serialize -> parse -> serialize is byte-stable, through a parse-cache miss and then a hit
+    for entries in (0, 1):
+        assert len(list(parse_cache.glob("*"))) == entries
+        if n:
+            parsed = parse_coco(out)
+        else:
+            with pytest.warns(PhenokeyWarning, match="annotations array is empty"):
+                parsed = parse_coco(out)
+        assert parsed == ds
+        again = tmp_path / f"again{entries}.json"
+        serialize_coco(parsed, again)
+        assert again.read_bytes() == out.read_bytes()
 
 
 def test_serialize_memory_does_not_grow_with_the_population(tmp_path):

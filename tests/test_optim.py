@@ -270,7 +270,7 @@ def test_zero_learning_rate_keeps_everything_constant():
 
 def test_pure_mse_reaches_least_squares_solution():
     problem = linear_problem(n=64, feature_dim=6, seed=0)
-    cfg = TrainConfig(steps=2000, lr=20.0, use_acr=False, lr_weights=0.0)
+    cfg = TrainConfig(steps=2000, lr=20.0, init_w_acr=0.0, lr_weights=0.0)
     trained, trace = train(ToyPredictor(np.zeros((44, 6)), np.zeros(44)), problem, cfg)
     assert trace[-1].l_mse < 1e-6
     assert _param_distance(trained, least_squares_solution(problem)) < 1e-4
@@ -398,8 +398,8 @@ def _reference_train(predictor, problem, cfg):
     """The training loop over :func:`_reference_batch_terms`, with separate weight and bias arrays."""
     boxes = problem.boxes()
     weights, bias = predictor.weights.copy(), predictor.bias.copy()
-    w_mse, w_acr = cfg.init_w_mse, cfg.init_w_acr if cfg.use_acr else 0.0
-    balancing = cfg.use_acr and cfg.lr_weights > 0
+    w_mse, w_acr = cfg.init_w_mse, cfg.init_w_acr
+    balancing = cfg.init_w_acr > 0 and cfg.lr_weights > 0
     trace = TrainTrace()
     for step in range(cfg.steps + 1):
         l_mse, l_acr, (g_w_mse, g_b_mse), (g_w_acr, g_b_acr), outside = _reference_batch_terms(
@@ -412,7 +412,7 @@ def _reference_train(predictor, problem, cfg):
                 balancing = False
         n_mse = math.sqrt(g_w_mse.ravel() @ g_w_mse.ravel())
         n_acr = math.sqrt(g_w_acr.ravel() @ g_w_acr.ravel())
-        total = w_mse * l_mse + (w_acr * l_acr if cfg.use_acr else 0.0)
+        total = w_mse * l_mse + (w_acr * l_acr if cfg.init_w_acr > 0 else 0.0)
         trace.append(TraceRow(step, l_mse, l_acr, w_mse, w_acr, n_mse, n_acr, outside))
         if not math.isfinite(total) or total > DIVERGENCE_LIMIT:
             raise DivergenceError(f"training diverged at step {step}: total loss {total}", trace=trace)
@@ -420,7 +420,7 @@ def _reference_train(predictor, problem, cfg):
             break
         g_w = w_mse * g_w_mse
         g_b = w_mse * g_b_mse
-        if cfg.use_acr:
+        if cfg.init_w_acr > 0:    # a zero weight adds no ACR term: `train`'s `+ 0.0 * g` must move no bit
             g_w = g_w + w_acr * g_w_acr
             g_b = g_b + w_acr * g_b_acr
         lr_t = cfg.lr / (1.0 + cfg.lr_decay * step)
@@ -463,7 +463,7 @@ def _exact_fit():  # one fish predicted exactly: both initial losses are zero
 @pytest.mark.parametrize("case, cfg", [
     pytest.param(lambda: _perfbench(611), TrainConfig(steps=4000), id="perfbench-seed-611"),
     pytest.param(lambda: _perfbench(9400), TrainConfig(steps=4000), id="perfbench-seed-9400"),
-    pytest.param(_small, TrainConfig(steps=400, use_acr=False), id="acr-off"),
+    pytest.param(_small, TrainConfig(steps=400, init_w_acr=0.0), id="acr-off"),
     pytest.param(_small, TrainConfig(steps=400, lr_weights=0.0), id="fixed-weights"),
     pytest.param(_small, TrainConfig(steps=400, lr_decay=0.006), id="lr-decay"),
     pytest.param(_small, TrainConfig(steps=400, alpha=2000.0), id="alpha-2000"),
@@ -482,6 +482,8 @@ def test_train_is_bit_equal_to_reference_loop(case, cfg):
         assert isinstance(end, str) and len(rows) > 1
     if cfg.lr == 0.01:
         assert issued == [(GradNormFallbackWarning, _ZERO_LOSS)]
+    if cfg.init_w_acr == 0.0:    # balancing never raises a zero ACR weight
+        assert all(row[4] == (float, _bits(0.0)) for row in rows) and issued == []
 
 
 @pytest.mark.parametrize("n, feature_dim", [(8, 5), (1, 1), (48, 6)])
@@ -505,7 +507,7 @@ def test_step_kernel_is_bit_equal_to_reference_terms(n, feature_dim):
             norms = [math.sqrt(g.ravel() @ g.ravel()) for g, _ in (g_mse, g_acr)]
             assert _bits(kernel.weight_grad_norms()) == _bits(norms)
             assert _bits(kernel.combined_gradient(0.3, 1.7)) == _bits(0.3 * flat_mse + 1.7 * flat_acr)
-            assert _bits(kernel.combined_gradient(0.3, None)) == _bits(0.3 * flat_mse)
+            assert _bits(kernel.combined_gradient(0.3, 0.0)) == _bits(0.3 * flat_mse + 0.0 * flat_acr)
 
 
 # ---------------------------------------------------------------------------
