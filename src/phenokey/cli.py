@@ -154,9 +154,14 @@ def _cmd_acr(args) -> int:
         total += loss
     # a keypoint is outside when either gradient coordinate is nonzero: its two bool bytes read as one uint16
     outside = np.count_nonzero((grad != 0).view(np.uint16)[..., 0], axis=1).tolist()
+    # one list per distinct (22, 2) sign block, which every image with that block shares and the writer encodes once;
+    # blocks compare as bytes, so a -0.0 would stay apart from 0.0
+    rows = np.ascontiguousarray(grad).reshape(len(grad), 2 * KEYPOINT_COUNT)
+    distinct, block_of = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))), return_inverse=True)
+    blocks = distinct.view(grad.dtype).reshape(-1, KEYPOINT_COUNT, 2).tolist()
     per_image = [
-        {"image_id": image_id, "loss": loss, "keypoints_outside": count, "gradient": rows}
-        for image_id, loss, count, rows in zip(pred.image_ids, losses, outside, grad.tolist())
+        {"image_id": image_id, "loss": loss, "keypoints_outside": count, "gradient": blocks[k]}
+        for image_id, loss, count, k in zip(pred.image_ids, losses, outside, block_of.ravel().tolist())
     ]
     dump({"schema_version": 1, "total_loss": total, "per_image": per_image}, args.out)
     return 0

@@ -20,7 +20,7 @@ leaves it open): the five species tags as categories 1..5, each listing the
 
 from __future__ import annotations
 
-import base64
+import math
 import os
 import sys
 import warnings
@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetValidationError, IntegrityError, ParseError, PhenokeyError, PhenokeyWarning, SchemaError
-from .jsontext import dump, dumps, read_json, write_whole
+from .errors import DatasetValidationError, IntegrityError, ParseError, PhenokeyWarning, SchemaError
+from .jsontext import dump, json_line, read_json, read_json_line, write_whole
 from .schema import KEYPOINT_COUNT, KEYPOINT_NAMES, SPECIES, normalize_species
 
 TRIPLET_LEN = 3 * KEYPOINT_COUNT
@@ -332,13 +332,26 @@ def _coco_dataset(doc) -> Dataset:
 
 _CACHE_ENTRIES = 8    # parsed annotation files kept; keeping one more removes the oldest written
 _CACHED = (("xy", "<f8", (KEYPOINT_COUNT, 2)), ("v", "<i8", (KEYPOINT_COUNT,)), ("width", "<f8", ()),
-           ("height", "<f8", ()), ("species", "<i8", ()))    # an entry's numeric columns, as base64 texts
+           ("height", "<f8", ()), ("species", "<i8", ()))    # an entry's numeric columns, in the order it holds them
+
+
+def _cached_dataset(data: bytes):
+    """The :class:`Dataset` of a cache entry's bytes, or None if it is no parse's; a damaged header may raise."""
+    (role, ids), start = read_json_line(data)
+    if type(ids) is not list or len(set(ids)) != len(ids):
+        return None
+    columns = {}
+    for name, dtype, shape in _CACHED:    # a column past the end of data is a ValueError
+        columns[name] = np.frombuffer(data, dtype, len(ids) * math.prod(shape), start).reshape(len(ids), *shape)
+        start += columns[name].nbytes
+    return Dataset(image_ids=ids, role=role, **columns) if start == len(data) else None
 
 
 def _parse_cache(data: bytes):
     """The :class:`Dataset` that annotation file bytes ``data`` parsed to before, or None, and a function keeping a
-    new one. An entry is the JSON list ``[role, image ids, *base64 columns]``, named by SHA-256 over the Python and
-    numpy versions, this package's sources and ``data``; one that is unreadable or no parse's is a miss."""
+    new one. An entry is the JSON line ``[role, image ids]`` and the little-endian bytes of each ``_CACHED`` column,
+    named by SHA-256 over the Python and numpy versions, this package's sources and ``data``; one that is unreadable,
+    no parse's or of another length than its ids give is a miss."""
     import hashlib    # here, since its OpenSSL adds about 4 MB to every process that imports it
     try:
         key = hashlib.sha256(f"{sys.version}\0{np.__version__}".encode())
@@ -351,23 +364,16 @@ def _parse_cache(data: bytes):
         return None, lambda dataset: None
 
     def keep(dataset):
-        head = dumps([dataset.role, list(dataset.image_ids)], allow_nan=True)    # an id may be inf
-        quoted = (f',\n  "{base64.b64encode(np.asarray(getattr(dataset, k), t)).decode()}"' for k, t, _ in _CACHED)
+        head = json_line([dataset.role, list(dataset.image_ids)])    # an id may be inf
+        columns = (np.asarray(getattr(dataset, name), dtype).tobytes() for name, dtype, _ in _CACHED)
         with suppress(OSError):
             entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-            write_whole(entry, chain([head[:-2]], quoted, ["\n]"]))    # dumps' text; base64 needs no escape
+            write_whole(entry, chain([head], columns))
             for old in sorted(entry.parent.glob("[0-9a-f]" * 64), key=os.path.getmtime)[:-_CACHE_ENTRIES]:
                 old.unlink(missing_ok=True)
 
-    def cached(doc):
-        role, ids, *texts = doc
-        columns = {name: np.frombuffer(base64.b64decode(text, validate=True), dtype).reshape(len(ids), *shape)
-                   for (name, dtype, shape), text in zip(_CACHED, texts, strict=True)}
-        if type(ids) is list and len(set(ids)) == len(ids):
-            return Dataset(image_ids=ids, role=role, **columns)
-
-    with suppress(OSError, PhenokeyError, ValueError, TypeError, RecursionError):
-        return read_json(entry, cached), keep
+    with suppress(OSError, ValueError, TypeError, RecursionError):
+        return _cached_dataset(entry.read_bytes()), keep
     return None, keep
 
 

@@ -5,16 +5,22 @@ is set. Here the C encoder writes every flat container (a list or dict whose
 values are all scalars) in one call, with an item separator that carries the
 line break and the indentation, and the nested levels around them are joined
 from those pieces. The writer finds every list of records that share one
-shape (keys in order, nesting and list lengths) itself and fills a %-template
-of that shape with one text per scalar and one per block, a list of at least
-``_BLOCK_MIN`` scalars such as an annotation's 66 ``keypoints``. One C-encoder
-call writes a position for all records, a block as a list of lists with the
-separator of its depth, and the output is split into one text per record.
-Any other list is written item by item. Reports reject NaN and infinities
-(``allow_nan=False``, a ``ValueError``); annotation files may carry NaN on
-hidden keypoints. :func:`dump` writes the pieces to a file instead of joining
-them, and a list may come as a generator of record lists, written as their
-concatenation, so the file writer holds one of them at a time.
+shape (keys in order, lengths, and the length of each block) itself and fills
+a %-template of that shape with one text per position. A scalar position is
+one value; a block is a list of at least ``_BLOCK_MIN`` scalars, such as an
+annotation's 66 ``keypoints``. One C-encoder call writes a position for all
+records, a block as a list of lists with the separator of its depth, and the
+output is split into one text per record. Any other container position is
+written by taking its distinct objects (by identity), encoding them as a
+record list of their own, and repeating each text, so records that share one
+object, such as the gradient blocks of an ``acr`` report, encode it once. A
+list whose records differ in shape is written item by item. Reports reject
+NaN and infinities (``allow_nan=False``, a ``ValueError``); annotation files
+may carry NaN on hidden keypoints. :func:`dump` writes the pieces to a file
+instead of joining them, and a list may come as a generator of record lists,
+written as their concatenation, so the file writer holds one of them at a
+time. :func:`json_line` and :func:`read_json_line` write and read the
+one-line header of a parse cache entry, whose columns follow it as raw bytes.
 """
 
 from __future__ import annotations
@@ -68,9 +74,10 @@ def read_json(path, decode=lambda doc: doc, name=None, cache=None):
 
 
 def write_whole(path, pieces, *more) -> None:
-    """Write the text ``pieces`` to ``path`` whole or not at all, and each ``(path, pieces)`` pair of ``more`` with
-    it: every file is written before any takes its place, so a refusal leaves every destination as it was. None or
-    ``-`` is stdout, the pieces joined first. A new or regular file is written as ``<dest>.<pid>.part`` (the k-th of
+    """Write the ``pieces`` to ``path`` whole or not at all, and each ``(path, pieces)`` pair of ``more`` with it:
+    every file is written before any takes its place, so a refusal leaves every destination as it was. A file's
+    pieces are all text, written as UTF-8, or all bytes, as its first piece is. None or ``-`` is stdout, the text
+    pieces joined first. A new or regular file is written as ``<dest>.<pid>.part`` (the k-th of
     ``more`` as ``<dest>.<pid>.<k>.part``), which takes its place and an old file's mode after the last piece of the
     last file; every part is removed on any exception. A symlink is followed, a FIFO, device or directory opened in
     place."""
@@ -91,7 +98,8 @@ def write_whole(path, pieces, *more) -> None:
                 raise
             written.append((part, dest, mode))
             with fh:
-                fh.writelines(pieces)
+                first = next(pieces := iter(pieces), "")    # all pieces of a file are text, or all are bytes
+                (fh.buffer if isinstance(first, bytes) else fh).writelines(chain([first], pieces))
         for part, dest, mode in written:
             if dest is None:
                 sys.stdout.write(part)
@@ -104,6 +112,18 @@ def write_whole(path, pieces, *more) -> None:
             if dest is not None and part != dest and os.path.lexists(part):
                 os.remove(part)
         raise
+
+
+def json_line(value) -> bytes:
+    """``value`` as one line of JSON text in UTF-8 with its line break; NaN and infinities are written."""
+    return json.dumps(value).encode() + b"\n"
+
+
+def read_json_line(data: bytes):
+    """The value of :func:`json_line` text that starts ``data``, and the offset of the byte after its line break; a
+    ``ValueError`` if ``data`` has no line break or the line is no JSON, a ``RecursionError`` if it nests too deep."""
+    end = data.index(b"\n") + 1
+    return json.loads(data[:end]), end
 
 
 def csv_field(value) -> str:
@@ -127,9 +147,9 @@ def _encoder(depth: int, allow_nan: bool):
 
 def _flat_text(obj, depth: int, allow_nan: bool) -> str:
     """Text of a list or dict of scalars whose opening bracket sits at nesting ``depth``."""
-    text = _encoder(depth + 1, allow_nan)(obj)
     if len(obj) == 0:
-        return text
+        return "{}" if isinstance(obj, dict) else "[]"
+    text = _encoder(depth + 1, allow_nan)(obj)
     return f"{text[0]}\n{'  ' * (depth + 1)}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
 
 
@@ -142,11 +162,13 @@ def _block(obj) -> bool:
     return flat and len(obj) >= _BLOCK_MIN
 
 
-def _columns(objs, first, depth):
-    """``(values, depth)`` of the containers ``objs`` position by position, inner containers spliced in, each check
-    one C-level pass over ``objs``; None if one differs from ``first`` in its keys and their order, its nesting or a
-    list length, or if ``first`` has a key that is no str (``1 == True``, but the two keys are written differently).
-    A scalar of ``first`` gives the records' values there and depth None, a block their lists and its nesting."""
+def _columns(objs, first, depth: int, allow_nan: bool):
+    """``(scalar, column)`` pairs of the records ``objs``, opening at nesting ``depth``, position by position, each
+    check one C-level pass over ``objs``; None if one differs from ``first`` in its keys and their order or its
+    length, if a block position differs in its length or holds a container, or if ``first`` has a key that is no
+    str (``1 == True``, but the two keys are written differently). Where ``first`` holds a scalar the column is the
+    records' values there, which the caller encodes; elsewhere it is their texts: a block, or records that are
+    blocks, from :func:`_block_texts`, and any other container from :func:`_shared_texts`."""
     if isinstance(first, dict):
         head = tuple(first)
         same = all(isinstance(k, str) for k in head) and all(map(isinstance, objs, repeat(dict)))
@@ -155,7 +177,8 @@ def _columns(objs, first, depth):
     else:
         same = all(map(isinstance, objs, repeat((list, tuple)))) and all(map(eq, map(len, objs), repeat(len(first))))
         if same and _block(first):
-            return [(objs, depth)]
+            texts = _block_texts(objs, depth, allow_nan)
+            return None if texts is None else [(False, texts)]
     if not same:
         return None
     width = len(first)
@@ -163,10 +186,15 @@ def _columns(objs, first, depth):
     columns = []
     for i, value in enumerate(first):
         column = values[i::width]
-        inner = _columns(column, value, depth + 1) if isinstance(value, _CONTAINERS) else [(column, None)]
-        if inner is None:
-            return None
-        columns += inner
+        if not isinstance(value, _CONTAINERS):
+            columns.append((True, column))
+        elif _block(value):
+            inner = _columns(column, value, depth + 1, allow_nan)
+            if inner is None:
+                return None
+            columns += inner
+        else:
+            columns.append((False, _shared_texts(column, depth + 1, allow_nan)))
     return columns
 
 
@@ -183,35 +211,50 @@ def _block_texts(lists, depth: int, allow_nan: bool):
     return text.split("]" + sep + "[")
 
 
-def _blank(obj):
-    if isinstance(obj, dict):
-        return {k: _blank(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return ["%s"] if _block(obj) else [_blank(v) for v in obj]
-    return "%s"
+def _shared_texts(objs, depth: int, allow_nan: bool) -> list:
+    """The texts of ``objs``, opening at nesting ``depth``, with each distinct object (by identity) encoded once: the
+    distinct ones as a record list of their own, or item by item, and each text repeated for every record."""
+    distinct = dict(zip(map(id, objs), objs))
+    values = list(distinct.values())
+    texts = _record_texts(values, depth, allow_nan) or ["".join(_pieces(v, depth, allow_nan)) for v in values]
+    if len(values) == len(objs):    # nothing shared
+        return texts
+    text_of = dict(zip(distinct, texts))
+    return list(map(text_of.__getitem__, map(id, objs)))
+
+
+def _slot(value):
+    return ["%s"] if _block(value) else "%s"
+
+
+def _blank(record):
+    """The template of ``record``'s shape: a blank at each position, held in a list at a block or as the record."""
+    if isinstance(record, dict):
+        return {k: _slot(v) for k, v in record.items()}
+    return _slot(record) if _block(record) else list(map(_slot, record))
 
 
 def _record_texts(items, depth: int, allow_nan: bool):
-    """Texts of the records ``items`` at nesting ``depth`` if all have the first one's shape and it holds a scalar.
+    """Texts of the records ``items`` at nesting ``depth`` if all have the first one's shape.
 
-    The shape is the keys in order, the nesting and the list lengths. Each scalar or block position is encoded for
-    all records by one C-encoder call, and each record fills a %-template of the shape. Other lists give None.
+    The shape is the keys in order and the length, and the length of each block. Each scalar position is encoded
+    for all records by one C-encoder call, each block position by another, and each other container position by
+    :func:`_shared_texts`; each record fills a %-template of the shape. Other lists give None.
     """
-    columns = _columns(items, items[0], depth) if isinstance(items[0], _CONTAINERS) else None
+    first = items[0]
+    columns = _columns(items, first, depth, allow_nan) if isinstance(first, _CONTAINERS) else None
     if not columns:
         return None
-    scalars = [values for values, block_depth in columns if block_depth is None]
+    scalars = [column for scalar, column in columns if scalar]
     # every scalar in one call, record by record; a container there opens a line with its bracket (see _block_texts)
     text = _encoder(0, allow_nan)(list(chain.from_iterable(zip(*scalars))))[1:-1]
     if "\n[" in text or "\n{" in text:
         return None
     flat = text.split(",\n")
     dealt = iter([flat[j::len(scalars)] for j in range(len(scalars))])    # back into columns
-    texts = [next(dealt) if d is None else _block_texts(values, d, allow_nan) for values, d in columns]
-    if None in texts:
-        return None
+    texts = [next(dealt) if scalar else column for scalar, column in columns]
     # a blank is a value, never a key: the closing quote of a key is followed by ":"
-    parts = re.split(r'"%s"(?!:)', "".join(_pieces(_blank(items[0]), depth, False)))
+    parts = re.split(r'"%s"(?!:)', "".join(_pieces(_blank(first), depth, False)))
     template = "%s".join(part.replace("%", "%%") for part in parts)
     return [template % record for record in zip(*texts)]
 

@@ -248,6 +248,18 @@ def test_prior_and_acr_flow(synth_files, tmp_path):
     assert all(entry["loss"] == 0.0 for entry in acr_doc["per_image"])
 
 
+def test_acr_on_a_prediction_file_with_no_records_writes_a_report_with_none(synth_files, tmp_path, capsys):
+    gt, _ = synth_files
+    prior, empty, out = tmp_path / "prior.json", tmp_path / "empty.json", tmp_path / "acr.json"
+    assert main(["prior", "--train", str(gt), "--out", str(prior)]) == 0
+    empty.write_text(json.dumps(dict(json.loads(gt.read_text()), images=[], annotations=[])))
+    capsys.readouterr()
+    assert main(["acr", "--pred", str(empty), "--prior", str(prior), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == f"warning: {empty}: annotations array is empty; dataset has no records\n"
+    expected = {"schema_version": 1, "total_loss": 0.0, "per_image": []}
+    assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+
+
 def test_prior_species_filter_errors_when_empty(synth_files, tmp_path, capsys):
     gt, _ = synth_files
     assert main(["prior", "--train", str(gt), "--species", "grouper",

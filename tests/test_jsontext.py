@@ -13,6 +13,11 @@ from phenokey.jsontext import doc_field, dumps, read_json
 
 # as long as the shortest list of scalars a record list writes as one text per record
 _K = list(range(1, jsontext._BLOCK_MIN + 1))
+# containers that several records below hold as one object
+_ROW = [0.0, -1.0]
+_G = [[1.0, 0.0], _ROW, _ROW]
+_E = []
+_T = ((1.0, 2.0), (3.0, 4.0))
 
 _DOCS = [
     {},
@@ -73,6 +78,19 @@ _DOCS = [
     # long lists beside scalars and short lists, at several depths, as lists and tuples
     [{"id": 1, "kp": _K, "g": [[0.5, -1.0], _K]}, {"id": "2", "kp": tuple(_K), "g": [(3, 4), _K[::-1]]}],
     ({"k": tuple(_K)}, {"k": _K}),
+    # records that share nested containers, beside distinct ones of the same or another shape
+    [{"id": k, "g": _G if k % 2 else [[1.0, 0.0], [0.5, 2.0], _ROW]} for k in range(5)],
+    [{"g": _G}, {"g": [[1.0], {"a": None}]}, {"g": _G}, {"g": [_ROW, _ROW]}],
+    [{"g": _G}, {"g": 5}, {"g": _G}, {"g": None}],
+    [{"g": 5}, {"g": _G}],
+    [{"g": [_K, _ROW]}, {"g": [_K, _ROW]}],
+    # a shared empty list, beside distinct empty ones and an empty object
+    [{"a": 1, "e": _E}, {"a": 2, "e": _E}, {"a": 3, "e": []}],
+    [{"e": [_E, {}]}, {"e": [_E, []]}, {"e": [[], _E]}],
+    # shared tuples, and the same tuple as a whole record
+    [{"t": _T}, {"t": _T}, {"t": (1, (2, 3))}, {"t": [list(_T[0]), _T[1]]}],
+    [[_T, 1], [_T, 2], [(_T[1], _T[0]), 3]],
+    [_T, _T, _T],
 ]
 
 
@@ -93,6 +111,9 @@ def test_dumps_equals_indent2_dumps(doc):
         [{"k": [float("nan")] + _K[1:]}, {"k": _K[1:] + [float("inf")]}],
         [{"id": float("nan"), "k": _K}, {"id": 2, "k": _K[:-1] + [float("-inf")]}],
         [{"g": [float("nan"), 1.0]}, {"g": [2.0, float("inf")]}],
+        # NaN in a shared container, and in one of distinct containers of differing shapes
+        [{"g": _G}, {"g": [[float("nan")], _ROW]}, {"g": _G}],
+        [{"g": [[1.0], {"a": float("inf")}]}, {"g": _G}],
     ],
 )
 def test_dumps_refuses_nonfinite_numbers_unless_allowed(bad):
@@ -180,13 +201,19 @@ def test_a_same_shape_record_list_costs_a_fixed_number_of_encoder_calls(monkeypa
         return encoder(depth, allow_nan)
 
     monkeypatch.setattr(jsontext, "_encoder", counting)
-    counts = []
-    for n in (10, 100):
-        records = [{"id": i, "xy": [[i, 0.5], [1, 2]], "tags": ["a", None], "v": {"k": [i]}} for i in range(n)]
-        calls.clear()
-        assert dumps({"records": records}) == json.dumps({"records": records}, indent=2)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+    shared = [[[1.0, -1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], []]
+    for record in (
+        lambda i: {"id": i, "xy": [[i, 0.5], [1, 2]], "tags": ["a", None], "v": {"k": [i]}},
+        # records that share their nested containers, and distinct lists around a shared one
+        lambda i: {"id": i, "g": shared[i % 2], "e": shared[2], "h": [shared[i % 2], []]},
+    ):
+        counts = []
+        for n in (10, 100):
+            records = [record(i) for i in range(n)]
+            calls.clear()
+            assert dumps({"records": records}) == json.dumps({"records": records}, indent=2)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 def test_no_module_but_jsontext_reads_json():

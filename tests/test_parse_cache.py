@@ -16,7 +16,6 @@ from phenokey import dataset as dataset_module
 from phenokey.cli import main
 from phenokey.dataset import _CACHE_ENTRIES, Dataset, parse_coco, serialize_coco
 from phenokey.errors import ParseError
-from phenokey.jsontext import dumps
 from phenokey.synth import TEMPLATES, PerturbationModel, generate_population, perturb
 
 from conftest import DATA_DIR
@@ -114,29 +113,50 @@ def _entry(parse_cache):
     return parse_cache / name
 
 
+# an entry's columns after its header line, with the little-endian dtype and the bytes per row of each
+_LAYOUT = (("xy", "<f8", 44 * 8), ("v", "<i8", 22 * 8), ("width", "<f8", 8), ("height", "<f8", 8),
+           ("species", "<i8", 8))
+
+
+def _parts(data: bytes) -> list:
+    """``[role, image ids, *column bytes]`` of an entry."""
+    start = data.index(b"\n") + 1
+    role, ids = json.loads(data[:start])
+    parts = [role, ids]
+    for _, _, row in _LAYOUT:
+        parts.append(data[start:start + row * len(ids)])
+        start += row * len(ids)
+    assert start == len(data)
+    return parts
+
+
+def _joined(header, columns) -> bytes:
+    return json.dumps(header).encode() + b"\n" + b"".join(columns)
+
+
 def _edited(k, value):
-    """An entry with item ``k`` of its list ``[role, image ids, *columns]`` made ``value(item)``."""
-    def edit(text):
-        doc = json.loads(text)
-        doc[k] = value(doc[k])
-        return json.dumps(doc)
+    """An entry with item ``k`` of ``[role, image ids, *column bytes]`` made ``value(item)``."""
+    def edit(data):
+        parts = _parts(data)
+        parts[k] = value(parts[k])
+        return _joined(parts[:2], parts[2:])
     return edit
 
 
 BAD_ENTRIES = {
-    "empty": lambda text: "",
-    "truncated": lambda text: text[: len(text) // 2],
-    "no list": lambda text: json.dumps({"role": "train"}),
-    "a column too few": lambda text: json.dumps(json.loads(text)[:-1]),
+    "empty": lambda data: b"",
+    "truncated": lambda data: data[: len(data) // 2],
+    "no list": lambda data: _joined({"role": "train"}, _parts(data)[2:]),
+    "a column too few": lambda data: _joined(_parts(data)[:2], _parts(data)[2:-1]),
     "a column too short": _edited(-1, lambda column: column[:-4]),
     "a row too few": _edited(1, lambda ids: ids[:-1]),
-    "no base64": _edited(2, lambda column: "!" + column[1:]),
+    "bytes past the last column": lambda data: data + bytes(8),
     "an unknown role": _edited(0, lambda role: "val"),
     "a repeated id": _edited(1, lambda ids: [ids[0]] * len(ids)),
     "an id that is a list": _edited(1, lambda ids: [[i] for i in ids]),
     "ids in an object": _edited(1, lambda ids: {str(i): i for i in ids}),
-    "a species past the tags": _edited(-1, lambda column: "BwAAAAAAAAAHAAAAAAAAAA=="),
-    "deeply nested": lambda text: "[" * 100_000,
+    "a species past the tags": _edited(-1, lambda column: np.full(len(column) // 8, 7, "<i8").tobytes()),
+    "deeply nested": lambda data: b"[" * 100_000 + b"\n" + b"".join(_parts(data)[2:]),
 }
 
 
@@ -144,11 +164,12 @@ BAD_ENTRIES = {
 def test_an_unreadable_or_wrong_shape_entry_is_a_miss_and_is_rewritten(damage, fixture_path, parse_cache, decoded):
     cold = parse_coco(fixture_path)
     entry = _entry(parse_cache)
-    good = entry.read_text(encoding="utf-8")
-    entry.write_text(BAD_ENTRIES[damage](good), encoding="utf-8")
+    good = entry.read_bytes()
+    entry.write_bytes(BAD_ENTRIES[damage](good))
+    assert entry.read_bytes() != good
     assert parse_coco(fixture_path) == cold
     assert len(decoded) == 2
-    assert entry.read_text(encoding="utf-8") == good
+    assert entry.read_bytes() == good
     assert parse_coco(fixture_path) == cold and len(decoded) == 2
 
 
@@ -182,11 +203,13 @@ def test_a_relative_cache_home_is_ignored_for_the_home_directory(fixture_path, t
 
 
 def test_an_entry_is_the_json_text_of_its_list_in_a_private_directory(fixture_path, parse_cache):
-    parse_coco(fixture_path)
+    dataset = parse_coco(fixture_path)
     assert stat.S_IMODE(parse_cache.stat().st_mode) == 0o700
-    text = _entry(parse_cache).read_text(encoding="utf-8")    # the one file there: no part file is left
-    assert text == dumps(json.loads(text))
-    assert json.loads(text)[:2] == ["test", [1, 2]]
+    data = _entry(parse_cache).read_bytes()    # the one file there: no part file is left
+    # one JSON line of the role and the ids, then each column's little-endian bytes
+    columns = [np.asarray(getattr(dataset, name), dtype).tobytes() for name, dtype, _ in _LAYOUT]
+    assert data == b'["test", [1, 2]]\n' + b"".join(columns)
+    assert _parts(data)[2:] == columns
 
 
 @pytest.mark.parametrize("change", ["source", "python", "numpy"])
